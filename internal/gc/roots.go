@@ -21,12 +21,31 @@ const NilHandle Handle = 0
 // RootSet is the mutator's root table: a growable array of address slots
 // plus a mark stack discipline (scopes) for temporaries. Collectors scan
 // every live slot and update it in place when the referent moves.
+//
+// Handle numbering is load-bearing: a handle is a slot index plus one,
+// recorded traces, oracle fingerprints and ledger digests all contain
+// handles, so the order in which slots are minted, freed (Remove pushes
+// on the free list, PopScope releases a scope's handles oldest first)
+// and reused (free list LIFO) is part of the simulator's observable
+// behaviour. Only the representation may change.
 type RootSet struct {
-	slots  []heap.Addr
-	inUse  []bool
-	epochs []uint32 // incarnation counter per slot; bumps on free-list reuse
-	free   []int32
-	scoped [][]scopedRef // per open scope: handles to release at PopScope
+	slots []rootSlot
+	free  []int32
+	// Scopes are a LIFO discipline, so every open scope's entries live in
+	// one contiguous stack and marks holds the index at which each open
+	// scope starts: PushScope and PopScope move two lengths, and once the
+	// arrays have reached a run's depth nothing here allocates.
+	scoped []scopedRef
+	marks  []int32
+}
+
+// rootSlot is one root: the address, the slot's incarnation counter
+// (bumped on free-list reuse) and whether it is live. One record per
+// slot keeps Get, Set and Remove to a single bounds check and cache line.
+type rootSlot struct {
+	addr  heap.Addr
+	epoch uint32
+	inUse bool
 }
 
 // scopedRef pins a scope entry to one incarnation of its slot. A handle
@@ -53,8 +72,8 @@ func NewRootSet() *RootSet {
 func (r *RootSet) Add(a heap.Addr) Handle {
 	idx := r.addSlot(a)
 	h := Handle(idx + 1)
-	if n := len(r.scoped); n > 0 {
-		r.scoped[n-1] = append(r.scoped[n-1], scopedRef{h, r.epochs[idx]})
+	if len(r.marks) > 0 {
+		r.scoped = append(r.scoped, scopedRef{h, r.slots[idx].epoch})
 	}
 	return h
 }
@@ -70,26 +89,38 @@ func (r *RootSet) addSlot(a heap.Addr) int32 {
 	if n := len(r.free); n > 0 {
 		idx := r.free[n-1]
 		r.free = r.free[:n-1]
-		r.slots[idx] = a
-		r.inUse[idx] = true
-		r.epochs[idx]++
+		s := &r.slots[idx]
+		s.addr = a
+		s.inUse = true
+		s.epoch++
 		return idx
 	}
-	r.slots = append(r.slots, a)
-	r.inUse = append(r.inUse, true)
-	r.epochs = append(r.epochs, 0)
+	r.slots = append(r.slots, rootSlot{addr: a, inUse: true})
 	return int32(len(r.slots) - 1)
+}
+
+// live returns h's slot, or nil when h does not name a live root.
+func (r *RootSet) live(h Handle) *rootSlot {
+	if i := uint(h) - 1; i < uint(len(r.slots)) && r.slots[i].inUse {
+		return &r.slots[i]
+	}
+	return nil
 }
 
 // Remove releases a root handle.
 func (r *RootSet) Remove(h Handle) {
-	if !r.valid(h) {
+	s := r.live(h)
+	if s == nil {
 		panic(fmt.Sprintf("gc: Remove of invalid handle %d", h))
 	}
-	idx := int32(h) - 1
-	r.slots[idx] = heap.Nil
-	r.inUse[idx] = false
-	r.free = append(r.free, idx)
+	r.release(s, h)
+}
+
+// release frees h's live slot s: the index goes on top of the free list.
+func (r *RootSet) release(s *rootSlot, h Handle) {
+	s.addr = heap.Nil
+	s.inUse = false
+	r.free = append(r.free, int32(h)-1)
 }
 
 // Get returns the current address held by h. It must be reread after any
@@ -98,51 +129,52 @@ func (r *RootSet) Get(h Handle) heap.Addr {
 	if h == NilHandle {
 		return heap.Nil
 	}
-	if !r.valid(h) {
+	s := r.live(h)
+	if s == nil {
 		panic(fmt.Sprintf("gc: Get of invalid handle %d", h))
 	}
-	return r.slots[h-1]
+	return s.addr
 }
 
 // Set stores an address into root h. Root stores need no write barrier:
 // roots are scanned in full at every collection, exactly as in the paper.
 func (r *RootSet) Set(h Handle, a heap.Addr) {
-	if !r.valid(h) {
+	s := r.live(h)
+	if s == nil {
 		panic(fmt.Sprintf("gc: Set of invalid handle %d", h))
 	}
-	r.slots[h-1] = a
-}
-
-func (r *RootSet) valid(h Handle) bool {
-	return h >= 1 && int(h) <= len(r.slots) && r.inUse[h-1]
+	s.addr = a
 }
 
 // PushScope opens a dynamic scope: every handle Added until the matching
 // PopScope is released automatically. Scopes model stack frames of the
 // mutator.
 func (r *RootSet) PushScope() {
-	r.scoped = append(r.scoped, nil)
+	r.marks = append(r.marks, int32(len(r.scoped)))
 }
 
-// PopScope closes the innermost scope, releasing its handles.
+// PopScope closes the innermost scope, releasing its handles in the
+// order they were added.
 func (r *RootSet) PopScope() {
-	n := len(r.scoped)
+	n := len(r.marks)
 	if n == 0 {
 		panic("gc: PopScope without PushScope")
 	}
-	for _, sr := range r.scoped[n-1] {
-		if r.valid(sr.h) && r.epochs[sr.h-1] == sr.epoch {
-			r.Remove(sr.h)
+	start := r.marks[n-1]
+	for _, sr := range r.scoped[start:] {
+		if s := r.live(sr.h); s != nil && s.epoch == sr.epoch {
+			r.release(s, sr.h)
 		}
 	}
-	r.scoped = r.scoped[:n-1]
+	r.scoped = r.scoped[:start]
+	r.marks = r.marks[:n-1]
 }
 
 // Len returns the number of live root slots.
 func (r *RootSet) Len() int {
 	n := 0
-	for _, u := range r.inUse {
-		if u {
+	for i := range r.slots {
+		if r.slots[i].inUse {
 			n++
 		}
 	}
@@ -157,11 +189,12 @@ func (r *RootSet) Capacity() int { return len(r.slots) }
 // to trace and forward roots.
 func (r *RootSet) Walk(fn func(a heap.Addr) heap.Addr) {
 	for i := range r.slots {
-		if !r.inUse[i] {
+		s := &r.slots[i]
+		if !s.inUse {
 			continue
 		}
-		if a := r.slots[i]; a != heap.Nil {
-			r.slots[i] = fn(a)
+		if a := s.addr; a != heap.Nil {
+			s.addr = fn(a)
 		}
 	}
 }

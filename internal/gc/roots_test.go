@@ -170,54 +170,155 @@ func TestOOMErrorUnwraps(t *testing.T) {
 	}
 }
 
-// TestScopeDisciplineProperty drives random scope push/pop/add/remove
-// sequences and checks the live count and global-root survival.
+// nestedRootSet is the root set as it was before the flat scope stack:
+// one slice per open scope, three parallel slot arrays. It is kept here
+// as the reference model — recorded traces, oracle fingerprints and farm
+// ledger digests all contain Handle values, so the flat representation
+// must hand out exactly the handles this one does, operation for
+// operation.
+type nestedRootSet struct {
+	slots  []heap.Addr
+	inUse  []bool
+	epochs []uint32
+	free   []int32
+	scoped [][]scopedRef
+}
+
+func (r *nestedRootSet) add(a heap.Addr, global bool) Handle {
+	var idx int32
+	if n := len(r.free); n > 0 {
+		idx = r.free[n-1]
+		r.free = r.free[:n-1]
+		r.slots[idx] = a
+		r.inUse[idx] = true
+		r.epochs[idx]++
+	} else {
+		r.slots = append(r.slots, a)
+		r.inUse = append(r.inUse, true)
+		r.epochs = append(r.epochs, 0)
+		idx = int32(len(r.slots) - 1)
+	}
+	h := Handle(idx + 1)
+	if n := len(r.scoped); n > 0 && !global {
+		r.scoped[n-1] = append(r.scoped[n-1], scopedRef{h, r.epochs[idx]})
+	}
+	return h
+}
+
+func (r *nestedRootSet) valid(h Handle) bool {
+	return h >= 1 && int(h) <= len(r.slots) && r.inUse[h-1]
+}
+
+func (r *nestedRootSet) remove(h Handle) {
+	r.slots[h-1] = heap.Nil
+	r.inUse[h-1] = false
+	r.free = append(r.free, int32(h)-1)
+}
+
+func (r *nestedRootSet) popScope() {
+	n := len(r.scoped)
+	for _, sr := range r.scoped[n-1] {
+		if r.valid(sr.h) && r.epochs[sr.h-1] == sr.epoch {
+			r.remove(sr.h)
+		}
+	}
+	r.scoped = r.scoped[:n-1]
+}
+
+// live returns the model's live roots as handle -> address.
+func (r *nestedRootSet) live() map[Handle]heap.Addr {
+	m := map[Handle]heap.Addr{}
+	for i, u := range r.inUse {
+		if u {
+			m[Handle(i+1)] = r.slots[i]
+		}
+	}
+	return m
+}
+
+// TestScopeDisciplineProperty drives random add / add-global /
+// push / pop / release / set sequences through the RootSet and through
+// the nested-slice model side by side, and requires the same Handle from
+// every Add and the same live roots (handles and addresses) after every
+// operation. Releases pick among handles ever returned, live or stale,
+// so release-inside-scope followed by slot reuse is exercised constantly.
 func TestScopeDisciplineProperty(t *testing.T) {
 	prop := func(ops []uint8) bool {
 		r := NewRootSet()
-		var globals []Handle
-		var scoped [][]Handle
-		for _, op := range ops {
-			switch {
-			case op < 90:
-				h := r.Add(heap.Addr(op)*4 + 4)
-				if len(scoped) == 0 {
-					globals = append(globals, h)
-				} else {
-					scoped[len(scoped)-1] = append(scoped[len(scoped)-1], h)
-				}
-			case op < 120:
-				h := r.AddGlobal(heap.Addr(op)*4 + 4)
-				globals = append(globals, h)
-			case op < 180:
-				r.PushScope()
-				scoped = append(scoped, nil)
-			default:
-				if len(scoped) > 0 {
-					r.PopScope()
-					scoped = scoped[:len(scoped)-1]
+		m := &nestedRootSet{}
+		var issued []Handle
+		depth := 0
+		check := func(step int, op uint8) bool {
+			want := m.live()
+			if r.Len() != len(want) || r.Capacity() != len(m.slots) {
+				t.Logf("step %d (op %d): Len/Capacity = %d/%d, model %d/%d",
+					step, op, r.Len(), r.Capacity(), len(want), len(m.slots))
+				return false
+			}
+			for h, a := range want {
+				if r.live(h) == nil || r.Get(h) != a {
+					t.Logf("step %d (op %d): handle %d diverged from model", step, op, h)
+					return false
 				}
 			}
+			return true
 		}
-		for len(scoped) > 0 {
-			r.PopScope()
-			scoped = scoped[:len(scoped)-1]
-		}
-		if r.Len() != len(globals) {
-			return false
-		}
-		for _, g := range globals {
-			if r.Get(g) == heap.Nil {
+		for step, op := range ops {
+			a := heap.Addr(step)*4 + 4
+			switch {
+			case op < 120:
+				global := op >= 90
+				var got Handle
+				if global {
+					got = r.AddGlobal(a)
+				} else {
+					got = r.Add(a)
+				}
+				if want := m.add(a, global); got != want {
+					t.Logf("step %d: Add returned handle %d, model %d", step, got, want)
+					return false
+				}
+				issued = append(issued, got)
+			case op < 160:
+				r.PushScope()
+				m.scoped = append(m.scoped, nil)
+				depth++
+			case op < 200:
+				if depth > 0 {
+					r.PopScope()
+					m.popScope()
+					depth--
+				}
+			case op < 235:
+				if len(issued) > 0 {
+					h := issued[int(op)*7%len(issued)]
+					if m.valid(h) {
+						r.Remove(h)
+						m.remove(h)
+					} else if r.live(h) != nil {
+						t.Logf("step %d: handle %d live but dead in model", step, h)
+						return false
+					}
+				}
+			default:
+				if len(issued) > 0 {
+					if h := issued[int(op)*5%len(issued)]; m.valid(h) {
+						r.Set(h, a)
+						m.slots[h-1] = a
+					}
+				}
+			}
+			if !check(step, op) {
 				return false
 			}
 		}
-		return true
+		for ; depth > 0; depth-- {
+			r.PopScope()
+			m.popScope()
+		}
+		return check(len(ops), 0)
 	}
-	if err := quickCheck(prop); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-}
-
-func quickCheck(f func([]uint8) bool) error {
-	return quick.Check(f, &quick.Config{MaxCount: 80})
 }

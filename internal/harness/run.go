@@ -197,6 +197,10 @@ func RunOne(cfg core.Config, bench *workload.Benchmark, env Env) (res *Result, e
 	if herr != nil {
 		return nil, fmt.Errorf("harness: %s on %s: %w", cfg.Name, bench.Name, herr)
 	}
+	// The Result is read off the clock, never the heap: once it is taken
+	// the simulated heap's slabs go to the next run (registered first, so
+	// it runs after the recovery below has made its snapshot).
+	defer h.Space().Release()
 	h.Clock().Budget = env.CostBudget
 	// The flight recorder is always attached (hook emission reads the
 	// clock without advancing it, so this changes no measurement): a

@@ -62,6 +62,7 @@ func RunServer(cfg core.Config, sc server.Config, slo server.SLO, env Env) (res 
 	if herr != nil {
 		return nil, fmt.Errorf("harness: %s on %s: %w", cfg.Name, serverBenchName, herr)
 	}
+	defer h.Space().Release() // as in RunOne
 	h.Clock().Budget = env.CostBudget
 	tele := telemetry.NewRun(h.Clock())
 	h.SetHooks(tele.Hooks())
@@ -170,6 +171,7 @@ func RunServerSharded(cfg core.Config, sc server.Config, slo server.SLO, env Env
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s on %s: %w", cfg.Name, serverBenchName, err)
 	}
+	defer rt.Release()
 	loops := make([]*server.Loop, n)
 	for _, s := range rt.Shards() {
 		s.Heap.Clock().Budget = env.CostBudget

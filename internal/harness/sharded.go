@@ -57,6 +57,7 @@ func RunSharded(cfg core.Config, bench *workload.Benchmark, env Env) (*Result, e
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s on %s: %w", cfg.Name, bench.Name, err)
 	}
+	defer rt.Release()
 	for _, s := range rt.Shards() {
 		s.Heap.Clock().Budget = env.CostBudget
 	}

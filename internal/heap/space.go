@@ -1,6 +1,9 @@
 package heap
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Space is the simulated virtual address space: a growable set of
 // power-of-two sized frames, each backed by its own zeroed word slab.
@@ -13,7 +16,8 @@ import "fmt"
 // word-addressed for every collector-visible access, so Word/SetWord
 // compile to a single indexed load/store instead of four byte operations,
 // and CopyObject is a copy() over word slices. Unmapped slabs are pooled
-// and re-zeroed on reuse, keeping frame turnover off the Go allocator.
+// and re-zeroed on reuse, keeping frame turnover off the Go allocator;
+// Release hands a finished run's slabs to the next run's Space.
 type Space struct {
 	Types *Registry
 
@@ -22,9 +26,11 @@ type Space struct {
 	wordShift  uint       // frameShift - WordShift: word index -> frame number
 	wordMask   uint32     // words-per-frame - 1: word index -> slab offset
 	frames     [][]uint32 // indexed by Frame; nil when unmapped
-	free       []Frame    // FIFO recycle queue of unmapped frame numbers
+	free       []Frame    // FIFO recycle queue of unmapped frame numbers: free[freeHead:]
+	freeHead   int
 	pool       [][]uint32 // unmapped slabs awaiting reuse
 	mapped     int
+	released   bool
 
 	// Hooks for cost accounting; nil-safe.
 	OnMap   func()
@@ -85,27 +91,66 @@ func (s *Space) Mapped(f Frame) bool {
 	return int(f) < len(s.frames) && s.frames[f] != nil
 }
 
+// slabPools holds the slabs of released Spaces, one pool per frame size
+// (indexed by frame shift), so that the runs of one process — the probes
+// of a min-heap search, an engine's jobs, a farm worker's specs — build
+// their heaps from one heap's worth of slabs. Being sync.Pools, they
+// give back to the Go collector what nobody has asked for in two of its
+// cycles.
+var slabPools [32]sync.Pool
+
+// Release ends the Space's life and hands every slab it holds, mapped or
+// pooled, to the process-wide pool for its frame size. Afterwards every
+// frame is unmapped — any access faults — and mapping panics: the slabs
+// may already belong to another run. Releasing twice is harmless.
+func (s *Space) Release() {
+	if s.released {
+		return
+	}
+	s.released = true
+	// The pool's items are pointers into the Space's own slab tables,
+	// which it lets go of below: handing a slab over allocates nothing.
+	shared := &slabPools[s.frameShift]
+	for i := range s.pool {
+		shared.Put(&s.pool[i])
+	}
+	for i := range s.frames {
+		if s.frames[i] != nil {
+			shared.Put(&s.frames[i])
+		}
+	}
+	s.frames, s.pool, s.free, s.freeHead, s.mapped = nil, nil, nil, 0, 0
+}
+
 // newSlab returns a zeroed words-per-frame slab, reusing a pooled one
-// when available: clearing a recycled slab is a memclr, with none of the
+// when available — the Space's own first, then one a released Space left
+// behind: clearing a recycled slab is a memclr, with none of the
 // allocator traffic a fresh make incurs on every collection.
 func (s *Space) newSlab() []uint32 {
+	if s.released {
+		panic("heap: map on a released space")
+	}
+	var slab []uint32
 	if n := len(s.pool); n > 0 {
-		slab := s.pool[n-1]
+		slab = s.pool[n-1]
 		s.pool[n-1] = nil
 		s.pool = s.pool[:n-1]
-		clear(slab)
-		return slab
+	} else if p, _ := slabPools[s.frameShift].Get().(*[]uint32); p != nil {
+		slab = *p
+	} else {
+		return make([]uint32, s.frameBytes>>WordShift)
 	}
-	return make([]uint32, s.frameBytes>>WordShift)
+	clear(slab)
+	return slab
 }
 
 // MapFrame maps a fresh zeroed frame and returns its number. Recycled
 // frame numbers are reused FIFO.
 func (s *Space) MapFrame() Frame {
 	var f Frame
-	if len(s.free) > 0 {
-		f = s.free[0]
-		s.free = s.free[1:]
+	if s.freeHead < len(s.free) {
+		f = s.free[s.freeHead]
+		s.freeHead++
 	} else {
 		f = Frame(len(s.frames))
 		s.frames = append(s.frames, nil)
@@ -146,6 +191,14 @@ func (s *Space) UnmapFrame(f Frame) {
 	}
 	s.pool = append(s.pool, s.frames[f])
 	s.frames[f] = nil
+	if len(s.free) == cap(s.free) && 2*s.freeHead >= len(s.free) {
+		// Full array, at least half of it already handed out: slide the
+		// queue back to the front instead of growing. Each slide moves at
+		// most as many entries as it frees, so the array settles at a
+		// small multiple of the most frames ever waiting at once.
+		s.free = s.free[:copy(s.free, s.free[s.freeHead:])]
+		s.freeHead = 0
+	}
 	s.free = append(s.free, f)
 	s.mapped--
 	if s.OnUnmap != nil {

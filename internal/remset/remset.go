@@ -117,6 +117,14 @@ type Table struct {
 	lastSet *set
 
 	matched []key // CollectRoots scratch, reused across collections
+
+	// Retired sets and index buckets, handed back out by Insert with
+	// their arrays emptied but kept: frames are collected and refilled
+	// for a whole run, so in steady state the barrier slow path and a
+	// collection's harvest take their storage from here, not from the Go
+	// allocator.
+	spareSets    []*set
+	spareBuckets [][]key
 }
 
 // NewTable returns an empty remembered-set table.
@@ -138,10 +146,10 @@ func (t *Table) Insert(src, tgt heap.Frame, slot heap.Addr) bool {
 	if s == nil || t.lastKey != k {
 		s = t.sets[k]
 		if s == nil {
-			s = &set{}
+			s = t.newSet()
 			t.sets[k] = s
-			t.bySrc[src] = append(t.bySrc[src], k)
-			t.byTgt[tgt] = append(t.byTgt[tgt], k)
+			t.addKey(t.bySrc, src, k)
+			t.addKey(t.byTgt, tgt, k)
 		}
 		t.lastKey, t.lastSet = k, s
 	}
@@ -154,6 +162,44 @@ func (t *Table) Insert(src, tgt heap.Frame, slot heap.Addr) bool {
 		fmt.Printf("remset: insert (%d,%d) slot %v\n", src, tgt, slot)
 	}
 	return true
+}
+
+// takeLast pops the last element off a spare list, if it has one.
+func takeLast[T any](spare *[]T) (v T, ok bool) {
+	n := len(*spare)
+	if n == 0 {
+		return v, false
+	}
+	var zero T
+	v, (*spare)[n-1] = (*spare)[n-1], zero
+	*spare = (*spare)[:n-1]
+	return v, true
+}
+
+// newSet returns an empty set, a retired one when there is one.
+func (t *Table) newSet() *set {
+	if s, ok := takeLast(&t.spareSets); ok {
+		return s
+	}
+	return &set{}
+}
+
+// addKey appends k to the index bucket of frame f in idx, starting a
+// frame's bucket on a retired array when there is one.
+func (t *Table) addKey(idx map[heap.Frame][]key, f heap.Frame, k key) {
+	bucket, ok := idx[f]
+	if !ok {
+		bucket, _ = takeLast(&t.spareBuckets)
+	}
+	idx[f] = append(bucket, k)
+}
+
+// retireBucket removes frame f's bucket from idx and keeps its array.
+func (t *Table) retireBucket(idx map[heap.Frame][]key, f heap.Frame) {
+	if bucket, ok := idx[f]; ok {
+		delete(idx, f)
+		t.spareBuckets = append(t.spareBuckets, bucket[:0])
+	}
 }
 
 // dropKey removes k from the index bucket of frame f in idx.
@@ -181,6 +227,8 @@ func (t *Table) dropSet(k key, s *set, keepSrc, keepTgt bool) {
 		delete(t.tgtEntries, tgt)
 	}
 	delete(t.sets, k)
+	s.sorted, s.tail = s.sorted[:0], s.tail[:0]
+	t.spareSets = append(t.spareSets, s)
 	if !keepSrc {
 		dropKey(t.bySrc, k.src(), k)
 	}
@@ -205,7 +253,7 @@ func (t *Table) DeleteFrame(f heap.Frame) {
 		}
 		t.dropSet(k, s, true, k.tgt() == f)
 	}
-	delete(t.bySrc, f)
+	t.retireBucket(t.bySrc, f)
 	for _, k := range t.byTgt[f] {
 		s := t.sets[k]
 		if s == nil {
@@ -217,7 +265,7 @@ func (t *Table) DeleteFrame(f heap.Frame) {
 		}
 		t.dropSet(k, s, false, true)
 	}
-	delete(t.byTgt, f)
+	t.retireBucket(t.byTgt, f)
 	t.lastSet = nil
 }
 

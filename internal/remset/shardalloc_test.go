@@ -55,6 +55,7 @@ func TestAppendRootsMatchedZeroAlloc(t *testing.T) {
 			s.compact()
 		}
 		tb.matched = make([]key, 0, 8)
+		tb.spareSets = make([]*set, 0, 8)
 		return tb
 	}
 	tables := make([]*Table, 0, runs+2)

@@ -434,6 +434,16 @@ func (rt *Runtime) Result() *Result {
 	return res
 }
 
+// Release hands every shard's simulated heap back to the process-wide
+// slab pool (heap.Space.Release). Call it once Result, MergedTelemetry
+// and any validator fingerprints have been taken: afterwards the shard
+// heaps fault on every access.
+func (rt *Runtime) Release() {
+	for _, s := range rt.shards {
+		s.Heap.Space().Release()
+	}
+}
+
 // MergedTelemetry merges every shard's telemetry snapshot into one
 // (nil when the runtime was built without Options.Telemetry). Each
 // shard kept a private flight recorder and registry during the run —
