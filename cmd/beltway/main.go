@@ -45,125 +45,81 @@ func main() {
 		bench   = flag.String("bench", "jess", "benchmark name")
 		heapX   = flag.Float64("heap", 2.0, "heap size as a multiple of the min heap")
 		heapMB  = flag.Float64("heapMB", 0, "absolute heap size in MB (overrides -heap)")
-		scale   = flag.Float64("scale", 1.0, "workload scale")
-		seed    = flag.Int64("seed", workload.DefaultParams().Seed, "PRNG seed")
-		frameKB = flag.Int("frame", 0, "frame size in KB (0 = auto from scale)")
-		physMB  = flag.Int("physmem", -1, "modelled physical memory in MB (0 = off, -1 = auto)")
 		showMMU = flag.Bool("mmu", false, "print the MMU curve")
-		preten  = flag.Bool("pretenure", false, "route known-long-lived allocation sites to older belts")
-		muts    = flag.Int("mutators", 1,
-			"mutator goroutines; >1 shards the run over N private heaps (simulated N-core makespan)")
 
 		serverMode = flag.Bool("server", false,
 			"run the request/response server workload instead of -bench")
 		sloSpec = flag.String("slo", "",
 			"request-latency SLO for -server, e.g. p99=10e3,p99.9=1e6,max=5e6 (cost units; empty = report only)")
-		adapt = flag.String("adapt", "",
-			"adaptive policy objective: slo | mmu | footprint | throughput, with optional params (e.g. mmu:floor=0.7); empty = static (paper behavior)")
-
-		traceOut = flag.String("trace-out", "",
-			"write a Chrome trace_event JSON of the run's GC events")
-		metricsOut = flag.String("metrics-out", "",
-			"write the run's metrics in Prometheus text exposition format")
-		timelineOut = flag.String("timeline", "",
-			"write an ASCII heap-composition timeline ('-' for stdout)")
 	)
+	envFlags := harness.BindEnvFlags(flag.CommandLine)
+	files := telemetry.BindFileFlags(flag.CommandLine)
 	flag.Parse()
-
-	var b *workload.Benchmark
-	if !*serverMode {
-		b = workload.Get(*bench)
-		if b == nil {
-			fatalf("unknown benchmark %q (have: %v)", *bench, workload.Names())
-		}
-	}
-	env := harness.EnvForScale(*scale)
-	env.Seed = *seed
-	if *frameKB > 0 {
-		env.FrameBytes = *frameKB * 1024
-	}
-	if *physMB >= 0 {
-		env.PhysMemBytes = *physMB << 20
-	}
-	env.Pretenure = *preten
-	env.Mutators = *muts
-	env.Policy = *adapt
-	seedSet, mutatorsSet := false, false // explicit flags, even at defaults
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed":
-			seedSet = true
-		case "mutators":
-			mutatorsSet = true
-		}
-	})
-	// An explicit -mutators forces the sharded runtime in server mode even
-	// at 1, so validate against it upfront rather than deep in the run.
-	if err := harness.ValidateEnv(env, mutatorsSet && *serverMode); err != nil {
+	env, err := envFlags()
+	if err != nil {
 		fatalf("%v", err)
+	}
+	opts := func(heapBytes int) collectors.Options {
+		return collectors.Options{
+			HeapBytes: heapBytes, FrameBytes: env.FrameBytes, PhysMemBytes: env.PhysMemBytes}
 	}
 
 	// Server mode: no min-heap search; -heap multiplies the store's
 	// estimated live size, and the request stream rides -seed when set.
-	var sc server.Config
-	var slo server.SLO
+	var work harness.Workload
+	var heapBytes int
 	if *serverMode {
-		sc = server.Scaled(*scale)
-		if seedSet {
-			sc.Seed = *seed
-		}
-		var perr error
-		if slo, perr = server.ParseSLO(*sloSpec); perr != nil {
+		sc := server.Scaled(env.Scale)
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "seed" {
+				sc.Seed = env.Seed
+			}
+		})
+		slo, perr := server.ParseSLO(*sloSpec)
+		if perr != nil {
 			fatalf("-slo: %v", perr)
 		}
-	}
-
-	var heapBytes int
-	if *heapMB > 0 {
-		heapBytes = int(*heapMB * (1 << 20))
-	} else if *serverMode {
+		work = harness.Server(sc, slo)
 		heapBytes = int(float64(sc.EstLiveBytes()) * *heapX)
 		heapBytes = (heapBytes/env.FrameBytes + 1) * env.FrameBytes
-		fmt.Printf("est. live set: %s MB; running at %s MB (%.2fx)\n",
-			harness.FmtMB(sc.EstLiveBytes()), harness.FmtMB(heapBytes), *heapX)
+		if *heapMB <= 0 {
+			fmt.Printf("est. live set: %s MB; running at %s MB (%.2fx)\n",
+				harness.FmtMB(sc.EstLiveBytes()), harness.FmtMB(heapBytes), *heapX)
+		}
 	} else {
-		appel := func(h int) core.Config {
-			c, err := collectors.Parse("appel", collectors.Options{
-				HeapBytes: h, FrameBytes: env.FrameBytes, PhysMemBytes: env.PhysMemBytes})
-			if err != nil {
-				panic(err)
+		b := workload.Get(*bench)
+		if b == nil {
+			fatalf("unknown benchmark %q (have: %v)", *bench, workload.Names())
+		}
+		work = harness.Bench(b)
+		if *heapMB <= 0 {
+			appel := func(h int) core.Config {
+				c, err := collectors.Parse("appel", opts(h))
+				if err != nil {
+					panic(err)
+				}
+				return c
 			}
-			return c
+			min, err := harness.FindMinHeap(appel, b, env)
+			if err != nil {
+				fatalf("min-heap search: %v", err)
+			}
+			heapBytes = int(float64(min) * *heapX)
+			heapBytes = (heapBytes / env.FrameBytes) * env.FrameBytes
+			fmt.Printf("min heap (Appel): %s MB; running at %s MB (%.2fx)\n",
+				harness.FmtMB(min), harness.FmtMB(heapBytes), *heapX)
 		}
-		min, err := harness.FindMinHeap(appel, b, env)
-		if err != nil {
-			fatalf("min-heap search: %v", err)
-		}
-		heapBytes = int(float64(min) * *heapX)
-		heapBytes = (heapBytes / env.FrameBytes) * env.FrameBytes
-		fmt.Printf("min heap (Appel): %s MB; running at %s MB (%.2fx)\n",
-			harness.FmtMB(min), harness.FmtMB(heapBytes), *heapX)
+	}
+	if *heapMB > 0 {
+		heapBytes = int(*heapMB * (1 << 20))
 	}
 
-	config, err := collectors.Parse(*gcName, collectors.Options{
-		HeapBytes: heapBytes, FrameBytes: env.FrameBytes, PhysMemBytes: env.PhysMemBytes})
+	config, err := collectors.Parse(*gcName, opts(heapBytes))
 	if err != nil {
 		fatalf("%v", err)
 	}
 	env.Telemetry = true
-	var res *harness.Result
-	if *serverMode {
-		// An explicit -mutators forces the sharded runtime even at 1, so
-		// `-mutators 1` demonstrates the flat/sharded replay identity from
-		// the command line rather than trivially taking the flat path.
-		if mutatorsSet {
-			res, err = harness.RunServerSharded(config, sc, slo, env)
-		} else {
-			res, err = harness.RunServer(config, sc, slo, env)
-		}
-	} else {
-		res, err = harness.RunOne(config, b, env)
-	}
+	res, err := harness.Run(config, work, env)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -182,47 +138,12 @@ func main() {
 	table := harness.ResultsTable([]*harness.Result{res})
 	fmt.Printf("\n%s", table.String())
 
-	runName := fmt.Sprintf("%s / %s", res.Collector, res.Benchmark)
-	if *timelineOut != "" && res.Telemetry != nil {
-		out := os.Stdout
-		if *timelineOut != "-" {
-			f, ferr := os.Create(*timelineOut)
-			if ferr != nil {
-				fatalf("-timeline: %v", ferr)
-			}
-			defer f.Close()
-			out = f
-		}
-		fmt.Fprintln(out)
-		if err := telemetry.WriteTimeline(out, runName, res.Telemetry.Events); err != nil {
-			fatalf("-timeline: %v", err)
-		}
-	}
-	if *traceOut != "" && res.Telemetry != nil {
-		f, ferr := os.Create(*traceOut)
-		if ferr != nil {
-			fatalf("-trace-out: %v", ferr)
-		}
-		defer f.Close()
-		if err := telemetry.WriteChromeTrace(f, []telemetry.TraceRun{
-			{Name: runName, Pid: 1, Events: res.Telemetry.Events},
-		}); err != nil {
-			fatalf("-trace-out: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "beltway: wrote Chrome trace to %s\n", *traceOut)
-	}
-	if *metricsOut != "" && res.Telemetry != nil {
-		agg := telemetry.NewAggregator()
-		agg.Add(res.Collector, res.Telemetry)
-		f, ferr := os.Create(*metricsOut)
-		if ferr != nil {
-			fatalf("-metrics-out: %v", ferr)
-		}
-		defer f.Close()
-		if err := agg.WritePrometheus(f); err != nil {
-			fatalf("-metrics-out: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "beltway: wrote Prometheus metrics to %s\n", *metricsOut)
+	agg := telemetry.NewAggregator()
+	agg.Add(res.Collector, res.Telemetry)
+	runs := []telemetry.TraceRun{{
+		Name: fmt.Sprintf("%s / %s", res.Collector, res.Benchmark), Pid: 1, Events: res.Telemetry.Events}}
+	if err := files.Write("beltway", runs, agg); err != nil {
+		fatalf("%v", err)
 	}
 	if *showMMU && !res.OOM {
 		curve := res.MMU(24)

@@ -42,7 +42,6 @@ import (
 	"beltway/internal/engine"
 	"beltway/internal/experiments"
 	"beltway/internal/harness"
-	"beltway/internal/stats"
 	"beltway/internal/telemetry"
 	"beltway/internal/workload"
 )
@@ -51,10 +50,6 @@ func main() {
 	var (
 		exp      = flag.String("exp", "all", "experiment id (table1, fig1, fig5..fig11, all)")
 		points   = flag.Int("points", 17, "heap sizes per sweep (paper used 33)")
-		scale    = flag.Float64("scale", 1.0, "workload scale")
-		seed     = flag.Int64("seed", workload.DefaultParams().Seed, "workload PRNG seed")
-		frameKB  = flag.Int("frame", 0, "frame size in KB (power of two; 0 = auto from scale)")
-		physMB   = flag.Int("physmem", -1, "modelled physical memory in MB (0 = no paging, -1 = auto)")
 		verbose  = flag.Bool("v", false, "print per-run progress")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		csvOut   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -68,28 +63,13 @@ func main() {
 			"load -checkpoint and skip runs it already holds (appends new records)")
 		timeout = flag.Duration("timeout", 0,
 			"per-run wall-clock budget (e.g. 30s; 0 = none); exceeded runs are recorded as failures")
-		budget = flag.Float64("budget", 0,
-			"per-run cost budget in nominal seconds of simulated time (0 = none); exceeded runs abort deterministically")
-		degrade = flag.Bool("degrade", false,
-			"enable the graceful-degradation ladder: emergency full-heap collection and one retry before any run reports OOM")
-		mutators = flag.Int("mutators", 1,
-			"mutator goroutines per run; >1 shards every run over N private heaps (default 1 = classic single-mutator tables)")
-		faultSeed = flag.Int64("fault-seed", 0,
-			"run every configuration under a deterministic fault-injection schedule derived from this seed (chaos testing; 0 = off)")
 		slo = flag.String("slo", "",
 			"request-latency SLO for -exp server, e.g. p99=10e3,p99.9=1e6,max=20e6 (cost units; default: the built-in bar)")
-		adapt = flag.String("adapt", "",
-			"run every measurement with the adaptive policy controller on this objective (slo | mmu | footprint | throughput; empty = static)")
-
-		traceOut = flag.String("trace-out", "",
-			"write a Chrome trace_event JSON of every run's GC events (open in chrome://tracing or Perfetto)")
-		metricsOut = flag.String("metrics-out", "",
-			"write aggregated metrics in Prometheus text exposition format")
-		timelineOut = flag.String("timeline", "",
-			"write an ASCII heap-composition timeline per run")
 		metricsAddr = flag.String("metrics-addr", "",
 			"serve live aggregated metrics over HTTP at this address (e.g. :9090) while the sweep runs")
 	)
+	envFlags := harness.BindEnvFlags(flag.CommandLine)
+	files := telemetry.BindFileFlags(flag.CommandLine)
 	flag.Parse()
 	if *resume && *checkpoint == "" {
 		fatalf("-resume requires -checkpoint")
@@ -105,22 +85,8 @@ func main() {
 		return
 	}
 
-	env := harness.EnvForScale(*scale)
-	env.Seed = *seed
-	if *frameKB > 0 {
-		env.FrameBytes = *frameKB * 1024
-	}
-	if *physMB >= 0 {
-		env.PhysMemBytes = *physMB * 1024 * 1024
-	}
-	if *budget > 0 {
-		env.CostBudget = *budget * stats.CyclesPerSecond
-	}
-	env.Degrade = *degrade
-	env.FaultSeed = *faultSeed
-	env.Mutators = *mutators
-	env.Policy = *adapt
-	if err := harness.ValidateEnv(env, false); err != nil {
+	env, err := envFlags()
+	if err != nil {
 		fatalf("%v", err)
 	}
 
@@ -128,7 +94,7 @@ func main() {
 	// endpoint), never stdout, so the printed tables stay byte-identical
 	// with telemetry enabled or disabled.
 	var obs *observer
-	if *traceOut != "" || *metricsOut != "" || *timelineOut != "" || *metricsAddr != "" {
+	if files.Any() || *metricsAddr != "" {
 		env.Telemetry = true
 		obs = newObserver()
 		if *metricsAddr != "" {
@@ -216,23 +182,8 @@ func main() {
 	}
 
 	if obs != nil {
-		if *traceOut != "" {
-			if err := obs.writeTrace(*traceOut); err != nil {
-				fatalf("-trace-out: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "experiments: wrote Chrome trace to %s\n", *traceOut)
-		}
-		if *metricsOut != "" {
-			if err := obs.writeMetrics(*metricsOut); err != nil {
-				fatalf("-metrics-out: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "experiments: wrote Prometheus metrics to %s\n", *metricsOut)
-		}
-		if *timelineOut != "" {
-			if err := obs.writeTimelines(*timelineOut); err != nil {
-				fatalf("-timeline: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "experiments: wrote heap timelines to %s\n", *timelineOut)
+		if err := files.Write("experiments", obs.sortedRuns(), obs.agg); err != nil {
+			fatalf("%v", err)
 		}
 	}
 }
@@ -243,16 +194,11 @@ type observer struct {
 	agg *telemetry.Aggregator
 
 	mu   sync.Mutex
-	runs map[string]observedRun // by engine key, deduplicated
-}
-
-type observedRun struct {
-	name   string
-	events []telemetry.Event
+	runs map[string]telemetry.TraceRun // by engine key, deduplicated
 }
 
 func newObserver() *observer {
-	return &observer{agg: telemetry.NewAggregator(), runs: map[string]observedRun{}}
+	return &observer{agg: telemetry.NewAggregator(), runs: map[string]telemetry.TraceRun{}}
 }
 
 // onRecord decodes a settled engine record's payload and folds its
@@ -270,10 +216,10 @@ func (o *observer) onRecord(rec engine.Record) {
 	o.mu.Lock()
 	_, seen := o.runs[key]
 	if !seen {
-		o.runs[key] = observedRun{
-			name: fmt.Sprintf("%s / %s @ %sMB", p.Result.Collector, p.Result.Benchmark,
+		o.runs[key] = telemetry.TraceRun{
+			Name: fmt.Sprintf("%s / %s @ %sMB", p.Result.Collector, p.Result.Benchmark,
 				harness.FmtMB(p.Result.HeapBytes)),
-			events: p.Result.Telemetry.Events,
+			Events: p.Result.Telemetry.Events,
 		}
 	}
 	o.mu.Unlock()
@@ -282,9 +228,9 @@ func (o *observer) onRecord(rec engine.Record) {
 	}
 }
 
-// sortedRuns returns the observed runs ordered by key, so file output is
-// deterministic regardless of completion order.
-func (o *observer) sortedRuns() []observedRun {
+// sortedRuns returns the observed runs ordered (and numbered) by key, so
+// file output is deterministic regardless of completion order.
+func (o *observer) sortedRuns() []telemetry.TraceRun {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	keys := make([]string, 0, len(o.runs))
@@ -292,51 +238,13 @@ func (o *observer) sortedRuns() []observedRun {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]observedRun, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, o.runs[k])
+	out := make([]telemetry.TraceRun, 0, len(keys))
+	for i, k := range keys {
+		run := o.runs[k]
+		run.Pid = i + 1
+		out = append(out, run)
 	}
 	return out
-}
-
-func (o *observer) writeTrace(path string) error {
-	runs := o.sortedRuns()
-	tr := make([]telemetry.TraceRun, len(runs))
-	for i, r := range runs {
-		tr[i] = telemetry.TraceRun{Name: r.name, Pid: i + 1, Events: r.events}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return telemetry.WriteChromeTrace(f, tr)
-}
-
-func (o *observer) writeMetrics(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return o.agg.WritePrometheus(f)
-}
-
-func (o *observer) writeTimelines(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	for _, r := range o.sortedRuns() {
-		if err := telemetry.WriteTimeline(f, r.name, r.events); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(f); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func fatalf(format string, args ...any) {

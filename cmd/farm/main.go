@@ -35,9 +35,7 @@ import (
 
 	"beltway/internal/farm"
 	"beltway/internal/harness"
-	"beltway/internal/stats"
 	"beltway/internal/telemetry"
-	"beltway/internal/workload"
 )
 
 func main() {
@@ -71,9 +69,6 @@ func runMain(args []string) {
 		colSpecs   = fs.String("collectors", "appel,25.25.100", "comma-separated collector specs (collectors.Parse syntax)")
 		benchNames = fs.String("benchmarks", "jess", "comma-separated benchmark names")
 		factors    = fs.String("factors", "2,3", "comma-separated heap factors (multiples of each benchmark's Appel min heap)")
-		scale      = fs.Float64("scale", 1.0, "workload scale")
-		seed       = fs.Int64("seed", workload.DefaultParams().Seed, "workload PRNG seed")
-		budget     = fs.Float64("budget", 0, "per-run cost budget in nominal seconds of simulated time (0 = none)")
 		workers    = fs.Int("workers", 2, "worker processes")
 		resume     = fs.Bool("resume", false, "resume from -out's checkpoint and ledger")
 		retries    = fs.Int("retries", 2, "requeues per crashed job (0 or -1 = none)")
@@ -82,15 +77,14 @@ func runMain(args []string) {
 		metricsOut = fs.String("metrics-out", "", "write farm counters in Prometheus text exposition format")
 		verbose    = fs.Bool("v", false, "print per-event progress")
 	)
+	envFlags := harness.BindEnvFlags(fs)
 	fs.Parse(args)
 	if *out == "" {
 		fatalf("run: -out is required")
 	}
-
-	env := harness.EnvForScale(*scale)
-	env.Seed = *seed
-	if *budget > 0 {
-		env.CostBudget = *budget * stats.CyclesPerSecond
+	env, err := envFlags()
+	if err != nil {
+		fatalf("run: %v", err)
 	}
 	grid := farm.Grid{
 		Collectors:  splitList(*colSpecs),

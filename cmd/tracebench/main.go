@@ -50,14 +50,8 @@ func main() {
 		seed      = flag.Int64("seed", 1, "PRNG seed for recording")
 		jobs      = flag.Int("jobs", runtime.GOMAXPROCS(0),
 			"parallel replays (worker pool size); the report order is fixed")
-
-		traceOut = flag.String("trace-out", "",
-			"write a Chrome trace_event JSON of every replay's GC events")
-		metricsOut = flag.String("metrics-out", "",
-			"write per-collector metrics in Prometheus text exposition format")
-		timelineOut = flag.String("timeline", "",
-			"write an ASCII heap-composition timeline per replay")
 	)
+	files := telemetry.BindFileFlags(flag.CommandLine)
 	flag.Parse()
 
 	env := harness.EnvForScale(*scale)
@@ -201,11 +195,7 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "collector\tGCs\tfull\tcopied MB\tremset ins\tcards\tGC %\tp50 ms\tp95 ms\tp99 ms\tmax ms")
 	agg := telemetry.NewAggregator()
-	type namedRun struct {
-		name   string
-		events []telemetry.Event
-	}
-	var runs []namedRun
+	var runs []telemetry.TraceRun
 	for i, rec := range recs {
 		if rec.Outcome != engine.OK {
 			fmt.Fprintf(w, "%s\tfailed: %s\t\t\t\t\t\t\t\t\t\n", cfgs[i].Name, rec.Error)
@@ -222,50 +212,13 @@ func main() {
 			100*r.GCFraction, r.MedianPauseMS, r.P95PauseMS, r.P99PauseMS, r.MaxPauseMS)
 		if r.Telemetry != nil {
 			agg.Add(cfgs[i].Name, r.Telemetry)
-			runs = append(runs, namedRun{name: cfgs[i].Name, events: r.Telemetry.Events})
+			runs = append(runs, telemetry.TraceRun{Name: cfgs[i].Name, Pid: len(runs) + 1, Events: r.Telemetry.Events})
 		}
 	}
 	w.Flush()
 
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatalf("-trace-out: %v", err)
-		}
-		trs := make([]telemetry.TraceRun, len(runs))
-		for i, r := range runs {
-			trs[i] = telemetry.TraceRun{Name: r.name, Pid: i + 1, Events: r.events}
-		}
-		if err := telemetry.WriteChromeTrace(f, trs); err != nil {
-			fatalf("-trace-out: %v", err)
-		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "tracebench: wrote Chrome trace to %s\n", *traceOut)
-	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fatalf("-metrics-out: %v", err)
-		}
-		if err := agg.WritePrometheus(f); err != nil {
-			fatalf("-metrics-out: %v", err)
-		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "tracebench: wrote Prometheus metrics to %s\n", *metricsOut)
-	}
-	if *timelineOut != "" {
-		f, err := os.Create(*timelineOut)
-		if err != nil {
-			fatalf("-timeline: %v", err)
-		}
-		for _, r := range runs {
-			if err := telemetry.WriteTimeline(f, r.name, r.events); err != nil {
-				fatalf("-timeline: %v", err)
-			}
-			fmt.Fprintln(f)
-		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "tracebench: wrote heap timelines to %s\n", *timelineOut)
+	if err := files.Write("tracebench", runs, agg); err != nil {
+		fatalf("%v", err)
 	}
 }
 

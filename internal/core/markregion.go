@@ -72,6 +72,20 @@ func (h *Heap) isMRBelt(bi int) bool {
 	return h.mr.active && h.cfg.Belts[bi].Substrate == MarkRegion
 }
 
+// mrEvacuatesAll reports whether belt bi, a mark-region belt, must
+// evacuate every frame of a condemned increment. A belt bounded to
+// MaxIncrements bounded increments (the nursery trigger) has a fixed
+// capacity, and survivors marked in place never leave it: once live data
+// fills that capacity no collection frees a line, whatever the heap
+// size. When such a belt promotes to another, its survivors are promoted
+// as a copying belt's are — it keeps line-granular allocation but not
+// in-place retention — and it charges the copy reserve its full
+// occupancy.
+func (h *Heap) mrEvacuatesAll(bi int) bool {
+	s := &h.cfg.Belts[bi]
+	return s.MaxIncrements > 0 && s.IncrementFrac < 1.0 && s.PromoteTo != bi
+}
+
 // mrFrame returns frame f's mark-region metadata, nil for copying,
 // boot-image, large-object and unmapped frames. The len check keeps the
 // copying-substrate fast paths at a single compare when no belt is
@@ -200,8 +214,9 @@ func (h *Heap) mrPrepareCollection(victims []*Increment) {
 		if !h.isMRBelt(in.belt) {
 			continue
 		}
+		all := h.mrEvacuatesAll(in.belt)
 		for _, f := range in.frames {
-			h.mr.evac[f] = h.mr.frames[f].UsedLines() < threshold
+			h.mr.evac[f] = all || h.mr.frames[f].UsedLines() < threshold
 		}
 		belt := h.belts[in.belt]
 		belt.remove(in)
@@ -322,9 +337,10 @@ func (h *Heap) mrRelease(in *Increment) {
 // evacuation candidates for a mark-region one — a frame is evacuated
 // only when its occupancy is below MRDefragFrac, so each contributes
 // less than MRDefragFrac*FrameBytes of survivors. With defragmentation
-// off, a mark-region collection copies nothing at all.
+// off, a mark-region collection copies nothing at all. A belt that
+// evacuates wholesale (mrEvacuatesAll) is bounded like a copying one.
 func (h *Heap) mrCopyBound(in *Increment) int {
-	if !h.isMRBelt(in.belt) {
+	if !h.isMRBelt(in.belt) || h.mrEvacuatesAll(in.belt) {
 		return in.bytes
 	}
 	bound := int(h.cfg.MRDefragFrac*float64(h.cfg.FrameBytes)) * len(in.frames)

@@ -76,7 +76,7 @@ func (h *Heap) recomputeReserve() {
 	// Analytic floor for bounded-increment belts that may not exist yet.
 	for bi, b := range h.belts {
 		if f := b.spec.IncrementFrac; f < 1.0 {
-			if h.isMRBelt(bi) {
+			if h.isMRBelt(bi) && !h.mrEvacuatesAll(bi) {
 				// Mark-region increments copy at most MRDefragFrac of
 				// their frames' worth; with defrag off they copy nothing.
 				f *= h.cfg.MRDefragFrac

@@ -125,7 +125,7 @@ func (s *Suite) Ablations() ([]harness.Table, error) {
 			specs = append(specs, runSpec{
 				tag:       "pretenure",
 				col:       harness.Collector{Name: name, Make: base},
-				bench:     bench,
+				work:      harness.Bench(bench),
 				heapBytes: heapFor(bench),
 				env:       &env,
 			})
@@ -136,7 +136,7 @@ func (s *Suite) Ablations() ([]harness.Table, error) {
 			for _, bench := range s.opts.Benchmarks {
 				specs = append(specs, runSpec{
 					col:       harness.Collector{Name: v.name, Make: v.make},
-					bench:     bench,
+					work:      harness.Bench(bench),
 					heapBytes: heapFor(bench),
 				})
 			}

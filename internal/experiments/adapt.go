@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
-	"beltway/internal/engine"
 	"beltway/internal/harness"
-	"beltway/internal/server"
-	"beltway/internal/stats"
 )
 
 // Parameters of the self-tuning sweep ("-exp adapt"): the synthetics run
@@ -52,8 +48,8 @@ func (s *Suite) FigureAdapt() ([]harness.Table, error) {
 		hb := int(float64(mins[b.Name]) * adaptSynthFactor)
 		hb = (hb/frame + 1) * frame
 		specs = append(specs,
-			runSpec{tag: "adapt-static", col: col, bench: b, heapBytes: hb, env: &staticEnv},
-			runSpec{tag: "adapt-dyn", col: col, bench: b, heapBytes: hb, env: &synthEnv})
+			runSpec{tag: "adapt-static", col: col, work: harness.Bench(b), heapBytes: hb, env: &staticEnv},
+			runSpec{tag: "adapt-dyn", col: col, work: harness.Bench(b), heapBytes: hb, env: &synthEnv})
 	}
 	results, err := s.runMany(specs)
 	if err != nil {
@@ -82,14 +78,9 @@ func (s *Suite) FigureAdapt() ([]harness.Table, error) {
 	}
 
 	// Server family: the preset panel at the scorecard heap, SLO objective.
-	sc := server.Scaled(s.opts.Env.Scale)
-	sloStr := s.opts.ServerSLO
-	if sloStr == "" {
-		sloStr = DefaultServerSLO
-	}
-	slo, err := server.ParseSLO(sloStr)
+	work, sc, slo, err := s.serverWorkload()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: server SLO: %w", err)
+		return nil, err
 	}
 	serverEnv := s.opts.Env
 	serverEnv.Policy = adaptServerObjective
@@ -97,58 +88,15 @@ func (s *Suite) FigureAdapt() ([]harness.Table, error) {
 	hb := int(float64(sc.EstLiveBytes()) * serverScorecardFactor)
 	hb = (hb/frame + 1) * frame
 
-	envs := []harness.Env{staticEnv, serverEnv}
-	tags := []string{"adapt-server-static", "adapt-server-dyn"}
-	var jobs []engine.Job
-	for ci := range cols {
-		for ei := range envs {
-			col, env := cols[ci], envs[ei]
-			jobs = append(jobs, engine.Job{
-				Key: engine.Key{Experiment: tags[ei], Collector: col.Name,
-					Benchmark: "server", HeapBytes: hb},
-				Run: func() (any, engine.Outcome, error) {
-					res, rerr := harness.RunServer(col.Make(hb), sc, slo, env)
-					if rerr != nil {
-						return nil, "", rerr
-					}
-					out := engine.OK
-					switch {
-					case res.OOM:
-						out = engine.OOM
-					case res.Aborted:
-						out = engine.Budget
-					}
-					return harness.RunPayload{
-						Result:     res,
-						PauseStats: stats.SummarizePauses(res.Pauses),
-					}, out, nil
-				},
-			})
-		}
+	var srvSpecs []runSpec
+	for _, col := range cols {
+		srvSpecs = append(srvSpecs,
+			runSpec{tag: "adapt-server-static", col: col, work: work, heapBytes: hb, env: &staticEnv},
+			runSpec{tag: "adapt-server-dyn", col: col, work: work, heapBytes: hb, env: &serverEnv})
 	}
-	recs, err := s.exec.Engine().Run(jobs)
+	decoded, err := s.runMany(srvSpecs)
 	if err != nil {
 		return nil, err
-	}
-	decoded := make([]*harness.Result, len(recs))
-	for k, rec := range recs {
-		r := &harness.Result{
-			Collector: jobs[k].Key.Collector,
-			Benchmark: "server",
-			HeapBytes: hb,
-			Failure:   string(rec.Outcome),
-		}
-		if rec.Outcome.Completed() && len(rec.Payload) > 0 {
-			var p harness.RunPayload
-			if uerr := json.Unmarshal(rec.Payload, &p); uerr == nil && p.Result != nil {
-				r = p.Result
-			} else {
-				r.Failure = fmt.Sprintf("checkpoint decode: %v", uerr)
-			}
-		} else if rec.Error != "" {
-			r.Failure += ": " + rec.Error
-		}
-		decoded[k] = r
 	}
 	srv := harness.Table{
 		Title: fmt.Sprintf("Adaptive policy: server at %.1fx live heap, static vs -adapt %s (SLO %s)",

@@ -261,7 +261,7 @@ func (s *Suite) MinHeaps() (map[string]int, error) {
 type runSpec struct {
 	tag       string
 	col       harness.Collector
-	bench     *workload.Benchmark
+	work      harness.Workload
 	heapBytes int
 	env       *harness.Env
 }
@@ -292,7 +292,7 @@ func (s *Suite) runMany(specs []runSpec) ([]*harness.Result, error) {
 		if sp.env != nil {
 			env = *sp.env
 		} else {
-			key := cacheKey{sp.col.Name, sp.bench.Name, sp.heapBytes}
+			key := cacheKey{sp.col.Name, sp.work.Name(), sp.heapBytes}
 			if e, ok := s.cache[key]; ok {
 				waits = append(waits, waiter{i, e})
 				continue
@@ -304,12 +304,12 @@ func (s *Suite) runMany(specs []runSpec) ([]*harness.Result, error) {
 			Key: engine.Key{
 				Experiment: sp.tag,
 				Collector:  sp.col.Name,
-				Benchmark:  sp.bench.Name,
+				Benchmark:  sp.work.Name(),
 				HeapBytes:  sp.heapBytes,
 			},
-			Make:  sp.col.Make,
-			Bench: sp.bench,
-			Env:   env,
+			Make:     sp.col.Make,
+			Workload: sp.work,
+			Env:      env,
 		})
 		hslots = append(hslots, i)
 		hentries = append(hentries, entry)
@@ -347,7 +347,7 @@ func (s *Suite) runMany(specs []runSpec) ([]*harness.Result, error) {
 
 // run executes one cached measurement.
 func (s *Suite) run(col harness.Collector, bench *workload.Benchmark, heapBytes int) (*harness.Result, error) {
-	rs, err := s.runMany([]runSpec{{col: col, bench: bench, heapBytes: heapBytes}})
+	rs, err := s.runMany([]runSpec{{col: col, work: harness.Bench(bench), heapBytes: heapBytes}})
 	if err != nil {
 		return nil, err
 	}
@@ -379,7 +379,7 @@ func (s *Suite) sweepCached(cols []harness.Collector) ([][]harness.SweepPoint, e
 		sizes := harness.HeapSizes(mins[bench.Name], 3, points, s.opts.Env.FrameBytes)
 		for ci, col := range cols {
 			for pi, size := range sizes {
-				specs = append(specs, runSpec{col: col, bench: bench, heapBytes: size})
+				specs = append(specs, runSpec{col: col, work: harness.Bench(bench), heapBytes: size})
 				slots = append(slots, slot{ci, pi, size, mins[bench.Name]})
 			}
 		}

@@ -77,8 +77,8 @@ func (s *Suite) Table1() ([]harness.Table, error) {
 	for _, b := range s.opts.Benchmarks {
 		min := mins[b.Name]
 		specs = append(specs,
-			runSpec{col: appel, bench: b, heapBytes: min},
-			runSpec{col: appel, bench: b, heapBytes: 3 * min})
+			runSpec{col: appel, work: harness.Bench(b), heapBytes: min},
+			runSpec{col: appel, work: harness.Bench(b), heapBytes: 3 * min})
 	}
 	results, err := s.runMany(specs)
 	if err != nil {
@@ -318,7 +318,7 @@ func (s *Suite) FigureMOS() ([]harness.Table, error) {
 		for _, b := range s.opts.Benchmarks {
 			heapBytes := mins[b.Name] * 3 / 2
 			heapBytes = (heapBytes / s.opts.Env.FrameBytes) * s.opts.Env.FrameBytes
-			specs = append(specs, runSpec{col: col, bench: b, heapBytes: heapBytes})
+			specs = append(specs, runSpec{col: col, work: harness.Bench(b), heapBytes: heapBytes})
 		}
 	}
 	results, err := s.runMany(specs)
@@ -328,10 +328,10 @@ func (s *Suite) FigureMOS() ([]harness.Table, error) {
 	for i, sp := range specs {
 		r := results[i]
 		if r.Incomplete() {
-			t.AddRow(sp.col.Name, sp.bench.Name, incompleteCell(r), "-")
+			t.AddRow(sp.col.Name, sp.work.Name(), incompleteCell(r), "-")
 			continue
 		}
-		t.AddRow(sp.col.Name, sp.bench.Name, fmt.Sprint(r.Collections),
+		t.AddRow(sp.col.Name, sp.work.Name(), fmt.Sprint(r.Collections),
 			fmt.Sprint(r.Counters.FullCollections))
 	}
 	out = append(out, t)
@@ -377,7 +377,7 @@ func (s *Suite) Figure11() ([]harness.Table, error) {
 		heap = (heap / s.opts.Env.FrameBytes) * s.opts.Env.FrameBytes
 		heaps[fi] = heap
 		for _, col := range cols {
-			specs = append(specs, runSpec{col: col, bench: bench, heapBytes: heap})
+			specs = append(specs, runSpec{col: col, work: harness.Bench(bench), heapBytes: heap})
 		}
 	}
 	results, err := s.runMany(specs)

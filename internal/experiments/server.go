@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"beltway/internal/collectors"
 	"beltway/internal/core"
-	"beltway/internal/engine"
 	"beltway/internal/harness"
 	"beltway/internal/server"
-	"beltway/internal/stats"
 )
 
 // DefaultServerSLO is the pass/fail bar for the server experiment when
@@ -47,6 +44,22 @@ func (s *Suite) serverCollectors() []harness.Collector {
 	}
 }
 
+// serverWorkload builds the suite's server workload: the request script
+// scaled like the benchmarks, judged against Opts.ServerSLO (or the
+// default bar).
+func (s *Suite) serverWorkload() (harness.Workload, server.Config, server.SLO, error) {
+	sc := server.Scaled(s.opts.Env.Scale)
+	sloStr := s.opts.ServerSLO
+	if sloStr == "" {
+		sloStr = DefaultServerSLO
+	}
+	slo, err := server.ParseSLO(sloStr)
+	if err != nil {
+		return nil, sc, slo, fmt.Errorf("experiments: server SLO: %w", err)
+	}
+	return harness.Server(sc, slo), sc, slo, nil
+}
+
 // FigureServer sweeps the request/response server workload
 // (internal/server) across the preset panel and heap sizes, reporting
 // per-request latency percentiles on the cost-unit clock and each
@@ -59,78 +72,31 @@ func (s *Suite) serverCollectors() []harness.Collector {
 // and MMU, not request SLOs); it is reachable by id ("-exp server") but
 // stays out of "-exp all".
 func (s *Suite) FigureServer() ([]harness.Table, error) {
-	sc := server.Scaled(s.opts.Env.Scale)
-	sloStr := s.opts.ServerSLO
-	if sloStr == "" {
-		sloStr = DefaultServerSLO
-	}
-	slo, err := server.ParseSLO(sloStr)
+	work, sc, slo, err := s.serverWorkload()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: server SLO: %w", err)
+		return nil, err
 	}
 	cols := s.serverCollectors()
 	est := sc.EstLiveBytes()
 	frame := s.opts.Env.FrameBytes
 
-	type slot struct{ ci, fi int }
-	var jobs []engine.Job
-	var slots []slot
-	for ci, col := range cols {
-		for fi, f := range serverHeapFactors {
+	// One flat batch, collector-major. The explicit env keeps these runs
+	// out of the suite cache and under their own checkpoint keys.
+	var specs []runSpec
+	for _, col := range cols {
+		for _, f := range serverHeapFactors {
 			hb := int(float64(est) * f)
 			hb = (hb/frame + 1) * frame
-			col, hb := col, hb
-			jobs = append(jobs, engine.Job{
-				Key: engine.Key{Experiment: "server", Collector: col.Name,
-					Benchmark: "server", HeapBytes: hb},
-				Run: func() (any, engine.Outcome, error) {
-					res, rerr := harness.RunServer(col.Make(hb), sc, slo, s.opts.Env)
-					if rerr != nil {
-						return nil, "", rerr
-					}
-					out := engine.OK
-					switch {
-					case res.OOM:
-						out = engine.OOM
-					case res.Aborted:
-						out = engine.Budget
-					}
-					return harness.RunPayload{
-						Result:     res,
-						PauseStats: stats.SummarizePauses(res.Pauses),
-					}, out, nil
-				},
-			})
-			slots = append(slots, slot{ci, fi})
+			specs = append(specs, runSpec{tag: "server", col: col, work: work, heapBytes: hb, env: &s.opts.Env})
 		}
 	}
-	recs, err := s.exec.Engine().Run(jobs)
+	flat, err := s.runMany(specs)
 	if err != nil {
 		return nil, err
 	}
 	results := make([][]*harness.Result, len(cols))
 	for ci := range cols {
-		results[ci] = make([]*harness.Result, len(serverHeapFactors))
-	}
-	for k, rec := range recs {
-		sl := slots[k]
-		r := &harness.Result{
-			Collector: cols[sl.ci].Name,
-			Benchmark: "server",
-			HeapBytes: jobs[k].Key.HeapBytes,
-			Failure:   string(rec.Outcome),
-		}
-		if rec.Outcome.Completed() && len(rec.Payload) > 0 {
-			var p harness.RunPayload
-			if uerr := json.Unmarshal(rec.Payload, &p); uerr == nil && p.Result != nil {
-				r = p.Result
-			} else {
-				r.Failure = fmt.Sprintf("checkpoint decode: %v", uerr)
-			}
-		} else if rec.Error != "" {
-			r.Failure += ": " + rec.Error
-		}
-		results[sl.ci][sl.fi] = r
+		results[ci] = flat[ci*len(serverHeapFactors) : (ci+1)*len(serverHeapFactors)]
 	}
 
 	sweep := harness.Table{

@@ -49,7 +49,7 @@ func (s *Suite) FigureSubstrate() ([]harness.Table, error) {
 		for _, b := range s.opts.Benchmarks {
 			heapBytes := mins[b.Name] * 3 / 2
 			heapBytes = (heapBytes / s.opts.Env.FrameBytes) * s.opts.Env.FrameBytes
-			specs = append(specs, runSpec{col: col, bench: b, heapBytes: heapBytes})
+			specs = append(specs, runSpec{col: col, work: harness.Bench(b), heapBytes: heapBytes})
 		}
 	}
 	results, err := s.runMany(specs)
@@ -64,12 +64,12 @@ func (s *Suite) FigureSubstrate() ([]harness.Table, error) {
 	for i, sp := range specs {
 		r := results[i]
 		if r.Incomplete() {
-			t.AddRow(sp.col.Name, sp.bench.Name, incompleteCell(r), "-", "-", "-", "-", "-", "-", "-")
+			t.AddRow(sp.col.Name, sp.work.Name(), incompleteCell(r), "-", "-", "-", "-", "-", "-", "-")
 			continue
 		}
 		ps := stats.SummarizePauses(r.Pauses)
 		const cyclesPerMs = stats.CyclesPerSecond / 1e3
-		t.AddRow(sp.col.Name, sp.bench.Name,
+		t.AddRow(sp.col.Name, sp.work.Name(),
 			fmt.Sprint(r.Collections),
 			fmt.Sprintf("%.2f", float64(r.Counters.BytesCopied)/(1<<20)),
 			fmt.Sprintf("%.2f", float64(r.Counters.MRBytesMarked)/(1<<20)),

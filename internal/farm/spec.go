@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"beltway/internal/collectors"
+	"beltway/internal/core"
 	"beltway/internal/engine"
 	"beltway/internal/harness"
 	"beltway/internal/workload"
@@ -91,7 +92,7 @@ func (g Grid) Validate() error {
 			return fmt.Errorf("farm: heap factor %v must be positive", f)
 		}
 	}
-	return harness.ValidateEnv(g.Env, false)
+	return harness.ValidateEnv(g.Env)
 }
 
 func nominalOptions(env harness.Env) collectors.Options {
@@ -141,10 +142,10 @@ func BuildSpecs(g Grid, mins map[string]int) ([]JobSpec, error) {
 	return specs, nil
 }
 
-// ExecuteSpec runs one spec and returns the canonical payload bytes —
-// exactly the bytes the engine checkpoints and the ledger digests, so a
-// replay can demand byte identity. The error return is reserved for
-// misconfiguration; OOM and budget aborts are outcomes, not errors.
+// ExecuteSpec resolves a spec's strings into a harness.RunSpec and
+// executes it: the canonical payload bytes — exactly the bytes the
+// engine checkpoints and the ledger digests, so a replay can demand byte
+// identity — and the outcome.
 func ExecuteSpec(spec JobSpec) ([]byte, engine.Outcome, error) {
 	bench := workload.Get(spec.Benchmark)
 	if bench == nil {
@@ -158,20 +159,10 @@ func ExecuteSpec(spec JobSpec) ([]byte, engine.Outcome, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("farm: %w", err)
 	}
-	res, err := harness.RunOne(cfg, bench, spec.Env)
-	if err != nil {
-		return nil, "", err
-	}
-	out := engine.OK
-	switch {
-	case res.OOM:
-		out = engine.OOM
-	case res.Aborted:
-		out = engine.Budget
-	}
-	payload, err := harness.MarshalRunPayload(res)
-	if err != nil {
-		return nil, "", err
-	}
-	return payload, out, nil
+	return harness.RunSpec{
+		Key:      spec.Key(),
+		Make:     func(int) core.Config { return cfg },
+		Workload: harness.Bench(bench),
+		Env:      spec.Env,
+	}.Execute()
 }

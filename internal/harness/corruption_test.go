@@ -26,28 +26,40 @@ func corruptingBenchmark() *workload.Benchmark {
 	}
 }
 
+// TestRunOneRecoversPanicAsHeapCorruption: at any lane count a panicking
+// lane yields the typed error (naming the lane) with that lane's event
+// tail, never a Result — not even one with a Failure string.
 func TestRunOneRecoversPanicAsHeapCorruption(t *testing.T) {
-	env := testEnv()
-	res, err := RunOne(appelFunc(env)(1<<20), corruptingBenchmark(), env)
-	if res != nil {
-		t.Fatalf("corrupted run returned a Result: %+v", res)
-	}
-	var hc *HeapCorruptionError
-	if !errors.As(err, &hc) {
-		t.Fatalf("error %T (%v), want *HeapCorruptionError", err, err)
-	}
-	if hc.Collector == "" || hc.Benchmark != "corrupting" {
-		t.Errorf("error misattributed: collector=%q benchmark=%q", hc.Collector, hc.Benchmark)
-	}
-	if hc.Panic == nil {
-		t.Error("Panic not captured")
-	}
-	if len(hc.Events) < 1 {
-		t.Fatal("no flight-recorder events attached; the tail should hold the preceding collection")
-	}
-	msg := hc.Error()
-	if !strings.Contains(msg, "heap corruption") || !strings.Contains(msg, "flight-recorder events") {
-		t.Errorf("Error() = %q, want panic context plus the event tail", msg)
+	for _, mutators := range []int{0, 2} {
+		env := testEnv()
+		env.Mutators = mutators
+		res, err := RunOne(appelFunc(env)(1<<20), corruptingBenchmark(), env)
+		if res != nil {
+			t.Fatalf("mutators %d: corrupted run returned a Result: %+v", mutators, res)
+		}
+		var hc *HeapCorruptionError
+		if !errors.As(err, &hc) {
+			t.Fatalf("mutators %d: error %T (%v), want *HeapCorruptionError", mutators, err, err)
+		}
+		if hc.Collector == "" || hc.Benchmark != "corrupting" {
+			t.Errorf("error misattributed: collector=%q benchmark=%q", hc.Collector, hc.Benchmark)
+		}
+		if hc.Lane != 0 || hc.Lanes != max(mutators, 1) {
+			t.Errorf("mutators %d: lane %d of %d, want the first of the run's lanes", mutators, hc.Lane, hc.Lanes)
+		}
+		if hc.Panic == nil {
+			t.Error("Panic not captured")
+		}
+		if len(hc.Events) < 1 {
+			t.Fatal("no flight-recorder events attached; the tail should hold the preceding collection")
+		}
+		msg := hc.Error()
+		if !strings.Contains(msg, "heap corruption") || !strings.Contains(msg, "flight-recorder events") {
+			t.Errorf("Error() = %q, want panic context plus the event tail", msg)
+		}
+		if named := strings.Contains(msg, "(lane 0 of 2)"); named != (mutators == 2) {
+			t.Errorf("mutators %d: Error() = %q, lane named: %v", mutators, msg, named)
+		}
 	}
 }
 

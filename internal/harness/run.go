@@ -7,17 +7,15 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"beltway/internal/core"
-	"beltway/internal/gc"
-	"beltway/internal/heap"
 	"beltway/internal/mmu"
 	"beltway/internal/policy"
 	"beltway/internal/resilience"
 	"beltway/internal/server"
+	"beltway/internal/shard"
 	"beltway/internal/stats"
 	"beltway/internal/telemetry"
 	"beltway/internal/workload"
@@ -49,11 +47,12 @@ type Env struct {
 	// (resilience.NewSchedule with the default horizon). Chaos testing
 	// only; leave zero for measurements.
 	FaultSeed int64 `json:",omitempty"`
-	// Mutators, when > 1, runs the benchmark on that many sharded
-	// mutator goroutines (internal/shard): each shard drives a private
+	// Mutators, when > 1, runs the workload on that many mutator lanes
+	// (internal/shard), one goroutine each: every lane drives a private
 	// heap with the same configuration and its own decorrelated seed
 	// stream, and the measurement is the simulated N-core makespan.
-	// 0 and 1 both mean the classic single-mutator run.
+	// 0 and 1 both mean the classic single-mutator run: one lane, on the
+	// calling goroutine.
 	Mutators int `json:",omitempty"`
 	// Policy, when non-empty, attaches the adaptive policy controller
 	// (internal/policy) with this objective spec — policy.Parse syntax,
@@ -123,8 +122,8 @@ type Result struct {
 	// Telemetry is the run's flight-recorder events and metric snapshot,
 	// present only when Env.Telemetry was set.
 	Telemetry *telemetry.RunSnapshot `json:",omitempty"`
-	// Server is the request/latency report of a server-workload run
-	// (RunServer); nil for the classic benchmark runs.
+	// Server is the request/latency report of a Server workload's run;
+	// nil for benchmark runs.
 	Server *server.Report `json:",omitempty"`
 	// Policy is the adaptive controller's digest (decision count, knob
 	// drift), present only when Env.Policy was set.
@@ -166,17 +165,31 @@ func (r *Result) MMU(points int) mmu.Curve {
 	return curve
 }
 
-// RunOne executes one benchmark on one collector configuration.
+// Run executes one workload on one collector configuration: the single
+// pipeline behind every measurement. It builds max(1, Env.Mutators)
+// lanes (shard.New: a private heap, mutator, seed stream and flight
+// recorder each), has the workload bind its round bodies to them, runs
+// the plan — on the calling goroutine for one lane (shard.RunSerial), on
+// one goroutine per lane otherwise — and assembles the Result:
+//
+//   - one lane: every field read straight off the lane's clock;
+//   - N lanes: TotalTime is the simulated N-core makespan (critical
+//     path, not the sum of lane timelines); GCTime/MaxPause the
+//     critical path's view, max over lanes; Counters/Collections summed
+//     (aggregate work); Pauses concatenated in lane order (quantiles
+//     stay meaningful, MMU windows are conservative since concurrent
+//     pauses overlap); Mutators records N.
+//
 // An out-of-memory completion is reported via Result.OOM, not an error,
-// and a cost-budget abort via Result.Aborted; errors are reserved for
+// and a cost-budget abort via Result.Aborted, both with the partial
+// measurement. A lane that panics any other way leaves the run's state
+// untrustworthy: no Result, a *HeapCorruptionError carrying the panic
+// and the lane's flight-recorder tail. Other errors are
 // misconfiguration.
-func RunOne(cfg core.Config, bench *workload.Benchmark, env Env) (res *Result, err error) {
-	if env.Mutators > 1 {
-		if env.Policy != "" {
-			_, err := newController(env)
-			return nil, err
-		}
-		return RunSharded(cfg, bench, env)
+func Run(cfg core.Config, w Workload, env Env) (*Result, error) {
+	ctrl, err := envController(env)
+	if err != nil {
+		return nil, err
 	}
 	if env.Degrade {
 		cfg.Degrade = true
@@ -185,100 +198,106 @@ func RunOne(cfg core.Config, bench *workload.Benchmark, env Env) (res *Result, e
 		sched := resilience.NewSchedule(env.FaultSeed, resilience.DefaultHorizon)
 		cfg.Faults = resilience.NewInjector(sched).Hooks()
 	}
-	ctrl, cerr := newController(env)
-	if cerr != nil {
-		return nil, cerr
-	}
 	if ctrl != nil {
 		cfg.Policy = ctrl
 	}
-	types := heap.NewRegistry()
-	h, herr := core.New(cfg, types)
-	if herr != nil {
-		return nil, fmt.Errorf("harness: %s on %s: %w", cfg.Name, bench.Name, herr)
+	wrap := func(err error) error {
+		return fmt.Errorf("harness: %s on %s: %w", cfg.Name, w.Name(), err)
 	}
-	// The Result is read off the clock, never the heap: once it is taken
-	// the simulated heap's slabs go to the next run (registered first, so
-	// it runs after the recovery below has made its snapshot).
-	defer h.Space().Release()
-	h.Clock().Budget = env.CostBudget
-	// The flight recorder is always attached (hook emission reads the
-	// clock without advancing it, so this changes no measurement): a
-	// panicking run needs its event tail for the corruption report even
-	// when Env.Telemetry is off.
-	tele := telemetry.NewRun(h.Clock())
-	h.SetHooks(tele.Hooks())
+	n := max(env.Mutators, 1)
+	rt, err := shard.New(cfg, shard.Options{
+		Shards:       n,
+		Seed:         w.seed(env),
+		PerShardHeap: true, // scale-out: each lane gets the configured heap
+		// The flight recorder is always attached (hook emission reads the
+		// clock without advancing it, so this changes no measurement): a
+		// panicking run needs its event tail for the corruption report
+		// even when Env.Telemetry is off.
+		Telemetry: true,
+	})
+	if err != nil {
+		return nil, wrap(err)
+	}
+	// The Result is read off the clocks, never the heaps: once it is
+	// taken the simulated heaps' slabs go to the next run.
+	defer rt.Release()
+	lanes := rt.Shards()
+	for _, s := range lanes {
+		s.Heap.Clock().Budget = env.CostBudget
+	}
 	if ctrl != nil {
-		ctrl.SetEmitter(tele.PolicyObserver())
+		ctrl.SetEmitter(lanes[0].Tele.PolicyObserver())
 	}
-	snapshot := func() *Result {
-		res := &Result{
-			Collector:   cfg.Name,
-			Benchmark:   bench.Name,
-			HeapBytes:   cfg.HeapBytes,
-			TotalTime:   h.Clock().TotalTime(),
-			GCTime:      h.Clock().GCTime(),
-			MaxPause:    h.Clock().MaxPause(),
-			Pauses:      h.Clock().Pauses(),
-			Counters:    h.Clock().Counters,
-			Collections: h.Collections(),
-		}
-		if env.Telemetry {
-			res.Telemetry = tele.Snapshot()
-		}
-		if ctrl != nil {
-			res.Policy = ctrl.Summary()
-		}
-		return res
+	plan, report, err := w.plan(lanes, env, ctrl)
+	if err != nil {
+		return nil, wrap(err)
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(stats.BudgetExceeded); ok {
-				res = snapshot()
-				res.Aborted = true
-				err = nil
-				return
-			}
-			// Any other panic out of the heap or vm is a corruption: the
-			// run's state is untrustworthy, so no Result — a typed error
-			// carrying the panic and the flight-recorder tail instead.
-			res = nil
-			err = &HeapCorruptionError{
+	if n == 1 {
+		err = rt.RunSerial(plan)
+	} else {
+		err = rt.Run(plan)
+	}
+	if err != nil {
+		return nil, wrap(err)
+	}
+	for _, s := range lanes {
+		if p := s.Panic(); p != nil {
+			return nil, &HeapCorruptionError{
 				Collector: cfg.Name,
-				Benchmark: bench.Name,
-				Panic:     r,
-				Events:    tele.Recorder().Last(corruptionEventTail),
+				Benchmark: w.Name(),
+				Lane:      s.ID,
+				Lanes:     n,
+				Panic:     p,
+				Events:    s.Tele.Recorder().Last(corruptionEventTail),
 			}
 		}
-	}()
-	params := workload.Params{Scale: env.Scale, Seed: env.Seed, Pretenure: env.Pretenure}
-	runErr := bench.Run(h, params)
-	res = snapshot()
-	if runErr != nil {
-		if errors.Is(runErr, gc.ErrOutOfMemory) {
-			res.OOM = true
-			return res, nil
+	}
+
+	res := &Result{
+		Collector: cfg.Name,
+		Benchmark: w.Name(),
+		HeapBytes: cfg.HeapBytes,
+		TotalTime: lanes[0].Heap.Clock().TotalTime(),
+	}
+	if n > 1 {
+		res.Mutators = n
+		res.TotalTime = rt.Makespan()
+	}
+	for _, s := range lanes {
+		c := s.Heap.Clock()
+		res.Counters.Add(c.Counters)
+		res.Collections += s.Heap.Collections()
+		res.GCTime = max(res.GCTime, c.GCTime())
+		res.MaxPause = max(res.MaxPause, c.MaxPause())
+		res.Pauses = append(res.Pauses, c.Pauses()...)
+		res.OOM = res.OOM || s.OOM()
+		res.Aborted = res.Aborted || s.Aborted()
+		if f := s.Failure(); f != "" && res.Failure == "" {
+			res.Failure = fmt.Sprintf("shard %d: %s", s.ID, f)
 		}
-		return nil, fmt.Errorf("harness: %s on %s: %w", cfg.Name, bench.Name, runErr)
+	}
+	if report != nil {
+		res.Server = report()
+	}
+	if env.Telemetry {
+		if n == 1 {
+			res.Telemetry = lanes[0].Tele.Snapshot()
+		} else {
+			res.Telemetry = rt.MergedTelemetry()
+		}
+	}
+	if ctrl != nil {
+		res.Policy = ctrl.Summary()
 	}
 	return res, nil
 }
 
-// newController builds the adaptive controller declared by Env.Policy
-// (nil when the env declares none). Controllers are stateful and
-// per-run: every RunOne/RunServer call gets a fresh one. Adaptive runs
-// are single-mutator only — sharded heaps tune independently per shard,
-// which is a different (and unimplemented) design.
-func newController(env Env) (*policy.Controller, error) {
-	if env.Policy == "" {
-		return nil, nil
-	}
-	if env.Mutators > 1 {
-		return nil, fmt.Errorf("harness: adaptive policy (%q) is single-mutator only (got Mutators=%d)", env.Policy, env.Mutators)
-	}
-	pc, err := policy.Parse(env.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	return policy.New(pc), nil
+// RunOne is Run on a benchmark.
+func RunOne(cfg core.Config, bench *workload.Benchmark, env Env) (*Result, error) {
+	return Run(cfg, Bench(bench), env)
+}
+
+// RunServer is Run on a server workload.
+func RunServer(cfg core.Config, sc server.Config, slo server.SLO, env Env) (*Result, error) {
+	return Run(cfg, Server(sc, slo), env)
 }

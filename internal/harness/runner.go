@@ -6,16 +6,36 @@ import (
 
 	"beltway/internal/engine"
 	"beltway/internal/stats"
-	"beltway/internal/workload"
 )
 
 // RunSpec is one engine job at the harness level: build the config for
-// Key.HeapBytes, run the benchmark under Env, record the Result.
+// Key.HeapBytes, run the workload under Env, record the Result.
 type RunSpec struct {
-	Key   engine.Key
-	Make  ConfigFunc
-	Bench *workload.Benchmark
-	Env   Env
+	Key      engine.Key
+	Make     ConfigFunc
+	Workload Workload
+	Env      Env
+}
+
+// Execute runs the spec and returns what an engine job returns: the
+// canonical payload bytes (MarshalRunPayload — the bytes a checkpoint
+// holds, the farm ledger digests and a replay must reproduce) and the
+// outcome. OOM and budget aborts are outcomes; the error is reserved for
+// misconfiguration and corruption.
+func (sp RunSpec) Execute() ([]byte, engine.Outcome, error) {
+	res, err := Run(sp.Make(sp.Key.HeapBytes), sp.Workload, sp.Env)
+	if err != nil {
+		return nil, "", err
+	}
+	out := engine.OK
+	switch {
+	case res.OOM:
+		out = engine.OOM
+	case res.Aborted:
+		out = engine.Budget
+	}
+	payload, err := MarshalRunPayload(res)
+	return payload, out, err
 }
 
 // RunPayload is the checkpoint payload for one run: the full Result (so a
@@ -61,24 +81,12 @@ func (x *Executor) RunAll(specs []RunSpec) ([]*Result, []engine.Record, error) {
 	for i := range specs {
 		sp := specs[i]
 		jobs[i] = engine.Job{Key: sp.Key, Run: func() (any, engine.Outcome, error) {
-			res, err := RunOne(sp.Make(sp.Key.HeapBytes), sp.Bench, sp.Env)
+			payload, out, err := sp.Execute()
 			if err != nil {
 				return nil, "", err
 			}
-			out := engine.OK
-			switch {
-			case res.OOM:
-				out = engine.OOM
-			case res.Aborted:
-				out = engine.Budget
-			}
-			// The canonical serialization (shared with the farm worker and
-			// ledger replay), pre-marshaled so the checkpoint bytes are the
-			// digestable artifact bytes.
-			payload, merr := MarshalRunPayload(res)
-			if merr != nil {
-				return nil, "", merr
-			}
+			// Pre-marshaled, so the checkpoint bytes are the digestable
+			// artifact bytes.
 			return json.RawMessage(payload), out, nil
 		}}
 	}
@@ -109,7 +117,7 @@ func (x *Executor) RunAll(specs []RunSpec) ([]*Result, []engine.Record, error) {
 func failedResult(sp RunSpec, msg string) *Result {
 	return &Result{
 		Collector: sp.Key.Collector,
-		Benchmark: sp.Bench.Name,
+		Benchmark: sp.Workload.Name(),
 		HeapBytes: sp.Key.HeapBytes,
 		Failure:   msg,
 	}

@@ -169,10 +169,10 @@ func TestRunOneCostBudget(t *testing.T) {
 	// The budget abort surfaces as outcome "budget" through the executor.
 	x := NewExecutor(engine.Config{Workers: 1})
 	_, recs, err := x.RunAll([]RunSpec{{
-		Key:   engine.Key{Collector: "Appel", Benchmark: bench.Name, HeapBytes: 3 * min},
-		Make:  appelFunc(env),
-		Bench: bench,
-		Env:   env,
+		Key:      engine.Key{Collector: "Appel", Benchmark: bench.Name, HeapBytes: 3 * min},
+		Make:     appelFunc(env),
+		Workload: Bench(bench),
+		Env:      env,
 	}})
 	if err != nil {
 		t.Fatal(err)

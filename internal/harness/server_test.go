@@ -64,58 +64,6 @@ func TestRunServerPresets(t *testing.T) {
 	}
 }
 
-// TestRunServerShardedOneMatchesFlat is the acceptance identity: a
-// sharded server run at -mutators 1 replays the flat request stream
-// bit-identically — latencies, SLO verdicts, live fingerprint.
-func TestRunServerShardedOneMatchesFlat(t *testing.T) {
-	sc := serverTestConfig()
-	env := serverTestEnv()
-	cfg := serverCollector(t, "25.25", sc, env, 4)
-	slo := server.SLO{Targets: []server.Target{{Quantile: "p99", Cost: 1e9}, {Quantile: "max", Cost: 1}}}
-
-	flat, err := RunServer(cfg, sc, slo, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env1 := env
-	env1.Mutators = 1
-	sharded, err := RunServerSharded(cfg, sc, slo, env1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(flat.Server.Latencies) != len(sharded.Server.Latencies) {
-		t.Fatalf("request counts: flat %d, sharded %d",
-			len(flat.Server.Latencies), len(sharded.Server.Latencies))
-	}
-	for i := range flat.Server.Latencies {
-		if flat.Server.Latencies[i] != sharded.Server.Latencies[i] {
-			t.Fatalf("latency %d: flat %v, sharded %v",
-				i, flat.Server.Latencies[i], sharded.Server.Latencies[i])
-		}
-	}
-	if flat.Server.StoreChecksum != sharded.Server.StoreChecksum {
-		t.Fatalf("fingerprints: flat %x, sharded %x",
-			flat.Server.StoreChecksum, sharded.Server.StoreChecksum)
-	}
-	if len(flat.Server.Verdicts) != len(sharded.Server.Verdicts) {
-		t.Fatalf("verdict counts differ")
-	}
-	for i := range flat.Server.Verdicts {
-		if flat.Server.Verdicts[i] != sharded.Server.Verdicts[i] {
-			t.Fatalf("verdict %d: flat %+v, sharded %+v",
-				i, flat.Server.Verdicts[i], sharded.Server.Verdicts[i])
-		}
-	}
-	if flat.Server.Passed != sharded.Server.Passed {
-		t.Fatalf("SLO outcome differs")
-	}
-	if flat.GCTime != sharded.GCTime || flat.Collections != sharded.Collections {
-		t.Fatalf("GC timelines differ: flat (%v, %d), sharded (%v, %d)",
-			flat.GCTime, flat.Collections, sharded.GCTime, sharded.Collections)
-	}
-}
-
 func TestRunServerShardedScaleOut(t *testing.T) {
 	sc := serverTestConfig()
 	env := serverTestEnv()

@@ -110,10 +110,10 @@ func (s *Sweep) Run() ([][]SweepPoint, error) {
 		for ci, col := range s.Collectors {
 			for pi, size := range sizes {
 				specs = append(specs, RunSpec{
-					Key:   engine.Key{Collector: col.Name, Benchmark: bench.Name, HeapBytes: size},
-					Make:  col.Make,
-					Bench: bench,
-					Env:   s.Env,
+					Key:      engine.Key{Collector: col.Name, Benchmark: bench.Name, HeapBytes: size},
+					Make:     col.Make,
+					Workload: Bench(bench),
+					Env:      s.Env,
 				})
 				slots = append(slots, slot{ci, pi})
 			}

@@ -140,14 +140,14 @@ func telemetrySpecs(env Env) []RunSpec {
 		for _, heap := range []int{1 << 20, 3 << 19} {
 			specs = append(specs,
 				RunSpec{
-					Key:   engine.Key{Experiment: "tele", Collector: "Appel", Benchmark: bn, HeapBytes: heap},
-					Make:  appelFunc(env),
-					Bench: b, Env: env,
+					Key:      engine.Key{Experiment: "tele", Collector: "Appel", Benchmark: bn, HeapBytes: heap},
+					Make:     appelFunc(env),
+					Workload: Bench(b), Env: env,
 				},
 				RunSpec{
-					Key:   engine.Key{Experiment: "tele", Collector: "Beltway 25.25.100", Benchmark: bn, HeapBytes: heap},
-					Make:  xx100Func(25, env),
-					Bench: b, Env: env,
+					Key:      engine.Key{Experiment: "tele", Collector: "Beltway 25.25.100", Benchmark: bn, HeapBytes: heap},
+					Make:     xx100Func(25, env),
+					Workload: Bench(b), Env: env,
 				})
 		}
 	}

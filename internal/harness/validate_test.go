@@ -4,17 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"beltway/internal/server"
 	"beltway/internal/workload"
 )
 
-// TestValidateEnv covers every rejected flag combination (and the valid
-// neighbors) so the upfront CLI gate and the deep runtime gates cannot
-// drift apart silently.
+// TestValidateEnv covers every rejected flag combination and its valid
+// neighbors.
 func TestValidateEnv(t *testing.T) {
 	cases := []struct {
 		name        string
 		env         Env
-		forceShard  bool
 		wantErr     bool
 		wantMessage string
 	}{
@@ -24,7 +23,6 @@ func TestValidateEnv(t *testing.T) {
 		{name: "adaptive flat", env: Env{Mutators: 1, Policy: "slo"}},
 		{name: "adaptive with params", env: Env{Policy: "mmu:floor=0.7"}},
 		{name: "faults flat", env: Env{FaultSeed: 3}},
-		{name: "forced sharded plain", env: Env{Mutators: 1}, forceShard: true},
 
 		{name: "negative mutators", env: Env{Mutators: -2},
 			wantErr: true, wantMessage: "-mutators must be at least 1"},
@@ -38,17 +36,14 @@ func TestValidateEnv(t *testing.T) {
 			wantErr: true, wantMessage: "fault injection (-fault-seed) is single-mutator only"},
 		{name: "adapt and faults sharded", env: Env{Mutators: 4, Policy: "slo", FaultSeed: 1},
 			wantErr: true, wantMessage: "single-mutator only"},
-		{name: "adapt forced sharded at one mutator", env: Env{Mutators: 1, Policy: "slo"}, forceShard: true,
-			wantErr: true, wantMessage: "single-mutator only"},
-		{name: "faults forced sharded at one mutator", env: Env{Mutators: 1, FaultSeed: 9}, forceShard: true,
-			wantErr: true, wantMessage: "fault injection (-fault-seed) is single-mutator only"},
+		{name: "adapt and faults flat at one mutator", env: Env{Mutators: 1, Policy: "slo", FaultSeed: 9}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateEnv(tc.env, tc.forceShard)
+			err := ValidateEnv(tc.env)
 			if tc.wantErr {
 				if err == nil {
-					t.Fatalf("ValidateEnv(%+v, %v) = nil, want error", tc.env, tc.forceShard)
+					t.Fatalf("ValidateEnv(%+v) = nil, want error", tc.env)
 				}
 				if !strings.Contains(err.Error(), tc.wantMessage) {
 					t.Fatalf("error %q does not contain %q", err, tc.wantMessage)
@@ -56,15 +51,14 @@ func TestValidateEnv(t *testing.T) {
 				return
 			}
 			if err != nil {
-				t.Fatalf("ValidateEnv(%+v, %v) = %v, want nil", tc.env, tc.forceShard, err)
+				t.Fatalf("ValidateEnv(%+v) = %v, want nil", tc.env, err)
 			}
 		})
 	}
 }
 
-// TestValidateEnvMatchesRuntime: every combination the upfront gate
-// rejects must also be rejected by the deep runtime path (RunOne), so
-// the CLI check never claims an error the runtime would accept.
+// TestValidateEnvMatchesRuntime: a run makes the gate's check itself,
+// with the gate's message, on both workloads.
 func TestValidateEnvMatchesRuntime(t *testing.T) {
 	for _, tweak := range []func(*Env){
 		func(e *Env) { e.Mutators = 2; e.Policy = "slo" },
@@ -73,11 +67,14 @@ func TestValidateEnvMatchesRuntime(t *testing.T) {
 		env := testEnv()
 		env.Scale = 0.05
 		tweak(&env)
-		if ValidateEnv(env, false) == nil {
+		gate := ValidateEnv(env)
+		if gate == nil {
 			t.Fatalf("gate accepts %+v", env)
 		}
-		if _, err := RunOne(appelFunc(env)(1<<20), workload.Get("db"), env); err == nil {
-			t.Fatalf("runtime rejects nothing for %+v though the gate rejects it", env)
+		for _, w := range []Workload{Bench(workload.Get("db")), Server(server.Scaled(0.05), server.SLO{})} {
+			if _, err := Run(appelFunc(env)(1<<20), w, env); err == nil || err.Error() != gate.Error() {
+				t.Fatalf("%s under %+v: run error %v, gate error %v", w.Name(), env, err, gate)
+			}
 		}
 	}
 }

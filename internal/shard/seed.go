@@ -20,10 +20,9 @@ func splitmix64(x uint64) uint64 {
 // before XOR-ing decorrelates both axes: distinct shards of one run
 // and equal shards of adjacent runs all draw from unrelated streams.
 //
-// Shard 0 is the identity (StreamSeed(s, 0) == s): a 1-mutator sharded
-// run replays exactly the stream the classic single-mutator run draws
-// from the same seed, which is what makes sharding overhead directly
-// measurable against the flat path.
+// Shard 0 is the identity (StreamSeed(s, 0) == s): a one-lane run draws
+// exactly the stream of its base seed, which is what lets the harness
+// run the classic single-mutator measurement as the one-lane case.
 func StreamSeed(seed int64, shardID int) int64 {
 	if shardID == 0 {
 		return seed

@@ -64,6 +64,8 @@ type Shard struct {
 	oomErr  error // the OOM that killed it
 	aborted bool  // shard hit its cost budget (stats.BudgetExceeded)
 	failure string
+	// panicked is the recovered value behind a "panic in round" failure.
+	panicked any
 
 	lastPoll float64 // clock reading at the last safepoint poll
 	polls    uint64  // polls taken (telemetry)
@@ -85,6 +87,11 @@ func (s *Shard) Aborted() bool { return s.aborted }
 // Failure returns the non-OOM failure that stopped the shard ("" when
 // none).
 func (s *Shard) Failure() string { return s.failure }
+
+// Panic returns the value of the panic that stopped the shard, nil when
+// it did not panic. Failure has it rendered; a caller that wants a typed
+// error (the harness's heap-corruption report) needs the value itself.
+func (s *Shard) Panic() any { return s.panicked }
 
 // Err returns the error that stopped the shard, or nil.
 func (s *Shard) Err() error {
@@ -205,6 +212,7 @@ func (s *Shard) runRound(round int, body func(round int, s *Shard)) {
 				s.aborted = true
 				return
 			}
+			s.panicked = r
 			s.failure = fmt.Sprintf("panic in round %d: %v", round, r)
 		}
 	}()

@@ -18,7 +18,7 @@ type Clock struct {
 	// Budget, when positive, is the maximum total cost the timeline may
 	// accumulate. Advance panics with BudgetExceeded once the clock
 	// passes it, giving runaway configurations a deterministic stopping
-	// point; harness.RunOne converts the panic into an aborted Result.
+	// point; harness.Run reports it as an aborted Result.
 	Budget float64
 
 	now       float64
