@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -152,8 +153,17 @@ func main() {
 		if len(r.Extra) > 0 {
 			res.Extra = r.Extra
 		}
-		fmt.Printf("%12.1f ns/op %10d B/op %8d allocs/op\n",
+		fmt.Printf("%12.1f ns/op %10d B/op %8d allocs/op",
 			res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
+		units := make([]string, 0, len(res.Extra))
+		for unit := range res.Extra {
+			units = append(units, unit)
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			fmt.Printf(" %12.4g %s", res.Extra[unit], unit)
+		}
+		fmt.Println()
 		rep.Benchmarks = append(rep.Benchmarks, res)
 	}
 

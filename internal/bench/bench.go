@@ -38,6 +38,7 @@ func static() []Entry {
 		{"core", "NurseryCollection", NurseryCollection},
 		{"core", "FullCollection", FullCollection},
 		{"core", "CheneyScan", CheneyScan},
+		{"core", "TightHeapRun", TightHeapRun},
 		{"markregion", "MarkRegionAlloc", MarkRegionAlloc},
 		{"markregion", "LineMark", LineMark},
 		{"markregion", "MarkRegionFullCollection", MarkRegionFullCollection},

@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"sync"
 	"testing"
 
 	"beltway/internal/collectors"
 	"beltway/internal/core"
+	"beltway/internal/generational"
+	"beltway/internal/harness"
 	"beltway/internal/heap"
+	"beltway/internal/workload"
 )
 
 func newHeap(tb testing.TB, cfg core.Config) (*core.Heap, *heap.TypeDesc) {
@@ -160,4 +164,55 @@ func CheneyScan(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// tightHeap is TightHeapRun's configuration: the Appel baseline at
+// pseudojbb's minimum heap under it. The search for that minimum is a
+// dozen runs of the benchmark, so it is done once a process, not once per
+// b.N the testing package tries.
+var tightHeap struct {
+	once sync.Once
+	env  harness.Env
+	cfg  core.Config
+	err  error
+}
+
+// TightHeapRun measures a whole benchmark run in the regime where the
+// trace is nearly all of it: pseudojbb under the Appel baseline at its
+// own minimum heap (the last completing probe of a FindMinHeap search,
+// every 1.1x cell of a sweep). ns/obj-copied is the cost of the Cheney
+// kernel per object it moves.
+func TightHeapRun(b *testing.B) {
+	bench := workload.Get("pseudojbb")
+	th := &tightHeap
+	th.once.Do(func() {
+		th.env = harness.EnvForScale(0.1)
+		o := collectors.Options{FrameBytes: th.env.FrameBytes}
+		mk := func(heapBytes int) core.Config {
+			o.HeapBytes = heapBytes
+			return generational.Appel(o)
+		}
+		var minHeap int
+		if minHeap, th.err = harness.FindMinHeap(mk, bench, th.env); th.err == nil {
+			th.cfg = mk(minHeap)
+		}
+	})
+	if th.err != nil {
+		b.Fatal(th.err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var copied uint64
+	for i := 0; i < b.N; i++ {
+		res, err := harness.RunOne(th.cfg, bench, th.env)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.OOM {
+			b.Fatal("tight-heap bench OOM at its own minimum heap")
+		}
+		copied += res.Counters.ObjectsCopied
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(copied), "ns/obj-copied")
+	b.ReportMetric(float64(copied)/float64(b.N), "objs-copied/op")
 }

@@ -42,6 +42,7 @@ func RunScriptDirect(script Script, cfg core.Config) (out Outcome) {
 	}
 	m := vm.New(h)
 	v := m.EnableValidation()
+	watchInvariants(h)
 	tap := &serialTap{m: m}
 	m.SetRecorder(tap)
 	err = m.Run(func() { Execute(script, m) })

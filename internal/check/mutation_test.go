@@ -1,6 +1,7 @@
 package check
 
 import (
+	"strings"
 	"testing"
 
 	"beltway/internal/collectors"
@@ -87,6 +88,55 @@ func TestOracleCatchesBarrierMutation(t *testing.T) {
 	// The sane sibling must pass: same script, same battery, no knob.
 	mutant.DebugDropBarrierEvery = 0
 	mutant.Name = "25.25"
+	if run := RunScript(script, []core.Config{clean, mutant}); run.Failed() {
+		t.Fatalf("un-mutated battery diverges:\n%s", run.String())
+	}
+}
+
+// TestOracleReportsInvariantFailure pins the oracle's second net: a
+// barrier bug that leaves the object graph right and only the remembered
+// sets wrong. A twice-promoted anchor is pointed at a once-promoted
+// target (an interesting pointer, whose remember the mutant drops), and
+// only the nursery is collected afterwards: the target does not move, so
+// the shadow graph and every cross-configuration comparison still agree,
+// and the post-collection invariant check alone turns the missing entry
+// into a divergence — before a later collection turns it into a lost
+// object.
+func TestOracleReportsInvariantFailure(t *testing.T) {
+	clean, err := collectors.Parse("ss", collectors.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutant, err := collectors.Parse("25.25.100", collectors.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutant.Name = "25.25.100-mutant"
+	mutant.DebugDropBarrierEvery = 1
+
+	script := Script{
+		{Kind: OpAllocGlobal}, // the anchor, live[0]
+		{Kind: OpCollectFull}, // nursery -> belt 1
+		{Kind: OpCollectFull}, // belt 1 -> belt 2
+		{Kind: OpAllocGlobal}, // the target, live[1]
+		{Kind: OpCollectFull}, // nursery -> belt 1; the anchor stays on belt 2
+		{Kind: OpSetRef, A: 0, B: 0, C: 1},
+	}
+	for f := 0; f < 8; f++ { // filler: make the nursery worth collecting alone
+		script = append(script, Op{Kind: OpAllocLarge}, Op{Kind: OpRelease, A: 2})
+	}
+	script = append(script, Op{Kind: OpCollect})
+
+	run := RunScript(script, []core.Config{clean, mutant})
+	if !run.Failed() {
+		t.Fatal("oracle did not report the dropped remember")
+	}
+	for _, d := range run.Divergences {
+		if d.Field != "replay" || !strings.Contains(d.Detail, "invariants: core: missing remset entry") {
+			t.Errorf("divergence is not the invariant check's: %v", d)
+		}
+	}
+	mutant.DebugDropBarrierEvery = 0
 	if run := RunScript(script, []core.Config{clean, mutant}); run.Failed() {
 		t.Fatalf("un-mutated battery diverges:\n%s", run.String())
 	}

@@ -91,9 +91,33 @@ func (t *serialTap) Work(int)                               {}
 func (t *serialTap) Collect(bool)                           {}
 func (t *serialTap) Keep(_, _ gc.Handle)                    {}
 
+// invariantFailure is what a failed post-collection invariant check
+// panics with; like a validator violation it ends the run, and the
+// recovering caller reports it as the run's error.
+type invariantFailure struct{ err error }
+
+func (f invariantFailure) String() string { return "invariants: " + f.err.Error() }
+
+// watchInvariants ends every collection of h with core.CheckInvariants —
+// frame and increment bookkeeping, no forwarded header left behind, and
+// the remembered-set (or dirty-card) invariant over every slot in the
+// heap — after whatever hooks h already carries. The shadow validator
+// sees the heap as the mutator does; this sees what the NEXT collection
+// will rely on, so a kernel bug that leaves the graph right and the
+// remsets wrong is caught at the collection that made it, under every
+// preset, instead of when it first costs an object.
+func watchInvariants(h *core.Heap) {
+	h.SetHooks(h.Hooks().Merge(gc.Hooks{PostGC: func() {
+		if err := h.CheckInvariants(); err != nil {
+			panic(invariantFailure{err})
+		}
+	}}))
+}
+
 // replayOne replays the trace on one configuration under the shadow
-// validator, converting every failure mode — OOM, handle drift,
-// validator violation, collector panic — into an Outcome.
+// validator and the invariant checker, converting every failure mode —
+// OOM, handle drift, validator or invariant violation, collector panic —
+// into an Outcome.
 func replayOne(tr *trace.Trace, cfg core.Config) (out Outcome) {
 	out.Name = cfg.Name
 	defer func() {
@@ -108,6 +132,7 @@ func replayOne(tr *trace.Trace, cfg core.Config) (out Outcome) {
 	}
 	m := vm.New(h)
 	v := m.EnableValidation()
+	watchInvariants(h)
 	tap := &serialTap{m: m}
 	m.SetRecorder(tap)
 	err = trace.Replay(tr, m)
@@ -302,6 +327,7 @@ func recordScript(script Script, cfg core.Config) (tr *trace.Trace, errStr strin
 		return nil, "config: " + err.Error()
 	}
 	m := vm.New(h)
+	watchInvariants(h)
 	m.SetRecorder(tr)
 	_ = m.Run(func() { Execute(script, m) }) // OOM truncates the trace; fine
 	return tr, ""

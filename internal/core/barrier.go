@@ -20,16 +20,16 @@ func (h *Heap) WriteRef(obj heap.Addr, slot int, val heap.Addr) {
 	c := &h.clock.Counters
 	c.PointerStores++
 
-	// Validate the slot once; the store below is then a raw word write
-	// instead of a re-checked SetRef.
-	slotAddr := h.space.CheckRefSlot(obj, slot)
+	// Resolve and validate the slot once; the store below is then a
+	// write through the resolved word.
+	slotAddr, word := h.space.RefSlot(obj, slot)
 
 	if h.cfg.Barrier == CardBarrier {
 		// Card marking: no test at all — dirty the slot's card and
 		// store. All discovery work is deferred to collection time.
 		h.markCard(slotAddr)
 		h.clock.Advance(h.cfg.Costs.CardMark)
-		h.space.SetWord(slotAddr, uint32(val))
+		*word = uint32(val)
 		return
 	}
 
@@ -86,13 +86,14 @@ func (h *Heap) WriteRef(obj heap.Addr, slot int, val heap.Addr) {
 		}
 	}
 	h.clock.Advance(cost)
-	h.space.SetWord(slotAddr, uint32(val))
+	*word = uint32(val)
 }
 
 // ReadRef implements gc.Collector.
 func (h *Heap) ReadRef(obj heap.Addr, slot int) heap.Addr {
 	h.clock.Advance(h.cfg.Costs.FieldAccess)
-	return h.space.GetRef(obj, slot)
+	_, word := h.space.RefSlot(obj, slot)
+	return heap.Addr(*word)
 }
 
 // rescanSlot re-applies the barrier's remembering rule to a slot the

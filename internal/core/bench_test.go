@@ -37,3 +37,4 @@ func BenchmarkWriteBarrierSlowPath(b *testing.B) { bench.WriteBarrierSlowPath(b)
 func BenchmarkNurseryCollection(b *testing.B)    { bench.NurseryCollection(b) }
 func BenchmarkFullCollection(b *testing.B)       { bench.FullCollection(b) }
 func BenchmarkCheneyScan(b *testing.B)           { bench.CheneyScan(b) }
+func BenchmarkTightHeapRun(b *testing.B)         { bench.TightHeapRun(b) }

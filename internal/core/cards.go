@@ -81,36 +81,34 @@ func (h *Heap) scanDirtyCards(st *gcState) error {
 				h.cards[cardBase+i] = false
 			}
 		}
-		var err error
-		h.space.WalkObjectsTyped(base, fill, func(obj heap.Addr, t *heap.TypeDesc, length int) bool {
-			n := t.NumRefs(length)
-			for i := 0; i < n; i++ {
-				slot := h.space.RefSlotAddr(obj, i)
-				val := heap.Addr(h.space.Word(slot))
-				if val == heap.Nil {
-					continue
-				}
-				if h.isCondemned(val) {
-					var nv heap.Addr
-					nv, err = h.forward(val, st, h.incrOf[f])
-					if err != nil {
-						return false
+		slab := h.space.FrameSlab(f)
+		for obj := base; obj < fill; {
+			slots, size := h.space.SlotsAt(slab, obj)
+			slot := obj + heap.HeaderBytes
+			for i, w := range slots {
+				if val := heap.Addr(w); val != heap.Nil {
+					if h.isCondemned(val) {
+						nv, err := h.forward(val, st, h.incrOf[f])
+						if err != nil {
+							return err
+						}
+						slots[i] = uint32(nv)
+						val = nv
+					} else {
+						h.markLOS(val)
 					}
-					h.space.SetWord(slot, uint32(nv))
-					val = nv
-				} else {
-					h.markLOS(val)
+					// Keep the card dirty while it holds interesting
+					// pointers for FUTURE collections.
+					s, t := h.space.FrameOf(slot), h.space.FrameOf(val)
+					if s != t && h.stamp[t] < h.stamp[s] {
+						h.markCard(slot)
+					}
 				}
-				// Keep the card dirty while it holds interesting
-				// pointers for FUTURE collections.
-				s, t := h.space.FrameOf(slot), h.space.FrameOf(val)
-				if s != t && h.stamp[t] < h.stamp[s] {
-					h.markCard(slot)
-				}
+				slot += heap.WordBytes
 			}
-			return true
-		})
-		return err
+			obj += heap.Addr(size)
+		}
+		return nil
 	}
 
 	// All collectible frames not being collected, then the boot image.
@@ -150,27 +148,27 @@ func (h *Heap) scanDirtyCards(st *gcState) error {
 		if !dirty {
 			continue
 		}
-		n := h.space.NumRefs(lo.addr)
-		for i := 0; i < n; i++ {
-			slot := h.space.RefSlotAddr(lo.addr, i)
-			val := h.space.GetRef(lo.addr, i)
-			if val == heap.Nil {
-				continue
-			}
-			if h.isCondemned(val) {
-				var nv heap.Addr
-				var err error
-				nv, err = h.forward(val, st, nil)
-				if err != nil {
-					return err
+		slot := lo.addr + heap.HeaderBytes
+		for n := h.space.NumRefs(lo.addr); n > 0; {
+			slots := h.space.SlotRun(slot, n)
+			n -= len(slots)
+			for i, w := range slots {
+				if val := heap.Addr(w); val != heap.Nil {
+					if h.isCondemned(val) {
+						nv, err := h.forward(val, st, nil)
+						if err != nil {
+							return err
+						}
+						slots[i] = uint32(nv)
+						val = nv
+					} else {
+						h.markLOS(val)
+					}
+					if !h.inLOS(val) && !h.immortal[h.space.FrameOf(val)] {
+						h.markCard(slot) // heap pointer: keep discoverable
+					}
 				}
-				h.space.SetRef(lo.addr, i, nv)
-				val = nv
-			} else {
-				h.markLOS(val)
-			}
-			if !h.inLOS(val) && !h.immortal[h.space.FrameOf(val)] {
-				h.markCard(slot) // heap pointer: keep discoverable
+				slot += heap.WordBytes
 			}
 		}
 	}

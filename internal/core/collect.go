@@ -186,11 +186,12 @@ func (h *Heap) collect(victims []*Increment, trigger gc.TriggerKind) error {
 	for _, slotAddr := range slots {
 		c.RemsetEntriesGC++
 		h.clock.Advance(h.cfg.Costs.RemsetEntry)
-		val := heap.Addr(h.space.Word(slotAddr))
+		slot := h.space.Slot(slotAddr)
+		val := heap.Addr(*slot)
 		if val != heap.Nil && h.mrStale(val) {
 			// The slot (itself only reachable through a stale remset
 			// entry) points at storage a line sweep already reclaimed.
-			h.space.SetWord(slotAddr, uint32(heap.Nil))
+			*slot = uint32(heap.Nil)
 			continue
 		}
 		if val == heap.Nil || !h.isCondemned(val) {
@@ -207,7 +208,7 @@ func (h *Heap) collect(victims []*Increment, trigger gc.TriggerKind) error {
 		if err != nil {
 			return err
 		}
-		h.space.SetWord(slotAddr, uint32(nv))
+		*slot = uint32(nv)
 		h.rescanSlot(slotAddr, nv)
 	}
 
@@ -329,8 +330,14 @@ func (h *Heap) frameCondemned(f heap.Frame) bool {
 // ctx is the increment holding the reference that led here (nil for
 // roots and the boot image); MOS belts evacuate by referrer.
 func (h *Heap) forward(a heap.Addr, st *gcState, ctx *Increment) (heap.Addr, error) {
-	if h.space.Forwarded(a) {
-		return h.space.Forwarding(a), nil
+	if k := h.refKernel; k != nil {
+		return k.forward(a, st, ctx)
+	}
+	// One translation and one header decode for the from-space object,
+	// whatever becomes of it.
+	obj, fwd := h.space.ResolveFrom(a)
+	if fwd != heap.Nil {
+		return fwd, nil
 	}
 	src := h.incrOf[h.space.FrameOf(a)]
 	if src == nil || !src.condemned {
@@ -338,10 +345,10 @@ func (h *Heap) forward(a heap.Addr, st *gcState, ctx *Increment) (heap.Addr, err
 	}
 	// Mark-region frames keep their survivors in place (unless flagged
 	// for evacuation): mark, queue for scanning, return the same address.
-	if h.mr.active && h.mrMark(a) {
+	size := len(obj) * heap.WordBytes
+	if h.mr.active && h.mrMark(a, size) {
 		return a, nil
 	}
-	size := h.space.SizeOf(a)
 	var dst heap.Addr
 	var err error
 	if h.cfg.MOS && src.belt == h.mosBelt() {
@@ -353,8 +360,7 @@ func (h *Heap) forward(a heap.Addr, st *gcState, ctx *Increment) (heap.Addr, err
 	if err != nil {
 		return heap.Nil, err
 	}
-	h.space.CopyBytes(a, dst, size)
-	h.space.SetForwarding(a, dst)
+	h.space.CopyForward(obj, a, dst)
 	c := &h.clock.Counters
 	c.ObjectsCopied++
 	c.BytesCopied += uint64(size)
@@ -481,10 +487,16 @@ func (h *Heap) drainScans(st *gcState) error {
 }
 
 // advanceScan scans as many objects as are currently available to the
-// idx'th scan, reporting whether it advanced at all. The scan is
-// re-resolved by index after every object: forwarding out of scanObject
-// can register new scans and reallocate st.scans underneath us.
+// idx'th scan, reporting whether it advanced at all. It walks each frame
+// through its slab: one view per frame, held while the objects scanned
+// forward their referents (forwarding maps frames, which moves no slab).
+// The scan is re-resolved by index after every object: forwarding can
+// register new scans and reallocate st.scans underneath us, as it can
+// move the frame's fill mark and reallocate h.fill.
 func (h *Heap) advanceScan(idx int, st *gcState) (bool, error) {
+	if k := h.refKernel; k != nil {
+		return k.advanceScan(idx, st)
+	}
 	advanced := false
 	for {
 		s := &st.scans[idx]
@@ -499,13 +511,16 @@ func (h *Heap) advanceScan(idx int, st *gcState) (bool, error) {
 		}
 		f := in.frames[s.fi]
 		if obj := s.addr; obj < h.fill[f] {
-			size, err := h.scanObject(obj, st)
-			if err != nil {
-				return advanced, err
+			slab := h.space.FrameSlab(f)
+			for obj < h.fill[f] {
+				slots, size := h.space.SlotsAt(slab, obj)
+				if err := h.scanSlots(obj+heap.HeaderBytes, slots, in, st); err != nil {
+					return advanced, err
+				}
+				obj += heap.Addr(size)
+				st.scans[idx].addr = obj
+				advanced = true
 			}
-			s = &st.scans[idx] // st.scans may have grown
-			s.addr = obj + heap.Addr(size)
-			advanced = true
 			continue
 		}
 		if s.fi < len(in.frames)-1 {
@@ -517,44 +532,53 @@ func (h *Heap) advanceScan(idx int, st *gcState) (bool, error) {
 	}
 }
 
-// scanObject processes the reference slots of one newly copied object:
-// condemned referents are forwarded, and every slot is re-tested against
-// the barrier rule because the object now lives in a new frame. It
-// returns the object's size so the caller advances without a second
-// header decode.
-func (h *Heap) scanObject(obj heap.Addr, st *gcState) (int, error) {
+// scanObject scans one object met outside a frame walk (the mark-region
+// gray stack).
+func (h *Heap) scanObject(obj heap.Addr, st *gcState) error {
+	if k := h.refKernel; k != nil {
+		return k.scanObject(obj, st)
+	}
+	slots, _ := h.space.RefSlots(obj)
+	return h.scanSlots(obj+heap.HeaderBytes, slots, h.incrOf[h.space.FrameOf(obj)], st)
+}
+
+// scanSlots processes the reference slots of one newly copied (or marked)
+// object through a view of them — slots[i] is the word at
+// slotAddr+i*WordBytes, read and rewritten in place: condemned referents
+// are forwarded, and every slot is re-tested against the barrier rule
+// because the object now lives in a new frame. in is the increment
+// holding the object; MOS belts evacuate by referrer.
+//
+// Every slot is charged on its own, in slot order: the clock is a float
+// sum, so folding the charges of a run of slots into one multiply would
+// change the simulated axis.
+func (h *Heap) scanSlots(slotAddr heap.Addr, slots []uint32, in *Increment, st *gcState) error {
 	c := &h.clock.Counters
-	t, length := h.space.Header(obj)
-	n := t.NumRefs(length)
-	slotAddr := obj + heap.HeaderBytes
-	for i := 0; i < n; i++ {
+	for i, w := range slots {
 		c.SlotsScanned++
 		h.clock.Advance(h.cfg.Costs.ScanSlot)
-		val := heap.Addr(h.space.Word(slotAddr))
-		if val != heap.Nil {
+		if val := heap.Addr(w); val != heap.Nil {
 			if h.mrStale(val) {
 				// Stale pointer in a resurrected dead object: the referent
 				// was reclaimed by a line sweep. Clear it.
-				h.space.SetWord(slotAddr, uint32(heap.Nil))
-				slotAddr += heap.WordBytes
-				continue
-			}
-			if h.isCondemned(val) {
-				ctx := h.incrOf[h.space.FrameOf(obj)]
-				nv, err := h.forward(val, st, ctx)
-				if err != nil {
-					return 0, err
-				}
-				h.space.SetWord(slotAddr, uint32(nv))
-				val = nv
+				slots[i] = uint32(heap.Nil)
 			} else {
-				h.markLOS(val)
+				if h.isCondemned(val) {
+					nv, err := h.forward(val, st, in)
+					if err != nil {
+						return err
+					}
+					slots[i] = uint32(nv)
+					val = nv
+				} else {
+					h.markLOS(val)
+				}
+				h.rescanSlot(slotAddr, val)
 			}
-			h.rescanSlot(slotAddr, val)
 		}
 		slotAddr += heap.WordBytes
 	}
-	return t.Size(length), nil
+	return nil
 }
 
 // scanBootImage walks every boot-image object, forwarding condemned
@@ -565,65 +589,60 @@ func (h *Heap) scanBootImage(st *gcState) error {
 	c.BootBytesScanned += uint64(h.boot.bytes)
 	h.clock.Advance(h.cfg.Costs.BootScanByte * float64(h.boot.bytes))
 	for _, f := range h.boot.frames {
-		base := h.space.FrameBase(f)
-		limit := h.fill[f]
-		var err error
-		h.space.WalkObjectsTyped(base, limit, func(obj heap.Addr, t *heap.TypeDesc, length int) bool {
-			n := t.NumRefs(length)
+		slab := h.space.FrameSlab(f)
+		for obj, limit := h.space.FrameBase(f), h.fill[f]; obj < limit; {
+			slots, size := h.space.SlotsAt(slab, obj)
 			slotAddr := obj + heap.HeaderBytes
-			for i := 0; i < n; i++ {
-				val := heap.Addr(h.space.Word(slotAddr))
+			for i, w := range slots {
+				val := heap.Addr(w)
 				if val == heap.Nil {
-					slotAddr += heap.WordBytes
 					continue
 				}
 				if !h.isCondemned(val) {
 					h.markLOS(val)
-					slotAddr += heap.WordBytes
 					continue
 				}
-				var nv heap.Addr
-				nv, err = h.forward(val, st, nil)
+				nv, err := h.forward(val, st, nil)
 				if err != nil {
-					return false
+					return err
 				}
-				h.space.SetWord(slotAddr, uint32(nv))
+				slots[i] = uint32(nv)
 				// Re-apply the barrier rule: a no-op for the boundary
 				// barrier (boot sources are never remembered), but under
 				// remset-overflow degradation the frame barrier must
 				// re-remember boot->heap pointers before the overflow
 				// flag can clear.
-				h.rescanSlot(slotAddr, nv)
-				slotAddr += heap.WordBytes
+				h.rescanSlot(slotAddr+heap.Addr(i)*heap.WordBytes, nv)
 			}
-			return true
-		})
-		if err != nil {
-			return err
+			obj += heap.Addr(size)
 		}
 	}
 	// The boundary barrier does not remember large-object stores either;
 	// scan every LOS object's slots like the boot image.
 	for _, lo := range h.los.objects {
-		n := h.space.NumRefs(lo.addr)
-		for i := 0; i < n; i++ {
-			h.clock.Advance(h.cfg.Costs.ScanSlot)
-			val := h.space.GetRef(lo.addr, i)
-			if val != heap.Nil && h.mrStale(val) {
-				// Dead-but-unswept large objects can hold pointers to
-				// storage a line sweep already reclaimed.
-				h.space.SetRef(lo.addr, i, heap.Nil)
-				continue
+		slotAddr := lo.addr + heap.HeaderBytes
+		for n := h.space.NumRefs(lo.addr); n > 0; {
+			slots := h.space.SlotRun(slotAddr, n)
+			n -= len(slots)
+			for i, w := range slots {
+				h.clock.Advance(h.cfg.Costs.ScanSlot)
+				val := heap.Addr(w)
+				switch {
+				case val == heap.Nil:
+				case h.mrStale(val):
+					// Dead-but-unswept large objects can hold pointers to
+					// storage a line sweep already reclaimed.
+					slots[i] = uint32(heap.Nil)
+				case h.isCondemned(val):
+					nv, err := h.forward(val, st, nil)
+					if err != nil {
+						return err
+					}
+					slots[i] = uint32(nv)
+					h.rescanSlot(slotAddr, nv)
+				}
+				slotAddr += heap.WordBytes
 			}
-			if val == heap.Nil || !h.isCondemned(val) {
-				continue
-			}
-			nv, err := h.forward(val, st, nil)
-			if err != nil {
-				return err
-			}
-			h.space.SetRef(lo.addr, i, nv)
-			h.rescanSlot(h.space.RefSlotAddr(lo.addr, i), nv)
 		}
 	}
 	return nil

@@ -61,6 +61,19 @@ type Heap struct {
 	frameCondemnedFn func(heap.Frame) bool
 	trigOld          *Increment // target increment of the current trigger poll
 	trigTargetFn     func(heap.Frame) bool
+
+	// refKernel, set only by the reference-model test, runs the trace
+	// through the word-at-a-time kernel kept in kernel_ref_test.go instead of
+	// the slab-resident one, so the two can be compared heap for heap.
+	refKernel *refKernel
+}
+
+// refKernel is the seam for the reference model: the three entry points
+// of the trace kernel.
+type refKernel struct {
+	forward     func(a heap.Addr, st *gcState, ctx *Increment) (heap.Addr, error)
+	advanceScan func(idx int, st *gcState) (bool, error)
+	scanObject  func(obj heap.Addr, st *gcState) error
 }
 
 // New builds a collector from cfg. The type registry is shared with the
@@ -150,6 +163,10 @@ func (h *Heap) LiveEstimate() int {
 
 // SetHooks implements gc.Hookable.
 func (h *Heap) SetHooks(hooks gc.Hooks) { h.hooks = hooks }
+
+// Hooks returns the installed hooks, for a caller that adds its own
+// (SetHooks(h.Hooks().Merge(more))) to whatever is attached already.
+func (h *Heap) Hooks() gc.Hooks { return h.hooks }
 
 // noteOOM reports an out-of-memory condition to the OOM hook (requested
 // is 0 when the copy reserve ran out mid-collection rather than a

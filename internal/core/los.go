@@ -156,26 +156,29 @@ func (h *Heap) drainLOSQueue(st *gcState) (bool, error) {
 		obj := h.los.queue[len(h.los.queue)-1]
 		h.los.queue = h.los.queue[:len(h.los.queue)-1]
 		advanced = true
-		n := h.space.NumRefs(obj.addr)
-		for i := 0; i < n; i++ {
-			h.clock.Advance(h.cfg.Costs.ScanSlot)
-			val := h.space.GetRef(obj.addr, i)
-			if val == heap.Nil {
-				continue
-			}
-			if h.isCondemned(val) {
-				nv, err := h.forward(val, st, nil)
-				if err != nil {
-					return advanced, err
+		slotAddr := obj.addr + heap.HeaderBytes
+		for n := h.space.NumRefs(obj.addr); n > 0; {
+			slots := h.space.SlotRun(slotAddr, n)
+			n -= len(slots)
+			for i, w := range slots {
+				h.clock.Advance(h.cfg.Costs.ScanSlot)
+				if val := heap.Addr(w); val != heap.Nil {
+					if h.isCondemned(val) {
+						nv, err := h.forward(val, st, nil)
+						if err != nil {
+							return advanced, err
+						}
+						slots[i] = uint32(nv)
+						val = nv
+						// The slot now holds a to-space pointer; re-apply the
+						// barrier rule (LOS stamps are maximal, so heap
+						// pointers out of large objects are always interesting).
+						h.rescanSlot(slotAddr, val)
+					}
+					h.markLOS(val)
 				}
-				h.space.SetRef(obj.addr, i, nv)
-				val = nv
-				// The slot now holds a to-space pointer; re-apply the
-				// barrier rule (LOS stamps are maximal, so heap
-				// pointers out of large objects are always interesting).
-				h.rescanSlot(h.space.RefSlotAddr(obj.addr, i), val)
+				slotAddr += heap.WordBytes
 			}
-			h.markLOS(val)
 		}
 	}
 	return advanced, nil

@@ -247,11 +247,11 @@ func (h *Heap) mrStale(val heap.Addr) bool {
 	return fs != nil && !fs.IsObjStart(int(val-h.space.FrameBase(f)))
 }
 
-// mrMark marks the condemned object at a in place (unless its frame is
-// an evacuation candidate), queueing it for scanning on first mark.
-// Reports whether the object is handled by the mark path; forward falls
-// through to the copying path otherwise.
-func (h *Heap) mrMark(a heap.Addr) bool {
+// mrMark marks the condemned object at a, of the given size, in place
+// (unless its frame is an evacuation candidate), queueing it for scanning
+// on first mark. Reports whether the object is handled by the mark path;
+// forward falls through to the copying path otherwise.
+func (h *Heap) mrMark(a heap.Addr, size int) bool {
 	f := h.space.FrameOf(a)
 	fs := h.mrFrame(f)
 	if fs == nil || h.mr.evac[f] {
@@ -260,7 +260,7 @@ func (h *Heap) mrMark(a heap.Addr) bool {
 	if fs.Mark(int(a - h.space.FrameBase(f))) {
 		c := &h.clock.Counters
 		c.MRObjectsMarked++
-		c.MRBytesMarked += uint64(h.space.SizeOf(a))
+		c.MRBytesMarked += uint64(size)
 		h.clock.Advance(h.cfg.Costs.MarkObject)
 		h.mr.queue = append(h.mr.queue, a)
 	}
@@ -277,7 +277,7 @@ func (h *Heap) drainMRQueue(st *gcState) (bool, error) {
 		a := h.mr.queue[len(h.mr.queue)-1]
 		h.mr.queue = h.mr.queue[:len(h.mr.queue)-1]
 		advanced = true
-		if _, err := h.scanObject(a, st); err != nil {
+		if err := h.scanObject(a, st); err != nil {
 			return advanced, err
 		}
 	}

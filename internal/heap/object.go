@@ -43,16 +43,37 @@ func (s *Space) Format(addr Addr, t *TypeDesc, length int, serial uint32) {
 }
 
 // Header decodes the object header at addr in one pass: its type
-// descriptor and array length. This is the accessor the collector's hot
-// paths use — one slab resolve and one registry lookup per object,
-// instead of one of each per SizeOf/NumRefs/Length call.
+// descriptor and array length — one slab resolve and one registry lookup
+// per object, instead of one of each per SizeOf/NumRefs/Length call.
 func (s *Space) Header(addr Addr) (*TypeDesc, int) {
 	slab, off := s.slabAt(addr, false)
-	h := slab[off]
+	t, length := s.decode(slab, off)
+	if t == nil {
+		s.badHeader(slab[off], addr)
+	}
+	return t, length
+}
+
+// decode reads the header at word off of slab, returning a nil type when
+// the word names none — the caller raises badHeader. A well-formed header
+// word is a type id and nothing else, so one range check admits it; like
+// lookup, decode is small enough to inline into the primitives that run
+// once per object traced.
+func (s *Space) decode(slab []uint32, off uint32) (*TypeDesc, int) {
+	if h, types := slab[off], s.Types.types; h < uint32(len(types)) {
+		return types[h], int(slab[off+1]) // types[0] is nil: id 0 is reserved
+	}
+	return nil, 0
+}
+
+// badHeader panics for a header word that names no type: a forwarded
+// header, or a corrupt one.
+func (s *Space) badHeader(h uint32, addr Addr) {
 	if h&fwdFlag != 0 {
 		panic(fmt.Sprintf("heap: TypeOf on forwarded object at %v", addr))
 	}
-	return s.Types.Get(TypeID(h & typeMask)), int(slab[off+1])
+	s.Types.Get(TypeID(h & typeMask)) // panics: invalid type id
+	panic(fmt.Sprintf("heap: malformed header %#x at %v", h, addr))
 }
 
 // TypeOf returns the type descriptor of the object at addr.
@@ -85,32 +106,27 @@ func (s *Space) RefSlotAddr(addr Addr, i int) Addr {
 	return addr + Addr((headerWords+i)*WordBytes)
 }
 
-// CheckRefSlot panics unless i is a valid reference slot of the object
-// at addr, and returns the slot's address. Barrier code validates once
-// through this and then uses raw Word/SetWord on the returned address.
-func (s *Space) CheckRefSlot(addr Addr, i int) Addr {
-	t, length := s.Header(addr)
-	if n := t.NumRefs(length); i < 0 || i >= n {
-		panic(fmt.Sprintf("heap: ref slot %d out of range [0,%d) at %v (%s)",
-			i, n, addr, t.Name))
-	}
-	return s.RefSlotAddr(addr, i)
-}
-
 // GetRef reads reference slot i of the object at addr.
 func (s *Space) GetRef(addr Addr, i int) Addr {
-	return Addr(s.Word(s.CheckRefSlot(addr, i)))
+	_, p := s.RefSlot(addr, i)
+	return Addr(*p)
 }
 
 // SetRef writes reference slot i of the object at addr. This is the raw
 // store; write barriers live above this package.
 func (s *Space) SetRef(addr Addr, i int, v Addr) {
-	s.SetWord(s.CheckRefSlot(addr, i), uint32(v))
+	_, p := s.RefSlot(addr, i)
+	*p = uint32(v)
 }
 
-// dataSlotAddr returns the address of data word i.
-func (s *Space) dataSlotAddr(addr Addr, i int) Addr {
-	t, length := s.Header(addr)
+// dataWord validates data word i of the object at addr and returns it,
+// from one resolve of the object.
+func (s *Space) dataWord(addr Addr, i int) *uint32 {
+	slab, off := s.slabAt(addr, false)
+	t, length := s.decode(slab, off)
+	if t == nil {
+		s.badHeader(slab[off], addr)
+	}
 	var n, base int
 	switch t.Kind {
 	case Scalar:
@@ -123,14 +139,14 @@ func (s *Space) dataSlotAddr(addr Addr, i int) Addr {
 	if i < 0 || i >= n {
 		panic(fmt.Sprintf("heap: data word %d out of range [0,%d) at %v (%s)", i, n, addr, t.Name))
 	}
-	return addr + Addr((base+i)*WordBytes)
+	return s.bodyWord(slab, off, base+i, addr)
 }
 
 // GetData reads data word i of the object at addr.
-func (s *Space) GetData(addr Addr, i int) uint32 { return s.Word(s.dataSlotAddr(addr, i)) }
+func (s *Space) GetData(addr Addr, i int) uint32 { return *s.dataWord(addr, i) }
 
 // SetData writes data word i of the object at addr.
-func (s *Space) SetData(addr Addr, i int, v uint32) { s.SetWord(s.dataSlotAddr(addr, i), v) }
+func (s *Space) SetData(addr Addr, i int, v uint32) { *s.dataWord(addr, i) = v }
 
 // DataWords returns the number of data words of the object at addr.
 func (s *Space) DataWords(addr Addr) int {
@@ -197,18 +213,9 @@ func (s *Space) CopyBytes(src, dst Addr, size int) {
 // object address and must not move it. Walking stops early if fn returns
 // false.
 func (s *Space) WalkObjects(start, limit Addr, fn func(obj Addr) bool) {
-	s.WalkObjectsTyped(start, limit, func(obj Addr, _ *TypeDesc, _ int) bool {
-		return fn(obj)
-	})
-}
-
-// WalkObjectsTyped is WalkObjects with the header pre-decoded: fn also
-// receives the object's type descriptor and array length, so scan loops
-// need no further registry lookups per object.
-func (s *Space) WalkObjectsTyped(start, limit Addr, fn func(obj Addr, t *TypeDesc, length int) bool) {
 	for a := start; a < limit; {
 		t, length := s.Header(a)
-		if !fn(a, t, length) {
+		if !fn(a) {
 			return
 		}
 		a += Addr(t.Size(length))

@@ -13,17 +13,21 @@ import (
 // as they would be against a real mmap'd heap.
 //
 // Slabs are []uint32 rather than []byte: the simulated machine is
-// word-addressed for every collector-visible access, so Word/SetWord
-// compile to a single indexed load/store instead of four byte operations,
-// and CopyObject is a copy() over word slices. Unmapped slabs are pooled
-// and re-zeroed on reuse, keeping frame turnover off the Go allocator;
-// Release hands a finished run's slabs to the next run's Space.
+// word-addressed for every collector-visible access, so a word is one
+// indexed load or store instead of four byte operations, and copying an
+// object is a copy() over word slices. The collector's trace and the
+// mutator's field accessors do not go through Word/SetWord: they resolve
+// an address once and then work inside the slab, through the views of
+// slab.go. Word/SetWord remain for tests, the validator and as the
+// reference model the slab-resident kernel is checked against. Unmapped
+// slabs are pooled and re-zeroed on reuse, keeping frame turnover off the
+// Go allocator; Release hands a finished run's slabs to the next run's
+// Space.
 type Space struct {
 	Types *Registry
 
 	frameBytes int
 	frameShift uint
-	wordShift  uint       // frameShift - WordShift: word index -> frame number
 	wordMask   uint32     // words-per-frame - 1: word index -> slab offset
 	frames     [][]uint32 // indexed by Frame; nil when unmapped
 	free       []Frame    // FIFO recycle queue of unmapped frame numbers: free[freeHead:]
@@ -58,7 +62,6 @@ func NewSpace(frameBytes int, types *Registry) *Space {
 		Types:      types,
 		frameBytes: frameBytes,
 		frameShift: shift,
-		wordShift:  shift - WordShift,
 		wordMask:   uint32(frameBytes>>WordShift) - 1,
 		frames:     make([][]uint32, 1), // frame 0 reserved, never mapped
 	}
@@ -234,8 +237,7 @@ func (s *Space) UnmapSpan(f Frame, n int) {
 }
 
 // fault reconstructs the precise panic for a bad access. It is kept out
-// of line so Word/SetWord stay small enough to inline with a single
-// combined validity branch on the hot path.
+// of line so that lookup, which every access goes through, inlines.
 func (s *Space) fault(a Addr, write bool) {
 	if a&3 != 0 {
 		if write {
@@ -246,15 +248,27 @@ func (s *Space) fault(a Addr, write bool) {
 	panic(fmt.Sprintf("heap: fault at %v (frame %d unmapped)", a, uint32(a)>>s.frameShift))
 }
 
+// lookup translates a to the word slab of its frame, or nil when a is
+// misaligned or the frame is not mapped: the caller faults. Word wordOff(a)
+// of the slab is the word at a.
+func (s *Space) lookup(a Addr) []uint32 {
+	if f := uint32(a) >> s.frameShift; a&3 == 0 && int(f) < len(s.frames) {
+		return s.frames[f]
+	}
+	return nil
+}
+
+// wordOff returns a's word offset within its frame's slab.
+func (s *Space) wordOff(a Addr) uint32 { return uint32(a) >> WordShift & s.wordMask }
+
 // slabAt returns the word slab of the frame containing a and a's word
 // offset within it, faulting if the address is unmapped or misaligned.
 func (s *Space) slabAt(a Addr, write bool) ([]uint32, uint32) {
-	w := uint32(a) >> WordShift
-	f := w >> s.wordShift
-	if a&3 != 0 || int(f) >= len(s.frames) || s.frames[f] == nil {
+	slab := s.lookup(a)
+	if slab == nil {
 		s.fault(a, write)
 	}
-	return s.frames[f], w & s.wordMask
+	return slab, s.wordOff(a)
 }
 
 // ZeroRange zeroes n bytes starting at a; the range must lie within a
@@ -269,20 +283,12 @@ func (s *Space) ZeroRange(a Addr, n int) {
 
 // Word reads the word at byte address a.
 func (s *Space) Word(a Addr) uint32 {
-	w := uint32(a) >> WordShift
-	f := w >> s.wordShift
-	if a&3 != 0 || int(f) >= len(s.frames) || s.frames[f] == nil {
-		s.fault(a, false)
-	}
-	return s.frames[f][w&s.wordMask]
+	slab, off := s.slabAt(a, false)
+	return slab[off]
 }
 
 // SetWord writes the word at byte address a.
 func (s *Space) SetWord(a Addr, v uint32) {
-	w := uint32(a) >> WordShift
-	f := w >> s.wordShift
-	if a&3 != 0 || int(f) >= len(s.frames) || s.frames[f] == nil {
-		s.fault(a, true)
-	}
-	s.frames[f][w&s.wordMask] = v
+	slab, off := s.slabAt(a, true)
+	slab[off] = v
 }

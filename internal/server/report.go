@@ -64,6 +64,7 @@ func (l *Loop) Report(slo SLO) *Report {
 		StoreChecksum:  l.checksum,
 		SLO:            slo,
 		PhaseLatencies: make([][]float64, len(l.cfg.Phases)),
+		Latencies:      make([]float64, 0, l.done),
 	}
 	for i, p := range l.cfg.Phases {
 		rep.PhaseLatencies[i] = l.lats[i]
@@ -115,8 +116,18 @@ func MergeReports(reports []*Report, slo SLO) *Report {
 			out.StoreChecksum = out.StoreChecksum*1099511628211 ^ r.StoreChecksum
 		}
 	}
+	total := 0
+	for _, r := range reports {
+		total += len(r.Latencies)
+	}
+	out.Latencies = make([]float64, 0, total)
 	for p := 0; p < nPhases; p++ {
 		merged := PhaseReport{Name: reports[0].Phases[p].Name}
+		n := 0
+		for _, r := range reports {
+			n += len(r.PhaseLatencies[p])
+		}
+		out.PhaseLatencies[p] = make([]float64, 0, n)
 		for _, r := range reports {
 			out.PhaseLatencies[p] = append(out.PhaseLatencies[p], r.PhaseLatencies[p]...)
 			merged.Reads += r.Phases[p].Reads

@@ -428,9 +428,11 @@ func (l *Loop) advancePhase() {
 }
 
 // enterPhase applies a phase's shifts: growth first (new keys join the
-// rank space at the cold end), then the reshuffle.
+// rank space at the cold end), then the reshuffle. The phase's latency
+// stream is sized here, once, to the requests the phase will serve.
 func (l *Loop) enterPhase(i int) {
 	p := l.cfg.Phases[i]
+	l.lats[i] = make([]float64, 0, p.Requests)
 	if p.GrowKeys > 0 {
 		from := l.nKeys
 		l.populate(from, from+p.GrowKeys)
