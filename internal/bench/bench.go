@@ -15,7 +15,7 @@ type Entry struct {
 
 // Suites lists the suite names in run order.
 func Suites() []string {
-	return []string{"heap", "core", "markregion", "remset", "trace", "telemetry", "workload", "server", "shard"}
+	return []string{"heap", "core", "vm", "markregion", "remset", "trace", "telemetry", "workload", "server", "shard"}
 }
 
 // All returns every registered benchmark in deterministic (suite, then
@@ -39,6 +39,8 @@ func static() []Entry {
 		{"core", "FullCollection", FullCollection},
 		{"core", "CheneyScan", CheneyScan},
 		{"core", "TightHeapRun", TightHeapRun},
+		{"core", "RoomyHeapRun", RoomyHeapRun},
+		{"vm", "MutatorOps", MutatorOps},
 		{"markregion", "MarkRegionAlloc", MarkRegionAlloc},
 		{"markregion", "LineMark", LineMark},
 		{"markregion", "MarkRegionFullCollection", MarkRegionFullCollection},

@@ -166,16 +166,36 @@ func CheneyScan(b *testing.B) {
 	}
 }
 
-// tightHeap is TightHeapRun's configuration: the Appel baseline at
-// pseudojbb's minimum heap under it. The search for that minimum is a
-// dozen runs of the benchmark, so it is done once a process, not once per
-// b.N the testing package tries.
-var tightHeap struct {
+// heapRun is the once-a-process set-up of TightHeapRun and RoomyHeapRun: a
+// benchmark's minimum heap under the Appel baseline at scale 0.1 — the
+// search is a dozen runs of the benchmark, so it is not repeated for each
+// b.N the testing package tries — and the configuration sized from it.
+type heapRun struct {
 	once sync.Once
 	env  harness.Env
 	cfg  core.Config
 	err  error
 }
+
+func (r *heapRun) setup(b *testing.B, bench *workload.Benchmark, size func(o collectors.Options, minHeap int) core.Config) {
+	r.once.Do(func() {
+		r.env = harness.EnvForScale(0.1)
+		o := collectors.Options{FrameBytes: r.env.FrameBytes}
+		var minHeap int
+		minHeap, r.err = harness.FindMinHeap(func(heapBytes int) core.Config {
+			o.HeapBytes = heapBytes
+			return generational.Appel(o)
+		}, bench, r.env)
+		if r.err == nil {
+			r.cfg = size(o, minHeap)
+		}
+	})
+	if r.err != nil {
+		b.Fatal(r.err)
+	}
+}
+
+var tightHeap, roomyHeap heapRun
 
 // TightHeapRun measures a whole benchmark run in the regime where the
 // trace is nearly all of it: pseudojbb under the Appel baseline at its
@@ -185,21 +205,10 @@ var tightHeap struct {
 func TightHeapRun(b *testing.B) {
 	bench := workload.Get("pseudojbb")
 	th := &tightHeap
-	th.once.Do(func() {
-		th.env = harness.EnvForScale(0.1)
-		o := collectors.Options{FrameBytes: th.env.FrameBytes}
-		mk := func(heapBytes int) core.Config {
-			o.HeapBytes = heapBytes
-			return generational.Appel(o)
-		}
-		var minHeap int
-		if minHeap, th.err = harness.FindMinHeap(mk, bench, th.env); th.err == nil {
-			th.cfg = mk(minHeap)
-		}
+	th.setup(b, bench, func(o collectors.Options, minHeap int) core.Config {
+		o.HeapBytes = minHeap
+		return generational.Appel(o)
 	})
-	if th.err != nil {
-		b.Fatal(th.err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var copied uint64
@@ -215,4 +224,34 @@ func TightHeapRun(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(copied), "ns/obj-copied")
 	b.ReportMetric(float64(copied)/float64(b.N), "objs-copied/op")
+}
+
+// RoomyHeapRun measures a whole benchmark run in the regime where the
+// mutator is nearly all of it: jess, the allocation-heavy benchmark, on
+// Beltway 25.25.100 with six times the heap it needs — one cell of the
+// benchmark's mutator_roomy workload. ns/obj-allocated is the cost of the
+// mutator's path — workload, vm, allocation, barrier — per object
+// allocated, the few collections included.
+func RoomyHeapRun(b *testing.B) {
+	bench := workload.Get("jess")
+	rh := &roomyHeap
+	rh.setup(b, bench, func(o collectors.Options, minHeap int) core.Config {
+		o.HeapBytes = 6 * minHeap
+		return collectors.XX100(25, o)
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var allocated uint64
+	for i := 0; i < b.N; i++ {
+		res, err := harness.RunOne(rh.cfg, bench, rh.env)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.OOM {
+			b.Fatal("roomy-heap bench OOM at six times the minimum heap")
+		}
+		allocated += res.Counters.ObjectsAllocated
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(allocated), "ns/obj-allocated")
+	b.ReportMetric(float64(allocated)/float64(b.N), "objs-allocated/op")
 }

@@ -30,6 +30,26 @@ func TestWriteBarrierFastPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// An allocation that fits the open window is a bump and a header: it must
+// not reach the Go allocator, and must not leave the window.
+func TestWindowHitAllocZeroAlloc(t *testing.T) {
+	o := collectors.Options{HeapBytes: 64 << 20, FrameBytes: 1 << 20}
+	h, node := benchHeap(t, collectors.XX100(25, o))
+	mustAlloc(t, h, node) // maps the first frame and opens the window
+	mapped := h.Clock().Counters.FramesMapped
+	if n := testing.AllocsPerRun(100, func() {
+		if !h.WindowOpen() {
+			t.Fatal("the window is closed: not the path this guard is about")
+		}
+		mustAlloc(t, h, node)
+	}); n != 0 {
+		t.Errorf("a window-hit Alloc allocates %v times per op, want 0", n)
+	}
+	if got := h.Clock().Counters.FramesMapped; got != mapped {
+		t.Fatalf("%d frames mapped during the guard: not window hits", got-mapped)
+	}
+}
+
 func TestWriteBarrierSlowPathDuplicateZeroAlloc(t *testing.T) {
 	o := collectors.Options{HeapBytes: 64 << 20, FrameBytes: 64 << 10}
 	h, node := benchHeap(t, collectors.XX100(25, o))

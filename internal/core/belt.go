@@ -59,6 +59,7 @@ func (in *Increment) String() string {
 // queue) is always the next collected; survivors are promoted to the
 // youngest open increment of the promotion-target belt.
 type Belt struct {
+	index     int // position in Heap.belts; fixed, unlike priority
 	spec      BeltSpec
 	incrs     []*Increment // oldest first
 	nextSeq   uint32

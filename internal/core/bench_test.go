@@ -38,3 +38,4 @@ func BenchmarkNurseryCollection(b *testing.B)    { bench.NurseryCollection(b) }
 func BenchmarkFullCollection(b *testing.B)       { bench.FullCollection(b) }
 func BenchmarkCheneyScan(b *testing.B)           { bench.CheneyScan(b) }
 func BenchmarkTightHeapRun(b *testing.B)         { bench.TightHeapRun(b) }
+func BenchmarkRoomyHeapRun(b *testing.B)         { bench.RoomyHeapRun(b) }

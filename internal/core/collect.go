@@ -60,6 +60,7 @@ func (h *Heap) collect(victims []*Increment, trigger gc.TriggerKind) error {
 	}
 	h.inGC = true
 	defer func() { h.inGC = false }()
+	h.closeWindow()
 
 	if h.hooks.PreGC != nil {
 		h.hooks.PreGC()

@@ -29,9 +29,19 @@ import (
 //     barrier, which are covered by the full boot scan instead.
 //
 //  4. No object is marked forwarded outside a collection.
+//
+//  5. An open allocation window names the increment tryAlloc would bump
+//     into: the allocation belt's youngest, a copying increment with an
+//     open frame, the time-to-die trigger not due.
 func (h *Heap) CheckInvariants() error {
 	if h.inGC {
 		return fmt.Errorf("core: CheckInvariants during collection")
+	}
+	if in := h.win; in != nil {
+		belt := h.belts[h.allocBelt]
+		if in != belt.Youngest() || in.cursor == heap.Nil || h.isMRBelt(in.belt) || h.ttdDue(belt) {
+			return fmt.Errorf("core: allocation window open on %v, where tryAlloc would not bump", in)
+		}
 	}
 
 	// 1 & 2: frames and increments.

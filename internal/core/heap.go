@@ -24,6 +24,12 @@ type Heap struct {
 	belts     []*Belt
 	allocBelt int // index of the belt receiving new allocation
 
+	// win is the allocation window: the increment Alloc may bump without
+	// running tryAlloc's decision tree, nil while the window is closed.
+	// See openWindow for what an open window asserts and closeWindow for
+	// what takes it away.
+	win *Increment
+
 	// Per-frame metadata, indexed by heap.Frame. Grown on demand.
 	stamp    []uint64     // collection-order stamp (immortalStamp for boot frames)
 	incrOf   []*Increment // owning increment; nil for immortal/unmapped
@@ -105,7 +111,7 @@ func New(cfg Config, types *heap.Registry) (*Heap, error) {
 		h.space.MapGate = fh.MapFrame
 	}
 	for i, spec := range cfg.Belts {
-		h.belts = append(h.belts, &Belt{spec: spec, priority: uint16(i), promoteTo: spec.PromoteTo})
+		h.belts = append(h.belts, &Belt{index: i, spec: spec, priority: uint16(i), promoteTo: spec.PromoteTo})
 	}
 	h.mos.carsPerTrain = cfg.MOSCarsPerTrain
 	if h.mos.carsPerTrain == 0 {
@@ -230,6 +236,11 @@ func (h *Heap) ensureFrameMeta(f heap.Frame) {
 // Alloc implements gc.Collector. It bump-allocates size bytes in the
 // allocation belt, triggering collections per the configuration's
 // scheduling rules when space runs out.
+//
+// After the charges every allocation pays, an allocation that fits the
+// open window is the bump and a header, and nothing else: tryAlloc's
+// decision tree, which opened the window, would come to the same bump
+// (see openWindow). Only a miss runs the tree.
 func (h *Heap) Alloc(t *heap.TypeDesc, length int) (heap.Addr, error) {
 	size := t.Size(length)
 	if th := h.losThreshold(); th > 0 && size > th {
@@ -251,7 +262,9 @@ func (h *Heap) Alloc(t *heap.TypeDesc, length int) (heap.Addr, error) {
 			h.clock.Advance(h.cfg.Costs.AllocByte * float64(size) * x)
 		}
 	}
-	h.chargePaging(size)
+	if h.overcommitted() {
+		h.chargePaging(size)
+	}
 
 	// The remset trigger preempts collections even before the heap
 	// fills. Polling is throttled: the precise per-increment count walks
@@ -266,40 +279,70 @@ func (h *Heap) Alloc(t *heap.TypeDesc, length int) (heap.Addr, error) {
 		}
 	}
 
-	// A tight heap may need several incremental collections (nursery,
-	// then belt-1 increments in FIFO order, then the top belt) before a
-	// frame frees, so the retry bound scales with the number of live
-	// increments.
-	maxAttempts := 4 + 2*len(h.belts)
-	for _, b := range h.belts {
-		maxAttempts += b.Len()
+	if in := h.win; in != nil && in.cursor+heap.Addr(size) <= in.limit {
+		h.serial++
+		a := h.bumpTail(in, size)
+		h.space.Format(a, t, length, h.serial)
+		return a, nil
 	}
-	for attempt := 0; ; attempt++ {
-		if a, ok := h.tryAlloc(size); ok {
-			h.serial++
-			h.space.Format(a, t, length, h.serial)
-			return a, nil
-		}
-		if attempt >= maxAttempts {
-			break
-		}
+	return h.allocSlow(t, length, size)
+}
+
+// allocSlow is Alloc for an allocation that missed the window: the
+// decision tree, and collections until it finds room.
+func (h *Heap) allocSlow(t *heap.TypeDesc, length, size int) (heap.Addr, error) {
+	a, ok, err := h.allocCollecting(size, func() (heap.Addr, bool) { return h.tryAlloc(size) })
+	if err != nil {
+		return heap.Nil, err
+	}
+	if !ok {
+		return heap.Nil, h.oomError(size,
+			fmt.Sprintf("%s: no progress after repeated collections", h.cfg.Name))
+	}
+	h.serial++
+	h.space.Format(a, t, length, h.serial)
+	return a, nil
+}
+
+// allocCollecting is the retry loop the three allocators share: try, an
+// allocator's attempt to find size bytes without collecting, then for as
+// long as it fails a collection and another try — and, past the bound,
+// the degradation ladder's emergency collection and last try. It reports
+// false when all of that found no room; the caller raises its own OOM.
+//
+// A tight heap may need several incremental collections (nursery, then
+// belt-1 increments in FIFO order, then the top belt) before a frame
+// frees, so the bound scales with the number of live increments. It is
+// summed after the first failed try, which changes no belt: an allocation
+// that finds room at once never pays for it.
+func (h *Heap) allocCollecting(size int, try func() (heap.Addr, bool)) (heap.Addr, bool, error) {
+	if a, ok := try(); ok {
+		return a, true, nil
+	}
+	attempts := 4 + 2*len(h.belts)
+	for _, b := range h.belts {
+		attempts += b.Len()
+	}
+	for ; attempts > 0; attempts-- {
 		if err := h.collectForAlloc(); err != nil {
-			return heap.Nil, err
+			return heap.Nil, false, err
+		}
+		if a, ok := try(); ok {
+			return a, true, nil
 		}
 	}
 	if h.cfg.Degrade {
-		a, ok, err := h.rescueAlloc(size, func() (heap.Addr, bool) { return h.tryAlloc(size) })
-		if err != nil {
-			return heap.Nil, err
-		}
-		if ok {
-			h.serial++
-			h.space.Format(a, t, length, h.serial)
-			return a, nil
-		}
+		return h.rescueAlloc(size, try)
 	}
-	return heap.Nil, h.oomError(size,
-		fmt.Sprintf("%s: no progress after repeated collections", h.cfg.Name))
+	return heap.Nil, false, nil
+}
+
+// overcommitted reports whether the mapped footprint exceeds physical
+// memory, which is when an allocation owes chargePaging. It inlines into
+// the allocators: a run that never pages pays this test and no call.
+func (h *Heap) overcommitted() bool {
+	pm := h.cfg.PhysMemBytes
+	return pm > 0 && h.FootprintBytes() > pm
 }
 
 // chargePaging applies the cost model's paging term: once the mapped
@@ -319,25 +362,21 @@ func (h *Heap) chargePaging(bytes int) {
 	h.clock.Advance(h.cfg.Costs.PageByte * float64(bytes) * float64(over) / float64(pm))
 }
 
-// tryAlloc attempts a bump allocation of size bytes without collecting.
+// tryAlloc attempts an allocation of size bytes without collecting: the
+// decision tree behind a window miss. Where it allocates into the
+// allocation belt's youngest increment it goes through allocIn, which
+// reopens the window.
 func (h *Heap) tryAlloc(size int) (heap.Addr, bool) {
 	belt := h.belts[h.allocBelt]
 	in := belt.Youngest()
 
-	// Time-to-die trigger (§3.3.3): within TTDBytes of heap-full, open a
-	// fresh nursery increment so the youngest objects escape the next
-	// collection.
-	if h.cfg.TTDBytes > 0 && in != nil && !in.condemned &&
-		h.freeBudgetFor(h.allocBelt) < h.cfg.TTDBytes && belt.Len() == 1 {
-		if a, ok := h.allocNewIncrement(belt, size, true); ok {
-			return a, true
-		}
-		return heap.Nil, false
+	if in != nil && !in.condemned && h.ttdDue(belt) {
+		return h.allocNewIncrement(belt, size, true)
 	}
 
 	if in != nil && !in.condemned {
 		if in.cursor != heap.Nil && in.cursor+heap.Addr(size) <= in.limit {
-			return h.bump(in, size), true
+			return h.allocIn(in, size), true
 		}
 		// A mark-region belt hunts swept line runs across all of its
 		// increments before growing the mapped footprint.
@@ -351,22 +390,25 @@ func (h *Heap) tryAlloc(size int) (heap.Addr, bool) {
 			if !h.addFrame(in) {
 				return heap.Nil, false // injected map failure: treat as heap-full
 			}
-			return h.bump(in, size), true
+			return h.allocIn(in, size), true
 		}
 		if in.atCapacity() {
 			// Nursery trigger territory: the increment is at its size
 			// bound. Open a sibling increment if the belt allows more.
-			if a, ok := h.allocNewIncrement(belt, size, false); ok {
-				return a, true
-			}
-			return heap.Nil, false
+			return h.allocNewIncrement(belt, size, false)
 		}
 		return heap.Nil, false // heap full
 	}
-	if a, ok := h.allocNewIncrement(belt, size, false); ok {
-		return a, true
-	}
-	return heap.Nil, false
+	return h.allocNewIncrement(belt, size, false)
+}
+
+// ttdDue reports whether the time-to-die trigger (§3.3.3) fires on belt,
+// the allocation belt: within TTDBytes of heap-full, allocation moves to
+// a fresh nursery increment so that the youngest objects escape the next
+// collection.
+func (h *Heap) ttdDue(belt *Belt) bool {
+	return h.cfg.TTDBytes > 0 && belt.Len() == 1 &&
+		h.freeBudgetFor(h.allocBelt) < h.cfg.TTDBytes
 }
 
 // allocNewIncrement opens a new increment on belt and allocates size
@@ -386,22 +428,65 @@ func (h *Heap) allocNewIncrement(belt *Belt, size int, bypassMax bool) (heap.Add
 		belt.remove(in)
 		return heap.Nil, false
 	}
-	return h.bump(in, size), true
+	return h.allocIn(in, size), true
 }
+
+// allocIn allocates size bytes in in, the allocation belt's youngest
+// increment, where tryAlloc has just found or made room, and opens the
+// window on it.
+func (h *Heap) allocIn(in *Increment, size int) heap.Addr {
+	h.openWindow(in)
+	return h.bump(in, size)
+}
+
+// openWindow lets Alloc bump into in without asking tryAlloc, for as long
+// as tryAlloc would do nothing else: in is the allocation belt's youngest
+// increment, not condemned, with an open frame, and the time-to-die
+// trigger — the one test the tree makes before it looks for room — does
+// not fire. It is asked here, not taken from the tree's own test a moment
+// ago, because the tree may have mapped a frame since. None of this
+// depends on the object allocated, so it stays true until closeWindow is
+// called; an allocation that does not fit in.limit is the one thing Alloc
+// has to see for itself.
+//
+// The window never opens on a mark-region increment, whose bump accounts
+// lines and object starts and whose room is a line run, not a frame tail.
+// It holds no view of the frame's slab: the header is written through
+// Format's own translation, so there is nothing to go stale.
+func (h *Heap) openWindow(in *Increment) {
+	if !h.isMRBelt(in.belt) && !h.ttdDue(h.belts[in.belt]) {
+		h.win = in
+	}
+}
+
+// closeWindow sends the next allocation through tryAlloc. It is called by
+// whatever could change a decision the tree makes on the way to its bump:
+//
+//   - collect: increments are condemned, emptied and dropped, survivors
+//     may be copied into the window's increment, and the budget the
+//     time-to-die trigger reads is recomputed;
+//   - addFrame, for any increment, and a large-object span: mapped frames
+//     and the copy reserve move, so the time-to-die trigger may now fire
+//     (a pretenured or collector-side frame moves them as an allocation's
+//     own does);
+//   - newIncrement and flipBelts: the allocation belt's youngest increment
+//     may be another one;
+//   - applyKnobUpdates: TTDBytes, ReserveFrac and the reserve are retuned.
+//
+// Boot-image frames are in no budget the tree reads, so AllocImmortal is
+// not on the list. Closing when nothing changed costs one pass of the
+// tree, which reopens the window and allocates where the window would
+// have; it cannot change a run.
+func (h *Heap) closeWindow() { h.win = nil }
 
 // newIncrement creates an empty increment at the back of belt, fixing its
 // frame budget from the current usable memory.
 func (h *Heap) newIncrement(belt *Belt) *Increment {
-	beltIdx := -1
-	for i, b := range h.belts {
-		if b == belt {
-			beltIdx = i
-		}
-	}
-	if h.cfg.MOS && beltIdx == h.mosBelt() {
+	if h.cfg.MOS && belt.index == h.mosBelt() {
 		panic("core: newIncrement on the MOS belt (use newMOSCar)")
 	}
-	in := &Increment{belt: beltIdx, seq: belt.nextSeq, train: -1}
+	h.closeWindow()
+	in := &Increment{belt: belt.index, seq: belt.nextSeq, train: -1}
 	belt.nextSeq++
 	if f := belt.spec.IncrementFrac; f < 1.0 {
 		usable := h.cfg.HeapBytes - h.reserveBytes
@@ -424,6 +509,7 @@ func (h *Heap) addFrame(in *Increment) bool {
 	if !ok {
 		return false
 	}
+	h.closeWindow()
 	h.ensureFrameMeta(f)
 	belt := h.belts[in.belt]
 	h.stamp[f] = stampOf(belt.priority, in.seq)
@@ -451,18 +537,30 @@ func (h *Heap) addFrame(in *Increment) bool {
 // (a frame tail for copying increments, a free-line run for mark-region
 // ones, where the new object's start and line span are also recorded).
 func (h *Heap) bump(in *Increment, size int) heap.Addr {
+	f := h.space.FrameOf(in.cursor)
+	fs := h.mrFrame(f)
+	if fs == nil {
+		return h.bumpTail(in, size)
+	}
 	a := in.cursor
 	in.cursor += heap.Addr(size)
-	f := h.space.FrameOf(a)
 	h.fill[f] = in.cursor
-	if fs := h.mrFrame(f); fs != nil {
-		// Mark-region occupancy is line-granular at all times: the
-		// increment accounts whole lines as they first become used.
-		newLines := fs.NoteAlloc(int(a-h.space.FrameBase(f)), size)
-		in.bytes += newLines * h.mr.geo.LineBytes
-	} else {
-		in.bytes += size
-	}
+	// Mark-region occupancy is line-granular at all times: the
+	// increment accounts whole lines as they first become used.
+	newLines := fs.NoteAlloc(int(a-h.space.FrameBase(f)), size)
+	in.bytes += newLines * h.mr.geo.LineBytes
+	return a
+}
+
+// bumpTail is the bump itself, into the frame tail of a copying
+// increment whose cursor the caller has checked against its limit: the
+// one place a copying increment grows, be it by Alloc through the window,
+// by tryAlloc, by a pretenured allocation or by a survivor copied in.
+func (h *Heap) bumpTail(in *Increment, size int) heap.Addr {
+	a := in.cursor
+	in.cursor = a + heap.Addr(size)
+	h.fill[h.space.FrameOf(a)] = in.cursor
+	in.bytes += size
 	return a
 }
 

@@ -62,37 +62,22 @@ func (h *Heap) allocLOS(t *heap.TypeDesc, length, size int) (heap.Addr, error) {
 	c.BytesAllocated += uint64(size)
 	c.LOSBytesAllocated += uint64(size)
 	h.clock.Advance(h.cfg.Costs.AllocByte*float64(size) + h.cfg.Costs.BarrierFast)
-	h.chargePaging(size)
+	if h.overcommitted() {
+		h.chargePaging(size)
+	}
 
 	nFrames := (size + h.cfg.FrameBytes - 1) / h.cfg.FrameBytes
-	maxAttempts := 4 + 2*len(h.belts)
-	for _, b := range h.belts {
-		maxAttempts += b.Len()
+	a, ok, err := h.allocCollecting(size, func() (heap.Addr, bool) {
+		return h.tryAllocLOS(t, length, size, nFrames)
+	})
+	if err != nil {
+		return heap.Nil, err
 	}
-	for attempt := 0; ; attempt++ {
-		if a, ok := h.tryAllocLOS(t, length, size, nFrames); ok {
-			return a, nil
-		}
-		if attempt >= maxAttempts {
-			break
-		}
-		if err := h.collectForAlloc(); err != nil {
-			return heap.Nil, err
-		}
+	if !ok {
+		return heap.Nil, h.oomError(size,
+			fmt.Sprintf("%s: large object of %d frames found no space", h.cfg.Name, nFrames))
 	}
-	if h.cfg.Degrade {
-		a, ok, err := h.rescueAlloc(size, func() (heap.Addr, bool) {
-			return h.tryAllocLOS(t, length, size, nFrames)
-		})
-		if err != nil {
-			return heap.Nil, err
-		}
-		if ok {
-			return a, nil
-		}
-	}
-	return heap.Nil, h.oomError(size,
-		fmt.Sprintf("%s: large object of %d frames found no space", h.cfg.Name, nFrames))
+	return a, nil
 }
 
 // tryAllocLOS maps and formats a large-object span without collecting,
@@ -105,6 +90,7 @@ func (h *Heap) tryAllocLOS(t *heap.TypeDesc, length, size, nFrames int) (heap.Ad
 	if !ok {
 		return heap.Nil, false // injected map failure: treat as heap-full
 	}
+	h.closeWindow()
 	last := f + heap.Frame(nFrames-1)
 	h.ensureFrameMeta(last)
 	obj := &losObject{addr: h.space.FrameBase(f), frames: nFrames, size: size}

@@ -174,6 +174,7 @@ func (h *Heap) chooseVictimsOF() []*Increment {
 // frames keep their relative FIFO order within their belt, and the new
 // copy belt is empty.
 func (h *Heap) flipBelts() {
+	h.closeWindow()
 	other := 1 - h.allocBelt
 	h.allocBelt = other
 	h.belts[h.allocBelt].priority = 0

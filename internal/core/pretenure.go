@@ -41,39 +41,22 @@ func (h *Heap) AllocPretenured(t *heap.TypeDesc, length int) (heap.Addr, error) 
 	c.BytesAllocated += uint64(size)
 	c.PretenuredBytes += uint64(size)
 	h.clock.Advance(h.cfg.Costs.AllocByte*float64(size) + h.cfg.Costs.BarrierFast)
-	h.chargePaging(size)
+	if h.overcommitted() {
+		h.chargePaging(size)
+	}
 
 	bi := h.pretenureBelt()
-	maxAttempts := 4 + 2*len(h.belts)
-	for _, b := range h.belts {
-		maxAttempts += b.Len()
+	a, ok, err := h.allocCollecting(size, func() (heap.Addr, bool) { return h.tryAllocPretenured(bi, size) })
+	if err != nil {
+		return heap.Nil, err
 	}
-	for attempt := 0; ; attempt++ {
-		if a, ok := h.tryAllocPretenured(bi, size); ok {
-			h.serial++
-			h.space.Format(a, t, length, h.serial)
-			return a, nil
-		}
-		if attempt >= maxAttempts {
-			break
-		}
-		if err := h.collectForAlloc(); err != nil {
-			return heap.Nil, err
-		}
+	if !ok {
+		return heap.Nil, h.oomError(size,
+			fmt.Sprintf("%s: pretenured allocation found no space", h.cfg.Name))
 	}
-	if h.cfg.Degrade {
-		a, ok, err := h.rescueAlloc(size, func() (heap.Addr, bool) { return h.tryAllocPretenured(bi, size) })
-		if err != nil {
-			return heap.Nil, err
-		}
-		if ok {
-			h.serial++
-			h.space.Format(a, t, length, h.serial)
-			return a, nil
-		}
-	}
-	return heap.Nil, h.oomError(size,
-		fmt.Sprintf("%s: pretenured allocation found no space", h.cfg.Name))
+	h.serial++
+	h.space.Format(a, t, length, h.serial)
+	return a, nil
 }
 
 // tryAllocPretenured bump-allocates into belt bi's youngest increment

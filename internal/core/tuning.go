@@ -138,6 +138,7 @@ func (h *Heap) applyKnobUpdates(updates []KnobUpdate) {
 	if len(updates) == 0 {
 		return
 	}
+	h.closeWindow()
 	touched := make([]bool, len(h.belts))
 	applied := false
 	for _, u := range updates {

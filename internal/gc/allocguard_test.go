@@ -56,3 +56,17 @@ func TestReleaseInScopeSlotReuseZeroAlloc(t *testing.T) {
 		t.Errorf("release-in-scope + slot reuse allocates %v times per cycle, want 0", n)
 	}
 }
+
+// Handle lookup is the first thing every mutator operation does: Get and
+// Set of a live handle, and Get of the nil handle, allocate nothing.
+func TestRootLookupZeroAlloc(t *testing.T) {
+	r := NewRootSet()
+	r.PushScope()
+	h, g := r.Add(0x40), r.AddGlobal(0x80)
+	if n := testing.AllocsPerRun(100, func() {
+		r.Set(h, r.Get(g)+4)
+		r.Set(g, r.Get(h)+r.Get(NilHandle))
+	}); n != 0 {
+		t.Errorf("Get/Set of live handles allocates %v times per op, want 0", n)
+	}
+}

@@ -99,7 +99,9 @@ func (r *RootSet) addSlot(a heap.Addr) int32 {
 	return int32(len(r.slots) - 1)
 }
 
-// live returns h's slot, or nil when h does not name a live root.
+// live returns h's slot, or nil when h does not name a live root. It
+// inlines into Get, Set, Remove and PopScope, which raise invalidHandle
+// out of line, so a handle lookup is one call and no more.
 func (r *RootSet) live(h Handle) *rootSlot {
 	if i := uint(h) - 1; i < uint(len(r.slots)) && r.slots[i].inUse {
 		return &r.slots[i]
@@ -107,11 +109,19 @@ func (r *RootSet) live(h Handle) *rootSlot {
 	return nil
 }
 
+// invalidHandle panics for op on a handle that names no live root: never
+// minted, removed, or released by its scope's PopScope.
+//
+//go:noinline
+func invalidHandle(op string, h Handle) {
+	panic(fmt.Sprintf("gc: %s of invalid handle %d", op, h))
+}
+
 // Remove releases a root handle.
 func (r *RootSet) Remove(h Handle) {
 	s := r.live(h)
 	if s == nil {
-		panic(fmt.Sprintf("gc: Remove of invalid handle %d", h))
+		invalidHandle("Remove", h)
 	}
 	r.release(s, h)
 }
@@ -131,7 +141,7 @@ func (r *RootSet) Get(h Handle) heap.Addr {
 	}
 	s := r.live(h)
 	if s == nil {
-		panic(fmt.Sprintf("gc: Get of invalid handle %d", h))
+		invalidHandle("Get", h)
 	}
 	return s.addr
 }
@@ -141,7 +151,7 @@ func (r *RootSet) Get(h Handle) heap.Addr {
 func (r *RootSet) Set(h Handle, a heap.Addr) {
 	s := r.live(h)
 	if s == nil {
-		panic(fmt.Sprintf("gc: Set of invalid handle %d", h))
+		invalidHandle("Set", h)
 	}
 	s.addr = a
 }

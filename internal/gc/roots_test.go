@@ -2,6 +2,7 @@ package gc
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -127,6 +128,95 @@ func TestPopScopeSkipsReusedSlot(t *testing.T) {
 	r2.PopScope() // outer: releases b's incarnation
 	if r2.Len() != 0 {
 		t.Fatalf("Len = %d after all scopes closed", r2.Len())
+	}
+}
+
+// Get, Set and Remove raise their panic out of line (invalidHandle) so
+// that the live-slot lookup inlines into them. Every way a handle can
+// fail to name a live root must still panic, under the message it always
+// had, and every way it can name one must not.
+func TestInvalidHandlePanics(t *testing.T) {
+	ops := []struct {
+		name string
+		do   func(r *RootSet, h Handle)
+	}{
+		{"Get", func(r *RootSet, h Handle) { r.Get(h) }},
+		{"Set", func(r *RootSet, h Handle) { r.Set(h, 0x44) }},
+		{"Remove", func(r *RootSet, h Handle) { r.Remove(h) }},
+	}
+	// Each state builds a root set and returns the handle to try on it.
+	states := []struct {
+		name  string
+		build func(r *RootSet) Handle
+		valid bool
+	}{
+		{"never minted", func(r *RootSet) Handle { r.Add(0x40); return 7 }, false},
+		{"negative", func(r *RootSet) Handle { r.Add(0x40); return -3 }, false},
+		{"removed", func(r *RootSet) Handle { h := r.Add(0x40); r.Remove(h); return h }, false},
+		{"released by PopScope", func(r *RootSet) Handle {
+			r.PushScope()
+			h := r.Add(0x40)
+			r.PopScope()
+			return h
+		}, false},
+		{"stale epoch released by PopScope", func(r *RootSet) Handle {
+			// The scope's entry for the slot is stale (removed, slot reused
+			// by a scoped root of the same scope): PopScope releases the
+			// new incarnation exactly once, and the handle is dead after.
+			r.PushScope()
+			h := r.Add(0x40)
+			r.Remove(h)
+			if g := r.Add(0x80); g != h {
+				panic("precondition: slot not reused")
+			}
+			r.PopScope()
+			return h
+		}, false},
+		{"live", func(r *RootSet) Handle { return r.Add(0x40) }, true},
+		{"live in an open scope", func(r *RootSet) Handle { r.PushScope(); return r.Add(0x40) }, true},
+		{"stale epoch reused by a global", func(r *RootSet) Handle {
+			r.PushScope()
+			h := r.Add(0x40)
+			r.Remove(h)
+			r.AddGlobal(0x80) // same slot, same Handle value, next epoch
+			r.PopScope()      // must skip the stale entry
+			return h
+		}, true},
+	}
+	panicOf := func(fn func()) (r any) {
+		defer func() { r = recover() }()
+		fn()
+		return nil
+	}
+	for _, st := range states {
+		for _, op := range ops {
+			r := NewRootSet()
+			h := st.build(r)
+			got := panicOf(func() { op.do(r, h) })
+			want := any(fmt.Sprintf("gc: %s of invalid handle %d", op.name, h))
+			if st.valid {
+				want = nil
+			}
+			if got != want {
+				t.Errorf("%s of a handle %s (%d): panic %v, want %v", op.name, st.name, h, got, want)
+			}
+		}
+	}
+	// NilHandle is Get's one exception: Nil, no panic. Set and Remove of
+	// it are invalid like any other dead handle.
+	r := NewRootSet()
+	if got := panicOf(func() {
+		if a := r.Get(NilHandle); a != heap.Nil {
+			t.Errorf("Get(NilHandle) = %v", a)
+		}
+	}); got != nil {
+		t.Errorf("Get(NilHandle) panics: %v", got)
+	}
+	if got := panicOf(func() { r.Set(NilHandle, 4) }); got != "gc: Set of invalid handle 0" {
+		t.Errorf("Set(NilHandle): panic %v", got)
+	}
+	if got := panicOf(func() { r.Remove(NilHandle) }); got != "gc: Remove of invalid handle 0" {
+		t.Errorf("Remove(NilHandle): panic %v", got)
 	}
 }
 

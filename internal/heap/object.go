@@ -30,16 +30,28 @@ const (
 // is expected to be zero, which bump allocation into freshly mapped
 // frames guarantees.
 func (s *Space) Format(addr Addr, t *TypeDesc, length int, serial uint32) {
-	if t.Kind == Scalar && length != 0 {
-		panic(fmt.Sprintf("heap: scalar %s formatted with length %d", t.Name, length))
+	if t.Kind == Scalar && length != 0 || length < 0 {
+		badLength(t, length)
 	}
-	if length < 0 {
-		panic("heap: negative array length")
+	slab := s.lookup(addr)
+	if slab == nil {
+		s.fault(addr, true)
 	}
-	slab, off := s.slabAt(addr, true)
+	off := s.wordOff(addr)
 	slab[off] = uint32(t.ID)
 	slab[off+1] = uint32(length)
 	slab[off+2] = serial
+}
+
+// badLength panics for a length no object of type t can be formatted
+// with.
+//
+//go:noinline
+func badLength(t *TypeDesc, length int) {
+	if t.Kind == Scalar && length != 0 {
+		panic(fmt.Sprintf("heap: scalar %s formatted with length %d", t.Name, length))
+	}
+	panic("heap: negative array length")
 }
 
 // Header decodes the object header at addr in one pass: its type
@@ -122,7 +134,11 @@ func (s *Space) SetRef(addr Addr, i int, v Addr) {
 // dataWord validates data word i of the object at addr and returns it,
 // from one resolve of the object.
 func (s *Space) dataWord(addr Addr, i int) *uint32 {
-	slab, off := s.slabAt(addr, false)
+	slab := s.lookup(addr)
+	if slab == nil {
+		s.fault(addr, false)
+	}
+	off := s.wordOff(addr)
 	t, length := s.decode(slab, off)
 	if t == nil {
 		s.badHeader(slab[off], addr)
@@ -134,12 +150,29 @@ func (s *Space) dataWord(addr Addr, i int) *uint32 {
 	case WordArray:
 		base, n = headerWords, length
 	default:
-		panic(fmt.Sprintf("heap: data access on %s (%s)", t.Name, t.Kind))
+		badDataKind(t)
 	}
 	if i < 0 || i >= n {
-		panic(fmt.Sprintf("heap: data word %d out of range [0,%d) at %v (%s)", i, n, addr, t.Name))
+		badDataWord(i, n, addr, t)
 	}
-	return s.bodyWord(slab, off, base+i, addr)
+	if w := off + uint32(base+i); w < uint32(len(slab)) {
+		return &slab[w]
+	}
+	return s.Slot(addr + Addr((base+i)*WordBytes)) // past the first frame of a span
+}
+
+// badDataKind panics for a data access on a type with no data words.
+//
+//go:noinline
+func badDataKind(t *TypeDesc) {
+	panic(fmt.Sprintf("heap: data access on %s (%s)", t.Name, t.Kind))
+}
+
+// badDataWord panics for a data word index out of range.
+//
+//go:noinline
+func badDataWord(i, n int, addr Addr, t *TypeDesc) {
+	panic(fmt.Sprintf("heap: data word %d out of range [0,%d) at %v (%s)", i, n, addr, t.Name))
 }
 
 // GetData reads data word i of the object at addr.

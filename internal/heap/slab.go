@@ -85,27 +85,38 @@ func (s *Space) RefSlots(obj Addr) (slots []uint32, size int) {
 // RefSlot validates reference slot i of the object at obj as GetRef and
 // SetRef do and returns the slot's address together with its word, so a
 // barriered store resolves the object once.
+//
+// Like dataWord and Format it is one call from the collector's or the
+// mutator's method down: the translation, the header decode and the word
+// offset inline, every fault is raised out of line, and only a
+// frame-spanning large object — the one shape with words past the end of
+// the slab its header resolves to — translates a second address.
 func (s *Space) RefSlot(obj Addr, i int) (Addr, *uint32) {
-	slab, off := s.slabAt(obj, false)
+	slab := s.lookup(obj)
+	if slab == nil {
+		s.fault(obj, false)
+	}
+	off := s.wordOff(obj)
 	t, length := s.decode(slab, off)
 	if t == nil {
 		s.badHeader(slab[off], obj)
 	}
 	if n := t.NumRefs(length); i < 0 || i >= n {
-		panic(fmt.Sprintf("heap: ref slot %d out of range [0,%d) at %v (%s)",
-			i, n, obj, t.Name))
+		badRefSlot(i, n, obj, t)
 	}
-	return s.RefSlotAddr(obj, i), s.bodyWord(slab, off, headerWords+i, obj)
+	slotAddr := s.RefSlotAddr(obj, i)
+	if w := off + headerWords + uint32(i); w < uint32(len(slab)) {
+		return slotAddr, &slab[w]
+	}
+	return slotAddr, s.Slot(slotAddr)
 }
 
-// bodyWord returns word k of the object at obj, whose header is word off
-// of slab. Only a frame-spanning large object has words past the end of
-// that slab; theirs is the one access that translates a second address.
-func (s *Space) bodyWord(slab []uint32, off uint32, k int, obj Addr) *uint32 {
-	if w := off + uint32(k); w < uint32(len(slab)) {
-		return &slab[w]
-	}
-	return s.Slot(obj + Addr(k*WordBytes))
+// badRefSlot panics for a reference slot index out of range.
+//
+//go:noinline
+func badRefSlot(i, n int, obj Addr, t *TypeDesc) {
+	panic(fmt.Sprintf("heap: ref slot %d out of range [0,%d) at %v (%s)",
+		i, n, obj, t.Name))
 }
 
 // ResolveFrom resolves the from-space object at a once. If it has already

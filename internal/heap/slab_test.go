@@ -19,25 +19,30 @@ func panicOf(fn func()) (msg string) {
 }
 
 // slabFixture is a space with one formatted three-slot object at obj, a
-// free destination in the same frame, an object already forwarded, and
-// an address in a frame that was never mapped.
+// free destination in the same frame, an object already forwarded, a
+// two-slot reference array, a two-word data array, and an address in a
+// frame that was never mapped.
 type slabFixture struct {
-	s                       *Space
-	f                       Frame
-	obj, dst, fwd, unmapped Addr
+	s                                   *Space
+	f                                   Frame
+	node, refArr                        *TypeDesc
+	obj, dst, fwd, arr, words, unmapped Addr
 }
 
 func newSlabFixture() slabFixture {
 	r := NewRegistry()
 	node := r.DefineScalar("node", 3, 1)
+	refArr := r.DefineRefArray("arr")
 	s := NewSpace(4096, r)
 	f := s.MapFrame()
 	base := s.FrameBase(f)
-	x := slabFixture{s: s, f: f, obj: base, fwd: base + 64, dst: base + 1024,
-		unmapped: s.FrameLimit(f) + 4096}
+	x := slabFixture{s: s, f: f, node: node, refArr: refArr, obj: base, fwd: base + 64,
+		arr: base + 128, words: base + 192, dst: base + 1024, unmapped: s.FrameLimit(f) + 4096}
 	s.Format(x.obj, node, 0, 1)
 	s.Format(x.fwd, node, 0, 2)
 	s.SetForwarding(x.fwd, base+2048)
+	s.Format(x.arr, refArr, 2, 3)
+	s.Format(x.words, r.DefineWordArray("words"), 2, 4)
 	return x
 }
 
@@ -45,6 +50,14 @@ func newSlabFixture() slabFixture {
 // word-at-a-time path raises for the same bad access: the old call
 // sequence and the new primitive run against identical fixtures and
 // their panic messages are compared.
+//
+// RefSlot, dataWord (GetData, SetData) and Format are what the mutator's
+// operations come down to, flattened to one call each with every fault
+// raised out of line. For them there is no older path left to compare
+// with — the word-at-a-time accessors go through them — so the second
+// table gives the message itself, and the accesses either side of each
+// refused one, which must not panic: a row fails if the text moved, and
+// if the condition did.
 func TestSlabPrimitivesFaultLikeWordPath(t *testing.T) {
 	type access func(x slabFixture)
 	cases := []struct {
@@ -167,6 +180,79 @@ func TestSlabPrimitivesFaultLikeWordPath(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s: panics %q, the word-at-a-time path %q", tc.name, got, want)
+		}
+	}
+
+	exact := []struct {
+		name   string
+		access access
+		want   string // "" for an access that must not panic
+	}{
+		{"slot-range/RefSlot/-1", func(x slabFixture) { x.s.RefSlot(x.obj, -1) },
+			"heap: ref slot -1 out of range [0,3) at 0x00001000 (node)"},
+		{"slot-range/RefSlot/first", func(x slabFixture) { x.s.RefSlot(x.obj, 0) }, ""},
+		{"slot-range/RefSlot/last", func(x slabFixture) { x.s.RefSlot(x.obj, 2) }, ""},
+		{"slot-range/RefSlot/end", func(x slabFixture) { x.s.RefSlot(x.obj, 3) },
+			"heap: ref slot 3 out of range [0,3) at 0x00001000 (node)"},
+		{"slot-range/RefSlot/array-last", func(x slabFixture) { x.s.SetRef(x.arr, 1, x.obj) }, ""},
+		{"slot-range/RefSlot/array-end", func(x slabFixture) { x.s.GetRef(x.arr, 2) },
+			"heap: ref slot 2 out of range [0,2) at 0x00001080 (arr)"},
+		{"slot-range/RefSlot/no-slots", func(x slabFixture) { x.s.RefSlot(x.words, 0) },
+			"heap: ref slot 0 out of range [0,0) at 0x000010c0 (words)"},
+		{"data-range/GetData/-1", func(x slabFixture) { x.s.GetData(x.obj, -1) },
+			"heap: data word -1 out of range [0,1) at 0x00001000 (node)"},
+		{"data-range/GetData/only", func(x slabFixture) { x.s.GetData(x.obj, 0) }, ""},
+		{"data-range/SetData/end", func(x slabFixture) { x.s.SetData(x.obj, 1, 9) },
+			"heap: data word 1 out of range [0,1) at 0x00001000 (node)"},
+		{"data-range/SetData/array-last", func(x slabFixture) { x.s.SetData(x.words, 1, 9) }, ""},
+		{"data-range/GetData/array-end", func(x slabFixture) { x.s.GetData(x.words, 2) },
+			"heap: data word 2 out of range [0,2) at 0x000010c0 (words)"},
+		{"data-kind/GetData", func(x slabFixture) { x.s.GetData(x.arr, 0) },
+			"heap: data access on arr (refarray)"},
+		{"data-kind/SetData", func(x slabFixture) { x.s.SetData(x.arr, 5, 1) },
+			"heap: data access on arr (refarray)"},
+		{"forwarded/SetData", func(x slabFixture) { x.s.SetData(x.fwd, 0, 1) },
+			"heap: TypeOf on forwarded object at 0x00001040"},
+		{"bad-type/RefSlot", func(x slabFixture) { x.s.SetWord(x.obj, 77); x.s.RefSlot(x.obj, 0) },
+			"heap: invalid type id 77"},
+		{"bad-type/GetData", func(x slabFixture) { x.s.SetWord(x.obj, 0); x.s.GetData(x.obj, 0) },
+			"heap: invalid type id 0"},
+		{"bad-type/SetData", func(x slabFixture) { x.s.SetWord(x.obj, 0x01000001); x.s.SetData(x.obj, 0, 1) },
+			"heap: malformed header 0x1000001 at 0x00001000"},
+		{"unmapped/GetData", func(x slabFixture) { x.s.GetData(x.unmapped, 0) },
+			"heap: fault at 0x00003000 (frame 3 unmapped)"},
+		{"unmapped/SetData", func(x slabFixture) { x.s.SetData(x.unmapped, 0, 1) },
+			"heap: fault at 0x00003000 (frame 3 unmapped)"},
+		{"unmapped/Format", func(x slabFixture) { x.s.Format(x.unmapped, x.node, 0, 9) },
+			"heap: fault at 0x00003000 (frame 3 unmapped)"},
+		{"nil/RefSlot", func(x slabFixture) { x.s.RefSlot(Nil, 0) },
+			"heap: fault at 0x00000000 (frame 0 unmapped)"},
+		{"misaligned/GetData", func(x slabFixture) { x.s.GetData(x.obj+2, 0) },
+			"heap: misaligned read at 0x00001002"},
+		{"misaligned/SetData", func(x slabFixture) { x.s.SetData(x.obj+1, 0, 1) },
+			"heap: misaligned read at 0x00001001"}, // the header read faults first
+		{"misaligned/Format", func(x slabFixture) { x.s.Format(x.dst+2, x.node, 0, 9) },
+			"heap: misaligned write at 0x00001402"},
+		{"released/GetData", func(x slabFixture) { x.s.Release(); x.s.GetData(x.obj, 0) },
+			"heap: fault at 0x00001000 (frame 1 unmapped)"},
+		{"released/SetData", func(x slabFixture) { x.s.Release(); x.s.SetData(x.obj, 0, 1) },
+			"heap: fault at 0x00001000 (frame 1 unmapped)"},
+		{"released/Format", func(x slabFixture) { x.s.Release(); x.s.Format(x.dst, x.node, 0, 9) },
+			"heap: fault at 0x00001400 (frame 1 unmapped)"},
+		{"length/Format/scalar", func(x slabFixture) { x.s.Format(x.dst, x.node, 2, 9) },
+			"heap: scalar node formatted with length 2"},
+		{"length/Format/scalar-negative", func(x slabFixture) { x.s.Format(x.dst, x.node, -1, 9) },
+			"heap: scalar node formatted with length -1"},
+		{"length/Format/negative", func(x slabFixture) { x.s.Format(x.dst, x.refArr, -1, 9) },
+			"heap: negative array length"},
+		{"length/Format/before-fault", func(x slabFixture) { x.s.Format(x.unmapped, x.refArr, -1, 9) },
+			"heap: negative array length"}, // the length is refused before the address is looked at
+		{"length/Format/scalar-zero", func(x slabFixture) { x.s.Format(x.dst, x.node, 0, 9) }, ""},
+		{"length/Format/array-zero", func(x slabFixture) { x.s.Format(x.dst, x.refArr, 0, 9) }, ""},
+	}
+	for _, tc := range exact {
+		if got := panicOf(func() { tc.access(newSlabFixture()) }); got != tc.want {
+			t.Errorf("%s: panics %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

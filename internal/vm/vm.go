@@ -8,10 +8,9 @@
 package vm
 
 import (
-	"fmt"
-
 	"beltway/internal/gc"
 	"beltway/internal/heap"
+	"beltway/internal/stats"
 )
 
 // oomPanic wraps an out-of-memory error raised inside workload code.
@@ -39,11 +38,19 @@ type Recorder interface {
 
 // Mutator drives a collector. All object references held across
 // allocation points must be gc.Handles; raw addresses are never exposed.
+//
+// It keeps the collector's root set, address space and clock, which are
+// fixed for the collector's life: an operation is then this method, the
+// handle lookups, at most one dynamic call into the collector (Alloc,
+// WriteRef, ReadRef — the calls a wrapping gc.Collector may observe) and
+// one heap accessor, with nothing fetched through the interface twice.
 type Mutator struct {
 	C     gc.Collector
 	V     *Validator // nil unless validation is enabled
 	R     Recorder   // nil unless trace recording is attached
 	roots *gc.RootSet
+	space *heap.Space
+	clock *stats.Clock
 }
 
 // SetRecorder attaches (or detaches, with nil) a trace recorder.
@@ -51,7 +58,7 @@ func (m *Mutator) SetRecorder(r Recorder) { m.R = r }
 
 // New wraps a collector in a mutator facade.
 func New(c gc.Collector) *Mutator {
-	return &Mutator{C: c, roots: c.Roots()}
+	return &Mutator{C: c, roots: c.Roots(), space: c.Space(), clock: c.Clock()}
 }
 
 // EnableValidation attaches the shadow-graph oracle. It makes runs much
@@ -259,7 +266,7 @@ func (m *Mutator) SameObject(a, b gc.Handle) bool {
 func (m *Mutator) SetData(obj gc.Handle, i int, v uint32) {
 	oa := m.addrOf(obj, "SetData receiver")
 	m.chargeField()
-	m.C.Space().SetData(oa, i, v)
+	m.space.SetData(oa, i, v)
 	if m.V != nil {
 		m.V.noteSetData(oa, i, v)
 	}
@@ -271,7 +278,7 @@ func (m *Mutator) SetData(obj gc.Handle, i int, v uint32) {
 // GetData reads data word i of obj.
 func (m *Mutator) GetData(obj gc.Handle, i int) uint32 {
 	m.chargeField()
-	v := m.C.Space().GetData(m.addrOf(obj, "GetData receiver"), i)
+	v := m.space.GetData(m.addrOf(obj, "GetData receiver"), i)
 	if m.R != nil {
 		m.R.GetData(obj, i)
 	}
@@ -280,22 +287,22 @@ func (m *Mutator) GetData(obj gc.Handle, i int) uint32 {
 
 // Length returns the array length of obj.
 func (m *Mutator) Length(obj gc.Handle) int {
-	return m.C.Space().Length(m.addrOf(obj, "Length receiver"))
+	return m.space.Length(m.addrOf(obj, "Length receiver"))
 }
 
 // TypeOf returns the type descriptor of obj.
 func (m *Mutator) TypeOf(obj gc.Handle) *heap.TypeDesc {
-	return m.C.Space().TypeOf(m.addrOf(obj, "TypeOf receiver"))
+	return m.space.TypeOf(m.addrOf(obj, "TypeOf receiver"))
 }
 
 // Serial returns the allocation serial of obj (stable across moves).
 func (m *Mutator) Serial(obj gc.Handle) uint32 {
-	return m.C.Space().Serial(m.addrOf(obj, "Serial receiver"))
+	return m.space.Serial(m.addrOf(obj, "Serial receiver"))
 }
 
 // Work charges n abstract units of pure application work to the clock.
 func (m *Mutator) Work(n int) {
-	m.C.Clock().Advance(m.C.Clock().Costs.MutatorOp * float64(n))
+	m.clock.Advance(m.clock.Costs.MutatorOp * float64(n))
 	if m.R != nil {
 		m.R.Work(n)
 	}
@@ -312,13 +319,16 @@ func (m *Mutator) Collect(full bool) {
 }
 
 func (m *Mutator) chargeField() {
-	m.C.Clock().Advance(m.C.Clock().Costs.FieldAccess)
+	m.clock.Advance(m.clock.Costs.FieldAccess)
 }
 
+// addrOf is the receiver lookup of every accessor. The panic is spelled
+// as a concatenation, which the inliner does not count as a call, so
+// that addrOf inlines and the lookup costs the accessor one call, Get.
 func (m *Mutator) addrOf(h gc.Handle, what string) heap.Addr {
 	a := m.roots.Get(h)
 	if a == heap.Nil {
-		panic(fmt.Sprintf("vm: nil dereference (%s)", what))
+		panic("vm: nil dereference (" + what + ")")
 	}
 	return a
 }

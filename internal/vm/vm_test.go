@@ -1,7 +1,6 @@
 package vm_test
 
 import (
-	"strings"
 	"testing"
 
 	"beltway/internal/collectors"
@@ -62,20 +61,46 @@ func TestAllocAndFieldAccess(t *testing.T) {
 	}
 }
 
+// Every accessor takes its receiver through addrOf, whose panic is raised
+// inline so that addrOf itself inlines: each must still name itself in
+// the message, word for word, and panic with a string. A live receiver
+// must not panic at all.
 func TestNilDereferencePanics(t *testing.T) {
 	m, types := testMutator(t)
 	node := types.DefineScalar("n", 1, 1)
-	_ = node
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("nil dereference did not panic")
+	live := m.AllocGlobal(node, 0)
+	cases := []struct {
+		op     string
+		access func(obj gc.Handle)
+	}{
+		{"SetRef", func(obj gc.Handle) { m.SetRef(obj, 0, live) }},
+		{"SetRefNil", func(obj gc.Handle) { m.SetRefNil(obj, 0) }},
+		{"GetRef", func(obj gc.Handle) { m.GetRef(obj, 0) }},
+		{"RefIsNil", func(obj gc.Handle) { m.RefIsNil(obj, 0) }},
+		{"SetData", func(obj gc.Handle) { m.SetData(obj, 0, 1) }},
+		{"GetData", func(obj gc.Handle) { m.GetData(obj, 0) }},
+		{"Length", func(obj gc.Handle) { m.Length(obj) }},
+		{"TypeOf", func(obj gc.Handle) { m.TypeOf(obj) }},
+		{"Serial", func(obj gc.Handle) { m.Serial(obj) }},
+	}
+	panicOf := func(fn func()) (r any) {
+		defer func() { r = recover() }()
+		fn()
+		return nil
+	}
+	for _, tc := range cases {
+		want := "vm: nil dereference (" + tc.op + " receiver)"
+		if got, _ := panicOf(func() { tc.access(gc.NilHandle) }).(string); got != want {
+			t.Errorf("%s on a nil receiver panics %q, want the string %q", tc.op, got, want)
 		}
-		if !strings.Contains(r.(string), "nil dereference") {
-			t.Fatalf("unexpected panic: %v", r)
+		if r := panicOf(func() { tc.access(live) }); r != nil {
+			t.Errorf("%s on a live receiver panics: %v", tc.op, r)
 		}
-	}()
-	m.GetData(gc.NilHandle, 0)
+	}
+	// A nil VALUE is not a dereference: storing NilHandle clears the slot.
+	if r := panicOf(func() { m.SetRef(live, 0, gc.NilHandle) }); r != nil || !m.RefIsNil(live, 0) {
+		t.Errorf("SetRef of a nil value: panic %v, slot nil %v", r, m.RefIsNil(live, 0))
+	}
 }
 
 func TestRunConvertsOOM(t *testing.T) {
