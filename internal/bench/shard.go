@@ -14,14 +14,18 @@ import (
 // diffable.
 var ShardCounts = []int{1, 2, 4, 8}
 
-// shardEntries materializes one scaling entry per configured width.
-// Called from All at registration time, after flags may have trimmed
-// ShardCounts.
+// shardEntries materializes one scaling entry per configured width, and
+// the no-exchange case at two and four lanes. Called from All at
+// registration time, after flags may have trimmed ShardCounts.
 func shardEntries() []Entry {
 	var out []Entry
 	for _, n := range ShardCounts {
-		n := n
 		out = append(out, Entry{"shard", "Scale" + itoa(n), func(b *testing.B) { runShardScale(b, n) }})
+	}
+	for _, n := range ShardCounts {
+		if n == 2 || n == 4 {
+			out = append(out, Entry{"shard", "FreeRounds" + itoa(n), func(b *testing.B) { runShardFreeRounds(b, n) }})
+		}
 	}
 	return out
 }
@@ -96,4 +100,39 @@ func runShardScale(b *testing.B, n int) {
 	b.ReportMetric(makespan/float64(b.N), "makespan-cost/op")
 	b.ReportMetric(throughput/float64(b.N), "agg-B-per-cost/op")
 	b.ReportMetric(copied/float64(b.N), "copied-bytes/op")
+}
+
+// runShardFreeRounds is the case beside runShardScale that exchanges
+// nothing and never collects globally: n lanes x 1,000 rounds of a few
+// cost units of work each — the shape of the server plan, with the
+// requests taken out. What is left of a round is its boundary, so
+// ns/round (host time inside Runtime.Run per round of the plan, all
+// lanes running at once) is the price of one; building the runtime is
+// outside the timer.
+func runShardFreeRounds(b *testing.B, n int) {
+	const rounds = 1000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg := collectors.XX100(25, collectors.Options{HeapBytes: 512 << 10, FrameBytes: 8 << 10})
+		rt, err := shard.New(cfg, shard.Options{Shards: n, Seed: 20020617, PerShardHeap: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan := shard.Plan{Rounds: rounds, Body: func(_ int, s *shard.Shard) {
+			s.M.Work(4)
+			s.Poll()
+		}}
+		b.StartTimer()
+		if err := rt.Run(plan); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if got := rt.Result().Rounds; got != rounds {
+			b.Fatalf("ran %d rounds, want %d", got, rounds)
+		}
+		rt.Release()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rounds, "ns/round")
 }

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"math"
 
 	"beltway/internal/core"
 	"beltway/internal/gc"
@@ -18,8 +19,10 @@ import (
 // (shard.Runtime.Run) and replayed one shard at a time on one
 // goroutine (RunSerial) — and every mutator-observable outcome must
 // match per shard: validated live-graph fingerprints, allocation
-// serial streams, and OOM verdicts. Cost, pauses and telemetry remain
-// policy, exactly as in the flat oracle.
+// serial streams, and OOM verdicts — and, the two schedules being one
+// configuration, the committed routing entries and the makespan's
+// bits. Across configurations cost, pauses and telemetry remain policy,
+// exactly as in the flat oracle.
 
 // DefaultOpsPerRound is the round granularity of the sharded oracle:
 // small enough that a script cuts into several rounds (so exchange and
@@ -37,7 +40,8 @@ type ShardedRun struct {
 	Parallel []Outcome
 	Serial   []Outcome
 	// Divergences lists every disagreement (replay failures, OOM
-	// verdicts, serial streams, fingerprints) between the schedules.
+	// verdicts, serial streams, fingerprints, routed entries, makespan)
+	// between the schedules.
 	Divergences []Divergence
 }
 
@@ -95,9 +99,11 @@ func RunScriptSharded(script Script, cfg core.Config, shards, opsPerRound int) S
 	cfg.PhysMemBytes = 0 // paging is a cost-model concern, not semantics
 
 	run := ShardedRun{Shards: shards, Rounds: rounds, HeapBytes: heapBytes}
-	var perr, serr error
-	run.Parallel, perr = runShardedSchedule(cfg, subs, rounds, opsPerRound, false)
-	run.Serial, serr = runShardedSchedule(cfg, subs, rounds, opsPerRound, true)
+	build := func() (*shard.Runtime, shard.Plan, error) {
+		return scriptSchedule(cfg, subs, rounds, opsPerRound)
+	}
+	par, perr := runSchedule(cfg.Name, build, false)
+	ser, serr := runSchedule(cfg.Name, build, true)
 	if perr != nil {
 		run.Divergences = append(run.Divergences,
 			Divergence{A: cfg.Name, Field: "replay", Detail: "parallel: " + perr.Error()})
@@ -108,40 +114,69 @@ func RunScriptSharded(script Script, cfg core.Config, shards, opsPerRound int) S
 			Divergence{A: cfg.Name, Field: "replay", Detail: "serial: " + serr.Error()})
 		return run
 	}
-	for i := range run.Parallel {
-		a, b := run.Parallel[i], run.Serial[i]
+	run.Parallel, run.Serial = par.lanes, ser.lanes
+	run.Divergences = diffSchedules(cfg.Name, par, ser)
+	return run
+}
+
+// schedule is what one execution of a sharded plan leaves to compare:
+// every lane's outcome, and the two numbers the runtime derives from
+// all lanes together.
+type schedule struct {
+	lanes    []Outcome
+	routed   int     // shard.Runtime.RoutedEntries
+	makespan float64 // shard.Runtime.Makespan
+}
+
+// diffSchedules lists every disagreement between a plan's concurrent
+// and serial executions: per lane the replay errors, OOM verdicts,
+// serial streams and fingerprints; per run the committed routing
+// entries and the makespan, bit for bit — within one configuration cost
+// is semantics too, since both schedules must make the same float sums.
+func diffSchedules(name string, par, ser schedule) []Divergence {
+	var divs []Divergence
+	for i := range par.lanes {
+		a, b := par.lanes[i], ser.lanes[i]
 		if a.Err != "" || b.Err != "" {
 			if a.Err != b.Err {
-				run.Divergences = append(run.Divergences, Divergence{
+				divs = append(divs, Divergence{
 					A: a.Name, B: b.Name, Field: "replay",
 					Detail: fmt.Sprintf("parallel err %q vs serial err %q", a.Err, b.Err)})
 			} else {
-				run.Divergences = append(run.Divergences,
-					Divergence{A: a.Name, Field: "replay", Detail: a.Err})
+				divs = append(divs, Divergence{A: a.Name, Field: "replay", Detail: a.Err})
 			}
 			continue
 		}
 		if a.OOM != b.OOM {
-			run.Divergences = append(run.Divergences, Divergence{
+			divs = append(divs, Divergence{
 				A: a.Name, B: b.Name, Field: "oom",
 				Detail: fmt.Sprintf("parallel OOM=%v vs serial OOM=%v", a.OOM, b.OOM)})
 		}
 		if d := diffSerials(a, b); d != "" {
-			run.Divergences = append(run.Divergences,
-				Divergence{A: a.Name, B: b.Name, Field: "serials", Detail: d})
+			divs = append(divs, Divergence{A: a.Name, B: b.Name, Field: "serials", Detail: d})
 		}
 		if !a.OOM && !b.OOM && a.Fingerprint != b.Fingerprint {
-			run.Divergences = append(run.Divergences, Divergence{
+			divs = append(divs, Divergence{
 				A: a.Name, B: b.Name, Field: "graph",
 				Detail: diffLines(a.Fingerprint, b.Fingerprint)})
 		}
 	}
-	return run
+	if par.routed != ser.routed {
+		divs = append(divs, Divergence{A: name, Field: "routed",
+			Detail: fmt.Sprintf("parallel merged %d routing entries vs serial %d", par.routed, ser.routed)})
+	}
+	if math.Float64bits(par.makespan) != math.Float64bits(ser.makespan) {
+		divs = append(divs, Divergence{A: name, Field: "makespan",
+			Detail: fmt.Sprintf("parallel %v vs serial %v", par.makespan, ser.makespan)})
+	}
+	return divs
 }
 
-// runShardedSchedule executes the dealt script once, on the parallel
-// or the serial schedule, returning per-shard outcomes.
-func runShardedSchedule(cfg core.Config, subs []Script, rounds, opsPerRound int, serial bool) ([]Outcome, error) {
+// scriptSchedule builds a fresh runtime and the plan that replays the
+// dealt script on it: each round a shard adopts its neighbor's
+// committed stream, runs its slice of ops and publishes its newest live
+// value.
+func scriptSchedule(cfg core.Config, subs []Script, rounds, opsPerRound int) (*shard.Runtime, shard.Plan, error) {
 	shards := len(subs)
 	rt, err := shard.New(cfg, shard.Options{
 		Shards:       shards,
@@ -149,10 +184,9 @@ func runShardedSchedule(cfg core.Config, subs []Script, rounds, opsPerRound int,
 		Validate:     true,
 	})
 	if err != nil {
-		return nil, err
+		return nil, shard.Plan{}, err
 	}
 	exs := make([]*Executor, shards)
-	taps := make([]*serialTap, shards)
 	plan := shard.Plan{
 		Rounds: rounds,
 		Body: func(r int, s *shard.Shard) {
@@ -160,8 +194,6 @@ func runShardedSchedule(cfg core.Config, subs []Script, rounds, opsPerRound int,
 			if ex == nil {
 				ex = NewExecutor(s.M)
 				exs[s.ID] = ex
-				taps[s.ID] = &serialTap{m: s.M}
-				s.M.SetRecorder(taps[s.ID])
 			}
 			// Adopt the neighbor's committed stream before this round's
 			// ops, so exchanged values become operands.
@@ -193,26 +225,38 @@ func runShardedSchedule(cfg core.Config, subs []Script, rounds, opsPerRound int,
 			}
 		},
 	}
+	return rt, plan, nil
+}
+
+// runSchedule executes the plan build hands it once, on the parallel or
+// the serial schedule, with an allocation-serial tap on every shard. The
+// runtime must have been built with shard.Options.Validate.
+func runSchedule(name string, build func() (*shard.Runtime, shard.Plan, error), serial bool) (schedule, error) {
+	rt, plan, err := build()
+	if err != nil {
+		return schedule{}, err
+	}
+	taps := make([]*serialTap, len(rt.Shards()))
+	for i, s := range rt.Shards() {
+		taps[i] = &serialTap{m: s.M}
+		s.M.SetRecorder(taps[i])
+	}
+	mode := "par"
 	if serial {
+		mode = "ser"
 		err = rt.RunSerial(plan)
 	} else {
 		err = rt.Run(plan)
 	}
 	if err != nil {
-		return nil, err
+		return schedule{}, err
 	}
-	mode := "par"
-	if serial {
-		mode = "ser"
-	}
-	outs := make([]Outcome, shards)
+	run := schedule{routed: rt.RoutedEntries(), makespan: rt.Makespan()}
 	for i, s := range rt.Shards() {
 		out := Outcome{
-			Name:        fmt.Sprintf("%s/%s/shard%d", cfg.Name, mode, i),
+			Name:        fmt.Sprintf("%s/%s/shard%d", name, mode, i),
 			Collections: s.Heap.Collections(),
-		}
-		if taps[i] != nil {
-			out.Serials = taps[i].serials
+			Serials:     taps[i].serials,
 		}
 		switch {
 		case s.OOM():
@@ -226,7 +270,7 @@ func runShardedSchedule(cfg core.Config, subs []Script, rounds, opsPerRound int,
 				out.Fingerprint = s.V.LiveFingerprint()
 			}
 		}
-		outs[i] = out
+		run.lanes = append(run.lanes, out)
 	}
-	return outs, nil
+	return run, nil
 }

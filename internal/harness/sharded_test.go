@@ -5,6 +5,8 @@ import (
 
 	"beltway/internal/collectors"
 	"beltway/internal/core"
+	"beltway/internal/server"
+	"beltway/internal/shard"
 	"beltway/internal/workload"
 )
 
@@ -78,5 +80,51 @@ func TestRunShardedRejectsFaults(t *testing.T) {
 	cfg := shardedTestConfig(t, env)
 	if _, err := Run(cfg, Bench(workload.Jess()), env); err == nil {
 		t.Fatal("want an error for fault injection with multiple mutators")
+	}
+}
+
+// TestRunShardedWaitsOnlyToCollect holds the plans Run hands to two
+// lanes to what the shard schedule promises them, by count rather than
+// by stopwatch: a lane blocks for the other only at a rendezvoused
+// global collection — once, after the benchmark body — and the server's
+// arrival batches, which exchange nothing, never make it wait at all.
+func TestRunShardedWaitsOnlyToCollect(t *testing.T) {
+	const lanes = 2
+	env := EnvForScale(0.1)
+	env.PhysMemBytes = 0
+	sc := serverTestConfig()
+	for _, c := range []struct {
+		w   Workload
+		cfg core.Config
+	}{
+		{Bench(workload.Jess()), shardedTestConfig(t, env)},
+		{Server(sc, server.SLO{}), serverCollector(t, "25.25", sc, env, 4)},
+	} {
+		rt, err := shard.New(c.cfg, shard.Options{
+			Shards: lanes, Seed: c.w.seed(env), PerShardHeap: true, Telemetry: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, _, err := c.w.plan(rt.Shards(), env, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Run(plan); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range rt.Shards() {
+			if s.Dead() {
+				t.Fatalf("%s: lane %d: %v", c.w.Name(), s.ID, s.Err())
+			}
+		}
+		boundaries := 0
+		if plan.CollectEvery > 0 {
+			boundaries = plan.Rounds / plan.CollectEvery
+		}
+		if got := rt.Waits(); got != boundaries {
+			t.Errorf("%s: %d rounds, %d blocking waits, want one per global collection: %d",
+				c.w.Name(), plan.Rounds, got, boundaries)
+		}
+		rt.Release()
 	}
 }

@@ -50,12 +50,13 @@ type zipf struct {
 	theta float64
 	zetan float64 // sum_{i=1..n} 1/i^theta
 	zeta2 float64 // sum_{i=1..2} 1/i^theta
+	half  float64 // 0.5^theta: rank 1's weight, a constant of the sampler
 	alpha float64
 	eta   float64
 }
 
 func newZipf(n int, theta float64) *zipf {
-	z := &zipf{theta: theta}
+	z := &zipf{theta: theta, half: math.Pow(0.5, theta)}
 	z.zeta2 = zetaRange(0, 2, theta)
 	z.Grow(n)
 	return z
@@ -89,7 +90,7 @@ func (z *zipf) Sample(r *rng) int {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < 1+z.half {
 		return 1
 	}
 	k := int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

@@ -20,19 +20,24 @@ import (
 //     source frame index (FoldFrame) and the channel as the target
 //     frame. The fast path is shard-private: no locks, no shared
 //     memory.
-//   - At the next safepoint the coordinator merges every shard's
-//     pending tail — in ascending shard order, so the committed state
-//     is schedule-independent — into the committed routing table and
-//     the per-channel message queues.
-//   - Consume reads only committed (immutable during a round) state
+//   - Ending a round seals what it staged as that round's tail.
+//     Publish never waits for anyone.
+//   - Sealed tails are merged into the committed routing table and the
+//     per-channel message queues in (round, ascending shard) order, so
+//     the committed state is schedule-independent: RunSerial merges at
+//     every round boundary; Run merges when a later round first calls
+//     Consume, once every shard has completed the round before it
+//     (safepoint.syncExchange), and what is left when the plan ends.
+//   - Consume in round r reads the committed state through round r-1
 //     and materializes the payload as a fresh allocation in the
 //     consuming shard's own heap, advancing a per-shard cursor, so
 //     concurrent consumers never contend and every shard sees the
 //     full stream (broadcast semantics).
 //
-// The committed exchange state is therefore a pure function of
-// per-shard round outcomes, which is what makes the parallel schedule
-// bit-replayable on one goroutine (see Runtime.RunSerial).
+// The committed exchange state a round reads is therefore a pure
+// function of per-shard round outcomes, which is what makes the
+// parallel schedule bit-replayable on one goroutine (see
+// Runtime.RunSerial).
 
 // shardFrameBits is where the shard id is folded into a routing frame
 // index. Real frame indexes are far below 2^24 (a 2^24-frame heap at
@@ -69,18 +74,40 @@ type route struct {
 	slot     heap.Addr
 }
 
+// tail is what one shard staged in one round: the unit the exchange
+// merges.
+type tail struct {
+	round  int
+	routes []route   // fresh inserts in publish order
+	msgs   []Message // payload queue in publish order
+	chans  []int     // msgs[i] targets channel chans[i]
+}
+
 // pendingExchange is a shard's private, lock-free (single-owner)
-// exchange tail: messages and routes staged since the last safepoint.
+// exchange state: the tail of the round in progress, and what outlives
+// a round.
 type pendingExchange struct {
-	table  *remset.Table // dedup/index over routes, packed-key keyed
-	routes []route       // fresh inserts in publish order
-	msgs   []Message     // payload queue in publish order
-	chans  []int         // msgs[i] targets channel chans[i]
-	seq    uint32        // publish sequence counter (never reset)
+	table *remset.Table // dedup/index over the run's routes, packed-key keyed
+	tail                // staged since the last seal (Run) or merge (RunSerial)
+	seq   uint32        // publish sequence counter (never reset)
 }
 
 func newPendingExchange() *pendingExchange {
 	return &pendingExchange{table: remset.NewTable()}
+}
+
+// seal closes the round's tail and starts the next, returning nil for a
+// round that staged nothing (a route is only ever staged with a
+// message). The sealed tail is no longer the shard's: another lane's
+// goroutine may merge it.
+func (p *pendingExchange) seal(round int) *tail {
+	if len(p.msgs) == 0 {
+		return nil
+	}
+	t := p.tail
+	t.round = round
+	p.tail = tail{}
+	return &t
 }
 
 // stage records one publish. The remset table dedups routes (it has
@@ -94,9 +121,10 @@ func (p *pendingExchange) stage(src, tgt heap.Frame, slot heap.Addr, ch int, m M
 	p.chans = append(p.chans, ch)
 }
 
-// committedExchange is the runtime's merged exchange state. It is
-// written only by the coordinator at safepoints and read-only during
-// rounds, so shard goroutines access it without synchronization.
+// committedExchange is the runtime's merged exchange state. Shard
+// goroutines read it without synchronization: RunSerial has only one,
+// and Run orders every merge against every read through the safepoint
+// (see safepoint.syncExchange).
 type committedExchange struct {
 	routes *remset.Table // merged routing table across all shards
 	queues map[int][]Message
@@ -107,21 +135,21 @@ func newCommittedExchange() *committedExchange {
 	return &committedExchange{routes: remset.NewTable(), queues: map[int][]Message{}}
 }
 
-// merge drains one shard's pending tail into the committed state.
-// Callers merge shards in ascending id order; within one shard,
-// publish order is preserved — together that fixes the committed
-// state independent of the parallel schedule.
-func (c *committedExchange) merge(p *pendingExchange) {
-	for _, r := range p.routes {
+// merge drains one tail into the committed state. Callers merge in
+// (round, ascending shard) order; within a tail, publish order is
+// preserved — together that fixes the committed state independent of
+// the parallel schedule.
+func (c *committedExchange) merge(t *tail) {
+	for _, r := range t.routes {
 		if c.routes.Insert(r.src, r.tgt, r.slot) {
 			c.merged++
 		}
 	}
-	p.routes = p.routes[:0]
-	for i, m := range p.msgs {
-		ch := p.chans[i]
+	t.routes = t.routes[:0]
+	for i, m := range t.msgs {
+		ch := t.chans[i]
 		c.queues[ch] = append(c.queues[ch], m)
 	}
-	p.msgs = p.msgs[:0]
-	p.chans = p.chans[:0]
+	t.msgs = t.msgs[:0]
+	t.chans = t.chans[:0]
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"beltway/internal/core"
 	"beltway/internal/engine"
@@ -14,10 +15,9 @@ import (
 	"beltway/internal/vm"
 )
 
-// defaultPollInterval is the cost-unit spacing between safepoint polls
+// defaultPollInterval is the cost-unit spacing between polls
 // (Shard.Poll). Roughly a few hundred mutator operations at the default
-// cost model — frequent enough that a stop request lands promptly,
-// cheap enough to vanish against allocation costs.
+// cost model.
 const defaultPollInterval = 256.0
 
 // Options parameterizes a sharded runtime.
@@ -40,25 +40,25 @@ type Options struct {
 	// GCWorkers bounds the worker pool for rendezvoused global
 	// collections: 0 fans one worker out per shard (parallel trace over
 	// disjoint shard heaps, reusing internal/engine), 1 collects the
-	// shards back to back on the coordinator (classic STW).
+	// shards back to back on one goroutine (classic STW).
 	GCWorkers int
-	// PollInterval overrides the cost-unit spacing of safepoint polls
+	// PollInterval overrides the cost-unit spacing of polls
 	// (0 = defaultPollInterval).
 	PollInterval float64
 }
 
-// Plan is a rounds-with-barriers execution schedule. Within a round,
-// every live shard runs Body concurrently, touching only its own state
-// and the immutable committed exchange; at each round boundary the
-// coordinator merges exchange tails (in ascending shard order) and
-// optionally runs a rendezvoused global collection. The schedule is
-// the unit of determinism: Run and RunSerial execute the same plan on
-// N goroutines and on one, with identical per-shard outcomes.
+// Plan is a schedule of rounds. A round of shard s runs Body on s's
+// own state and may read, through Consume, what every shard published
+// in earlier rounds, merged in (round, ascending shard) order; every
+// CollectEvery-th round boundary is a rendezvoused global collection.
+// That is all that orders one shard's rounds against another's, so the
+// plan is the unit of determinism: Run and RunSerial execute it on N
+// goroutines and on one, with identical per-shard outcomes.
 type Plan struct {
 	Rounds int
 	// Body runs shard s's slice of round r. It must confine itself to
-	// s and to Consume/Publish; it may call s.Poll at convenient
-	// points.
+	// s and to Consume/Publish — under Run other shards may be rounds
+	// ahead or behind; it may call s.Poll at convenient points.
 	Body func(round int, s *Shard)
 	// CollectEvery, when positive, forces a global collection at every
 	// CollectEvery-th round boundary (all shards rendezvoused).
@@ -67,8 +67,13 @@ type Plan struct {
 	CollectFull bool
 }
 
-// Runtime owns N shards and coordinates their rounds, safepoints,
-// exchange merges and global collections.
+// collectsAfter reports whether a global collection follows the round.
+func (p Plan) collectsAfter(round int) bool {
+	return p.CollectEvery > 0 && (round+1)%p.CollectEvery == 0
+}
+
+// Runtime owns N shards and coordinates their rounds, exchange merges
+// and global collections.
 type Runtime struct {
 	cfg          core.Config
 	opts         Options
@@ -97,7 +102,7 @@ func New(cfg core.Config, opts Options) (*Runtime, error) {
 	rt := &Runtime{
 		cfg:          cfg,
 		opts:         opts,
-		sp:           newSafepoint(),
+		sp:           newSafepoint(opts.Shards),
 		committed:    newCommittedExchange(),
 		pollInterval: opts.PollInterval,
 		roundStart:   make([]float64, opts.Shards),
@@ -161,44 +166,95 @@ func (rt *Runtime) GCMakespan() float64 { return rt.gcMakespan }
 // from per-shard tails into the committed exchange table.
 func (rt *Runtime) RoutedEntries() int { return rt.committed.merged }
 
-// Run executes the plan on one goroutine per shard. Shards rendezvous
-// at a safepoint barrier after every round; the coordinator performs
-// all semantic barrier work (exchange merge, global collection) while
-// they are parked, then opens the next round.
+// Waits returns how many times a lane of a finished Run blocked for
+// another: at the first Consume of a round the others had not all
+// reached, or at a global collection it was not the last to arrive at.
+// It is a count, not a time — a plan whose lanes exchange nothing and
+// collect alone reads 0 on any host — so tests can hold the schedule to
+// "waits only on a dependency" without a stopwatch.
+func (rt *Runtime) Waits() int { return rt.sp.waits }
+
+// Run executes the plan on one goroutine per shard, and a lane blocks
+// only on a data dependency (see safepoint): the rounds of a plan that
+// neither consumes nor collects globally run end to end without one
+// lane ever waiting for another. What RunSerial's barrier does at every
+// boundary happens here where it is first needed, with the same
+// operands in the same order:
+//
+//   - makespan: each lane notes its clock's advance over every round;
+//     the notes are folded, += the slowest lane's round by round,
+//     before each global collection adds its own share and when the
+//     plan ends — every float sum is one barrier() makes;
+//   - exchange: ending a round seals what it staged; the sealed tails
+//     are merged before the first Consume that may see them, and the
+//     rest when the plan ends;
+//   - a global collection stays a full rendezvous: the last lane to
+//     arrive runs it while the others are parked.
 func (rt *Runtime) Run(p Plan) error {
 	if err := rt.checkPlan(p); err != nil {
 		return err
 	}
 	rt.openRoundClocks()
-	n := len(rt.shards)
-	done := make(chan struct{}, n)
-	for _, s := range rt.shards {
-		s := s
-		go func() {
-			for r := 0; r < p.Rounds; r++ {
-				s.runRound(r, p.Body)
-				rt.sp.arrive()
+	costs := make([][]float64, len(rt.shards)) // costs[i][r]: lane i's clock advance over round r
+	folded := 0                                // rounds already in the makespan
+	fold := func(rounds int) {
+		for ; folded < rounds; folded++ {
+			var maxCost float64
+			for _, c := range costs {
+				if d := c[folded]; d > maxCost {
+					maxCost = d
+				}
 			}
-			done <- struct{}{}
-		}()
+			rt.makespan += maxCost
+		}
 	}
-	for r := 0; r < p.Rounds; r++ {
-		rt.sp.waitArrived(n)
-		rt.barrier(p, r)
-		rt.sp.openRound()
+	// What a global collection panicked with, on whichever lane's
+	// goroutine ran it: every lane stops at that boundary and the panic
+	// is raised again below, on the caller's goroutine, where the
+	// harness and the engine recover it.
+	var gcPanic any
+	var wg sync.WaitGroup
+	for i, s := range rt.shards {
+		cost := make([]float64, p.Rounds)
+		costs[i] = cost
+		wg.Add(1)
+		go func(s *Shard) {
+			defer wg.Done()
+			clock := s.Heap.Clock()
+			for r := 0; r < p.Rounds && gcPanic == nil; r++ {
+				s.round = r
+				s.runRound(r, p.Body)
+				now := clock.Now()
+				cost[r] = now - rt.roundStart[s.ID]
+				rt.roundStart[s.ID] = now
+				rt.sp.complete(s.ID, s.pending.seal(r))
+				if p.collectsAfter(r) {
+					rt.sp.rendezvous(func() {
+						defer func() { gcPanic = recover() }()
+						fold(r + 1)
+						rt.collectAll(p.CollectFull)
+						rt.openRoundClocks()
+					})
+				}
+			}
+		}(s)
 	}
-	for i := 0; i < n; i++ {
-		<-done
+	wg.Wait()
+	if gcPanic != nil {
+		panic(gcPanic)
 	}
+	fold(p.Rounds)
+	rt.sp.syncExchange(p.Rounds, rt.committed)
+	rt.rounds = p.Rounds
 	return nil
 }
 
 // RunSerial executes the same plan on the calling goroutine: every
-// round runs the shards in ascending id order, with identical barrier
-// work at identical points. Because round bodies are confined to
-// shard-private and committed-immutable state, RunSerial's per-shard
-// outcomes are bit-identical to Run's — it is the reference schedule
-// the sharded oracle diffs against.
+// round runs the shards in ascending id order, then the barrier work.
+// Because a round body is confined to its shard's own state and to what
+// earlier rounds committed, RunSerial's per-shard outcomes are
+// bit-identical to Run's — it is the reference schedule the sharded
+// oracle diffs against.
 func (rt *Runtime) RunSerial(p Plan) error {
 	if err := rt.checkPlan(p); err != nil {
 		return err
@@ -229,10 +285,10 @@ func (rt *Runtime) openRoundClocks() {
 	}
 }
 
-// barrier performs the semantic work at one round boundary. In the
-// parallel schedule every shard is parked at the safepoint when it
-// runs; in the serial schedule it runs inline. Either way the work and
-// its ordering are identical.
+// barrier performs RunSerial's work at one round boundary: the round's
+// share of the makespan, the exchange merge, a global collection when
+// one is due. Run does the same work in the same order, but only where
+// something depends on it.
 func (rt *Runtime) barrier(p Plan, round int) {
 	rt.rounds++
 	var maxCost float64
@@ -245,16 +301,16 @@ func (rt *Runtime) barrier(p Plan, round int) {
 	// Merge exchange tails in ascending shard order: the committed
 	// state after the barrier is schedule-independent.
 	for _, s := range rt.shards {
-		rt.committed.merge(s.pending)
+		rt.committed.merge(&s.pending.tail)
 	}
-	if p.CollectEvery > 0 && (round+1)%p.CollectEvery == 0 {
+	if p.collectsAfter(round) {
 		rt.collectAll(p.CollectFull)
 	}
 	rt.openRoundClocks()
 }
 
 // collectAll runs a rendezvoused global collection: every live shard's
-// heap is collected, either back to back on the coordinator
+// heap is collected, either back to back on the calling goroutine
 // (GCWorkers == 1: classic stop-the-world) or fanned out over
 // internal/engine's bounded workers (shard heaps are disjoint, so the
 // condemned-set traces are embarrassingly parallel). Heap outcomes are

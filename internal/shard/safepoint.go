@@ -1,121 +1,116 @@
 package shard
 
 import (
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
-// safepoint coordinates rendezvous between N mutator goroutines and the
-// runtime coordinator. Mutators reach it two ways:
+// safepoint is the only state the lanes of Runtime.Run share and
+// mutate while a plan runs, and the only place one lane waits for
+// another. A lane never waits at a round boundary as such; it waits
 //
-//   - at every round boundary (arrive), which is the only place the
-//     runtime takes semantic action (exchange merge, global collection);
-//   - mid-round through Shard.Poll, a cheap check piggybacked on the
-//     cost-unit clock that parks the mutator without any semantic
-//     effect when a stop has been requested.
+//   - in syncExchange, the first time a round calls Consume, until
+//     every lane has completed the round before (what it is about to
+//     read is what the others staged up to there);
+//   - in rendezvous, at a Plan.CollectEvery boundary, until every lane
+//     has arrived (a global collection needs every heap quiescent).
 //
-// Because a mid-round park is purely a scheduling event — the shard
-// neither observes nor mutates shared state while parked, and parking
-// charges nothing to its cost clock — a run with safepoint stops
-// interleaved is observably identical to one without, which is what
-// keeps the parallel schedule replayable serially.
+// A lane that does neither — the server and benchmark bodies — takes
+// the mutex once a round in complete and never blocks. Waits cannot
+// cycle: the lane that has completed the fewest rounds only ever waits
+// for rounds every other lane has already completed.
 type safepoint struct {
-	// stop is the poll word: non-zero when mutators should park at
-	// their next poll. A single atomic load on the fast path.
-	stop atomic.Uint32
+	mu   sync.Mutex
+	cond *sync.Cond
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parked  int // mutators currently parked (mid-round polls only)
-	arrived int // mutators parked at the round barrier
-	gen     uint64
+	// done[i] is the number of rounds lane i has completed. A dead lane
+	// still walks its rounds, so its counter keeps advancing.
+	done []int
+	// sealed[i] holds lane i's sealed exchange tails, oldest first, that
+	// are not yet in the committed exchange; those of rounds < merged
+	// are.
+	sealed [][]*tail
+	merged int
+
+	arrived int    // lanes parked at the collection rendezvous in progress
+	gen     uint64 // bumped when a rendezvous opens
+
+	waits int // syncExchange and rendezvous calls that had to block
 }
 
-func newSafepoint() *safepoint {
-	sp := &safepoint{}
+func newSafepoint(lanes int) *safepoint {
+	sp := &safepoint{done: make([]int, lanes), sealed: make([][]*tail, lanes)}
 	sp.cond = sync.NewCond(&sp.mu)
 	return sp
 }
 
-// request asks every polling mutator to park at its next poll.
-func (sp *safepoint) request() {
-	sp.stop.Store(1)
-}
+// completed is the number of rounds every lane has completed. The
+// caller holds mu.
+func (sp *safepoint) completed() int { return slices.Min(sp.done) }
 
-// requested reports whether a stop is pending (the poll fast path).
-func (sp *safepoint) requested() bool { return sp.stop.Load() != 0 }
-
-// park blocks the calling mutator until the coordinator releases the
-// current stop. Called from Shard.Poll when a stop is pending.
-func (sp *safepoint) park() {
+// complete ends a round of lane: it hands over what the round staged
+// (nil when it staged nothing) and advances the lane's counter, waking
+// the waiters only when the slowest lane moved.
+func (sp *safepoint) complete(lane int, staged *tail) {
 	sp.mu.Lock()
-	gen := sp.gen
-	sp.parked++
-	sp.cond.Broadcast() // wake a coordinator waiting in waitParked
-	for sp.gen == gen && sp.stop.Load() != 0 {
-		sp.cond.Wait()
+	if staged != nil {
+		sp.sealed[lane] = append(sp.sealed[lane], staged)
 	}
-	sp.parked--
-	sp.cond.Broadcast() // wake a coordinator draining in release
-	sp.mu.Unlock()
-}
-
-// waitParked blocks the coordinator until n mutators are parked
-// (mid-round polls) — used by tests and mid-round stops.
-func (sp *safepoint) waitParked(n int) {
-	sp.mu.Lock()
-	for sp.parked < n {
-		sp.cond.Wait()
+	before := sp.completed()
+	sp.done[lane]++
+	if sp.completed() > before {
+		sp.cond.Broadcast()
 	}
 	sp.mu.Unlock()
 }
 
-// release lifts the stop, wakes every parked mutator, and blocks until
-// they have all left the safepoint — so a parked count observed by the
-// next stop can never include stale parkers from this one.
-func (sp *safepoint) release() {
+// syncExchange blocks until every lane has completed the given number
+// of rounds and returns with their sealed tails merged into c — by
+// whichever caller gets here first, in (round, ascending lane) order,
+// which is the order RunSerial's per-round merges produce.
+//
+// The caller then reads c without a lock. Lane A, running round r,
+// returns from syncExchange(r) after the merge of rounds < r, ordered
+// before its reads by mu. The next write to c merges round r, which
+// waits for done[A] > r; A advances its counter, under mu, only after
+// its last read of the round. So every write to c happens before or
+// after every read of it, and a lane in round r sees the tails through
+// r-1 exactly, however far ahead the other lanes have run.
+func (sp *safepoint) syncExchange(rounds int, c *committedExchange) {
 	sp.mu.Lock()
-	sp.stop.Store(0)
-	sp.gen++
-	sp.cond.Broadcast()
-	for sp.parked > 0 {
-		sp.cond.Wait()
+	if sp.completed() < rounds {
+		sp.waits++
+		for sp.completed() < rounds {
+			sp.cond.Wait()
+		}
+	}
+	for ; sp.merged < rounds; sp.merged++ {
+		for lane, q := range sp.sealed {
+			if len(q) > 0 && q[0].round == sp.merged {
+				c.merge(q[0])
+				sp.sealed[lane] = q[1:]
+			}
+		}
 	}
 	sp.mu.Unlock()
 }
 
-// arrive parks the calling mutator at the round barrier and blocks
-// until the coordinator finishes barrier work and opens the next
-// round. The coordinator counts arrivals with waitArrived and opens
-// the round with openRound.
-func (sp *safepoint) arrive() {
+// rendezvous blocks until every lane has called it. The last to arrive
+// runs work — all the others are parked, so work owns every lane's
+// state, ordered after their writes and before their next reads by mu
+// — and then releases them.
+func (sp *safepoint) rendezvous(work func()) {
 	sp.mu.Lock()
-	gen := sp.gen
-	sp.arrived++
-	sp.cond.Broadcast()
-	for sp.gen == gen {
-		sp.cond.Wait()
+	defer sp.mu.Unlock()
+	if sp.arrived++; sp.arrived < len(sp.done) {
+		sp.waits++
+		for gen := sp.gen; sp.gen == gen; {
+			sp.cond.Wait()
+		}
+		return
 	}
-	sp.mu.Unlock()
-}
-
-// waitArrived blocks the coordinator until n mutators have arrived at
-// the barrier.
-func (sp *safepoint) waitArrived(n int) {
-	sp.mu.Lock()
-	for sp.arrived < n {
-		sp.cond.Wait()
-	}
-	sp.mu.Unlock()
-}
-
-// openRound resets the barrier and releases every arrived mutator into
-// the next round.
-func (sp *safepoint) openRound() {
-	sp.mu.Lock()
+	work()
 	sp.arrived = 0
-	sp.stop.Store(0)
 	sp.gen++
 	sp.cond.Broadcast()
-	sp.mu.Unlock()
 }

@@ -2,18 +2,20 @@
 // is a full mutator goroutine driving its own belts-and-increments heap
 // (private nursery and mature belts, private cost clock, private
 // telemetry), with cross-shard references routed by value through the
-// packed remset.Table key machinery and all cross-shard coordination
-// confined to poll-based safepoints at round boundaries.
+// packed remset.Table key machinery. Shards that share nothing never
+// queue behind each other: a lane waits for another only where it reads
+// what that lane wrote (Consume) and where every heap must be quiescent
+// (a rendezvoused global collection).
 //
-// The design invariant is *schedule independence*: within a round,
-// shards interact with nothing but their own state and the immutable
-// committed exchange; between rounds, the coordinator merges per-shard
-// tails in ascending shard order. Every observable per-shard outcome —
-// allocation serials, live-graph fingerprint, OOM verdict — is
-// therefore a pure function of (config, seed, plan), identical whether
-// the rounds ran on N goroutines or were replayed one shard at a time
-// on one goroutine. Runtime.Run and Runtime.RunSerial are those two
-// schedules, and internal/check's sharded oracle diffs them.
+// The design invariant is *schedule independence*: a round interacts
+// with nothing but its shard's own state and the exchange tails sealed
+// by the rounds before it, merged in (round, ascending shard) order.
+// Every observable per-shard outcome — allocation serials, live-graph
+// fingerprint, OOM verdict — is therefore a pure function of (config,
+// seed, plan), identical whether the rounds ran on N goroutines or were
+// replayed one shard at a time on one goroutine. Runtime.Run and
+// Runtime.RunSerial are those two schedules, and internal/check's
+// sharded oracle diffs them.
 package shard
 
 import (
@@ -59,6 +61,10 @@ type Shard struct {
 	pending *pendingExchange
 	cursors map[int]int // per-channel consume cursor (broadcast streams)
 	msgType *heap.TypeDesc
+	// Under Run the shard is running round `round`, and has seen the
+	// committed exchange merged through the rounds before `synced`.
+	// RunSerial merges at every boundary itself and leaves both at zero.
+	round, synced int
 
 	dead    bool  // shard hit OOM (or failed); skips remaining rounds
 	oomErr  error // the OOM that killed it
@@ -67,7 +73,7 @@ type Shard struct {
 	// panicked is the recovered value behind a "panic in round" failure.
 	panicked any
 
-	lastPoll float64 // clock reading at the last safepoint poll
+	lastPoll float64 // clock reading at the last poll taken
 	polls    uint64  // polls taken (telemetry)
 	pubs     uint64  // messages published
 	cons     uint64  // messages consumed
@@ -107,14 +113,14 @@ func (s *Shard) Err() error {
 // Polls returns the number of safepoint polls the shard has taken.
 func (s *Shard) Polls() uint64 { return s.polls }
 
-// Poll is the shard's safepoint check, called from workload code at
-// convenient points (the sharded oracle polls between script ops).
-// It piggybacks on the cost-unit clock: the atomic stop-word load is
-// only taken once the shard's clock has advanced pollIntervalCost
-// units since the last poll, so polling frequency is a deterministic
-// function of the shard's own simulated timeline, not of wall-clock
-// scheduling. Parking charges nothing to the clock — a stop is
-// observationally free, which keeps fixed schedules replayable.
+// Poll marks a point where the workload could be stopped (the sharded
+// oracle polls between script ops, the server loop between requests).
+// It piggybacks on the cost-unit clock: a poll is only taken once the
+// shard's clock has advanced the poll interval since the last one, so
+// the count (ShardStats.Polls) is a deterministic function of the
+// shard's own simulated timeline, not of wall-clock scheduling. Nothing
+// stops a shard in mid-round today — lanes meet only between rounds —
+// so a poll costs a clock read and charges nothing.
 func (s *Shard) Poll() {
 	now := s.Heap.Clock().Now()
 	if now-s.lastPoll < s.rt.pollInterval {
@@ -122,19 +128,16 @@ func (s *Shard) Poll() {
 	}
 	s.lastPoll = now
 	s.polls++
-	if s.rt.sp.requested() {
-		s.rt.sp.park()
-	}
 }
 
 // Publish snapshots the data payload of the object h refers to and
 // stages it on channel ch. The route is recorded in the shard's
 // pending remset.Table under a packed key whose source frame folds the
 // shard id into the object's frame index; the payload is staged in
-// publish order. Nothing is visible to other shards until the next
-// safepoint merge. Reading the payload goes through the vm facade, so
-// it is charged to the shard's clock and observed by the validator
-// like any other field traffic.
+// publish order. Nothing is visible to other shards before the next
+// round, and Publish never waits. Reading the payload goes through the
+// vm facade, so it is charged to the shard's clock and observed by the
+// validator like any other field traffic.
 func (s *Shard) Publish(ch int, h gc.Handle) {
 	if h == gc.NilHandle {
 		return
@@ -158,8 +161,15 @@ func (s *Shard) Publish(ch int, h gc.Handle) {
 // returning a scope-independent handle (NilHandle when the channel has
 // no further committed messages). Each shard consumes the stream
 // independently — broadcast, not work-stealing — so consumption never
-// touches shared mutable state.
+// touches shared mutable state. Committed means staged in an earlier
+// round: under Run the first Consume of a round waits until every shard
+// has completed the round before (the one data dependency between
+// lanes; see safepoint.syncExchange).
 func (s *Shard) Consume(ch int) gc.Handle {
+	if s.synced < s.round {
+		s.rt.sp.syncExchange(s.round, s.rt.committed)
+		s.synced = s.round
+	}
 	q := s.rt.committed.queues[ch]
 	cur := s.cursors[ch]
 	if cur >= len(q) {
