@@ -178,6 +178,18 @@ func TestReproFixtures(t *testing.T) {
 	for _, fx := range fixtures {
 		fx := fx
 		t.Run(fx.Name, func(t *testing.T) {
+			// The committed fixtures carry a "PretenureBelt" key from when
+			// core.Config had that field; encoding/json drops a key it does
+			// not know, and everything else must still decode to
+			// configurations the collector accepts.
+			if len(fx.Configs) == 0 {
+				t.Fatal("fixture decoded to no configurations")
+			}
+			for _, cfg := range fx.Configs {
+				if err := cfg.Validate(); err != nil {
+					t.Fatalf("fixture configuration %q no longer decodes to a valid one: %v", cfg.Name, err)
+				}
+			}
 			rep := fx.Run()
 			if rep.Failed() {
 				t.Fatalf("fixture %s diverges again:\n%s", fx.Name, rep.String())

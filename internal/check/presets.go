@@ -19,14 +19,23 @@ var PresetSpecs = []string{
 	"25.25-mr", "25.25.100-mr", "immix",
 }
 
-// PresetConfigs parses the full preset battery. Heap geometry is left
-// zero; the oracle's sizing policy (RunScript) or the caller fills it.
+// PresetConfigs parses the full preset battery and appends the two
+// large-object configurations — 25.25.100 and appel with every object
+// over half a frame in the large object space, one remembered-set and one
+// boot-scanning barrier — which have no spelling of their own (half of
+// the frame the oracle simulates with). Heap geometry is left zero; the
+// oracle's sizing policy (RunScript) or the caller fills it.
 func PresetConfigs() ([]core.Config, error) {
-	cfgs := make([]core.Config, 0, len(PresetSpecs))
-	for _, spec := range PresetSpecs {
+	specs := append(PresetSpecs[:len(PresetSpecs):len(PresetSpecs)], "25.25.100", "appel")
+	cfgs := make([]core.Config, 0, len(specs))
+	for i, spec := range specs {
 		cfg, err := collectors.Parse(spec, collectors.Options{})
 		if err != nil {
 			return nil, err
+		}
+		if i >= len(PresetSpecs) {
+			cfg.Name += "+los"
+			cfg.LOSThresholdBytes = OracleFrameBytes / 2
 		}
 		cfgs = append(cfgs, cfg)
 	}

@@ -269,7 +269,8 @@ func runAllocScript(t *testing.T, row allocRow, seed int64) allocStats {
 	rng := rand.New(rand.NewSource(seed))
 
 	// Large objects are kept apart from live: nothing but their own root
-	// refers to them, so that releasing it is what a sweep is for.
+	// and, now and then, a boot slot refers to them, so that releasing the
+	// root is what a sweep is for — or is not, while the boot slot stands.
 	var live, boots, larges []gc.Handle
 	alloc := func(what string, op func(m *vm.Mutator) gc.Handle) bool {
 		hd, ok := p.do(what, op)
@@ -360,6 +361,9 @@ func runAllocScript(t *testing.T, row allocRow, seed int64) allocStats {
 			}
 		case r < 92:
 			src, slot, val := boots[rng.Intn(len(boots))], rng.Intn(3), pick()
+			if len(larges) > 0 && rng.Intn(3) == 0 {
+				val = larges[rng.Intn(len(larges))]
+			}
 			ok = store(what+" boot setref", func(m *vm.Mutator) { m.SetRef(src, slot, val) })
 		case r < 93:
 			full := rng.Intn(4) == 0

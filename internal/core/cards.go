@@ -43,134 +43,57 @@ func (h *Heap) markCard(slot heap.Addr) {
 	h.cards[uint32(slot)>>cardShift] = true
 }
 
-// scanDirtyCards is the collection-time half of card marking: for every
-// uncollected frame with dirty cards, walk its objects and process the
-// reference slots lying in dirty cards, forwarding condemned referents.
-// A card is cleaned unless it still holds an interesting pointer (one
-// whose target frame is collected before the slot's frame).
+// scanDirtyCards is the collection-time half of card marking: every
+// uncollected frame, every boot frame and every large object with a dirty
+// card is walked whole and its cards cleaned; the slot rule, to which
+// every slot on a cleaned card is fresh, re-dirties the card of a slot
+// that still holds an interesting pointer (one whose target frame is
+// collected before the slot's frame — under the maximal stamp of a large
+// object, every pointer into the heap).
 func (h *Heap) scanDirtyCards(st *gcState) error {
-	c := &h.clock.Counters
-
-	scanFrame := func(f heap.Frame) error {
-		if !h.space.Mapped(f) {
-			return nil
-		}
-		base := h.space.FrameBase(f)
-		fill := h.fill[f]
-		if fill <= base {
-			return nil
-		}
-		// Quick reject: any dirty card in this frame?
-		cardBase := int(uint32(base) >> cardShift)
-		dirty := false
-		for i := 0; i < h.cardsPerFrame(); i++ {
-			if h.cards[cardBase+i] {
-				dirty = true
-				break
-			}
-		}
-		if !dirty {
-			return nil
-		}
-		// Clean all cards; re-dirty the ones that keep interesting
-		// pointers after this collection.
-		for i := 0; i < h.cardsPerFrame(); i++ {
-			if h.cards[cardBase+i] {
-				c.CardsScanned++
-				h.clock.Advance(h.cfg.Costs.CardScanByte * float64(1<<cardShift))
-				h.cards[cardBase+i] = false
-			}
-		}
-		slab := h.space.FrameSlab(f)
-		for obj := base; obj < fill; {
-			slots, size := h.space.SlotsAt(slab, obj)
-			slot := obj + heap.HeaderBytes
-			for i, w := range slots {
-				if val := heap.Addr(w); val != heap.Nil {
-					if h.isCondemned(val) {
-						nv, err := h.forward(val, st, h.incrOf[f])
-						if err != nil {
-							return err
-						}
-						slots[i] = uint32(nv)
-						val = nv
-					} else {
-						h.markLOS(val)
-					}
-					// Keep the card dirty while it holds interesting
-					// pointers for FUTURE collections.
-					s, t := h.space.FrameOf(slot), h.space.FrameOf(val)
-					if s != t && h.stamp[t] < h.stamp[s] {
-						h.markCard(slot)
-					}
-				}
-				slot += heap.WordBytes
-			}
-			obj += heap.Addr(size)
-		}
-		return nil
-	}
-
-	// All collectible frames not being collected, then the boot image.
 	for _, b := range h.belts {
 		for _, in := range b.incrs {
 			if in.condemned {
 				continue
 			}
 			for _, f := range in.frames {
-				if err := scanFrame(f); err != nil {
-					return err
+				if h.cleanCards(f, 1) {
+					if err := h.scanFrame(f, true, st); err != nil {
+						return err
+					}
 				}
 			}
 		}
 	}
 	for _, f := range h.boot.frames {
-		if err := scanFrame(f); err != nil {
-			return err
-		}
-	}
-	// Large objects span frames; scan the whole object when any card of
-	// its span is dirty. Cards holding heap pointers stay dirty (every
-	// LOS-to-heap pointer is "interesting" under the maximal LOS stamp).
-	for _, lo := range h.los.objects {
-		f0 := h.space.FrameOf(lo.addr)
-		cardBase := int(uint32(h.space.FrameBase(f0)) >> cardShift)
-		nCards := lo.frames * h.cardsPerFrame()
-		dirty := false
-		for i := 0; i < nCards; i++ {
-			if h.cards[cardBase+i] {
-				dirty = true
-				c.CardsScanned++
-				h.clock.Advance(h.cfg.Costs.CardScanByte * float64(1<<cardShift))
-				h.cards[cardBase+i] = false
+		if h.cleanCards(f, 1) {
+			if err := h.scanFrame(f, true, st); err != nil {
+				return err
 			}
 		}
-		if !dirty {
-			continue
-		}
-		slot := lo.addr + heap.HeaderBytes
-		for n := h.space.NumRefs(lo.addr); n > 0; {
-			slots := h.space.SlotRun(slot, n)
-			n -= len(slots)
-			for i, w := range slots {
-				if val := heap.Addr(w); val != heap.Nil {
-					if h.isCondemned(val) {
-						nv, err := h.forward(val, st, nil)
-						if err != nil {
-							return err
-						}
-						slots[i] = uint32(nv)
-						val = nv
-					} else {
-						h.markLOS(val)
-					}
-					if !h.inLOS(val) && !h.immortal[h.space.FrameOf(val)] {
-						h.markCard(slot) // heap pointer: keep discoverable
-					}
-				}
-				slot += heap.WordBytes
+	}
+	for _, lo := range h.los.objects {
+		if h.cleanCards(h.space.FrameOf(lo.addr), lo.frames) {
+			if err := h.scanLarge(lo, true, false, st); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// cleanCards cleans the cards of the n frames from f on, charging the
+// scan of each dirty one, and reports whether any was dirty.
+func (h *Heap) cleanCards(f heap.Frame, n int) bool {
+	base := int(uint32(h.space.FrameBase(f)) >> cardShift)
+	dirty := false
+	for i, card := range h.cards[base : base+n*h.cardsPerFrame()] {
+		if card {
+			dirty = true
+			h.clock.Counters.CardsScanned++
+			h.clock.Advance(h.cfg.Costs.CardScanByte * float64(1<<cardShift))
+			h.cards[base+i] = false
+		}
+	}
+	return dirty
 }

@@ -5,18 +5,32 @@ import (
 
 	"beltway/internal/gc"
 	"beltway/internal/heap"
+	"beltway/internal/stats"
 )
 
 // gcState carries the per-collection working set: the condemned
-// increments, the promotion targets resolved so far, and the Cheney scan
-// positions over every target increment. One instance lives on the Heap
-// and is reset per collection, so steady-state collections allocate
-// nothing for their scan machinery.
+// increments, the promotion targets resolved so far, the Cheney scan
+// positions over every target increment, and what the condemn phase
+// establishes for the phases after it. One instance lives on the Heap and
+// is reset per collection, so steady-state collections allocate nothing
+// for their scan machinery.
 type gcState struct {
 	victims []*Increment
-	targets []*Increment       // indexed by source belt: receiving increment
+	// targets is indexed by source belt: the increment receiving its
+	// survivors. A MOS belt evacuates by referrer, so forward sets its
+	// entry for each object in hand.
+	targets []*Increment
 	mosDest map[int]*Increment // MOS train id -> open destination car
 	scans   []scanState
+
+	trigger gc.TriggerKind
+	full    bool // the condemned bytes cover the occupied heap (GCBeginInfo.Full)
+	// all: every increment is condemned. Such a collection traces all live
+	// data, so it can mark-sweep the large object space, and it re-derives
+	// every interesting pointer, so it ends remset-overflow degradation.
+	all bool
+	t0  float64        // clock and counters before the collection's first
+	c0  stats.Counters // charge, for GCEnd's deltas
 }
 
 // scanState is a Cheney scan pointer over one target increment. Newly
@@ -30,7 +44,8 @@ type scanState struct {
 	addr heap.Addr // next object to scan within frame fi
 }
 
-// reset prepares the reusable state for a collection over nBelts belts.
+// reset prepares the reusable scan machinery for a collection over nBelts
+// belts.
 func (st *gcState) reset(victims []*Increment, nBelts int) {
 	st.victims = victims
 	if cap(st.targets) < nBelts {
@@ -54,6 +69,9 @@ func (st *gcState) reset(victims []*Increment, nBelts int) {
 // configurations — the entire boot image and large object space. When
 // every increment is condemned, the large object space is mark-swept
 // alongside the trace.
+//
+// The body is the list of phases (DESIGN.md §5, "Anatomy of a
+// collection"); gcState carries what one establishes for the next.
 func (h *Heap) collect(victims []*Increment, trigger gc.TriggerKind) error {
 	if h.inGC {
 		panic("core: recursive collection")
@@ -61,36 +79,79 @@ func (h *Heap) collect(victims []*Increment, trigger gc.TriggerKind) error {
 	h.inGC = true
 	defer func() { h.inGC = false }()
 	h.closeWindow()
-
 	if h.hooks.PreGC != nil {
 		h.hooks.PreGC()
 	}
 	h.clock.BeginPause()
 	defer h.clock.EndPause()
-	t0 := h.clock.Now()
-	c0 := h.clock.Counters // pre-collection snapshot for GCEnd deltas
+
+	st := &h.gcs
+	h.condemn(victims, trigger, st)
+	if err := h.scanRoots(st); err != nil {
+		return err
+	}
+	slots := h.harvestRemsets(st)
+	// Boundary-barrier configurations pay the boot scan at every
+	// collection (their cheap barrier does not remember boot-image stores,
+	// as the paper notes of Appel's collector); a heap in remset-overflow
+	// degradation pays it too, because the dropped entries could have
+	// covered boot- or LOS-sourced pointers; and so does a collection that
+	// sweeps the large object space, because no barrier remembers a boot
+	// slot's pointer to a large object (both carry the maximal stamp).
+	if h.cfg.Barrier == BoundaryBarrier || h.deg.remsetOverflow || h.los.sweeping {
+		if err := h.scanBootImage(st); err != nil {
+			return err
+		}
+	}
+	// Pointers into the condemned set from the rest of the heap: the
+	// dirty cards of a card-marking configuration, the harvested
+	// remembered-set entries otherwise.
+	if h.cfg.Barrier == CardBarrier {
+		if err := h.scanDirtyCards(st); err != nil {
+			return err
+		}
+	}
+	if err := h.scanRemsetSlots(slots, st); err != nil {
+		return err
+	}
+	if err := h.drain(st); err != nil {
+		return err
+	}
+	h.release(st)
+	h.sweepLOS()
+	h.finish(st)
+	return nil
+}
+
+// condemn opens the collection: it charges the set-up, marks the victims,
+// tells the GCBegin and Condemned hooks, decides whether the large object
+// space is swept, renews the condemned mark-region increments and resets
+// the scan machinery.
+func (h *Heap) condemn(victims []*Increment, trigger gc.TriggerKind, st *gcState) {
+	st.trigger = trigger
+	st.t0, st.c0 = h.clock.Now(), h.clock.Counters
 	h.clock.Advance(h.cfg.Costs.GCSetup)
 	h.gcCount++
 	c := &h.clock.Counters
 	c.Collections++
 
-	preOccupancy := h.LiveEstimate()
-	condemnedBytes := 0
+	occupied := h.LiveEstimate()
+	condemned := 0
 	for _, in := range victims {
 		in.condemned = true
-		condemnedBytes += in.bytes
+		condemned += in.bytes
 	}
-	full := condemnedBytes >= preOccupancy && preOccupancy > 0
-	if full {
+	st.full = condemned >= occupied && occupied > 0
+	if st.full {
 		c.FullCollections++
 	}
 	if h.hooks.GCBegin != nil {
 		h.hooks.GCBegin(gc.GCBeginInfo{
 			Trigger:             trigger,
-			Full:                full,
+			Full:                st.full,
 			CondemnedIncrements: len(victims),
-			CondemnedBytes:      condemnedBytes,
-			OccupiedBytes:       preOccupancy,
+			CondemnedBytes:      condemned,
+			OccupiedBytes:       occupied,
 		})
 	}
 	if h.hooks.Condemned != nil {
@@ -101,23 +162,21 @@ func (h *Heap) collect(victims []*Increment, trigger gc.TriggerKind) error {
 			})
 		}
 	}
-	// A collection condemning every increment traces all live data, so
-	// it can also mark-sweep the large object space.
-	total := 0
-	for _, b := range h.belts {
-		total += b.Len()
-	}
-	h.los.sweeping = len(h.los.objects) > 0 && len(victims) == total
+	st.all = len(victims) == h.numIncrements()
+	h.los.sweeping = st.all && len(h.los.objects) > 0
 
 	// Renew condemned mark-region increments (fresh seq at the back of
 	// their belts, frames restamped) and pick the frames to evacuate,
 	// before any slot is examined against the stamps.
 	h.mrPrepareCollection(victims)
-
-	st := &h.gcs
 	st.reset(victims, len(h.belts))
+}
 
-	// 1. Mutator roots.
+// scanRoots forwards the referents of the mutator's roots. A root is not
+// a slot: it has no address to remember and holds no stale pointer, so it
+// keeps the condemned test and the forward to itself.
+func (h *Heap) scanRoots(st *gcState) error {
+	c := &h.clock.Counters
 	var gcErr error
 	h.roots.Walk(func(a heap.Addr) heap.Addr {
 		c.RootsScanned++
@@ -133,29 +192,27 @@ func (h *Heap) collect(victims []*Increment, trigger gc.TriggerKind) error {
 		}
 		return na
 	})
-	if gcErr != nil {
-		return gcErr
-	}
+	return gcErr
+}
 
-	// 2. Harvest the remembered-set roots (entries from non-condemned
-	// frames into condemned frames; sets between two condemned frames
-	// are ignored wholesale, §3.3.2), then retire every OTHER set
-	// touching a condemned mark-region frame. A renewed increment keeps
-	// its frames, so unlike a copying increment its stale entries do not
-	// die with the frame: the slots of its dead objects vanish at the
-	// coming sweep, and once their lines are reused such a slot address
-	// would point into the middle of some future object — consuming it
-	// then would read (or clobber) arbitrary live words. The trace
-	// re-inserts exactly the entries that still matter: survivors'
-	// outgoing pointers when they are scanned, pointers INTO the renewed
-	// frames when the slots holding them pass through rescanSlot. The
-	// harvest comes first because those entries are this collection's
-	// roots; the purge precedes the boot scan so it cannot eat entries
-	// the scan is about to insert for in-place survivors.
-	slots := h.rems.AppendRoots(h.rootBuf[:0], h.frameCondemnedFn)
-	h.rootBuf = slots
+// harvestRemsets collects the remembered-set roots (entries from
+// non-condemned frames into condemned frames; sets between two condemned
+// frames are ignored wholesale, §3.3.2), then retires every OTHER set
+// touching a condemned mark-region frame. A renewed increment keeps its
+// frames, so unlike a copying increment its stale entries do not die with
+// the frame: the slots of its dead objects vanish at the coming sweep,
+// and once their lines are reused such a slot address would point into
+// the middle of some future object — consuming it then would read (or
+// clobber) arbitrary live words. The trace re-inserts exactly the entries
+// that still matter: survivors' outgoing pointers when they are scanned,
+// pointers INTO the renewed frames when the slots holding them pass
+// through rescanSlot. The harvest comes first because those entries are
+// this collection's roots; the purge precedes the boot scan so it cannot
+// eat entries the scan is about to insert for in-place survivors.
+func (h *Heap) harvestRemsets(st *gcState) []heap.Addr {
+	h.rootBuf = h.rems.AppendRoots(h.rootBuf[:0], h.frameCondemnedFn)
 	if h.mr.active {
-		for _, in := range victims {
+		for _, in := range st.victims {
 			if !h.isMRBelt(in.belt) {
 				continue
 			}
@@ -164,59 +221,30 @@ func (h *Heap) collect(victims []*Increment, trigger gc.TriggerKind) error {
 			}
 		}
 	}
+	return h.rootBuf
+}
 
-	// 3. Boot image scan: boundary-barrier configurations pay it at every
-	// collection (their cheap barrier does not remember boot-image
-	// stores, as the paper notes of Appel's collector); a heap in remset-
-	// overflow degradation pays it too, because the dropped entries could
-	// have covered boot- or LOS-sourced pointers.
-	if h.cfg.Barrier == BoundaryBarrier || h.deg.remsetOverflow {
-		if err := h.scanBootImage(st); err != nil {
-			return err
-		}
-	}
-
-	// 4. Pointers into the condemned set from the rest of the heap:
-	// dirty-card scanning for card-marking configurations, the harvested
-	// remembered-set entries otherwise.
-	if h.cfg.Barrier == CardBarrier {
-		if err := h.scanDirtyCards(st); err != nil {
-			return err
-		}
-	}
+// scanRemsetSlots applies the slot rule to the harvested entries. Most
+// are stale — the slot was overwritten since insertion — and fall through
+// the rule untouched.
+func (h *Heap) scanRemsetSlots(slots []heap.Addr, st *gcState) error {
+	c := &h.clock.Counters
 	for _, slotAddr := range slots {
 		c.RemsetEntriesGC++
 		h.clock.Advance(h.cfg.Costs.RemsetEntry)
-		slot := h.space.Slot(slotAddr)
-		val := heap.Addr(*slot)
-		if val != heap.Nil && h.mrStale(val) {
-			// The slot (itself only reachable through a stale remset
-			// entry) points at storage a line sweep already reclaimed.
-			*slot = uint32(heap.Nil)
-			continue
-		}
-		if val == heap.Nil || !h.isCondemned(val) {
-			if val != heap.Nil {
-				h.markLOS(val)
-			}
-			continue // stale entry: the slot was overwritten since insertion
-		}
-		var ctx *Increment
-		if f := h.space.FrameOf(slotAddr); int(f) < len(h.incrOf) {
-			ctx = h.incrOf[f]
-		}
-		nv, err := h.forward(val, st, ctx)
-		if err != nil {
+		ctx := h.incrOf[h.space.FrameOf(slotAddr)]
+		if err := h.scanSlots(slotAddr, h.space.SlotRun(slotAddr, 1), ctx, false, false, st); err != nil {
 			return err
 		}
-		*slot = uint32(nv)
-		h.rescanSlot(slotAddr, nv)
 	}
+	return nil
+}
 
-	// 5. Transitive closure: Cheney scans over the copying targets,
-	// interleaved with the mark-region gray stack (in-place survivors
-	// and arrivals in holey frames) and, during full collections,
-	// large-object marking.
+// drain is the transitive closure: Cheney scans over the copying targets,
+// interleaved with the mark-region gray stack (in-place survivors and
+// arrivals in holey frames) and, when the large object space is swept,
+// large-object marking.
+func (h *Heap) drain(st *gcState) error {
 	for {
 		if err := h.drainScans(st); err != nil {
 			return err
@@ -230,45 +258,60 @@ func (h *Heap) collect(victims []*Increment, trigger gc.TriggerKind) error {
 			return err
 		}
 		if !advMR && !advLOS {
-			break
+			return nil
 		}
 	}
+}
 
-	// 6. Release the condemned increments: delete their remsets, unmap
-	// their frames, drop them from their belts. Mark-region increments
-	// are instead swept to free-line runs and rejoin their belts (only
-	// evacuated and emptied frames are unmapped).
-	for _, in := range victims {
+// release gives the condemned increments' frames back and drops them from
+// their belts. Mark-region increments are instead swept to free-line runs
+// and rejoin their belts (only evacuated and emptied frames are unmapped).
+func (h *Heap) release(st *gcState) {
+	for _, in := range st.victims {
 		if h.isMRBelt(in.belt) {
 			h.mrRelease(in)
 			continue
 		}
 		for _, f := range in.frames {
-			h.rems.DeleteFrame(f)
-			h.space.UnmapFrame(f)
-			h.incrOf[f] = nil
-			h.stamp[f] = 0
-			h.fill[f] = heap.Nil
-			h.heapFrames--
-			h.clock.Advance(h.cfg.Costs.FrameOp)
+			h.releaseFrame(f)
 		}
 		h.belts[in.belt].remove(in)
 	}
+}
 
-	h.sweepLOS()
+// releaseFrame unmaps collectible frame f and forgets everything recorded
+// about it: its remembered sets, owner, stamp, fill mark and line
+// metadata. The one place a frame leaves the heap, whether its increment
+// was evacuated, its lines all died or the large object in it was swept.
+func (h *Heap) releaseFrame(f heap.Frame) {
+	if h.mrFrame(f) != nil {
+		h.mrDetach(f)
+	}
+	h.rems.DeleteFrame(f)
+	h.space.UnmapFrame(f)
+	h.incrOf[f] = nil
+	h.stamp[f] = 0
+	h.immortal[f] = false
+	h.fill[f] = heap.Nil
+	h.heapFrames--
+	h.clock.Advance(h.cfg.Costs.FrameOp)
+}
 
+// finish closes the collection over the consistent heap: the reserve is
+// recomputed, the GCEnd, Occupancy and PostGC hooks see this collection's
+// deltas, and the adaptive policy runs last, after every observer.
+func (h *Heap) finish(st *gcState) {
 	// An all-increments collection re-derived every interesting pointer
 	// (survivor slots via rescanSlot, boot/LOS slots via scanBootImage),
 	// so the remembered sets are whole again.
-	if h.deg.remsetOverflow && len(victims) == total {
+	if st.all {
 		h.deg.remsetOverflow = false
 	}
-
 	h.recomputeReserve()
 	h.inGC = false // the heap is consistent again; hooks may inspect it
-	cn := h.clock.Counters
-	endInfo := gc.GCEndInfo{
-		Duration:          h.clock.Now() - t0,
+	cn, c0 := &h.clock.Counters, &st.c0
+	end := gc.GCEndInfo{
+		Duration:          h.clock.Now() - st.t0,
 		BytesCopied:       cn.BytesCopied - c0.BytesCopied,
 		ObjectsCopied:     cn.ObjectsCopied - c0.ObjectsCopied,
 		RemsetEntries:     cn.RemsetEntriesGC - c0.RemsetEntriesGC,
@@ -281,39 +324,33 @@ func (h *Heap) collect(victims []*Increment, trigger gc.TriggerKind) error {
 		MRFramesEvacuated: cn.MRFramesEvacuated - c0.MRFramesEvacuated,
 	}
 	if h.hooks.GCEnd != nil {
-		h.hooks.GCEnd(endInfo)
+		h.hooks.GCEnd(end)
 	}
 	h.slowAtLastGC = cn.BarrierSlowPaths
 	if h.hooks.Occupancy != nil {
-		for bi, b := range h.belts {
-			frames := 0
-			for _, in := range b.incrs {
-				frames += len(in.frames)
-			}
-			lines, used := h.MRLineStats(bi)
-			h.hooks.Occupancy(gc.BeltStat{
-				Belt: bi, Increments: b.Len(), Bytes: b.Bytes(), Frames: frames,
-				MRLines: lines, MRLinesUsed: used,
-			})
+		for bi := range h.belts {
+			h.hooks.Occupancy(h.beltStat(bi))
 		}
 	}
 	if h.hooks.PostGC != nil {
 		h.hooks.PostGC()
 	}
-	// Adaptive policy runs last, over the consistent post-collection
-	// heap, after every observer has seen this collection's telemetry.
-	h.runTuner(trigger, full, endInfo)
-	return nil
+	h.runTuner(st.trigger, st.full, end)
 }
 
-// isCondemned reports whether address a lies in a condemned increment.
-func (h *Heap) isCondemned(a heap.Addr) bool {
-	f := h.space.FrameOf(a)
-	if int(f) >= len(h.incrOf) {
-		return false
+// beltStat is belt bi's occupancy as the Occupancy hook and the tuner see
+// it.
+func (h *Heap) beltStat(bi int) gc.BeltStat {
+	b := h.belts[bi]
+	frames := 0
+	for _, in := range b.incrs {
+		frames += len(in.frames)
 	}
-	in := h.incrOf[f]
-	return in != nil && in.condemned
+	lines, used := h.MRLineStats(bi)
+	return gc.BeltStat{
+		Belt: bi, Increments: b.Len(), Bytes: b.Bytes(), Frames: frames,
+		MRLines: lines, MRLinesUsed: used,
+	}
 }
 
 // frameCondemned reports whether frame f belongs to a condemned increment.
@@ -324,6 +361,9 @@ func (h *Heap) frameCondemned(f heap.Frame) bool {
 	in := h.incrOf[f]
 	return in != nil && in.condemned
 }
+
+// isCondemned reports whether address a lies in a condemned increment.
+func (h *Heap) isCondemned(a heap.Addr) bool { return h.frameCondemned(h.space.FrameOf(a)) }
 
 // forward copies the condemned object at a to its promotion target
 // (installing a forwarding pointer), or returns the existing forwarding
@@ -350,14 +390,10 @@ func (h *Heap) forward(a heap.Addr, st *gcState, ctx *Increment) (heap.Addr, err
 	if h.mr.active && h.mrMark(a, size) {
 		return a, nil
 	}
-	var dst heap.Addr
-	var err error
 	if h.cfg.MOS && src.belt == h.mosBelt() {
-		car := h.mosDestination(src, ctx, st)
-		dst, err = h.bumpIntoCar(car, size, st)
-	} else {
-		dst, err = h.gcBump(src.belt, size, st)
+		st.targets[src.belt] = h.mosDestination(src, ctx, st)
 	}
+	dst, err := h.gcBump(src.belt, size, st)
 	if err != nil {
 		return heap.Nil, err
 	}
@@ -515,7 +551,7 @@ func (h *Heap) advanceScan(idx int, st *gcState) (bool, error) {
 			slab := h.space.FrameSlab(f)
 			for obj < h.fill[f] {
 				slots, size := h.space.SlotsAt(slab, obj)
-				if err := h.scanSlots(obj+heap.HeaderBytes, slots, in, st); err != nil {
+				if err := h.scanSlots(obj+heap.HeaderBytes, slots, in, true, true, st); err != nil {
 					return advanced, err
 				}
 				obj += heap.Addr(size)
@@ -540,40 +576,60 @@ func (h *Heap) scanObject(obj heap.Addr, st *gcState) error {
 		return k.scanObject(obj, st)
 	}
 	slots, _ := h.space.RefSlots(obj)
-	return h.scanSlots(obj+heap.HeaderBytes, slots, h.incrOf[h.space.FrameOf(obj)], st)
+	return h.scanSlots(obj+heap.HeaderBytes, slots, h.incrOf[h.space.FrameOf(obj)], true, true, st)
 }
 
-// scanSlots processes the reference slots of one newly copied (or marked)
-// object through a view of them — slots[i] is the word at
-// slotAddr+i*WordBytes, read and rewritten in place: condemned referents
-// are forwarded, and every slot is re-tested against the barrier rule
-// because the object now lives in a new frame. in is the increment
-// holding the object; MOS belts evacuate by referrer.
+// scanSlots is the collector's one rule for reference slots, applied to a
+// run of them through a view — slots[i] is the word at
+// slotAddr+i*WordBytes, read and rewritten in place: a stale pointer is
+// cleared, a condemned referent is forwarded and the slot rewritten, any
+// other referent that is a large object is marked (markLOS is a no-op
+// unless this collection sweeps them), and the barrier's remembering rule
+// is re-applied to the slot. Every walker of slots — remembered-set
+// entries, the Cheney and gray-stack scans, the boot image, dirty cards,
+// large objects — hands its slots to this loop; they differ in three
+// things only:
 //
-// Every slot is charged on its own, in slot order: the clock is a float
-// sum, so folding the charges of a run of slots into one multiply would
-// change the simulated axis.
-func (h *Heap) scanSlots(slotAddr heap.Addr, slots []uint32, in *Increment, st *gcState) error {
+//   - ctx, the increment holding the slots (nil for the boot image and
+//     large objects): MOS belts evacuate by referrer;
+//
+//   - fresh, whether what remembered the slots is gone — they lie in an
+//     object just copied or marked, whose frame or stamp is new, or on a
+//     card just cleaned — so each is re-tested whatever it holds. A slot
+//     in place is re-tested only after a forward: its old entry, if it
+//     needed one, still stands;
+//
+//   - charge, whether the walker pays ScanSlot for each slot (the scans of
+//     copied, marked and large objects) or has paid some other way: by the
+//     entry, by the boot byte, by the card. The charge is made here, slot
+//     by slot and before the slot's own forward charges its copy, because
+//     the clock is a float sum: a walker's multiply for a run of slots, or
+//     its charges made after the run, would change the simulated axis.
+//
+// The stale test is for slots of dead objects (resurrected through stale
+// remembered-set entries, or in dead-but-unswept large objects, see
+// mrStale); on the slots of live ones it is false.
+func (h *Heap) scanSlots(slotAddr heap.Addr, slots []uint32, ctx *Increment, fresh, charge bool, st *gcState) error {
 	c := &h.clock.Counters
 	for i, w := range slots {
-		c.SlotsScanned++
-		h.clock.Advance(h.cfg.Costs.ScanSlot)
-		if val := heap.Addr(w); val != heap.Nil {
-			if h.mrStale(val) {
-				// Stale pointer in a resurrected dead object: the referent
-				// was reclaimed by a line sweep. Clear it.
-				slots[i] = uint32(heap.Nil)
-			} else {
-				if h.isCondemned(val) {
-					nv, err := h.forward(val, st, in)
-					if err != nil {
-						return err
-					}
-					slots[i] = uint32(nv)
-					val = nv
-				} else {
-					h.markLOS(val)
-				}
+		if charge {
+			c.SlotsScanned++
+			h.clock.Advance(h.cfg.Costs.ScanSlot)
+		}
+		switch val := heap.Addr(w); {
+		case val == heap.Nil:
+		case h.mrStale(val):
+			slots[i] = uint32(heap.Nil)
+		case h.isCondemned(val):
+			nv, err := h.forward(val, st, ctx)
+			if err != nil {
+				return err
+			}
+			slots[i] = uint32(nv)
+			h.rescanSlot(slotAddr, nv)
+		default:
+			h.markLOS(val)
+			if fresh {
 				h.rescanSlot(slotAddr, val)
 			}
 		}
@@ -582,68 +638,49 @@ func (h *Heap) scanSlots(slotAddr heap.Addr, slots []uint32, in *Increment, st *
 	return nil
 }
 
+// scanFrame applies the slot rule to every object in frame f up to its
+// fill mark now (survivors copied in behind it belong to the Cheney scan).
+// Its callers, the boot scan and the card scan, charge by the byte.
+func (h *Heap) scanFrame(f heap.Frame, fresh bool, st *gcState) error {
+	slab, ctx := h.space.FrameSlab(f), h.incrOf[f]
+	for obj, limit := h.space.FrameBase(f), h.fill[f]; obj < limit; {
+		slots, size := h.space.SlotsAt(slab, obj)
+		if err := h.scanSlots(obj+heap.HeaderBytes, slots, ctx, fresh, false, st); err != nil {
+			return err
+		}
+		obj += heap.Addr(size)
+	}
+	return nil
+}
+
 // scanBootImage walks every boot-image object, forwarding condemned
-// referents. Boundary-barrier collectors pay this cost at every
-// collection in exchange for their cheaper barrier.
+// referents in place and re-applying the barrier rule to the slots it
+// rewrote: a no-op for the boundary barrier (boot sources are never
+// remembered), but under remset-overflow degradation the frame barrier
+// must re-remember boot->heap pointers before the overflow flag can clear.
+// Boundary-barrier collectors pay this cost at every collection in
+// exchange for their cheaper barrier.
 func (h *Heap) scanBootImage(st *gcState) error {
 	c := &h.clock.Counters
 	c.BootBytesScanned += uint64(h.boot.bytes)
 	h.clock.Advance(h.cfg.Costs.BootScanByte * float64(h.boot.bytes))
 	for _, f := range h.boot.frames {
-		slab := h.space.FrameSlab(f)
-		for obj, limit := h.space.FrameBase(f), h.fill[f]; obj < limit; {
-			slots, size := h.space.SlotsAt(slab, obj)
-			slotAddr := obj + heap.HeaderBytes
-			for i, w := range slots {
-				val := heap.Addr(w)
-				if val == heap.Nil {
-					continue
-				}
-				if !h.isCondemned(val) {
-					h.markLOS(val)
-					continue
-				}
-				nv, err := h.forward(val, st, nil)
-				if err != nil {
-					return err
-				}
-				slots[i] = uint32(nv)
-				// Re-apply the barrier rule: a no-op for the boundary
-				// barrier (boot sources are never remembered), but under
-				// remset-overflow degradation the frame barrier must
-				// re-remember boot->heap pointers before the overflow
-				// flag can clear.
-				h.rescanSlot(slotAddr+heap.Addr(i)*heap.WordBytes, nv)
-			}
-			obj += heap.Addr(size)
+		if err := h.scanFrame(f, false, st); err != nil {
+			return err
 		}
 	}
-	// The boundary barrier does not remember large-object stores either;
-	// scan every LOS object's slots like the boot image.
+	// What is not remembered out of the boot image is not remembered out
+	// of a large object either, so every large object is a root like the
+	// boot image, dead-but-unswept ones included — except when this
+	// collection sweeps them: then the trace marks the live ones and
+	// drainLOSQueue scans exactly those. (Scanned here as well, a dead one
+	// would mark what it points to, and a dead cycle would never go.)
+	if h.los.sweeping {
+		return nil
+	}
 	for _, lo := range h.los.objects {
-		slotAddr := lo.addr + heap.HeaderBytes
-		for n := h.space.NumRefs(lo.addr); n > 0; {
-			slots := h.space.SlotRun(slotAddr, n)
-			n -= len(slots)
-			for i, w := range slots {
-				h.clock.Advance(h.cfg.Costs.ScanSlot)
-				val := heap.Addr(w)
-				switch {
-				case val == heap.Nil:
-				case h.mrStale(val):
-					// Dead-but-unswept large objects can hold pointers to
-					// storage a line sweep already reclaimed.
-					slots[i] = uint32(heap.Nil)
-				case h.isCondemned(val):
-					nv, err := h.forward(val, st, nil)
-					if err != nil {
-						return err
-					}
-					slots[i] = uint32(nv)
-					h.rescanSlot(slotAddr, nv)
-				}
-				slotAddr += heap.WordBytes
-			}
+		if err := h.scanLarge(lo, false, true, st); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -690,13 +727,7 @@ func (h *Heap) gcAddFrame(in *Increment) error {
 		h.deg.pendingEmergency = true
 		h.noteDegrade(gc.DegradeOverdraft, 0)
 	}
-	otherReserve := 0.0
-	for i, b := range h.belts {
-		if i != in.belt {
-			otherReserve += b.spec.ReserveFrac
-		}
-	}
-	if otherReserve > 0 {
+	if otherReserve := h.reservedElsewhere(in.belt); otherReserve > 0 {
 		usable := h.cfg.HeapBytes - h.reserveBytes
 		beltCap := int((1-otherReserve)*float64(usable))/h.cfg.FrameBytes + 1
 		held := 0

@@ -203,12 +203,6 @@ type Config struct {
 	// mark-sweep-to-lines); must stay below 1.
 	MRDefragFrac float64
 
-	// PretenureBelt is the belt that receives pretenured allocations
-	// (AllocPretenured) — §5's segregation by allocation site, "e.g.,
-	// segregation of long-lived, immortal, or immutable objects".
-	// Zero/negative means the top belt.
-	PretenureBelt int
-
 	// Costs is the cost model; zero value means stats.DefaultCosts().
 	Costs stats.CostModel
 
@@ -295,9 +289,6 @@ func (c *Config) Validate() error {
 	}
 	if c.LOSThresholdBytes < 0 {
 		return fmt.Errorf("core: negative LOS threshold")
-	}
-	if c.PretenureBelt >= len(c.Belts) {
-		return fmt.Errorf("core: pretenure belt %d out of range", c.PretenureBelt)
 	}
 	if c.MOS {
 		last := len(c.Belts) - 1

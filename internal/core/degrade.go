@@ -91,15 +91,11 @@ func (h *Heap) overdraftLimit() int {
 func (h *Heap) emergencyCollect() error {
 	h.deg.pendingEmergency = false
 	h.deg.overdraftFrames = 0
-	var victims []*Increment
-	for _, b := range h.belts {
-		victims = append(victims, b.incrs...)
-	}
-	if len(victims) == 0 && len(h.los.objects) == 0 {
+	if h.numIncrements() == 0 && len(h.los.objects) == 0 {
 		return nil
 	}
 	h.noteDegrade(gc.DegradeEmergencyGC, 0)
-	err := h.collect(victims, gc.TriggerEmergency)
+	err := h.collect(h.beltsBelow(len(h.belts)), gc.TriggerEmergency)
 	h.deg.pendingEmergency = false
 	h.deg.overdraftFrames = 0
 	return err
@@ -119,16 +115,6 @@ func (h *Heap) rescueAlloc(size int, retry func() (heap.Addr, bool)) (heap.Addr,
 		return a, true, nil
 	}
 	return heap.Nil, false, nil
-}
-
-// settleDegradation runs the emergency collection requested by a
-// mid-collection overdraft, at a safe point (no collection in
-// progress). No-op when nothing is pending.
-func (h *Heap) settleDegradation() error {
-	if !h.deg.pendingEmergency {
-		return nil
-	}
-	return h.emergencyCollect()
 }
 
 // remsetCapHit records a dropped remembered-set insert. The first drop

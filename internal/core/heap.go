@@ -249,16 +249,14 @@ func (h *Heap) Alloc(t *heap.TypeDesc, length int) (heap.Addr, error) {
 	if size > h.cfg.FrameBytes {
 		return heap.Nil, fmt.Errorf("core: object of %d bytes exceeds frame size %d (enable the LOS via LOSThresholdBytes)", size, h.cfg.FrameBytes)
 	}
+	// chargeAlloc, written out: a call here would be core's second on the
+	// path of every allocation (DESIGN.md §5, "Mutator fast path").
 	c := &h.clock.Counters
 	c.ObjectsAllocated++
 	c.BytesAllocated += uint64(size)
-	// AllocByte covers zeroing and header init; BarrierFast models the
-	// TIB-initialization store every Jikes allocation performs (§3.3.2).
 	h.clock.Advance(h.cfg.Costs.AllocByte*float64(size) + h.cfg.Costs.BarrierFast)
 	if fh := h.cfg.Faults; fh != nil && fh.AllocCost != nil {
 		if x := fh.AllocCost(); x > 0 {
-			// Injected cost inflation (a slow-allocation fault). Cost
-			// only: the clock is outside the oracle's semantic state.
 			h.clock.Advance(h.cfg.Costs.AllocByte * float64(size) * x)
 		}
 	}
@@ -319,11 +317,7 @@ func (h *Heap) allocCollecting(size int, try func() (heap.Addr, bool)) (heap.Add
 	if a, ok := try(); ok {
 		return a, true, nil
 	}
-	attempts := 4 + 2*len(h.belts)
-	for _, b := range h.belts {
-		attempts += b.Len()
-	}
-	for ; attempts > 0; attempts-- {
+	for attempts := 4 + 2*len(h.belts) + h.numIncrements(); attempts > 0; attempts-- {
 		if err := h.collectForAlloc(); err != nil {
 			return heap.Nil, false, err
 		}
@@ -335,6 +329,37 @@ func (h *Heap) allocCollecting(size int, try func() (heap.Addr, bool)) (heap.Add
 		return h.rescueAlloc(size, try)
 	}
 	return heap.Nil, false, nil
+}
+
+// chargeAlloc is what an allocation of size bytes on the belts or in the
+// large object space pays before it looks for room. AllocByte covers
+// zeroing and header init; BarrierFast models the TIB-initialization store
+// every Jikes allocation performs (§3.3.2). The pretenured and large
+// allocators call it; Alloc carries the same lines inline.
+func (h *Heap) chargeAlloc(size int) {
+	c := &h.clock.Counters
+	c.ObjectsAllocated++
+	c.BytesAllocated += uint64(size)
+	h.clock.Advance(h.cfg.Costs.AllocByte*float64(size) + h.cfg.Costs.BarrierFast)
+	if fh := h.cfg.Faults; fh != nil && fh.AllocCost != nil {
+		if x := fh.AllocCost(); x > 0 {
+			// Injected cost inflation (a slow-allocation fault). Cost
+			// only: the clock is outside the oracle's semantic state.
+			h.clock.Advance(h.cfg.Costs.AllocByte * float64(size) * x)
+		}
+	}
+	if h.overcommitted() {
+		h.chargePaging(size)
+	}
+}
+
+// numIncrements counts the increments on all belts.
+func (h *Heap) numIncrements() int {
+	n := 0
+	for _, b := range h.belts {
+		n += b.Len()
+	}
+	return n
 }
 
 // overcommitted reports whether the mapped footprint exceeds physical
@@ -486,18 +511,22 @@ func (h *Heap) newIncrement(belt *Belt) *Increment {
 		panic("core: newIncrement on the MOS belt (use newMOSCar)")
 	}
 	h.closeWindow()
-	in := &Increment{belt: belt.index, seq: belt.nextSeq, train: -1}
+	in := &Increment{belt: belt.index, seq: belt.nextSeq, train: -1, capFrames: h.frameBudget(belt)}
 	belt.nextSeq++
-	if f := belt.spec.IncrementFrac; f < 1.0 {
-		usable := h.cfg.HeapBytes - h.reserveBytes
-		capBytes := int(f * float64(usable))
-		in.capFrames = capBytes / h.cfg.FrameBytes
-		if in.capFrames < 1 {
-			in.capFrames = 1
-		}
-	}
 	belt.incrs = append(belt.incrs, in)
 	return in
+}
+
+// frameBudget is the frame budget of an increment opened on belt now: its
+// IncrementFrac of the current usable memory, one frame at least, or 0
+// (unbounded) when IncrementFrac >= 1.
+func (h *Heap) frameBudget(belt *Belt) int {
+	f := belt.spec.IncrementFrac
+	if f >= 1.0 {
+		return 0
+	}
+	usable := h.cfg.HeapBytes - h.reserveBytes
+	return max(int(f*float64(usable))/h.cfg.FrameBytes, 1)
 }
 
 // addFrame maps a fresh frame for increment in and makes it the bump

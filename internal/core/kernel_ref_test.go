@@ -37,14 +37,10 @@ func (h *Heap) wordForward(a heap.Addr, st *gcState, ctx *Increment) (heap.Addr,
 		return a, nil
 	}
 	size := h.space.SizeOf(a)
-	var dst heap.Addr
-	var err error
 	if h.cfg.MOS && src.belt == h.mosBelt() {
-		car := h.mosDestination(src, ctx, st)
-		dst, err = h.bumpIntoCar(car, size, st)
-	} else {
-		dst, err = h.gcBump(src.belt, size, st)
+		st.targets[src.belt] = h.mosDestination(src, ctx, st)
 	}
+	dst, err := h.gcBump(src.belt, size, st)
 	if err != nil {
 		return heap.Nil, err
 	}

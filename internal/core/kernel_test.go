@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -60,9 +61,10 @@ func heapImage(sp *heap.Space) uint64 {
 // of several shapes, reference and word arrays, a boot image that points
 // into the heap and, where the configuration has a large object space,
 // reference arrays spanning several frames — under enough pressure to
-// collect often, with the slab-resident kernel or the word-at-a-time
-// reference model.
-func runKernelScript(cfg core.Config, seed int64, wordKernel bool) kernelTrace {
+// collect often. prep, when not nil, sees the heap before the first
+// operation: it installs the word kernel, or adds hooks of its own to the
+// ones set here.
+func runKernelScript(cfg core.Config, seed int64, prep func(*core.Heap)) kernelTrace {
 	var tr kernelTrace
 	// The default cost model is almost all dyadic, and sums of dyadic
 	// charges are exact in any order. Thirds and tenths make the clock
@@ -77,9 +79,6 @@ func runKernelScript(cfg core.Config, seed int64, wordKernel bool) kernelTrace {
 		tr.err = err
 		return tr
 	}
-	if wordKernel {
-		h.UseWordKernel()
-	}
 	moves := fnv.New64a()
 	h.SetHooks(gc.Hooks{
 		Moved: func(from, to heap.Addr) { fmt.Fprintf(moves, "%d>%d,", from, to) },
@@ -91,6 +90,9 @@ func runKernelScript(cfg core.Config, seed int64, wordKernel bool) kernelTrace {
 			})
 		},
 	})
+	if prep != nil {
+		prep(h)
+	}
 	m := vm.New(h)
 	rng := rand.New(rand.NewSource(seed))
 	scalars := []*heap.TypeDesc{
@@ -173,12 +175,14 @@ func runKernelScript(cfg core.Config, seed int64, wordKernel bool) kernelTrace {
 	return tr
 }
 
-// TestSlabKernelMatchesWordKernel is the reference-model test for the
-// trace kernel: the slab-resident forward/scan and the word-at-a-time
-// one it replaced must leave the same heap, counters and clock after
-// every collection of the same random graphs, on every substrate and
+// kernelCase is one configuration of the kernel tests: every substrate and
 // barrier the walkers specialise on.
-func TestSlabKernelMatchesWordKernel(t *testing.T) {
+type kernelCase struct {
+	cfg  core.Config
+	used func(kernelTrace) bool // the run exercised what the row is for
+}
+
+func kernelCases(t *testing.T) []kernelCase {
 	o := testOptions(256)
 	parse := func(spec string) core.Config {
 		cfg, err := collectors.Parse(spec, o)
@@ -187,10 +191,7 @@ func TestSlabKernelMatchesWordKernel(t *testing.T) {
 		}
 		return cfg
 	}
-	cases := []struct {
-		cfg  core.Config
-		used func(kernelTrace) bool // the run exercised what the row is for
-	}{
+	return []kernelCase{
 		{collectors.BSS(o), nil},
 		{collectors.XX100(25, o), nil},
 		{parse("25.25-mr"), func(tr kernelTrace) bool { return tr.mrMarked > 0 }},
@@ -203,12 +204,19 @@ func TestSlabKernelMatchesWordKernel(t *testing.T) {
 		{withLOS(collectors.XX100(25, o)),
 			func(tr kernelTrace) bool { return tr.spanning > 0 && tr.losSwept > 0 }},
 	}
-	for _, tc := range cases {
+}
+
+// TestSlabKernelMatchesWordKernel is the reference-model test for the
+// trace kernel: the slab-resident forward/scan and the word-at-a-time
+// one it replaced must leave the same heap, counters and clock after
+// every collection of the same random graphs.
+func TestSlabKernelMatchesWordKernel(t *testing.T) {
+	for _, tc := range kernelCases(t) {
 		tc := tc
 		t.Run(tc.cfg.Name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				slab := runKernelScript(tc.cfg, seed, false)
-				word := runKernelScript(tc.cfg, seed, true)
+				slab := runKernelScript(tc.cfg, seed, nil)
+				word := runKernelScript(tc.cfg, seed, (*core.Heap).UseWordKernel)
 				if fmt.Sprint(slab.err) != fmt.Sprint(word.err) {
 					t.Fatalf("seed %d: slab kernel ended %v, word kernel %v", seed, slab.err, word.err)
 				}
@@ -238,6 +246,86 @@ func TestSlabKernelMatchesWordKernel(t *testing.T) {
 				if slab.moves != word.moves {
 					t.Errorf("seed %d: Moved hook saw a different sequence of moves", seed)
 				}
+			}
+		})
+	}
+}
+
+// collectionLog records what the hooks and the tuner of one run saw, for
+// TestCollectionConservation.
+type collectionLog struct {
+	order  []byte // one letter per hook call: B C E O P, T for the tuner
+	sum    gc.GCEndInfo
+	begins []gc.GCBeginInfo
+}
+
+func (l *collectionLog) Tune(core.TuneInput) []core.KnobUpdate {
+	l.order = append(l.order, 'T')
+	return nil
+}
+
+// TestCollectionConservation checks the finish phase's books: what the
+// GCEnd hook reports, summed over a run, is what the run's counters and
+// clock hold — every charge and count of a collection falls between its
+// snapshot and its GCEnd — and each collection's hooks fire once, in the
+// documented order, the tuner after all of them.
+func TestCollectionConservation(t *testing.T) {
+	for _, tc := range kernelCases(t) {
+		tc := tc
+		t.Run(tc.cfg.Name, func(t *testing.T) {
+			log := &collectionLog{}
+			cfg := tc.cfg
+			cfg.Policy = log
+			var clock *stats.Clock
+			tr := runKernelScript(cfg, 1, func(h *core.Heap) {
+				clock = h.Clock()
+				note := func(b byte) { log.order = append(log.order, b) }
+				h.SetHooks(h.Hooks().Merge(gc.Hooks{
+					GCBegin:   func(i gc.GCBeginInfo) { note('B'); log.begins = append(log.begins, i) },
+					Condemned: func(gc.IncrementInfo) { note('C') },
+					GCEnd: func(e gc.GCEndInfo) {
+						note('E')
+						s := &log.sum
+						s.Duration += e.Duration
+						s.BytesCopied += e.BytesCopied
+						s.ObjectsCopied += e.ObjectsCopied
+						s.RemsetEntries += e.RemsetEntries
+						s.CardsScanned += e.CardsScanned
+						s.BootBytesScanned += e.BootBytesScanned
+						s.MRObjectsMarked += e.MRObjectsMarked
+						s.MRBytesMarked += e.MRBytesMarked
+						s.MRFramesEvacuated += e.MRFramesEvacuated
+					},
+					Occupancy: func(gc.BeltStat) { note('O') },
+					PostGC:    func() { note('P') },
+				}))
+			})
+			if tr.err != nil {
+				// An allocation that found no room ends a run between
+				// collections; one cut short would fail the order check.
+				t.Logf("run ended: %v", tr.err)
+			}
+			c, s := clock.Counters, log.sum
+			got := [...]uint64{s.BytesCopied, s.ObjectsCopied, s.RemsetEntries, s.CardsScanned,
+				s.BootBytesScanned, s.MRObjectsMarked, s.MRBytesMarked, s.MRFramesEvacuated}
+			want := [...]uint64{c.BytesCopied, c.ObjectsCopied, c.RemsetEntriesGC, c.CardsScanned,
+				c.BootBytesScanned, c.MRObjectsMarked, c.MRBytesMarked, c.MRFramesEvacuated}
+			if got != want {
+				t.Errorf("GCEnd deltas sum to %v, the run's counters are %v\n(bytes copied, objects copied, remset entries, cards, boot bytes, MR objects, MR bytes, MR frames evacuated)", got, want)
+			}
+			if math.Float64bits(s.Duration) != math.Float64bits(clock.GCTime()) {
+				t.Errorf("GCEnd durations sum to %v, Clock.GCTime is %v", s.Duration, clock.GCTime())
+			}
+			var wantOrder []byte
+			for _, b := range log.begins {
+				wantOrder = append(wantOrder, 'B')
+				wantOrder = append(wantOrder, bytes.Repeat([]byte{'C'}, b.CondemnedIncrements)...)
+				wantOrder = append(wantOrder, 'E')
+				wantOrder = append(wantOrder, bytes.Repeat([]byte{'O'}, len(cfg.Belts))...)
+				wantOrder = append(wantOrder, 'P', 'T')
+			}
+			if uint64(len(log.begins)) != c.Collections || !bytes.Equal(log.order, wantOrder) {
+				t.Errorf("%d collections, hooks fired\n %s\nwant, from the %d GCBegin infos,\n %s", c.Collections, log.order, len(log.begins), wantOrder)
 			}
 		})
 	}

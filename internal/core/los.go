@@ -23,9 +23,11 @@ import (
 //     collections (every increment condemned): the trace marks LOS
 //     objects it reaches, marked LOS objects' own references are traced
 //     (keeping their heap referents alive and marking LOS-to-LOS edges),
-//     and unmarked objects are swept. Between full collections dead LOS
-//     objects are retained — the same completeness trade the paper's
-//     incremental configurations make.
+//     and unmarked objects are swept. No barrier remembers a pointer from
+//     the boot image to a large object (equal stamps), so such a
+//     collection scans the boot image whatever the barrier. Between full
+//     collections dead LOS objects are retained — the same completeness
+//     trade the paper's incremental configurations make.
 type losObject struct {
 	addr   heap.Addr
 	frames int // span length
@@ -46,25 +48,10 @@ type losState struct {
 // (0 disables the LOS entirely).
 func (h *Heap) losThreshold() int { return h.cfg.LOSThresholdBytes }
 
-// inLOS reports whether a lies in a large object's span.
-func (h *Heap) inLOS(a heap.Addr) bool {
-	if h.los.byFrame == nil {
-		return false
-	}
-	_, ok := h.los.byFrame[h.space.FrameOf(a)]
-	return ok
-}
-
 // allocLOS allocates a large object in its own frame span.
 func (h *Heap) allocLOS(t *heap.TypeDesc, length, size int) (heap.Addr, error) {
-	c := &h.clock.Counters
-	c.ObjectsAllocated++
-	c.BytesAllocated += uint64(size)
-	c.LOSBytesAllocated += uint64(size)
-	h.clock.Advance(h.cfg.Costs.AllocByte*float64(size) + h.cfg.Costs.BarrierFast)
-	if h.overcommitted() {
-		h.chargePaging(size)
-	}
+	h.chargeAlloc(size)
+	h.clock.Counters.LOSBytesAllocated += uint64(size)
 
 	nFrames := (size + h.cfg.FrameBytes - 1) / h.cfg.FrameBytes
 	a, ok, err := h.allocCollecting(size, func() (heap.Addr, bool) {
@@ -134,6 +121,22 @@ func (h *Heap) markLOS(a heap.Addr) {
 	h.los.queue = append(h.los.queue, obj)
 }
 
+// scanLarge applies the slot rule to the reference slots of large object
+// lo, one run per frame it spans. The holder is no increment, so ctx is
+// nil.
+func (h *Heap) scanLarge(lo *losObject, fresh, charge bool, st *gcState) error {
+	slotAddr := lo.addr + heap.HeaderBytes
+	for n := h.space.NumRefs(lo.addr); n > 0; {
+		slots := h.space.SlotRun(slotAddr, n)
+		if err := h.scanSlots(slotAddr, slots, nil, fresh, charge, st); err != nil {
+			return err
+		}
+		n -= len(slots)
+		slotAddr += heap.Addr(len(slots)) * heap.WordBytes
+	}
+	return nil
+}
+
 // drainLOSQueue scans newly marked large objects, forwarding condemned
 // referents and marking LOS-to-LOS edges. Returns whether it advanced.
 func (h *Heap) drainLOSQueue(st *gcState) (bool, error) {
@@ -142,29 +145,8 @@ func (h *Heap) drainLOSQueue(st *gcState) (bool, error) {
 		obj := h.los.queue[len(h.los.queue)-1]
 		h.los.queue = h.los.queue[:len(h.los.queue)-1]
 		advanced = true
-		slotAddr := obj.addr + heap.HeaderBytes
-		for n := h.space.NumRefs(obj.addr); n > 0; {
-			slots := h.space.SlotRun(slotAddr, n)
-			n -= len(slots)
-			for i, w := range slots {
-				h.clock.Advance(h.cfg.Costs.ScanSlot)
-				if val := heap.Addr(w); val != heap.Nil {
-					if h.isCondemned(val) {
-						nv, err := h.forward(val, st, nil)
-						if err != nil {
-							return advanced, err
-						}
-						slots[i] = uint32(nv)
-						val = nv
-						// The slot now holds a to-space pointer; re-apply the
-						// barrier rule (LOS stamps are maximal, so heap
-						// pointers out of large objects are always interesting).
-						h.rescanSlot(slotAddr, val)
-					}
-					h.markLOS(val)
-				}
-				slotAddr += heap.WordBytes
-			}
+		if err := h.scanLarge(obj, false, true, st); err != nil {
+			return advanced, err
 		}
 	}
 	return advanced, nil
@@ -183,19 +165,12 @@ func (h *Heap) sweepLOS() {
 			continue
 		}
 		f := h.space.FrameOf(obj.addr)
-		for i := 0; i < obj.frames; i++ {
-			fr := f + heap.Frame(i)
-			h.rems.DeleteFrame(fr)
+		for fr := f; fr < f+heap.Frame(obj.frames); fr++ {
 			delete(h.los.byFrame, fr)
-			h.stamp[fr] = 0
-			h.immortal[fr] = false
-			h.fill[fr] = heap.Nil
+			h.releaseFrame(fr)
 		}
-		h.space.UnmapSpan(f, obj.frames)
-		h.heapFrames -= obj.frames
 		h.los.bytes -= obj.size
 		h.clock.Counters.LOSBytesSwept += uint64(obj.size)
-		h.clock.Advance(float64(obj.frames) * h.cfg.Costs.FrameOp)
 	}
 	h.los.objects = kept
 	h.los.sweeping = false

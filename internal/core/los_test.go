@@ -215,3 +215,66 @@ func TestLOSWithValidator(t *testing.T) {
 		t.Error("no collections")
 	}
 }
+
+// TestLOSReachableOnlyFromBootSurvivesSweeps: a large object whose one
+// referrer is a boot-image slot is live, and must outlast every sweeping
+// (all-increments) collection under every barrier. No barrier remembers
+// the store — boot and large-object frames share the maximal stamp — and
+// a card barrier sees it once, on the dirty card of the first collection,
+// so the second forced collection is the one that used to sweep it.
+func TestLOSReachableOnlyFromBootSurvivesSweeps(t *testing.T) {
+	o := testOptions(512)
+	shapes := []struct {
+		name string
+		mk   func() core.Config
+	}{
+		{"flat", func() core.Config { return collectors.BSS(o) }},
+		{"25.25.100", func() core.Config { return collectors.XX100(25, o) }},
+	}
+	for _, barrier := range []core.BarrierKind{core.FrameBarrier, core.BoundaryBarrier, core.CardBarrier} {
+		for _, shape := range shapes {
+			cfg := withLOS(shape.mk())
+			cfg.Barrier = barrier
+			cfg.NurseryFilter = false
+			t.Run(barrier.String()+"/"+shape.name, func(t *testing.T) {
+				m, types, h := newMutator(t, cfg)
+				boot := types.DefineScalar("boot", 1, 0)
+				bigRefs := types.DefineRefArray("bigrefs")
+				leaf := types.DefineScalar("leaf", 0, 1)
+				n := cfg.FrameBytes / heap.WordBytes // a frame of slots: spans two
+				err := m.Run(func() {
+					b := m.AllocImmortal(boot, 0)
+					big := m.Alloc(bigRefs, n)
+					l := m.Alloc(leaf, 0)
+					m.SetData(l, 0, 7)
+					m.SetRef(big, n-1, l) // kept alive through the large object alone
+					m.SetRef(b, 0, big)
+					m.Release(big)
+					m.Release(l)
+					for round := 0; round < 3; round++ {
+						m.Collect(true)
+						if h.LOSObjects() != 1 {
+							t.Fatalf("collection %d: %d large objects, want the one the boot image holds", round, h.LOSObjects())
+						}
+						m.Push() // the handles GetRef returns are roots until Pop
+						if got := m.GetData(m.GetRef(m.GetRef(b, 0), n-1), 0); got != 7 {
+							t.Fatalf("collection %d: read %d through boot -> large -> leaf, want 7", round, got)
+						}
+						m.Pop()
+					}
+					m.SetRefNil(b, 0)
+					m.Collect(true)
+					if h.LOSObjects() != 0 {
+						t.Errorf("%d large objects after the boot slot was cleared, want 0", h.LOSObjects())
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := h.CheckInvariants(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+}

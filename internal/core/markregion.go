@@ -115,7 +115,7 @@ func (h *Heap) mrAttach(f heap.Frame) {
 	h.mr.frames[f] = fs
 }
 
-// mrDetach returns frame f's metadata to the pool (frame unmapped).
+// mrDetach returns frame f's metadata to the pool (releaseFrame).
 func (h *Heap) mrDetach(f heap.Frame) {
 	h.mr.pool = append(h.mr.pool, h.mr.frames[f])
 	h.mr.frames[f] = nil
@@ -307,14 +307,7 @@ func (h *Heap) mrRelease(in *Increment) {
 				c.MRFramesEvacuated++
 			}
 			c.MRLinesReclaimed += uint64(usedBefore)
-			h.mrDetach(f)
-			h.rems.DeleteFrame(f)
-			h.space.UnmapFrame(f)
-			h.incrOf[f] = nil
-			h.stamp[f] = 0
-			h.fill[f] = heap.Nil
-			h.heapFrames--
-			h.clock.Advance(h.cfg.Costs.FrameOp)
+			h.releaseFrame(f)
 			continue
 		}
 		c.MRFramesSwept++

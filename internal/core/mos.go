@@ -64,14 +64,7 @@ func (h *Heap) renumberMOS() {
 func (h *Heap) newMOSCar(train int) *Increment {
 	bi := h.mosBelt()
 	b := h.belts[bi]
-	in := &Increment{belt: bi, train: train}
-	if f := b.spec.IncrementFrac; f < 1.0 {
-		usable := h.cfg.HeapBytes - h.reserveBytes
-		in.capFrames = int(f*float64(usable)) / h.cfg.FrameBytes
-		if in.capFrames < 1 {
-			in.capFrames = 1
-		}
-	}
+	in := &Increment{belt: bi, train: train, capFrames: h.frameBudget(b)}
 	// Insertion point: after the last car of `train`.
 	pos := len(b.incrs)
 	for i, c := range b.incrs {
@@ -142,46 +135,21 @@ func (h *Heap) mosDestination(src *Increment, ctx *Increment, st *gcState) *Incr
 // the given train (-1 means a brand-new train), registered with the
 // collection's scan list.
 func (h *Heap) mosTargetCar(train int, st *gcState) *Increment {
-	if train >= 0 {
-		if in := st.mosDest[train]; in != nil {
-			return in
-		}
-		cars := h.trainCars(train)
-		if n := len(cars); n > 0 && !cars[n-1].condemned && !cars[n-1].atCapacity() {
-			in := cars[n-1]
-			st.mosDest[train] = in
-			h.registerScan(in, st)
-			return in
-		}
-		in := h.newMOSCar(train)
-		st.mosDest[train] = in
-		h.registerScan(in, st)
+	in := st.mosDest[train] // never set for -1
+	if in != nil {
 		return in
 	}
-	in := h.newTrain()
+	if train < 0 {
+		in = h.newTrain()
+	} else if cars := h.trainCars(train); len(cars) > 0 &&
+		!cars[len(cars)-1].condemned && !cars[len(cars)-1].atCapacity() {
+		in = cars[len(cars)-1]
+	} else {
+		in = h.newMOSCar(train)
+	}
 	st.mosDest[in.train] = in
 	h.registerScan(in, st)
 	return in
-}
-
-// bumpIntoCar allocates size bytes in the given destination car,
-// extending it with frames or — past its capacity — with a sibling car
-// on the same train.
-func (h *Heap) bumpIntoCar(car *Increment, size int, st *gcState) (heap.Addr, error) {
-	for {
-		if car.cursor != heap.Nil && car.cursor+heap.Addr(size) <= car.limit {
-			return h.bump(car, size), nil
-		}
-		if !car.atCapacity() {
-			if err := h.gcAddFrame(car); err != nil {
-				return heap.Nil, err
-			}
-			continue
-		}
-		car = h.newMOSCar(car.train)
-		st.mosDest[car.train] = car
-		h.registerScan(car, st)
-	}
 }
 
 // trainIsDead reports whether the lowest train can be reclaimed without

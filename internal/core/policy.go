@@ -29,10 +29,30 @@ func (h *Heap) collectForAlloc() error {
 		}
 		return h.oomError(0, h.cfg.Name+": heap full with nothing collectible")
 	}
-	if err := h.collect(victims, gc.TriggerHeapFull); err != nil {
-		return err
+	return h.collectSettled(victims, gc.TriggerHeapFull)
+}
+
+// collectSettled is collect for every caller but the emergency collection
+// itself: once the collection is over — a safe point — it runs the
+// emergency collection a mid-collection overdraft asked for.
+func (h *Heap) collectSettled(victims []*Increment, trigger gc.TriggerKind) error {
+	err := h.collect(victims, trigger)
+	if err == nil && h.deg.pendingEmergency {
+		err = h.emergencyCollect()
 	}
-	return h.settleDegradation()
+	return err
+}
+
+// beltsBelow returns every increment of the belts below k, lowest belt
+// first: what the stamp discipline condemns along with an increment of
+// belt k (see chooseVictims). beltsBelow(len(h.belts)) is every increment
+// there is.
+func (h *Heap) beltsBelow(k int) []*Increment {
+	var victims []*Increment
+	for _, b := range h.belts[:k] {
+		victims = append(victims, b.incrs...)
+	}
+	return victims
 }
 
 // chooseVictims picks the condemned set for a heap-full collection.
@@ -54,16 +74,11 @@ func (h *Heap) chooseVictims() []*Increment {
 		// a live object could be reclaimed because the pointer to it was
 		// lost. Condemn everything until a full collection (plus the boot
 		// and LOS scans in collect) re-establishes the invariant.
-		var victims []*Increment
-		for _, b := range h.belts {
-			victims = append(victims, b.incrs...)
-		}
-		return victims
+		return h.beltsBelow(len(h.belts))
 	}
 	if h.cfg.OlderFirst {
 		return h.chooseVictimsOF()
 	}
-	var victims []*Increment
 	for bi, b := range h.belts {
 		if b.Len() == 0 {
 			continue
@@ -76,9 +91,7 @@ func (h *Heap) chooseVictims() []*Increment {
 			// Condemn this belt's oldest increment plus all of every
 			// lower belt. A MOS top belt instead condemns the lowest
 			// car — or the whole lowest train when it is dead.
-			for _, lower := range h.belts[:bi] {
-				victims = append(victims, lower.incrs...)
-			}
+			victims := h.beltsBelow(bi)
 			if h.cfg.MOS && bi == h.mosBelt() {
 				victims = append(victims, h.chooseVictimsMOS()...)
 			} else {
@@ -91,10 +104,7 @@ func (h *Heap) chooseVictims() []*Increment {
 	}
 	// All belts below threshold but the heap is full: last resort, full
 	// collection of everything non-empty.
-	for _, b := range h.belts {
-		victims = append(victims, b.incrs...)
-	}
-	return victims
+	return h.beltsBelow(len(h.belts))
 }
 
 // escalateForReservations widens the condemned set when the promotion
@@ -109,12 +119,7 @@ func (h *Heap) escalateForReservations(k int, victims []*Increment) []*Increment
 		if t == k {
 			return victims
 		}
-		otherReserve := 0.0
-		for i, b := range h.belts {
-			if i != t {
-				otherReserve += b.spec.ReserveFrac
-			}
-		}
+		otherReserve := h.reservedElsewhere(t)
 		if otherReserve == 0 {
 			return victims
 		}
@@ -142,6 +147,19 @@ func (h *Heap) escalateForReservations(k int, victims []*Increment) []*Increment
 		}
 		k = t
 	}
+}
+
+// reservedElsewhere sums the permanent reservations (BeltSpec.ReserveFrac)
+// of every belt but bi: the share of usable memory belt bi may not grow
+// into.
+func (h *Heap) reservedElsewhere(bi int) float64 {
+	sum := 0.0
+	for i, b := range h.belts {
+		if i != bi {
+			sum += b.spec.ReserveFrac
+		}
+	}
+	return sum
 }
 
 // chooseVictimsOF implements BOF scheduling (§3.1): collect the oldest
@@ -216,15 +234,7 @@ func (h *Heap) pollRemsetTrigger() (bool, error) {
 		// through trigOld, so the allocation-path poll builds no closure.
 		h.trigOld = old
 		if h.rems.EntriesTargeting(h.trigTargetFn) > th {
-			var victims []*Increment
-			for _, lower := range h.belts[:bi] {
-				victims = append(victims, lower.incrs...)
-			}
-			victims = append(victims, old)
-			if err := h.collect(victims, gc.TriggerRemset); err != nil {
-				return true, err
-			}
-			return true, h.settleDegradation()
+			return true, h.collectSettled(append(h.beltsBelow(bi), old), gc.TriggerRemset)
 		}
 	}
 	return false, nil
@@ -236,26 +246,16 @@ func (h *Heap) pollRemsetTrigger() (bool, error) {
 // policy picks as it would on heap-full.
 func (h *Heap) Collect(full bool) error {
 	if full {
-		var victims []*Increment
-		for _, b := range h.belts {
-			victims = append(victims, b.incrs...)
-		}
-		if len(victims) == 0 && len(h.los.objects) == 0 {
-			return nil
-		}
 		// An empty condemned set is still a valid full collection when
 		// large objects exist: the trace marks and the sweep reclaims.
-		if err := h.collect(victims, gc.TriggerForcedFull); err != nil {
-			return err
+		if h.numIncrements() == 0 && len(h.los.objects) == 0 {
+			return nil
 		}
-		return h.settleDegradation()
+		return h.collectSettled(h.beltsBelow(len(h.belts)), gc.TriggerForcedFull)
 	}
 	victims := h.chooseVictims()
 	if len(victims) == 0 {
 		return nil // nothing collectible: a forced collection is a no-op
 	}
-	if err := h.collect(victims, gc.TriggerForced); err != nil {
-		return err
-	}
-	return h.settleDegradation()
+	return h.collectSettled(victims, gc.TriggerForced)
 }

@@ -11,23 +11,14 @@ import (
 // allocation-site (e.g., segregation of long-lived, immortal, or
 // immutable objects)", citing the authors' own Pretenuring for Java.
 //
-// AllocPretenured bump-allocates directly into an older belt (the
-// configured PretenureBelt, by default the top belt), so objects the
-// program knows to be long-lived skip the nursery and every promotion
-// copy on the way up. The existing machinery keeps this sound: the
-// pretenure belt's youngest increment has a high collection-order stamp,
-// so the frame barrier remembers pointers from the pretenured object
-// into anything younger, exactly as it does for promoted survivors.
+// AllocPretenured bump-allocates directly into the top belt, so objects
+// the program knows to be long-lived skip the nursery and every promotion
+// copy on the way up. The existing machinery keeps this sound: the top
+// belt's youngest increment has a high collection-order stamp, so the
+// frame barrier remembers pointers from the pretenured object into
+// anything younger, exactly as it does for promoted survivors.
 
-// pretenureBelt resolves the destination belt index.
-func (h *Heap) pretenureBelt() int {
-	if h.cfg.PretenureBelt > 0 {
-		return h.cfg.PretenureBelt
-	}
-	return len(h.belts) - 1
-}
-
-// AllocPretenured allocates an object directly on the pretenure belt,
+// AllocPretenured allocates an object directly on the top belt,
 // collecting as needed. It is the allocation-site segregation hook; the
 // object is otherwise indistinguishable from a promoted survivor.
 func (h *Heap) AllocPretenured(t *heap.TypeDesc, length int) (heap.Addr, error) {
@@ -36,17 +27,10 @@ func (h *Heap) AllocPretenured(t *heap.TypeDesc, length int) (heap.Addr, error) 
 		return heap.Nil, fmt.Errorf("core: pretenured object of %d bytes exceeds frame size %d",
 			size, h.cfg.FrameBytes)
 	}
-	c := &h.clock.Counters
-	c.ObjectsAllocated++
-	c.BytesAllocated += uint64(size)
-	c.PretenuredBytes += uint64(size)
-	h.clock.Advance(h.cfg.Costs.AllocByte*float64(size) + h.cfg.Costs.BarrierFast)
-	if h.overcommitted() {
-		h.chargePaging(size)
-	}
+	h.chargeAlloc(size)
+	h.clock.Counters.PretenuredBytes += uint64(size)
 
-	bi := h.pretenureBelt()
-	a, ok, err := h.allocCollecting(size, func() (heap.Addr, bool) { return h.tryAllocPretenured(bi, size) })
+	a, ok, err := h.allocCollecting(size, func() (heap.Addr, bool) { return h.tryAllocPretenured(size) })
 	if err != nil {
 		return heap.Nil, err
 	}
@@ -59,20 +43,12 @@ func (h *Heap) AllocPretenured(t *heap.TypeDesc, length int) (heap.Addr, error) 
 	return a, nil
 }
 
-// tryAllocPretenured bump-allocates into belt bi's youngest increment
-// (the last train's open car when bi is a MOS belt), opening frames and
-// increments within the mutator budget.
-func (h *Heap) tryAllocPretenured(bi, size int) (heap.Addr, bool) {
+// tryAllocPretenured bump-allocates into the top belt's youngest
+// increment, opening frames and increments within the mutator budget.
+func (h *Heap) tryAllocPretenured(size int) (heap.Addr, bool) {
+	bi := len(h.belts) - 1
 	belt := h.belts[bi]
-	var in *Increment
-	if h.cfg.MOS && bi == h.mosBelt() {
-		if lt := h.lastTrain(); lt >= 0 {
-			cars := h.trainCars(lt)
-			in = cars[len(cars)-1]
-		}
-	} else {
-		in = belt.Youngest()
-	}
+	in := belt.Youngest() // on a MOS belt, the last train's last car
 
 	// A mark-region pretenure belt can satisfy the allocation from swept
 	// holes in any of its increments before claiming fresh frames.
@@ -98,7 +74,7 @@ func (h *Heap) tryAllocPretenured(bi, size int) (heap.Addr, bool) {
 	if belt.spec.MaxIncrements > 0 && belt.Len() >= belt.spec.MaxIncrements {
 		return heap.Nil, false
 	}
-	if h.cfg.MOS && bi == h.mosBelt() {
+	if h.cfg.MOS {
 		// Start or extend the last train.
 		lt := h.lastTrain()
 		var car *Increment

@@ -36,33 +36,6 @@ func TestPretenuredAllocationLandsOnOldBelt(t *testing.T) {
 	}
 }
 
-// TestPretenureBeltConfigurable checks Config.PretenureBelt routing.
-func TestPretenureBeltConfigurable(t *testing.T) {
-	cfg := collectors.XX100(25, testOptions(512))
-	cfg.PretenureBelt = 1
-	m, types, h := newMutator(t, cfg)
-	node := types.DefineScalar("pt1", 0, 4)
-	err := m.Run(func() {
-		for i := 0; i < 50; i++ {
-			m.AllocPretenuredGlobal(node, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Belts()[1].Bytes() == 0 {
-		t.Error("belt 1 empty; PretenureBelt not honored")
-	}
-	if h.Belts()[2].Bytes() != 0 {
-		t.Error("top belt received pretenured data despite PretenureBelt=1")
-	}
-	bad := collectors.XX100(25, testOptions(512))
-	bad.PretenureBelt = 9
-	if bad.Validate() == nil {
-		t.Error("out-of-range PretenureBelt accepted")
-	}
-}
-
 // TestPretenureSurvivesCollections: pretenured data must survive nursery
 // and belt collections like any promoted object (the validator checks
 // graph integrity throughout).

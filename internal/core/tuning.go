@@ -115,16 +115,8 @@ func (h *Heap) runTuner(trigger gc.TriggerKind, full bool, end gc.GCEndInfo) {
 		MOS:             h.cfg.MOS,
 		Costs:           h.cfg.Costs,
 	}
-	for bi, b := range h.belts {
-		frames := 0
-		for _, incr := range b.incrs {
-			frames += len(incr.frames)
-		}
-		lines, used := h.MRLineStats(bi)
-		in.Occupancy = append(in.Occupancy, gc.BeltStat{
-			Belt: bi, Increments: b.Len(), Bytes: b.Bytes(), Frames: frames,
-			MRLines: lines, MRLinesUsed: used,
-		})
+	for bi := range h.belts {
+		in.Occupancy = append(in.Occupancy, h.beltStat(bi))
 	}
 	h.applyKnobUpdates(t.Tune(in))
 }
@@ -224,17 +216,8 @@ func (h *Heap) recapOpenIncrement(beltIdx int) {
 	if in == nil || in.train >= 0 || in.condemned {
 		return
 	}
-	if f := b.spec.IncrementFrac; f >= 1.0 {
-		in.capFrames = 0
-		return
+	in.capFrames = h.frameBudget(b)
+	if in.capFrames > 0 && in.capFrames < len(in.frames) {
+		in.capFrames = len(in.frames)
 	}
-	usable := h.cfg.HeapBytes - h.reserveBytes
-	capFrames := int(b.spec.IncrementFrac*float64(usable)) / h.cfg.FrameBytes
-	if capFrames < 1 {
-		capFrames = 1
-	}
-	if capFrames < len(in.frames) {
-		capFrames = len(in.frames)
-	}
-	in.capFrames = capFrames
 }

@@ -32,7 +32,7 @@ type CostModel struct {
 	CopyByte     float64 // per byte copied to to-space
 	ScanSlot     float64 // per reference slot scanned in to-space
 	RemsetEntry  float64 // per remembered-set entry processed at GC
-	BootScanByte float64 // per immortal/boot-image byte scanned (boundary-barrier collectors only)
+	BootScanByte float64 // per immortal/boot-image byte scanned (boundary-barrier collectors at every collection; any collector when it sweeps the LOS)
 	FrameOp      float64 // per frame mapped/unmapped/retargeted during GC
 	CardMark     float64 // per store under the card barrier (2-3 instructions)
 	CardScanByte float64 // per byte of dirty card scanned at collections
