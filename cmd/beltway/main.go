@@ -31,7 +31,6 @@ import (
 	"os"
 
 	"beltway/internal/collectors"
-	"beltway/internal/core"
 	"beltway/internal/harness"
 	"beltway/internal/server"
 	"beltway/internal/stats"
@@ -58,10 +57,6 @@ func main() {
 	env, err := envFlags()
 	if err != nil {
 		fatalf("%v", err)
-	}
-	opts := func(heapBytes int) collectors.Options {
-		return collectors.Options{
-			HeapBytes: heapBytes, FrameBytes: env.FrameBytes, PhysMemBytes: env.PhysMemBytes}
 	}
 
 	// Server mode: no min-heap search; -heap multiplies the store's
@@ -93,14 +88,7 @@ func main() {
 		}
 		work = harness.Bench(b)
 		if *heapMB <= 0 {
-			appel := func(h int) core.Config {
-				c, err := collectors.Parse("appel", opts(h))
-				if err != nil {
-					panic(err)
-				}
-				return c
-			}
-			min, err := harness.FindMinHeap(appel, b, env)
+			min, err := harness.FindMinHeap(harness.AppelConfig(env), b, env)
 			if err != nil {
 				fatalf("min-heap search: %v", err)
 			}
@@ -114,7 +102,7 @@ func main() {
 		heapBytes = int(*heapMB * (1 << 20))
 	}
 
-	config, err := collectors.Parse(*gcName, opts(heapBytes))
+	config, err := collectors.Parse(*gcName, env.Options(heapBytes))
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -12,15 +12,18 @@
 //	tracebench -trace javac.trace -gcs "cards:25.25.100"    # replay from file
 //	tracebench -bench jess -jobs 8                          # parallel replays
 //
-// Replays run in parallel on a worker pool (-jobs); the report rows are
-// printed in spec order, so output is identical for any -jobs value.
+// The recording and every replay are runs of the one pipeline
+// (harness.Run on the Record and Replay workloads), so the machine-level
+// flags are the ones every front end shares (harness.BindEnvFlags), with
+// tracebench's own defaults for -scale (0.25) and -seed (1). Replays run
+// in parallel on a worker pool (-jobs); the report rows are printed in
+// spec order, so output is identical for any -jobs value.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -30,199 +33,169 @@ import (
 	"beltway/internal/core"
 	"beltway/internal/engine"
 	"beltway/internal/harness"
-	"beltway/internal/heap"
 	"beltway/internal/stats"
 	"beltway/internal/telemetry"
 	"beltway/internal/trace"
-	"beltway/internal/vm"
 	"beltway/internal/workload"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "tracebench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tracebench", flag.ExitOnError)
 	var (
-		benchName = flag.String("bench", "jess", "benchmark to record")
-		scale     = flag.Float64("scale", 0.25, "workload scale for recording")
-		heapMB    = flag.Float64("heapMB", 0, "heap size in MB (0 = 1.5x recorded min)")
-		gcs       = flag.String("gcs", "ss,appel,ba2,fixed:25,25.25,25.25.100,25.25.mos,bof:25,bofm:25",
+		benchName = fs.String("bench", "jess", "benchmark to record")
+		heapMB    = fs.Float64("heapMB", 0, "heap size in MB (0 = 1.5x recorded min)")
+		gcs       = fs.String("gcs", "ss,appel,ba2,fixed:25,25.25,25.25.100,25.25.mos,bof:25,bofm:25",
 			"comma-separated collector specs to replay against")
-		recordTo  = flag.String("record", "", "write the recorded trace to this file and exit")
-		replayArg = flag.String("trace", "", "replay this trace file instead of recording")
-		seed      = flag.Int64("seed", 1, "PRNG seed for recording")
-		jobs      = flag.Int("jobs", runtime.GOMAXPROCS(0),
+		recordTo  = fs.String("record", "", "write the recorded trace to this file and exit")
+		replayArg = fs.String("trace", "", "replay this trace file instead of recording")
+		jobs      = fs.Int("jobs", runtime.GOMAXPROCS(0),
 			"parallel replays (worker pool size); the report order is fixed")
 	)
-	files := telemetry.BindFileFlags(flag.CommandLine)
-	flag.Parse()
-
-	env := harness.EnvForScale(*scale)
+	envFlags := harness.BindEnvFlags(fs)
+	for name, v := range map[string]string{"scale": "0.25", "seed": "1"} {
+		f := fs.Lookup(name)
+		if err := f.Value.Set(v); err != nil {
+			return err
+		}
+		f.DefValue = v
+	}
+	files := telemetry.BindFileFlags(fs)
+	_ = fs.Parse(args) // ExitOnError: Parse does not return an error
+	env, err := envFlags()
+	if err == nil {
+		err = harness.ValidateTraceEnv(env)
+	}
+	if err != nil {
+		return err
+	}
 	heapBytes := int(*heapMB * (1 << 20))
 
-	var tr *trace.Trace
-	switch {
-	case *replayArg != "":
+	tr, name := trace.NewTrace(), *benchName
+	if *replayArg != "" {
 		f, err := os.Open(*replayArg)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		tr, err = trace.ReadFrom(f)
 		f.Close()
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		fmt.Printf("loaded trace %s (%d bytes)\n", *replayArg, tr.Len())
+		name = *replayArg
+		fmt.Fprintf(stdout, "loaded trace %s (%d bytes)\n", *replayArg, tr.Len())
 		if heapBytes == 0 {
-			fatalf("-heapMB is required when replaying from a file")
+			return fmt.Errorf("-heapMB is required when replaying from a file")
 		}
-	default:
+	} else {
 		b := workload.Get(*benchName)
 		if b == nil {
-			fatalf("unknown benchmark %q (have: %v)", *benchName, workload.Names())
+			return fmt.Errorf("unknown benchmark %q (have: %v)", *benchName, workload.Names())
 		}
 		if heapBytes == 0 {
-			mk := func(h int) core.Config {
-				c, err := collectors.Parse("appel", collectors.Options{HeapBytes: h, FrameBytes: env.FrameBytes})
-				if err != nil {
-					panic(err)
-				}
-				return c
-			}
-			min, err := harness.FindMinHeap(mk, b, env)
+			// The heap is sized from the minimum Table 1 reports — the
+			// suite's seed, not the recording's — so traces of one
+			// benchmark recorded under different seeds replay in one
+			// heap size.
+			sizing := env
+			sizing.Seed = workload.DefaultParams().Seed
+			min, err := harness.FindMinHeap(harness.AppelConfig(sizing), b, sizing)
 			if err != nil {
-				fatalf("min heap search: %v", err)
+				return fmt.Errorf("min heap search: %w", err)
 			}
 			heapBytes = min * 3 / 2
 		}
-		fmt.Printf("recording %s at scale %v in a %.2f MB heap...\n",
-			b.Name, *scale, float64(heapBytes)/(1<<20))
-		tr = trace.NewTrace()
-		types := heap.NewRegistry()
-		h, err := core.New(collectors.XX100(25, collectors.Options{
-			HeapBytes: heapBytes, FrameBytes: env.FrameBytes}), types)
+		fmt.Fprintf(stdout, "recording %s at scale %v in a %.2f MB heap...\n",
+			b.Name, env.Scale, float64(heapBytes)/(1<<20))
+		res, err := harness.Run(collectors.XX100(25, env.Options(heapBytes)), harness.Record(b, tr), env)
+		if err == nil && res.Incomplete() {
+			err = fmt.Errorf("%s", incomplete(res))
+		}
 		if err != nil {
-			fatalf("%v", err)
+			return fmt.Errorf("recording failed: %w", err)
 		}
-		m := vm.New(h)
-		m.SetRecorder(tr)
-		ctx := &workload.Ctx{M: m, Types: types, Rng: rand.New(rand.NewSource(*seed)), Scale: *scale}
-		if err := m.Run(func() { b.Body(ctx) }); err != nil {
-			fatalf("recording failed: %v", err)
-		}
-		fmt.Printf("trace: %d bytes, %.2f MB allocated\n\n",
-			tr.Len(), float64(h.Clock().Counters.BytesAllocated)/(1<<20))
+		fmt.Fprintf(stdout, "trace: %d bytes, %.2f MB allocated\n\n",
+			tr.Len(), float64(res.Counters.BytesAllocated)/(1<<20))
 	}
 
 	if *recordTo != "" {
 		f, err := os.Create(*recordTo)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		if _, err := tr.WriteTo(f); err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		f.Close()
-		fmt.Printf("wrote %s\n", *recordTo)
-		return
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", *recordTo)
+		return nil
 	}
 
-	// Replays are independent — each gets a fresh heap and mutator over
-	// the shared read-only trace — so they run in parallel through the
-	// engine. A panicking or failing replay degrades to a "failed" row;
-	// rows print in spec order regardless of completion order.
-	var cfgs []core.Config
+	// Replays are independent — each a fresh run over the shared read-only
+	// trace — so they go to the executor as one batch. A panicking or
+	// failing replay degrades to a "failed" row; rows print in spec order
+	// regardless of completion order.
+	env.Telemetry = files.Any()
+	var specs []harness.RunSpec
 	for _, spec := range strings.Split(*gcs, ",") {
-		spec = strings.TrimSpace(spec)
-		cfg, err := collectors.Parse(spec, collectors.Options{
-			HeapBytes: heapBytes, FrameBytes: env.FrameBytes})
+		cfg, err := collectors.Parse(strings.TrimSpace(spec), env.Options(heapBytes))
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		cfgs = append(cfgs, cfg)
+		col := harness.Collector{Name: cfg.Name, Make: func(int) core.Config { return cfg }}
+		specs = append(specs, col.Spec("tracebench", harness.Replay(name, tr), heapBytes, env))
 	}
-	type replayRow struct {
-		Collections     uint64                 `json:"collections"`
-		FullCollections uint64                 `json:"full_collections"`
-		CopiedMB        float64                `json:"copied_mb"`
-		RemsetInserts   uint64                 `json:"remset_inserts"`
-		CardsScanned    uint64                 `json:"cards_scanned"`
-		GCFraction      float64                `json:"gc_fraction"`
-		MedianPauseMS   float64                `json:"median_pause_ms"`
-		P95PauseMS      float64                `json:"p95_pause_ms"`
-		P99PauseMS      float64                `json:"p99_pause_ms"`
-		MaxPauseMS      float64                `json:"max_pause_ms"`
-		Telemetry       *telemetry.RunSnapshot `json:"telemetry,omitempty"`
-	}
-	eng := engine.New(engine.Config{Workers: *jobs})
-	ejobs := make([]engine.Job, len(cfgs))
-	for i := range cfgs {
-		cfg := cfgs[i]
-		ejobs[i] = engine.Job{
-			Key: engine.Key{Experiment: "tracebench", Collector: cfg.Name, HeapBytes: heapBytes},
-			Run: func() (any, engine.Outcome, error) {
-				types := heap.NewRegistry()
-				h, err := core.New(cfg, types)
-				if err != nil {
-					return nil, "", err
-				}
-				tele := telemetry.NewRun(h.Clock())
-				h.SetHooks(tele.Hooks())
-				m := vm.New(h)
-				if err := trace.Replay(tr, m); err != nil {
-					return nil, "", err
-				}
-				c := h.Clock().Counters
-				ps := stats.SummarizePauses(h.Clock().Pauses())
-				return replayRow{
-					Collections:     c.Collections,
-					FullCollections: c.FullCollections,
-					CopiedMB:        float64(c.BytesCopied) / (1 << 20),
-					RemsetInserts:   c.RemsetInserts,
-					CardsScanned:    c.CardsScanned,
-					GCFraction:      h.Clock().GCFraction(),
-					MedianPauseMS:   ps.Median / 733e3,
-					P95PauseMS:      ps.P95 / 733e3,
-					P99PauseMS:      ps.P99 / 733e3,
-					MaxPauseMS:      ps.Max / 733e3,
-					Telemetry:       tele.Snapshot(),
-				}, engine.OK, nil
-			},
-		}
-	}
-	recs, err := eng.Run(ejobs)
+	results, err := harness.NewExecutor(engine.Config{Workers: *jobs}).RunAll(specs)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "collector\tGCs\tfull\tcopied MB\tremset ins\tcards\tGC %\tp50 ms\tp95 ms\tp99 ms\tmax ms")
 	agg := telemetry.NewAggregator()
 	var runs []telemetry.TraceRun
-	for i, rec := range recs {
-		if rec.Outcome != engine.OK {
-			fmt.Fprintf(w, "%s\tfailed: %s\t\t\t\t\t\t\t\t\t\n", cfgs[i].Name, rec.Error)
+	for i, r := range results {
+		col := specs[i].Key.Collector
+		if r.Incomplete() {
+			fmt.Fprintf(w, "%s\tfailed: %s\t\t\t\t\t\t\t\t\t\n", col, incomplete(r))
 			continue
 		}
-		var r replayRow
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			fmt.Fprintf(w, "%s\tfailed: %v\t\t\t\t\t\t\t\t\t\n", cfgs[i].Name, err)
-			continue
-		}
+		const cyclesPerMs = stats.CyclesPerSecond / 1e3
+		c, ps := r.Counters, stats.SummarizePauses(r.Pauses)
 		fmt.Fprintf(w, "%s\t%d\t%d\t%.2f\t%d\t%d\t%.1f%%\t%.3f\t%.3f\t%.3f\t%.3f\n",
-			cfgs[i].Name, r.Collections, r.FullCollections,
-			r.CopiedMB, r.RemsetInserts, r.CardsScanned,
-			100*r.GCFraction, r.MedianPauseMS, r.P95PauseMS, r.P99PauseMS, r.MaxPauseMS)
+			col, c.Collections, c.FullCollections,
+			float64(c.BytesCopied)/(1<<20), c.RemsetInserts, c.CardsScanned,
+			100*r.GCFraction(), ps.Median/cyclesPerMs, ps.P95/cyclesPerMs, ps.P99/cyclesPerMs, ps.Max/cyclesPerMs)
 		if r.Telemetry != nil {
-			agg.Add(cfgs[i].Name, r.Telemetry)
-			runs = append(runs, telemetry.TraceRun{Name: cfgs[i].Name, Pid: len(runs) + 1, Events: r.Telemetry.Events})
+			agg.Add(col, r.Telemetry)
+			runs = append(runs, telemetry.TraceRun{Name: col, Pid: len(runs) + 1, Events: r.Telemetry.Events})
 		}
 	}
-	w.Flush()
-
-	if err := files.Write("tracebench", runs, agg); err != nil {
-		fatalf("%v", err)
+	if err := w.Flush(); err != nil {
+		return err
 	}
+	return files.Write("tracebench", runs, agg)
 }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "tracebench: "+format+"\n", args...)
-	os.Exit(1)
+// incomplete says, in one line, why a run produced no measurement.
+func incomplete(r *harness.Result) string {
+	switch {
+	case r.OOM:
+		return "out of memory"
+	case r.Aborted:
+		return "cost budget exceeded"
+	default:
+		// A corruption report carries its flight-recorder tail on the
+		// lines after the first.
+		line, _, _ := strings.Cut(r.Failure, "\n")
+		return line
+	}
 }

@@ -180,14 +180,10 @@ type heapRun struct {
 func (r *heapRun) setup(b *testing.B, bench *workload.Benchmark, size func(o collectors.Options, minHeap int) core.Config) {
 	r.once.Do(func() {
 		r.env = harness.EnvForScale(0.1)
-		o := collectors.Options{FrameBytes: r.env.FrameBytes}
 		var minHeap int
-		minHeap, r.err = harness.FindMinHeap(func(heapBytes int) core.Config {
-			o.HeapBytes = heapBytes
-			return generational.Appel(o)
-		}, bench, r.env)
+		minHeap, r.err = harness.FindMinHeap(harness.AppelConfig(r.env), bench, r.env)
 		if r.err == nil {
-			r.cfg = size(o, minHeap)
+			r.cfg = size(r.env.Options(0), minHeap)
 		}
 	})
 	if r.err != nil {

@@ -56,7 +56,7 @@ func runShardScale(b *testing.B, n int) {
 	var makespan, throughput, copied float64
 	for i := 0; i < b.N; i++ {
 		cfg := collectors.XX100(25, collectors.Options{HeapBytes: 512 << 10, FrameBytes: 8 << 10})
-		rt, err := shard.New(cfg, shard.Options{Shards: n, Seed: 20020617, PerShardHeap: true})
+		rt, err := shard.New(cfg, shard.Options{Shards: n, Seed: 20020617})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func runShardFreeRounds(b *testing.B, n int) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cfg := collectors.XX100(25, collectors.Options{HeapBytes: 512 << 10, FrameBytes: 8 << 10})
-		rt, err := shard.New(cfg, shard.Options{Shards: n, Seed: 20020617, PerShardHeap: true})
+		rt, err := shard.New(cfg, shard.Options{Shards: n, Seed: 20020617})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"beltway/internal/core"
+	"beltway/internal/gc"
 	"beltway/internal/heap"
 	"beltway/internal/trace"
 	"beltway/internal/vm"
@@ -43,6 +44,70 @@ func TestSeedOracleAcrossPresets(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTriggerPresetsFire holds the two trigger presets to what they are
+// enrolled for: in the heap the oracle sizes, time-to-die opens its second
+// nursery increment on every seed script, and the remembered-set trigger
+// schedules collections on a fair share of random ones. A preset whose
+// trigger the scripts never reach replays 25.25.100 under another name.
+func TestTriggerPresetsFire(t *testing.T) {
+	cfgs, err := PresetConfigs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, ttd, remtrig := cfgs[9], cfgs[len(cfgs)-2], cfgs[len(cfgs)-1]
+	if plain.Name+"+ttd" != ttd.Name || plain.Name+"+remtrig" != remtrig.Name {
+		t.Fatalf("battery order changed: %q, %q, %q", plain.Name, ttd.Name, remtrig.Name)
+	}
+	// fired replays the script on cfg and counts the collections that
+	// began with two nursery increments (only time-to-die opens a second
+	// under X.X.100) and those the remset trigger scheduled.
+	fired := func(s Script, cfg core.Config) (split, remset int) {
+		run := RunScript(s, []core.Config{cfg})
+		if run.Failed() {
+			t.Fatalf("%s diverges:\n%s", cfg.Name, run.String())
+		}
+		h, err := core.New(run.Configs[0], heap.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetHooks(gc.Hooks{GCBegin: func(info gc.GCBeginInfo) {
+			if h.Belts()[0].Len() == 2 {
+				split++
+			}
+			if info.Trigger == gc.TriggerRemset {
+				remset++
+			}
+		}})
+		if err := trace.Replay(run.Trace, vm.New(h)); err != nil {
+			t.Fatal(err)
+		}
+		return split, remset
+	}
+	for _, seed := range SeedScripts() {
+		if split, _ := fired(seed.Script, plain); split != 0 {
+			t.Errorf("%s on %s: %d collections with a split nursery; the witness needs it unsplit", seed.Name, plain.Name, split)
+		}
+		if split, _ := fired(seed.Script, ttd); split == 0 {
+			t.Errorf("%s on %s: time-to-die never opened a second nursery increment", seed.Name, ttd.Name)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	reached := 0
+	const scripts = 60
+	for i := 0; i < scripts; i++ {
+		raw := make([]byte, 4*(32+rng.Intn(480))) // fuzzcheck's random stage
+		rng.Read(raw)
+		if _, remset := fired(DecodeScript(raw), remtrig); remset > 0 {
+			reached++
+		}
+	}
+	t.Logf("the remset trigger fired in %d of %d random scripts", reached, scripts)
+	if reached < scripts/12 {
+		t.Errorf("the remset trigger fired in %d of %d random scripts on %s, want at least %d",
+			reached, scripts, remtrig.Name, scripts/12)
 	}
 }
 

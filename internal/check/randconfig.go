@@ -70,7 +70,7 @@ func RandomConfig(rng *rand.Rand, heapBytes, frameBytes int) core.Config {
 	if nBelts >= 2 && cfg.Barrier == core.FrameBarrier &&
 		cfg.Belts[last].IncrementFrac < 1 && rng.Intn(3) == 0 {
 		cfg.MOS = true
-		cfg.MOSCarsPerTrain = 2 + rng.Intn(4)
+		rng.Intn(4) // the cars-per-train roll, from when it was a knob: seeded config streams stay aligned
 	}
 	// Older-first (BOF) for two-belt windowed configs.
 	if nBelts == 2 && !cfg.MOS && rng.Intn(5) == 0 {

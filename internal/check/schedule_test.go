@@ -38,7 +38,7 @@ func scenarioConfig(heapBytes int) core.Config {
 }
 
 func validatedRuntime(cfg core.Config, lanes int) (*shard.Runtime, error) {
-	return shard.New(cfg, shard.Options{Shards: lanes, Seed: 20020617, PerShardHeap: true, Validate: true})
+	return shard.New(cfg, shard.Options{Shards: lanes, Seed: 20020617, Validate: true})
 }
 
 // serverScenario is the shape of harness.Server's plan: one request

@@ -212,9 +212,6 @@ func NewExecutor(m *vm.Mutator) *Executor {
 	return &Executor{m: m, types: defineScriptTypes(m.C.Space().Types)}
 }
 
-// Live returns the number of currently live handles.
-func (e *Executor) Live() int { return len(e.live) }
-
 // Newest returns the most recently acquired live handle (NilHandle
 // when none are live) — the sharded oracle publishes it cross-shard.
 func (e *Executor) Newest() gc.Handle {

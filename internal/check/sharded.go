@@ -179,9 +179,8 @@ func diffSchedules(name string, par, ser schedule) []Divergence {
 func scriptSchedule(cfg core.Config, subs []Script, rounds, opsPerRound int) (*shard.Runtime, shard.Plan, error) {
 	shards := len(subs)
 	rt, err := shard.New(cfg, shard.Options{
-		Shards:       shards,
-		PerShardHeap: true, // cfg.HeapBytes is already the per-shard policy size
-		Validate:     true,
+		Shards:   shards,
+		Validate: true,
 	})
 	if err != nil {
 		return nil, shard.Plan{}, err

@@ -132,7 +132,7 @@ func (m *minimizer) simplifyConfigs(s Script, cfgs []core.Config) []core.Config 
 		func(c *core.Config) { c.LOSThresholdBytes = 0 },
 		func(c *core.Config) { c.NurseryFilter = false },
 		func(c *core.Config) { c.PhysMemBytes = 0 },
-		func(c *core.Config) { c.MOS, c.MOSCarsPerTrain = false, 0 },
+		func(c *core.Config) { c.MOS = false },
 		func(c *core.Config) {
 			c.OlderFirst = false
 			for i := range c.Belts {

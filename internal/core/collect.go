@@ -454,7 +454,7 @@ func (h *Heap) resolveTarget(srcBelt int, st *gcState) *Increment {
 		// Promotion into the mature space enters the last train, or a
 		// fresh train once the last one has its fill of cars.
 		var in *Increment
-		if lt := h.lastTrain(); lt >= 0 && len(h.trainCars(lt)) < h.mos.carsPerTrain {
+		if lt := h.lastTrain(); lt >= 0 && len(h.trainCars(lt)) < mosCarsPerTrain {
 			in = h.mosTargetCar(lt, st)
 		} else {
 			in = h.mosTargetCar(-1, st)

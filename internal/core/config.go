@@ -181,10 +181,6 @@ type Config struct {
 	// self-promoting top belt. See internal/core/mos.go.
 	MOS bool
 
-	// MOSCarsPerTrain bounds how many cars the last train accepts for
-	// promotions before a fresh train is opened; 0 means the default 4.
-	MOSCarsPerTrain int
-
 	// LOSThresholdBytes routes objects larger than this to the large
 	// object space (non-moving frame spans, swept at full collections).
 	// Zero disables the LOS, as in the paper's GCTk, and objects must
@@ -303,8 +299,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: MOS requires the frame barrier")
 		case c.OlderFirst:
 			return fmt.Errorf("core: MOS and older-first are mutually exclusive")
-		case c.MOSCarsPerTrain < 0:
-			return fmt.Errorf("core: negative MOSCarsPerTrain")
 		}
 	}
 	mr := false

@@ -113,10 +113,6 @@ func New(cfg Config, types *heap.Registry) (*Heap, error) {
 	for i, spec := range cfg.Belts {
 		h.belts = append(h.belts, &Belt{index: i, spec: spec, priority: uint16(i), promoteTo: spec.PromoteTo})
 	}
-	h.mos.carsPerTrain = cfg.MOSCarsPerTrain
-	if h.mos.carsPerTrain == 0 {
-		h.mos.carsPerTrain = 4
-	}
 	h.frameCondemnedFn = h.frameCondemned
 	h.trigTargetFn = func(f heap.Frame) bool {
 		return int(f) < len(h.incrOf) && h.incrOf[f] == h.trigOld
@@ -623,9 +619,6 @@ func (h *Heap) AllocImmortal(t *heap.TypeDesc, length int) (heap.Addr, error) {
 	h.clock.Advance(h.cfg.Costs.AllocByte * float64(size))
 	return a, nil
 }
-
-// BootBytes returns the boot-image occupancy.
-func (h *Heap) BootBytes() int { return h.boot.bytes }
 
 // Collections returns the number of collections performed.
 func (h *Heap) Collections() uint64 { return h.gcCount }

@@ -30,10 +30,11 @@ import "beltway/internal/heap"
 //     collecting one car (or one dead train) at a time.
 type mosState struct {
 	nextTrain int
-	// carsPerTrain bounds the last train's growth for promotions; when
-	// reached, newly promoted objects open a fresh train.
-	carsPerTrain int
 }
+
+// mosCarsPerTrain bounds the last train's growth for promotions; when
+// reached, newly promoted objects open a fresh train.
+const mosCarsPerTrain = 4
 
 // mosBelt returns the index of the MOS belt (the top belt), or -1.
 func (h *Heap) mosBelt() int {

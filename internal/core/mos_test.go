@@ -193,13 +193,12 @@ func TestMOSReclaimsCrossCarCycles(t *testing.T) {
 // once the last train has its fill of cars.
 func TestMOSTrainStructure(t *testing.T) {
 	cfg := collectors.XXMOS(10, testOptions(512)) // small cars: trains form quickly
-	cfg.MOSCarsPerTrain = 2
 	m, types, h := newMutator(t, cfg)
 	node := types.DefineScalar("ts", 1, 6)
 	maxTrains := 0
 	err := m.Run(func() {
 		var ballast []gc.Handle
-		for i := 0; i < 3000; i++ {
+		for i := 0; i < 6000; i++ { // ballast past the four cars one train takes
 			ballast = append(ballast, m.AllocGlobal(node, 0))
 			if i%300 == 299 {
 				m.Collect(false) // drive promotion toward the MOS belt

@@ -78,7 +78,7 @@ func (h *Heap) tryAllocPretenured(size int) (heap.Addr, bool) {
 		// Start or extend the last train.
 		lt := h.lastTrain()
 		var car *Increment
-		if lt >= 0 && len(h.trainCars(lt)) < h.mos.carsPerTrain {
+		if lt >= 0 && len(h.trainCars(lt)) < mosCarsPerTrain {
 			car = h.newMOSCar(lt)
 		} else {
 			car = h.newTrain()

@@ -193,17 +193,6 @@ func (e *Engine) Close() error {
 	return cerr
 }
 
-// Sync flushes the checkpoint file to stable storage without closing it.
-// No-op when checkpointing is disabled or the file is already closed.
-func (e *Engine) Sync() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.file == nil {
-		return nil
-	}
-	return e.file.Sync()
-}
-
 func (e *Engine) init() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"beltway/internal/collectors"
 	"beltway/internal/core"
 	"beltway/internal/harness"
-	"beltway/internal/workload"
 )
 
 // Ablations measures the design choices DESIGN.md calls out, holding the
@@ -28,23 +27,19 @@ func (s *Suite) Ablations() ([]harness.Table, error) {
 		return nil, err
 	}
 
-	type variant struct {
-		name string
-		make func(heapBytes int) core.Config
-	}
-	base := func(h int) core.Config { return collectors.XX100(25, s.options(h)) }
+	base := func(h int) core.Config { return collectors.XX100(25, s.opts.Env.Options(h)) }
 	dims := []struct {
 		title    string
-		variants []variant
+		variants []harness.Collector
 	}{
 		{
 			"Ablation: pointer tracking (Beltway 25.25.100 base)",
-			[]variant{
-				{"frame remsets", base},
-				{"card marking", func(h int) core.Config {
-					return collectors.WithCardBarrier(collectors.XX100(25, s.options(h)))
+			[]harness.Collector{
+				{Name: "frame remsets", Make: base},
+				{Name: "card marking", Make: func(h int) core.Config {
+					return collectors.WithCardBarrier(collectors.XX100(25, s.opts.Env.Options(h)))
 				}},
-				{"boundary+bootscan", func(h int) core.Config {
+				{Name: "boundary+bootscan", Make: func(h int) core.Config {
 					c := base(h)
 					c.Name += "+boundary"
 					c.Barrier = core.BoundaryBarrier
@@ -54,9 +49,9 @@ func (s *Suite) Ablations() ([]harness.Table, error) {
 		},
 		{
 			"Ablation: copy reserve (Beltway 25.25.100 base)",
-			[]variant{
-				{"dynamic conservative", base},
-				{"fixed half heap", func(h int) core.Config {
+			[]harness.Collector{
+				{Name: "dynamic conservative", Make: base},
+				{Name: "fixed half heap", Make: func(h int) core.Config {
 					c := base(h)
 					c.Name += "+halfres"
 					c.FixedHalfReserve = true
@@ -66,9 +61,9 @@ func (s *Suite) Ablations() ([]harness.Table, error) {
 		},
 		{
 			"Ablation: nursery source filter (Beltway 25.25.100 base)",
-			[]variant{
-				{"filter on", base},
-				{"filter off", func(h int) core.Config {
+			[]harness.Collector{
+				{Name: "filter on", Make: base},
+				{Name: "filter off", Make: func(h int) core.Config {
 					c := base(h)
 					c.Name += "-nofilter"
 					c.NurseryFilter = false
@@ -78,9 +73,9 @@ func (s *Suite) Ablations() ([]harness.Table, error) {
 		},
 		{
 			"Ablation: time-to-die trigger (Beltway 25.25.100 base)",
-			[]variant{
-				{"ttd off", base},
-				{"ttd heap/16", func(h int) core.Config {
+			[]harness.Collector{
+				{Name: "ttd off", Make: base},
+				{Name: "ttd heap/16", Make: func(h int) core.Config {
 					c := base(h)
 					c.Name += "+ttd"
 					c.TTDBytes = h / 16
@@ -90,59 +85,41 @@ func (s *Suite) Ablations() ([]harness.Table, error) {
 		},
 		{
 			"Ablation: completeness mechanism (X = 25)",
-			[]variant{
-				{"none (25.25)", func(h int) core.Config {
-					return collectors.XX(25, s.options(h))
+			[]harness.Collector{
+				{Name: "none (25.25)", Make: func(h int) core.Config {
+					return collectors.XX(25, s.opts.Env.Options(h))
 				}},
-				{"third belt (25.25.100)", base},
-				{"MOS trains (25.25.MOS)", func(h int) core.Config {
-					return collectors.XXMOS(25, s.options(h))
+				{Name: "third belt (25.25.100)", Make: base},
+				{Name: "MOS trains (25.25.MOS)", Make: func(h int) core.Config {
+					return collectors.XXMOS(25, s.opts.Env.Options(h))
 				}},
 			},
 		},
 	}
 
-	heapFor := func(bench *workload.Benchmark) int {
-		heapBytes := mins[bench.Name] * 3 / 2
-		return (heapBytes / s.opts.Env.FrameBytes) * s.opts.Env.FrameBytes
-	}
-
 	// All ablation measurements are independent, so they are submitted as
 	// one engine batch and the tables assembled afterwards in the fixed
 	// dimension/variant/benchmark order.
-	var specs []runSpec
+	var specs []harness.RunSpec
 
 	// Pretenuring is a workload-side toggle (allocation sites), so it is
 	// measured outside the variant framework: same collector, same
 	// benchmark, long-lived allocation sites routed to the top belt. The
-	// environment differs from the suite's, so these runs bypass the
-	// result cache and carry a distinguishing checkpoint tag.
+	// environment differs from the suite's, so these runs carry a
+	// distinguishing key tag.
 	ptVariants := []string{"site-neutral", "pretenured"}
 	for _, name := range ptVariants {
 		env := s.opts.Env
 		env.Pretenure = name == "pretenured"
+		col := harness.Collector{Name: name, Make: base}
 		for _, bench := range s.opts.Benchmarks {
-			specs = append(specs, runSpec{
-				tag:       "pretenure",
-				col:       harness.Collector{Name: name, Make: base},
-				work:      harness.Bench(bench),
-				heapBytes: heapFor(bench),
-				env:       &env,
-			})
+			specs = append(specs, col.Spec("pretenure", harness.Bench(bench), s.tightHeap(mins[bench.Name]), env))
 		}
 	}
 	for _, dim := range dims {
-		for _, v := range dim.variants {
-			for _, bench := range s.opts.Benchmarks {
-				specs = append(specs, runSpec{
-					col:       harness.Collector{Name: v.name, Make: v.make},
-					work:      harness.Bench(bench),
-					heapBytes: heapFor(bench),
-				})
-			}
-		}
+		specs = append(specs, s.atTightHeap(dim.variants, mins)...)
 	}
-	results, err := s.runMany(specs)
+	results, err := s.exec.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -182,10 +159,10 @@ func (s *Suite) Ablations() ([]harness.Table, error) {
 			for _, bench := range s.opts.Benchmarks {
 				r := take()
 				if r.Incomplete() {
-					t.AddRow(v.name, bench.Name, incompleteCell(r), "-", "-", "-", "-", "-", "-")
+					t.AddRow(v.Name, bench.Name, incompleteCell(r), "-", "-", "-", "-", "-", "-")
 					continue
 				}
-				t.AddRow(v.name, bench.Name,
+				t.AddRow(v.Name, bench.Name,
 					harness.FmtSec(r.TotalTime),
 					harness.FmtSec(r.GCTime),
 					fmt.Sprintf("%.1f%%", 100*r.GCFraction()),

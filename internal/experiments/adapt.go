@@ -43,15 +43,15 @@ func (s *Suite) FigureAdapt() ([]harness.Table, error) {
 	}
 	col := s.xx(25)
 	frame := s.opts.Env.FrameBytes
-	var specs []runSpec
+	var specs []harness.RunSpec
 	for _, b := range s.opts.Benchmarks {
 		hb := int(float64(mins[b.Name]) * adaptSynthFactor)
 		hb = (hb/frame + 1) * frame
 		specs = append(specs,
-			runSpec{tag: "adapt-static", col: col, work: harness.Bench(b), heapBytes: hb, env: &staticEnv},
-			runSpec{tag: "adapt-dyn", col: col, work: harness.Bench(b), heapBytes: hb, env: &synthEnv})
+			col.Spec("adapt-static", harness.Bench(b), hb, staticEnv),
+			col.Spec("adapt-dyn", harness.Bench(b), hb, synthEnv))
 	}
-	results, err := s.runMany(specs)
+	results, err := s.exec.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -88,13 +88,13 @@ func (s *Suite) FigureAdapt() ([]harness.Table, error) {
 	hb := int(float64(sc.EstLiveBytes()) * serverScorecardFactor)
 	hb = (hb/frame + 1) * frame
 
-	var srvSpecs []runSpec
+	var srvSpecs []harness.RunSpec
 	for _, col := range cols {
 		srvSpecs = append(srvSpecs,
-			runSpec{tag: "adapt-server-static", col: col, work: work, heapBytes: hb, env: &staticEnv},
-			runSpec{tag: "adapt-server-dyn", col: col, work: work, heapBytes: hb, env: &serverEnv})
+			col.Spec("adapt-server-static", work, hb, staticEnv),
+			col.Spec("adapt-server-dyn", work, hb, serverEnv))
 	}
-	decoded, err := s.runMany(srvSpecs)
+	decoded, err := s.exec.RunAll(srvSpecs)
 	if err != nil {
 		return nil, err
 	}

@@ -80,27 +80,30 @@ func TestResultCachingAcrossFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two figures")
 	}
+	var feed progressFeed
 	s := tinySuite()
+	s.opts.Progress = feed.add
+	s = New(s.opts)
 	if _, err := s.Figure9(); err != nil {
 		t.Fatal(err)
 	}
-	n := len(s.cache)
+	_, n := feed.executed()
 	// Figure 10 uses the identical collector trio: no new runs.
 	if _, err := s.Figure10(); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.cache) != n {
-		t.Errorf("Figure10 added %d uncached runs; trio should be fully cached", len(s.cache)-n)
+	if _, m := feed.executed(); m != n {
+		t.Errorf("Figure10 executed %d more runs; the engine should remember the whole trio", m-n)
 	}
 	// Figure 8 shares Appel and Beltway 25.25.100 but adds Beltway 25.25.
 	if _, err := s.Figure8(); err != nil {
 		t.Fatal(err)
 	}
-	added := len(s.cache) - n
+	_, m := feed.executed()
 	perCollector := len(s.opts.Benchmarks) * s.opts.Points
-	if added != perCollector {
-		t.Errorf("Figure8 added %d runs, want exactly one collector's worth (%d)",
-			added, perCollector)
+	if m-n != perCollector {
+		t.Errorf("Figure8 executed %d runs, want exactly one collector's worth (%d)",
+			m-n, perCollector)
 	}
 }
 

@@ -73,14 +73,12 @@ func (s *Suite) Table1() ([]harness.Table, error) {
 			"GCs @3x", "GCs @1x", "Paper min/alloc (MB)"},
 	}
 	appel := s.appel()
-	var specs []runSpec
+	var specs []harness.RunSpec
 	for _, b := range s.opts.Benchmarks {
 		min := mins[b.Name]
-		specs = append(specs,
-			runSpec{col: appel, work: harness.Bench(b), heapBytes: min},
-			runSpec{col: appel, work: harness.Bench(b), heapBytes: 3 * min})
+		specs = append(specs, s.at(appel, b, min), s.at(appel, b, 3*min))
 	}
-	results, err := s.runMany(specs)
+	results, err := s.exec.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -130,8 +128,7 @@ func relAndAbsTables(title string, points [][]harness.SweepPoint, m harness.Metr
 // time relative to each benchmark's best, as heap size varies. The best
 // total time is not always at the largest heap — pseudojbb pages.
 func (s *Suite) Figure1() ([]harness.Table, error) {
-	cols := []harness.Collector{s.appel()}
-	points, err := s.sweepCached(cols)
+	points, err := s.sweep([]harness.Collector{s.appel()})
 	if err != nil {
 		return nil, err
 	}
@@ -183,20 +180,31 @@ func indexOf(xs []string, x string) int {
 	return -1
 }
 
+// sweepTables is the body the geomean figures share: sweep the
+// collectors, then render GC time and total time, each relative to best
+// and as an absolute geometric mean.
+func (s *Suite) sweepTables(gcTitle, totalTitle string, cols ...harness.Collector) ([]harness.Table, error) {
+	points, err := s.sweep(cols)
+	if err != nil {
+		return nil, err
+	}
+	out := relAndAbsTables(gcTitle, points, harness.GCTime, cols)
+	return append(out, relAndAbsTables(totalTitle, points, harness.TotalTime, cols)...), nil
+}
+
+// figure is sweepTables under the paper's numbering: Figures 5-9 differ
+// in their number and their collectors.
+func (s *Suite) figure(n int, cols ...harness.Collector) ([]harness.Table, error) {
+	return s.sweepTables(fmt.Sprintf("Figure %d(a): GC time", n), fmt.Sprintf("Figure %d(b): total time", n), cols...)
+}
+
 // Figure5 compares Appel with its Beltway generalizations: Beltway
 // 100.100 (the BA2/Appel configuration) and Beltway 100.100.100 (the
 // three-generation generalization). The paper finds GC time virtually
 // identical — Beltway X.X.100's wins do NOT come from merely adding a
 // third generation.
 func (s *Suite) Figure5() ([]harness.Table, error) {
-	cols := []harness.Collector{s.appel(), s.xx(100), s.xx100(100)}
-	points, err := s.sweepCached(cols)
-	if err != nil {
-		return nil, err
-	}
-	out := relAndAbsTables("Figure 5(a): GC time", points, harness.GCTime, cols)
-	out = append(out, relAndAbsTables("Figure 5(b): total time", points, harness.TotalTime, cols)...)
-	return out, nil
+	return s.figure(5, s.appel(), s.xx(100), s.xx100(100))
 }
 
 // Figure6 compares fixed-size nursery generational collectors (10%, 25%,
@@ -204,62 +212,34 @@ func (s *Suite) Figure5() ([]harness.Table, error) {
 // collector. Appel wins, and small fixed nurseries fail outright in
 // tight heaps (missing points).
 func (s *Suite) Figure6() ([]harness.Table, error) {
-	cols := []harness.Collector{s.fixed(10), s.fixed(25), s.fixed(50), s.fixed(75), s.appel()}
-	points, err := s.sweepCached(cols)
-	if err != nil {
-		return nil, err
-	}
-	out := relAndAbsTables("Figure 6(a): GC time", points, harness.GCTime, cols)
-	out = append(out, relAndAbsTables("Figure 6(b): total time", points, harness.TotalTime, cols)...)
-	return out, nil
+	return s.figure(6, s.fixed(10), s.fixed(25), s.fixed(50), s.fixed(75), s.appel())
 }
 
 // Figure7 explores Beltway X.X.100 increment-size sensitivity with
 // X in {10, 25, 33, 50}: robust except the smallest increments.
 func (s *Suite) Figure7() ([]harness.Table, error) {
-	cols := []harness.Collector{s.xx100(10), s.xx100(25), s.xx100(33), s.xx100(50)}
-	points, err := s.sweepCached(cols)
-	if err != nil {
-		return nil, err
-	}
-	out := relAndAbsTables("Figure 7(a): GC time", points, harness.GCTime, cols)
-	out = append(out, relAndAbsTables("Figure 7(b): total time", points, harness.TotalTime, cols)...)
-	return out, nil
+	return s.figure(7, s.xx100(10), s.xx100(25), s.xx100(33), s.xx100(50))
 }
 
 // Figure8 asks whether sacrificing completeness pays: Beltway 25.25
 // versus Beltway 25.25.100 versus Appel. The geometric means match; only
 // javac (large cyclic garbage) punishes the incomplete collector.
 func (s *Suite) Figure8() ([]harness.Table, error) {
-	cols := []harness.Collector{s.xx(25), s.xx100(25), s.appel()}
-	points, err := s.sweepCached(cols)
-	if err != nil {
-		return nil, err
-	}
-	out := relAndAbsTables("Figure 8(a): GC time", points, harness.GCTime, cols)
-	out = append(out, relAndAbsTables("Figure 8(b): total time", points, harness.TotalTime, cols)...)
-	return out, nil
+	return s.figure(8, s.xx(25), s.xx100(25), s.appel())
 }
 
 // Figure9 is the headline comparison: Beltway 25.25.100 versus the
 // Appel-style collector and the best fixed-size (25%) nursery collector,
 // geomean GC time and total time.
 func (s *Suite) Figure9() ([]harness.Table, error) {
-	cols := []harness.Collector{s.xx100(25), s.appel(), s.fixed(25)}
-	points, err := s.sweepCached(cols)
-	if err != nil {
-		return nil, err
-	}
-	out := relAndAbsTables("Figure 9(a): GC time", points, harness.GCTime, cols)
-	out = append(out, relAndAbsTables("Figure 9(b): total time", points, harness.TotalTime, cols)...)
-	return out, nil
+	return s.figure(9, s.xx100(25), s.appel(), s.fixed(25))
 }
 
 // Figure10 shows per-benchmark total execution time for the Figure 9
 // trio.
 func (s *Suite) Figure10() ([]harness.Table, error) {
 	cols := []harness.Collector{s.xx100(25), s.appel(), s.fixed(25)}
-	points, err := s.sweepCached(cols)
+	points, err := s.sweep(cols)
 	if err != nil {
 		return nil, err
 	}
@@ -294,15 +274,13 @@ func (s *Suite) Figure10() ([]harness.Table, error) {
 // failures in tight heaps?
 func (s *Suite) FigureMOS() ([]harness.Table, error) {
 	mosCol := harness.Collector{Name: "Beltway 25.25.MOS", Make: func(h int) core.Config {
-		return collectors.XXMOS(25, s.options(h))
+		return collectors.XXMOS(25, s.opts.Env.Options(h))
 	}}
 	cols := []harness.Collector{mosCol, s.xx100(25), s.xx(25), s.appel()}
-	points, err := s.sweepCached(cols)
+	out, err := s.sweepTables("MOS extension: GC time", "MOS extension: total time", cols...)
 	if err != nil {
 		return nil, err
 	}
-	out := relAndAbsTables("MOS extension: GC time", points, harness.GCTime, cols)
-	out = append(out, relAndAbsTables("MOS extension: total time", points, harness.TotalTime, cols)...)
 
 	// Full-collection counts: the point of MOS.
 	t := harness.Table{
@@ -313,25 +291,18 @@ func (s *Suite) FigureMOS() ([]harness.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var specs []runSpec
-	for _, col := range cols {
-		for _, b := range s.opts.Benchmarks {
-			heapBytes := mins[b.Name] * 3 / 2
-			heapBytes = (heapBytes / s.opts.Env.FrameBytes) * s.opts.Env.FrameBytes
-			specs = append(specs, runSpec{col: col, work: harness.Bench(b), heapBytes: heapBytes})
-		}
-	}
-	results, err := s.runMany(specs)
+	specs := s.atTightHeap(cols, mins)
+	results, err := s.exec.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}
 	for i, sp := range specs {
 		r := results[i]
 		if r.Incomplete() {
-			t.AddRow(sp.col.Name, sp.work.Name(), incompleteCell(r), "-")
+			t.AddRow(sp.Key.Collector, sp.Key.Benchmark, incompleteCell(r), "-")
 			continue
 		}
-		t.AddRow(sp.col.Name, sp.work.Name(), fmt.Sprint(r.Collections),
+		t.AddRow(sp.Key.Collector, sp.Key.Benchmark, fmt.Sprint(r.Collections),
 			fmt.Sprint(r.Counters.FullCollections))
 	}
 	out = append(out, t)
@@ -371,16 +342,16 @@ func (s *Suite) Figure11() ([]harness.Table, error) {
 	cols := []harness.Collector{s.appel(), s.xx(10), s.xx100(10), s.xx(33), s.xx100(33)}
 	factors := []float64{1.5, 3.0}
 	heaps := make([]int, len(factors))
-	var specs []runSpec
+	var specs []harness.RunSpec
 	for fi, factor := range factors {
 		heap := int(float64(mins[bench.Name]) * factor)
 		heap = (heap / s.opts.Env.FrameBytes) * s.opts.Env.FrameBytes
 		heaps[fi] = heap
 		for _, col := range cols {
-			specs = append(specs, runSpec{col: col, work: harness.Bench(bench), heapBytes: heap})
+			specs = append(specs, s.at(col, bench, heap))
 		}
 	}
-	results, err := s.runMany(specs)
+	results, err := s.exec.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -53,78 +54,80 @@ func TestFig9DeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestSuiteCacheUnderConcurrency hammers the suite's singleflight caches
-// from eight goroutines: every goroutine asks for the same min-heap
-// search and the same measurement at once. Each must be executed exactly
-// once — the engine progress feed is the witness — and every caller must
-// observe the same result. Run with -race.
-func TestSuiteCacheUnderConcurrency(t *testing.T) {
+// progressFeed collects a suite's engine progress lines, the witness of
+// what executed: a request served from the engine's remembered records
+// reads "cached".
+type progressFeed struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (f *progressFeed) add(line string) {
+	f.mu.Lock()
+	f.lines = append(f.lines, line)
+	f.mu.Unlock()
+}
+
+// executed counts the jobs that ran: min-heap searches and measurements.
+func (f *progressFeed) executed() (mins, runs int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, l := range f.lines {
+		switch {
+		case strings.Contains(l, "cached"):
+		case strings.Contains(l, "minheap/"):
+			mins++
+		default:
+			runs++
+		}
+	}
+	return mins, runs
+}
+
+// TestSuiteRepeatedRequestRunsNothing asks one suite eight times over for
+// the same min-heap search and the same measurement. Each must execute
+// exactly once — the engine progress feed is the witness — and every
+// request must observe the same result.
+func TestSuiteRepeatedRequestRunsNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a min-heap search")
 	}
-	var pmu sync.Mutex
-	var lines []string
+	var feed progressFeed
+	jess := workload.Get("jess")
 	s := New(Opts{
 		Env:        harness.EnvForScale(0.1),
 		Points:     3,
-		Benchmarks: []*workload.Benchmark{workload.Get("jess")},
+		Benchmarks: []*workload.Benchmark{jess},
 		Jobs:       8,
-		Progress: func(line string) {
-			pmu.Lock()
-			lines = append(lines, line)
-			pmu.Unlock()
-		},
+		Progress:   feed.add,
 	})
 	defer s.Close()
 
-	const goroutines = 8
-	results := make([]*harness.Result, goroutines)
-	errs := make([]error, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mins, err := s.MinHeaps()
-			if err != nil {
-				errs[g] = err
-				return
-			}
-			results[g], errs[g] = s.run(s.appel(), workload.Get("jess"), 2*mins["jess"])
-		}()
-	}
-	wg.Wait()
-
-	for g := 0; g < goroutines; g++ {
-		if errs[g] != nil {
-			t.Fatalf("goroutine %d: %v", g, errs[g])
+	var first *harness.Result
+	for i := 0; i < 8; i++ {
+		mins, err := s.MinHeaps()
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
 		}
-		if results[g] == nil || results[g].Incomplete() {
-			t.Fatalf("goroutine %d got unusable result %+v", g, results[g])
+		rs, err := s.exec.RunAll([]harness.RunSpec{s.at(s.appel(), jess, 2*mins["jess"])})
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
 		}
-		if results[g] != results[0] {
-			t.Errorf("goroutine %d observed a different *Result than goroutine 0; cache did not deduplicate", g)
+		if rs[0].Incomplete() {
+			t.Fatalf("request %d got unusable result %+v", i, rs[0])
+		}
+		if i == 0 {
+			first = rs[0]
+		} else if !reflect.DeepEqual(rs[0], first) {
+			t.Errorf("request %d observed a different Result than request 0", i)
 		}
 	}
 
-	pmu.Lock()
-	defer pmu.Unlock()
-	minLines, runLines := 0, 0
-	for _, l := range lines {
-		if strings.Contains(l, "minheap/") {
-			minLines++
-		} else {
-			runLines++
-		}
+	mins, runs := feed.executed()
+	if mins != 1 {
+		t.Errorf("min-heap search executed %d times, want 1:\n%s", mins, strings.Join(feed.lines, "\n"))
 	}
-	if minLines != 1 {
-		t.Errorf("min-heap search executed %d times, want 1:\n%s", minLines, strings.Join(lines, "\n"))
-	}
-	if runLines != 1 {
-		t.Errorf("measurement executed %d times, want 1:\n%s", runLines, strings.Join(lines, "\n"))
-	}
-	if len(s.cache) != 1 {
-		t.Errorf("cache holds %d entries, want 1", len(s.cache))
+	if runs != 1 {
+		t.Errorf("measurement executed %d times, want 1:\n%s", runs, strings.Join(feed.lines, "\n"))
 	}
 }

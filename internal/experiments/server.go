@@ -34,10 +34,10 @@ const serverScorecardFactor = 3.0
 // complete Beltway configurations, and both mark-region variants.
 func (s *Suite) serverCollectors() []harness.Collector {
 	mr := harness.Collector{Name: "Beltway 25.25-mr", Make: func(h int) core.Config {
-		return collectors.WithMarkRegion(collectors.XX(25, s.options(h)))
+		return collectors.WithMarkRegion(collectors.XX(25, s.opts.Env.Options(h)))
 	}}
 	immix := harness.Collector{Name: "Immix", Make: func(h int) core.Config {
-		return collectors.Immix(s.options(h))
+		return collectors.Immix(s.opts.Env.Options(h))
 	}}
 	return []harness.Collector{
 		s.appel(), s.fixed(25), s.xx(25), s.xx100(25), mr, immix,
@@ -80,17 +80,16 @@ func (s *Suite) FigureServer() ([]harness.Table, error) {
 	est := sc.EstLiveBytes()
 	frame := s.opts.Env.FrameBytes
 
-	// One flat batch, collector-major. The explicit env keeps these runs
-	// out of the suite cache and under their own checkpoint keys.
-	var specs []runSpec
+	// One flat batch, collector-major, under its own key tag.
+	var specs []harness.RunSpec
 	for _, col := range cols {
 		for _, f := range serverHeapFactors {
 			hb := int(float64(est) * f)
 			hb = (hb/frame + 1) * frame
-			specs = append(specs, runSpec{tag: "server", col: col, work: work, heapBytes: hb, env: &s.opts.Env})
+			specs = append(specs, col.Spec("server", work, hb, s.opts.Env))
 		}
 	}
-	flat, err := s.runMany(specs)
+	flat, err := s.exec.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}

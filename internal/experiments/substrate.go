@@ -24,18 +24,16 @@ import (
 // "-exp all", which regenerates exactly the paper's evaluation.
 func (s *Suite) FigureSubstrate() ([]harness.Table, error) {
 	mrCol := harness.Collector{Name: "Beltway 25.25-mr", Make: func(h int) core.Config {
-		return collectors.WithMarkRegion(collectors.XX(25, s.options(h)))
+		return collectors.WithMarkRegion(collectors.XX(25, s.opts.Env.Options(h)))
 	}}
 	immixCol := harness.Collector{Name: "Immix", Make: func(h int) core.Config {
-		return collectors.Immix(s.options(h))
+		return collectors.Immix(s.opts.Env.Options(h))
 	}}
 	cols := []harness.Collector{mrCol, immixCol, s.xx(25), s.appel()}
-	points, err := s.sweepCached(cols)
+	out, err := s.sweepTables("Substrate: GC time", "Substrate: total time", cols...)
 	if err != nil {
 		return nil, err
 	}
-	out := relAndAbsTables("Substrate: GC time", points, harness.GCTime, cols)
-	out = append(out, relAndAbsTables("Substrate: total time", points, harness.TotalTime, cols)...)
 
 	// The substrate's ledger at 1.5x min heap: what the mark-region belts
 	// marked in place (copying avoided), what they swept, what they still
@@ -44,15 +42,8 @@ func (s *Suite) FigureSubstrate() ([]harness.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var specs []runSpec
-	for _, col := range cols {
-		for _, b := range s.opts.Benchmarks {
-			heapBytes := mins[b.Name] * 3 / 2
-			heapBytes = (heapBytes / s.opts.Env.FrameBytes) * s.opts.Env.FrameBytes
-			specs = append(specs, runSpec{col: col, work: harness.Bench(b), heapBytes: heapBytes})
-		}
-	}
-	results, err := s.runMany(specs)
+	specs := s.atTightHeap(cols, mins)
+	results, err := s.exec.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -64,12 +55,12 @@ func (s *Suite) FigureSubstrate() ([]harness.Table, error) {
 	for i, sp := range specs {
 		r := results[i]
 		if r.Incomplete() {
-			t.AddRow(sp.col.Name, sp.work.Name(), incompleteCell(r), "-", "-", "-", "-", "-", "-", "-")
+			t.AddRow(sp.Key.Collector, sp.Key.Benchmark, incompleteCell(r), "-", "-", "-", "-", "-", "-", "-")
 			continue
 		}
 		ps := stats.SummarizePauses(r.Pauses)
 		const cyclesPerMs = stats.CyclesPerSecond / 1e3
-		t.AddRow(sp.col.Name, sp.work.Name(),
+		t.AddRow(sp.Key.Collector, sp.Key.Benchmark,
 			fmt.Sprint(r.Collections),
 			fmt.Sprintf("%.2f", float64(r.Counters.BytesCopied)/(1<<20)),
 			fmt.Sprintf("%.2f", float64(r.Counters.MRBytesMarked)/(1<<20)),

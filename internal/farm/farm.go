@@ -12,10 +12,7 @@ import (
 	"syscall"
 	"time"
 
-	"beltway/internal/collectors"
-	"beltway/internal/core"
 	"beltway/internal/engine"
-	"beltway/internal/generational"
 	"beltway/internal/harness"
 	"beltway/internal/telemetry"
 	"beltway/internal/workload"
@@ -44,8 +41,6 @@ type Config struct {
 	// Retries bounds requeues of a job whose worker crashed; < 0 disables,
 	// 0 means the default (2).
 	Retries int
-	// RetryBackoff is the engine's backoff before requeuing (default 0).
-	RetryBackoff time.Duration
 	// Deadline is the per-job wall-clock bound; a worker that misses it is
 	// escalated SIGTERM → SIGKILL and the job retried. 0 means none.
 	Deadline time.Duration
@@ -139,13 +134,12 @@ func Run(cfg Config) (*Summary, error) {
 		ledgerErr error
 	)
 	eng := engine.New(engine.Config{
-		Workers:      cfg.Workers,
-		Checkpoint:   filepath.Join(cfg.OutDir, CheckpointFile),
-		Resume:       cfg.Resume,
-		Fingerprint:  fingerprint,
-		Retries:      cfg.Retries,
-		RetryBackoff: cfg.RetryBackoff,
-		Progress:     cfg.Progress,
+		Workers:     cfg.Workers,
+		Checkpoint:  filepath.Join(cfg.OutDir, CheckpointFile),
+		Resume:      cfg.Resume,
+		Fingerprint: fingerprint,
+		Retries:     cfg.Retries,
+		Progress:    cfg.Progress,
 		OnRecord: func(rec engine.Record) {
 			if rec.Key.Experiment != Experiment || !rec.Outcome.Completed() {
 				return
@@ -191,7 +185,14 @@ func Run(cfg Config) (*Summary, error) {
 	})
 	defer pool.Close()
 
-	mins, err := minHeaps(eng, cfg.Grid)
+	// The per-benchmark Appel minimum-heap searches run in-process,
+	// checkpointed (and resumed) like everything else.
+	benches := make([]*workload.Benchmark, len(cfg.Grid.Benchmarks))
+	for i, name := range cfg.Grid.Benchmarks {
+		benches[i] = workload.Get(name)
+	}
+	mins, err := harness.MinHeaps(eng,
+		engine.Key{Experiment: minHeapExperiment, Collector: "appel"}, benches, cfg.Grid.Env)
 	if err != nil {
 		return nil, err
 	}
@@ -292,56 +293,6 @@ func commitToLedger(outDir string, ledger *Ledger, rec engine.Record, env harnes
 		Artifact:     filepath.Join(runsDir, name),
 		ResultDigest: harness.PayloadDigest(rec.Payload),
 	})
-}
-
-// minHeaps runs (or resumes) the per-benchmark Appel minimum-heap
-// searches as in-process engine jobs, checkpointed like everything else.
-func minHeaps(eng *engine.Engine, g Grid) (map[string]int, error) {
-	type minPayload struct {
-		MinHeapBytes int `json:"min_heap_bytes"`
-	}
-	jobs := make([]engine.Job, len(g.Benchmarks))
-	for i, name := range g.Benchmarks {
-		bench := workload.Get(name)
-		jobs[i] = engine.Job{
-			Key: engine.Key{Experiment: minHeapExperiment, Collector: "appel", Benchmark: name},
-			Run: func() (any, engine.Outcome, error) {
-				min, err := harness.FindMinHeap(appelConfig(g.Env), bench, g.Env)
-				if err != nil {
-					return nil, "", err
-				}
-				return minPayload{MinHeapBytes: min}, engine.OK, nil
-			},
-		}
-	}
-	recs, err := eng.Run(jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]int, len(recs))
-	for i, rec := range recs {
-		if !rec.Outcome.Completed() {
-			return nil, fmt.Errorf("farm: min heap search for %s: %s: %s", g.Benchmarks[i], rec.Outcome, rec.Error)
-		}
-		var p minPayload
-		if uerr := json.Unmarshal(rec.Payload, &p); uerr != nil || p.MinHeapBytes <= 0 {
-			return nil, fmt.Errorf("farm: bad min heap record for %s: %v", g.Benchmarks[i], uerr)
-		}
-		out[g.Benchmarks[i]] = p.MinHeapBytes
-	}
-	return out, nil
-}
-
-// appelConfig curries the Appel baseline over the environment, for the
-// minimum-heap searches.
-func appelConfig(env harness.Env) harness.ConfigFunc {
-	return func(heapBytes int) core.Config {
-		return generational.Appel(collectors.Options{
-			HeapBytes:    heapBytes,
-			FrameBytes:   env.FrameBytes,
-			PhysMemBytes: env.PhysMemBytes,
-		})
-	}
 }
 
 // artifactName renders a run key as a filename: experiment, collector,

@@ -78,7 +78,7 @@ func (g Grid) Validate() error {
 		return fmt.Errorf("farm: no heap factors")
 	}
 	for _, spec := range g.Collectors {
-		if _, err := collectors.Parse(spec, nominalOptions(g.Env)); err != nil {
+		if _, err := collectors.Parse(spec, g.Env.Options(16<<20)); err != nil {
 			return fmt.Errorf("farm: %w", err)
 		}
 	}
@@ -93,14 +93,6 @@ func (g Grid) Validate() error {
 		}
 	}
 	return harness.ValidateEnv(g.Env)
-}
-
-func nominalOptions(env harness.Env) collectors.Options {
-	return collectors.Options{
-		HeapBytes:    16 << 20,
-		FrameBytes:   env.FrameBytes,
-		PhysMemBytes: env.PhysMemBytes,
-	}
 }
 
 // BuildSpecs expands a grid into job specs, given each benchmark's
@@ -151,11 +143,7 @@ func ExecuteSpec(spec JobSpec) ([]byte, engine.Outcome, error) {
 	if bench == nil {
 		return nil, "", fmt.Errorf("farm: unknown benchmark %q", spec.Benchmark)
 	}
-	cfg, err := collectors.Parse(spec.Collector, collectors.Options{
-		HeapBytes:    spec.HeapBytes,
-		FrameBytes:   spec.Env.FrameBytes,
-		PhysMemBytes: spec.Env.PhysMemBytes,
-	})
+	cfg, err := collectors.Parse(spec.Collector, spec.Env.Options(spec.HeapBytes))
 	if err != nil {
 		return nil, "", fmt.Errorf("farm: %w", err)
 	}

@@ -15,7 +15,7 @@ func budgetJob(t *testing.T) (ConfigFunc, *workload.Benchmark, Env, int) {
 	t.Helper()
 	env := EnvForScale(0.1)
 	bench := workload.Get("jess")
-	min, err := FindMinHeap(appelFunc(env), bench, env)
+	min, err := FindMinHeap(AppelConfig(env), bench, env)
 	if err != nil {
 		t.Fatal(err)
 	}

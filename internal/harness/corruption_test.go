@@ -33,7 +33,7 @@ func TestRunOneRecoversPanicAsHeapCorruption(t *testing.T) {
 	for _, mutators := range []int{0, 2} {
 		env := testEnv()
 		env.Mutators = mutators
-		res, err := RunOne(appelFunc(env)(1<<20), corruptingBenchmark(), env)
+		res, err := RunOne(AppelConfig(env)(1<<20), corruptingBenchmark(), env)
 		if res != nil {
 			t.Fatalf("mutators %d: corrupted run returned a Result: %+v", mutators, res)
 		}
@@ -69,7 +69,7 @@ func TestRunOneRecoversPanicAsHeapCorruption(t *testing.T) {
 func TestRunOneBudgetAbortStillWorks(t *testing.T) {
 	env := testEnv()
 	env.CostBudget = 50_000
-	res, err := RunOne(appelFunc(env)(1<<20), workload.Get("db"), env)
+	res, err := RunOne(AppelConfig(env)(1<<20), workload.Get("db"), env)
 	if err != nil {
 		t.Fatal(err)
 	}

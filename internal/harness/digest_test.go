@@ -11,7 +11,7 @@ import (
 // bytes — the property the farm ledger's verify/replay path rests on.
 func TestResultDigestStable(t *testing.T) {
 	env := testEnv()
-	res, err := RunOne(appelFunc(env)(1<<20), workload.Get("db"), env)
+	res, err := RunOne(AppelConfig(env)(1<<20), workload.Get("db"), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestResultDigestStable(t *testing.T) {
 	// A rerun with the same seed and config must reproduce the digest: the
 	// whole simulation is deterministic, which is what makes -replay able
 	// to demand byte-identical results.
-	res2, err := RunOne(appelFunc(env)(1<<20), workload.Get("db"), env)
+	res2, err := RunOne(AppelConfig(env)(1<<20), workload.Get("db"), env)
 	if err != nil {
 		t.Fatal(err)
 	}

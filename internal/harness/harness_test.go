@@ -6,7 +6,8 @@ import (
 
 	"beltway/internal/collectors"
 	"beltway/internal/core"
-	"beltway/internal/generational"
+	"beltway/internal/engine"
+	"beltway/internal/mmu"
 	"beltway/internal/workload"
 )
 
@@ -17,18 +18,8 @@ func testEnv() Env {
 	return e
 }
 
-func appelFunc(env Env) ConfigFunc {
-	return func(heapBytes int) core.Config {
-		return generational.Appel(collectors.Options{
-			HeapBytes: heapBytes, FrameBytes: env.FrameBytes, PhysMemBytes: env.PhysMemBytes})
-	}
-}
-
 func xx100Func(x int, env Env) ConfigFunc {
-	return func(heapBytes int) core.Config {
-		return collectors.XX100(x, collectors.Options{
-			HeapBytes: heapBytes, FrameBytes: env.FrameBytes, PhysMemBytes: env.PhysMemBytes})
-	}
+	return func(heapBytes int) core.Config { return collectors.XX100(x, env.Options(heapBytes)) }
 }
 
 func TestHeapSizesLogSpaced(t *testing.T) {
@@ -58,12 +49,12 @@ func TestHeapSizesLogSpaced(t *testing.T) {
 func TestFindMinHeapAndRun(t *testing.T) {
 	env := testEnv()
 	bench := workload.Get("db")
-	min, err := FindMinHeap(appelFunc(env), bench, env)
+	min, err := FindMinHeap(AppelConfig(env), bench, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("db min heap at scale %.2f: %d KB", env.Scale, min/1024)
-	res, err := RunOne(appelFunc(env)(min), bench, env)
+	res, err := RunOne(AppelConfig(env)(min), bench, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +64,7 @@ func TestFindMinHeapAndRun(t *testing.T) {
 	if res.Collections == 0 {
 		t.Error("min-heap run performed no collections")
 	}
-	below, err := RunOne(appelFunc(env)(min-2*env.FrameBytes), bench, env)
+	below, err := RunOne(AppelConfig(env)(min-2*env.FrameBytes), bench, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +80,7 @@ func TestMinHeapOrdering(t *testing.T) {
 		t.Skip("min-heap search over the suite is slow")
 	}
 	env := testEnv()
-	mins, err := FindMinHeaps(appelFunc(env), workload.All(), env, nil)
+	mins, err := MinHeaps(engine.New(engine.Config{}), engine.Key{Experiment: "minheap", Collector: "Appel"}, workload.All(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,27 +103,35 @@ func TestMinHeapOrdering(t *testing.T) {
 func TestSweepAndNormalize(t *testing.T) {
 	env := testEnv()
 	bench := workload.Get("jess")
-	min, err := FindMinHeap(appelFunc(env), bench, env)
+	min, err := FindMinHeap(AppelConfig(env), bench, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Sweep{
+	points, err := Sweep{
 		Env: env,
 		Collectors: []Collector{
-			{Name: "Appel", Make: appelFunc(env)},
+			{Name: "Appel", Make: AppelConfig(env)},
 			{Name: "Beltway 25.25.100", Make: xx100Func(25, env)},
 		},
 		Benchmarks: []*workload.Benchmark{bench},
 		MinHeaps:   map[string]int{"jess": min},
 		Ratio:      3,
 		Points:     7,
-	}
-	points, err := s.Run()
+	}.Run(NewExecutor(engine.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(points) != 2 || len(points[0]) != 7 {
 		t.Fatalf("sweep shape %dx%d", len(points), len(points[0]))
+	}
+	for ci := range points {
+		for pi, p := range points[ci] {
+			want := float64(p.HeapBytes) / float64(min)
+			if p.HeapRel != want || p.Results[0].HeapBytes != p.HeapBytes {
+				t.Errorf("point [%d][%d]: HeapRel %v (want size/min = %v), HeapBytes %d vs its result's %d",
+					ci, pi, p.HeapRel, want, p.HeapBytes, p.Results[0].HeapBytes)
+			}
+		}
 	}
 	rel := RelativeToBest(points, TotalTime)
 	sawOne := false
@@ -196,5 +195,24 @@ func TestRunOneDeterministic(t *testing.T) {
 	}
 	if r3.TotalTime == r1.TotalTime && r3.Counters == r1.Counters {
 		t.Error("seed change had no effect")
+	}
+}
+
+// TestResultMMUDegenerate: Result.MMU is mmu.Sample, guards included — one
+// point, and a Result that measured nothing (a failed job's placeholder),
+// used to sample NaN windows.
+func TestResultMMUDegenerate(t *testing.T) {
+	env := testEnv()
+	res, err := RunOne(xx100Func(25, env)(1<<20), workload.Get("jess"), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, curve := range map[string]mmu.Curve{"one point": res.MMU(1), "all-zero Result": (&Result{}).MMU(64)} {
+		if len(curve.Points) != 0 || math.IsNaN(curve.At(res.MaxPause)) || math.IsNaN(curve.Throughput) {
+			t.Errorf("%s: %+v", name, curve)
+		}
+	}
+	if full := res.MMU(24); len(full.Points) != 24 || full.MaxPause != res.MaxPause {
+		t.Errorf("24-point curve: %d points, max pause %v vs %v", len(full.Points), full.MaxPause, res.MaxPause)
 	}
 }

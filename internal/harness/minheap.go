@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 
+	"beltway/internal/engine"
 	"beltway/internal/workload"
 )
 
@@ -83,19 +85,44 @@ func findMinHeap(completes func(int) (bool, error), frameBytes int) (int, error)
 	return hi, nil
 }
 
-// FindMinHeaps computes minimum heaps for a benchmark set, keyed by
-// benchmark name.
-func FindMinHeaps(mk ConfigFunc, benches []*workload.Benchmark, env Env, progress func(string)) (map[string]int, error) {
-	out := make(map[string]int, len(benches))
-	for _, b := range benches {
-		m, err := FindMinHeap(mk, b, env)
-		if err != nil {
-			return nil, err
+// minPayload is the checkpoint payload of a minimum-heap search.
+type minPayload struct {
+	MinHeapBytes int `json:"min_heap_bytes"`
+}
+
+// MinHeaps returns the Appel minimum heap of every benchmark under env —
+// the paper's Table 1 baseline and the x-axis origin of every figure —
+// each searched as one engine job under key with the benchmark's name
+// filled in: in parallel across benchmarks and checkpointed like any
+// measurement, so an engine that already holds a benchmark's record (a
+// resumed run, the figure before this one) searches nothing.
+func MinHeaps(eng *engine.Engine, key engine.Key, benches []*workload.Benchmark, env Env) (map[string]int, error) {
+	jobs := make([]engine.Job, len(benches))
+	for i, b := range benches {
+		key.Benchmark = b.Name
+		jobs[i] = engine.Job{Key: key, Run: func() (any, engine.Outcome, error) {
+			min, err := FindMinHeap(AppelConfig(env), b, env)
+			if err != nil {
+				return nil, "", err
+			}
+			return minPayload{MinHeapBytes: min}, engine.OK, nil
+		}}
+	}
+	recs, err := eng.Run(jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]int, len(recs))
+	for i, rec := range recs {
+		name := benches[i].Name
+		if !rec.Outcome.Completed() {
+			return nil, fmt.Errorf("harness: min heap search for %s: %s: %s", name, rec.Outcome, rec.Error)
 		}
-		out[b.Name] = m
-		if progress != nil {
-			progress(fmt.Sprintf("min heap %-10s = %d KB", b.Name, m/1024))
+		var p minPayload
+		if uerr := json.Unmarshal(rec.Payload, &p); uerr != nil || p.MinHeapBytes <= 0 {
+			return nil, fmt.Errorf("harness: bad min heap record for %s: %v", name, uerr)
 		}
+		out[name] = p.MinHeapBytes
 	}
 	return out, nil
 }

@@ -8,9 +8,9 @@ package harness
 
 import (
 	"fmt"
-	"math"
 
 	"beltway/internal/core"
+	"beltway/internal/generational"
 	"beltway/internal/mmu"
 	"beltway/internal/policy"
 	"beltway/internal/resilience"
@@ -89,10 +89,23 @@ func EnvForScale(scale float64) Env {
 	}
 }
 
+// Options is the geometry every collector preset is built from, for a
+// heap of heapBytes on this Env's machine: the one place a front end
+// turns an Env into core.Options, so no run leaves the paging model out.
+func (e Env) Options(heapBytes int) core.Options {
+	return core.Options{HeapBytes: heapBytes, FrameBytes: e.FrameBytes, PhysMemBytes: e.PhysMemBytes}
+}
+
 // ConfigFunc builds a collector configuration for a given heap size.
 // Presets are curried over everything but the heap size so the sweep can
 // vary it.
 type ConfigFunc func(heapBytes int) core.Config
+
+// AppelConfig curries the Appel-style baseline over the heap size: the
+// collector every minimum-heap search runs (Table 1).
+func AppelConfig(env Env) ConfigFunc {
+	return func(heapBytes int) core.Config { return generational.Appel(env.Options(heapBytes)) }
+}
 
 // Result is one (collector, benchmark, heap size) measurement.
 type Result struct {
@@ -145,24 +158,7 @@ func (r *Result) GCFraction() float64 {
 
 // MMU computes the run's minimum-mutator-utilization curve.
 func (r *Result) MMU(points int) mmu.Curve {
-	total := r.TotalTime
-	curve := mmu.Curve{MaxPause: r.MaxPause}
-	if total > 0 {
-		curve.Throughput = 1 - r.GCTime/total
-	}
-	lo := r.MaxPause / 4
-	if lo <= 0 {
-		lo = total / 1e6
-	}
-	for i := 0; i < points; i++ {
-		w := lo * math.Pow(total/lo, float64(i)/float64(points-1))
-		curve.Points = append(curve.Points, mmu.Point{
-			Window:      w,
-			Utilization: mmu.MMU(r.Pauses, total, w),
-		})
-	}
-	curve.Monotone()
-	return curve
+	return mmu.Sample(r.Pauses, r.TotalTime, r.MaxPause, r.GCTime, points)
 }
 
 // Run executes one workload on one collector configuration: the single
@@ -206,9 +202,8 @@ func Run(cfg core.Config, w Workload, env Env) (*Result, error) {
 	}
 	n := max(env.Mutators, 1)
 	rt, err := shard.New(cfg, shard.Options{
-		Shards:       n,
-		Seed:         w.seed(env),
-		PerShardHeap: true, // scale-out: each lane gets the configured heap
+		Shards: n,
+		Seed:   w.seed(env),
 		// The flight recorder is always attached (hook emission reads the
 		// clock without advancing it, so this changes no measurement): a
 		// panicking run needs its event tail for the corruption report

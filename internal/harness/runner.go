@@ -51,7 +51,9 @@ type RunPayload struct {
 
 // Executor runs harness measurements through the engine. It may be shared
 // across batches — the checkpoint stays open and completed keys are
-// remembered — and is safe for concurrent use.
+// remembered, which is the only result cache there is: a spec whose key
+// an earlier batch completed is not run again — and is safe for
+// concurrent use.
 type Executor struct {
 	eng *engine.Engine
 }
@@ -69,14 +71,14 @@ func (x *Executor) Engine() *engine.Engine { return x.eng }
 func (x *Executor) Close() error { return x.eng.Close() }
 
 // RunAll executes the specs in parallel and returns one Result per spec,
-// in spec order, plus the raw engine records. Results are always non-nil:
-// a failed job (panic, timeout, error) yields a placeholder with
-// Result.Failure set, so sweeps degrade to a missing point instead of
-// dying. Every result — fresh or resumed — round-trips through the JSON
-// payload, so output is bit-identical whether a run executed now or was
-// loaded from a checkpoint. The returned error is reserved for engine
+// in spec order. Results are always non-nil: a failed job (panic, timeout,
+// error) yields a placeholder with Result.Failure set, so sweeps degrade
+// to a missing point instead of dying. Every result — fresh, resumed from
+// the checkpoint, or remembered from an earlier batch that ran its key —
+// round-trips through the JSON payload, so output is bit-identical
+// whichever it was. The returned error is reserved for engine
 // infrastructure failures.
-func (x *Executor) RunAll(specs []RunSpec) ([]*Result, []engine.Record, error) {
+func (x *Executor) RunAll(specs []RunSpec) ([]*Result, error) {
 	jobs := make([]engine.Job, len(specs))
 	for i := range specs {
 		sp := specs[i]
@@ -92,7 +94,7 @@ func (x *Executor) RunAll(specs []RunSpec) ([]*Result, []engine.Record, error) {
 	}
 	recs, err := x.eng.Run(jobs)
 	if err != nil {
-		return nil, recs, err
+		return nil, err
 	}
 	results := make([]*Result, len(specs))
 	for i, rec := range recs {
@@ -111,7 +113,7 @@ func (x *Executor) RunAll(specs []RunSpec) ([]*Result, []engine.Record, error) {
 		}
 		results[i] = failedResult(specs[i], msg)
 	}
-	return results, recs, nil
+	return results, nil
 }
 
 func failedResult(sp RunSpec, msg string) *Result {

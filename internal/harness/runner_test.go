@@ -17,7 +17,7 @@ func smallEnv(t *testing.T) (Env, *workload.Benchmark, int) {
 	t.Helper()
 	env := EnvForScale(0.1)
 	bench := workload.Get("jess")
-	min, err := FindMinHeap(appelFunc(env), bench, env)
+	min, err := FindMinHeap(AppelConfig(env), bench, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,15 +32,13 @@ func TestSweepPanicIsolation(t *testing.T) {
 	boom := Collector{Name: "boom", Make: func(heapBytes int) core.Config {
 		panic("configfunc exploded")
 	}}
-	s := &Sweep{
+	points, err := Sweep{
 		Env:        env,
-		Collectors: []Collector{{Name: "Appel", Make: appelFunc(env)}, boom},
+		Collectors: []Collector{{Name: "Appel", Make: AppelConfig(env)}, boom},
 		Benchmarks: []*workload.Benchmark{bench},
 		MinHeaps:   map[string]int{bench.Name: min},
 		Points:     5,
-		Exec:       engine.Config{Workers: 4},
-	}
-	points, err := s.Run()
+	}.Run(NewExecutor(engine.Config{Workers: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,18 +75,16 @@ func TestSweepPanicIsolation(t *testing.T) {
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	env, bench, min := smallEnv(t)
 	run := func(workers int) [][]SweepPoint {
-		s := &Sweep{
+		points, err := Sweep{
 			Env: env,
 			Collectors: []Collector{
-				{Name: "Appel", Make: appelFunc(env)},
+				{Name: "Appel", Make: AppelConfig(env)},
 				{Name: "Beltway 25.25.100", Make: xx100Func(25, env)},
 			},
 			Benchmarks: []*workload.Benchmark{bench},
 			MinHeaps:   map[string]int{bench.Name: min},
 			Points:     5,
-			Exec:       engine.Config{Workers: workers},
-		}
-		points, err := s.Run()
+		}.Run(NewExecutor(engine.Config{Workers: workers}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,17 +102,18 @@ func TestSweepCheckpointResume(t *testing.T) {
 	env, bench, min := smallEnv(t)
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	run := func(resume bool) ([][]SweepPoint, []engine.Record) {
-		s := &Sweep{
+		x := NewExecutor(engine.Config{Workers: 4, Checkpoint: path, Resume: resume})
+		points, err := Sweep{
 			Env:        env,
-			Collectors: []Collector{{Name: "Appel", Make: appelFunc(env)}},
+			Collectors: []Collector{{Name: "Appel", Make: AppelConfig(env)}},
 			Benchmarks: []*workload.Benchmark{bench},
 			MinHeaps:   map[string]int{bench.Name: min},
 			Points:     5,
-			Exec:       engine.Config{Workers: 4, Checkpoint: path, Resume: resume},
-		}
-		// Run through the same path as Sweep.Run but keep the records.
-		points, err := s.Run()
+		}.Run(x)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Close(); err != nil {
 			t.Fatal(err)
 		}
 		recs, err := engine.LoadCheckpoint(path)
@@ -143,7 +140,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 // deterministically with a partial timeline instead of running forever.
 func TestRunOneCostBudget(t *testing.T) {
 	env, bench, min := smallEnv(t)
-	full, err := RunOne(appelFunc(env)(3*min), bench, env)
+	full, err := RunOne(AppelConfig(env)(3*min), bench, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +150,7 @@ func TestRunOneCostBudget(t *testing.T) {
 
 	budget := full.TotalTime / 2
 	env.CostBudget = budget
-	cut, err := RunOne(appelFunc(env)(3*min), bench, env)
+	cut, err := RunOne(AppelConfig(env)(3*min), bench, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,18 +164,14 @@ func TestRunOneCostBudget(t *testing.T) {
 		t.Errorf("aborted timeline %v outside (budget %v, full %v)", cut.TotalTime, budget, full.TotalTime)
 	}
 	// The budget abort surfaces as outcome "budget" through the executor.
-	x := NewExecutor(engine.Config{Workers: 1})
-	_, recs, err := x.RunAll([]RunSpec{{
-		Key:      engine.Key{Collector: "Appel", Benchmark: bench.Name, HeapBytes: 3 * min},
-		Make:     appelFunc(env),
-		Workload: Bench(bench),
-		Env:      env,
-	}})
-	if err != nil {
+	var outcome engine.Outcome
+	x := NewExecutor(engine.Config{Workers: 1, OnRecord: func(rec engine.Record) { outcome = rec.Outcome }})
+	col := Collector{Name: "Appel", Make: AppelConfig(env)}
+	if _, err := x.RunAll([]RunSpec{col.Spec("", Bench(bench), 3*min, env)}); err != nil {
 		t.Fatal(err)
 	}
-	if recs[0].Outcome != engine.Budget {
-		t.Errorf("outcome %s, want budget", recs[0].Outcome)
+	if outcome != engine.Budget {
+		t.Errorf("outcome %s, want budget", outcome)
 	}
 }
 

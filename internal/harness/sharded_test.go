@@ -101,7 +101,7 @@ func TestRunShardedWaitsOnlyToCollect(t *testing.T) {
 		{Server(sc, server.SLO{}), serverCollector(t, "25.25", sc, env, 4)},
 	} {
 		rt, err := shard.New(c.cfg, shard.Options{
-			Shards: lanes, Seed: c.w.seed(env), PerShardHeap: true, Telemetry: true})
+			Shards: lanes, Seed: c.w.seed(env), Telemetry: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,9 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
-	"sort"
 
-	"beltway/internal/core"
 	"beltway/internal/engine"
 	"beltway/internal/workload"
 )
@@ -17,10 +15,18 @@ type Collector struct {
 	Make ConfigFunc
 }
 
-// WithHeap is a convenience for wrapping a preset function that takes
-// only options; see cmd/experiments for usage.
-func WithHeap(name string, f func(heapBytes int) core.Config) Collector {
-	return Collector{Name: name, Make: f}
+// Spec is one measurement of the collector: the workload in a heap of
+// heapBytes under env. The experiment tags a family of runs whose
+// (collector, workload, heap size) would otherwise collide with another
+// family's under a different Env — the pretenuring ablation, the
+// adaptive pairs — and is "" for the runs every figure shares.
+func (c Collector) Spec(experiment string, w Workload, heapBytes int, env Env) RunSpec {
+	return RunSpec{
+		Key:      engine.Key{Experiment: experiment, Collector: c.Name, Benchmark: w.Name(), HeapBytes: heapBytes},
+		Make:     c.Make,
+		Workload: w,
+		Env:      env,
+	}
 }
 
 // HeapSizes returns n log-spaced heap sizes from min to ratio*min,
@@ -48,41 +54,38 @@ func HeapSizes(minHeap int, ratio float64, n, frameBytes int) []int {
 }
 
 // SweepPoint is one (collector, heap size) cell of a sweep, holding the
-// per-benchmark results.
+// per-benchmark results. HeapBytes and HeapRel (heap size over minimum
+// heap, after frame rounding) are those of the sweep's last benchmark:
+// every benchmark sits at the same log-spaced factor of its own minimum.
 type SweepPoint struct {
 	Collector string
 	HeapBytes int
-	HeapRel   float64 // heap size relative to the benchmark-set minimum
+	HeapRel   float64
 	Results   []*Result
 }
 
-// Sweep runs every collector at every heap size over the given
-// benchmarks. Heap sizes are derived per benchmark: factor f in [1,ratio]
-// maps to f * minHeap(benchmark), so curves are comparable across
-// benchmarks on the paper's relative axis.
+// Sweep is the grid behind the paper's figures: every collector at
+// Points log-spaced heap sizes over the given benchmarks. Heap sizes are
+// derived per benchmark — the factor f in [1,Ratio] maps to
+// f * MinHeaps[benchmark] — so curves are comparable across benchmarks
+// on the paper's relative axis.
 type Sweep struct {
 	Env        Env
 	Collectors []Collector
 	Benchmarks []*workload.Benchmark
-	MinHeaps   map[string]int // per benchmark; computed by FindMinHeaps
+	MinHeaps   map[string]int // per benchmark, as MinHeaps returns them
 	Ratio      float64        // default 3
 	Points     int            // default 33
-	// Progress, if non-nil, receives a line per completed run.
-	Progress func(string)
-	// Exec configures parallel execution: worker count, checkpoint file,
-	// resume, per-job timeout. The zero value runs on GOMAXPROCS workers
-	// with no checkpoint. Exec.Progress defaults to Progress.
-	Exec engine.Config
 }
 
-// Run executes the sweep: the (benchmark, collector, heap size)
-// cross-product is submitted as independent jobs to a bounded worker
-// pool, and the points are reassembled in deterministic submission order,
-// so the output is identical to a sequential sweep regardless of worker
-// count or completion order. A job that panics or times out degrades to a
-// failed Result (rendered as a missing point) instead of killing the
-// sweep. The result is indexed [collector][point].
-func (s *Sweep) Run() ([][]SweepPoint, error) {
+// Run expands the grid — here and nowhere else — into one untagged
+// RunSpec per (benchmark, collector, heap size), in that order, runs them
+// as one batch on x and reassembles the points [collector][point] in
+// submission order, so the output is that of a sequential sweep whatever
+// the worker count or completion order. A job that panics or times out
+// degrades to a failed Result (rendered as a missing point) instead of
+// killing the sweep; a key x already holds is not run again.
+func (s Sweep) Run(x *Executor) ([][]SweepPoint, error) {
 	if s.Ratio == 0 {
 		s.Ratio = 3
 	}
@@ -92,48 +95,33 @@ func (s *Sweep) Run() ([][]SweepPoint, error) {
 	out := make([][]SweepPoint, len(s.Collectors))
 	for ci, col := range s.Collectors {
 		out[ci] = make([]SweepPoint, s.Points)
-		for pi := 0; pi < s.Points; pi++ {
-			f := math.Pow(s.Ratio, float64(pi)/float64(s.Points-1))
-			out[ci][pi] = SweepPoint{Collector: col.Name, HeapRel: f}
+		for pi := range out[ci] {
+			out[ci][pi].Collector = col.Name
 		}
 	}
-
-	type slot struct{ ci, pi int }
 	var specs []RunSpec
-	var slots []slot
 	for _, bench := range s.Benchmarks {
 		min, ok := s.MinHeaps[bench.Name]
 		if !ok {
 			return nil, fmt.Errorf("harness: no min heap for %s", bench.Name)
 		}
 		sizes := HeapSizes(min, s.Ratio, s.Points, s.Env.FrameBytes)
-		for ci, col := range s.Collectors {
-			for pi, size := range sizes {
-				specs = append(specs, RunSpec{
-					Key:      engine.Key{Collector: col.Name, Benchmark: bench.Name, HeapBytes: size},
-					Make:     col.Make,
-					Workload: Bench(bench),
-					Env:      s.Env,
-				})
-				slots = append(slots, slot{ci, pi})
+		for _, col := range s.Collectors {
+			for _, size := range sizes {
+				specs = append(specs, col.Spec("", Bench(bench), size, s.Env))
 			}
 		}
 	}
-
-	cfg := s.Exec
-	if cfg.Progress == nil {
-		cfg.Progress = s.Progress
-	}
-	x := NewExecutor(cfg)
-	defer x.Close()
-	results, _, err := x.RunAll(specs)
+	results, err := x.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}
 	for i, res := range results {
-		sl := slots[i]
-		out[sl.ci][sl.pi].HeapBytes = specs[i].Key.HeapBytes
-		out[sl.ci][sl.pi].Results = append(out[sl.ci][sl.pi].Results, res)
+		// specs[i] is benchmark i/(C*P), collector i/P%C, point i%P.
+		p := &out[i/s.Points%len(s.Collectors)][i%s.Points]
+		p.HeapBytes = specs[i].Key.HeapBytes
+		p.HeapRel = float64(p.HeapBytes) / float64(s.MinHeaps[specs[i].Key.Benchmark])
+		p.Results = append(p.Results, res)
 	}
 	return out, nil
 }
@@ -269,22 +257,4 @@ func BenchmarkSeries(points [][]SweepPoint, benchName string, m Metric) [][]floa
 		}
 	}
 	return out
-}
-
-// SortedBenchmarkNames lists the benchmarks present in a sweep.
-func SortedBenchmarkNames(points [][]SweepPoint) []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, row := range points {
-		for _, p := range row {
-			for _, r := range p.Results {
-				if !seen[r.Benchmark] {
-					seen[r.Benchmark] = true
-					names = append(names, r.Benchmark)
-				}
-			}
-		}
-	}
-	sort.Strings(names)
-	return names
 }

@@ -102,8 +102,4 @@ func TestRelativeToBestHandlesOOM(t *testing.T) {
 	if math.Abs(series[0][0]-100.0/80) > 1e-9 || !math.IsNaN(series[1][0]) {
 		t.Errorf("benchmark series wrong: %v", series)
 	}
-	names := SortedBenchmarkNames(points)
-	if len(names) != 2 || names[0] != "x" || names[1] != "y" {
-		t.Errorf("names = %v", names)
-	}
 }

@@ -102,7 +102,7 @@ func TestRunOneTelemetry(t *testing.T) {
 func TestGenerationalTelemetry(t *testing.T) {
 	env := testEnv()
 	env.Telemetry = true
-	res, err := RunOne(appelFunc(env)(1<<20), workload.Get("db"), env)
+	res, err := RunOne(AppelConfig(env)(1<<20), workload.Get("db"), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func telemetrySpecs(env Env) []RunSpec {
 			specs = append(specs,
 				RunSpec{
 					Key:      engine.Key{Experiment: "tele", Collector: "Appel", Benchmark: bn, HeapBytes: heap},
-					Make:     appelFunc(env),
+					Make:     AppelConfig(env),
 					Workload: Bench(b), Env: env,
 				},
 				RunSpec{
@@ -182,7 +182,7 @@ func TestParallelTelemetryMatchesSerial(t *testing.T) {
 			},
 		})
 		defer x.Close()
-		results, _, err := x.RunAll(telemetrySpecs(env))
+		results, err := x.RunAll(telemetrySpecs(env))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func TestValidateEnvMatchesRuntime(t *testing.T) {
 			t.Fatalf("gate accepts %+v", env)
 		}
 		for _, w := range []Workload{Bench(workload.Get("db")), Server(server.Scaled(0.05), server.SLO{})} {
-			if _, err := Run(appelFunc(env)(1<<20), w, env); err == nil || err.Error() != gate.Error() {
+			if _, err := Run(AppelConfig(env)(1<<20), w, env); err == nil || err.Error() != gate.Error() {
 				t.Fatalf("%s under %+v: run error %v, gate error %v", w.Name(), env, err, gate)
 			}
 		}

@@ -104,21 +104,21 @@ func (c *Curve) Monotone() {
 	}
 }
 
-// Compute samples the monotone MMU curve at n log-spaced window sizes
-// between the maximum pause (the smallest interesting window) divided by
-// 4 and the total run time. Use MMU directly for raw, non-monotone
-// values.
-func Compute(clock *stats.Clock, n int) Curve {
-	pauses := clock.Pauses()
-	total := clock.TotalTime()
-	c := Curve{
-		MaxPause:   clock.MaxPause(),
-		Throughput: 1 - clock.GCFraction(),
+// Sample is the one MMU sampler: the monotone curve of a run — its
+// pauses in timeline order, total time, longest pause and time in GC —
+// at n log-spaced window sizes between the maximum pause (the smallest
+// interesting window) divided by 4 and the total run time. A run that
+// took no time, or n < 2, has no windows to sample. Use MMU directly for
+// raw, non-monotone values.
+func Sample(pauses []stats.Pause, total, maxPause, gcTime float64, n int) Curve {
+	c := Curve{MaxPause: maxPause, Throughput: 1}
+	if total > 0 {
+		c.Throughput = 1 - gcTime/total
 	}
 	if n < 2 || total <= 0 {
 		return c
 	}
-	lo := c.MaxPause / 4
+	lo := maxPause / 4
 	if lo <= 0 {
 		lo = total / 1e6
 	}
@@ -139,6 +139,11 @@ func Compute(clock *stats.Clock, n int) Curve {
 	}
 	c.Monotone()
 	return c
+}
+
+// Compute is Sample read off a clock.
+func Compute(clock *stats.Clock, n int) Curve {
+	return Sample(clock.Pauses(), clock.TotalTime(), clock.MaxPause(), clock.GCTime(), n)
 }
 
 // At interpolates the curve's utilization at window w (piecewise linear

@@ -150,6 +150,10 @@ func TestCurveAtEdgeCases(t *testing.T) {
 			{Window: 5, Utilization: 0.3},
 			{Window: 5, Utilization: 0.9},
 		}}, 5, 0.3},
+		// What harness.Result.MMU(1) and an all-zero Result sample: the
+		// copy of the loop it used to run divided 0 by 0 on both.
+		{"sampled at one point", Sample([]stats.Pause{{Start: 40, End: 50}}, 100, 10, 10, 1), 20, 0},
+		{"sampled from a run that took no time", Sample(nil, 0, 0, 0, 64), 20, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

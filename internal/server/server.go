@@ -306,9 +306,6 @@ func (l *Loop) Start(m *vm.Mutator, types *heap.Registry) {
 	l.enterPhase(0)
 }
 
-// Started reports whether Start has run.
-func (l *Loop) Started() bool { return l.started }
-
 func lookupOrDefineWordArray(r *heap.Registry, name string) *heap.TypeDesc {
 	if t := r.Lookup(name); t != nil {
 		return t

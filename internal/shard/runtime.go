@@ -15,10 +15,9 @@ import (
 	"beltway/internal/vm"
 )
 
-// defaultPollInterval is the cost-unit spacing between polls
-// (Shard.Poll). Roughly a few hundred mutator operations at the default
-// cost model.
-const defaultPollInterval = 256.0
+// pollInterval is the cost-unit spacing between polls (Shard.Poll).
+// Roughly a few hundred mutator operations at the default cost model.
+const pollInterval = 256.0
 
 // Options parameterizes a sharded runtime.
 type Options struct {
@@ -27,11 +26,6 @@ type Options struct {
 	// Seed is the base workload seed; shard i draws its private RNG
 	// stream from StreamSeed(Seed, i).
 	Seed int64
-	// PerShardHeap, when set, gives every shard the template config's
-	// full HeapBytes instead of an equal division of it. The oracle
-	// uses this (its heap-sizing policy is per-script, so per-shard);
-	// throughput runs divide a fixed total budget.
-	PerShardHeap bool
 	// Telemetry attaches a private telemetry.Run to every shard.
 	Telemetry bool
 	// Validate attaches the shadow-graph validator to every shard
@@ -42,9 +36,6 @@ type Options struct {
 	// disjoint shard heaps, reusing internal/engine), 1 collects the
 	// shards back to back on one goroutine (classic STW).
 	GCWorkers int
-	// PollInterval overrides the cost-unit spacing of polls
-	// (0 = defaultPollInterval).
-	PollInterval float64
 }
 
 // Plan is a schedule of rounds. A round of shard s runs Body on s's
@@ -63,8 +54,6 @@ type Plan struct {
 	// CollectEvery, when positive, forces a global collection at every
 	// CollectEvery-th round boundary (all shards rendezvoused).
 	CollectEvery int
-	// CollectFull makes those collections condemn the whole heap.
-	CollectFull bool
 }
 
 // collectsAfter reports whether a global collection follows the round.
@@ -75,12 +64,10 @@ func (p Plan) collectsAfter(round int) bool {
 // Runtime owns N shards and coordinates their rounds, exchange merges
 // and global collections.
 type Runtime struct {
-	cfg          core.Config
-	opts         Options
-	shards       []*Shard
-	sp           *safepoint
-	committed    *committedExchange
-	pollInterval float64
+	opts      Options
+	shards    []*Shard
+	sp        *safepoint
+	committed *committedExchange
 
 	roundStart []float64 // per-shard clock reading at round open
 	makespan   float64   // Σ rounds of max-over-shards round cost
@@ -88,10 +75,9 @@ type Runtime struct {
 	rounds     int
 }
 
-// New builds a sharded runtime over the template configuration. Unless
-// opts.PerShardHeap is set, cfg.HeapBytes is the total budget, divided
-// equally (frame-rounded, never below the 4-frame minimum) across
-// shards — N mutators sharing the machine the single-mutator run had.
+// New builds a sharded runtime over the template configuration: every
+// shard gets a private heap of cfg's full HeapBytes (scale-out — N
+// mutators on N times the single-mutator run's machine).
 func New(cfg core.Config, opts Options) (*Runtime, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, have %d", opts.Shards)
@@ -100,28 +86,13 @@ func New(cfg core.Config, opts Options) (*Runtime, error) {
 		return nil, fmt.Errorf("shard: %d shards overflow the routing fold", opts.Shards)
 	}
 	rt := &Runtime{
-		cfg:          cfg,
-		opts:         opts,
-		sp:           newSafepoint(opts.Shards),
-		committed:    newCommittedExchange(),
-		pollInterval: opts.PollInterval,
-		roundStart:   make([]float64, opts.Shards),
-	}
-	if rt.pollInterval <= 0 {
-		rt.pollInterval = defaultPollInterval
-	}
-	perHeap := cfg.HeapBytes
-	if !opts.PerShardHeap && opts.Shards > 1 {
-		perHeap = cfg.HeapBytes / opts.Shards
-		perHeap -= perHeap % cfg.FrameBytes
-		if min := 4 * cfg.FrameBytes; perHeap < min {
-			perHeap = min
-		}
+		opts:       opts,
+		sp:         newSafepoint(opts.Shards),
+		committed:  newCommittedExchange(),
+		roundStart: make([]float64, opts.Shards),
 	}
 	for i := 0; i < opts.Shards; i++ {
-		scfg := cfg
-		scfg.HeapBytes = perHeap
-		h, err := core.New(scfg, heap.NewRegistry())
+		h, err := core.New(cfg, heap.NewRegistry())
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -232,7 +203,7 @@ func (rt *Runtime) Run(p Plan) error {
 					rt.sp.rendezvous(func() {
 						defer func() { gcPanic = recover() }()
 						fold(r + 1)
-						rt.collectAll(p.CollectFull)
+						rt.collectAll()
 						rt.openRoundClocks()
 					})
 				}
@@ -304,19 +275,19 @@ func (rt *Runtime) barrier(p Plan, round int) {
 		rt.committed.merge(&s.pending.tail)
 	}
 	if p.collectsAfter(round) {
-		rt.collectAll(p.CollectFull)
+		rt.collectAll()
 	}
 	rt.openRoundClocks()
 }
 
 // collectAll runs a rendezvoused global collection: every live shard's
-// heap is collected, either back to back on the calling goroutine
+// heap runs the collection its own policy chooses, either back to back on the calling goroutine
 // (GCWorkers == 1: classic stop-the-world) or fanned out over
 // internal/engine's bounded workers (shard heaps are disjoint, so the
 // condemned-set traces are embarrassingly parallel). Heap outcomes are
 // identical either way; only the makespan attribution differs (sum for
 // STW, max for the fan-out), and that is policy, not semantics.
-func (rt *Runtime) collectAll(full bool) {
+func (rt *Runtime) collectAll() {
 	var live []*Shard
 	for _, s := range rt.shards {
 		if !s.dead {
@@ -336,7 +307,7 @@ func (rt *Runtime) collectAll(full bool) {
 	}
 	if workers == 1 || len(live) == 1 {
 		for _, s := range live {
-			rt.noteCollectErr(s, s.Heap.Collect(full))
+			rt.noteCollectErr(s, s.Heap.Collect(false))
 		}
 		var sum float64
 		for i, s := range live {
@@ -353,7 +324,7 @@ func (rt *Runtime) collectAll(full bool) {
 		jobs[i] = engine.Job{
 			Key: engine.Key{Experiment: "shard-gc", Collector: s.Heap.Name(), HeapBytes: s.ID},
 			Run: func() (any, engine.Outcome, error) {
-				if err := s.Heap.Collect(full); err != nil {
+				if err := s.Heap.Collect(false); err != nil {
 					if errors.Is(err, gc.ErrOutOfMemory) {
 						return nil, engine.OOM, nil
 					}
@@ -369,7 +340,7 @@ func (rt *Runtime) collectAll(full bool) {
 		// Engine-level failure (not a job failure) — fall back to the
 		// serial path so the run still completes deterministically.
 		for _, s := range live {
-			rt.noteCollectErr(s, s.Heap.Collect(full))
+			rt.noteCollectErr(s, s.Heap.Collect(false))
 		}
 	} else {
 		for i, rec := range recs {

@@ -5,7 +5,7 @@ import "testing"
 // TestPollThrottledByClock checks polls are spaced by the cost clock: a
 // tight poll loop without clocked work takes at most one.
 func TestPollThrottledByClock(t *testing.T) {
-	rt, err := New(testConfig(), Options{Shards: 1, Seed: 1, PerShardHeap: true})
+	rt, err := New(testConfig(), Options{Shards: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func TestSyncExchangeOrder(t *testing.T) {
 // Run's caller, where the harness and the engine recover it, instead of
 // taking the process down from a goroutine nobody can recover on.
 func TestRunRaisesCollectionPanicOnCaller(t *testing.T) {
-	rt, err := New(testConfig(), Options{Shards: 3, Seed: 1, PerShardHeap: true, GCWorkers: 1})
+	rt, err := New(testConfig(), Options{Shards: 3, Seed: 1, GCWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

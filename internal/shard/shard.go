@@ -123,7 +123,7 @@ func (s *Shard) Polls() uint64 { return s.polls }
 // so a poll costs a clock read and charges nothing.
 func (s *Shard) Poll() {
 	now := s.Heap.Clock().Now()
-	if now-s.lastPoll < s.rt.pollInterval {
+	if now-s.lastPoll < pollInterval {
 		return
 	}
 	s.lastPoll = now

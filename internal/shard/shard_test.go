@@ -19,11 +19,10 @@ func testConfig() core.Config {
 func newTestRuntime(t *testing.T, shards int, validate bool) *Runtime {
 	t.Helper()
 	rt, err := New(testConfig(), Options{
-		Shards:       shards,
-		Seed:         20020617,
-		PerShardHeap: true,
-		Validate:     validate,
-		Telemetry:    true,
+		Shards:    shards,
+		Seed:      20020617,
+		Validate:  validate,
+		Telemetry: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +132,7 @@ func TestShardOOMDeterministic(t *testing.T) {
 	cfg := testConfig()
 	cfg.HeapBytes = 16 << 10 // 4 frames: guaranteed starvation
 	build := func() *Runtime {
-		rt, err := New(cfg, Options{Shards: 3, Seed: 7, PerShardHeap: true})
+		rt, err := New(cfg, Options{Shards: 3, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +210,7 @@ func TestGCWorkerPolicy(t *testing.T) {
 	const shards, rounds = 3, 4
 	build := func(workers int) *Runtime {
 		rt, err := New(testConfig(), Options{
-			Shards: shards, Seed: 99, PerShardHeap: true, GCWorkers: workers,
+			Shards: shards, Seed: 99, GCWorkers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)

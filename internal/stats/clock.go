@@ -165,8 +165,3 @@ func (c *Clock) MaxPause() float64 {
 	}
 	return m
 }
-
-// Seconds converts cost units to nominal seconds for display (see
-// CyclesPerSecond). Use only for axis labels, never for comparison with
-// the paper's absolute numbers.
-func Seconds(costUnits float64) float64 { return costUnits / CyclesPerSecond }

@@ -62,12 +62,3 @@ func (o *PolicyObserver) Decision(gcOrdinal uint64, now float64, reason, knob, b
 		B: math.Float64bits(value),
 	})
 }
-
-// PolicyDecisions returns the snapshot's decision count (0 when the run
-// had no controller).
-func (s *RunSnapshot) PolicyDecisions() uint64 {
-	if s == nil || s.Metrics == nil {
-		return 0
-	}
-	return s.Metrics.Counters[MetricPolicyDecisions]
-}

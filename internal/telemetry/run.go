@@ -117,9 +117,6 @@ func (r *Run) Recorder() *FlightRecorder { return r.rec }
 // Registry returns the run's metrics registry.
 func (r *Run) Registry() *Registry { return r.reg }
 
-// PauseHistogram returns the pause-cost histogram (for table rendering).
-func (r *Run) PauseHistogram() *Histogram { return r.pauseHist }
-
 // now reads the cost clock (0 when the run has no clock attached).
 func (r *Run) now() float64 {
 	if r.clock == nil {

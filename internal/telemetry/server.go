@@ -58,17 +58,3 @@ func (o *ServerObserver) AddViolations(n int) {
 		o.violations.Add(uint64(n))
 	}
 }
-
-// RequestQuantile returns the q-quantile of the snapshot's
-// request-latency histogram, in cost units (0 without request data).
-// Bucket-interpolated; for SLO verdicts use the exact server.Dist.
-func (s *RunSnapshot) RequestQuantile(q float64) float64 {
-	if s == nil || s.Metrics == nil {
-		return 0
-	}
-	h, ok := s.Metrics.Histograms[MetricRequestLatency]
-	if !ok {
-		return 0
-	}
-	return h.Quantile(q)
-}

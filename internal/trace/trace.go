@@ -182,13 +182,16 @@ func ReadFrom(r io.Reader) (*Trace, error) {
 // live workload run.
 func Replay(t *Trace, m *vm.Mutator) error {
 	var rerr error
-	if err := m.Run(func() { rerr = replayBody(t, m) }); err != nil {
+	if err := m.Run(func() { rerr = Play(t, m) }); err != nil {
 		return err // OOM during replay
 	}
 	return rerr
 }
 
-func replayBody(t *Trace, m *vm.Mutator) error {
+// Play is Replay for a caller already inside m.Run (a harness lane runs
+// its whole body in one): out of memory unwinds to that Run instead of
+// being returned.
+func Play(t *Trace, m *vm.Mutator) error {
 	types := m.C.Space().Types
 	var typeTab []*heap.TypeDesc // index 0 unused
 	typeTab = append(typeTab, nil)

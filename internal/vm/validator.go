@@ -28,7 +28,6 @@ type mirror struct {
 type Validator struct {
 	mut     *Mutator
 	mirrors map[uint32]*mirror
-	checks  int
 	// tele records the collector's GC event stream so a failed check can
 	// dump the history that led to the violation.
 	tele *telemetry.Run
@@ -78,9 +77,6 @@ func (v *Validator) dump(err error) error {
 	return fmt.Errorf("%s", strings.TrimRight(b.String(), "\n"))
 }
 
-// Checks returns how many post-GC validations have run.
-func (v *Validator) Checks() int { return v.checks }
-
 func (v *Validator) serialOf(a heap.Addr) uint32 {
 	if a == heap.Nil {
 		return 0
@@ -117,7 +113,6 @@ func (v *Validator) Check() error {
 }
 
 func (v *Validator) check() error {
-	v.checks++
 	sp := v.mut.C.Space()
 
 	// Index every object currently in the heap by serial.
@@ -199,10 +194,6 @@ func (v *Validator) check() error {
 	}
 	return nil
 }
-
-// LiveMirrors returns the number of shadow objects ever allocated (the
-// shadow graph is never pruned; the validator is a test facility).
-func (v *Validator) LiveMirrors() int { return len(v.mirrors) }
 
 // LiveFingerprint renders the root-reachable object graph of the REAL
 // heap (not the shadow) in a canonical, address-free form: objects are
