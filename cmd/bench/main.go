@@ -1,6 +1,6 @@
 // Command bench runs the simulator's benchmark suites (heap, core, vm,
-// markregion, remset, trace, telemetry, workload) through
-// testing.Benchmark and writes the
+// markregion, remset, trace, telemetry, workload, server, stats, shard)
+// through testing.Benchmark and writes the
 // results as machine-readable JSON, so successive runs can be diffed to
 // catch performance regressions.
 //
@@ -53,7 +53,7 @@ type Report struct {
 
 func main() {
 	quick := flag.Bool("quick", false, "run each benchmark for a single iteration (CI smoke)")
-	suites := flag.String("suite", "all", "comma-separated suites to run (heap,core,vm,markregion,remset,trace,telemetry,workload,shard) or 'all'")
+	suites := flag.String("suite", "all", "comma-separated suites to run ("+strings.Join(bench.Suites(), ",")+") or 'all'")
 	benchtime := flag.String("benchtime", "1s", "per-benchmark run time or iteration count (e.g. 100ms, 10x)")
 	out := flag.String("o", "", "output path (default BENCH_<date>.json in the current directory)")
 	mutators := flag.Int("mutators", 0,

@@ -42,16 +42,22 @@ func TestReportIndependentOfJobs(t *testing.T) {
 
 // TestFileReplayMatchesOneProcessRun: a trace written with -record and
 // replayed with -trace in the same heap gives the table of the run that
-// recorded and replayed in one process.
+// recorded and replayed in one process — on jess, and on raytrace, whose
+// trace carries the one op (the RefIsNil nil test) jess never emits.
 func TestFileReplayMatchesOneProcessRun(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "jess.trace")
-	common := []string{"-scale", "0.1", "-heapMB", "0.125"}
-	whole := tracebench(t, append([]string{"-bench", "jess"}, common...)...)
-	tracebench(t, append([]string{"-bench", "jess", "-record", file}, common...)...)
-	replay := tracebench(t, append([]string{"-trace", file}, common...)...)
-	if table(t, whole) != table(t, replay) {
-		t.Errorf("replay from file differs from the one-process run:\n--- one process ---\n%s--- from file ---\n%s",
-			whole, replay)
+	for _, bench := range []string{"jess", "raytrace"} {
+		file := filepath.Join(t.TempDir(), bench+".trace")
+		common := []string{"-scale", "0.1", "-heapMB", "0.125"}
+		whole := tracebench(t, append([]string{"-bench", bench}, common...)...)
+		tracebench(t, append([]string{"-bench", bench, "-record", file}, common...)...)
+		replay := tracebench(t, append([]string{"-trace", file}, common...)...)
+		if table(t, whole) != table(t, replay) {
+			t.Errorf("%s: replay from file differs from the one-process run:\n--- one process ---\n%s--- from file ---\n%s",
+				bench, whole, replay)
+		}
+		if strings.Contains(whole, "failed:") {
+			t.Errorf("%s: a replay failed in the heap the test chose:\n%s", bench, whole)
+		}
 	}
 }
 

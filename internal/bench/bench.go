@@ -15,7 +15,7 @@ type Entry struct {
 
 // Suites lists the suite names in run order.
 func Suites() []string {
-	return []string{"heap", "core", "vm", "markregion", "remset", "trace", "telemetry", "workload", "server", "shard"}
+	return []string{"heap", "core", "vm", "markregion", "remset", "trace", "telemetry", "workload", "server", "stats", "shard"}
 }
 
 // All returns every registered benchmark in deterministic (suite, then
@@ -66,5 +66,7 @@ func static() []Entry {
 		{"server", "Appel", ServerAppel},
 		{"server", "Immix", ServerImmix},
 		{"server", "Sharded4", ServerSharded4},
+		{"server", "Report", ServerReport},
+		{"stats", "ClockPauseTotals", ClockPauseTotals},
 	}
 }

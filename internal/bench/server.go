@@ -4,8 +4,12 @@ import (
 	"testing"
 
 	"beltway/internal/collectors"
+	"beltway/internal/core"
 	"beltway/internal/harness"
+	"beltway/internal/heap"
 	"beltway/internal/server"
+	"beltway/internal/shard"
+	"beltway/internal/vm"
 )
 
 // ServerPolicy, when non-empty, runs the single-mutator server
@@ -34,13 +38,7 @@ func runServer(b *testing.B, preset string, mutators int) {
 	if mutators == 1 {
 		env.Policy = ServerPolicy
 	}
-	hb := int(float64(sc.EstLiveBytes()) * 3)
-	hb = (hb/env.FrameBytes + 1) * env.FrameBytes
-	cfg, err := collectors.Parse(preset, collectors.Options{
-		HeapBytes: hb, FrameBytes: env.FrameBytes})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cfg := serverConfig(b, preset, sc, env)
 	b.ReportAllocs()
 	var served int
 	var p99, max float64
@@ -61,7 +59,63 @@ func runServer(b *testing.B, preset string, mutators int) {
 	b.ReportMetric(max, "max-cost/op")
 }
 
+// serverConfig is preset in a heap of three times the script's estimated
+// live bytes, as `cmd/beltway -server -heap 3` sizes it.
+func serverConfig(b *testing.B, preset string, sc server.Config, env harness.Env) core.Config {
+	hb := (3*sc.EstLiveBytes()/env.FrameBytes + 1) * env.FrameBytes
+	cfg, err := collectors.Parse(preset, collectors.Options{HeapBytes: hb, FrameBytes: env.FrameBytes})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cfg
+}
+
 func ServerBeltway(b *testing.B)  { runServer(b, "25.25", 1) }
 func ServerAppel(b *testing.B)    { runServer(b, "appel", 1) }
 func ServerImmix(b *testing.B)    { runServer(b, "immix", 1) }
 func ServerSharded4(b *testing.B) { runServer(b, "25.25", 4) }
+
+// ServerReport measures what closing a two-lane server run's measurement
+// costs once the lanes are done: Loop.Report on each lane's 72,000
+// latencies (server_mix's script, at its heap) and MergeReports of the
+// two. Serving the requests is set-up; one b.N iteration is the two
+// reports and their merge.
+func ServerReport(b *testing.B) {
+	sc := server.Scaled(2)
+	cfg := serverConfig(b, "25.25", sc, harness.EnvForScale(2))
+	loops := make([]*server.Loop, 2)
+	for lane := range loops {
+		lc := sc
+		lc.Seed = shard.StreamSeed(sc.Seed, lane)
+		loop, err := server.NewLoop(lc, server.LoopOpts{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, err := core.New(cfg, heap.NewRegistry())
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := vm.New(h)
+		if err := m.Run(func() {
+			loop.Start(m, h.Space().Types)
+			for !loop.Done() {
+				loop.RunBatch()
+			}
+		}); err != nil {
+			b.Fatal(err)
+		}
+		h.Space().Release()
+		loops[lane] = loop
+	}
+	reports := make([]*server.Report, len(loops))
+	var p999 float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lane, loop := range loops {
+			reports[lane] = loop.Report(server.SLO{})
+		}
+		p999 = server.MergeReports(reports, server.SLO{}).Overall.Latency.P999
+	}
+	b.ReportMetric(p999, "p999-cost/op")
+}

@@ -82,6 +82,7 @@ func (t *serialTap) AllocPretenured(_ *heap.TypeDesc, _ int, h gc.Handle, _ bool
 }
 func (t *serialTap) SetRef(_ gc.Handle, _ int, _ gc.Handle) {}
 func (t *serialTap) GetRef(_ gc.Handle, _ int, _ gc.Handle) {}
+func (t *serialTap) RefIsNil(gc.Handle, int)                {}
 func (t *serialTap) Release(gc.Handle)                      {}
 func (t *serialTap) Push()                                  {}
 func (t *serialTap) Pop()                                   {}

@@ -13,36 +13,48 @@ import (
 // TestReplayReproducesRecordedRun: recording measures what Bench
 // measures, and replaying the trace under the configuration and Env it
 // was recorded in reproduces that Result — counters, pauses, total and GC
-// time, every field — on a boot-scanning and a remembered-set collector.
+// time, every field — for every benchmark of the suite, on a
+// boot-scanning and a remembered-set collector. A Mutator operation that
+// charges the clock and is not recorded fails it on the benchmark that
+// calls it (RefIsNil was one, on raytrace).
 func TestReplayReproducesRecordedRun(t *testing.T) {
 	env := EnvForScale(0.1)
-	bench := workload.Get("jess")
-	for _, spec := range []string{"appel", "25.25.100"} {
-		cfg, err := collectors.Parse(spec, env.Options(128<<10))
+	for _, bench := range workload.All() {
+		min, err := FindMinHeap(AppelConfig(env), bench, env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := RunOne(cfg, bench, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Incomplete() || want.Collections == 0 || len(want.Pauses) == 0 {
-			t.Fatalf("%s: the run to reproduce measures nothing: %+v", spec, want)
-		}
-		tr := trace.NewTrace()
-		recorded, err := Run(cfg, Record(bench, tr), env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(recorded, want) {
-			t.Errorf("%s: recording changed the measurement:\nrecorded %+v\nbench    %+v", spec, recorded.Counters, want.Counters)
-		}
-		replayed, err := Run(cfg, Replay(bench.Name, tr), env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(replayed, want) {
-			t.Errorf("%s: replay differs from the run it was recorded from:\nreplayed %+v\nbench    %+v", spec, replayed.Counters, want.Counters)
+		heapBytes := min * 2 / env.FrameBytes * env.FrameBytes
+		for _, spec := range []string{"appel", "25.25.100"} {
+			name := bench.Name + " on " + spec
+			cfg, err := collectors.Parse(spec, env.Options(heapBytes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunOne(cfg, bench, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Incomplete() || want.Collections == 0 || len(want.Pauses) == 0 {
+				t.Fatalf("%s: the run to reproduce measures nothing: %+v", name, want)
+			}
+			tr := trace.NewTrace()
+			recorded, err := Run(cfg, Record(bench, tr), env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(recorded, want) {
+				t.Errorf("%s: recording changed the measurement:\nrecorded %v %+v\nbench    %v %+v",
+					name, recorded.TotalTime, recorded.Counters, want.TotalTime, want.Counters)
+			}
+			replayed, err := Run(cfg, Replay(bench.Name, tr), env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(replayed, want) {
+				t.Errorf("%s: replay differs from the run it was recorded from:\nreplayed %v %+v\nbench    %v %+v",
+					name, replayed.TotalTime, replayed.Counters, want.TotalTime, want.Counters)
+			}
 		}
 	}
 }

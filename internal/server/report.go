@@ -1,5 +1,7 @@
 package server
 
+import "sort"
+
 // PhaseReport is one phase's (or the whole run's) latency measurement.
 type PhaseReport struct {
 	Name     string `json:"name"`
@@ -39,9 +41,15 @@ type Report struct {
 	Shards int `json:"shards"`
 
 	// PhaseLatencies and Latencies are the raw per-request streams
-	// (cost units), per phase and overall. In-process only.
+	// (cost units), per phase and overall. In-process only. They are one
+	// buffer: the phases are sub-slices of Latencies, in phase order.
 	PhaseLatencies [][]float64 `json:"-"`
 	Latencies      []float64   `json:"-"`
+
+	// sorted is each phase's stream in ascending order (sub-slices of a
+	// second buffer): what the distributions were read from, kept so that
+	// MergeReports merges sorted runs and sorts nothing.
+	sorted [][]float64
 }
 
 // Violations counts failed SLO targets.
@@ -58,33 +66,37 @@ func (r *Report) Violations() int {
 // Report closes the loop's measurement against an SLO. Call after the
 // loop is done (a partial loop — OOM, budget abort — reports the
 // requests it served).
+//
+// The raw streams alias the loop's latency buffer; each phase is sorted
+// once, in its place in one copy of that buffer, and the overall
+// distribution is read off the merge of the sorted phases without being
+// written anywhere — two floats a request in all.
 func (l *Loop) Report(slo SLO) *Report {
+	n, nPhases := len(l.lats), len(l.cfg.Phases)
 	rep := &Report{
 		Shards:         1,
 		StoreChecksum:  l.checksum,
 		SLO:            slo,
-		PhaseLatencies: make([][]float64, len(l.cfg.Phases)),
-		Latencies:      make([]float64, 0, l.done),
+		PhaseLatencies: make([][]float64, nPhases),
+		Latencies:      l.lats[:n:n],
+		sorted:         make([][]float64, nPhases),
 	}
+	sorted := append(make([]float64, 0, n), l.lats...)
 	for i, p := range l.cfg.Phases {
-		rep.PhaseLatencies[i] = l.lats[i]
-		rep.Latencies = append(rep.Latencies, l.lats[i]...)
-		rep.Phases = append(rep.Phases, phaseReport(p.Name, l.lats[i],
+		from, to := n, n // a phase the loop never entered
+		if i < len(l.starts) {
+			from = l.starts[i]
+			if i+1 < len(l.starts) {
+				to = l.starts[i+1]
+			}
+			rep.PhaseLatencies[i] = l.lats[from:to:to]
+		}
+		rep.sorted[i] = sorted[from:to]
+		sort.Float64s(rep.sorted[i])
+		rep.Phases = append(rep.Phases, phaseReport(p.Name, mergeDist(nil, rep.sorted[i]),
 			l.reads[i], l.writes[i], l.paused[i], l.worstInfl[i]))
 	}
-	o := &rep.Overall
-	*o = phaseReport("overall", rep.Latencies, 0, 0, 0, 0)
-	for _, p := range rep.Phases {
-		o.Reads += p.Reads
-		o.Writes += p.Writes
-		o.PausedRequests += p.PausedRequests
-		if p.WorstInflation > o.WorstInflation {
-			o.WorstInflation = p.WorstInflation
-		}
-	}
-	finishPhase(o)
-	rep.Verdicts = slo.Evaluate(&o.Latency)
-	rep.Passed = rep.Violations() == 0
+	rep.close()
 	return rep
 }
 
@@ -92,6 +104,12 @@ func (l *Loop) Report(slo SLO) *Report {
 // aggregate serving measurement: latency streams concatenate per phase,
 // counts sum, distributions are recomputed exactly, and the fingerprint
 // folds shard checksums in order. Merging a single report reproduces it.
+//
+// The lanes' phases arrive sorted (Loop.Report sorted them), so a merged
+// phase's distribution is read off their merge as it is written into the
+// merged report's own sorted buffer, and the overall one off the merge
+// of those: nothing is sorted again, and the merge allocates two floats
+// a request, one raw and one sorted.
 func MergeReports(reports []*Report, slo SLO) *Report {
 	if len(reports) == 0 {
 		return &Report{SLO: slo, Passed: true}
@@ -104,48 +122,55 @@ func MergeReports(reports []*Report, slo SLO) *Report {
 		return &r
 	}
 	nPhases := len(reports[0].Phases)
-	out := &Report{
-		Shards:         0,
-		SLO:            slo,
-		PhaseLatencies: make([][]float64, nPhases),
+	total := 0
+	for _, r := range reports {
+		total += len(r.Latencies)
 	}
-	out.StoreChecksum = reports[0].StoreChecksum
+	out := &Report{
+		SLO:            slo,
+		StoreChecksum:  reports[0].StoreChecksum,
+		PhaseLatencies: make([][]float64, nPhases),
+		Latencies:      make([]float64, 0, total),
+		sorted:         make([][]float64, nPhases),
+	}
 	for i, r := range reports {
 		out.Shards += r.Shards
 		if i > 0 {
 			out.StoreChecksum = out.StoreChecksum*1099511628211 ^ r.StoreChecksum
 		}
 	}
-	total := 0
-	for _, r := range reports {
-		total += len(r.Latencies)
-	}
-	out.Latencies = make([]float64, 0, total)
+	sorted := make([]float64, total)
+	runs := make([][]float64, len(reports))
 	for p := 0; p < nPhases; p++ {
-		merged := PhaseReport{Name: reports[0].Phases[p].Name}
-		n := 0
-		for _, r := range reports {
-			n += len(r.PhaseLatencies[p])
-		}
-		out.PhaseLatencies[p] = make([]float64, 0, n)
-		for _, r := range reports {
-			out.PhaseLatencies[p] = append(out.PhaseLatencies[p], r.PhaseLatencies[p]...)
-			merged.Reads += r.Phases[p].Reads
-			merged.Writes += r.Phases[p].Writes
-			merged.PausedRequests += r.Phases[p].PausedRequests
-			if r.Phases[p].WorstInflation > merged.WorstInflation {
-				merged.WorstInflation = r.Phases[p].WorstInflation
+		from := len(out.Latencies)
+		var reads, writes, paused int
+		var worst float64
+		for i, r := range reports {
+			out.Latencies = append(out.Latencies, r.PhaseLatencies[p]...)
+			runs[i] = r.sorted[p]
+			reads += r.Phases[p].Reads
+			writes += r.Phases[p].Writes
+			paused += r.Phases[p].PausedRequests
+			if w := r.Phases[p].WorstInflation; w > worst {
+				worst = w
 			}
 		}
-		merged.Latency = *Summarize(out.PhaseLatencies[p])
-		merged.Requests = merged.Latency.Count
-		merged.PausedFrac = frac(merged.PausedRequests, merged.Requests)
-		out.Phases = append(out.Phases, merged)
-		out.Latencies = append(out.Latencies, out.PhaseLatencies[p]...)
+		to := len(out.Latencies)
+		out.PhaseLatencies[p] = out.Latencies[from:to:to]
+		out.sorted[p] = sorted[from:to]
+		out.Phases = append(out.Phases, phaseReport(reports[0].Phases[p].Name,
+			mergeDist(out.sorted[p], runs...), reads, writes, paused, worst))
 	}
-	o := &out.Overall
-	o.Name = "overall"
-	for _, p := range out.Phases {
+	out.close()
+	return out
+}
+
+// close fills the overall row from the phase rows and the sorted phases,
+// and judges it against the SLO.
+func (r *Report) close() {
+	o := &r.Overall
+	*o = PhaseReport{Name: "overall", Latency: mergeDist(nil, r.sorted...)}
+	for _, p := range r.Phases {
 		o.Reads += p.Reads
 		o.Writes += p.Writes
 		o.PausedRequests += p.PausedRequests
@@ -153,32 +178,27 @@ func MergeReports(reports []*Report, slo SLO) *Report {
 			o.WorstInflation = p.WorstInflation
 		}
 	}
-	o.Latency = *Summarize(out.Latencies)
-	o.Requests = o.Latency.Count
-	o.PausedFrac = frac(o.PausedRequests, o.Requests)
-	out.Verdicts = slo.Evaluate(&o.Latency)
-	out.Passed = out.Violations() == 0
-	return out
+	finishPhase(o)
+	r.Verdicts = r.SLO.Evaluate(&o.Latency)
+	r.Passed = r.Violations() == 0
 }
 
-func phaseReport(name string, lats []float64, reads, writes, paused int, worst float64) PhaseReport {
+func phaseReport(name string, lat Dist, reads, writes, paused int, worst float64) PhaseReport {
 	p := PhaseReport{
 		Name:           name,
 		Reads:          reads,
 		Writes:         writes,
 		PausedRequests: paused,
 		WorstInflation: worst,
-		Latency:        *Summarize(lats),
+		Latency:        lat,
 	}
-	p.Requests = p.Latency.Count
 	finishPhase(&p)
 	return p
 }
 
+// finishPhase derives what a row's counts and distribution imply.
 func finishPhase(p *PhaseReport) {
-	if p.Requests == 0 {
-		p.Requests = p.Latency.Count
-	}
+	p.Requests = p.Latency.Count
 	if p.WorstInflation == 0 {
 		p.WorstInflation = 1
 	}

@@ -9,7 +9,10 @@
 // and sharded.
 package server
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // rng is a splitmix64 PRNG: deterministic, allocation-free, and owned by
 // this package so request streams cannot drift with math/rand internals
@@ -62,14 +65,42 @@ func newZipf(n int, theta float64) *zipf {
 	return z
 }
 
-// zetaRange returns sum_{i=from+1..to} 1/i^theta.
+// zetaRange returns sum_{i=from+1..to} 1/i^theta. The sum is a pure
+// function of its arguments and costs one math.Pow per key, so the
+// process remembers every one it has computed: a hit returns the bits
+// the loop below produced the first time, whichever goroutine asked
+// (engine workers at -jobs N and farm workers build Loops concurrently).
+// It pays off only where one process builds several Loops over the same
+// (theta, keys) — every lane and every collector of an -exp server or
+// -exp adapt grid, a farm worker's jobs, the benchmark's server_mix — and
+// a single `beltway -server` run computes each sum once, as it always
+// did. An entry is a few words and a process sees a handful of distinct
+// (theta, keys), so nothing is ever evicted.
 func zetaRange(from, to int, theta float64) float64 {
-	var s float64
-	for i := from + 1; i <= to; i++ {
-		s += 1 / math.Pow(float64(i), theta)
+	key := zetaKey{from, to, theta}
+	zetaMemo.Lock()
+	s, ok := zetaMemo.sums[key] // zero on a miss
+	zetaMemo.Unlock()
+	if !ok {
+		for i := from + 1; i <= to; i++ {
+			s += 1 / math.Pow(float64(i), theta)
+		}
+		zetaMemo.Lock()
+		zetaMemo.sums[key] = s
+		zetaMemo.Unlock()
 	}
 	return s
 }
+
+type zetaKey struct {
+	from, to int
+	theta    float64
+}
+
+var zetaMemo = struct {
+	sync.Mutex
+	sums map[zetaKey]float64
+}{sums: make(map[zetaKey]float64)}
 
 // Grow extends the rank space to n (the working-set-growth phase shift),
 // reusing the existing zeta prefix so growth is O(new keys).

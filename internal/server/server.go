@@ -206,9 +206,9 @@ type Observer interface {
 // Loop is a resumable executor for one configuration on one mutator:
 // RunBatch serves the next arrival batch, so a sharded plan can
 // interleave batches with safepoint polls round by round while the flat
-// path just drains it. NewLoop is allocation-free; Start and every
-// RunBatch must happen inside vm.Mutator.Run (allocation failures
-// surface as OOM panics).
+// path just drains it. NewLoop allocates nothing on the simulated heap;
+// Start and every RunBatch must happen inside vm.Mutator.Run (allocation
+// failures surface as OOM panics).
 type Loop struct {
 	cfg     Config
 	m       *vm.Mutator
@@ -235,8 +235,13 @@ type Loop struct {
 	total    int
 	finished bool
 
-	// Per-phase measurement streams.
-	lats      [][]float64
+	// lats is every request's latency in arrival order, one buffer sized
+	// once to the whole script; starts[i] is where phase i's requests
+	// begin in it, recorded as the phase is entered, so a phase's stream
+	// is a sub-slice and a phase never entered has no entry.
+	lats   []float64
+	starts []int
+	// Per-phase counts.
 	reads     []int
 	writes    []int
 	paused    []int
@@ -261,14 +266,16 @@ func NewLoop(cfg Config, opts LoopOpts) (*Loop, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	total := cfg.TotalRequests()
 	return &Loop{
 		cfg:       cfg,
 		obs:       opts.Observer,
 		poll:      opts.Poll,
 		rng:       newRNG(cfg.Seed),
 		zipf:      newZipf(cfg.Keys, cfg.Theta),
-		total:     cfg.TotalRequests(),
-		lats:      make([][]float64, len(cfg.Phases)),
+		total:     total,
+		lats:      make([]float64, 0, total),
+		starts:    make([]int, 0, len(cfg.Phases)),
 		reads:     make([]int, len(cfg.Phases)),
 		writes:    make([]int, len(cfg.Phases)),
 		paused:    make([]int, len(cfg.Phases)),
@@ -389,7 +396,7 @@ func (l *Loop) request() {
 	pauseCost := l.clock.GCTime() - gcBefore
 
 	p := l.phase
-	l.lats[p] = append(l.lats[p], lat)
+	l.lats = append(l.lats, lat)
 	if isRead {
 		l.reads[p]++
 	} else {
@@ -426,10 +433,10 @@ func (l *Loop) advancePhase() {
 
 // enterPhase applies a phase's shifts: growth first (new keys join the
 // rank space at the cold end), then the reshuffle. The phase's latency
-// stream is sized here, once, to the requests the phase will serve.
+// stream starts where the one before it ended.
 func (l *Loop) enterPhase(i int) {
 	p := l.cfg.Phases[i]
-	l.lats[i] = make([]float64, 0, p.Requests)
+	l.starts = append(l.starts, len(l.lats))
 	if p.GrowKeys > 0 {
 		from := l.nKeys
 		l.populate(from, from+p.GrowKeys)

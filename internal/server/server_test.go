@@ -149,19 +149,28 @@ func testConfig() Config {
 	return c
 }
 
-func runLoop(t *testing.T, sc Config, factor float64) *Report {
+// serve runs sc's whole script on a heap of factor times its live
+// estimate and returns the loop with what ended it (nil, or out of
+// memory part-way).
+func serve(t *testing.T, sc Config, factor float64) (*Loop, error) {
 	t.Helper()
 	_, m, types := newTestHeap(t, sc, factor)
 	loop, err := NewLoop(sc, LoopOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(func() {
+	return loop, m.Run(func() {
 		loop.Start(m, types)
 		for !loop.Done() {
 			loop.RunBatch()
 		}
-	}); err != nil {
+	})
+}
+
+func runLoop(t *testing.T, sc Config, factor float64) *Report {
+	t.Helper()
+	loop, err := serve(t, sc, factor)
+	if err != nil {
 		t.Fatalf("server loop: %v", err)
 	}
 	return loop.Report(SLO{})

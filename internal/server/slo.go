@@ -128,24 +128,74 @@ type Dist struct {
 // Summarize computes the exact distribution of a latency sample set.
 // The input is not modified.
 func Summarize(latencies []float64) *Dist {
-	d := &Dist{Count: len(latencies)}
-	if len(latencies) == 0 {
-		return d
-	}
 	sorted := append([]float64(nil), latencies...)
 	sort.Float64s(sorted)
-	var sum float64
-	for _, v := range sorted {
-		sum += v
+	d := mergeDist(nil, sorted)
+	return &d
+}
+
+// mergeDist summarises the ascending merge of runs, each ascending, and
+// writes the merge into dst (which must hold it exactly) unless dst is
+// nil. The ascending order of a multiset of latencies is one sequence of
+// values whichever way it was reached — they are differences of clock
+// readings: no NaN, no negative zero — so the quantiles, and the mean
+// summed along it, have the bits a sort of the concatenation would give.
+func mergeDist(dst []float64, runs ...[]float64) Dist {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
 	}
-	// stats.NearestRank is the one exact-quantile definition shared with
+	d := Dist{Count: n}
+	if n == 0 {
+		return d
+	}
+	// stats.Rank is the one exact-quantile definition shared with
 	// stats.SummarizePauses, so request-latency and pause quantiles agree
 	// on small samples.
-	d.P50 = stats.NearestRank(sorted, 0.50)
-	d.P95 = stats.NearestRank(sorted, 0.95)
-	d.P99 = stats.NearestRank(sorted, 0.99)
-	d.P999 = stats.NearestRank(sorted, 0.999)
-	d.Max = sorted[len(sorted)-1]
-	d.Mean = sum / float64(len(sorted))
+	quantiles := [...]struct {
+		rank int
+		v    *float64
+	}{
+		{stats.Rank(n, 0.50), &d.P50}, {stats.Rank(n, 0.95), &d.P95},
+		{stats.Rank(n, 0.99), &d.P99}, {stats.Rank(n, 0.999), &d.P999},
+		{n - 1, &d.Max},
+	}
+	heads := append([][]float64(nil), runs...)
+	var sum float64
+	for i := 0; i < n; {
+		// The run with the least head gives the merge all it has up to
+		// the least head among the others: with a few hundred distinct
+		// latencies in a run of thousands, and with one run, that is a
+		// long stretch per look at the heads.
+		least, bound := -1, math.Inf(1)
+		for j, h := range heads {
+			switch {
+			case len(h) == 0:
+			case least < 0 || h[0] < heads[least][0]:
+				if least >= 0 {
+					bound = heads[least][0]
+				}
+				least = j
+			case h[0] < bound:
+				bound = h[0]
+			}
+		}
+		h, k := heads[least], 0
+		for k < len(h) && h[k] <= bound {
+			sum += h[k]
+			k++
+		}
+		if dst != nil {
+			copy(dst[i:], h[:k])
+		}
+		for _, q := range quantiles {
+			if i <= q.rank && q.rank < i+k {
+				*q.v = h[q.rank-i]
+			}
+		}
+		heads[least] = h[k:]
+		i += k
+	}
+	d.Mean = sum / float64(n)
 	return d
 }

@@ -1,0 +1,12 @@
+package stats_test
+
+import (
+	"testing"
+
+	"beltway/internal/bench"
+)
+
+// Benchmark bodies live in beltway/internal/bench so `go test -bench`
+// and the cmd/bench regression harness measure the same code.
+
+func BenchmarkClockPauseTotals(b *testing.B) { bench.ClockPauseTotals(b) }

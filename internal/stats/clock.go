@@ -25,6 +25,15 @@ type Clock struct {
 	inPause   bool
 	pauseFrom float64
 	pauses    []Pause
+	// gcTime and maxPause are the sum and the maximum of the recorded
+	// pauses' durations, kept as EndPause records each one, so that a
+	// caller reading them per request (the server loop) pays a field read,
+	// not a walk over every pause so far. gcTime starts at zero and adds
+	// the durations in timeline order — the additions a loop over Pauses()
+	// makes, in the order it makes them — so it holds that loop's bits,
+	// not merely its value to rounding.
+	gcTime   float64
+	maxPause float64
 
 	Counters Counters
 }
@@ -123,7 +132,13 @@ func (c *Clock) EndPause() {
 		panic("stats: EndPause without BeginPause")
 	}
 	c.inPause = false
-	c.pauses = append(c.pauses, Pause{Start: c.pauseFrom, End: c.now})
+	p := Pause{Start: c.pauseFrom, End: c.now}
+	c.pauses = append(c.pauses, p)
+	d := p.Duration()
+	c.gcTime += d
+	if d > c.maxPause {
+		c.maxPause = d
+	}
 }
 
 // InPause reports whether a collection is currently charged to the clock.
@@ -132,14 +147,9 @@ func (c *Clock) InPause() bool { return c.inPause }
 // Pauses returns the recorded pause intervals in timeline order.
 func (c *Clock) Pauses() []Pause { return c.pauses }
 
-// GCTime returns total time spent in collections, in cost units.
-func (c *Clock) GCTime() float64 {
-	var t float64
-	for _, p := range c.pauses {
-		t += p.Duration()
-	}
-	return t
-}
+// GCTime returns total time spent in completed collections, in cost
+// units; a pause still open is not in it.
+func (c *Clock) GCTime() float64 { return c.gcTime }
 
 // TotalTime returns the full elapsed timeline, in cost units.
 func (c *Clock) TotalTime() float64 { return c.now }
@@ -155,13 +165,5 @@ func (c *Clock) GCFraction() float64 {
 	return c.GCTime() / c.now
 }
 
-// MaxPause returns the longest single pause, in cost units.
-func (c *Clock) MaxPause() float64 {
-	var m float64
-	for _, p := range c.pauses {
-		if d := p.Duration(); d > m {
-			m = d
-		}
-	}
-	return m
-}
+// MaxPause returns the longest single completed pause, in cost units.
+func (c *Clock) MaxPause() float64 { return c.maxPause }

@@ -50,12 +50,20 @@ func NearestRank(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	i := int(math.Ceil(q*float64(len(xs)))) - 1
+	return xs[Rank(len(xs), q)]
+}
+
+// Rank is the index NearestRank reads in an ascending sample of n > 0
+// elements, for a consumer that meets the sample in order without
+// holding it as one slice (internal/server reads a run's overall
+// quantiles off the merge of its sorted phases).
+func Rank(n int, q float64) int {
+	i := int(math.Ceil(q*float64(n))) - 1
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(xs) {
-		i = len(xs) - 1
+	if i >= n {
+		i = n - 1
 	}
-	return xs[i]
+	return i
 }

@@ -32,7 +32,7 @@ func decodeOps(buf []byte) ([]rawOp, error) {
 		opDefineType: 4, opAlloc: 3, opAllocGlobal: 3, opAllocImmortal: 3,
 		opSetRef: 3, opGetRef: 3, opRelease: 1, opPush: 0, opPop: 0,
 		opSetData: 3, opGetData: 2, opWork: 1, opCollect: 1, opKeep: 2,
-		opAllocPretenured: 4,
+		opAllocPretenured: 4, opRefIsNil: 2,
 	}
 	for pos < len(buf) {
 		op := rawOp{code: buf[pos]}
@@ -215,7 +215,7 @@ func (t *Trace) Slice(keep func(i int) bool) (out *Trace, err error) {
 		case opPop:
 			rs.PopScope()
 			nt.emit(opPop)
-		case opSetData, opGetData:
+		case opSetData, opGetData, opRefIsNil:
 			obj, err := mapped(op.args[0])
 			if err != nil {
 				return nil, err

@@ -1,9 +1,13 @@
 // Package trace records and replays mutator event streams. A trace
-// captures every vm.Mutator operation — allocations, barriered pointer
-// stores, data writes, root scope changes, application work — so a
-// workload can be executed once and replayed bit-identically against any
-// collector configuration: the classic trace-driven methodology of GC
-// research (cf. Stefanović's lifetime studies the paper builds on).
+// captures every vm.Mutator operation that charges the clock, changes the
+// heap or moves a root — allocations, barriered pointer stores, pointer
+// loads and nil tests, data reads and writes, root scope changes,
+// application work, forced collections — so a workload can be executed
+// once and replayed bit-identically against any collector configuration:
+// the classic trace-driven methodology of GC research (cf. Stefanović's
+// lifetime studies the paper builds on). The accessors it leaves out
+// (Length, TypeOf, Serial, SameObject) are free and change nothing; see
+// vm.Recorder.
 //
 // Handles are stable across collectors: gc.RootSet assigns them purely
 // by operation order, so the recorded handle values replay exactly, and
@@ -38,6 +42,7 @@ const (
 	opCollect         // full (0/1)
 	opKeep            // handle, newHandle
 	opAllocPretenured // typeIdx, length, handle, global(0/1)
+	opRefIsNil        // obj, slot
 )
 
 // Trace is a recorded mutator event stream.
@@ -107,6 +112,11 @@ func (t *Trace) GetRef(obj gc.Handle, slot int, out gc.Handle) {
 	}
 	t.emit(opGetRef, uint64(obj), uint64(slot), v)
 }
+
+// RefIsNil records a nil test of a reference slot: a charged reference
+// read that mints no handle, so it cannot ride on opGetRef, whose replay
+// would root the referent and shift every handle after it.
+func (t *Trace) RefIsNil(obj gc.Handle, slot int) { t.emit(opRefIsNil, uint64(obj), uint64(slot)) }
 
 // Release records an explicit handle release.
 func (t *Trace) Release(h gc.Handle) { t.emit(opRelease, uint64(h)) }
@@ -267,6 +277,13 @@ func Play(t *Trace, m *vm.Mutator) error {
 			if uint64(h) != want {
 				return fmt.Errorf("trace: getref handle drift: got %d want %d", h, want)
 			}
+		case opRefIsNil:
+			obj, _ := next()
+			slot, err := next()
+			if err != nil {
+				return fmt.Errorf("trace: bad refisnil")
+			}
+			m.RefIsNil(gc.Handle(obj), int(slot))
 		case opRelease:
 			h, err := next()
 			if err != nil {

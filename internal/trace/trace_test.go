@@ -49,6 +49,9 @@ func record(t *testing.T, cfg core.Config) *Trace {
 			if rng.Intn(16) == 0 {
 				m.SetRefNil(root, rng.Intn(16))
 			}
+			if rng.Intn(4) == 0 && !m.RefIsNil(root, rng.Intn(16)) {
+				m.Work(int(m.GetData(n, 0) % 3))
+			}
 			m.Work(3)
 			m.Pop()
 			if i == 1500 {
@@ -73,6 +76,29 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 	tr := record(t, smallCfg())
 	if tr.Len() == 0 {
 		t.Fatal("empty trace")
+	}
+	// The script reaches every op the format has but the pretenured
+	// allocation: a Mutator operation Play did not re-issue, or Slice did
+	// not carry, would go unnoticed below if the script never made it.
+	ops, err := decodeOps(tr.buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[byte]bool{}
+	for _, op := range ops {
+		seen[op.code] = true
+	}
+	for code := opDefineType; code <= opRefIsNil; code++ {
+		if !seen[code] && code != opAllocPretenured {
+			t.Errorf("the scripted workload never emits op %d", code)
+		}
+	}
+	whole, err := tr.Slice(func(int) bool { return true })
+	if err != nil {
+		t.Fatalf("slice keeping every op: %v", err)
+	}
+	if !bytes.Equal(encoded(tr), encoded(whole)) {
+		t.Error("a slice keeping every op differs from the trace")
 	}
 
 	m2 := newMutator(t, smallCfg())

@@ -21,10 +21,19 @@ type oomPanic struct{ err error }
 
 // Recorder captures the mutator event stream (see internal/trace). All
 // methods are called after the corresponding operation succeeds.
+//
+// Every Mutator operation that charges the clock, allocates, moves a
+// handle or stores into the heap has a method here, so that a replay of
+// the recorded stream costs what the recorded run cost: nothing charged
+// may go unrecorded. Length, TypeOf, Serial and SameObject have none and
+// need none — they read a header or compare two root slots, charge
+// nothing, create no handle and leave the heap as it was, so a replay
+// that skips them arrives at the same clock, counters and heap.
 type Recorder interface {
 	Alloc(td *heap.TypeDesc, length int, h gc.Handle, global, immortal bool)
 	SetRef(obj gc.Handle, slot int, val gc.Handle)
 	GetRef(obj gc.Handle, slot int, out gc.Handle)
+	RefIsNil(obj gc.Handle, slot int)
 	Release(h gc.Handle)
 	Push()
 	Pop()
@@ -252,9 +261,13 @@ func (m *Mutator) GetRef(obj gc.Handle, i int) gc.Handle {
 }
 
 // RefIsNil reports whether reference slot i of obj is nil, without
-// creating a handle.
+// creating a handle. It is a reference read all the same, charged as one.
 func (m *Mutator) RefIsNil(obj gc.Handle, i int) bool {
-	return m.C.ReadRef(m.addrOf(obj, "RefIsNil receiver"), i) == heap.Nil
+	isNil := m.C.ReadRef(m.addrOf(obj, "RefIsNil receiver"), i) == heap.Nil
+	if m.R != nil {
+		m.R.RefIsNil(obj, i)
+	}
+	return isNil
 }
 
 // SameObject reports whether two handles reference the same object.
