@@ -34,7 +34,6 @@ import (
 	"strings"
 
 	"beltway/internal/check"
-	"beltway/internal/collectors"
 	"beltway/internal/core"
 	"beltway/internal/workload"
 )
@@ -100,10 +99,7 @@ func fatal(err error) {
 // configuration-independent.
 func workloadStage(presets []core.Config, scale float64, seed int64, minimize bool, outDir string) int {
 	failures := 0
-	recCfg, err := collectors.Parse("ss", collectors.Options{HeapBytes: 64 << 20, FrameBytes: check.OracleFrameBytes})
-	if err != nil {
-		fatal(err)
-	}
+	recCfg := check.Sized(presets[:1], 64<<20)[0] // semi-space, roomy: the recording must complete
 	for _, b := range workload.All() {
 		tr, err := check.RecordWorkload(b, scale, seed, recCfg)
 		if err != nil {
@@ -113,7 +109,7 @@ func workloadStage(presets []core.Config, scale float64, seed int64, minimize bo
 		if err != nil {
 			fatal(err)
 		}
-		cfgs := sizeConfigs(presets, 3*alloc+64*check.OracleFrameBytes)
+		cfgs := check.Sized(presets, check.HeapBytesFor(alloc))
 		rep := check.Differential(tr, cfgs)
 		n, _ := tr.NumOps()
 		if !rep.Failed() {
@@ -141,12 +137,11 @@ func randomStage(presets []core.Config, rounds int, seed int64, nConfigs int, mi
 	failures := 0
 	rng := rand.New(rand.NewSource(seed))
 	for round := 0; round < rounds; round++ {
-		raw := make([]byte, 4*(32+rng.Intn(480)))
-		rng.Read(raw)
-		script := check.DecodeScript(raw)
+		script := check.RandomScript(rng)
 		cfgs := append([]core.Config(nil), presets...)
+		heapBytes := check.HeapBytesFor(script.AllocBytes())
 		for i := 0; i < nConfigs; i++ {
-			cfgs = append(cfgs, check.RandomConfig(rng, 0, 0)) // sized by RunScript
+			cfgs = append(cfgs, check.RandomConfig(rng, heapBytes, check.OracleFrameBytes))
 		}
 		run := check.RunScript(script, cfgs)
 		if !run.Failed() {
@@ -182,10 +177,8 @@ func chaosStage(presets []core.Config, faultSeed int64, schedules, rounds int, s
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for round := 0; round < rounds; round++ {
-		raw := make([]byte, 4*(32+rng.Intn(480)))
-		rng.Read(raw)
 		name := fmt.Sprintf("rand/%d", round)
-		report(name, check.RunScriptChaos(name, check.DecodeScript(raw), presets, faultSeed, schedules))
+		report(name, check.RunScriptChaos(name, check.RandomScript(rng), presets, faultSeed, schedules))
 	}
 	if totalFired == 0 {
 		fmt.Fprintln(os.Stderr, "fuzzcheck: warning: no injected fault ever fired; battery tested nothing")
@@ -227,8 +220,9 @@ func reproduceCorpusFile(path string, presets []core.Config, minimize bool, outD
 	script := check.DecodeScript(raw)
 	cfgs := []core.Config{presets[0], presets[1]}
 	rng := rand.New(rand.NewSource(cfgSeed))
+	heapBytes := check.HeapBytesFor(script.AllocBytes())
 	for i := 0; i < 2; i++ {
-		cfgs = append(cfgs, check.RandomConfig(rng, 0, 0))
+		cfgs = append(cfgs, check.RandomConfig(rng, heapBytes, check.OracleFrameBytes))
 	}
 	run := check.RunScript(script, cfgs)
 	if !run.Failed() {
@@ -295,19 +289,4 @@ func parseCorpusEntry(data []byte) ([]byte, int64, error) {
 		return nil, 0, fmt.Errorf("corpus entry has no []byte argument")
 	}
 	return raw, cfgSeed, nil
-}
-
-// sizeConfigs applies one heap size (rounded up to frames) to every
-// config in the battery.
-func sizeConfigs(cfgs []core.Config, heapBytes int) []core.Config {
-	fb := check.OracleFrameBytes
-	heapBytes = (heapBytes + fb - 1) / fb * fb
-	out := make([]core.Config, len(cfgs))
-	for i, c := range cfgs {
-		c.HeapBytes = heapBytes
-		c.FrameBytes = fb
-		c.PhysMemBytes = 0
-		out[i] = c
-	}
-	return out
 }

@@ -12,13 +12,6 @@ import (
 	"beltway/internal/vm"
 )
 
-// ServerPolicy, when non-empty, runs the single-mutator server
-// benchmarks with the adaptive policy controller on this objective
-// (harness.Env.Policy syntax). cmd/bench sets it from -adapt so the
-// controller's steady-state overhead is diffable against static runs;
-// the sharded benchmark ignores it (adaptation is single-mutator only).
-var ServerPolicy string
-
 // runServer measures the request/response server workload end to end on
 // one preset. Reported extras:
 //
@@ -28,16 +21,13 @@ var ServerPolicy string
 //	               the SLO-bearing number, identical on any host
 //	max-cost/op    worst single-request latency in cost units
 //
-// The cost-unit extras are deterministic, so compare runs flag tail
-// regressions (a collector change parking pauses under requests) even
+// The cost-unit extras are deterministic, so a difference between two
+// runs is a tail regression (a collector change parking pauses under requests) even
 // when host throughput is noisy.
 func runServer(b *testing.B, preset string, mutators int) {
 	sc := server.Scaled(0.1)
 	env := harness.EnvForScale(0.1)
 	env.Mutators = mutators
-	if mutators == 1 {
-		env.Policy = ServerPolicy
-	}
 	cfg := serverConfig(b, preset, sc, env)
 	b.ReportAllocs()
 	var served int

@@ -8,36 +8,7 @@ import (
 	"beltway/internal/shard"
 )
 
-// ShardCounts lists the mutator widths the shard suite measures. The
-// cmd/bench -mutators flag trims it; the default curve (1, 2, 4, 8)
-// is what BENCH_<date>.json records so scaling regressions are
-// diffable.
-var ShardCounts = []int{1, 2, 4, 8}
-
-// shardEntries materializes one scaling entry per configured width, and
-// the no-exchange case at two and four lanes. Called from All at
-// registration time, after flags may have trimmed ShardCounts.
-func shardEntries() []Entry {
-	var out []Entry
-	for _, n := range ShardCounts {
-		out = append(out, Entry{"shard", "Scale" + itoa(n), func(b *testing.B) { runShardScale(b, n) }})
-	}
-	for _, n := range ShardCounts {
-		if n == 2 || n == 4 {
-			out = append(out, Entry{"shard", "FreeRounds" + itoa(n), func(b *testing.B) { runShardFreeRounds(b, n) }})
-		}
-	}
-	return out
-}
-
-func itoa(n int) string {
-	if n >= 10 {
-		return string(rune('0'+n/10)) + string(rune('0'+n%10))
-	}
-	return string(rune('0' + n))
-}
-
-// runShardScale runs a fixed rounds-with-barriers plan over n mutator
+// ShardScale runs a fixed rounds-with-barriers plan over n mutator
 // shards: every round each shard allocates linked chains off its
 // private nursery, publishes its survivor to the exchange and consumes
 // its neighbor's, polling the safepoint throughout; every second round
@@ -51,7 +22,7 @@ func itoa(n int) string {
 //
 // The throughput metric is measured against the simulated machine's
 // clock, so the curve is identical on any host core count.
-func runShardScale(b *testing.B, n int) {
+func ShardScale(b *testing.B, n int) {
 	b.ReportAllocs()
 	var makespan, throughput, copied float64
 	for i := 0; i < b.N; i++ {
@@ -102,14 +73,14 @@ func runShardScale(b *testing.B, n int) {
 	b.ReportMetric(copied/float64(b.N), "copied-bytes/op")
 }
 
-// runShardFreeRounds is the case beside runShardScale that exchanges
+// ShardFreeRounds is the case beside ShardScale that exchanges
 // nothing and never collects globally: n lanes x 1,000 rounds of a few
 // cost units of work each — the shape of the server plan, with the
 // requests taken out. What is left of a round is its boundary, so
 // ns/round (host time inside Runtime.Run per round of the plan, all
 // lanes running at once) is the price of one; building the runtime is
 // outside the timer.
-func runShardFreeRounds(b *testing.B, n int) {
+func ShardFreeRounds(b *testing.B, n int) {
 	const rounds = 1000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -45,38 +45,3 @@ func TestChaosDeterministic(t *testing.T) {
 		t.Errorf("chaos not deterministic: %+v vs %+v", a, b)
 	}
 }
-
-// TestChaosCompareDetects: the comparison actually distinguishes the
-// fields it claims to (a guard against the battery passing vacuously).
-func TestChaosCompareDetects(t *testing.T) {
-	base := Outcome{Name: "x", Serials: []uint32{1, 2, 3}, Fingerprint: "a\nb"}
-	cases := []struct {
-		name    string
-		faulted Outcome
-		field   string
-	}{
-		{"error", Outcome{Name: "x", Err: "boom"}, "replay"},
-		{"oom-flip", Outcome{Name: "x", OOM: true, Serials: []uint32{1, 2, 3}}, "oom"},
-		{"serials", Outcome{Name: "x", Serials: []uint32{1, 9, 3}, Fingerprint: "a\nb"}, "serials"},
-		{"graph", Outcome{Name: "x", Serials: []uint32{1, 2, 3}, Fingerprint: "a\nc"}, "graph"},
-	}
-	for _, c := range cases {
-		divs := chaosCompare(base, c.faulted, 0)
-		if len(divs) == 0 {
-			t.Errorf("%s: no divergence reported", c.name)
-			continue
-		}
-		found := false
-		for _, d := range divs {
-			if d.Field == c.field {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: fields %v, want %q", c.name, divs, c.field)
-		}
-	}
-	if divs := chaosCompare(base, base, 0); len(divs) != 0 {
-		t.Errorf("identical outcomes diverge: %v", divs)
-	}
-}

@@ -23,7 +23,7 @@ func TestDegradeCyclicFixture(t *testing.T) {
 			fx.Configs[0].Degrade, fx.Configs[1].Degrade)
 	}
 
-	plain := RunScriptDirect(fx.Script, fx.Configs[0])
+	plain := run(fx.Configs[0], execute(fx.Script))
 	if plain.Err != "" {
 		t.Fatalf("plain run failed outright: %s", plain.Err)
 	}
@@ -31,7 +31,7 @@ func TestDegradeCyclicFixture(t *testing.T) {
 		t.Error("plain X.X completed: the fixture no longer demonstrates incompleteness")
 	}
 
-	deg := RunScriptDirect(fx.Script, fx.Configs[1])
+	deg := run(fx.Configs[1], execute(fx.Script))
 	if deg.Err != "" {
 		t.Fatalf("degraded run failed: %s", deg.Err)
 	}

@@ -16,7 +16,7 @@ import (
 // Fixture is a committed reproducer: a minimized script (or, for
 // failures found on recorded workload traces, the raw minimized trace)
 // plus the exact configurations that exhibit the divergence. Fixtures
-// replay through RunScriptConfigured / Differential with the stored
+// replay through runConfigured / Differential with the stored
 // configurations untouched, so they rerun bit-identically.
 type Fixture struct {
 	Name     string        `json:"name"`
@@ -41,7 +41,7 @@ func (fx *Fixture) Run() Report {
 		}
 		return Differential(tr, fx.Configs)
 	}
-	return RunScriptConfigured(fx.Script, fx.Configs).Report
+	return runConfigured(fx.Script, fx.Configs).Report
 }
 
 // TraceFixture builds a raw-trace fixture from a minimized trace.
@@ -55,20 +55,11 @@ func TraceFixture(name, note string, tr *trace.Trace, cfgs []core.Config) (*Fixt
 }
 
 // ScriptFixture builds a script fixture with the configurations frozen
-// at the oracle heap sizing for that script, so the stored configs are
-// complete and self-describing.
+// at the oracle heap sizing for that script — what RunScript ran them at —
+// so the stored configs are complete and self-describing.
 func ScriptFixture(name, note string, s Script, cfgs []core.Config) *Fixture {
-	heapBytes := HeapBytesFor(s, OracleFrameBytes)
-	sized := cloneConfigs(cfgs)
-	for i := range sized {
-		if sized[i].HeapBytes == 0 {
-			sized[i].HeapBytes = heapBytes
-		}
-		if sized[i].FrameBytes == 0 {
-			sized[i].FrameBytes = OracleFrameBytes
-		}
-	}
-	return &Fixture{Name: name, Note: note, Script: s, Configs: sized}
+	return &Fixture{Name: name, Note: note, Script: s,
+		Configs: Sized(cfgs, HeapBytesFor(s.AllocBytes()))}
 }
 
 // WriteFixture writes the fixture as indented JSON under dir as

@@ -35,8 +35,9 @@ func FuzzDifferential(f *testing.F) {
 		// battery at four configs trades breadth per exec for execs.
 		cfgs := []core.Config{presets[0], presets[1]}
 		rng := rand.New(rand.NewSource(cfgSeed))
+		heapBytes := HeapBytesFor(script.AllocBytes())
 		for i := 0; i < 2; i++ {
-			cfgs = append(cfgs, RandomConfig(rng, 0, 0)) // sized by RunScript
+			cfgs = append(cfgs, RandomConfig(rng, heapBytes, OracleFrameBytes))
 		}
 		run := RunScript(script, cfgs)
 		if run.Failed() {

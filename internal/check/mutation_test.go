@@ -49,6 +49,23 @@ func barrierStressScript() Script {
 	return s
 }
 
+// mutantBattery is the clean semi-space reference beside spec with every
+// Nth interesting-pointer remember dropped (DebugDropBarrierEvery).
+func mutantBattery(t *testing.T, spec string, every int) []core.Config {
+	t.Helper()
+	clean, err := collectors.Parse("ss", collectors.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutant, err := collectors.Parse(spec, collectors.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutant.Name = spec + "-mutant"
+	mutant.DebugDropBarrierEvery = every
+	return []core.Config{clean, mutant}
+}
+
 // TestOracleCatchesBarrierMutation is the subsystem's mutation test: a
 // deliberately injected barrier bug (drop every 2nd interesting-pointer
 // remember, via the DebugDropBarrierEvery knob) must be caught by the
@@ -56,19 +73,8 @@ func barrierStressScript() Script {
 // fails, the oracle has a blind spot for exactly the class of bug it
 // exists to find.
 func TestOracleCatchesBarrierMutation(t *testing.T) {
-	clean, err := collectors.Parse("ss", collectors.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutant, err := collectors.Parse("25.25", collectors.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutant.Name = "25.25-mutant"
-	mutant.DebugDropBarrierEvery = 2
-
 	script := barrierStressScript()
-	cfgs := []core.Config{clean, mutant}
+	cfgs := mutantBattery(t, "25.25", 2)
 	run := RunScript(script, cfgs)
 	if !run.Failed() {
 		t.Fatal("oracle did not catch the injected barrier bug")
@@ -84,13 +90,34 @@ func TestOracleCatchesBarrierMutation(t *testing.T) {
 	}
 	t.Logf("minimized to %d ops, %d configs in %d evals:\n%s",
 		len(res.Script), len(res.Configs), res.Evals, res.Script)
+	// Deterministic, like the synthetic case: an equal count says the
+	// candidate order did not move.
+	if res.Evals != 162 {
+		t.Errorf("minimizing took %d predicate evaluations, want 162", res.Evals)
+	}
 
 	// The sane sibling must pass: same script, same battery, no knob.
-	mutant.DebugDropBarrierEvery = 0
-	mutant.Name = "25.25"
-	if run := RunScript(script, []core.Config{clean, mutant}); run.Failed() {
+	if run := RunScript(script, mutantBattery(t, "25.25", 0)); run.Failed() {
 		t.Fatalf("un-mutated battery diverges:\n%s", run.String())
 	}
+}
+
+// invariantOnlyScript leaves the object graph right and only the
+// remembered sets wrong under a barrier that drops every remember; see
+// TestOracleReportsInvariantFailure.
+func invariantOnlyScript() Script {
+	script := Script{
+		{Kind: OpAllocGlobal}, // the anchor, live[0]
+		{Kind: OpCollectFull}, // nursery -> belt 1
+		{Kind: OpCollectFull}, // belt 1 -> belt 2
+		{Kind: OpAllocGlobal}, // the target, live[1]
+		{Kind: OpCollectFull}, // nursery -> belt 1; the anchor stays on belt 2
+		{Kind: OpSetRef, A: 0, B: 0, C: 1},
+	}
+	for f := 0; f < 8; f++ { // filler: make the nursery worth collecting alone
+		script = append(script, Op{Kind: OpAllocLarge}, Op{Kind: OpRelease, A: 2})
+	}
+	return append(script, Op{Kind: OpCollect})
 }
 
 // TestOracleReportsInvariantFailure pins the oracle's second net: a
@@ -103,31 +130,8 @@ func TestOracleCatchesBarrierMutation(t *testing.T) {
 // into a divergence — before a later collection turns it into a lost
 // object.
 func TestOracleReportsInvariantFailure(t *testing.T) {
-	clean, err := collectors.Parse("ss", collectors.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutant, err := collectors.Parse("25.25.100", collectors.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutant.Name = "25.25.100-mutant"
-	mutant.DebugDropBarrierEvery = 1
-
-	script := Script{
-		{Kind: OpAllocGlobal}, // the anchor, live[0]
-		{Kind: OpCollectFull}, // nursery -> belt 1
-		{Kind: OpCollectFull}, // belt 1 -> belt 2
-		{Kind: OpAllocGlobal}, // the target, live[1]
-		{Kind: OpCollectFull}, // nursery -> belt 1; the anchor stays on belt 2
-		{Kind: OpSetRef, A: 0, B: 0, C: 1},
-	}
-	for f := 0; f < 8; f++ { // filler: make the nursery worth collecting alone
-		script = append(script, Op{Kind: OpAllocLarge}, Op{Kind: OpRelease, A: 2})
-	}
-	script = append(script, Op{Kind: OpCollect})
-
-	run := RunScript(script, []core.Config{clean, mutant})
+	script := invariantOnlyScript()
+	run := RunScript(script, mutantBattery(t, "25.25.100", 1))
 	if !run.Failed() {
 		t.Fatal("oracle did not report the dropped remember")
 	}
@@ -136,8 +140,7 @@ func TestOracleReportsInvariantFailure(t *testing.T) {
 			t.Errorf("divergence is not the invariant check's: %v", d)
 		}
 	}
-	mutant.DebugDropBarrierEvery = 0
-	if run := RunScript(script, []core.Config{clean, mutant}); run.Failed() {
+	if run := RunScript(script, mutantBattery(t, "25.25.100", 0)); run.Failed() {
 		t.Fatalf("un-mutated battery diverges:\n%s", run.String())
 	}
 }

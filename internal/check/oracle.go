@@ -115,11 +115,39 @@ func watchInvariants(h *core.Heap) {
 	}}))
 }
 
-// replayOne replays the trace on one configuration under the shadow
-// validator and the invariant checker, converting every failure mode —
-// OOM, handle drift, validator or invariant violation, collector panic —
-// into an Outcome.
-func replayOne(tr *trace.Trace, cfg core.Config) (out Outcome) {
+// A drive is what a participant does with its mutator, and how that ended:
+// nil, out of memory, or a failure of the drive itself (handle drift).
+// The oracle keeps two on purpose. replay is record-once-replay-N, the
+// only place trace.Replay's handle-drift check meets random scripts.
+// execute runs the script itself, past the mid-script collections injected
+// faults trigger, so an OOM yields the serial stream actually produced,
+// not a truncated trace: what chaos and the degradation fixture need. A
+// drive may first attach what it needs: recording swaps a trace recorder
+// in for the serial tap, a test merges its gc.Hooks into the heap's.
+type drive func(*vm.Mutator) error
+
+func replay(tr *trace.Trace) drive {
+	return func(m *vm.Mutator) error { return trace.Replay(tr, m) }
+}
+
+func execute(s Script) drive {
+	return func(m *vm.Mutator) error { return m.Run(func() { Execute(s, m) }) }
+}
+
+// recording is d with its operations recorded into tr. An OOM leaves the
+// prefix of the operations that succeeded, and so does a panic.
+func recording(tr *trace.Trace, d drive) drive {
+	return func(m *vm.Mutator) error {
+		m.SetRecorder(tr)
+		return d(m)
+	}
+}
+
+// run is how every participant is run: a fresh heap of cfg under the
+// shadow validator, the invariant checker and the serial tap, driven by
+// d, with every failure mode — OOM, handle drift, validator or invariant
+// violation, collector panic — converted into an Outcome.
+func run(cfg core.Config, d drive) (out Outcome) {
 	out.Name = cfg.Name
 	defer func() {
 		if r := recover(); r != nil {
@@ -136,78 +164,90 @@ func replayOne(tr *trace.Trace, cfg core.Config) (out Outcome) {
 	watchInvariants(h)
 	tap := &serialTap{m: m}
 	m.SetRecorder(tap)
-	err = trace.Replay(tr, m)
+	err = d(m)
 	out.Serials = tap.serials
 	out.Collections = h.Collections()
-	if err != nil {
-		if errors.Is(err, gc.ErrOutOfMemory) {
-			out.OOM = true
-			return out
-		}
-		out.Err = err.Error()
-		return out
-	}
-	// A final explicit check: the last mutation may have happened after
-	// the last collection, and the fingerprint below must describe a
-	// verified heap.
-	if cerr := v.Check(); cerr != nil {
-		out.Err = "validator: " + cerr.Error()
-		return out
-	}
-	out.Fingerprint = v.LiveFingerprint()
+	out.classify(err, v)
 	return out
 }
 
-// Differential replays tr through every configuration and asserts
-// pairwise equivalence of mutator-observable results:
-//
-//   - every replay must pass its own shadow-graph validation;
-//   - OOM verdicts must agree (the oracle's heap-sizing policy makes
-//     completion configuration-independent; see HeapBytesFor);
-//   - allocation-serial streams must be identical — prefix-identical
-//     when a run ended in OOM, since it stops mid-trace;
-//   - final live-graph fingerprints must be identical (only compared
-//     between runs that completed).
+// classify turns how a drive ended into the outcome's verdict: OOM, Err,
+// or the fingerprint of a heap checked one last time — the last mutation
+// may have happened after the last collection, and the fingerprint must
+// describe a verified heap.
+func (o *Outcome) classify(err error, v *vm.Validator) {
+	switch {
+	case errors.Is(err, gc.ErrOutOfMemory):
+		o.OOM = true
+	case err != nil:
+		o.Err = err.Error()
+	default:
+		if cerr := v.Check(); cerr != nil {
+			o.Err = "validator: " + cerr.Error()
+			return
+		}
+		o.Fingerprint = v.LiveFingerprint()
+	}
+}
+
+// compare is the oracle's one rule for when two outcomes of the same
+// subject disagree. A side that failed against its own shadow graph is
+// reported as that and nothing more is compared. Otherwise OOM verdicts
+// must agree (the sizing policy makes completion configuration-
+// independent; see HeapBytesFor); allocation-serial streams must be
+// identical — prefix-identical when a run ended in OOM, since it stops
+// mid-subject; and final live-graph fingerprints must be identical between
+// runs that completed. oomWords is the battery's wording of an OOM
+// mismatch, with a verb for each side's verdict.
 //
 // Collections, pauses, cost, copied bytes, remset traffic and telemetry
 // are policy, not semantics, and are excluded from equivalence.
+func compare(a, b Outcome, oomWords string) []Divergence {
+	var divs []Divergence
+	for _, o := range []Outcome{a, b} {
+		if o.Err != "" {
+			divs = append(divs, Divergence{A: o.Name, Field: "replay", Detail: o.Err})
+		}
+	}
+	if len(divs) > 0 {
+		return divs
+	}
+	add := func(field, detail string) {
+		divs = append(divs, Divergence{A: a.Name, B: b.Name, Field: field, Detail: detail})
+	}
+	if a.OOM != b.OOM {
+		add("oom", fmt.Sprintf(oomWords, a.OOM, b.OOM))
+	}
+	if d := diffSerials(a, b); d != "" {
+		add("serials", d)
+	}
+	if !a.OOM && !b.OOM && a.Fingerprint != b.Fingerprint {
+		add("graph", diffLines(a.Fingerprint, b.Fingerprint))
+	}
+	return divs
+}
+
+// Differential replays tr through every configuration and holds them to
+// each other: every replay must pass its own shadow-graph validation, and
+// the first that does is the reference every other is compared with.
 func Differential(tr *trace.Trace, cfgs []core.Config) Report {
 	var rep Report
-	for _, cfg := range cfgs {
-		rep.Outcomes = append(rep.Outcomes, replayOne(tr, cfg))
-	}
 	ref := -1
-	for i, o := range rep.Outcomes {
+	for i, cfg := range cfgs {
+		o := run(cfg, replay(tr))
+		rep.Outcomes = append(rep.Outcomes, o)
 		if o.Err != "" {
 			rep.Divergences = append(rep.Divergences,
 				Divergence{A: o.Name, Field: "replay", Detail: o.Err})
-			continue
-		}
-		if ref < 0 {
+		} else if ref < 0 {
 			ref = i
 		}
 	}
-	if ref < 0 {
-		return rep // every replay failed; each failure already reported
-	}
-	a := rep.Outcomes[ref]
-	for i, b := range rep.Outcomes {
-		if i == ref || b.Err != "" {
-			continue
-		}
-		if a.OOM != b.OOM {
-			rep.Divergences = append(rep.Divergences, Divergence{
-				A: a.Name, B: b.Name, Field: "oom",
-				Detail: fmt.Sprintf("OOM=%v vs OOM=%v", a.OOM, b.OOM)})
-		}
-		if d := diffSerials(a, b); d != "" {
+	for i, o := range rep.Outcomes {
+		// ref < 0: every replay failed; each failure is already reported.
+		if ref >= 0 && i != ref && o.Err == "" {
 			rep.Divergences = append(rep.Divergences,
-				Divergence{A: a.Name, B: b.Name, Field: "serials", Detail: d})
-		}
-		if !a.OOM && !b.OOM && a.Fingerprint != b.Fingerprint {
-			rep.Divergences = append(rep.Divergences, Divergence{
-				A: a.Name, B: b.Name, Field: "graph",
-				Detail: diffLines(a.Fingerprint, b.Fingerprint)})
+				compare(rep.Outcomes[ref], o, "OOM=%v vs OOM=%v")...)
 		}
 	}
 	return rep
@@ -248,24 +288,38 @@ func diffLines(a, b string) string {
 	return fmt.Sprintf("lengths %d vs %d lines", len(la), len(lb))
 }
 
-// HeapBytesFor is the oracle's heap-sizing policy for scripts: at least
-// three times the script's total allocation volume plus slack, rounded
-// to frames. At that size every configuration completes — even an
-// incomplete collector that never reclaims cyclic garbage, and even a
-// classical collector reserving half the heap — so an OOM verdict is a
-// bug, not policy, and verdicts are comparable across configurations.
-func HeapBytesFor(s Script, frameBytes int) int {
-	hb := 3*s.AllocBytes() + 64*frameBytes
-	return (hb + frameBytes - 1) / frameBytes * frameBytes
+// HeapBytesFor is the oracle's heap-sizing policy, and with Sized the only
+// place a battery's heap geometry is decided: at least three times the
+// subject's total allocation volume (Script.AllocBytes, trace.AllocBytes)
+// plus slack, rounded to frames. At that size every configuration
+// completes — even an incomplete collector that never reclaims cyclic
+// garbage, and even a classical collector reserving half the heap — so an
+// OOM verdict is a bug, not policy, and verdicts are comparable across
+// configurations.
+func HeapBytesFor(allocBytes int) int {
+	hb := 3*allocBytes + 64*OracleFrameBytes
+	return (hb + OracleFrameBytes - 1) / OracleFrameBytes * OracleFrameBytes
+}
+
+// Sized gives every configuration of a battery the one heap its subject
+// was sized to, in oracle frames.
+func Sized(cfgs []core.Config, heapBytes int) []core.Config {
+	sized := make([]core.Config, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.HeapBytes = heapBytes
+		cfg.FrameBytes = OracleFrameBytes
+		cfg.PhysMemBytes = 0 // paging is a cost-model concern, not semantics
+		sized[i] = cfg
+	}
+	return sized
 }
 
 // ScriptRun is the oracle result for one script: the recorded trace, the
 // concrete (heap-sized) configurations, and the differential report.
 type ScriptRun struct {
 	Report
-	Trace     *trace.Trace
-	HeapBytes int
-	Configs   []core.Config
+	Trace   *trace.Trace
+	Configs []core.Config
 	// RecordErr notes a failure while recording the reference trace
 	// (an OOM prefix is not an error; a panic is).
 	RecordErr string
@@ -275,80 +329,44 @@ type ScriptRun struct {
 // records the script's trace on the first configuration, and replays it
 // differentially through all of them.
 func RunScript(script Script, cfgs []core.Config) ScriptRun {
-	heapBytes := HeapBytesFor(script, OracleFrameBytes)
-	sized := make([]core.Config, len(cfgs))
-	for i, cfg := range cfgs {
-		cfg.HeapBytes = heapBytes
-		cfg.FrameBytes = OracleFrameBytes
-		cfg.PhysMemBytes = 0 // paging is a cost-model concern, not semantics
-		sized[i] = cfg
-	}
-	return RunScriptConfigured(script, sized)
+	return runConfigured(script, Sized(cfgs, HeapBytesFor(script.AllocBytes())))
 }
 
-// RunScriptConfigured is RunScript with the configurations used exactly
-// as given (heap and frame sizes included) — the form fixtures replay,
-// so a committed reproducer reruns bit-identically.
-func RunScriptConfigured(script Script, cfgs []core.Config) ScriptRun {
-	run := ScriptRun{Configs: cfgs}
+// runConfigured is RunScript with the configurations used exactly as
+// given (heap and frame sizes included) — the form fixtures replay, so a
+// committed reproducer reruns bit-identically.
+func runConfigured(script Script, cfgs []core.Config) ScriptRun {
+	sr := ScriptRun{Configs: cfgs, Trace: trace.NewTrace()}
 	if len(cfgs) == 0 {
-		run.RecordErr = "no configurations"
-		return run
+		sr.RecordErr = "no configurations"
+		return sr
 	}
-	run.HeapBytes = cfgs[0].HeapBytes
-	run.Trace, run.RecordErr = recordScript(script, cfgs[0])
-	if run.Trace == nil {
-		run.Divergences = append(run.Divergences,
-			Divergence{A: cfgs[0].Name, Field: "replay", Detail: "record: " + run.RecordErr})
-		return run
-	}
-	run.Report = Differential(run.Trace, cfgs)
-	if run.RecordErr != "" {
-		// A panic while recording is a collector bug even if every
+	sr.RecordErr = run(cfgs[0], recording(sr.Trace, execute(script))).Err
+	sr.Report = Differential(sr.Trace, cfgs)
+	if sr.RecordErr != "" {
+		// A failure while recording is a collector bug even if every
 		// replay of the surviving prefix agrees.
-		run.Divergences = append(run.Divergences,
-			Divergence{A: cfgs[0].Name, Field: "replay", Detail: "record: " + run.RecordErr})
+		sr.Divergences = append(sr.Divergences,
+			Divergence{A: cfgs[0].Name, Field: "replay", Detail: "record: " + sr.RecordErr})
 	}
-	return run
-}
-
-// recordScript executes the script once on the reference configuration
-// with a trace recorder attached. An OOM yields the trace prefix of the
-// operations that succeeded (replays then compare that prefix); a panic
-// is reported and yields whatever prefix was recorded.
-func recordScript(script Script, cfg core.Config) (tr *trace.Trace, errStr string) {
-	tr = trace.NewTrace()
-	defer func() {
-		if r := recover(); r != nil {
-			errStr = fmt.Sprintf("panic: %v", r)
-		}
-	}()
-	h, err := core.New(cfg, heap.NewRegistry())
-	if err != nil {
-		return nil, "config: " + err.Error()
-	}
-	m := vm.New(h)
-	watchInvariants(h)
-	m.SetRecorder(tr)
-	_ = m.Run(func() { Execute(script, m) }) // OOM truncates the trace; fine
-	return tr, ""
+	return sr
 }
 
 // RecordWorkload records one bundled benchmark's mutator event stream at
 // the given scale on a reference collector, exactly as cmd/tracebench
 // does: the trace is then collector-independent input for Differential.
 func RecordWorkload(b *workload.Benchmark, scale float64, seed int64, cfg core.Config) (*trace.Trace, error) {
-	h, err := core.New(cfg, heap.NewRegistry())
-	if err != nil {
-		return nil, err
-	}
 	tr := trace.NewTrace()
-	m := vm.New(h)
-	m.SetRecorder(tr)
-	ctx := &workload.Ctx{M: m, Types: h.Space().Types,
-		Rng: rand.New(rand.NewSource(seed)), Scale: scale}
-	if err := m.Run(func() { b.Body(ctx) }); err != nil {
-		return nil, fmt.Errorf("check: recording %s: %w", b.Name, err)
+	out := run(cfg, recording(tr, func(m *vm.Mutator) error {
+		ctx := &workload.Ctx{M: m, Types: m.C.Space().Types,
+			Rng: rand.New(rand.NewSource(seed)), Scale: scale}
+		return m.Run(func() { b.Body(ctx) })
+	}))
+	switch {
+	case out.OOM:
+		return nil, fmt.Errorf("check: recording %s: %w", b.Name, gc.ErrOutOfMemory)
+	case out.Err != "":
+		return nil, fmt.Errorf("check: recording %s: %s", b.Name, out.Err)
 	}
 	return tr, nil
 }

@@ -1,29 +1,43 @@
 // Package check is the correctness subsystem: a differential oracle
-// that replays one recorded mutator trace through many collector
-// configurations and asserts that every configuration preserves the
-// mutator-observable semantics — the paper's central claim that all
-// points in the Beltway configuration space are *correct* copying
-// collectors, checked mechanically rather than per-hand-written-test.
+// that runs one subject through many collector configurations and asserts
+// that every configuration preserves the mutator-observable semantics —
+// the paper's central claim that all points in the Beltway configuration
+// space are *correct* copying collectors, checked mechanically rather
+// than per-hand-written-test.
 //
-// The pieces:
+// Every battery is the same sequence, written once:
 //
-//   - Script: a closed, total little language of mutator operations.
-//     Every byte string decodes to a script and every subsequence of a
-//     script is itself a runnable script (operands are taken modulo the
-//     live-handle count), which is what makes both fuzzing and
-//     delta-debugging trivial.
-//   - Differential / RunScript: the oracle. One config records the
-//     trace; every config replays it under the vm.Validator shadow
-//     graph; final live-graph fingerprints, allocation-serial streams
-//     and OOM verdicts must agree pairwise. Cost and telemetry fields
-//     are explicitly NOT part of equivalence — they are policy.
-//   - Minimize: a deterministic shrinker (ddmin over script ops, then
-//     over config structure) that reduces any failure to a small
-//     reproducer, written to testdata/ as a regression fixture.
+//   - Subject: a Script — a closed, total little language of mutator
+//     operations. Every byte string decodes to a script and every
+//     subsequence of a script is itself runnable (operands are taken
+//     modulo the live-handle count), which is what makes both fuzzing
+//     and delta-debugging trivial — or a recorded trace.Trace.
+//   - Sized configurations: HeapBytesFor turns the subject's allocation
+//     volume into a heap every configuration completes in and Sized gives
+//     it to each of them; nothing else decides heap geometry.
+//   - One run per participant: run builds the heap under the vm.Validator
+//     shadow graph, the invariant checker and the serial tap, drives it
+//     (replays the trace, or executes the script) and turns every way
+//     that can end into an Outcome.
+//   - Pairwise verdict: compare holds two Outcomes to each other on OOM
+//     verdict, allocation-serial stream and final live-graph fingerprint.
+//     Cost and telemetry fields are explicitly NOT part of equivalence —
+//     they are policy.
+//   - Report: the Divergences, one per line.
+//
+// The batteries are what differs. Differential / RunScript record on the
+// first configuration, replay on all and compare each with a reference;
+// RunScriptChaos executes fault-free, then under fault schedules, and
+// compares each with its baseline; RunScriptSharded deals the script over
+// lanes and compares the concurrent schedule with the serial, lane by
+// lane. Minimize / MinimizeTrace shrink a failure deterministically (ddmin
+// over the subject's operations, then over config structure) to a small
+// reproducer, written to testdata/ as a regression Fixture.
 package check
 
 import (
 	"fmt"
+	"math/rand"
 
 	"beltway/internal/gc"
 	"beltway/internal/heap"
@@ -111,6 +125,14 @@ func DecodeScript(data []byte) Script {
 		s = append(s, Op{Kind: OpKind(b[0] % byte(nOpKinds)), A: b[1], B: b[2], C: b[3]})
 	}
 	return s
+}
+
+// RandomScript draws the script of one random oracle round: 32 to 511
+// operations decoded from random bytes.
+func RandomScript(rng *rand.Rand) Script {
+	raw := make([]byte, 4*(32+rng.Intn(480)))
+	rng.Read(raw)
+	return DecodeScript(raw)
 }
 
 // Encode renders the script in the byte form DecodeScript reads. It is

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -31,30 +32,16 @@ import (
 const DefaultOpsPerRound = 64
 
 // ShardedRun is the sharded oracle's result for one configuration.
+// Divergences lists every disagreement (replay failures, OOM verdicts,
+// serial streams, fingerprints, routed entries, makespan) between the
+// schedules.
 type ShardedRun struct {
-	Shards    int
-	Rounds    int
-	HeapBytes int // per-shard heap budget
+	Report
+	Rounds int
 	// Parallel and Serial hold per-shard outcomes of the two schedules,
 	// indexed by shard id.
 	Parallel []Outcome
 	Serial   []Outcome
-	// Divergences lists every disagreement (replay failures, OOM
-	// verdicts, serial streams, fingerprints, routed entries, makespan)
-	// between the schedules.
-	Divergences []Divergence
-}
-
-// Failed reports whether the schedules diverged anywhere.
-func (r *ShardedRun) Failed() bool { return len(r.Divergences) > 0 }
-
-// String renders the divergence list, one per line.
-func (r *ShardedRun) String() string {
-	out := ""
-	for _, d := range r.Divergences {
-		out += d.String() + "\n"
-	}
-	return out
 }
 
 // DealScript partitions a script round-robin over n shards: op i goes
@@ -80,43 +67,33 @@ func RunScriptSharded(script Script, cfg core.Config, shards, opsPerRound int) S
 		opsPerRound = DefaultOpsPerRound
 	}
 	subs := DealScript(script, shards)
-	heapBytes := 0
-	maxOps := 0
+	allocBytes, maxOps := 0, 0
 	for _, sub := range subs {
-		if hb := HeapBytesFor(sub, OracleFrameBytes); hb > heapBytes {
-			heapBytes = hb
-		}
-		if len(sub) > maxOps {
-			maxOps = len(sub)
-		}
+		allocBytes = max(allocBytes, sub.AllocBytes())
+		maxOps = max(maxOps, len(sub))
 	}
-	rounds := (maxOps + opsPerRound - 1) / opsPerRound
-	if rounds == 0 {
-		rounds = 1
-	}
-	cfg.HeapBytes = heapBytes
-	cfg.FrameBytes = OracleFrameBytes
-	cfg.PhysMemBytes = 0 // paging is a cost-model concern, not semantics
+	rounds := max((maxOps+opsPerRound-1)/opsPerRound, 1)
+	cfg = Sized([]core.Config{cfg}, HeapBytesFor(allocBytes))[0]
 
-	run := ShardedRun{Shards: shards, Rounds: rounds, HeapBytes: heapBytes}
+	sr := ShardedRun{Rounds: rounds}
 	build := func() (*shard.Runtime, shard.Plan, error) {
 		return scriptSchedule(cfg, subs, rounds, opsPerRound)
 	}
 	par, perr := runSchedule(cfg.Name, build, false)
 	ser, serr := runSchedule(cfg.Name, build, true)
 	if perr != nil {
-		run.Divergences = append(run.Divergences,
+		sr.Divergences = append(sr.Divergences,
 			Divergence{A: cfg.Name, Field: "replay", Detail: "parallel: " + perr.Error()})
-		return run
+		return sr
 	}
 	if serr != nil {
-		run.Divergences = append(run.Divergences,
+		sr.Divergences = append(sr.Divergences,
 			Divergence{A: cfg.Name, Field: "replay", Detail: "serial: " + serr.Error()})
-		return run
+		return sr
 	}
-	run.Parallel, run.Serial = par.lanes, ser.lanes
-	run.Divergences = diffSchedules(cfg.Name, par, ser)
-	return run
+	sr.Parallel, sr.Serial = par.lanes, ser.lanes
+	sr.Divergences = diffSchedules(cfg.Name, par, ser)
+	return sr
 }
 
 // schedule is what one execution of a sharded plan leaves to compare:
@@ -137,28 +114,18 @@ func diffSchedules(name string, par, ser schedule) []Divergence {
 	var divs []Divergence
 	for i := range par.lanes {
 		a, b := par.lanes[i], ser.lanes[i]
-		if a.Err != "" || b.Err != "" {
-			if a.Err != b.Err {
-				divs = append(divs, Divergence{
-					A: a.Name, B: b.Name, Field: "replay",
-					Detail: fmt.Sprintf("parallel err %q vs serial err %q", a.Err, b.Err)})
-			} else {
-				divs = append(divs, Divergence{A: a.Name, Field: "replay", Detail: a.Err})
-			}
-			continue
-		}
-		if a.OOM != b.OOM {
+		switch {
+		case a.Err != b.Err:
+			// A lane that fails on one schedule only is what this battery
+			// exists to find, and is reported as the pair it is.
 			divs = append(divs, Divergence{
-				A: a.Name, B: b.Name, Field: "oom",
-				Detail: fmt.Sprintf("parallel OOM=%v vs serial OOM=%v", a.OOM, b.OOM)})
-		}
-		if d := diffSerials(a, b); d != "" {
-			divs = append(divs, Divergence{A: a.Name, B: b.Name, Field: "serials", Detail: d})
-		}
-		if !a.OOM && !b.OOM && a.Fingerprint != b.Fingerprint {
-			divs = append(divs, Divergence{
-				A: a.Name, B: b.Name, Field: "graph",
-				Detail: diffLines(a.Fingerprint, b.Fingerprint)})
+				A: a.Name, B: b.Name, Field: "replay",
+				Detail: fmt.Sprintf("parallel err %q vs serial err %q", a.Err, b.Err)})
+		case a.Err != "":
+			// The lane failed the same way on both schedules: one finding.
+			divs = append(divs, Divergence{A: a.Name, Field: "replay", Detail: a.Err})
+		default:
+			divs = append(divs, compare(a, b, "parallel OOM=%v vs serial OOM=%v")...)
 		}
 	}
 	if par.routed != ser.routed {
@@ -250,26 +217,22 @@ func runSchedule(name string, build func() (*shard.Runtime, shard.Plan, error), 
 	if err != nil {
 		return schedule{}, err
 	}
-	run := schedule{routed: rt.RoutedEntries(), makespan: rt.Makespan()}
+	sched := schedule{routed: rt.RoutedEntries(), makespan: rt.Makespan()}
 	for i, s := range rt.Shards() {
 		out := Outcome{
 			Name:        fmt.Sprintf("%s/%s/shard%d", name, mode, i),
 			Collections: s.Heap.Collections(),
 			Serials:     taps[i].serials,
 		}
+		var err error
 		switch {
 		case s.OOM():
-			out.OOM = true
+			err = gc.ErrOutOfMemory
 		case s.Failure() != "":
-			out.Err = s.Failure()
-		default:
-			if cerr := s.V.Check(); cerr != nil {
-				out.Err = "validator: " + cerr.Error()
-			} else {
-				out.Fingerprint = s.V.LiveFingerprint()
-			}
+			err = errors.New(s.Failure())
 		}
-		run.lanes = append(run.lanes, out)
+		out.classify(err, s.V)
+		sched.lanes = append(sched.lanes, out)
 	}
-	return run, nil
+	return sched, nil
 }

@@ -41,13 +41,8 @@ func TestShardedOracleBattery(t *testing.T) {
 					continue
 				}
 				for i := range run.Parallel {
-					a, b := ref[i], run.Parallel[i]
-					if d := diffSerials(a, b); d != "" {
-						t.Errorf("%s vs %s: shard %d serials: %s", a.Name, b.Name, i, d)
-					}
-					if a.Fingerprint != b.Fingerprint {
-						t.Errorf("%s vs %s: shard %d graphs: %s",
-							a.Name, b.Name, i, diffLines(a.Fingerprint, b.Fingerprint))
+					for _, d := range compare(ref[i], run.Parallel[i], "OOM=%v vs OOM=%v") {
+						t.Errorf("shard %d: %s", i, d)
 					}
 				}
 			}

@@ -34,24 +34,40 @@ type MinimizeResult struct {
 // of predicate evaluations (each one replays the trace through every
 // remaining configuration); <= 0 means a default budget.
 func Minimize(script Script, cfgs []core.Config, fail Failing, maxEvals int) MinimizeResult {
-	if maxEvals <= 0 {
-		maxEvals = 600
-	}
-	m := &minimizer{fail: fail, budget: maxEvals}
-	script = m.ddmin(script, cfgs)
-	cfgs = m.shrinkConfigSet(script, cfgs)
-	cfgs = m.simplifyConfigs(script, cfgs)
-	script = m.ddmin(script, cfgs)
+	m := newMinimizer(fail, maxEvals)
+	// Every subsequence of a script is itself runnable (operands are
+	// modular), so removal needs no fix-ups.
+	script, cfgs = m.reduce(script, cfgs,
+		func(s Script) int { return len(s) },
+		func(s Script, keep func(int) bool) (Script, bool) {
+			candidate := make(Script, 0, len(s))
+			for i, op := range s {
+				if keep(i) {
+					candidate = append(candidate, op)
+				}
+			}
+			return candidate, true
+		})
 	return MinimizeResult{Script: script, Configs: cfgs, Evals: m.evals}
 }
 
-type minimizer struct {
-	fail   Failing
+// minimizer shrinks a failing (subject, configs) pair; the subject is a
+// Script or a recorded trace, and only how a kept index set becomes a
+// candidate subject differs between the two.
+type minimizer[S any] struct {
+	fail   func(S, []core.Config) bool
 	budget int
 	evals  int
 }
 
-func (m *minimizer) check(s Script, cfgs []core.Config) bool {
+func newMinimizer[S any](fail func(S, []core.Config) bool, maxEvals int) *minimizer[S] {
+	if maxEvals <= 0 {
+		maxEvals = 600
+	}
+	return &minimizer[S]{fail: fail, budget: maxEvals}
+}
+
+func (m *minimizer[S]) check(s S, cfgs []core.Config) bool {
 	if m.evals >= m.budget {
 		return false
 	}
@@ -59,21 +75,42 @@ func (m *minimizer) check(s Script, cfgs []core.Config) bool {
 	return m.fail(s, cfgs)
 }
 
-// ddmin is the classic delta-debugging loop over script operations.
-// Because every subsequence of a script is itself runnable (operands are
-// modular), removal needs no fix-ups.
-func (m *minimizer) ddmin(s Script, cfgs []core.Config) Script {
+// reduce is the order both minimisers work in: the subject's operations,
+// the configuration set, each configuration's structure, the operations
+// again. size counts a subject's operations; slice builds the candidate
+// that keeps the operations keep selects, or says it cannot be built.
+func (m *minimizer[S]) reduce(s S, cfgs []core.Config, size func(S) int,
+	slice func(S, func(int) bool) (S, bool)) (S, []core.Config) {
+	shrink := func() {
+		m.ddmin(size(s), func(keep func(int) bool) bool {
+			candidate, ok := slice(s, keep)
+			if !ok || !m.check(candidate, cfgs) {
+				return false
+			}
+			s = candidate
+			return true
+		})
+	}
+	shrink()
+	cfgs = m.shrinkConfigSet(s, cfgs)
+	cfgs = m.simplifyConfigs(s, cfgs)
+	shrink()
+	return s, cfgs
+}
+
+// ddmin is the classic delta-debugging loop over the index set [0, size).
+// try reports whether the candidate keeping exactly the indexes keep
+// selects still fails; when it does the candidate is adopted and its
+// operations are renumbered from zero.
+func (m *minimizer[S]) ddmin(size int, try func(keep func(int) bool) bool) {
 	n := 2
-	for len(s) >= 2 {
-		chunk := (len(s) + n - 1) / n
+	for size >= 2 {
+		chunk := (size + n - 1) / n
 		reduced := false
-		for start := 0; start < len(s); start += chunk {
-			end := min(start+chunk, len(s))
-			candidate := make(Script, 0, len(s)-(end-start))
-			candidate = append(candidate, s[:start]...)
-			candidate = append(candidate, s[end:]...)
-			if len(candidate) > 0 && m.check(candidate, cfgs) {
-				s = candidate
+		for start := 0; start < size; start += chunk {
+			end := min(start+chunk, size)
+			if try(func(i int) bool { return i < start || i >= end }) {
+				size -= end - start
 				n = max(n-1, 2)
 				reduced = true
 				break
@@ -82,26 +119,22 @@ func (m *minimizer) ddmin(s Script, cfgs []core.Config) Script {
 		if reduced {
 			continue
 		}
-		if n >= len(s) {
+		if n >= size {
 			break
 		}
-		n = min(2*n, len(s))
+		n = min(2*n, size)
 	}
 	// Final single-op sweep (back to front so indexes stay valid).
-	for i := len(s) - 1; i >= 0 && len(s) > 1; i-- {
-		candidate := make(Script, 0, len(s)-1)
-		candidate = append(candidate, s[:i]...)
-		candidate = append(candidate, s[i+1:]...)
-		if m.check(candidate, cfgs) {
-			s = candidate
+	for i := size - 1; i >= 0 && size > 1; i-- {
+		if try(func(j int) bool { return j != i }) {
+			size--
 		}
 	}
-	return s
 }
 
 // shrinkConfigSet tries to cut the configuration set down to a single
 // config (a self-divergence) or a single diverging pair.
-func (m *minimizer) shrinkConfigSet(s Script, cfgs []core.Config) []core.Config {
+func (m *minimizer[S]) shrinkConfigSet(s S, cfgs []core.Config) []core.Config {
 	if len(cfgs) <= 1 {
 		return cfgs
 	}
@@ -125,7 +158,7 @@ func (m *minimizer) shrinkConfigSet(s Script, cfgs []core.Config) []core.Config 
 // simplifyConfigs applies structure-reducing transforms to each config
 // in turn, keeping a transform only when the failure persists and the
 // config stays valid.
-func (m *minimizer) simplifyConfigs(s Script, cfgs []core.Config) []core.Config {
+func (m *minimizer[S]) simplifyConfigs(s S, cfgs []core.Config) []core.Config {
 	transforms := []func(*core.Config){
 		func(c *core.Config) { c.TTDBytes = 0 },
 		func(c *core.Config) { c.RemsetThreshold = 0 },
@@ -204,89 +237,18 @@ type TraceMinimizeResult struct {
 // trace.Slice, which renumbers handles exactly as replay will assign
 // them; subsets that are not self-contained (or whose reduction changes
 // semantics enough to drift) simply fail the predicate and are skipped.
-// Configuration reduction reuses the script shrinker's transforms via a
-// predicate adapter.
 func MinimizeTrace(tr *trace.Trace, cfgs []core.Config, fail TraceFailing, maxEvals int) TraceMinimizeResult {
-	if maxEvals <= 0 {
-		maxEvals = 600
+	numOps := func(tr *trace.Trace) int {
+		n, _ := tr.NumOps() // a trace that does not parse has nothing to remove
+		return n
 	}
-	m := &traceMinimizer{fail: fail, budget: maxEvals}
-	tr = m.ddmin(tr, cfgs)
-	// Reuse the config-set and config-structure reduction by adapting the
-	// predicate: the script argument is ignored, the trace is captured.
-	sm := &minimizer{budget: maxEvals - m.evals,
-		fail: func(_ Script, cs []core.Config) bool { return fail(tr, cs) }}
-	cfgs = sm.shrinkConfigSet(nil, cfgs)
-	cfgs = sm.simplifyConfigs(nil, cfgs)
-	m.evals += sm.evals
-	tr = m.ddmin(tr, cfgs)
-	n, _ := tr.NumOps()
-	return TraceMinimizeResult{Trace: tr, Ops: n, Configs: cfgs, Evals: m.evals}
-}
-
-type traceMinimizer struct {
-	fail   TraceFailing
-	budget int
-	evals  int
-}
-
-// try slices tr down to the kept index set and evaluates the predicate;
-// an invalid slice counts as a non-failure.
-func (m *traceMinimizer) try(tr *trace.Trace, keep func(int) bool, cfgs []core.Config) *trace.Trace {
-	if m.evals >= m.budget {
-		return nil
-	}
-	cand, err := tr.Slice(keep)
-	if err != nil {
-		return nil
-	}
-	m.evals++
-	if m.fail(cand, cfgs) {
-		return cand
-	}
-	return nil
-}
-
-func (m *traceMinimizer) ddmin(tr *trace.Trace, cfgs []core.Config) *trace.Trace {
-	size, err := tr.NumOps()
-	if err != nil {
-		return tr
-	}
-	n := 2
-	for size >= 2 {
-		chunk := (size + n - 1) / n
-		reduced := false
-		for start := 0; start < size; start += chunk {
-			end := min(start+chunk, size)
-			if end-start == size {
-				continue
-			}
-			cand := m.try(tr, func(i int) bool { return i < start || i >= end }, cfgs)
-			if cand != nil {
-				tr = cand
-				size -= end - start
-				n = max(n-1, 2)
-				reduced = true
-				break
-			}
-		}
-		if reduced {
-			continue
-		}
-		if n >= size {
-			break
-		}
-		n = min(2*n, size)
-	}
-	// Final single-op sweep, back to front.
-	for i := size - 1; i >= 0 && size > 1; i-- {
-		cand := m.try(tr, func(j int) bool { return j != i }, cfgs)
-		if cand != nil {
-			tr = cand
-			size--
-		}
-	}
-	return tr
+	m := newMinimizer(fail, maxEvals)
+	tr, cfgs = m.reduce(tr, cfgs, numOps,
+		func(tr *trace.Trace, keep func(int) bool) (*trace.Trace, bool) {
+			candidate, err := tr.Slice(keep)
+			return candidate, err == nil
+		})
+	return TraceMinimizeResult{Trace: tr, Ops: numOps(tr), Configs: cfgs, Evals: m.evals}
 }
 
 func cloneConfigs(cfgs []core.Config) []core.Config {

@@ -8,9 +8,8 @@ import (
 	"beltway/internal/heap"
 )
 
-// Benchmark bodies live in beltway/internal/bench so `go test -bench`
-// and the cmd/bench regression harness measure the same code. The
-// helpers below are shared with the allocation-guard tests.
+// Benchmark bodies live in beltway/internal/bench. The helpers below
+// are shared with the allocation-guard tests.
 
 func benchHeap(tb testing.TB, cfg core.Config) (*core.Heap, *heap.TypeDesc) {
 	tb.Helper()

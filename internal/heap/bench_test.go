@@ -6,8 +6,7 @@ import (
 	"beltway/internal/bench"
 )
 
-// Benchmark bodies live in beltway/internal/bench so `go test -bench`
-// and the cmd/bench regression harness measure the same code.
+// Benchmark bodies live in beltway/internal/bench.
 
 func BenchmarkWordAccess(b *testing.B)    { bench.WordAccess(b) }
 func BenchmarkFrameMapUnmap(b *testing.B) { bench.FrameMapUnmap(b) }

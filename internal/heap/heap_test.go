@@ -363,7 +363,7 @@ func TestObjectPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpanMapping exercises MapSpan/UnmapSpan interleaved with single
+// TestSpanMapping exercises MapSpan and its release interleaved with single
 // frames: span addresses must be contiguous and spans must never overlap
 // live single frames.
 func TestSpanMapping(t *testing.T) {
@@ -386,7 +386,9 @@ func TestSpanMapping(t *testing.T) {
 	if s.FrameOf(a) == s.FrameOf(a+Addr(3*s.FrameBytes())-4) {
 		t.Error("span frames share a frame number")
 	}
-	s.UnmapSpan(span, 3)
+	for i := 0; i < 3; i++ { // frame by frame, as core's LOS sweep frees a span
+		s.UnmapFrame(span + Frame(i))
+	}
 	s.UnmapFrame(f1)
 	s.UnmapFrame(f2)
 	if s.MappedFrames() != 0 {
@@ -421,10 +423,8 @@ func TestAddressReuseChurn(t *testing.T) {
 				if len(live) > 0 {
 					i := int(op) % len(live)
 					sp := live[i]
-					if sp.n == 1 {
-						s.UnmapFrame(sp.f)
-					} else {
-						s.UnmapSpan(sp.f, sp.n)
+					for k := 0; k < sp.n; k++ {
+						s.UnmapFrame(sp.f + Frame(k))
 					}
 					live[i] = live[len(live)-1]
 					live = live[:len(live)-1]

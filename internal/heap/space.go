@@ -212,7 +212,8 @@ func (s *Space) UnmapFrame(f Frame) {
 // MapSpan maps n consecutive fresh frames (for a large object spanning
 // frames) and returns the first. Span frame numbers are always newly
 // minted — the single-frame recycle queue is not consulted — so the
-// addresses are guaranteed contiguous.
+// addresses are guaranteed contiguous. A span is released frame by frame
+// with UnmapFrame, and its frame numbers are recycled individually.
 func (s *Space) MapSpan(n int) Frame {
 	if n < 1 {
 		panic("heap: MapSpan of non-positive length")
@@ -226,14 +227,6 @@ func (s *Space) MapSpan(n int) Frame {
 		}
 	}
 	return f
-}
-
-// UnmapSpan releases the n frames of a span mapped with MapSpan. The
-// frame numbers are recycled individually.
-func (s *Space) UnmapSpan(f Frame, n int) {
-	for i := 0; i < n; i++ {
-		s.UnmapFrame(f + Frame(i))
-	}
 }
 
 // fault reconstructs the precise panic for a bad access. It is kept out

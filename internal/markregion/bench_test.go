@@ -6,8 +6,7 @@ import (
 	"beltway/internal/bench"
 )
 
-// Benchmark bodies live in beltway/internal/bench so `go test -bench`
-// and the cmd/bench regression harness measure the same code.
+// Benchmark bodies live in beltway/internal/bench.
 
 func BenchmarkMarkRegionAlloc(b *testing.B)          { bench.MarkRegionAlloc(b) }
 func BenchmarkLineMark(b *testing.B)                 { bench.LineMark(b) }

@@ -6,7 +6,10 @@ import (
 	"beltway/internal/bench"
 )
 
-// Benchmark bodies live in beltway/internal/bench so `go test -bench`
-// and the cmd/bench regression harness measure the same code.
+// Benchmark bodies live in beltway/internal/bench.
 
-func BenchmarkReport(b *testing.B) { bench.ServerReport(b) }
+func BenchmarkServerBeltway(b *testing.B)  { bench.ServerBeltway(b) }
+func BenchmarkServerAppel(b *testing.B)    { bench.ServerAppel(b) }
+func BenchmarkServerImmix(b *testing.B)    { bench.ServerImmix(b) }
+func BenchmarkServerSharded4(b *testing.B) { bench.ServerSharded4(b) }
+func BenchmarkReport(b *testing.B)         { bench.ServerReport(b) }

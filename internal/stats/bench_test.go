@@ -6,7 +6,6 @@ import (
 	"beltway/internal/bench"
 )
 
-// Benchmark bodies live in beltway/internal/bench so `go test -bench`
-// and the cmd/bench regression harness measure the same code.
+// Benchmark bodies live in beltway/internal/bench.
 
 func BenchmarkClockPauseTotals(b *testing.B) { bench.ClockPauseTotals(b) }
