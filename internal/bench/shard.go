@@ -11,9 +11,8 @@ import (
 // ShardScale runs a fixed rounds-with-barriers plan over n mutator
 // shards: every round each shard allocates linked chains off its
 // private nursery, publishes its survivor to the exchange and consumes
-// its neighbor's, polling the safepoint throughout; every second round
-// boundary runs a rendezvoused global collection fanned out over
-// parallel workers. Reported extras:
+// its neighbor's; every second round boundary runs a rendezvoused
+// global collection, the shard heaps side by side. Reported extras:
 //
 //	makespan-cost/op    simulated N-core elapsed cost units per run
 //	agg-B-per-cost/op   aggregate (allocated+copied) bytes per makespan
@@ -47,7 +46,6 @@ func ShardScale(b *testing.B, n int) {
 					s.M.SetRef(h, 0, last)
 					last = h
 					s.M.Work(8)
-					s.Poll()
 				}
 				kept := s.M.Keep(last)
 				s.M.Pop()
@@ -60,13 +58,18 @@ func ShardScale(b *testing.B, n int) {
 		if err := rt.Run(plan); err != nil {
 			b.Fatal(err)
 		}
-		res := rt.Result()
-		if res.OOM {
-			b.Fatal("shard bench OOM: heap sizing is off")
+		var moved, runCopied uint64 // bytes allocated plus copied; bytes copied
+		for _, s := range rt.Shards() {
+			if s.OOM() {
+				b.Fatal("shard bench OOM: heap sizing is off")
+			}
+			c := s.Heap.Clock().Counters
+			moved += c.BytesAllocated + c.BytesCopied
+			runCopied += c.BytesCopied
 		}
-		makespan += res.Makespan
-		throughput += res.Throughput()
-		copied += float64(res.BytesCopied)
+		makespan += rt.Makespan()
+		throughput += float64(moved) / rt.Makespan()
+		copied += float64(runCopied)
 	}
 	b.ReportMetric(makespan/float64(b.N), "makespan-cost/op")
 	b.ReportMetric(throughput/float64(b.N), "agg-B-per-cost/op")
@@ -92,16 +95,12 @@ func ShardFreeRounds(b *testing.B, n int) {
 		}
 		plan := shard.Plan{Rounds: rounds, Body: func(_ int, s *shard.Shard) {
 			s.M.Work(4)
-			s.Poll()
 		}}
 		b.StartTimer()
 		if err := rt.Run(plan); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if got := rt.Result().Rounds; got != rounds {
-			b.Fatalf("ran %d rounds, want %d", got, rounds)
-		}
 		rt.Release()
 		b.StartTimer()
 	}

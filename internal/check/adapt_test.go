@@ -14,7 +14,7 @@ import (
 // every objective must preserve mutator-observable semantics: OOM
 // verdicts, allocation-serial streams, and live-graph fingerprints all
 // match the static replay of the same trace.
-var adaptObjectives = []string{"slo", "mmu", "footprint", "throughput"}
+var adaptObjectives = []string{"slo", "throughput"}
 
 // adaptiveConfigs builds one static configuration plus one per
 // objective, each with its own fresh controller (controllers are

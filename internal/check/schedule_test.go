@@ -55,10 +55,10 @@ func serverScenario(lanes int) (*shard.Runtime, shard.Plan, error) {
 		return nil, shard.Plan{}, err
 	}
 	loops := make([]*server.Loop, lanes)
-	for i, s := range rt.Shards() {
+	for i := range loops {
 		lc := sc
 		lc.Seed = shard.StreamSeed(sc.Seed, i)
-		if loops[i], err = server.NewLoop(lc, server.LoopOpts{Poll: s.Poll}); err != nil {
+		if loops[i], err = server.NewLoop(lc, server.LoopOpts{}); err != nil {
 			return nil, shard.Plan{}, err
 		}
 	}
@@ -87,7 +87,6 @@ func chain(s *shard.Shard, r int) gc.Handle {
 		s.M.SetRef(h, 0, last)
 		last = h
 		s.M.Work(1 + s.Rng.Intn(4))
-		s.Poll()
 	}
 	kept := s.M.Keep(last)
 	s.M.Pop()

@@ -179,7 +179,6 @@ func scriptSchedule(cfg core.Config, subs []Script, rounds, opsPerRound int) (*s
 			}
 			for _, op := range sub[lo:hi] {
 				ex.Do(op)
-				s.Poll()
 			}
 			if r == rounds-1 {
 				ex.Close()

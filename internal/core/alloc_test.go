@@ -32,7 +32,7 @@ type allocRow struct {
 	name      string
 	mk        func() core.Config
 	pretenure bool // the stream allocates pretenured objects too
-	knobs     bool // the stream retunes TTDBytes between allocations
+	knobs     bool // the stream retunes belt 0's sizing between allocations
 	noWindow  bool // the window must never open
 	fired     *int // injected faults that fired, on either heap, so far
 	used      func(allocStats) bool
@@ -339,11 +339,17 @@ func runAllocScript(t *testing.T, row allocRow, seed int64) allocStats {
 			n := frameWords/4 + rng.Intn(frameWords/8)
 			ok = alloc(what+" alloc pretenured", func(m *vm.Mutator) gc.Handle { return m.AllocPretenured(words, n) })
 		case r < 61 && row.knobs:
-			// Retune the time-to-die trigger between two allocations, as
-			// a tuner would at the end of a collection: off, or on at a
-			// distance the heap is usually within.
-			ttd := float64(rng.Intn(3) * 12 * cfg.FrameBytes)
-			ups := []core.KnobUpdate{{Knob: core.KnobTTDBytes, Belt: -1, Value: ttd}}
+			// Retune belt 0 between two allocations as the slo controller
+			// does at the end of a collection: to Appel's shape (all of
+			// usable memory, nothing reserved), or back to the preset's.
+			b0 := cfg.Belts[0]
+			if rng.Intn(2) == 0 {
+				b0.IncrementFrac, b0.ReserveFrac = 1, 0
+			}
+			ups := []core.KnobUpdate{
+				{Knob: core.KnobIncrementFrac, Belt: 0, Value: b0.IncrementFrac},
+				{Knob: core.KnobReserveFrac, Belt: 0, Value: b0.ReserveFrac},
+			}
 			p.win.ApplyKnobs(ups)
 			p.ref.ApplyKnobs(ups)
 			p.stats.knobFlips++

@@ -335,11 +335,10 @@ func (h *Heap) finish(st *gcState) {
 	if h.hooks.PostGC != nil {
 		h.hooks.PostGC()
 	}
-	h.runTuner(st.trigger, st.full, end)
+	h.runTuner(st.full, end)
 }
 
-// beltStat is belt bi's occupancy as the Occupancy hook and the tuner see
-// it.
+// beltStat is belt bi's occupancy as the Occupancy hook sees it.
 func (h *Heap) beltStat(bi int) gc.BeltStat {
 	b := h.belts[bi]
 	frames := 0

@@ -6,42 +6,30 @@ import (
 )
 
 // Knob identifies one policy parameter a Tuner may retune at a
-// collection boundary. The knobs are exactly the scheduling levers the
-// paper exposes as command-line options (§3.3): belt/increment sizing,
-// promotion targets, and the nursery/remset/time-to-die triggers.
+// collection boundary: the two per-belt sizing levers of the paper's
+// command line (§3.3) that the controller in internal/policy turns. The
+// values are the EvPolicy wire format (internal/telemetry names them by
+// number), so a retired knob's number is not reused.
 type Knob uint8
 
 const (
-	KnobNone            Knob = iota
-	KnobIncrementFrac        // per-belt: BeltSpec.IncrementFrac
-	KnobMaxIncrements        // per-belt: BeltSpec.MaxIncrements
-	KnobReserveFrac          // per-belt: BeltSpec.ReserveFrac
-	KnobPromoteTo            // per-belt: BeltSpec.PromoteTo
-	KnobRemsetThreshold      // global: Config.RemsetThreshold
-	KnobTTDBytes             // global: Config.TTDBytes
+	KnobNone          Knob = 0
+	KnobIncrementFrac Knob = 1 // BeltSpec.IncrementFrac
+	KnobReserveFrac   Knob = 3 // BeltSpec.ReserveFrac
 )
 
 func (k Knob) String() string {
 	switch k {
 	case KnobIncrementFrac:
 		return "increment-frac"
-	case KnobMaxIncrements:
-		return "max-increments"
 	case KnobReserveFrac:
 		return "reserve-frac"
-	case KnobPromoteTo:
-		return "promote-to"
-	case KnobRemsetThreshold:
-		return "remset-threshold"
-	case KnobTTDBytes:
-		return "ttd-bytes"
 	}
 	return "none"
 }
 
-// KnobUpdate is one requested knob change. Belt indexes the target belt
-// for per-belt knobs and is ignored (conventionally -1) for global ones.
-// Value carries the new setting; integer knobs truncate it.
+// KnobUpdate is one requested knob change: the knob of belt Belt is set
+// to Value.
 type KnobUpdate struct {
 	Knob  Knob
 	Belt  int
@@ -52,23 +40,16 @@ type KnobUpdate struct {
 // boundary. Everything is a value copy: tuners never see live collector
 // structures, so a buggy tuner can skew policy but not corrupt the heap.
 type TuneInput struct {
-	GC      uint64         // collection ordinal (1 = first collection)
-	Now     float64        // cost-unit clock at the end of the collection
-	Trigger gc.TriggerKind // what scheduled this collection
-	Full    bool           // condemned set covered the whole collected heap
-	End     gc.GCEndInfo   // the collection's GCEnd deltas
+	GC   uint64       // collection ordinal (1 = first collection)
+	Now  float64      // cost-unit clock at the end of the collection
+	Full bool         // condemned set covered the whole collected heap
+	End  gc.GCEndInfo // the collection's GCEnd deltas
 
-	HeapBytes      int // configured heap budget
-	ReserveBytes   int // current dynamic copy reserve
-	FrameBytes     int
-	LiveBytes      int // post-collection belt occupancy (survivors + floating garbage)
-	FootprintBytes int // mapped footprint, bytes (heap frames + boot image)
+	HeapBytes    int // configured heap budget
+	ReserveBytes int // current dynamic copy reserve
+	LiveBytes    int // post-collection belt occupancy (survivors + floating garbage)
 
-	Belts     []BeltSpec    // current knob values, lowest belt first
-	Occupancy []gc.BeltStat // post-collection per-belt occupancy
-
-	RemsetThreshold int
-	TTDBytes        int
+	Belts []BeltSpec // current knob values, lowest belt first
 
 	OlderFirst bool
 	MOS        bool
@@ -92,33 +73,24 @@ type Tuner interface {
 // whatever updates pass validation. Called with the heap consistent
 // (inGC already cleared) but still inside the pause window; tuner
 // decisions are policy work, not collector work, and charge no cost.
-func (h *Heap) runTuner(trigger gc.TriggerKind, full bool, end gc.GCEndInfo) {
+func (h *Heap) runTuner(full bool, end gc.GCEndInfo) {
 	t := h.cfg.Policy
 	if t == nil {
 		return
 	}
-	in := TuneInput{
-		GC:              h.gcCount,
-		Now:             h.clock.Now(),
-		Trigger:         trigger,
-		Full:            full,
-		End:             end,
-		HeapBytes:       h.cfg.HeapBytes,
-		ReserveBytes:    h.reserveBytes,
-		FrameBytes:      h.cfg.FrameBytes,
-		LiveBytes:       h.LiveEstimate(),
-		FootprintBytes:  h.FootprintBytes(),
-		Belts:           append([]BeltSpec(nil), h.cfg.Belts...),
-		RemsetThreshold: h.cfg.RemsetThreshold,
-		TTDBytes:        h.cfg.TTDBytes,
-		OlderFirst:      h.cfg.OlderFirst,
-		MOS:             h.cfg.MOS,
-		Costs:           h.cfg.Costs,
-	}
-	for bi := range h.belts {
-		in.Occupancy = append(in.Occupancy, h.beltStat(bi))
-	}
-	h.applyKnobUpdates(t.Tune(in))
+	h.applyKnobUpdates(t.Tune(TuneInput{
+		GC:           h.gcCount,
+		Now:          h.clock.Now(),
+		Full:         full,
+		End:          end,
+		HeapBytes:    h.cfg.HeapBytes,
+		ReserveBytes: h.reserveBytes,
+		LiveBytes:    h.LiveEstimate(),
+		Belts:        append([]BeltSpec(nil), h.cfg.Belts...),
+		OlderFirst:   h.cfg.OlderFirst,
+		MOS:          h.cfg.MOS,
+		Costs:        h.cfg.Costs,
+	}))
 }
 
 // applyKnobUpdates validates and applies tuner decisions, then refreshes
@@ -134,63 +106,25 @@ func (h *Heap) applyKnobUpdates(updates []KnobUpdate) {
 	touched := make([]bool, len(h.belts))
 	applied := false
 	for _, u := range updates {
-		switch u.Knob {
-		case KnobRemsetThreshold:
-			if v := int(u.Value); v >= 0 {
-				h.cfg.RemsetThreshold = v
-				applied = true
-			}
-			continue
-		case KnobTTDBytes:
-			if v := int(u.Value); v >= 0 {
-				h.cfg.TTDBytes = v
-				applied = true
-			}
-			continue
-		}
-		// Per-belt knobs. Under older-first the two belts swap roles at
-		// flips and the spec indexes no longer name stable roles; under
-		// MOS the top belt's car geometry is load-bearing (Validate pins
-		// it). Reject rather than guess.
-		if h.cfg.OlderFirst {
-			continue
-		}
-		if u.Belt < 0 || u.Belt >= len(h.belts) {
-			continue
-		}
-		if h.cfg.MOS && u.Belt == h.mosBelt() {
+		// Under older-first the two belts swap roles at flips and the
+		// spec indexes no longer name stable roles; under MOS the top
+		// belt's car geometry is load-bearing (Validate pins it). Reject
+		// rather than guess.
+		if h.cfg.OlderFirst || u.Belt < 0 || u.Belt >= len(h.belts) ||
+			(h.cfg.MOS && u.Belt == h.mosBelt()) {
 			continue
 		}
 		spec := &h.cfg.Belts[u.Belt]
-		switch u.Knob {
-		case KnobIncrementFrac:
-			if u.Value > 0 {
-				spec.IncrementFrac = u.Value
-				touched[u.Belt], applied = true, true
-			}
-		case KnobMaxIncrements:
-			if v := int(u.Value); v >= 0 {
-				spec.MaxIncrements = v
-				touched[u.Belt], applied = true, true
-			}
-		case KnobReserveFrac:
-			if u.Value >= 0 && u.Value < 1 {
-				spec.ReserveFrac = u.Value
-				touched[u.Belt], applied = true, true
-			}
-		case KnobPromoteTo:
-			// No demotion (Validate's rule outside older-first), and the
-			// top belt keeps promoting to itself.
-			if v := int(u.Value); v >= u.Belt && v < len(h.belts) &&
-				!(u.Belt == len(h.belts)-1 && v != u.Belt) {
-				spec.PromoteTo = v
-				h.belts[u.Belt].promoteTo = v
-				touched[u.Belt], applied = true, true
-			}
+		switch {
+		case u.Knob == KnobIncrementFrac && u.Value > 0:
+			spec.IncrementFrac = u.Value
+		case u.Knob == KnobReserveFrac && u.Value >= 0 && u.Value < 1:
+			spec.ReserveFrac = u.Value
+		default:
+			continue
 		}
-		if touched[u.Belt] {
-			h.belts[u.Belt].spec = *spec
-		}
+		h.belts[u.Belt].spec = *spec
+		touched[u.Belt], applied = true, true
 	}
 	if !applied {
 		return

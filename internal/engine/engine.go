@@ -130,9 +130,6 @@ type Config struct {
 	// transient (MarkTransient); 0 disables retrying. Panics and timeouts
 	// are never retried — they are not transient by definition.
 	Retries int
-	// RetryBackoff is the sleep before the first retry, doubling per
-	// subsequent attempt; 0 retries immediately.
-	RetryBackoff time.Duration
 	// Progress, if non-nil, receives one line per job completion.
 	Progress func(string)
 	// OnRecord, if non-nil, receives every record as it settles — freshly

@@ -73,7 +73,7 @@ func TestNoRetryForPermanentErrorOrPanic(t *testing.T) {
 }
 
 func TestRetriesExhaustedKeepsTransientError(t *testing.T) {
-	e := New(Config{Workers: 1, Retries: 2, RetryBackoff: time.Microsecond})
+	e := New(Config{Workers: 1, Retries: 2})
 	var calls atomic.Int32
 	job := Job{
 		Key: Key{Experiment: "retry", Benchmark: "hopeless"},

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ErrTransient marks job errors the engine may retry: conditions a
@@ -25,27 +24,14 @@ func MarkTransient(err error) error {
 // IsTransient reports whether err is marked transient.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
-// maxRetryBackoff caps the doubling retry backoff: a high Retries
-// config should poll patiently, not sleep for unbounded (and, past 63
-// doublings, overflowed-negative) durations.
-const maxRetryBackoff = 30 * time.Second
-
 // executeWithRetry runs the job, re-executing it up to Config.Retries
-// times while it fails with a transient error. Backoff doubles per
-// attempt up to maxRetryBackoff. Panics and timeouts are never retried.
+// times while it fails with a transient error. Panics and timeouts are
+// never retried.
 func (e *Engine) executeWithRetry(j Job) Record {
 	rec := e.execute(j)
-	backoff := e.cfg.RetryBackoff
 	for attempt := 1; attempt <= e.cfg.Retries; attempt++ {
 		if rec.Outcome != Errored || !IsTransient(rec.Err) {
 			break
-		}
-		if backoff > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-			if backoff > maxRetryBackoff || backoff < 0 {
-				backoff = maxRetryBackoff
-			}
 		}
 		rec = e.execute(j)
 		rec.Attempts = attempt + 1

@@ -2,9 +2,12 @@ package harness
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"beltway/internal/core"
+	"beltway/internal/gc"
 	"beltway/internal/heap"
 	"beltway/internal/workload"
 )
@@ -75,5 +78,56 @@ func TestRunOneBudgetAbortStillWorks(t *testing.T) {
 	}
 	if !res.Aborted {
 		t.Fatalf("budget %v did not abort the run (total %v)", env.CostBudget, res.TotalTime)
+	}
+}
+
+// TestFinalCollectionFollowsTheRoundRule: the global collection that
+// ends a multi-mutator run stops a lane the way a round does — the cost
+// budget running out in it is Result.Aborted, any other panic in it the
+// typed corruption error naming the lane.
+func TestFinalCollectionFollowsTheRoundRule(t *testing.T) {
+	env := testEnv()
+	env.Mutators = 2
+	// Lane 0's stream is the base seed's own (shard.StreamSeed), so its
+	// first draw tells the lanes apart from inside a body.
+	lane0Draw := rand.New(rand.NewSource(env.Seed)).Int63()
+	bench := func(breakLane1 bool) *workload.Benchmark {
+		return &workload.Benchmark{Name: "final-collection", Body: func(c *workload.Ctx) {
+			node := c.Types.DefineScalar("fc.node", 1, 1)
+			for i := 0; i < 200; i++ {
+				c.M.AllocGlobal(node, 0)
+			}
+			if breakLane1 && c.Rng.Int63() != lane0Draw {
+				h := c.M.C.(*core.Heap)
+				h.SetHooks(h.Hooks().Merge(gc.Hooks{PreGC: func() { panic("heap broken") }}))
+			}
+		}}
+	}
+	cfg := AppelConfig(env)(1 << 20)
+
+	whole, err := RunOne(cfg, bench(false), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.Collections != 2 || len(whole.Pauses) != 2 {
+		t.Fatalf("%d collections, %d pauses; want the final collection alone, once a lane", whole.Collections, len(whole.Pauses))
+	}
+	env.CostBudget = whole.Pauses[0].Start + 1
+	res, err := RunOne(cfg, bench(false), env)
+	if err != nil {
+		t.Fatalf("budget expiring in the final collection: %v", err)
+	}
+	if !res.Aborted || res.Failure != "" {
+		t.Errorf("budget expiring in the final collection: Aborted=%v Failure=%q, want aborted with no failure", res.Aborted, res.Failure)
+	}
+
+	env.CostBudget = 0
+	res, err = RunOne(cfg, bench(true), env)
+	var hc *HeapCorruptionError
+	if res != nil || !errors.As(err, &hc) {
+		t.Fatalf("panic in lane 1's final collection: result %+v, error %T (%v); want *HeapCorruptionError", res, err, err)
+	}
+	if hc.Lane != 1 || hc.Lanes != 2 || hc.Panic != "heap broken" {
+		t.Errorf("lane %d of %d, panic %v; want lane 1 of 2, \"heap broken\"", hc.Lane, hc.Lanes, hc.Panic)
 	}
 }

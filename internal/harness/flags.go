@@ -27,7 +27,7 @@ func BindEnvFlags(fs *flag.FlagSet) func() (Env, error) {
 		faultSeed = fs.Int64("fault-seed", 0,
 			"run under a deterministic fault-injection schedule derived from this seed (chaos testing; 0 = off)")
 		adapt = fs.String("adapt", "",
-			"adaptive policy objective: slo | mmu | footprint | throughput, with optional params (e.g. mmu:floor=0.7); empty = static (paper behavior)")
+			"adaptive policy objective: slo | throughput, with optional params (e.g. throughput:target=0.1); empty = static (paper behavior)")
 	)
 	return func() (Env, error) {
 		env := EnvForScale(*scale)

@@ -3,6 +3,10 @@ package harness
 import (
 	"math"
 	"testing"
+
+	"beltway/internal/collectors"
+	"beltway/internal/core"
+	"beltway/internal/workload"
 )
 
 // stubCompletes models a benchmark with a sharp failure threshold: any
@@ -77,5 +81,39 @@ func TestFindMinHeapNeverCompletes(t *testing.T) {
 	_, err := findMinHeap(stubCompletes(math.MaxInt, &probes), 4096)
 	if err == nil {
 		t.Fatal("expected an error for a benchmark that never completes")
+	}
+}
+
+// TestMinHeapIgnoresControllerAndFaults: the minimum heap is the x-axis
+// origin of every figure, so it is searched on the collector as
+// configured — an Env that puts the figure's runs under the adaptive
+// controller or a fault schedule sizes them from the same origin as the
+// static Env does.
+func TestMinHeapIgnoresControllerAndFaults(t *testing.T) {
+	env := EnvForScale(0.1)
+	xx25 := func(h int) core.Config { return collectors.XX(25, env.Options(h)) }
+	for _, c := range []struct {
+		name  string
+		mk    ConfigFunc
+		bench string
+		under Env
+	}{
+		{"Appel under -fault-seed", AppelConfig(env), "jess", Env{FaultSeed: 7}},
+		{"25.25 under -adapt", xx25, "javac", Env{Policy: "throughput"}},
+		{"25.25 under -fault-seed", xx25, "javac", Env{FaultSeed: 7}},
+	} {
+		static, err := FindMinHeap(c.mk, workload.Get(c.bench), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disturbed := env
+		disturbed.Policy, disturbed.FaultSeed = c.under.Policy, c.under.FaultSeed
+		got, err := FindMinHeap(c.mk, workload.Get(c.bench), disturbed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != static {
+			t.Errorf("%s: minimum heap %d, static %d", c.name, got, static)
+		}
 	}
 }

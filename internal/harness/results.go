@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"beltway/internal/stats"
-	"beltway/internal/telemetry"
 )
 
 // FmtMs formats cost units as nominal milliseconds.
@@ -19,10 +18,9 @@ func FmtUs(v float64) string {
 }
 
 // ResultsTable renders per-run measurements with pause-percentile
-// columns (p50/p95/p99/max, in nominal milliseconds). Percentiles come
-// from the telemetry pause histogram when the run carried one, falling
-// back to the exact pause list otherwise — so the table works with or
-// without Env.Telemetry. When any result carries a server report, two
+// columns (p50/p95/p99/max, in nominal milliseconds; the exact
+// percentiles of Result.Pauses, so a run renders the same with and
+// without Env.Telemetry). When any result carries a server report, two
 // SLO columns are appended (request p99.9 latency, fraction of requests
 // overlapping a pause); when any carries an adaptive-policy summary, two
 // policy columns are appended (decision count, net knob drift). Tables
@@ -105,15 +103,10 @@ func ResultsTable(results []*Result) Table {
 	return t
 }
 
-// pauseQuantiles returns (p50, p95, p99, max) pause costs for a result,
-// preferring the telemetry histogram.
+// pauseQuantiles returns (p50, p95, p99, max) pause costs for a result:
+// the exact percentiles of its pause list, the definition every summary
+// line uses, whether or not the run also carried a telemetry histogram.
 func pauseQuantiles(r *Result) (p50, p95, p99, max float64) {
-	if r.Telemetry != nil && r.Telemetry.Metrics != nil {
-		if _, ok := r.Telemetry.Metrics.Histograms[telemetry.MetricPauseCost]; ok {
-			return r.Telemetry.PauseQuantile(0.5), r.Telemetry.PauseQuantile(0.95),
-				r.Telemetry.PauseQuantile(0.99), r.Telemetry.PauseQuantile(1)
-		}
-	}
 	ps := stats.SummarizePauses(r.Pauses)
 	return ps.Median, ps.P95, ps.P99, ps.Max
 }

@@ -3,8 +3,10 @@ package harness
 import (
 	"testing"
 
+	"beltway/internal/gc"
 	"beltway/internal/server"
 	"beltway/internal/stats"
+	"beltway/internal/telemetry"
 )
 
 // syntheticResult builds a fixed Result so table rendering is testable
@@ -49,6 +51,19 @@ func TestResultsTableGolden(t *testing.T) {
 		"Beltway 25.25       jess      4.00     2.000  0.200  10.0    7     2.00     4.00     4.00     4.00\n"
 	if got := tbl.String(); got != want {
 		t.Fatalf("classic table drifted:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	// The same run with its flight recorder attached: the pause columns
+	// are the pause list's own percentiles, never the histogram's
+	// interpolation of them.
+	traced := syntheticResult(false)
+	run := telemetry.NewRun(stats.NewClock(stats.DefaultCosts()))
+	for _, p := range traced.Pauses {
+		run.Hooks().GCEnd(gc.GCEndInfo{Duration: p.Duration()})
+	}
+	traced.Telemetry = run.Snapshot()
+	tbl = ResultsTable([]*Result{traced})
+	if got := tbl.String(); got != want {
+		t.Fatalf("the table of a run with telemetry differs from the table of the run without:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

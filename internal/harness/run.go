@@ -56,7 +56,7 @@ type Env struct {
 	Mutators int `json:",omitempty"`
 	// Policy, when non-empty, attaches the adaptive policy controller
 	// (internal/policy) with this objective spec — policy.Parse syntax,
-	// e.g. "slo", "mmu:floor=0.7", "throughput". Adaptive runs are
+	// e.g. "slo", "slo:max=4e6", "throughput:target=0.1". Adaptive runs are
 	// single-mutator only. Empty (the default) leaves every run exactly
 	// as static as the paper's.
 	Policy string `json:",omitempty"`

@@ -219,8 +219,7 @@ func TestParallelTelemetryMatchesSerial(t *testing.T) {
 }
 
 // TestResultsTablePercentiles checks the results table renders pause
-// percentiles from telemetry when present and from the raw pause log
-// otherwise.
+// percentiles, the same ones with telemetry attached and without.
 func TestResultsTablePercentiles(t *testing.T) {
 	env := testEnv()
 	env.Telemetry = true
@@ -235,11 +234,10 @@ func TestResultsTablePercentiles(t *testing.T) {
 			t.Errorf("results table missing column %q:\n%s", col, out)
 		}
 	}
-	// Without telemetry the table falls back to the exact pause log.
 	res.Telemetry = nil
 	tbl2 := ResultsTable([]*Result{res})
-	if tbl2.String() == "" {
-		t.Error("table without telemetry rendered empty")
+	if tbl2.String() != out {
+		t.Errorf("table without telemetry differs:\n%s\nwith:\n%s", tbl2.String(), out)
 	}
 	// A failed run renders as dashes, not a panic.
 	fail := &Result{Collector: "X", Benchmark: "y", Failure: "panic: boom"}

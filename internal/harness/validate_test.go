@@ -21,7 +21,7 @@ func TestValidateEnv(t *testing.T) {
 		{name: "classic single mutator", env: Env{Mutators: 1}},
 		{name: "sharded plain", env: Env{Mutators: 8}},
 		{name: "adaptive flat", env: Env{Mutators: 1, Policy: "slo"}},
-		{name: "adaptive with params", env: Env{Policy: "mmu:floor=0.7"}},
+		{name: "adaptive with params", env: Env{Policy: "throughput:target=0.1"}},
 		{name: "faults flat", env: Env{FaultSeed: 3}},
 
 		{name: "negative mutators", env: Env{Mutators: -2},

@@ -114,8 +114,7 @@ func (w replayWorkload) plan(_ []*shard.Shard, env Env, _ *policy.Controller) (s
 // Server is the request/response workload (internal/server): every lane
 // serves the full request script against a private store, its stream
 // seeded from the config's own seed (Env.Seed plays no part). Rounds are
-// arrival batches with safepoint polls between requests, collections
-// stay lane-local, so a request's latency is a pure function of its own
+// arrival batches, collections stay lane-local, so a request's latency is a pure function of its own
 // lane's stream; the lanes' reports merge in lane order
 // (server.MergeReports, the identity on one report) and the SLO verdict
 // is evaluated on the merge.
@@ -140,7 +139,7 @@ func (w serverWorkload) plan(lanes []*shard.Shard, _ Env, ctrl *policy.Controlle
 			// detection).
 			obs = multiObserver{obs, ctrl}
 		}
-		loop, err := server.NewLoop(lc, server.LoopOpts{Observer: obs, Poll: s.Poll})
+		loop, err := server.NewLoop(lc, server.LoopOpts{Observer: obs})
 		if err != nil {
 			return shard.Plan{}, nil, err
 		}

@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"beltway/internal/core"
-	"beltway/internal/mmu"
-	"beltway/internal/stats"
 )
 
 // Decision is one controller action: at collection GC (cost-unit time
@@ -54,8 +52,7 @@ type Controller struct {
 	phaseShift bool // a phase boundary occurred since the last Tune
 	requests   uint64
 
-	pauses []stats.Pause // pause history for MMU windows
-	gcTime float64       // cumulative pause time
+	gcTime float64 // cumulative pause time
 
 	decisions []Decision
 }
@@ -99,7 +96,6 @@ func (c *Controller) Tune(in core.TuneInput) []core.KnobUpdate {
 		c.initial = append([]core.BeltSpec(nil), in.Belts...)
 	}
 	c.cur = in.Belts
-	c.pauses = append(c.pauses, stats.Pause{Start: in.Now - in.End.Duration, End: in.Now})
 	c.gcTime += in.End.Duration
 
 	if c.phaseShift {
@@ -112,10 +108,6 @@ func (c *Controller) Tune(in core.TuneInput) []core.KnobUpdate {
 	switch c.cfg.Objective {
 	case ObjSLO:
 		ups = c.tuneSLO(in)
-	case ObjMMU:
-		ups = c.tuneMMU(in)
-	case ObjFootprint:
-		ups = c.tuneFootprint(in)
 	case ObjThroughput:
 		ups = c.tuneThroughput(in)
 	}
@@ -130,10 +122,6 @@ func (c *Controller) Tune(in core.TuneInput) []core.KnobUpdate {
 			c.cur[u.Belt].IncrementFrac = u.Value
 		case core.KnobReserveFrac:
 			c.cur[u.Belt].ReserveFrac = u.Value
-		case core.KnobMaxIncrements:
-			c.cur[u.Belt].MaxIncrements = int(u.Value)
-		case core.KnobPromoteTo:
-			c.cur[u.Belt].PromoteTo = int(u.Value)
 		}
 	}
 	return ups
@@ -224,100 +212,6 @@ func (c *Controller) revert(in core.TuneInput) []core.KnobUpdate {
 	}
 	c.grown, c.burned = false, true
 	return ups
-}
-
-// tuneMMU shrinks the widest increments when worst-window utilization
-// falls below the floor: smaller condemned sets bound single-pause
-// length, the x-intercept of the MMU curve. Multiplicative decrease with
-// a cooldown, and never in a tight heap (shrinking the nursery promotes
-// prematurely, which costs memory).
-func (c *Controller) tuneMMU(in core.TuneInput) []core.KnobUpdate {
-	if in.GC < c.cooldownUntil {
-		return nil
-	}
-	if mmu.MMU(c.pauses, in.Now, c.cfg.MMUWindow) >= c.cfg.MMUFloor {
-		return nil
-	}
-	return c.shrinkWidest(in, ReasonMMUBelowFloor)
-}
-
-// tuneFootprint is two-sided: over the cap it shrinks increments
-// (collect sooner, map fewer frames); comfortably under it (< 80% of
-// the cap) it relaxes shrunk belts back toward their configured sizes,
-// one multiplicative step at a time.
-func (c *Controller) tuneFootprint(in core.TuneInput) []core.KnobUpdate {
-	if in.GC < c.cooldownUntil {
-		return nil
-	}
-	capBytes := c.cfg.FootprintCap * float64(in.HeapBytes)
-	fp := float64(in.FootprintBytes)
-	if fp > capBytes {
-		return c.shrinkWidest(in, ReasonFootprintOverCap)
-	}
-	if fp < 0.8*capBytes {
-		for i := range in.Belts {
-			if i >= len(c.initial) {
-				break
-			}
-			cfgd, cur := c.initial[i].IncrementFrac, in.Belts[i].IncrementFrac
-			if cur < cfgd {
-				nf := cur * 1.5
-				if nf > cfgd {
-					nf = cfgd
-				}
-				c.cooldownUntil = in.GC + 4
-				return []core.KnobUpdate{c.decide(in, ReasonFootprintRelax, core.KnobIncrementFrac, i, nf)}
-			}
-		}
-	}
-	return nil
-}
-
-// shrinkWidest halves the IncrementFrac of the widest copying belt,
-// floored at two frames' worth, guarded against tight heaps.
-func (c *Controller) shrinkWidest(in core.TuneInput, why Reason) []core.KnobUpdate {
-	usable := float64(in.HeapBytes - in.ReserveBytes)
-	if usable <= 0 || float64(in.LiveBytes) > 0.6*usable {
-		return nil
-	}
-	belt, frac := widestCopyingBelt(in)
-	if belt < 0 {
-		return nil
-	}
-	nf := frac / 2
-	if minFrac := 2 * float64(in.FrameBytes) / usable; nf < minFrac {
-		nf = minFrac
-	}
-	if nf >= frac {
-		return nil
-	}
-	c.cooldownUntil = in.GC + 4
-	return []core.KnobUpdate{c.decide(in, why, core.KnobIncrementFrac, belt, nf)}
-}
-
-// widestCopyingBelt finds the tunable belt with the largest effective
-// increment fraction (unbounded counts as 1).
-func widestCopyingBelt(in core.TuneInput) (int, float64) {
-	if in.OlderFirst {
-		return -1, 0
-	}
-	best, bf := -1, 0.0
-	for i, s := range in.Belts {
-		if s.Substrate != core.Copying {
-			continue
-		}
-		if in.MOS && i == len(in.Belts)-1 {
-			continue
-		}
-		f := s.IncrementFrac
-		if f > 1 {
-			f = 1
-		}
-		if f > bf {
-			best, bf = i, f
-		}
-	}
-	return best, bf
 }
 
 // tuneThroughput grows the narrowest bounded copying belt when the GC
@@ -411,12 +305,6 @@ func (c *Controller) Drift() string {
 		}
 		if c.cur[i].ReserveFrac != c.initial[i].ReserveFrac {
 			parts = append(parts, fmt.Sprintf("b%d.reserve %g->%g", i, c.initial[i].ReserveFrac, c.cur[i].ReserveFrac))
-		}
-		if c.cur[i].MaxIncrements != c.initial[i].MaxIncrements {
-			parts = append(parts, fmt.Sprintf("b%d.max %d->%d", i, c.initial[i].MaxIncrements, c.cur[i].MaxIncrements))
-		}
-		if c.cur[i].PromoteTo != c.initial[i].PromoteTo {
-			parts = append(parts, fmt.Sprintf("b%d.promote %d->%d", i, c.initial[i].PromoteTo, c.cur[i].PromoteTo))
 		}
 	}
 	return strings.Join(parts, " ")

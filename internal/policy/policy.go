@@ -1,9 +1,8 @@
 // Package policy is the online adaptive policy controller: a
 // deterministic feedback loop that runs at collection boundaries (and,
 // for server workloads, observes phase boundaries) and retunes the
-// scheduling knobs the paper fixes for the life of a run — belt and
-// increment sizing, promotion targets, and the nursery/remset/
-// time-to-die triggers — toward a declared objective.
+// sizing the paper fixes for the life of a run — a belt's increment
+// fraction and its copy-reserve fraction — toward a declared objective.
 //
 // The paper's policies are static: "the user" picks X.X at the command
 // line and lives with it. This package is the ROADMAP's static→dynamic
@@ -22,7 +21,6 @@ import (
 	"strings"
 
 	"beltway/internal/server"
-	"beltway/internal/stats"
 )
 
 // Objective names what the controller optimizes for.
@@ -39,14 +37,6 @@ const (
 	// full-collection pauses. An occupancy guard reverts the growth (once,
 	// permanently) if it starts to squeeze usable memory.
 	ObjSLO
-	// ObjMMU keeps the worst-window minimum mutator utilization above a
-	// floor by shrinking the largest increments (smaller condemned sets,
-	// shorter pauses), multiplicative-decrease with a cooldown.
-	ObjMMU
-	// ObjFootprint keeps the mapped footprint under a cap by shrinking
-	// increment sizes (collect sooner, map less), and relaxes back toward
-	// the configured sizes when comfortably under it (AIMD-style).
-	ObjFootprint
 	// ObjThroughput keeps the GC share of total time under a target by
 	// growing bounded increments (fewer, larger collections amortize
 	// per-collection setup), with the same occupancy guard and revert as
@@ -58,10 +48,6 @@ func (o Objective) String() string {
 	switch o {
 	case ObjSLO:
 		return "slo"
-	case ObjMMU:
-		return "mmu"
-	case ObjFootprint:
-		return "footprint"
 	case ObjThroughput:
 		return "throughput"
 	}
@@ -80,14 +66,6 @@ type Config struct {
 	// SLO is the objective of ObjSLO.
 	SLO server.SLO
 
-	// MMUFloor and MMUWindow parameterize ObjMMU: utilization over every
-	// window of MMUWindow cost units must stay above MMUFloor.
-	MMUFloor  float64
-	MMUWindow float64
-
-	// FootprintCap is ObjFootprint's bound as a fraction of HeapBytes.
-	FootprintCap float64
-
 	// GCTarget is ObjThroughput's tolerated GC fraction of total time.
 	GCTarget float64
 }
@@ -97,10 +75,6 @@ type Config struct {
 //
 //	slo                    adapt to the default server SLO
 //	slo:p99=1e4,max=5e6    adapt to an explicit SLO (server.ParseSLO syntax)
-//	mmu                    floor=0.5, window=10ms of cost-unit time
-//	mmu:floor=0.7,window=2e7
-//	footprint              cap=0.9
-//	footprint:cap=0.75
 //	throughput             target=0.15
 //	throughput:target=0.1
 func Parse(spec string) (Config, error) {
@@ -118,23 +92,12 @@ func Parse(spec string) (Config, error) {
 		}
 		c.SLO = slo
 		return c, nil
-	case "mmu":
-		c.Objective = ObjMMU
-		c.MMUFloor = 0.5
-		c.MMUWindow = 0.01 * stats.CyclesPerSecond
-		return c, parseParams(params, map[string]*float64{
-			"floor": &c.MMUFloor, "window": &c.MMUWindow,
-		})
-	case "footprint":
-		c.Objective = ObjFootprint
-		c.FootprintCap = 0.9
-		return c, parseParams(params, map[string]*float64{"cap": &c.FootprintCap})
 	case "throughput":
 		c.Objective = ObjThroughput
 		c.GCTarget = 0.15
 		return c, parseParams(params, map[string]*float64{"target": &c.GCTarget})
 	}
-	return Config{}, fmt.Errorf("policy: unknown objective %q (want slo, mmu, footprint or throughput)", name)
+	return Config{}, fmt.Errorf("policy: unknown objective %q (want slo or throughput)", name)
 }
 
 // parseParams fills key=value parameters into the given destinations,
@@ -161,29 +124,24 @@ func parseParams(params string, dst map[string]*float64) error {
 	return nil
 }
 
-// Reason says why the controller made a decision.
+// Reason says why the controller made a decision. The values are the
+// EvPolicy wire format (internal/telemetry names them by number), so a
+// retired reason's number is not reused.
 type Reason uint8
 
 const (
-	ReasonNone Reason = iota
+	ReasonNone Reason = 0
 	// ReasonPauseOverBudget: a pause exceeded (or occupancy predicts the
 	// next full collection will exceed) the SLO-implied pause budget.
-	ReasonPauseOverBudget
+	ReasonPauseOverBudget Reason = 1
 	// ReasonOccupancyRevert: live data is squeezing usable memory; undo
 	// earlier growth before it turns into an OOM the static config would
 	// not have had.
-	ReasonOccupancyRevert
+	ReasonOccupancyRevert Reason = 2
 	// ReasonPhaseShift marks a server workload phase boundary (no knob).
-	ReasonPhaseShift
-	// ReasonMMUBelowFloor: worst-window MMU fell below the floor.
-	ReasonMMUBelowFloor
-	// ReasonFootprintOverCap: mapped footprint exceeded the cap.
-	ReasonFootprintOverCap
-	// ReasonFootprintRelax: comfortably under the cap; relax back toward
-	// the configured increment sizes.
-	ReasonFootprintRelax
+	ReasonPhaseShift Reason = 3
 	// ReasonGCOverheadHigh: GC share of total time exceeded the target.
-	ReasonGCOverheadHigh
+	ReasonGCOverheadHigh Reason = 7
 )
 
 func (r Reason) String() string {
@@ -194,12 +152,6 @@ func (r Reason) String() string {
 		return "occupancy-revert"
 	case ReasonPhaseShift:
 		return "phase-shift"
-	case ReasonMMUBelowFloor:
-		return "mmu-below-floor"
-	case ReasonFootprintOverCap:
-		return "footprint-over-cap"
-	case ReasonFootprintRelax:
-		return "footprint-relax"
 	case ReasonGCOverheadHigh:
 		return "gc-overhead-high"
 	}

@@ -204,9 +204,8 @@ type Observer interface {
 }
 
 // Loop is a resumable executor for one configuration on one mutator:
-// RunBatch serves the next arrival batch, so a sharded plan can
-// interleave batches with safepoint polls round by round while the flat
-// path just drains it. NewLoop allocates nothing on the simulated heap;
+// RunBatch serves the next arrival batch, so a plan's round is a batch.
+// NewLoop allocates nothing on the simulated heap;
 // Start and every RunBatch must happen inside vm.Mutator.Run (allocation
 // failures surface as OOM panics).
 type Loop struct {
@@ -214,7 +213,6 @@ type Loop struct {
 	m       *vm.Mutator
 	clock   *stats.Clock
 	obs     Observer
-	poll    func()
 	started bool
 
 	rng  *rng
@@ -254,9 +252,6 @@ type Loop struct {
 type LoopOpts struct {
 	// Observer, if non-nil, receives every request (telemetry).
 	Observer Observer
-	// Poll, if non-nil, is called between requests (sharded safepoint
-	// polling; charges nothing to the clock).
-	Poll func()
 }
 
 // NewLoop validates the configuration and prepares the executor without
@@ -270,7 +265,6 @@ func NewLoop(cfg Config, opts LoopOpts) (*Loop, error) {
 	return &Loop{
 		cfg:       cfg,
 		obs:       opts.Observer,
-		poll:      opts.Poll,
 		rng:       newRNG(cfg.Seed),
 		zipf:      newZipf(cfg.Keys, cfg.Theta),
 		total:     total,
@@ -346,9 +340,6 @@ func (l *Loop) RunBatch() {
 	}
 	for i := 0; i < n; i++ {
 		l.request()
-		if l.poll != nil {
-			l.poll()
-		}
 	}
 	if l.Done() {
 		l.finish()

@@ -1,10 +1,11 @@
 package shard
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"beltway/internal/gc"
-	"beltway/internal/stats"
 )
 
 // TestRunBlocksOnlyOnDependencies is the stopwatch-free guard on Run's
@@ -26,7 +27,6 @@ func TestRunBlocksOnlyOnDependencies(t *testing.T) {
 				h := s.M.Alloc(node, 0)
 				s.M.SetRef(h, 0, last)
 				last = h
-				s.Poll()
 			}
 			if publish {
 				s.Publish(s.ID, last)
@@ -60,9 +60,6 @@ func TestRunBlocksOnlyOnDependencies(t *testing.T) {
 			// What nobody consumed is still committed when the plan ends.
 			if got := rt.RoutedEntries(); got != c.wantR {
 				t.Errorf("%s/%d lanes: %d routed entries, want %d", c.name, lanes, got, c.wantR)
-			}
-			if got := rt.Result().Rounds; got != rounds {
-				t.Errorf("%s/%d lanes: Result.Rounds %d, want %d", c.name, lanes, got, rounds)
 			}
 		}
 	}
@@ -109,34 +106,95 @@ func TestSyncExchangeOrder(t *testing.T) {
 	}
 }
 
-// TestRunRaisesCollectionPanicOnCaller checks a panic out of a global
-// collection — here the cost budget running out in it, on whichever
-// lane's goroutine arrived last — stops every lane and surfaces on
-// Run's caller, where the harness and the engine recover it, instead of
-// taking the process down from a goroutine nobody can recover on.
-func TestRunRaisesCollectionPanicOnCaller(t *testing.T) {
-	rt, err := New(testConfig(), Options{Shards: 3, Seed: 1, GCWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range rt.Shards() {
-		s.Heap.Clock().Budget = 1000 // a round costs ~250, a collection's set-up 5000
-	}
-	bodies := make([]int, len(rt.Shards())) // round bodies run, per lane
-	defer func() {
-		if _, ok := recover().(stats.BudgetExceeded); !ok {
-			t.Error("Run did not raise the collection's BudgetExceeded on its caller")
+// TestCollectionPanicIsTheLanesVerdict holds a global collection to
+// the rule a round has, at the options every run uses and under both
+// schedules: the cost budget running out in it aborts the lane, any
+// other panic is the lane's recorded failure, and neither leaves
+// Run/RunSerial any way but by returning.
+func TestCollectionPanicIsTheLanesVerdict(t *testing.T) {
+	const lanes = 3
+	schedules := []struct {
+		name string
+		run  func(*Runtime, Plan) error
+	}{{"Run", (*Runtime).Run}, {"RunSerial", (*Runtime).RunSerial}}
+	for _, sched := range schedules {
+		run := func(prepare func(*Shard)) (*Runtime, []int) {
+			t.Helper()
+			rt, err := New(testConfig(), Options{Shards: lanes, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range rt.Shards() {
+				prepare(s)
+			}
+			bodies := make([]int, lanes) // round bodies run, per lane
+			if err := sched.run(rt, Plan{Rounds: 4, CollectEvery: 1, Body: func(r int, s *Shard) {
+				bodies[s.ID]++
+				types := s.Heap.Space().Types
+				leaf := types.Lookup("t.leaf")
+				if leaf == nil {
+					leaf = types.DefineScalar("t.leaf", 0, 1)
+				}
+				s.M.AllocGlobal(leaf, 0)
+				s.M.Work(10)
+			}}); err != nil {
+				t.Fatalf("%s: %v", sched.name, err)
+			}
+			return rt, bodies
 		}
-		for lane, n := range bodies {
-			if n != 1 {
-				t.Errorf("lane %d ran %d round bodies; the plan should stop at the failed collection", lane, n)
+
+		// A round costs ~250, a collection's set-up 5000: the budget
+		// runs out in the first global collection, on every lane.
+		rt, bodies := run(func(s *Shard) { s.Heap.Clock().Budget = 1000 })
+		for i, s := range rt.Shards() {
+			if !s.Aborted() || s.Failure() != "" || s.Panic() != nil || s.OOM() {
+				t.Errorf("%s: lane %d after a budget expiry in a collection: aborted=%v failure=%q panic=%v oom=%v; want aborted only",
+					sched.name, i, s.Aborted(), s.Failure(), s.Panic(), s.OOM())
+			}
+			if bodies[i] != 1 {
+				t.Errorf("%s: lane %d ran %d round bodies; an aborted lane runs no later round", sched.name, i, bodies[i])
 			}
 		}
-	}()
-	_ = rt.Run(Plan{Rounds: 4, CollectEvery: 1, Body: func(r int, s *Shard) {
-		bodies[s.ID]++
-		s.M.AllocGlobal(s.Heap.Space().Types.DefineScalar("t.leaf", 0, 1), 0)
-		s.M.Work(10)
-	}})
-	t.Error("Run returned normally")
+
+		// A panic that is not the budget, on lane 1 alone: that lane
+		// keeps the value, the others run the plan out.
+		rt, bodies = run(func(s *Shard) {
+			if s.ID == 1 {
+				s.Heap.SetHooks(gc.Hooks{PreGC: func() { panic("heap broken") }})
+			}
+		})
+		for i, s := range rt.Shards() {
+			if i == 1 {
+				if s.Panic() != "heap broken" || !strings.HasPrefix(s.Failure(), "panic in collection after round 0: ") || s.Aborted() {
+					t.Errorf("%s: lane 1 after a panic in its collection: panic=%v failure=%q aborted=%v",
+						sched.name, s.Panic(), s.Failure(), s.Aborted())
+				}
+				continue
+			}
+			if s.Dead() || bodies[i] != 4 {
+				t.Errorf("%s: lane %d stopped (%v, %d bodies) because lane 1's collection panicked", sched.name, i, s.Err(), bodies[i])
+			}
+		}
+	}
+}
+
+// TestRunSerialStartsNoGoroutine: the reference schedule is one
+// goroutine's work, global collections included.
+func TestRunSerialStartsNoGoroutine(t *testing.T) {
+	rt := newTestRuntime(t, 3, false)
+	before := runtime.NumGoroutine()
+	most := before
+	plan := testPlan(3, 4)
+	body := plan.Body
+	plan.CollectEvery = 1
+	plan.Body = func(r int, s *Shard) {
+		body(r, s)
+		most = max(most, runtime.NumGoroutine())
+	}
+	if err := rt.RunSerial(plan); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); most > before || after > before {
+		t.Errorf("goroutines: %d before RunSerial, %d at most inside round bodies, %d after", before, most, after)
+	}
 }

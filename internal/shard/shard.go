@@ -70,13 +70,8 @@ type Shard struct {
 	oomErr  error // the OOM that killed it
 	aborted bool  // shard hit its cost budget (stats.BudgetExceeded)
 	failure string
-	// panicked is the recovered value behind a "panic in round" failure.
+	// panicked is the recovered value behind a "panic in ..." failure.
 	panicked any
-
-	lastPoll float64 // clock reading at the last poll taken
-	polls    uint64  // polls taken (telemetry)
-	pubs     uint64  // messages published
-	cons     uint64  // messages consumed
 }
 
 // Dead reports whether the shard stopped early (OOM or failure).
@@ -110,26 +105,6 @@ func (s *Shard) Err() error {
 	return nil
 }
 
-// Polls returns the number of safepoint polls the shard has taken.
-func (s *Shard) Polls() uint64 { return s.polls }
-
-// Poll marks a point where the workload could be stopped (the sharded
-// oracle polls between script ops, the server loop between requests).
-// It piggybacks on the cost-unit clock: a poll is only taken once the
-// shard's clock has advanced the poll interval since the last one, so
-// the count (ShardStats.Polls) is a deterministic function of the
-// shard's own simulated timeline, not of wall-clock scheduling. Nothing
-// stops a shard in mid-round today — lanes meet only between rounds —
-// so a poll costs a clock read and charges nothing.
-func (s *Shard) Poll() {
-	now := s.Heap.Clock().Now()
-	if now-s.lastPoll < pollInterval {
-		return
-	}
-	s.lastPoll = now
-	s.polls++
-}
-
 // Publish snapshots the data payload of the object h refers to and
 // stages it on channel ch. The route is recorded in the shard's
 // pending remset.Table under a packed key whose source frame folds the
@@ -153,7 +128,6 @@ func (s *Shard) Publish(ch int, h gc.Handle) {
 	f := s.Heap.Space().FrameOf(addr)
 	s.pending.stage(FoldFrame(s.ID, f), heap.Frame(ch), addr, ch,
 		Message{From: s.ID, Seq: s.pending.seq, Words: words})
-	s.pubs++
 }
 
 // Consume materializes the next unconsumed committed message on
@@ -188,7 +162,6 @@ func (s *Shard) Consume(ch int) gc.Handle {
 	for i, w := range m.Words {
 		s.M.SetData(h, i, w)
 	}
-	s.cons++
 	return h
 }
 
@@ -207,11 +180,27 @@ func (s *Shard) numDataWords(h gc.Handle) int {
 	}
 }
 
-// runRound executes one round body on the shard, converting OOM into
-// the shard's terminal verdict and recovering panics into a recorded
-// failure (a deterministic panic reproduces identically in the serial
-// replay, so the verdict stays comparable).
+// runRound executes one round body on the shard.
 func (s *Shard) runRound(round int, body func(round int, s *Shard)) {
+	s.step("round", round, func() error {
+		return s.M.Run(func() { body(round, s) })
+	})
+}
+
+// collect runs the shard's part of the global collection after a round.
+func (s *Shard) collect(round int) {
+	s.step("collection after round", round, func() error {
+		return s.Heap.Collect(false)
+	})
+}
+
+// step runs one piece of the plan on the shard — a round body or a
+// global collection — and is the one rule for how either stops it: an
+// error is out of memory, the shard's terminal verdict; a panic is
+// recovered into the cost budget's abort or a recorded failure (a
+// deterministic panic reproduces identically in the serial replay, so
+// the verdict stays comparable). A dead shard runs nothing.
+func (s *Shard) step(what string, round int, f func() error) {
 	if s.dead {
 		return
 	}
@@ -223,10 +212,10 @@ func (s *Shard) runRound(round int, body func(round int, s *Shard)) {
 				return
 			}
 			s.panicked = r
-			s.failure = fmt.Sprintf("panic in round %d: %v", round, r)
+			s.failure = fmt.Sprintf("panic in %s %d: %v", what, round, r)
 		}
 	}()
-	if err := s.M.Run(func() { body(round, s) }); err != nil {
+	if err := f(); err != nil {
 		s.dead = true
 		s.oomErr = err
 	}

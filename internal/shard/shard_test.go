@@ -33,8 +33,8 @@ func newTestRuntime(t *testing.T, shards int, validate bool) *Runtime {
 // testPlan builds a deterministic rounds plan: every shard allocates a
 // linked chain with RNG-derived payloads, keeps the chain head alive
 // across rounds, publishes it to its own channel and consumes the next
-// shard's stream — exercising allocation, barriers, collection,
-// exchange and polling on every shard every round.
+// shard's stream — exercising allocation, barriers, collection
+// and the exchange on every shard every round.
 func testPlan(shards, rounds int) Plan {
 	return Plan{
 		Rounds:       rounds,
@@ -54,7 +54,6 @@ func testPlan(shards, rounds int) Plan {
 				s.M.SetRef(h, 0, last)
 				last = h
 				s.M.Work(1 + s.Rng.Intn(4))
-				s.Poll()
 			}
 			kept := s.M.Keep(last)
 			s.M.Pop()
@@ -113,14 +112,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Errorf("shard %d collections diverge: %d vs %d", i, pc, qc)
 		}
 	}
-	pr, sr := par.Result(), ser.Result()
-	if pr.Makespan != sr.Makespan {
-		t.Errorf("makespan diverges: parallel %v serial %v", pr.Makespan, sr.Makespan)
+	if pm, sm := par.Makespan(), ser.Makespan(); pm != sm {
+		t.Errorf("makespan diverges: parallel %v serial %v", pm, sm)
 	}
-	if pr.RoutedEntries != sr.RoutedEntries {
-		t.Errorf("routed entries diverge: %d vs %d", pr.RoutedEntries, sr.RoutedEntries)
+	if pr, sr := par.RoutedEntries(), ser.RoutedEntries(); pr != sr {
+		t.Errorf("routed entries diverge: %d vs %d", pr, sr)
 	}
-	if pr.RoutedEntries == 0 {
+	if par.RoutedEntries() == 0 {
 		t.Error("no routing entries merged; the exchange never ran")
 	}
 }
@@ -148,7 +146,6 @@ func TestShardOOMDeterministic(t *testing.T) {
 			}
 			for i := 0; i < 64; i++ {
 				s.M.AllocGlobal(node, 0) // immortal from the roots' view: never released
-				s.Poll()
 			}
 		},
 	}
@@ -175,9 +172,6 @@ func TestShardOOMDeterministic(t *testing.T) {
 	if !anyOOM {
 		t.Error("expected at least one shard to OOM under a 4-frame heap")
 	}
-	if !par.Result().OOM {
-		t.Error("Result.OOM not set despite shard OOM")
-	}
 }
 
 // TestScalingMakespan checks the point of the exercise: with 4 shards
@@ -189,53 +183,16 @@ func TestScalingMakespan(t *testing.T) {
 	if err := rt.Run(testPlan(shards, 6)); err != nil {
 		t.Fatal(err)
 	}
-	res := rt.Result()
-	if res.Makespan <= 0 || res.TotalCost <= 0 {
-		t.Fatalf("degenerate result: %+v", res)
+	var work float64 // aggregate work: Σ per-shard clock totals
+	for _, s := range rt.Shards() {
+		work += s.Heap.Clock().TotalTime()
 	}
-	if res.Makespan > res.TotalCost/2 {
+	if rt.Makespan() <= 0 || work <= 0 {
+		t.Fatalf("degenerate run: makespan %v, aggregate work %v", rt.Makespan(), work)
+	}
+	if rt.Makespan() > work/2 {
 		t.Errorf("makespan %v not < half of aggregate work %v across %d shards",
-			res.Makespan, res.TotalCost, shards)
-	}
-	if res.Throughput() <= 0 {
-		t.Error("zero aggregate throughput")
-	}
-}
-
-// TestGCWorkerPolicy checks that the STW (GCWorkers=1) and fanned-out
-// (GCWorkers=0 → one per shard) global-collection paths produce
-// identical heap outcomes and differ only in makespan attribution
-// (sum vs max).
-func TestGCWorkerPolicy(t *testing.T) {
-	const shards, rounds = 3, 4
-	build := func(workers int) *Runtime {
-		rt, err := New(testConfig(), Options{
-			Shards: shards, Seed: 99, GCWorkers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rt
-	}
-	stw, fan := build(1), build(0)
-	if err := stw.Run(testPlan(shards, rounds)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fan.Run(testPlan(shards, rounds)); err != nil {
-		t.Fatal(err)
-	}
-	for i := range stw.Shards() {
-		a, b := stw.Shards()[i], fan.Shards()[i]
-		if a.Heap.Clock().Counters != b.Heap.Clock().Counters {
-			t.Errorf("shard %d counters differ between STW and fan-out", i)
-		}
-		if a.Heap.Collections() != b.Heap.Collections() {
-			t.Errorf("shard %d collection counts differ between STW and fan-out", i)
-		}
-	}
-	if stw.GCMakespan() < fan.GCMakespan() {
-		t.Errorf("STW GC makespan %v < fan-out %v; sum should dominate max",
-			stw.GCMakespan(), fan.GCMakespan())
+			rt.Makespan(), work, shards)
 	}
 }
 

@@ -83,8 +83,8 @@ const (
 	// EvPolicy: the adaptive policy controller made a decision
 	// (internal/policy). Marker decisions (e.g. a phase-shift note) carry
 	// knob 0.
-	//   A = knob id (core.Knob) | (belt+1)<<8 (0 in that byte for global
-	//       knobs) | reason<<24 (policy.Reason)
+	//   A = knob id (core.Knob) | (belt+1)<<8 (0 in that byte for a
+	//       marker) | reason<<24 (policy.Reason)
 	//   B = math.Float64bits of the knob's new value
 	EvPolicy
 )
@@ -215,16 +215,8 @@ func policyKnobName(k uint8) string {
 	switch k {
 	case 1:
 		return "increment-frac"
-	case 2:
-		return "max-increments"
 	case 3:
 		return "reserve-frac"
-	case 4:
-		return "promote-to"
-	case 5:
-		return "remset-threshold"
-	case 6:
-		return "ttd-bytes"
 	default:
 		return "none"
 	}
@@ -240,12 +232,6 @@ func policyReasonName(r uint8) string {
 		return "occupancy-revert"
 	case 3:
 		return "phase-shift"
-	case 4:
-		return "mmu-below-floor"
-	case 5:
-		return "footprint-over-cap"
-	case 6:
-		return "footprint-relax"
 	case 7:
 		return "gc-overhead-high"
 	default:

@@ -7,9 +7,7 @@ import (
 
 // Policy metric names (internal/policy adaptive controller). The
 // decision counter is fixed; knob-value gauges are registered on first
-// sight of each (knob, belt) pair, named
-// "policy_knob_<knob>" for global knobs and
-// "policy_knob_<knob>_belt<N>" for per-belt ones.
+// sight of each (knob, belt) pair, named "policy_knob_<knob>_belt<N>".
 const MetricPolicyDecisions = "policy_decisions_total"
 
 // PolicyObserver feeds a Run's registry and flight recorder with
@@ -37,7 +35,7 @@ func (r *Run) PolicyObserver() *PolicyObserver {
 }
 
 // Decision records one controller decision (policy.Emitter). Knob and
-// reason arrive as their numeric ids; belt is -1 for global knobs.
+// reason arrive as their numeric ids; belt is -1 for a marker.
 func (o *PolicyObserver) Decision(gcOrdinal uint64, now float64, reason, knob, belt int, value float64) {
 	o.decisions.Inc()
 	if knob != 0 {

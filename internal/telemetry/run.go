@@ -244,16 +244,3 @@ func (r *Run) Snapshot() *RunSnapshot {
 		Metrics:       r.reg.Snapshot(),
 	}
 }
-
-// PauseQuantile returns the q-quantile of the snapshot's pause-cost
-// histogram, in cost units (0 when the snapshot has no pause data).
-func (s *RunSnapshot) PauseQuantile(q float64) float64 {
-	if s == nil || s.Metrics == nil {
-		return 0
-	}
-	h, ok := s.Metrics.Histograms[MetricPauseCost]
-	if !ok {
-		return 0
-	}
-	return h.Quantile(q)
-}

@@ -452,21 +452,11 @@ func TestHooksFeedRunEndToEnd(t *testing.T) {
 	if ph.Count != 2 || ph.Max != 1500 {
 		t.Errorf("pause histogram wrong: %+v", ph)
 	}
-	if got := s.PauseQuantile(1); got != 1500 {
-		t.Errorf("PauseQuantile(1) = %v", got)
+	if got := ph.Quantile(1); got != 1500 {
+		t.Errorf("pause histogram Quantile(1) = %v", got)
 	}
 	if g := m.Gauges[MetricOccupiedBytes]; g != 6144 {
 		t.Errorf("occupied gauge = %v", g)
-	}
-}
-
-func TestPauseQuantileNilSafe(t *testing.T) {
-	var s *RunSnapshot
-	if s.PauseQuantile(0.5) != 0 {
-		t.Error("nil snapshot quantile should be 0")
-	}
-	if (&RunSnapshot{}).PauseQuantile(0.5) != 0 {
-		t.Error("empty snapshot quantile should be 0")
 	}
 }
 
