@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"beltway/internal/collectors"
@@ -106,7 +107,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	env.Telemetry = true
+	env.Telemetry = files.Events()
 	res, err := harness.Run(config, work, env)
 	if err != nil {
 		fatalf("%v", err)
@@ -126,11 +127,15 @@ func main() {
 	table := harness.ResultsTable([]*harness.Result{res})
 	fmt.Printf("\n%s", table.String())
 
-	agg := telemetry.NewAggregator()
-	agg.Add(res.Collector, res.Telemetry)
-	runs := []telemetry.TraceRun{{
-		Name: fmt.Sprintf("%s / %s", res.Collector, res.Benchmark), Pid: 1, Events: res.Telemetry.Events}}
-	if err := files.Write("beltway", runs, agg); err != nil {
+	var runs []telemetry.TraceRun
+	if res.Telemetry != nil {
+		runs = []telemetry.TraceRun{{
+			Name: fmt.Sprintf("%s / %s", res.Collector, res.Benchmark), Pid: 1, Events: res.Telemetry.Events}}
+	}
+	err = files.Write("beltway", runs, func(w io.Writer) error {
+		return harness.WriteMetrics(w, []*harness.Result{res})
+	})
+	if err != nil {
 		fatalf("%v", err)
 	}
 	if *showMMU && !res.OOM {

@@ -31,7 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -65,8 +65,6 @@ func main() {
 			"per-run wall-clock budget (e.g. 30s; 0 = none); exceeded runs are recorded as failures")
 		slo = flag.String("slo", "",
 			"request-latency SLO for -exp server, e.g. p99=10e3,p99.9=1e6,max=20e6 (cost units; default: the built-in bar)")
-		metricsAddr = flag.String("metrics-addr", "",
-			"serve live aggregated metrics over HTTP at this address (e.g. :9090) while the sweep runs")
 	)
 	envFlags := harness.BindEnvFlags(flag.CommandLine)
 	files := telemetry.BindFileFlags(flag.CommandLine)
@@ -90,20 +88,13 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	// Telemetry: observability output goes to files (and the optional HTTP
-	// endpoint), never stdout, so the printed tables stay byte-identical
-	// with telemetry enabled or disabled.
+	// Observability output goes to files, never stdout, so the printed
+	// tables stay byte-identical with it enabled or disabled. Only the
+	// event renderers need the runs to carry their event streams.
+	env.Telemetry = files.Events()
 	var obs *observer
-	if files.Any() || *metricsAddr != "" {
-		env.Telemetry = true
-		obs = newObserver()
-		if *metricsAddr != "" {
-			go func() {
-				if err := http.ListenAndServe(*metricsAddr, obs.agg.Handler()); err != nil {
-					fmt.Fprintf(os.Stderr, "experiments: metrics endpoint: %v\n", err)
-				}
-			}()
-		}
+	if files.Any() {
+		obs = &observer{results: map[string]*harness.Result{}}
 	}
 
 	opts := experiments.Opts{
@@ -182,69 +173,61 @@ func main() {
 	}
 
 	if obs != nil {
-		if err := files.Write("experiments", obs.sortedRuns(), obs.agg); err != nil {
+		if err := obs.write(files); err != nil {
 			fatalf("%v", err)
 		}
 	}
 }
 
-// observer aggregates telemetry from engine records as runs settle. Safe
-// for concurrent use (records arrive from worker goroutines).
+// observer keeps the result of every settled run, by engine key — one
+// copy however many figures asked for it. Safe for concurrent use
+// (records arrive from worker goroutines).
 type observer struct {
-	agg *telemetry.Aggregator
-
-	mu   sync.Mutex
-	runs map[string]telemetry.TraceRun // by engine key, deduplicated
+	mu      sync.Mutex
+	results map[string]*harness.Result
 }
 
-func newObserver() *observer {
-	return &observer{agg: telemetry.NewAggregator(), runs: map[string]telemetry.TraceRun{}}
-}
-
-// onRecord decodes a settled engine record's payload and folds its
-// telemetry into the aggregate. Records without telemetry (failures,
-// resumed from a telemetry-less checkpoint) are skipped.
+// onRecord decodes a settled engine record's payload. Records that hold
+// no run (failures, minimum-heap searches) are skipped.
 func (o *observer) onRecord(rec engine.Record) {
 	if !rec.Outcome.Completed() || len(rec.Payload) == 0 {
 		return
 	}
 	var p harness.RunPayload
-	if err := json.Unmarshal(rec.Payload, &p); err != nil || p.Result == nil || p.Result.Telemetry == nil {
+	if err := json.Unmarshal(rec.Payload, &p); err != nil || p.Result == nil {
 		return
 	}
-	key := rec.Key.String()
 	o.mu.Lock()
-	_, seen := o.runs[key]
-	if !seen {
-		o.runs[key] = telemetry.TraceRun{
-			Name: fmt.Sprintf("%s / %s @ %sMB", p.Result.Collector, p.Result.Benchmark,
-				harness.FmtMB(p.Result.HeapBytes)),
-			Events: p.Result.Telemetry.Events,
-		}
-	}
+	o.results[rec.Key.String()] = p.Result
 	o.mu.Unlock()
-	if !seen {
-		o.agg.Add(p.Result.Collector, p.Result.Telemetry)
-	}
 }
 
-// sortedRuns returns the observed runs ordered (and numbered) by key, so
-// file output is deterministic regardless of completion order.
-func (o *observer) sortedRuns() []telemetry.TraceRun {
+// write renders the observed runs, ordered (and numbered) by key so the
+// files are the same bytes whatever order the runs completed in.
+func (o *observer) write(files *telemetry.FileFlags) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	keys := make([]string, 0, len(o.runs))
-	for k := range o.runs {
+	keys := make([]string, 0, len(o.results))
+	for k := range o.results {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]telemetry.TraceRun, 0, len(keys))
+	results := make([]*harness.Result, len(keys))
+	var runs []telemetry.TraceRun
 	for i, k := range keys {
-		run := o.runs[k]
-		run.Pid = i + 1
-		out = append(out, run)
+		r := o.results[k]
+		results[i] = r
+		if r.Telemetry != nil {
+			runs = append(runs, telemetry.TraceRun{
+				Name:   fmt.Sprintf("%s / %s @ %sMB", r.Collector, r.Benchmark, harness.FmtMB(r.HeapBytes)),
+				Pid:    len(runs) + 1,
+				Events: r.Telemetry.Events,
+			})
+		}
 	}
-	return out
+	return files.Write("experiments", runs, func(w io.Writer) error {
+		return harness.WriteMetrics(w, results)
+	})
 }
 
 func fatalf(format string, args ...any) {

@@ -35,7 +35,6 @@ import (
 
 	"beltway/internal/farm"
 	"beltway/internal/harness"
-	"beltway/internal/telemetry"
 )
 
 func main() {
@@ -112,7 +111,6 @@ func runMain(args []string) {
 		return exec.Command(exe, wargs...)
 	}
 
-	reg := telemetry.NewRegistry()
 	cfg := farm.Config{
 		Grid:          grid,
 		OutDir:        *out,
@@ -121,7 +119,6 @@ func runMain(args []string) {
 		Retries:       *retries,
 		Deadline:      *deadline,
 		WorkerCommand: workerCmd,
-		Metrics:       telemetry.NewFarmMetrics(reg),
 	}
 	if *retries <= 0 {
 		cfg.Retries = -1 // farm.Config: negative disables, 0 means default
@@ -138,14 +135,17 @@ func runMain(args []string) {
 		if ferr != nil {
 			fatalf("run: -metrics-out: %v", ferr)
 		}
-		if err := reg.WritePrometheus(f, ""); err != nil {
+		err := harness.WriteCounters(f, "farm", *sum)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fatalf("run: -metrics-out: %v", err)
 		}
-		f.Close()
 	}
-	fmt.Printf("farm: %d job(s): %d completed, %d failed, %d resumed; %d worker spawn(s), %d crash(es); ledger holds %d entr%s\n",
+	fmt.Printf("farm: %d job(s): %d completed, %d failed, %d resumed; %d worker spawn(s), %d crash(es), %d hang kill(s), %d job(s) requeued; ledger holds %d entr%s\n",
 		sum.Jobs, sum.Completed, sum.Failed, sum.Resumed,
-		sum.WorkerSpawns, sum.WorkerCrashes,
+		sum.WorkerSpawns, sum.WorkerCrashes, sum.WorkerKills, sum.JobsRetried,
 		sum.LedgerEntries, pluralIES(sum.LedgerEntries))
 	if sum.Invalidated > 0 {
 		fmt.Printf("farm: %d stale checkpoint record(s) were invalidated and re-executed\n", sum.Invalidated)

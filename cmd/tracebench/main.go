@@ -143,7 +143,7 @@ func run(args []string, stdout io.Writer) error {
 	// trace — so they go to the executor as one batch. A panicking or
 	// failing replay degrades to a "failed" row; rows print in spec order
 	// regardless of completion order.
-	env.Telemetry = files.Any()
+	env.Telemetry = files.Events()
 	var specs []harness.RunSpec
 	for _, spec := range strings.Split(*gcs, ",") {
 		cfg, err := collectors.Parse(strings.TrimSpace(spec), env.Options(heapBytes))
@@ -160,7 +160,6 @@ func run(args []string, stdout io.Writer) error {
 
 	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "collector\tGCs\tfull\tcopied MB\tremset ins\tcards\tGC %\tp50 ms\tp95 ms\tp99 ms\tmax ms")
-	agg := telemetry.NewAggregator()
 	var runs []telemetry.TraceRun
 	for i, r := range results {
 		col := specs[i].Key.Collector
@@ -175,14 +174,15 @@ func run(args []string, stdout io.Writer) error {
 			float64(c.BytesCopied)/(1<<20), c.RemsetInserts, c.CardsScanned,
 			100*r.GCFraction(), ps.Median/cyclesPerMs, ps.P95/cyclesPerMs, ps.P99/cyclesPerMs, ps.Max/cyclesPerMs)
 		if r.Telemetry != nil {
-			agg.Add(col, r.Telemetry)
 			runs = append(runs, telemetry.TraceRun{Name: col, Pid: len(runs) + 1, Events: r.Telemetry.Events})
 		}
 	}
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	return files.Write("tracebench", runs, agg)
+	return files.Write("tracebench", runs, func(w io.Writer) error {
+		return harness.WriteMetrics(w, results)
+	})
 }
 
 // incomplete says, in one line, why a run produced no measurement.

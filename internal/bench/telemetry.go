@@ -9,8 +9,8 @@ import (
 )
 
 // The telemetry suite pins the observability hot paths: event emission
-// into the flight recorder, metric updates, and a full collection's worth
-// of hook invocations. All of them must report 0 allocs/op — attaching
+// into the flight recorder and a full collection's worth of hook
+// invocations. All of them must report 0 allocs/op — attaching
 // telemetry may never put allocation pressure on a run.
 
 // TelemetryEmitEvent measures one flight-recorder emission (ring write +
@@ -22,29 +22,6 @@ func TelemetryEmitEvent(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec.Emit(e)
-	}
-}
-
-// TelemetryHistogramObserve measures one log-bucketed histogram
-// observation (bucket add + CAS sum/max).
-func TelemetryHistogramObserve(b *testing.B) {
-	reg := telemetry.NewRegistry()
-	h := reg.NewHistogram("pause", "")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i&0xffff) + 1)
-	}
-}
-
-// TelemetryCounterAdd measures one atomic counter update.
-func TelemetryCounterAdd(b *testing.B) {
-	reg := telemetry.NewRegistry()
-	c := reg.NewCounter("n", "")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Add(3)
 	}
 }
 

@@ -345,11 +345,7 @@ func (h *Heap) beltStat(bi int) gc.BeltStat {
 	for _, in := range b.incrs {
 		frames += len(in.frames)
 	}
-	lines, used := h.MRLineStats(bi)
-	return gc.BeltStat{
-		Belt: bi, Increments: b.Len(), Bytes: b.Bytes(), Frames: frames,
-		MRLines: lines, MRLinesUsed: used,
-	}
+	return gc.BeltStat{Belt: bi, Increments: b.Len(), Bytes: b.Bytes(), Frames: frames}
 }
 
 // frameCondemned reports whether frame f belongs to a condemned increment.

@@ -352,19 +352,3 @@ func (h *Heap) mrBeltCopyBound(b *Belt) int {
 	}
 	return n
 }
-
-// MRLineStats returns the total and used line counts across a belt's
-// mark-region frames (both zero for copying belts). Inspection only.
-func (h *Heap) MRLineStats(bi int) (lines, used int) {
-	if !h.isMRBelt(bi) {
-		return 0, 0
-	}
-	for _, in := range h.belts[bi].incrs {
-		for _, f := range in.frames {
-			fs := h.mr.frames[f]
-			lines += fs.Lines()
-			used += fs.UsedLines()
-		}
-	}
-	return lines, used
-}

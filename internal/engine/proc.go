@@ -85,9 +85,8 @@ type ProcConfig struct {
 	KillGrace time.Duration
 	// Stderr receives every worker's stderr (default os.Stderr).
 	Stderr io.Writer
-	// OnSpawn and OnCrash, if non-nil, observe worker lifecycle for
-	// telemetry. Called from the goroutine driving the affected job.
-	OnSpawn func(spawn int)
+	// OnCrash, if non-nil, is told of every worker lost mid-job, from the
+	// goroutine driving that job (Spawns counts the launches).
 	OnCrash func(spawn int, kind CrashKind)
 }
 
@@ -149,9 +148,6 @@ func (p *ProcPool) spawn() (*workerProc, error) {
 	cmd.Stderr = p.cfg.Stderr
 	if err := cmd.Start(); err != nil {
 		return nil, &CrashError{Kind: CrashSpawn, Worker: id, Detail: err.Error()}
-	}
-	if p.cfg.OnSpawn != nil {
-		p.cfg.OnSpawn(id)
 	}
 	return &workerProc{id: id, cmd: cmd, in: in, out: bufio.NewReaderSize(out, 1<<16)}, nil
 }

@@ -14,7 +14,6 @@ import (
 
 	"beltway/internal/engine"
 	"beltway/internal/harness"
-	"beltway/internal/telemetry"
 	"beltway/internal/workload"
 )
 
@@ -50,19 +49,24 @@ type Config struct {
 	WorkerCommand func(spawn int) *exec.Cmd
 	// Progress, if non-nil, receives one line per notable event.
 	Progress func(string)
-	// Metrics, if non-nil, receives farm counters.
-	Metrics *telemetry.FarmMetrics
 }
 
-// Summary reports what a farm run did.
+// Summary reports what a farm run did. Every field is a count
+// (cmd/farm -metrics-out renders them with harness.WriteCounters).
 type Summary struct {
-	Jobs          int `json:"jobs"`
-	Completed     int `json:"completed"`
-	Failed        int `json:"failed"`
-	Resumed       int `json:"resumed"`
-	Invalidated   int `json:"invalidated"`
-	WorkerSpawns  int `json:"worker_spawns"`
+	Jobs         int `json:"jobs"`
+	Completed    int `json:"completed"`
+	Failed       int `json:"failed"`
+	Resumed      int `json:"resumed"`
+	Invalidated  int `json:"invalidated"`
+	WorkerSpawns int `json:"worker_spawns"`
+	// WorkerCrashes counts worker processes lost mid-job (exit, signal,
+	// hang escalation, protocol breakdown); WorkerKills the hang
+	// escalations among them, which ended in a SIGKILL; JobsRetried the
+	// jobs requeued because their worker crashed.
 	WorkerCrashes int `json:"worker_crashes"`
+	WorkerKills   int `json:"worker_kills"`
+	JobsRetried   int `json:"jobs_retried"`
 	LedgerEntries int `json:"ledger_entries"`
 }
 
@@ -128,10 +132,12 @@ func Run(cfg Config) (*Summary, error) {
 	}
 	fingerprint := engine.Fingerprint("farm", binHash, string(gridJSON))
 
-	m := cfg.Metrics
+	// mu guards what worker goroutines report: the first ledger error and
+	// the crash counts.
 	var (
-		ledgerMu  sync.Mutex
+		mu        sync.Mutex
 		ledgerErr error
+		sum       Summary
 	)
 	eng := engine.New(engine.Config{
 		Workers:     cfg.Workers,
@@ -144,19 +150,12 @@ func Run(cfg Config) (*Summary, error) {
 			if rec.Key.Experiment != Experiment || !rec.Outcome.Completed() {
 				return
 			}
-			if m != nil {
-				m.JobsCompleted.Inc()
-			}
-			appended, err := commitToLedger(cfg.OutDir, ledger, rec, cfg.Grid.Env, binHash)
-			if err != nil {
-				ledgerMu.Lock()
+			if err := commitToLedger(cfg.OutDir, ledger, rec, cfg.Grid.Env, binHash); err != nil {
+				mu.Lock()
 				if ledgerErr == nil {
 					ledgerErr = err
 				}
-				ledgerMu.Unlock()
-			}
-			if appended && m != nil {
-				m.LedgerEntries.Inc()
+				mu.Unlock()
 			}
 		},
 	})
@@ -168,18 +167,13 @@ func Run(cfg Config) (*Summary, error) {
 		Workers:  cfg.Workers,
 		Command:  cfg.WorkerCommand,
 		Deadline: cfg.Deadline,
-		OnSpawn: func(int) {
-			if m != nil {
-				m.WorkersSpawned.Inc()
-			}
-		},
 		OnCrash: func(spawn int, kind engine.CrashKind) {
-			if m != nil {
-				m.WorkersCrashed.Inc()
-				if kind == engine.CrashHang {
-					m.WorkerKills.Inc()
-				}
+			mu.Lock()
+			sum.WorkerCrashes++
+			if kind == engine.CrashHang {
+				sum.WorkerKills++
 			}
+			mu.Unlock()
 			progress(fmt.Sprintf("farm: worker %d lost (%s); its job will be requeued", spawn, kind))
 		},
 	})
@@ -213,9 +207,9 @@ func Run(cfg Config) (*Summary, error) {
 			if err != nil {
 				var ce *engine.CrashError
 				if errors.As(err, &ce) {
-					if m != nil {
-						m.JobsRetried.Inc()
-					}
+					mu.Lock()
+					sum.JobsRetried++
+					mu.Unlock()
 					return nil, "", engine.MarkTransient(err)
 				}
 				return nil, "", err
@@ -238,12 +232,10 @@ func Run(cfg Config) (*Summary, error) {
 		return nil, ledgerErr
 	}
 
-	sum := &Summary{
-		Jobs:          len(recs),
-		Invalidated:   eng.Invalidated(),
-		WorkerSpawns:  pool.Spawns(),
-		LedgerEntries: ledger.Len(),
-	}
+	sum.Jobs = len(recs)
+	sum.Invalidated = eng.Invalidated()
+	sum.WorkerSpawns = pool.Spawns()
+	sum.LedgerEntries = ledger.Len()
 	for _, rec := range recs {
 		if rec.Outcome.Completed() {
 			sum.Completed++
@@ -254,10 +246,7 @@ func Run(cfg Config) (*Summary, error) {
 			sum.Resumed++
 		}
 	}
-	if m != nil {
-		sum.WorkerCrashes = int(m.WorkersCrashed.Value())
-	}
-	return sum, nil
+	return &sum, nil
 }
 
 // commitToLedger writes the run's artifact file (atomically: temp file
@@ -266,7 +255,7 @@ func Run(cfg Config) (*Summary, error) {
 // a crash between checkpoint write and ledger append heals on resume.
 // Every spec in one farm run shares the grid environment, so the spec is
 // fully reconstructible from the record key plus env.
-func commitToLedger(outDir string, ledger *Ledger, rec engine.Record, env harness.Env, binHash string) (bool, error) {
+func commitToLedger(outDir string, ledger *Ledger, rec engine.Record, env harness.Env, binHash string) error {
 	spec := JobSpec{
 		Collector: rec.Key.Collector,
 		Benchmark: rec.Key.Benchmark,
@@ -274,18 +263,18 @@ func commitToLedger(outDir string, ledger *Ledger, rec engine.Record, env harnes
 		Env:       env,
 	}
 	if ledger.Has(spec.Key()) {
-		return false, nil
+		return nil
 	}
 	name := artifactName(rec.Key)
 	full := filepath.Join(outDir, runsDir, name)
 	tmp := full + ".tmp"
 	if err := os.WriteFile(tmp, rec.Payload, 0o644); err != nil {
-		return false, err
+		return err
 	}
 	if err := os.Rename(tmp, full); err != nil {
-		return false, err
+		return err
 	}
-	return ledger.Append(Entry{
+	_, err := ledger.Append(Entry{
 		Spec:         spec,
 		Outcome:      rec.Outcome,
 		Attempts:     rec.Attempts,
@@ -293,6 +282,7 @@ func commitToLedger(outDir string, ledger *Ledger, rec engine.Record, env harnes
 		Artifact:     filepath.Join(runsDir, name),
 		ResultDigest: harness.PayloadDigest(rec.Payload),
 	})
+	return err
 }
 
 // artifactName renders a run key as a filename: experiment, collector,

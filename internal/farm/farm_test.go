@@ -13,7 +13,6 @@ import (
 
 	"beltway/internal/engine"
 	"beltway/internal/harness"
-	"beltway/internal/telemetry"
 )
 
 // TestMain doubles as the farm worker for the end-to-end tests: when
@@ -59,21 +58,19 @@ func workerCommand(t *testing.T, dieAfterFirst int) func(int) *exec.Cmd {
 	}
 }
 
-func runFarm(t *testing.T, dir string, dieAfterFirst int, resume bool) (*Summary, *telemetry.FarmMetrics) {
+func runFarm(t *testing.T, dir string, dieAfterFirst int, resume bool) *Summary {
 	t.Helper()
-	metrics := telemetry.NewFarmMetrics(telemetry.NewRegistry())
 	sum, err := Run(Config{
 		Grid:          testGrid(),
 		OutDir:        dir,
 		Workers:       2,
 		Resume:        resume,
 		WorkerCommand: workerCommand(t, dieAfterFirst),
-		Metrics:       metrics,
 	})
 	if err != nil {
 		t.Fatalf("farm run in %s: %v", dir, err)
 	}
-	return sum, metrics
+	return sum
 }
 
 // TestFarmEndToEnd: a small grid over two worker processes completes,
@@ -82,7 +79,7 @@ func runFarm(t *testing.T, dir string, dieAfterFirst int, resume bool) (*Summary
 // verified records.
 func TestFarmEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	sum, _ := runFarm(t, dir, 0, false)
+	sum := runFarm(t, dir, 0, false)
 	if sum.Failed != 0 || sum.Completed != sum.Jobs || sum.Jobs != 4 {
 		t.Fatalf("summary %+v", sum)
 	}
@@ -115,15 +112,15 @@ func TestFarmWorkerKilledMidJob(t *testing.T) {
 	runFarm(t, clean, 0, false)
 
 	crashed := t.TempDir()
-	sum, metrics := runFarm(t, crashed, 1, false)
+	sum := runFarm(t, crashed, 1, false)
 	if sum.Failed != 0 || sum.Completed != 4 {
 		t.Fatalf("crashed-worker summary %+v", sum)
 	}
 	if sum.WorkerCrashes != 1 {
 		t.Fatalf("want exactly 1 worker crash, got %d", sum.WorkerCrashes)
 	}
-	if got := metrics.JobsRetried.Value(); got != 1 {
-		t.Fatalf("want exactly 1 requeued job, got %d", got)
+	if sum.JobsRetried != 1 || sum.WorkerKills != 0 {
+		t.Fatalf("want exactly 1 requeued job and no hang kill, got %d and %d", sum.JobsRetried, sum.WorkerKills)
 	}
 	if sum.WorkerSpawns < 3 {
 		t.Fatalf("want a respawn after the kill (>=3 spawns for 2 slots), got %d", sum.WorkerSpawns)
@@ -219,7 +216,7 @@ func TestFarmResumeAfterOrchestratorCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sum, _ := runFarm(t, crash, 0, true)
+	sum := runFarm(t, crash, 0, true)
 	if sum.Resumed != sum.Jobs || sum.Jobs != 4 {
 		t.Fatalf("resume re-executed work: %+v", sum)
 	}

@@ -107,10 +107,6 @@ type BeltStat struct {
 	Increments int
 	Bytes      int
 	Frames     int
-	// MRLines/MRLinesUsed report line-granularity occupancy for belts on
-	// the mark-region substrate (both zero for copying belts).
-	MRLines     int
-	MRLinesUsed int
 }
 
 // DegradeStep identifies one rung of the graceful-degradation ladder.

@@ -53,8 +53,7 @@ func TestResultsTableGolden(t *testing.T) {
 		t.Fatalf("classic table drifted:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 	// The same run with its flight recorder attached: the pause columns
-	// are the pause list's own percentiles, never the histogram's
-	// interpolation of them.
+	// are the pause list's own percentiles either way.
 	traced := syntheticResult(false)
 	run := telemetry.NewRun(stats.NewClock(stats.DefaultCosts()))
 	for _, p := range traced.Pauses {

@@ -33,10 +33,9 @@ type Env struct {
 	// Result.Aborted set. This is the deterministic counterpart of a
 	// wall-clock timeout: it actually stops the simulated run.
 	CostBudget float64
-	// Telemetry attaches a telemetry.Run (flight recorder + metrics) to
-	// every run and returns its snapshot in Result.Telemetry. Telemetry
-	// observes the clock without advancing it, so enabling it changes no
-	// measurement.
+	// Telemetry returns every run's retained event stream (the flight
+	// recorder's snapshot) in Result.Telemetry. Telemetry observes the
+	// clock without advancing it, so enabling it changes no measurement.
 	Telemetry bool `json:",omitempty"`
 	// Degrade enables the graceful-degradation ladder (core.Config.Degrade)
 	// on every configuration: emergency full-heap collection and one retry
@@ -132,8 +131,8 @@ type Result struct {
 	// observed by the engine instead of a measurement. All metric fields
 	// are zero; aggregation treats the point like an OOM.
 	Failure string `json:",omitempty"`
-	// Telemetry is the run's flight-recorder events and metric snapshot,
-	// present only when Env.Telemetry was set.
+	// Telemetry is the run's retained flight-recorder events, present
+	// only when Env.Telemetry was set.
 	Telemetry *telemetry.RunSnapshot `json:",omitempty"`
 	// Server is the request/latency report of a Server workload's run;
 	// nil for benchmark runs.

@@ -53,13 +53,14 @@ func TestRunServerPresets(t *testing.T) {
 		if res.Telemetry == nil {
 			t.Fatalf("%s: no telemetry snapshot", preset)
 		}
-		reqs, ok := res.Telemetry.Metrics.Counters["server_requests_total"]
-		if !ok || reqs != uint64(sc.TotalRequests()) {
-			t.Fatalf("%s: requests counter %d, want %d", preset, reqs, sc.TotalRequests())
+		if n := res.Server.Overall.Latency.Count; n != sc.TotalRequests() {
+			t.Fatalf("%s: latency distribution over %d requests, want %d", preset, n, sc.TotalRequests())
 		}
-		h, ok := res.Telemetry.Metrics.Histograms["server_request_latency_cost_units"]
-		if !ok || h.Count != uint64(sc.TotalRequests()) {
-			t.Fatalf("%s: latency histogram missing or short", preset)
+		// Every request left an event; the ring keeps the newest.
+		events := res.Telemetry.Events
+		if uint64(len(events))+res.Telemetry.DroppedEvents < uint64(sc.TotalRequests()) {
+			t.Fatalf("%s: %d events kept, %d dropped: fewer than the %d requests",
+				preset, len(events), res.Telemetry.DroppedEvents, sc.TotalRequests())
 		}
 	}
 }

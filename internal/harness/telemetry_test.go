@@ -1,9 +1,9 @@
 package harness
 
 import (
-	"encoding/json"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"beltway/internal/engine"
@@ -49,8 +49,8 @@ func checkEventStream(t *testing.T, label string, s *telemetry.RunSnapshot) {
 }
 
 // TestRunOneTelemetry checks RunOne's telemetry attachment: the stream is
-// coherent, the metrics agree with the run's counters, and the
-// measurement itself is bit-identical with telemetry on or off.
+// coherent and the measurement itself is bit-identical with telemetry on
+// or off (TestEventsRestateTheResult holds the events to the Result).
 func TestRunOneTelemetry(t *testing.T) {
 	env := testEnv()
 	cfg := xx100Func(25, env)(1 << 20)
@@ -76,29 +76,11 @@ func TestRunOneTelemetry(t *testing.T) {
 		t.Errorf("telemetry changed the measurement:\nwith:    %+v\nwithout: %+v",
 			res.Counters, plain.Counters)
 	}
-
-	m := res.Telemetry.Metrics
-	if got := m.Counters[telemetry.MetricCollections]; got != res.Collections {
-		t.Errorf("collections metric %d, want %d", got, res.Collections)
-	}
-	if got := m.Counters[telemetry.MetricFullCollections]; got != res.Counters.FullCollections {
-		t.Errorf("full collections metric %d, want %d", got, res.Counters.FullCollections)
-	}
-	if got := m.Counters[telemetry.MetricBarrierSlow]; got != res.Counters.BarrierSlowPaths {
-		t.Errorf("barrier slow metric %d, want %d", got, res.Counters.BarrierSlowPaths)
-	}
-	ph := m.Histograms[telemetry.MetricPauseCost]
-	if ph == nil || ph.Count != res.Collections {
-		t.Fatalf("pause histogram %+v, want %d observations", ph, res.Collections)
-	}
-	if ph.Max != res.MaxPause {
-		t.Errorf("pause histogram max %v, want %v", ph.Max, res.MaxPause)
-	}
 }
 
 // TestGenerationalTelemetry checks the generational baselines (Appel et
-// al. are presets of the same engine) emit the same event stream and
-// metrics as the Beltway configurations.
+// al. are presets of the same engine) emit the same event stream as the
+// Beltway configurations.
 func TestGenerationalTelemetry(t *testing.T) {
 	env := testEnv()
 	env.Telemetry = true
@@ -127,8 +109,8 @@ func TestGenerationalTelemetry(t *testing.T) {
 	if res.Telemetry.DroppedEvents == 0 && begins != ends {
 		t.Errorf("unpaired collections: %d begins, %d ends", begins, ends)
 	}
-	if got := res.Telemetry.Metrics.Counters[telemetry.MetricCollections]; got != res.Collections {
-		t.Errorf("collections metric %d, want %d", got, res.Collections)
+	if last := res.Telemetry.Events[len(res.Telemetry.Events)-1]; last.GC != res.Counters.Collections {
+		t.Errorf("last event belongs to collection %d, the clock counted %d", last.GC, res.Counters.Collections)
 	}
 }
 
@@ -157,40 +139,44 @@ func telemetrySpecs(env Env) []RunSpec {
 // TestParallelTelemetryMatchesSerial runs the same telemetry-enabled
 // sweep through the engine with four workers and with one, and requires
 // (a) every run's event stream to be internally coherent — per-run
-// recorders must not observe each other's collections — and (b) the
-// merged aggregates to be identical, which only holds if each stream went
-// to exactly one recorder and merging is order-independent. Run under
-// -race this also exercises the concurrent OnRecord path.
+// recorders must not observe each other's collections — and equal to the
+// serial run's, and (b) the -metrics-out text of the two sweeps to be the
+// same bytes (-jobs 1 against -jobs 4). Run under -race this also
+// exercises the concurrent OnRecord path.
 func TestParallelTelemetryMatchesSerial(t *testing.T) {
 	env := testEnv()
 	env.Telemetry = true
 
-	sweep := func(workers int) ([]*Result, map[string]*telemetry.RegistrySnapshot) {
+	sweep := func(workers int) ([]*Result, string) {
 		t.Helper()
-		agg := telemetry.NewAggregator()
+		var mu sync.Mutex
+		settled := 0
 		x := NewExecutor(engine.Config{
 			Workers: workers,
-			OnRecord: func(rec engine.Record) {
-				if !rec.Outcome.Completed() || len(rec.Payload) == 0 {
-					return
-				}
-				var p RunPayload
-				if err := json.Unmarshal(rec.Payload, &p); err != nil || p.Result == nil || p.Result.Telemetry == nil {
-					return
-				}
-				agg.Add(p.Result.Collector, p.Result.Telemetry)
+			OnRecord: func(engine.Record) {
+				mu.Lock()
+				settled++
+				mu.Unlock()
 			},
 		})
 		defer x.Close()
-		results, err := x.RunAll(telemetrySpecs(env))
+		specs := telemetrySpecs(env)
+		results, err := x.RunAll(specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results, agg.Snapshot()
+		if settled != len(specs) {
+			t.Errorf("%d workers: OnRecord saw %d records, want %d", workers, settled, len(specs))
+		}
+		var text strings.Builder
+		if err := WriteMetrics(&text, results); err != nil {
+			t.Fatal(err)
+		}
+		return results, text.String()
 	}
 
-	parRes, parAgg := sweep(4)
-	serRes, serAgg := sweep(1)
+	parRes, parText := sweep(4)
+	serRes, serText := sweep(1)
 
 	for i, r := range parRes {
 		if r.Failure != "" {
@@ -202,18 +188,17 @@ func TestParallelTelemetryMatchesSerial(t *testing.T) {
 			t.Errorf("%s: parallel telemetry differs from serial", label)
 		}
 	}
-	if !reflect.DeepEqual(parAgg, serAgg) {
-		t.Errorf("parallel aggregate differs from serial:\npar: %+v\nser: %+v", parAgg, serAgg)
+	if parText != serText {
+		t.Errorf("parallel metrics text differs from serial:\npar:\n%s\nser:\n%s", parText, serText)
 	}
-	if len(parAgg) != 2 {
-		t.Errorf("aggregated %d collectors, want 2", len(parAgg))
-	}
-	for name, snap := range parAgg {
-		if snap.Counters[telemetry.MetricCollections] == 0 {
-			t.Errorf("%s: aggregate has no collections", name)
-		}
-		if snap.Histograms[telemetry.MetricPauseCost].Count == 0 {
-			t.Errorf("%s: aggregate has no pause observations", name)
+	for _, want := range []string{
+		`gc_collections_total{collector="Appel"} `,
+		`gc_collections_total{collector="Beltway 25.25.100"} `,
+		`gc_pause_cost_units{collector="Appel",quantile="0.99"} `,
+		`gc_pause_cost_units{collector="Beltway 25.25.100",quantile="0.99"} `,
+	} {
+		if !strings.Contains(parText, "\n"+want) {
+			t.Errorf("metrics text has no %q line", want)
 		}
 	}
 }

@@ -157,9 +157,7 @@ func (w serverWorkload) plan(lanes []*shard.Shard, _ Env, ctrl *policy.Controlle
 		for i, loop := range loops {
 			reports[i] = loop.Report(w.slo)
 		}
-		merged := server.MergeReports(reports, w.slo)
-		lanes[0].Tele.ServerObserver().AddViolations(merged.Violations())
-		return merged
+		return server.MergeReports(reports, w.slo)
 	}
 	return p, report, nil
 }

@@ -298,9 +298,9 @@ func (rt *Runtime) Release() {
 
 // MergedTelemetry merges every shard's telemetry snapshot into one
 // (nil when the runtime was built without Options.Telemetry). Each
-// shard kept a private flight recorder and registry during the run —
-// single-owner, no synchronization on the hot path — and the merge is
-// commutative on metrics, time-ordered on events.
+// shard kept a private flight recorder during the run — single-owner,
+// no synchronization on the hot path — and the merge interleaves the
+// events by time.
 func (rt *Runtime) MergedTelemetry() *telemetry.RunSnapshot {
 	if !rt.opts.Telemetry {
 		return nil

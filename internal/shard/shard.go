@@ -51,10 +51,10 @@ type Shard struct {
 	// Rng is the shard's private workload stream, seeded by
 	// StreamSeed(baseSeed, ID).
 	Rng *rand.Rand
-	// Tele is the shard's private flight recorder + metrics registry,
-	// non-nil when the runtime was built with Options.Telemetry. One
-	// recorder per shard keeps hook emission single-owner; the runtime
-	// merges snapshots at aggregation (telemetry.MergeRunSnapshots).
+	// Tele is the shard's private flight recorder, non-nil when the
+	// runtime was built with Options.Telemetry. One recorder per shard
+	// keeps hook emission single-owner; the runtime merges snapshots at
+	// aggregation (telemetry.MergeRunSnapshots).
 	Tele *telemetry.Run
 
 	rt      *Runtime

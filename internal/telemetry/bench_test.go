@@ -8,8 +8,6 @@ import (
 
 // Benchmark bodies live in beltway/internal/bench.
 
-func BenchmarkEmitEvent(b *testing.B)        { bench.TelemetryEmitEvent(b) }
-func BenchmarkHistogramObserve(b *testing.B) { bench.TelemetryHistogramObserve(b) }
-func BenchmarkCounterAdd(b *testing.B)       { bench.TelemetryCounterAdd(b) }
-func BenchmarkGCCycleHooks(b *testing.B)     { bench.TelemetryGCCycleHooks(b) }
-func BenchmarkCollection(b *testing.B)       { bench.TelemetryCollection(b) }
+func BenchmarkEmitEvent(b *testing.B)    { bench.TelemetryEmitEvent(b) }
+func BenchmarkGCCycleHooks(b *testing.B) { bench.TelemetryGCCycleHooks(b) }
+func BenchmarkCollection(b *testing.B)   { bench.TelemetryCollection(b) }

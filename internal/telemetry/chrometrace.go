@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 
+	"beltway/internal/gc"
 	"beltway/internal/stats"
 )
 
@@ -80,7 +81,7 @@ func runTraceEvents(run TraceRun) []traceEvent {
 			}
 			name := "gc"
 			if begin != nil && begin.GC == e.GC {
-				name = triggerName(uint8(begin.A))
+				name = gc.TriggerKind(begin.A).String()
 				if begin.A>>8 != 0 {
 					name += " (full)"
 				}

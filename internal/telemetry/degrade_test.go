@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -17,14 +15,6 @@ func TestDegradedHookCountersAndEvents(t *testing.T) {
 	hooks.Degraded(gc.DegradeInfo{Step: gc.DegradeEmergencyGC, HeapBytes: 1 << 16})
 	hooks.Degraded(gc.DegradeInfo{Step: gc.DegradeRetryAverted, Requested: 28, HeapBytes: 1 << 16})
 	hooks.Degraded(gc.DegradeInfo{Step: gc.DegradeReserveRetry, HeapBytes: 1 << 16})
-
-	snap := r.Registry().Snapshot()
-	if got := snap.Counters[MetricEmergencyCollections]; got != 2 {
-		t.Errorf("%s = %d, want 2", MetricEmergencyCollections, got)
-	}
-	if got := snap.Counters[MetricDegradedAverted]; got != 1 {
-		t.Errorf("%s = %d, want 1", MetricDegradedAverted, got)
-	}
 
 	ev := r.Recorder().Events()
 	if len(ev) != 4 {
@@ -49,40 +39,6 @@ func TestDegradedHookCountersAndEvents(t *testing.T) {
 	}
 	if s := ev[0].String(); !strings.Contains(s, "degrade step=emergency-collection") {
 		t.Errorf("EvDegrade String = %q, want a readable step name", s)
-	}
-}
-
-func TestDegradeMetricsExport(t *testing.T) {
-	r := NewRun(nil)
-	hooks := r.Hooks()
-	hooks.Degraded(gc.DegradeInfo{Step: gc.DegradeEmergencyGC})
-	hooks.Degraded(gc.DegradeInfo{Step: gc.DegradeRetryAverted})
-
-	var buf bytes.Buffer
-	if err := r.Registry().WritePrometheus(&buf, `collector="XX"`); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, name := range []string{MetricEmergencyCollections, MetricDegradedAverted} {
-		if !strings.Contains(text, name+`{collector="XX"} 1`) {
-			t.Errorf("Prometheus output missing %s sample:\n%s", name, text)
-		}
-	}
-
-	raw, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back RunSnapshot
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Metrics.Counters[MetricEmergencyCollections] != 1 ||
-		back.Metrics.Counters[MetricDegradedAverted] != 1 {
-		t.Errorf("JSON round-trip lost degradation counters: %s", raw)
-	}
-	if len(back.Events) != 2 || back.Events[0].Kind != EvDegrade {
-		t.Errorf("JSON round-trip lost EvDegrade events: %s", raw)
 	}
 }
 

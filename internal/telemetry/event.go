@@ -1,7 +1,11 @@
-// Package telemetry is the observability subsystem: a fixed-capacity
-// allocation-free flight recorder of typed GC events, a metrics registry
-// (counters, gauges, log-bucketed histograms) with Prometheus and JSON
-// export, and renderers (Chrome trace_event JSON, ASCII heap timeline).
+// Package telemetry is a run's event stream: a fixed-capacity
+// allocation-free flight recorder of typed events (collections, belt
+// occupancy, flips, OOMs, degradation steps, server requests, policy
+// decisions), the hooks and observers that feed it, the merge of
+// per-lane streams, and its renderers (Chrome trace_event JSON, ASCII
+// heap timeline). It keeps no counts: a run's numbers are the clock's
+// (stats.Counters, the pause list) and reach -metrics-out through
+// harness.WriteMetrics.
 //
 // Telemetry observes the deterministic cost timeline but never advances
 // it: hook emission reads stats.Clock.Now() and performs no clock work,
@@ -11,6 +15,8 @@ package telemetry
 import (
 	"fmt"
 	"math"
+
+	"beltway/internal/gc"
 )
 
 // EventKind discriminates flight-recorder events. The A..D payload slots
@@ -144,7 +150,7 @@ func (e Event) String() string {
 			full = " full"
 		}
 		return fmt.Sprintf("#%d t=%.0f gc%d begin trigger=%s%s condemned=%d incrs/%dB occupied=%dB",
-			e.Seq, e.Time, e.GC, triggerName(uint8(e.A)), full, e.B, e.C, e.D)
+			e.Seq, e.Time, e.GC, gc.TriggerKind(e.A), full, e.B, e.C, e.D)
 	case EvGCEnd:
 		return fmt.Sprintf("#%d t=%.0f gc%d end dur=%.0f copied=%dB/%d objs remset=%d slow=%d",
 			e.Seq, e.Time, e.GC, e.Dur, e.A, e.B, e.C, e.D)
@@ -164,7 +170,7 @@ func (e Event) String() string {
 		return fmt.Sprintf("#%d t=%.0f OOM requested=%d heap=%d", e.Seq, e.Time, e.A, e.B)
 	case EvDegrade:
 		return fmt.Sprintf("#%d t=%.0f degrade step=%s requested=%d heap=%d",
-			e.Seq, e.Time, degradeName(uint8(e.A)), e.B, e.C)
+			e.Seq, e.Time, gc.DegradeStep(e.A), e.B, e.C)
 	case EvRequest:
 		kind := "read"
 		if uint8(e.A) == 1 {
@@ -189,28 +195,8 @@ func (e Event) String() string {
 	}
 }
 
-// triggerName mirrors gc.TriggerKind.String without importing gc (the gc
-// package is kept free of telemetry knowledge; telemetry only reads the
-// numeric kind it stored in the payload).
-func triggerName(t uint8) string {
-	switch t {
-	case 1:
-		return "heap-full"
-	case 2:
-		return "remset"
-	case 3:
-		return "forced"
-	case 4:
-		return "forced-full"
-	case 5:
-		return "emergency"
-	default:
-		return "unknown"
-	}
-}
-
-// policyKnobName mirrors core.Knob.String without importing core (like
-// triggerName, telemetry only reads the numeric id it stored).
+// policyKnobName mirrors core.Knob.String without importing core
+// (telemetry only reads the numeric id it stored in the payload).
 func policyKnobName(k uint8) string {
 	switch k {
 	case 1:
@@ -236,23 +222,5 @@ func policyReasonName(r uint8) string {
 		return "gc-overhead-high"
 	default:
 		return "none"
-	}
-}
-
-// degradeName mirrors gc.DegradeStep.String, again without importing gc.
-func degradeName(s uint8) string {
-	switch s {
-	case 1:
-		return "emergency-collection"
-	case 2:
-		return "retry-averted"
-	case 3:
-		return "reserve-retry"
-	case 4:
-		return "reserve-overdraft"
-	case 5:
-		return "remset-overflow"
-	default:
-		return "unknown"
 	}
 }

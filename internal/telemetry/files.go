@@ -7,8 +7,8 @@ import (
 	"os"
 )
 
-// FileFlags are the telemetry file destinations every front end offers
-// (-trace-out, -metrics-out, -timeline), declared once.
+// FileFlags are the observability file destinations every front end
+// offers (-trace-out, -metrics-out, -timeline), declared once.
 type FileFlags struct {
 	trace, metrics, timeline *string
 }
@@ -19,22 +19,25 @@ func BindFileFlags(fs *flag.FlagSet) *FileFlags {
 		trace: fs.String("trace-out", "",
 			"write a Chrome trace_event JSON of every run's GC events (open in chrome://tracing or Perfetto)"),
 		metrics: fs.String("metrics-out", "",
-			"write the runs' aggregated metrics in Prometheus text exposition format"),
+			"write the runs' counters and exact pause/latency quantiles, per collector, in Prometheus text exposition format"),
 		timeline: fs.String("timeline", "",
 			"write an ASCII heap-composition timeline per run ('-' for stdout)"),
 	}
 }
 
-// Any reports whether any destination was given, i.e. whether the runs
-// need telemetry at all.
-func (f *FileFlags) Any() bool {
-	return *f.trace != "" || *f.metrics != "" || *f.timeline != ""
-}
+// Events reports whether a destination that renders event streams was
+// given (-trace-out, -timeline), i.e. whether the runs need Env.Telemetry;
+// -metrics-out is rendered from the results and needs none.
+func (f *FileFlags) Events() bool { return *f.trace != "" || *f.timeline != "" }
+
+// Any reports whether any destination was given.
+func (f *FileFlags) Any() bool { return f.Events() || *f.metrics != "" }
 
 // Write writes the requested files — the runs' events as timelines and
-// as one Chrome trace, agg as Prometheus text — and notes each on stderr
-// under the program's name. An error names the flag it belongs to.
-func (f *FileFlags) Write(prog string, runs []TraceRun, agg *Aggregator) error {
+// as one Chrome trace, and whatever metrics renders (harness.WriteMetrics
+// over the runs' results) — and notes each on stderr under the program's
+// name. An error names the flag it belongs to.
+func (f *FileFlags) Write(prog string, runs []TraceRun, metrics func(io.Writer) error) error {
 	timelines := func(w io.Writer) error {
 		for _, r := range runs {
 			if _, err := fmt.Fprintln(w); err != nil {
@@ -57,7 +60,7 @@ func (f *FileFlags) Write(prog string, runs []TraceRun, agg *Aggregator) error {
 	if err := writeFile(prog, "-trace-out", *f.trace, "Chrome trace", trace); err != nil {
 		return err
 	}
-	return writeFile(prog, "-metrics-out", *f.metrics, "Prometheus metrics", agg.WritePrometheus)
+	return writeFile(prog, "-metrics-out", *f.metrics, "Prometheus metrics", metrics)
 }
 
 // writeFile creates path (nothing to do when it is empty), fills it

@@ -1,9 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
 	"testing"
 
 	"beltway/internal/collectors"
@@ -13,102 +10,39 @@ import (
 )
 
 // TestMarkRegionMetricsFromHooks drives the Run's hooks the way a
-// mark-region collection would and checks the substrate metrics land in
-// the registry: marked-survivor counters from GCEnd, line-utilization
-// gauges summed across the per-belt occupancy stream.
+// mark-region collection would. The substrate's volumes (objects and
+// bytes marked in place, frames evacuated) are stats.Counters fields and
+// reach -metrics-out from there; what the hooks leave in the recorder is
+// the same event stream a copying collection leaves, belt by belt.
 func TestMarkRegionMetricsFromHooks(t *testing.T) {
 	r := NewRun(nil)
 	hk := r.Hooks()
 	hk.GCBegin(gc.GCBeginInfo{Trigger: gc.TriggerHeapFull, CondemnedBytes: 4096, OccupiedBytes: 8192})
 	hk.GCEnd(gc.GCEndInfo{Duration: 100, BytesCopied: 256,
 		MRObjectsMarked: 40, MRBytesMarked: 1600, MRFramesEvacuated: 2, SurvivorBytes: 2048})
-	hk.Occupancy(gc.BeltStat{Belt: 0, Increments: 1, Bytes: 512, Frames: 1}) // copying: no lines
-	hk.Occupancy(gc.BeltStat{Belt: 1, Increments: 2, Bytes: 1536, Frames: 2, MRLines: 64, MRLinesUsed: 24})
+	hk.Occupancy(gc.BeltStat{Belt: 0, Increments: 1, Bytes: 512, Frames: 1})
+	hk.Occupancy(gc.BeltStat{Belt: 1, Increments: 2, Bytes: 1536, Frames: 2})
 
-	m := r.Registry().Snapshot()
-	if m.Counters[MetricMRObjectsMarked] != 40 || m.Counters[MetricMRBytesMarked] != 1600 {
-		t.Errorf("marked counters wrong: %v", m.Counters)
+	ev := r.Recorder().Events()
+	if len(ev) != 4 {
+		t.Fatalf("recorded %d events, want 4", len(ev))
 	}
-	if m.Counters[MetricMRFramesEvacuated] != 2 {
-		t.Errorf("evacuated counter = %d, want 2", m.Counters[MetricMRFramesEvacuated])
+	if end := ev[1]; end.Kind != EvGCEnd || end.Dur != 100 || end.A != 256 {
+		t.Errorf("gc-end event wrong: %+v", end)
 	}
-	if m.Gauges[MetricMRLines] != 64 || m.Gauges[MetricMRLinesUsed] != 24 {
-		t.Errorf("line gauges wrong: %v", m.Gauges)
-	}
-
-	// A later collection that sweeps lines free must move the gauges,
-	// not accumulate them.
-	hk.GCEnd(gc.GCEndInfo{Duration: 50, MRObjectsMarked: 10, MRBytesMarked: 400})
-	hk.Occupancy(gc.BeltStat{Belt: 1, Increments: 2, Bytes: 800, Frames: 2, MRLines: 64, MRLinesUsed: 13})
-	m = r.Registry().Snapshot()
-	if m.Counters[MetricMRObjectsMarked] != 50 {
-		t.Errorf("marked counter after second GC = %d, want 50", m.Counters[MetricMRObjectsMarked])
-	}
-	if m.Gauges[MetricMRLines] != 64 || m.Gauges[MetricMRLinesUsed] != 13 {
-		t.Errorf("line gauges after sweep wrong: %v", m.Gauges)
-	}
-}
-
-// TestMarkRegionMetricsExport checks both export formats carry the
-// substrate metrics: the Prometheus text exposition and the JSON
-// snapshot round-trip the engine's checkpoints use.
-func TestMarkRegionMetricsExport(t *testing.T) {
-	r := NewRun(nil)
-	hk := r.Hooks()
-	hk.GCBegin(gc.GCBeginInfo{Trigger: gc.TriggerHeapFull})
-	hk.GCEnd(gc.GCEndInfo{Duration: 10, MRObjectsMarked: 7, MRBytesMarked: 280, MRFramesEvacuated: 1})
-	hk.Occupancy(gc.BeltStat{Belt: 0, MRLines: 32, MRLinesUsed: 9})
-
-	var buf bytes.Buffer
-	if err := r.Registry().WritePrometheus(&buf, `collector="Immix"`); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		"# HELP markregion_objects_marked_total mark-region survivors marked in place",
-		"# TYPE markregion_objects_marked_total counter",
-		`markregion_objects_marked_total{collector="Immix"} 7`,
-		`markregion_bytes_marked_total{collector="Immix"} 280`,
-		`markregion_frames_evacuated_total{collector="Immix"} 1`,
-		"# TYPE markregion_lines_total gauge",
-		`markregion_lines_total{collector="Immix"} 32`,
-		`markregion_lines_used{collector="Immix"} 9`,
+	for i, want := range []Event{
+		{Kind: EvBelt, Seq: 3, GC: 1, A: 0, B: 1, C: 512, D: 1},
+		{Kind: EvBelt, Seq: 4, GC: 1, A: 1, B: 2, C: 1536, D: 2},
 	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("prometheus output missing %q:\n%s", want, text)
+		if got := ev[2+i]; got != want {
+			t.Errorf("belt event %d = %+v, want %+v", i, got, want)
 		}
 	}
-
-	data, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back RunSnapshot
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Metrics.Counters[MetricMRObjectsMarked] != 7 ||
-		back.Metrics.Counters[MetricMRBytesMarked] != 280 ||
-		back.Metrics.Gauges[MetricMRLinesUsed] != 9 {
-		t.Errorf("JSON round trip lost mark-region metrics: %+v", back.Metrics)
-	}
-
-	// And through the fleet aggregator (which owns the HELP strings for
-	// merged snapshots).
-	a := NewAggregator()
-	a.Add("Immix", r.Snapshot())
-	buf.Reset()
-	if err := a.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `markregion_lines_total{collector="Immix"} 32`) {
-		t.Errorf("aggregator output missing mark-region gauge:\n%s", buf.String())
-	}
 }
 
-// TestMarkRegionMetricsEndToEnd attaches a Run to a real Immix collector
-// and checks a collection populates the substrate metrics without any
-// hand-fed hook values.
+// TestMarkRegionMetricsEndToEnd attaches a Run to a real Immix collector:
+// a collection leaves its begin/end/belt events in the recorder, and the
+// in-place survivor volume on the clock's counters — its only copy.
 func TestMarkRegionMetricsEndToEnd(t *testing.T) {
 	types := heap.NewRegistry()
 	h, err := core.New(collectors.Immix(collectors.Options{HeapBytes: 1 << 20, FrameBytes: 4096}), types)
@@ -131,29 +65,32 @@ func TestMarkRegionMetricsEndToEnd(t *testing.T) {
 	if err := h.Collect(true); err != nil {
 		t.Fatal(err)
 	}
-	m := r.Registry().Snapshot()
-	if m.Counters[MetricMRObjectsMarked] == 0 {
+	if h.Clock().Counters.MRObjectsMarked == 0 {
 		t.Error("no objects marked in place by a real Immix collection")
 	}
-	if m.Gauges[MetricMRLines] == 0 || m.Gauges[MetricMRLinesUsed] == 0 {
-		t.Errorf("line gauges not fed by a real collection: %v", m.Gauges)
+	kinds := map[EventKind]int{}
+	for _, e := range r.Recorder().Events() {
+		kinds[e.Kind]++
+		if e.Kind == EvGCEnd && e.Dur != h.Clock().Pauses()[0].Duration() {
+			t.Errorf("gc-end dur %v, clock pause %v", e.Dur, h.Clock().Pauses()[0].Duration())
+		}
 	}
-	if m.Gauges[MetricMRLinesUsed] > m.Gauges[MetricMRLines] {
-		t.Errorf("used lines %v exceed total lines %v", m.Gauges[MetricMRLinesUsed], m.Gauges[MetricMRLines])
+	if kinds[EvGCBegin] != 1 || kinds[EvGCEnd] != 1 || kinds[EvBelt] == 0 {
+		t.Errorf("event kinds after one collection: %v", kinds)
 	}
 }
 
-// The occupancy hook now maintains per-belt line sums; it must stay
-// allocation-free in steady state (belts are discovered during warm-up).
+// The occupancy hook must stay allocation-free whichever substrate the
+// belt is on.
 func TestMarkRegionOccupancyZeroAlloc(t *testing.T) {
 	r := NewRun(nil)
 	hk := r.Hooks()
 	b0 := gc.BeltStat{Belt: 0, Increments: 1, Bytes: 512, Frames: 1}
-	b1 := gc.BeltStat{Belt: 1, Increments: 2, Bytes: 1024, Frames: 2, MRLines: 64, MRLinesUsed: 20}
+	b1 := gc.BeltStat{Belt: 1, Increments: 2, Bytes: 1024, Frames: 2}
 	if n := testing.AllocsPerRun(1000, func() {
 		hk.Occupancy(b0)
 		hk.Occupancy(b1)
 	}); n != 0 {
-		t.Errorf("Occupancy with mark-region stats allocates %v/op", n)
+		t.Errorf("Occupancy allocates %v/op", n)
 	}
 }

@@ -2,32 +2,22 @@ package telemetry
 
 import "sort"
 
-// MergeRunSnapshots merges per-shard run snapshots into one aggregate
-// snapshot. Each shard of a sharded run keeps a private FlightRecorder
-// and Registry (hook emission stays single-owner and lock-free); the
-// merge happens once, at aggregation:
-//
-//   - metrics merge through RegistrySnapshot.Merge — counters and
-//     histogram buckets add, gauges keep their maximum — so the result
-//     is independent of merge order, exactly like the Aggregator;
-//   - events interleave by cost-clock Time, ties broken by input
-//     (shard) order, and are re-stamped with a fresh Seq so the merged
-//     stream is a well-formed recorder stream;
-//   - dropped-event counts add.
-//
-// Nil snapshots are skipped; merging zero or all-nil snapshots yields
-// an empty snapshot.
+// MergeRunSnapshots interleaves per-shard run snapshots into one. Each
+// shard of a sharded run keeps a private FlightRecorder (emission stays
+// single-owner and lock-free); the merge happens once, at aggregation:
+// events interleave by cost-clock Time, ties broken by input (shard)
+// order, and are re-stamped with a fresh Seq so the merged stream is a
+// well-formed recorder stream; dropped-event counts add. Nil snapshots
+// are skipped; merging zero or all-nil snapshots yields an empty
+// snapshot.
 func MergeRunSnapshots(snaps ...*RunSnapshot) *RunSnapshot {
-	out := &RunSnapshot{Metrics: &RegistrySnapshot{}}
+	out := &RunSnapshot{}
 	for _, s := range snaps {
 		if s == nil {
 			continue
 		}
 		out.Events = append(out.Events, s.Events...)
 		out.DroppedEvents += s.DroppedEvents
-		if s.Metrics != nil {
-			out.Metrics.Merge(s.Metrics)
-		}
 	}
 	sort.SliceStable(out.Events, func(i, j int) bool {
 		return out.Events[i].Time < out.Events[j].Time

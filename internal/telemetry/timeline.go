@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"beltway/internal/gc"
 	"beltway/internal/stats"
 )
 
@@ -61,7 +62,7 @@ func WriteTimeline(w io.Writer, name string, events []Event) error {
 		}
 		trig := "?"
 		if haveBegin {
-			trig = triggerName(uint8(begin.A))
+			trig = gc.TriggerKind(begin.A).String()
 			if begin.A>>8 != 0 {
 				trig += "!" // full collection
 			}
