@@ -37,7 +37,6 @@ import (
 	"beltway/internal/collectors"
 	"beltway/internal/core"
 	"beltway/internal/gc"
-	"beltway/internal/generational"
 	"beltway/internal/harness"
 	"beltway/internal/heap"
 	"beltway/internal/mmu"
@@ -150,11 +149,11 @@ func OlderFirstMix(incr int, o Options) Config { return collectors.BOFM(incr, o)
 
 // Appel returns the paper's baseline Appel-style generational collector
 // (boundary barrier, fixed half-heap reserve).
-func Appel(o Options) Config { return generational.Appel(o) }
+func Appel(o Options) Config { return collectors.Appel(o) }
 
 // FixedNursery returns the classic fixed-size-nursery generational
 // baseline.
-func FixedNursery(pct int, o Options) Config { return generational.Fixed(pct, o) }
+func FixedNursery(pct int, o Options) Config { return collectors.Fixed(pct, o) }
 
 // ParseConfig builds a configuration from its command-line spelling
 // ("25.25.100", "appel", "bof:10", ...).

@@ -6,7 +6,6 @@ import (
 
 	"beltway/internal/collectors"
 	"beltway/internal/core"
-	"beltway/internal/generational"
 	"beltway/internal/harness"
 	"beltway/internal/heap"
 	"beltway/internal/workload"
@@ -203,7 +202,7 @@ func TightHeapRun(b *testing.B) {
 	th := &tightHeap
 	th.setup(b, bench, func(o collectors.Options, minHeap int) core.Config {
 		o.HeapBytes = minHeap
-		return generational.Appel(o)
+		return collectors.Appel(o)
 	})
 	b.ReportAllocs()
 	b.ResetTimer()

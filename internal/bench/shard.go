@@ -9,10 +9,10 @@ import (
 )
 
 // ShardScale runs a fixed rounds-with-barriers plan over n mutator
-// shards: every round each shard allocates linked chains off its
-// private nursery, publishes its survivor to the exchange and consumes
-// its neighbor's; every second round boundary runs a rendezvoused
-// global collection, the shard heaps side by side. Reported extras:
+// shards: every round each shard allocates a linked chain off its
+// private nursery and keeps its head; every second round boundary runs
+// a rendezvoused global collection, the shard heaps side by side.
+// Reported extras:
 //
 //	makespan-cost/op    simulated N-core elapsed cost units per run
 //	agg-B-per-cost/op   aggregate (allocated+copied) bytes per makespan
@@ -47,12 +47,8 @@ func ShardScale(b *testing.B, n int) {
 					last = h
 					s.M.Work(8)
 				}
-				kept := s.M.Keep(last)
+				s.M.Keep(last)
 				s.M.Pop()
-				if h := s.Consume((s.ID + 1) % n); h != gc.NilHandle {
-					s.M.SetData(kept, 1, s.M.GetData(h, 0))
-				}
-				s.Publish(s.ID, kept)
 			},
 		}
 		if err := rt.Run(plan); err != nil {
@@ -76,8 +72,8 @@ func ShardScale(b *testing.B, n int) {
 	b.ReportMetric(copied/float64(b.N), "copied-bytes/op")
 }
 
-// ShardFreeRounds is the case beside ShardScale that exchanges
-// nothing and never collects globally: n lanes x 1,000 rounds of a few
+// ShardFreeRounds is the case beside ShardScale that never collects
+// globally: n lanes x 1,000 rounds of a few
 // cost units of work each — the shape of the server plan, with the
 // requests taken out. What is left of a round is its boundary, so
 // ns/round (host time inside Runtime.Run per round of the plan, all

@@ -106,8 +106,8 @@ func TestDivergenceRenderingGolden(t *testing.T) {
 		return o
 	}
 	ok := Outcome{Serials: []uint32{5, 6, 7}, Fingerprint: "x\ny"}
-	par := schedule{routed: 3, makespan: 0.3}
-	ser := schedule{routed: 4, makespan: math.Nextafter(0.3, 1)}
+	par := schedule{makespan: 0.3}
+	ser := schedule{makespan: math.Nextafter(0.3, 1)}
 	for i, o := range []Outcome{
 		{Serials: []uint32{5, 6, 7}, Fingerprint: "x\nz"},
 		{OOM: true, Serials: []uint32{5, 6}},

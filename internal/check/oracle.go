@@ -35,7 +35,7 @@ type Outcome struct {
 // configurations disagreeing on mutator-observable state.
 type Divergence struct {
 	A, B   string
-	Field  string // "replay", "oom", "serials", "graph"; sharded also "routed", "makespan"
+	Field  string // "replay", "oom", "serials", "graph"; sharded also "makespan"
 	Detail string
 }
 

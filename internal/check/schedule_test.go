@@ -20,8 +20,11 @@ import (
 type scenario struct {
 	name  string
 	build func(lanes int) (*shard.Runtime, shard.Plan, error)
-	// check inspects the parallel schedule's outcome for what the
-	// scenario is there to provoke.
+	// rendezvous is how many global collections the plan makes; under
+	// Run each parks every lane but the last to arrive.
+	rendezvous int
+	// check, when set, inspects the parallel schedule's outcome for what
+	// the scenario is there to provoke.
 	check func(t *testing.T, par schedule)
 }
 
@@ -42,8 +45,8 @@ func validatedRuntime(cfg core.Config, lanes int) (*shard.Runtime, error) {
 }
 
 // serverScenario is the shape of harness.Server's plan: one request
-// loop per lane, rounds are arrival batches, nothing is exchanged and
-// nothing collects globally — under Run no lane ever waits.
+// loop per lane, rounds are arrival batches, and nothing collects
+// globally — under Run no lane ever waits.
 func serverScenario(lanes int) (*shard.Runtime, shard.Plan, error) {
 	sc := server.Scaled(0.02)
 	sc.Batch = 8
@@ -71,8 +74,8 @@ func serverScenario(lanes int) (*shard.Runtime, shard.Plan, error) {
 }
 
 // chain allocates a short linked chain with stream-derived payloads and
-// returns a scope-independent handle on its head.
-func chain(s *shard.Shard, r int) gc.Handle {
+// keeps its head alive for the rest of the run.
+func chain(s *shard.Shard, r int) {
 	types := s.Heap.Space().Types
 	node := types.Lookup("t.node")
 	if node == nil {
@@ -88,29 +91,15 @@ func chain(s *shard.Shard, r int) gc.Handle {
 		last = h
 		s.M.Work(1 + s.Rng.Intn(4))
 	}
-	kept := s.M.Keep(last)
+	s.M.Keep(last)
 	s.M.Pop()
-	return kept
 }
 
-// drain consumes everything committed on the channel and folds it, in
-// stream order, into kept, so what a round saw of the exchange shows in
-// the lane's live graph and serial stream.
-func drain(s *shard.Shard, ch int, kept gc.Handle) {
-	sum := uint32(0)
-	for h := s.Consume(ch); h != gc.NilHandle; h = s.Consume(ch) {
-		for i, n := 0, s.M.Length(h); i < n; i++ {
-			sum = sum*31 + s.M.GetData(h, i)
-		}
-	}
-	s.M.SetData(kept, 2, sum)
-}
-
-// sparseScenario has every lane publish on one channel every round but
-// consume only every fourth, while lane 0 dawdles through the early
-// rounds: the other lanes run rounds ahead of it, and every merge
-// interleaves several rounds of several lanes into one stream, whose
-// order shows in every consumer. A global collection falls mid-plan.
+// sparseScenario has lane 0 dawdle through rounds 0–5, so the other
+// lanes run rounds ahead of it up to each rendezvous, and makes rounds
+// of very unequal cost: the makespan's bits then depend on the order
+// rounds and global collections are summed in, so a makespan folded in
+// any order but RunSerial's shows.
 func sparseScenario(lanes int) (*shard.Runtime, shard.Plan, error) {
 	rt, err := validatedRuntime(scenarioConfig(256<<10), lanes)
 	if err != nil {
@@ -120,46 +109,36 @@ func sparseScenario(lanes int) (*shard.Runtime, shard.Plan, error) {
 		if s.ID == 0 && r < 6 {
 			time.Sleep(300 * time.Microsecond)
 		}
-		// Rounds of very unequal cost: the makespan's bits then depend
-		// on the order rounds and global collections are summed in.
 		s.M.Work(1 << (r % 13))
-		kept := chain(s, r)
-		s.Publish(0, kept)
-		if r%4 == 3 {
-			drain(s, 0, kept)
-		}
+		chain(s, r)
 	}}, nil
 }
 
-// oomScenario kills lane 1 in round 1 of 50, after it has staged a
-// publish in that round: its counter must keep advancing so the lanes
-// consuming every round never wait for it, and what it staged before
-// dying must still be committed.
+// oomScenario kills lane 1 in round 1 of 50, with a global collection
+// after every seventh round: the dead lane must still arrive at every
+// later rendezvous, or the live lanes would wait for it forever.
 func oomScenario(lanes int) (*shard.Runtime, shard.Plan, error) {
 	rt, err := validatedRuntime(scenarioConfig(128<<10), lanes)
 	if err != nil {
 		return nil, shard.Plan{}, err
 	}
-	return rt, shard.Plan{Rounds: 50, Body: func(r int, s *shard.Shard) {
-		kept := chain(s, r)
-		s.Publish(s.ID, kept)
+	return rt, shard.Plan{Rounds: 50, CollectEvery: 7, Body: func(r int, s *shard.Shard) {
+		chain(s, r)
 		if s.ID == 1 && r == 1 {
 			node := s.Heap.Space().Types.Lookup("t.node")
 			for {
 				s.M.AllocGlobal(node, 0) // never released: the heap fills
 			}
 		}
-		drain(s, (s.ID+1)%lanes, kept)
 	}}, nil
 }
 
 // TestShardedSchedulesAgree holds Run to RunSerial — per-lane
-// allocation serials, live fingerprints and OOM verdicts, the routing
-// entries committed and the makespan's bits — on the plans that
-// stress where Run's lanes may and may not wait for each other, at
-// three widths, with one, two and four host threads under them: on one
-// thread a lane runs until it blocks or is preempted, the schedule
-// least like rounds in lockstep.
+// allocation serials, live fingerprints and OOM verdicts, and the
+// makespan's bits — on the plans that stress where Run's lanes may and
+// may not wait for each other, at three widths, with one, two and four
+// host threads under them: on one thread a lane runs until it blocks or
+// is preempted, the schedule least like rounds in lockstep.
 func TestShardedSchedulesAgree(t *testing.T) {
 	cfgs, err := PresetConfigs()
 	if err != nil {
@@ -167,12 +146,8 @@ func TestShardedSchedulesAgree(t *testing.T) {
 	}
 	scenarios := []scenario{
 		{name: "server", build: serverScenario},
-		{name: "sparse-consume", build: sparseScenario, check: func(t *testing.T, par schedule) {
-			if par.routed == 0 {
-				t.Error("nothing was routed; the exchange never ran")
-			}
-		}},
-		{name: "oom-round-1-of-50", build: oomScenario, check: func(t *testing.T, par schedule) {
+		{name: "sparse-collect", build: sparseScenario, rendezvous: 24 / 5},
+		{name: "oom-round-1-of-50", build: oomScenario, rendezvous: 50 / 7, check: func(t *testing.T, par schedule) {
 			for i, o := range par.lanes {
 				if o.OOM != (i == 1) {
 					t.Errorf("lane %d OOM=%v; exactly lane 1 should die", i, o.OOM)
@@ -184,8 +159,7 @@ func TestShardedSchedulesAgree(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, lanes := range []int{2, 3, 4} {
-			// The oracle's own plan consumes every round: a lane waits
-			// there exactly where the per-round barrier made it wait.
+			// The oracle's own plan collects globally every second round.
 			if run := RunScriptSharded(SeedScripts()[0].Script, cfgs[0], lanes, 32); run.Failed() {
 				t.Errorf("oracle-script/lanes%d/procs%d:\n%s", lanes, procs, run.String())
 			}
@@ -203,6 +177,9 @@ func TestShardedSchedulesAgree(t *testing.T) {
 				for _, d := range diffSchedules(name, par, ser) {
 					t.Errorf("%s", d)
 				}
+				if want := (lanes - 1) * sc.rendezvous; par.waits != want {
+					t.Errorf("%s: %d waits at rendezvous, want %d", name, par.waits, want)
+				}
 				if sc.check != nil {
 					sc.check(t, par)
 				}
@@ -211,21 +188,17 @@ func TestShardedSchedulesAgree(t *testing.T) {
 	}
 }
 
-// TestDiffSchedulesSeesRunLevelDrift checks the two run-level
-// comparisons fire: a schedule pair equal lane for lane but off by one
-// routing entry, or by one bit of makespan, is a divergence.
+// TestDiffSchedulesSeesRunLevelDrift checks the run-level comparison
+// fires: a schedule pair equal lane for lane but off by one bit of
+// makespan is a divergence.
 func TestDiffSchedulesSeesRunLevelDrift(t *testing.T) {
-	base := schedule{lanes: []Outcome{{Name: "a"}}, routed: 3, makespan: 0.3}
+	base := schedule{lanes: []Outcome{{Name: "a"}}, makespan: 0.3}
 	if d := diffSchedules("x", base, base); len(d) != 0 {
 		t.Fatalf("identical schedules diverge: %v", d)
 	}
-	routed, span := base, base
-	routed.routed++
+	span := base
 	span.makespan = math.Nextafter(base.makespan, 1)
-	for field, other := range map[string]schedule{"routed": routed, "makespan": span} {
-		d := diffSchedules("x", base, other)
-		if len(d) != 1 || d[0].Field != field {
-			t.Errorf("%s drift reported as %v", field, d)
-		}
+	if d := diffSchedules("x", base, span); len(d) != 1 || d[0].Field != "makespan" {
+		t.Errorf("makespan drift reported as %v", d)
 	}
 }

@@ -218,7 +218,7 @@ func Execute(s Script, m *vm.Mutator) {
 // Executor is the script interpreter's resumable form: the same
 // semantics as Execute, but stepped one Op at a time so a script can be
 // cut into rounds (the sharded oracle interleaves rounds of N
-// executors with exchange traffic and safepoints between them). An
+// executors with global collections between them). An
 // Executor holds the live-handle list and scope depth across calls;
 // Execute is exactly NewExecutor + Do per op + Close.
 type Executor struct {
@@ -232,24 +232,6 @@ type Executor struct {
 // script type vocabulary in m's registry if absent.
 func NewExecutor(m *vm.Mutator) *Executor {
 	return &Executor{m: m, types: defineScriptTypes(m.C.Space().Types)}
-}
-
-// Newest returns the most recently acquired live handle (NilHandle
-// when none are live) — the sharded oracle publishes it cross-shard.
-func (e *Executor) Newest() gc.Handle {
-	if len(e.live) == 0 {
-		return gc.NilHandle
-	}
-	return e.live[len(e.live)-1].h
-}
-
-// Adopt appends a scope-independent handle (e.g. a consumed exchange
-// message) to the live list, making it eligible as an operand for
-// subsequent ops.
-func (e *Executor) Adopt(h gc.Handle) {
-	if h != gc.NilHandle {
-		e.live = append(e.live, liveEntry{h, -1})
-	}
 }
 
 // Close closes any scopes still open. A finished script must be

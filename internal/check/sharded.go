@@ -12,32 +12,34 @@ import (
 
 // Sharded oracle: the differential oracle's answer to "is the
 // multi-mutator runtime still the same collector?". One script is
-// dealt round-robin over N shard mutators and cut into rounds; every
-// round boundary exchanges a value cross-shard (each shard publishes
-// its newest live handle and adopts its neighbor's stream), so the
-// shards are genuinely coupled, not N independent runs. The identical
-// schedule then executes two ways — concurrently on N goroutines
-// (shard.Runtime.Run) and replayed one shard at a time on one
-// goroutine (RunSerial) — and every mutator-observable outcome must
-// match per shard: validated live-graph fingerprints, allocation
-// serial streams, and OOM verdicts — and, the two schedules being one
-// configuration, the committed routing entries and the makespan's
+// dealt round-robin over N shard mutators and cut into rounds; the
+// lanes are coupled the way every multi-lane run couples them — they
+// share nothing, and every second round boundary is a rendezvoused
+// global collection of every lane's heap. The identical schedule then
+// executes two ways — concurrently on N goroutines (shard.Runtime.Run)
+// and replayed one shard at a time on one goroutine (RunSerial) — and
+// every mutator-observable outcome must match per shard: validated
+// live-graph fingerprints, allocation serial streams, and OOM verdicts
+// — and, the two schedules being one configuration, the makespan's
 // bits. Across configurations cost, pauses and telemetry remain policy,
 // exactly as in the flat oracle.
 
 // DefaultOpsPerRound is the round granularity of the sharded oracle:
-// small enough that a script cuts into several rounds (so exchange and
-// safepoint paths actually run), large enough that per-round overhead
-// doesn't dominate.
-const DefaultOpsPerRound = 64
+// small enough that every seed script dealt over up to six lanes cuts
+// into at least two rounds (the shortest, db, is 117 ops), so a global
+// collection follows at least one of them.
+const DefaultOpsPerRound = 16
 
 // ShardedRun is the sharded oracle's result for one configuration.
 // Divergences lists every disagreement (replay failures, OOM verdicts,
-// serial streams, fingerprints, routed entries, makespan) between the
-// schedules.
+// serial streams, fingerprints, makespan) between the schedules.
 type ShardedRun struct {
 	Report
 	Rounds int
+	// Waits is the parallel schedule's shard.Runtime.Waits: lanes-1 per
+	// global collection, so nonzero at two or more lanes exactly when
+	// the plan reached a rendezvous.
+	Waits int
 	// Parallel and Serial hold per-shard outcomes of the two schedules,
 	// indexed by shard id.
 	Parallel []Outcome
@@ -91,25 +93,25 @@ func RunScriptSharded(script Script, cfg core.Config, shards, opsPerRound int) S
 			Divergence{A: cfg.Name, Field: "replay", Detail: "serial: " + serr.Error()})
 		return sr
 	}
-	sr.Parallel, sr.Serial = par.lanes, ser.lanes
+	sr.Parallel, sr.Serial, sr.Waits = par.lanes, ser.lanes, par.waits
 	sr.Divergences = diffSchedules(cfg.Name, par, ser)
 	return sr
 }
 
 // schedule is what one execution of a sharded plan leaves to compare:
-// every lane's outcome, and the two numbers the runtime derives from
-// all lanes together.
+// every lane's outcome and the makespan the runtime derives from all
+// lanes together, plus how often a lane waited at a rendezvous.
 type schedule struct {
 	lanes    []Outcome
-	routed   int     // shard.Runtime.RoutedEntries
 	makespan float64 // shard.Runtime.Makespan
+	waits    int     // shard.Runtime.Waits; 0 under RunSerial
 }
 
 // diffSchedules lists every disagreement between a plan's concurrent
 // and serial executions: per lane the replay errors, OOM verdicts,
-// serial streams and fingerprints; per run the committed routing
-// entries and the makespan, bit for bit — within one configuration cost
-// is semantics too, since both schedules must make the same float sums.
+// serial streams and fingerprints; per run the makespan, bit for bit —
+// within one configuration cost is semantics too, since both schedules
+// must make the same float sums.
 func diffSchedules(name string, par, ser schedule) []Divergence {
 	var divs []Divergence
 	for i := range par.lanes {
@@ -128,10 +130,6 @@ func diffSchedules(name string, par, ser schedule) []Divergence {
 			divs = append(divs, compare(a, b, "parallel OOM=%v vs serial OOM=%v")...)
 		}
 	}
-	if par.routed != ser.routed {
-		divs = append(divs, Divergence{A: name, Field: "routed",
-			Detail: fmt.Sprintf("parallel merged %d routing entries vs serial %d", par.routed, ser.routed)})
-	}
 	if math.Float64bits(par.makespan) != math.Float64bits(ser.makespan) {
 		divs = append(divs, Divergence{A: name, Field: "makespan",
 			Detail: fmt.Sprintf("parallel %v vs serial %v", par.makespan, ser.makespan)})
@@ -140,9 +138,8 @@ func diffSchedules(name string, par, ser schedule) []Divergence {
 }
 
 // scriptSchedule builds a fresh runtime and the plan that replays the
-// dealt script on it: each round a shard adopts its neighbor's
-// committed stream, runs its slice of ops and publishes its newest live
-// value.
+// dealt script on it: each round a shard runs its slice of ops, and
+// every second round boundary is a global collection.
 func scriptSchedule(cfg core.Config, subs []Script, rounds, opsPerRound int) (*shard.Runtime, shard.Plan, error) {
 	shards := len(subs)
 	rt, err := shard.New(cfg, shard.Options{
@@ -154,39 +151,21 @@ func scriptSchedule(cfg core.Config, subs []Script, rounds, opsPerRound int) (*s
 	}
 	exs := make([]*Executor, shards)
 	plan := shard.Plan{
-		Rounds: rounds,
+		Rounds:       rounds,
+		CollectEvery: 2,
 		Body: func(r int, s *shard.Shard) {
 			ex := exs[s.ID]
 			if ex == nil {
 				ex = NewExecutor(s.M)
 				exs[s.ID] = ex
 			}
-			// Adopt the neighbor's committed stream before this round's
-			// ops, so exchanged values become operands.
-			if r > 0 {
-				if h := s.Consume((s.ID + 1) % shards); h != gc.NilHandle {
-					ex.Adopt(h)
-				}
-			}
 			sub := subs[s.ID]
-			lo := r * opsPerRound
-			if lo > len(sub) {
-				lo = len(sub)
-			}
-			hi := lo + opsPerRound
-			if hi > len(sub) {
-				hi = len(sub)
-			}
-			for _, op := range sub[lo:hi] {
+			lo := min(r*opsPerRound, len(sub))
+			for _, op := range sub[lo:min(lo+opsPerRound, len(sub))] {
 				ex.Do(op)
 			}
 			if r == rounds-1 {
 				ex.Close()
-			}
-			// Publish the newest live value on this shard's channel for
-			// the neighbor to adopt next round.
-			if h := ex.Newest(); h != gc.NilHandle {
-				s.Publish(s.ID, h)
 			}
 		},
 	}
@@ -216,7 +195,7 @@ func runSchedule(name string, build func() (*shard.Runtime, shard.Plan, error), 
 	if err != nil {
 		return schedule{}, err
 	}
-	sched := schedule{routed: rt.RoutedEntries(), makespan: rt.Makespan()}
+	sched := schedule{makespan: rt.Makespan(), waits: rt.Waits()}
 	for i, s := range rt.Shards() {
 		out := Outcome{
 			Name:        fmt.Sprintf("%s/%s/shard%d", name, mode, i),

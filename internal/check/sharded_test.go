@@ -5,14 +5,15 @@ import (
 )
 
 // TestShardedOracleBattery is the sharded differential battery: every
-// collector preset (all 15, mark-region and Immix included) runs every
+// collector preset (mark-region and Immix included) runs every
 // workload-shaped seed script dealt over 3 shards, concurrently and
 // serially, and the schedules must agree on every shard's fingerprint,
-// serial stream and OOM verdict. On top of the per-preset
-// parallel-vs-serial diff, the parallel outcomes are also compared
-// ACROSS presets — the sharded runtime must preserve the flat oracle's
-// central property that mutator-observable semantics are configuration
-// independent.
+// serial stream and OOM verdict. Every run must reach at least one
+// global collection, so the battery cannot silently stop exercising the
+// rendezvous. On top of the per-preset parallel-vs-serial diff, the
+// parallel outcomes are also compared ACROSS presets — the sharded
+// runtime must preserve the flat oracle's central property that
+// mutator-observable semantics are configuration independent.
 func TestShardedOracleBattery(t *testing.T) {
 	const shards = 3
 	cfgs, err := PresetConfigs()
@@ -30,6 +31,9 @@ func TestShardedOracleBattery(t *testing.T) {
 				run := RunScriptSharded(seed.Script, cfg, shards, DefaultOpsPerRound)
 				if run.Failed() {
 					t.Fatalf("%s sharded oracle diverges on %s:\n%s", cfg.Name, seed.Name, run.String())
+				}
+				if run.Waits == 0 {
+					t.Fatalf("%s on %s: %d rounds made no global collection", cfg.Name, seed.Name, run.Rounds)
 				}
 				for _, o := range run.Parallel {
 					if o.OOM {
@@ -51,9 +55,9 @@ func TestShardedOracleBattery(t *testing.T) {
 }
 
 // TestShardedOracleShardCounts runs one seed over several shard
-// widths, including 1 (a single shard exchanging with itself), and
-// requires every width to replay cleanly with the script cut into
-// multiple rounds so the exchange and safepoint paths actually run.
+// widths, including 1 (a single shard collecting alone), and requires
+// every width to replay cleanly with the script cut into multiple
+// rounds so global collections actually run.
 func TestShardedOracleShardCounts(t *testing.T) {
 	cfgs, err := PresetConfigs()
 	if err != nil {
@@ -66,7 +70,7 @@ func TestShardedOracleShardCounts(t *testing.T) {
 			t.Fatalf("%d shards diverge:\n%s", shards, run.String())
 		}
 		if run.Rounds < 2 {
-			t.Fatalf("%d shards: script cut into %d rounds; exchange never exercised", shards, run.Rounds)
+			t.Fatalf("%d shards: script cut into %d rounds; no global collection ran", shards, run.Rounds)
 		}
 	}
 }

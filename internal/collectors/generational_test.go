@@ -1,4 +1,4 @@
-package generational
+package collectors
 
 import (
 	"testing"
@@ -9,12 +9,12 @@ import (
 	"beltway/internal/vm"
 )
 
-func opts(heapKB int) core.Options {
-	return core.Options{HeapBytes: heapKB * 1024, FrameBytes: 4096}
+func optsKB(heapKB int) Options {
+	return Options{HeapBytes: heapKB * 1024, FrameBytes: 4096}
 }
 
 func TestPresetsValidate(t *testing.T) {
-	for _, cfg := range []core.Config{Appel(opts(256)), Fixed(25, opts(256)), Appel3(opts(256))} {
+	for _, cfg := range []core.Config{Appel(optsKB(256)), Fixed(25, optsKB(256)), Appel3(optsKB(256))} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", cfg.Name, err)
 		}
@@ -31,7 +31,7 @@ func TestPresetsValidate(t *testing.T) {
 				t.Error("Fixed(0) did not panic")
 			}
 		}()
-		Fixed(0, opts(256))
+		Fixed(0, optsKB(256))
 	}()
 }
 
@@ -40,7 +40,7 @@ func TestPresetsValidate(t *testing.T) {
 // collections once the mature space fills.
 func TestAppelNurseryThenFullCollections(t *testing.T) {
 	types := heap.NewRegistry()
-	h, err := core.New(Appel(opts(512)), types)
+	h, err := core.New(Appel(optsKB(512)), types)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestAppelNurseryThenFullCollections(t *testing.T) {
 // collection rescans the boot image (and still finds its pointers).
 func TestBoundaryBarrierScansBootImage(t *testing.T) {
 	types := heap.NewRegistry()
-	h, err := core.New(Appel(opts(256)), types)
+	h, err := core.New(Appel(optsKB(256)), types)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +166,9 @@ func TestFixedNurseryFailsTighterThanAppel(t *testing.T) {
 		})
 		return err == nil
 	}
-	minFor := func(mk func(core.Options) core.Config) int {
+	minFor := func(mk func(Options) core.Config) int {
 		for kb := 64; kb <= 1024; kb += 4 {
-			if run(mk(opts(kb))) {
+			if run(mk(optsKB(kb))) {
 				return kb
 			}
 		}
@@ -176,7 +176,7 @@ func TestFixedNurseryFailsTighterThanAppel(t *testing.T) {
 		return 0
 	}
 	minAppel := minFor(Appel)
-	minFixed := minFor(func(o core.Options) core.Config { return Fixed(25, o) })
+	minFixed := minFor(func(o Options) core.Config { return Fixed(25, o) })
 	t.Logf("min heap: Appel %dKB, Fixed-25 %dKB", minAppel, minFixed)
 	if minFixed <= minAppel {
 		t.Errorf("Fixed 25 min heap (%dKB) not larger than Appel's (%dKB)", minFixed, minAppel)

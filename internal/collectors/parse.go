@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"beltway/internal/core"
-	"beltway/internal/generational"
 )
 
 // Parse builds a configuration from its command-line spelling, the
@@ -57,9 +56,9 @@ func Parse(spec string, o Options) (core.Config, error) {
 	case s == "ss" || s == "bss" || s == "semispace":
 		return BSS(o), nil
 	case s == "appel":
-		return generational.Appel(o), nil
+		return Appel(o), nil
 	case s == "appel3":
-		return generational.Appel3(o), nil
+		return Appel3(o), nil
 	case s == "ba2":
 		return BA2(o), nil
 	case strings.HasPrefix(s, "fixed:"):
@@ -74,7 +73,7 @@ func Parse(spec string, o Options) (core.Config, error) {
 		if n >= 100 {
 			return core.Config{}, fmt.Errorf("collectors: %q: fixed nursery must be below 100%%", spec)
 		}
-		return generational.Fixed(n, o), nil
+		return Fixed(n, o), nil
 	case strings.HasPrefix(s, "bofm:"):
 		n, err := pct(s[len("bofm:"):])
 		if err != nil {

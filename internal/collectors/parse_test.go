@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"beltway/internal/core"
-	"beltway/internal/generational"
 	"beltway/internal/heap"
 )
 
@@ -72,8 +71,8 @@ func TestParsedConfigsInstantiate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", spec, err)
 		}
-		if _, err := New(cfg, heap.NewRegistry()); err != nil {
-			t.Errorf("New(Parse(%q)): %v", spec, err)
+		if _, err := core.New(cfg, heap.NewRegistry()); err != nil {
+			t.Errorf("core.New(Parse(%q)): %v", spec, err)
 		}
 	}
 }
@@ -133,14 +132,14 @@ func TestParseNameRoundTrip(t *testing.T) {
 	presets := []core.Config{
 		BSS(o), BA2(o), BOFM(20, o), BOF(25, o),
 		XX(25, o), XX100(25, o), XXMOS(25, o), XY(25, 50, o),
-		generational.Appel(o), generational.Appel3(o), generational.Fixed(40, o),
+		Appel(o), Appel3(o), Fixed(40, o),
 		Immix(o),
 	}
 	// Card-marking variants (MOS and mark-region require remsets; the
 	// older-first and boundary-barrier presets take cards like any other).
 	for _, cfg := range []core.Config{
 		BSS(o), BA2(o), BOFM(20, o), BOF(25, o),
-		XX(25, o), XX100(25, o), XY(25, 50, o), generational.Appel(o),
+		XX(25, o), XX100(25, o), XY(25, 50, o), Appel(o),
 	} {
 		presets = append(presets, WithCardBarrier(cfg))
 	}
@@ -149,7 +148,7 @@ func TestParseNameRoundTrip(t *testing.T) {
 	for _, cfg := range []core.Config{
 		BSS(o), BA2(o), BOFM(20, o),
 		XX(25, o), XX100(25, o), XY(25, 50, o),
-		generational.Appel(o), generational.Appel3(o), generational.Fixed(40, o),
+		Appel(o), Appel3(o), Fixed(40, o),
 	} {
 		presets = append(presets, WithMarkRegion(cfg))
 	}

@@ -13,11 +13,10 @@ import (
 	"fmt"
 
 	"beltway/internal/core"
-	"beltway/internal/heap"
 )
 
-// Options is the preset parameter set; it aliases core.Options so the
-// generational baselines can share it without an import cycle.
+// Options is the preset parameter set: heap, frame and physical memory
+// sizes, which every preset applies to its configuration (core.Options).
 type Options = core.Options
 
 // BSS is Beltway Semi-Space (Figure 3(a)): one belt, one increment as
@@ -192,7 +191,75 @@ func Immix(o Options) core.Config {
 	return c
 }
 
-// New instantiates a collector from a configuration.
-func New(cfg core.Config, types *heap.Registry) (*core.Heap, error) {
-	return core.New(cfg, types)
+// The generational baselines: the Appel-style flexible-nursery
+// collector [Appel 1989] and classic fixed-size-nursery collectors, as
+// used throughout the paper's evaluation (Figures 1, 5, 6, 9, 10).
+//
+// Like the paper's GCTk, the baselines share the toolkit's infrastructure
+// with Beltway ("of the 26 classes in Beltway and in the generational
+// collectors, 23 are common to both"): here they are belt configurations
+// of the same core engine, differentiated by the classic generational
+// boundary write barrier — a cheaper fast path that does not remember
+// boot-image stores, paying instead with a full boot-image scan at every
+// collection (§4.2.1 discusses exactly this difference between Appel and
+// Beltway 100.100) — and by the classical fixed half-heap copy reserve.
+
+// Appel returns the Appel-style two-generation collector: the nursery
+// grows to consume all usable memory not consumed by the second
+// generation; the nursery is collected when the heap fills, and the full
+// heap is collected when the nursery's share drops below a small fixed
+// threshold.
+func Appel(o Options) core.Config {
+	c := core.Config{
+		Name: "Appel",
+		Belts: []core.BeltSpec{
+			{IncrementFrac: 1.0, MaxIncrements: 1, PromoteTo: 1},
+			{IncrementFrac: 1.0, PromoteTo: 1},
+		},
+		Barrier:          core.BoundaryBarrier,
+		FixedHalfReserve: true,
+	}
+	o.Apply(&c)
+	return c
+}
+
+// Fixed returns a classic generational collector whose nursery is a
+// fixed fraction (percent) of usable memory. The nursery is collected
+// whenever it fills; the reservation of a fixed share of the heap for
+// the nursery is what cripples these collectors in tight heaps
+// (paper Figure 6).
+func Fixed(nurseryPercent int, o Options) core.Config {
+	if nurseryPercent <= 0 || nurseryPercent >= 100 {
+		panic(fmt.Sprintf("collectors: bad nursery percentage %d", nurseryPercent))
+	}
+	c := core.Config{
+		Name: fmt.Sprintf("Fixed %d", nurseryPercent),
+		Belts: []core.BeltSpec{
+			{IncrementFrac: float64(nurseryPercent) / 100, MaxIncrements: 1, PromoteTo: 1,
+				ReserveFrac: float64(nurseryPercent) / 100},
+			{IncrementFrac: 1.0, PromoteTo: 1},
+		},
+		Barrier:          core.BoundaryBarrier,
+		FixedHalfReserve: true,
+	}
+	o.Apply(&c)
+	return c
+}
+
+// Appel3 returns a three-generation Appel-style collector, the
+// "logical generalization of Appel to 3 generations" that Beltway
+// 100.100.100 corresponds to (§4.2.1).
+func Appel3(o Options) core.Config {
+	c := core.Config{
+		Name: "Appel-3gen",
+		Belts: []core.BeltSpec{
+			{IncrementFrac: 1.0, MaxIncrements: 1, PromoteTo: 1},
+			{IncrementFrac: 1.0, MaxIncrements: 1, PromoteTo: 2},
+			{IncrementFrac: 1.0, PromoteTo: 2},
+		},
+		Barrier:          core.BoundaryBarrier,
+		FixedHalfReserve: true,
+	}
+	o.Apply(&c)
+	return c
 }

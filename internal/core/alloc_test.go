@@ -9,7 +9,6 @@ import (
 	"beltway/internal/collectors"
 	"beltway/internal/core"
 	"beltway/internal/gc"
-	"beltway/internal/generational"
 	"beltway/internal/heap"
 	"beltway/internal/policy"
 	"beltway/internal/stats"
@@ -131,7 +130,7 @@ func allocRows(t *testing.T) []allocRow {
 			used: func(s allocStats) bool { return s.counters.PageFaultBytes > 0 }},
 		{name: "slo-tuner",
 			mk: func() core.Config {
-				cfg := generational.Fixed(25, o)
+				cfg := collectors.Fixed(25, o)
 				pc, err := policy.Parse("slo:max=4000")
 				if err != nil {
 					t.Fatal(err)

@@ -49,7 +49,7 @@ func (b BarrierKind) String() string {
 }
 
 // Options carries the run-scoped parameters shared by every preset
-// configuration (see internal/collectors and internal/generational).
+// configuration (see internal/collectors).
 type Options struct {
 	HeapBytes    int
 	FrameBytes   int

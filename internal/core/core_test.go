@@ -8,7 +8,6 @@ import (
 	"beltway/internal/collectors"
 	"beltway/internal/core"
 	"beltway/internal/gc"
-	"beltway/internal/generational"
 	"beltway/internal/heap"
 	"beltway/internal/vm"
 )
@@ -35,9 +34,9 @@ func allConfigs(heapKB int) []core.Config {
 		collectors.WithMarkRegion(collectors.XX100(25, o)),
 		collectors.Immix(o),
 		withLOS(collectors.XX100(25, o)),
-		generational.Appel(o),
-		generational.Fixed(25, o),
-		generational.Appel3(o),
+		collectors.Appel(o),
+		collectors.Fixed(25, o),
+		collectors.Appel3(o),
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"beltway/internal/collectors"
 	"beltway/internal/core"
 	"beltway/internal/gc"
-	"beltway/internal/generational"
 	"beltway/internal/heap"
 	"beltway/internal/stats"
 	"beltway/internal/vm"
@@ -199,7 +198,7 @@ func kernelCases(t *testing.T) []kernelCase {
 		{collectors.XXMOS(25, o), nil},
 		{withLOS(collectors.WithCardBarrier(collectors.XX100(25, o))),
 			func(tr kernelTrace) bool { return tr.cardsSeen > 0 && tr.spanning > 0 }},
-		{withLOS(generational.Appel(o)),
+		{withLOS(collectors.Appel(o)),
 			func(tr kernelTrace) bool { return tr.bootScans > 0 && tr.spanning > 0 }},
 		{withLOS(collectors.XX100(25, o)),
 			func(tr kernelTrace) bool { return tr.spanning > 0 && tr.losSwept > 0 }},

@@ -164,19 +164,20 @@ func TestMarkRegionRenewalResequences(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			m.Release(m.AllocGlobal(node, 0))
 		}
-		s0 := h.Snapshot()
-		m.Collect(false)
-		s1 := h.Snapshot()
-		if len(s0.Belts[0].Increments) == 0 || len(s1.Belts[0].Increments) == 0 {
+		belt := h.Belts()[0]
+		if belt.Len() == 0 {
 			t.Fatal("expected a live increment on the single belt")
 		}
-		seq0 := s0.Belts[0].Increments[0].Seq
-		seq1 := s1.Belts[0].Increments[0].Seq
-		if seq1 <= seq0 {
+		seq0 := belt.Increments()[0].Seq()
+		m.Collect(false)
+		if belt.Len() == 0 {
+			t.Fatal("expected a live increment on the single belt after the collection")
+		}
+		if seq1 := belt.Increments()[0].Seq(); seq1 <= seq0 {
 			t.Errorf("renewal did not advance the sequence: %d -> %d", seq0, seq1)
 		}
-		if s1.Belts[0].Substrate != core.MarkRegion {
-			t.Error("snapshot lost the belt's substrate")
+		if belt.Spec().Substrate != core.MarkRegion {
+			t.Error("the belt lost its substrate")
 		}
 		if got := m.GetData(keep, 0); got != 7 {
 			t.Errorf("survivor holds %d, want 7", got)

@@ -7,7 +7,6 @@ import (
 	"beltway/internal/collectors"
 	"beltway/internal/core"
 	"beltway/internal/gc"
-	"beltway/internal/generational"
 	"beltway/internal/heap"
 	"beltway/internal/vm"
 )
@@ -95,7 +94,7 @@ func TestBA2MatchesAppelCollections(t *testing.T) {
 	ba2 := collectors.BA2(testOptions(512))
 	ba2.FixedHalfReserve = true
 	gcsB, copiedB := run(ba2)
-	gcsA, copiedA := run(generational.Appel(testOptions(512)))
+	gcsA, copiedA := run(collectors.Appel(testOptions(512)))
 	if gcsA == 0 || gcsB == 0 {
 		t.Fatalf("no collections: appel=%d ba2=%d", gcsA, gcsB)
 	}
@@ -346,8 +345,11 @@ func TestDynamicReserveFallsAfterTopBeltCollection(t *testing.T) {
 	}
 }
 
-// TestSnapshotReflectsStructure checks the read-only Snapshot view.
-func TestSnapshotReflectsStructure(t *testing.T) {
+// TestBeltAccessorsReflectStructure checks the belt view tooling reads:
+// belts keep their configured promotion targets and priorities (no BOF
+// flip here), increments outside a MOS belt belong to no train, and a
+// belt's bytes are its increments'.
+func TestBeltAccessorsReflectStructure(t *testing.T) {
 	m, types, h := newMutator(t, collectors.XX100(25, testOptions(512)))
 	node := types.DefineScalar("snap", 0, 6)
 	err := m.Run(func() {
@@ -368,26 +370,24 @@ func TestSnapshotReflectsStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := h.Snapshot()
-	if len(snap.Belts) != 3 {
-		t.Fatalf("%d belts in snapshot", len(snap.Belts))
+	belts := h.Belts()
+	if len(belts) != 3 {
+		t.Fatalf("%d belts", len(belts))
 	}
-	if snap.HeapBytes != 512*1024 || snap.ReserveBytes != h.ReserveBytes() {
-		t.Error("header fields wrong")
-	}
-	for bi, b := range snap.Belts {
-		if b.Index != bi || b.PromoteTo != h.Belts()[bi].PromoteTo() {
-			t.Errorf("belt %d metadata wrong", bi)
+	for bi, b := range belts {
+		if b.PromoteTo() != b.Spec().PromoteTo || b.Priority() != uint16(bi) {
+			t.Errorf("belt %d promotes to %d at priority %d, configured %d at %d",
+				bi, b.PromoteTo(), b.Priority(), b.Spec().PromoteTo, bi)
 		}
 		total := 0
-		for _, in := range b.Increments {
-			total += in.Bytes
-			if in.Train != -1 {
+		for _, in := range b.Increments() {
+			total += in.Bytes()
+			if in.Train() != -1 {
 				t.Error("non-MOS increment reports a train")
 			}
 		}
-		if total != b.Bytes || total != h.Belts()[bi].Bytes() {
-			t.Errorf("belt %d byte accounting: %d vs %d", bi, total, b.Bytes)
+		if total != b.Bytes() {
+			t.Errorf("belt %d byte accounting: increments hold %d, belt reports %d", bi, total, b.Bytes())
 		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"beltway/internal/collectors"
 	"beltway/internal/core"
 	"beltway/internal/engine"
-	"beltway/internal/generational"
 	"beltway/internal/harness"
 	"beltway/internal/workload"
 )
@@ -108,7 +107,7 @@ func (s *Suite) appel() harness.Collector {
 
 func (s *Suite) fixed(pct int) harness.Collector {
 	return harness.Collector{Name: fmt.Sprintf("Fixed %d", pct), Make: func(h int) core.Config {
-		return generational.Fixed(pct, s.opts.Env.Options(h))
+		return collectors.Fixed(pct, s.opts.Env.Options(h))
 	}}
 }
 
@@ -119,14 +118,21 @@ func (s *Suite) xx(x int) harness.Collector {
 }
 
 func (s *Suite) xx100(x int) harness.Collector {
-	name := fmt.Sprintf("Beltway %d.%d.100", x, x)
-	if x >= 100 {
-		name = "Beltway 100.100.100"
-	}
-	return harness.Collector{Name: name, Make: func(h int) core.Config {
-		c := collectors.XX100(x, s.opts.Env.Options(h))
-		c.Name = name
-		return c
+	return harness.Collector{Name: fmt.Sprintf("Beltway %d.%d.100", x, x), Make: func(h int) core.Config {
+		return collectors.XX100(x, s.opts.Env.Options(h))
+	}}
+}
+
+// mr is Beltway X.X with a mark-region mature belt.
+func (s *Suite) mr(x int) harness.Collector {
+	return harness.Collector{Name: fmt.Sprintf("Beltway %d.%d-mr", x, x), Make: func(h int) core.Config {
+		return collectors.WithMarkRegion(collectors.XX(x, s.opts.Env.Options(h)))
+	}}
+}
+
+func (s *Suite) immix() harness.Collector {
+	return harness.Collector{Name: "Immix", Make: func(h int) core.Config {
+		return collectors.Immix(s.opts.Env.Options(h))
 	}}
 }
 

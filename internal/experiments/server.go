@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"beltway/internal/collectors"
-	"beltway/internal/core"
 	"beltway/internal/harness"
 	"beltway/internal/server"
 )
@@ -33,14 +31,8 @@ const serverScorecardFactor = 3.0
 // paper's baseline (Appel), the best fixed nursery, the incomplete and
 // complete Beltway configurations, and both mark-region variants.
 func (s *Suite) serverCollectors() []harness.Collector {
-	mr := harness.Collector{Name: "Beltway 25.25-mr", Make: func(h int) core.Config {
-		return collectors.WithMarkRegion(collectors.XX(25, s.opts.Env.Options(h)))
-	}}
-	immix := harness.Collector{Name: "Immix", Make: func(h int) core.Config {
-		return collectors.Immix(s.opts.Env.Options(h))
-	}}
 	return []harness.Collector{
-		s.appel(), s.fixed(25), s.xx(25), s.xx100(25), mr, immix,
+		s.appel(), s.fixed(25), s.xx(25), s.xx100(25), s.mr(25), s.immix(),
 	}
 }
 

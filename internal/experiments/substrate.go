@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"beltway/internal/collectors"
-	"beltway/internal/core"
 	"beltway/internal/harness"
 	"beltway/internal/stats"
 )
@@ -23,13 +21,7 @@ import (
 // reachable by id ("-exp substrate") but intentionally not part of
 // "-exp all", which regenerates exactly the paper's evaluation.
 func (s *Suite) FigureSubstrate() ([]harness.Table, error) {
-	mrCol := harness.Collector{Name: "Beltway 25.25-mr", Make: func(h int) core.Config {
-		return collectors.WithMarkRegion(collectors.XX(25, s.opts.Env.Options(h)))
-	}}
-	immixCol := harness.Collector{Name: "Immix", Make: func(h int) core.Config {
-		return collectors.Immix(s.opts.Env.Options(h))
-	}}
-	cols := []harness.Collector{mrCol, immixCol, s.xx(25), s.appel()}
+	cols := []harness.Collector{s.mr(25), s.immix(), s.xx(25), s.appel()}
 	out, err := s.sweepTables("Substrate: GC time", "Substrate: total time", cols...)
 	if err != nil {
 		return nil, err

@@ -1,9 +1,10 @@
 // Package gc defines the collector-neutral contract between the mutator
 // side of the system (internal/vm, internal/workload) and the collector
-// implementations (internal/core for Beltway, internal/generational for
-// the paper's baselines). Workloads are written once against this
-// interface and run unchanged on every collector, which is how the paper
-// compared configurations inside one toolkit (GCTk).
+// implementation (internal/core, configured as Beltway or as the
+// paper's generational baselines by internal/collectors). Workloads are
+// written once against this interface and run unchanged on every
+// collector, which is how the paper compared configurations inside one
+// toolkit (GCTk).
 package gc
 
 import (

@@ -115,7 +115,6 @@ func TestSweepAndNormalize(t *testing.T) {
 		},
 		Benchmarks: []*workload.Benchmark{bench},
 		MinHeaps:   map[string]int{"jess": min},
-		Ratio:      3,
 		Points:     7,
 	}.Run(NewExecutor(engine.Config{}))
 	if err != nil {

@@ -9,8 +9,8 @@ package harness
 import (
 	"fmt"
 
+	"beltway/internal/collectors"
 	"beltway/internal/core"
-	"beltway/internal/generational"
 	"beltway/internal/mmu"
 	"beltway/internal/policy"
 	"beltway/internal/resilience"
@@ -103,7 +103,7 @@ type ConfigFunc func(heapBytes int) core.Config
 // AppelConfig curries the Appel-style baseline over the heap size: the
 // collector every minimum-heap search runs (Table 1).
 func AppelConfig(env Env) ConfigFunc {
-	return func(heapBytes int) core.Config { return generational.Appel(env.Options(heapBytes)) }
+	return func(heapBytes int) core.Config { return collectors.Appel(env.Options(heapBytes)) }
 }
 
 // Result is one (collector, benchmark, heap size) measurement.

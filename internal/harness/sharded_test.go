@@ -87,7 +87,7 @@ func TestRunShardedRejectsFaults(t *testing.T) {
 // lanes to what the shard schedule promises them, by count rather than
 // by stopwatch: a lane blocks for the other only at a rendezvoused
 // global collection — once, after the benchmark body — and the server's
-// arrival batches, which exchange nothing, never make it wait at all.
+// arrival batches, which never collect globally, never make it wait.
 func TestRunShardedWaitsOnlyToCollect(t *testing.T) {
 	const lanes = 2
 	env := EnvForScale(0.1)

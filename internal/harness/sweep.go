@@ -64,9 +64,13 @@ type SweepPoint struct {
 	Results   []*Result
 }
 
+// sweepRatio is the largest heap of a sweep over its benchmark's
+// minimum: the paper's figures span 1x to 3x.
+const sweepRatio = 3
+
 // Sweep is the grid behind the paper's figures: every collector at
 // Points log-spaced heap sizes over the given benchmarks. Heap sizes are
-// derived per benchmark — the factor f in [1,Ratio] maps to
+// derived per benchmark — the factor f in [1,sweepRatio] maps to
 // f * MinHeaps[benchmark] — so curves are comparable across benchmarks
 // on the paper's relative axis.
 type Sweep struct {
@@ -74,7 +78,6 @@ type Sweep struct {
 	Collectors []Collector
 	Benchmarks []*workload.Benchmark
 	MinHeaps   map[string]int // per benchmark, as MinHeaps returns them
-	Ratio      float64        // default 3
 	Points     int            // default 33
 }
 
@@ -86,9 +89,6 @@ type Sweep struct {
 // degrades to a failed Result (rendered as a missing point) instead of
 // killing the sweep; a key x already holds is not run again.
 func (s Sweep) Run(x *Executor) ([][]SweepPoint, error) {
-	if s.Ratio == 0 {
-		s.Ratio = 3
-	}
 	if s.Points == 0 {
 		s.Points = 33
 	}
@@ -105,7 +105,7 @@ func (s Sweep) Run(x *Executor) ([][]SweepPoint, error) {
 		if !ok {
 			return nil, fmt.Errorf("harness: no min heap for %s", bench.Name)
 		}
-		sizes := HeapSizes(min, s.Ratio, s.Points, s.Env.FrameBytes)
+		sizes := HeapSizes(min, sweepRatio, s.Points, s.Env.FrameBytes)
 		for _, col := range s.Collectors {
 			for _, size := range sizes {
 				specs = append(specs, col.Spec("", Bench(bench), size, s.Env))

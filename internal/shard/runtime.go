@@ -27,17 +27,15 @@ type Options struct {
 }
 
 // Plan is a schedule of rounds. A round of shard s runs Body on s's
-// own state and may read, through Consume, what every shard published
-// in earlier rounds, merged in (round, ascending shard) order; every
-// CollectEvery-th round boundary is a rendezvoused global collection.
-// That is all that orders one shard's rounds against another's, so the
-// plan is the unit of determinism: Run and RunSerial execute it on N
-// goroutines and on one, with identical per-shard outcomes.
+// own state alone: lanes share nothing, and meet only at a CollectEvery
+// rendezvous, where every live heap runs a global collection. That is
+// all that orders one shard's rounds against another's, so the plan is
+// the unit of determinism: Run and RunSerial execute it on N goroutines
+// and on one, with identical per-shard outcomes.
 type Plan struct {
 	Rounds int
 	// Body runs shard s's slice of round r. It must confine itself to
-	// s and to Consume/Publish — under Run other shards may be rounds
-	// ahead or behind.
+	// s — under Run other shards may be rounds ahead or behind.
 	Body func(round int, s *Shard)
 	// CollectEvery, when positive, forces a global collection at every
 	// CollectEvery-th round boundary (all shards rendezvoused).
@@ -49,13 +47,12 @@ func (p Plan) collectsAfter(round int) bool {
 	return p.CollectEvery > 0 && (round+1)%p.CollectEvery == 0
 }
 
-// Runtime owns N shards and coordinates their rounds, exchange merges
-// and global collections.
+// Runtime owns N shards and coordinates their rounds and global
+// collections.
 type Runtime struct {
-	opts      Options
-	shards    []*Shard
-	sp        *safepoint
-	committed *committedExchange
+	opts   Options
+	shards []*Shard
+	sp     *safepoint
 
 	roundStart []float64 // per-shard clock reading at round open
 	makespan   float64   // Σ rounds of max-over-shards round cost
@@ -69,13 +66,9 @@ func New(cfg core.Config, opts Options) (*Runtime, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, have %d", opts.Shards)
 	}
-	if opts.Shards >= 1<<(32-shardFrameBits) {
-		return nil, fmt.Errorf("shard: %d shards overflow the routing fold", opts.Shards)
-	}
 	rt := &Runtime{
 		opts:       opts,
 		sp:         newSafepoint(opts.Shards),
-		committed:  newCommittedExchange(),
 		roundStart: make([]float64, opts.Shards),
 	}
 	for i := 0; i < opts.Shards; i++ {
@@ -84,13 +77,10 @@ func New(cfg core.Config, opts Options) (*Runtime, error) {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		s := &Shard{
-			ID:      i,
-			Heap:    h,
-			M:       vm.New(h),
-			Rng:     rand.New(rand.NewSource(StreamSeed(opts.Seed, i))),
-			rt:      rt,
-			pending: newPendingExchange(),
-			cursors: map[int]int{},
+			ID:   i,
+			Heap: h,
+			M:    vm.New(h),
+			Rng:  rand.New(rand.NewSource(StreamSeed(opts.Seed, i))),
 		}
 		if opts.Validate {
 			s.V = s.M.EnableValidation()
@@ -116,33 +106,24 @@ func (rt *Runtime) Shards() []*Shard { return rt.shards }
 // irrelevant to it.
 func (rt *Runtime) Makespan() float64 { return rt.makespan }
 
-// RoutedEntries returns the number of routing-table entries merged
-// from per-shard tails into the committed exchange table.
-func (rt *Runtime) RoutedEntries() int { return rt.committed.merged }
-
 // Waits returns how many times a lane of a finished Run blocked for
-// another: at the first Consume of a round the others had not all
-// reached, or at a global collection it was not the last to arrive at.
-// It is a count, not a time — a plan whose lanes exchange nothing and
-// collect alone reads 0 on any host — so tests can hold the schedule to
-// "waits only on a dependency" without a stopwatch.
+// another at a global collection it was not the last to arrive at:
+// (lanes-1) per CollectEvery rendezvous. It is a count, not a time — a
+// plan whose lanes collect alone reads 0 on any host — so tests can hold
+// the schedule to "waits only to collect" without a stopwatch.
 func (rt *Runtime) Waits() int { return rt.sp.waits }
 
-// Run executes the plan on one goroutine per shard, and a lane blocks
-// only on a data dependency (see safepoint): the rounds of a plan that
-// neither consumes nor collects globally run end to end without one
-// lane ever waiting for another. What RunSerial's barrier does at every
-// boundary happens here where it is first needed, with the same
-// operands in the same order:
+// Run executes the plan on one goroutine per shard. Lanes share
+// nothing, and meet only at a CollectEvery rendezvous (see safepoint):
+// between global collections a lane takes no lock and never waits for
+// another. What RunSerial's barrier does at every boundary happens here
+// where it is first needed, with the same operands in the same order:
 //
 //   - makespan: each lane notes its clock's advance over every round;
 //     the notes are folded, += the slowest lane's round by round,
 //     before each global collection adds its own share and when the
 //     plan ends — every float sum is one barrier() makes;
-//   - exchange: ending a round seals what it staged; the sealed tails
-//     are merged before the first Consume that may see them, and the
-//     rest when the plan ends;
-//   - a global collection stays a full rendezvous: the last lane to
+//   - a global collection is a full rendezvous: the last lane to
 //     arrive runs it, each live heap on a goroutine of its own, while
 //     the others are parked.
 func (rt *Runtime) Run(p Plan) error {
@@ -172,12 +153,10 @@ func (rt *Runtime) Run(p Plan) error {
 			defer wg.Done()
 			clock := s.Heap.Clock()
 			for r := 0; r < p.Rounds; r++ {
-				s.round = r
 				s.runRound(r, p.Body)
 				now := clock.Now()
 				cost[r] = now - rt.roundStart[s.ID]
 				rt.roundStart[s.ID] = now
-				rt.sp.complete(s.ID, s.pending.seal(r))
 				if p.collectsAfter(r) {
 					rt.sp.rendezvous(func() {
 						fold(r + 1)
@@ -190,16 +169,14 @@ func (rt *Runtime) Run(p Plan) error {
 	}
 	wg.Wait()
 	fold(p.Rounds)
-	rt.sp.syncExchange(p.Rounds, rt.committed)
 	return nil
 }
 
 // RunSerial executes the same plan on the calling goroutine, and starts
 // no other: every round runs the shards in ascending id order, then the
 // barrier work. Because a round body is confined to its shard's own
-// state and to what earlier rounds committed, RunSerial's per-shard
-// outcomes are bit-identical to Run's — it is the reference schedule the
-// sharded oracle diffs against.
+// state, RunSerial's per-shard outcomes are bit-identical to Run's — it
+// is the reference schedule the sharded oracle diffs against.
 func (rt *Runtime) RunSerial(p Plan) error {
 	if err := rt.checkPlan(p); err != nil {
 		return err
@@ -244,16 +221,11 @@ func (rt *Runtime) slowest() float64 {
 }
 
 // barrier performs RunSerial's work at one round boundary: the round's
-// share of the makespan, the exchange merge, a global collection when
-// one is due. Run does the same work in the same order, but only where
-// something depends on it.
+// share of the makespan, and a global collection when one is due. Run
+// does the same work in the same order, but only where something
+// depends on it.
 func (rt *Runtime) barrier(p Plan, round int) {
 	rt.makespan += rt.slowest()
-	// Merge exchange tails in ascending shard order: the committed
-	// state after the barrier is schedule-independent.
-	for _, s := range rt.shards {
-		rt.committed.merge(&s.pending.tail)
-	}
 	if p.collectsAfter(round) {
 		rt.collectAll(round, false)
 	}

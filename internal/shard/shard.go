@@ -1,21 +1,17 @@
 // Package shard scales the simulator from one mutator to N: each shard
 // is a full mutator goroutine driving its own belts-and-increments heap
 // (private nursery and mature belts, private cost clock, private
-// telemetry), with cross-shard references routed by value through the
-// packed remset.Table key machinery. Shards that share nothing never
-// queue behind each other: a lane waits for another only where it reads
-// what that lane wrote (Consume) and where every heap must be quiescent
-// (a rendezvoused global collection).
+// telemetry). Lanes share nothing; they meet only at a Plan.CollectEvery
+// rendezvous, where every heap is quiescent and runs a global
+// collection. Between rendezvous no lane ever waits for another.
 //
 // The design invariant is *schedule independence*: a round interacts
-// with nothing but its shard's own state and the exchange tails sealed
-// by the rounds before it, merged in (round, ascending shard) order.
-// Every observable per-shard outcome — allocation serials, live-graph
-// fingerprint, OOM verdict — is therefore a pure function of (config,
-// seed, plan), identical whether the rounds ran on N goroutines or were
-// replayed one shard at a time on one goroutine. Runtime.Run and
-// Runtime.RunSerial are those two schedules, and internal/check's
-// sharded oracle diffs them.
+// with nothing but its shard's own state. Every observable per-shard
+// outcome — allocation serials, live-graph fingerprint, OOM verdict — is
+// therefore a pure function of (config, seed, plan), identical whether
+// the rounds ran on N goroutines or were replayed one shard at a time on
+// one goroutine. Runtime.Run and Runtime.RunSerial are those two
+// schedules, and internal/check's sharded oracle diffs them.
 package shard
 
 import (
@@ -23,19 +19,13 @@ import (
 	"math/rand"
 
 	"beltway/internal/core"
-	"beltway/internal/gc"
-	"beltway/internal/heap"
 	"beltway/internal/stats"
 	"beltway/internal/telemetry"
 	"beltway/internal/vm"
 )
 
-// msgTypeName is the type every consumed exchange message materializes
-// as: a word array holding [seq, payload...] as published.
-const msgTypeName = "xchg.msg"
-
 // Shard is one mutator lane: a private heap, mutator facade, RNG
-// stream, telemetry run and exchange tail. All methods are owner-only —
+// stream and telemetry run. All methods are owner-only —
 // exactly one goroutine drives a shard at a time (the runtime enforces
 // this; shards have no internal locking on their fast paths).
 type Shard struct {
@@ -56,15 +46,6 @@ type Shard struct {
 	// keeps hook emission single-owner; the runtime merges snapshots at
 	// aggregation (telemetry.MergeRunSnapshots).
 	Tele *telemetry.Run
-
-	rt      *Runtime
-	pending *pendingExchange
-	cursors map[int]int // per-channel consume cursor (broadcast streams)
-	msgType *heap.TypeDesc
-	// Under Run the shard is running round `round`, and has seen the
-	// committed exchange merged through the rounds before `synced`.
-	// RunSerial merges at every boundary itself and leaves both at zero.
-	round, synced int
 
 	dead    bool  // shard hit OOM (or failed); skips remaining rounds
 	oomErr  error // the OOM that killed it
@@ -103,81 +84,6 @@ func (s *Shard) Err() error {
 		return fmt.Errorf("shard %d: %s", s.ID, s.failure)
 	}
 	return nil
-}
-
-// Publish snapshots the data payload of the object h refers to and
-// stages it on channel ch. The route is recorded in the shard's
-// pending remset.Table under a packed key whose source frame folds the
-// shard id into the object's frame index; the payload is staged in
-// publish order. Nothing is visible to other shards before the next
-// round, and Publish never waits. Reading the payload goes through the
-// vm facade, so it is charged to the shard's clock and observed by the
-// validator like any other field traffic.
-func (s *Shard) Publish(ch int, h gc.Handle) {
-	if h == gc.NilHandle {
-		return
-	}
-	n := s.numDataWords(h)
-	words := make([]uint32, 1+n)
-	s.pending.seq++
-	words[0] = s.pending.seq
-	for i := 0; i < n; i++ {
-		words[1+i] = s.M.GetData(h, i)
-	}
-	addr := s.Heap.Roots().Get(h)
-	f := s.Heap.Space().FrameOf(addr)
-	s.pending.stage(FoldFrame(s.ID, f), heap.Frame(ch), addr, ch,
-		Message{From: s.ID, Seq: s.pending.seq, Words: words})
-}
-
-// Consume materializes the next unconsumed committed message on
-// channel ch as a fresh word-array allocation in this shard's heap,
-// returning a scope-independent handle (NilHandle when the channel has
-// no further committed messages). Each shard consumes the stream
-// independently — broadcast, not work-stealing — so consumption never
-// touches shared mutable state. Committed means staged in an earlier
-// round: under Run the first Consume of a round waits until every shard
-// has completed the round before (the one data dependency between
-// lanes; see safepoint.syncExchange).
-func (s *Shard) Consume(ch int) gc.Handle {
-	if s.synced < s.round {
-		s.rt.sp.syncExchange(s.round, s.rt.committed)
-		s.synced = s.round
-	}
-	q := s.rt.committed.queues[ch]
-	cur := s.cursors[ch]
-	if cur >= len(q) {
-		return gc.NilHandle
-	}
-	m := q[cur]
-	s.cursors[ch] = cur + 1
-	if s.msgType == nil {
-		if t := s.Heap.Space().Types.Lookup(msgTypeName); t != nil {
-			s.msgType = t
-		} else {
-			s.msgType = s.Heap.Space().Types.DefineWordArray(msgTypeName)
-		}
-	}
-	h := s.M.AllocGlobal(s.msgType, len(m.Words))
-	for i, w := range m.Words {
-		s.M.SetData(h, i, w)
-	}
-	return h
-}
-
-// numDataWords mirrors the script interpreter's payload rule: scalars
-// expose their data words, word arrays their elements, ref arrays
-// nothing (references never cross shards by address).
-func (s *Shard) numDataWords(h gc.Handle) int {
-	t := s.M.TypeOf(h)
-	switch t.Kind {
-	case heap.Scalar:
-		return t.DataWords
-	case heap.WordArray:
-		return s.M.Length(h)
-	default:
-		return 0
-	}
 }
 
 // runRound executes one round body on the shard.

@@ -6,7 +6,6 @@ import (
 	"beltway/internal/collectors"
 	"beltway/internal/core"
 	"beltway/internal/gc"
-	"beltway/internal/heap"
 	"beltway/internal/telemetry"
 )
 
@@ -32,11 +31,11 @@ func newTestRuntime(t *testing.T, shards int, validate bool) *Runtime {
 }
 
 // testPlan builds a deterministic rounds plan: every shard allocates a
-// linked chain with RNG-derived payloads, keeps the chain head alive
-// across rounds, publishes it to its own channel and consumes the next
-// shard's stream — exercising allocation, barriers, collection
-// and the exchange on every shard every round.
-func testPlan(shards, rounds int) Plan {
+// linked chain with RNG-derived payloads and keeps the chain head alive
+// across rounds, and every second round boundary is a global collection
+// — exercising allocation, barriers, local and global collection on
+// every shard.
+func testPlan(rounds int) Plan {
 	return Plan{
 		Rounds:       rounds,
 		CollectEvery: 2,
@@ -56,19 +55,8 @@ func testPlan(shards, rounds int) Plan {
 				last = h
 				s.M.Work(1 + s.Rng.Intn(4))
 			}
-			kept := s.M.Keep(last)
+			s.M.Keep(last)
 			s.M.Pop()
-			s.Publish(s.ID, kept)
-			if h := s.Consume((s.ID + 1) % shards); h != gc.NilHandle {
-				// Fold the consumed payload back into local state so the
-				// exchange affects the live graph.
-				n := s.M.Length(h)
-				sum := uint32(0)
-				for i := 0; i < n; i++ {
-					sum += s.M.GetData(h, i)
-				}
-				s.M.SetData(kept, 2, sum)
-			}
 		},
 	}
 }
@@ -81,10 +69,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 	const shards, rounds = 4, 6
 	par := newTestRuntime(t, shards, true)
 	ser := newTestRuntime(t, shards, true)
-	if err := par.Run(testPlan(shards, rounds)); err != nil {
+	if err := par.Run(testPlan(rounds)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ser.RunSerial(testPlan(shards, rounds)); err != nil {
+	if err := ser.RunSerial(testPlan(rounds)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range par.Shards() {
@@ -115,12 +103,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	if pm, sm := par.Makespan(), ser.Makespan(); pm != sm {
 		t.Errorf("makespan diverges: parallel %v serial %v", pm, sm)
-	}
-	if pr, sr := par.RoutedEntries(), ser.RoutedEntries(); pr != sr {
-		t.Errorf("routed entries diverge: %d vs %d", pr, sr)
-	}
-	if par.RoutedEntries() == 0 {
-		t.Error("no routing entries merged; the exchange never ran")
 	}
 }
 
@@ -181,7 +163,7 @@ func TestShardOOMDeterministic(t *testing.T) {
 func TestScalingMakespan(t *testing.T) {
 	const shards = 4
 	rt := newTestRuntime(t, shards, false)
-	if err := rt.Run(testPlan(shards, 6)); err != nil {
+	if err := rt.Run(testPlan(6)); err != nil {
 		t.Fatal(err)
 	}
 	var work float64 // aggregate work: Σ per-shard clock totals
@@ -202,7 +184,7 @@ func TestScalingMakespan(t *testing.T) {
 func TestMergedTelemetry(t *testing.T) {
 	const shards = 3
 	rt := newTestRuntime(t, shards, false)
-	if err := rt.Run(testPlan(shards, 4)); err != nil {
+	if err := rt.Run(testPlan(4)); err != nil {
 		t.Fatal(err)
 	}
 	snap := rt.MergedTelemetry()
@@ -231,78 +213,10 @@ func TestMergedTelemetry(t *testing.T) {
 	}
 }
 
-func TestFoldFrame(t *testing.T) {
-	cases := []struct {
-		shard int
-		frame heap.Frame
-	}{{0, 0}, {0, 12345}, {3, 7}, {7, 1<<shardFrameBits - 1}, {255, 42}}
-	for _, c := range cases {
-		folded := FoldFrame(c.shard, c.frame)
-		id, f := UnfoldFrame(folded)
-		if id != c.shard || f != c.frame {
-			t.Errorf("FoldFrame(%d, %d) round-trips to (%d, %d)", c.shard, c.frame, id, f)
-		}
-	}
-	if FoldFrame(1, 10) == FoldFrame(2, 10) {
-		t.Error("distinct shards fold the same frame to the same key space")
-	}
-}
-
-// TestExchangeBroadcast checks the committed queues are broadcast
-// streams: every consumer sees every committed message, in committed
-// order, via a private cursor.
-func TestExchangeBroadcast(t *testing.T) {
-	const shards = 3
-	rt := newTestRuntime(t, shards, false)
-	plan := Plan{
-		Rounds: 2,
-		Body: func(r int, s *Shard) {
-			types := s.Heap.Space().Types
-			wt := types.Lookup("t.words")
-			if wt == nil {
-				wt = types.DefineWordArray("t.words")
-			}
-			if r == 0 {
-				h := s.M.AllocGlobal(wt, 2)
-				s.M.SetData(h, 0, uint32(100+s.ID))
-				s.M.SetData(h, 1, uint32(200+s.ID))
-				s.Publish(0, h) // everyone publishes on channel 0
-				return
-			}
-			// Round 1: every shard drains channel 0 and must see all
-			// three messages, in shard-id (merge) order.
-			for want := 0; want < shards; want++ {
-				h := s.Consume(0)
-				if h == gc.NilHandle {
-					panic("missing committed message")
-				}
-				// Words[0] is the publish seq; payload starts at 1.
-				if got := s.M.GetData(h, 1); got != uint32(100+want) {
-					panic("out-of-order exchange stream")
-				}
-			}
-			if s.Consume(0) != gc.NilHandle {
-				panic("phantom message")
-			}
-		},
-	}
-	if err := rt.Run(plan); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range rt.Shards() {
-		if s.Dead() {
-			t.Fatalf("shard %d: %v", s.ID, s.Err())
-		}
-	}
-	if rt.RoutedEntries() != shards {
-		t.Errorf("routed entries %d, want %d", rt.RoutedEntries(), shards)
-	}
-}
-
 // TestRuntimeSingleUse guards the one-plan-per-runtime rule.
 func TestRuntimeSingleUse(t *testing.T) {
 	rt := newTestRuntime(t, 1, false)
-	p := testPlan(1, 1)
+	p := testPlan(1)
 	if err := rt.Run(p); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"beltway/internal/collectors"
 	"beltway/internal/core"
-	"beltway/internal/generational"
 	"beltway/internal/heap"
 	"beltway/internal/vm"
 )
@@ -93,7 +92,7 @@ func TestBenchmarksValidated(t *testing.T) {
 		t.Skip("validation runs are slow")
 	}
 	o := collectors.Options{HeapBytes: 2 << 20, FrameBytes: 8 * 1024}
-	cfgs := []core.Config{collectors.XX100(25, o), generational.Appel(o), collectors.BOF(25, o)}
+	cfgs := []core.Config{collectors.XX100(25, o), collectors.Appel(o), collectors.BOF(25, o)}
 	for _, b := range All() {
 		for _, cfg := range cfgs {
 			b, cfg := b, cfg
