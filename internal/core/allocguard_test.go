@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"beltway/internal/collectors"
+	"beltway/internal/gc"
 	"beltway/internal/telemetry"
 )
 
@@ -70,6 +71,75 @@ func TestWriteBarrierSlowPathDuplicateZeroAlloc(t *testing.T) {
 		h.WriteRef(oa, 0, ya) // duplicate remset entry
 	}); n != 0 {
 		t.Errorf("barrier slow path (duplicate) allocates %v times per op, want 0", n)
+	}
+}
+
+// TestSteadyStateCollectionsAllocateNothing holds the collections of every
+// collector family to zero Go allocations once the heap has been through a
+// cycle of them: the condemned set is chosen in the buffer the last one
+// was, and the increments a collection opens, with their frame lists, are
+// the ones earlier collections retired. A cycle allocates garbage into a
+// heap it fills (so allocations collect too), replaces one of a ring of
+// rooted survivors every hundred objects and links the one before it to
+// the new one (an old-to-young store the barrier remembers), then asks for
+// two incremental collections per belt, which with the nursery emptied by
+// the first walk the schedule up to the top belt: every belt must have had
+// an increment condemned while the cycles were counted.
+func TestSteadyStateCollectionsAllocateNothing(t *testing.T) {
+	for _, spec := range []string{"ss", "appel", "fixed:25", "25.25.100", "25.25.mos", "bof:25", "immix", "25.25-mr", "cards:25.25.100"} {
+		t.Run(spec, func(t *testing.T) {
+			cfg, err := collectors.Parse(spec, collectors.Options{HeapBytes: 512 << 10, FrameBytes: 4 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, node := benchHeap(t, cfg)
+			defer h.Space().Release()
+			condemned := make([]int, len(cfg.Belts))
+			h.SetHooks(gc.Hooks{Condemned: func(i gc.IncrementInfo) { condemned[i.Belt]++ }})
+			roots := h.Roots()
+			ring := make([]gc.Handle, 64)
+			for i := range ring {
+				ring[i] = roots.Add(mustAlloc(t, h, node))
+			}
+			next := 0
+			cycle := func() {
+				for i := 0; i < 8000; i++ {
+					a := mustAlloc(t, h, node)
+					if i%100 == 0 {
+						roots.Set(ring[next], a)
+						h.WriteRef(roots.Get(ring[(next+len(ring)-1)%len(ring)]), 0, a)
+						next = (next + 1) % len(ring)
+					}
+				}
+				for range 2 * len(cfg.Belts) {
+					if err := h.Collect(false); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			full := func() {
+				if err := h.Collect(true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cycle()
+			full()
+			if err := h.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			clear(condemned)
+			if n := testing.AllocsPerRun(20, cycle); n != 0 {
+				t.Errorf("a steady-state cycle of incremental collections allocates %v times, want 0", n)
+			}
+			for bi, n := range condemned {
+				if n == 0 {
+					t.Errorf("no increment of belt %d was condemned while the cycles were counted (%v)", bi, condemned)
+				}
+			}
+			if n := testing.AllocsPerRun(20, full); n != 0 {
+				t.Errorf("a steady-state full collection allocates %v times, want 0", n)
+			}
+		})
 	}
 }
 

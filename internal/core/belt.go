@@ -55,6 +55,31 @@ func (in *Increment) String() string {
 	return fmt.Sprintf("belt%d/incr%d(%d frames, %d bytes)", in.belt, in.seq, len(in.frames), in.bytes)
 }
 
+// takeIncrement returns a new increment set to init: the last one retire
+// kept, restarted with its frame list's capacity, or a fresh one when the
+// spare list is empty.
+func (h *Heap) takeIncrement(init Increment) *Increment {
+	var in *Increment
+	if n := len(h.spare); n > 0 {
+		in = h.spare[n-1]
+		h.spare = h.spare[:n-1]
+		init.frames = in.frames
+	} else {
+		in = new(Increment)
+	}
+	*in = init
+	return in
+}
+
+// retire drops in, whose frames have all been released or were never
+// mapped, from its belt and keeps it on the spare list for takeIncrement:
+// the one way an increment leaves the heap.
+func (h *Heap) retire(in *Increment) {
+	h.belts[in.belt].remove(in)
+	in.frames = in.frames[:0]
+	h.spare = append(h.spare, in)
+}
+
 // Belt is a FIFO queue of increments. The oldest increment (front of the
 // queue) is always the next collected; survivors are promoted to the
 // youngest open increment of the promotion-target belt.

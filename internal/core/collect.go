@@ -12,9 +12,12 @@ import (
 // increments, the promotion targets resolved so far, the Cheney scan
 // positions over every target increment, and what the condemn phase
 // establishes for the phases after it. One instance lives on the Heap and
-// is reset per collection, so steady-state collections allocate nothing
-// for their scan machinery.
+// is reset per collection. Together with the increments retire keeps for
+// reuse, it is why a steady-state collection allocates nothing
+// (TestSteadyStateCollectionsAllocateNothing).
 type gcState struct {
+	// victims is the condemned set, and between collections the buffer
+	// the next one is chosen in (beltsBelow).
 	victims []*Increment
 	// targets is indexed by source belt: the increment receiving its
 	// survivors. A MOS belt evacuates by referrer, so forward sets its
@@ -263,9 +266,9 @@ func (h *Heap) drain(st *gcState) error {
 	}
 }
 
-// release gives the condemned increments' frames back and drops them from
-// their belts. Mark-region increments are instead swept to free-line runs
-// and rejoin their belts (only evacuated and emptied frames are unmapped).
+// release gives the condemned increments' frames back and retires them.
+// Mark-region increments are instead swept to free-line runs and rejoin
+// their belts (only evacuated and emptied frames are unmapped).
 func (h *Heap) release(st *gcState) {
 	for _, in := range st.victims {
 		if h.isMRBelt(in.belt) {
@@ -275,7 +278,7 @@ func (h *Heap) release(st *gcState) {
 		for _, f := range in.frames {
 			h.releaseFrame(f)
 		}
-		h.belts[in.belt].remove(in)
+		h.retire(in)
 	}
 }
 
@@ -348,14 +351,19 @@ func (h *Heap) beltStat(bi int) gc.BeltStat {
 	return gc.BeltStat{Belt: bi, Increments: b.Len(), Bytes: b.Bytes(), Frames: frames}
 }
 
-// frameCondemned reports whether frame f belongs to a condemned increment.
-func (h *Heap) frameCondemned(f heap.Frame) bool {
+// condemnedIn returns the condemned increment frame f belongs to, or nil.
+func (h *Heap) condemnedIn(f heap.Frame) *Increment {
 	if int(f) >= len(h.incrOf) {
-		return false
+		return nil
 	}
-	in := h.incrOf[f]
-	return in != nil && in.condemned
+	if in := h.incrOf[f]; in != nil && in.condemned {
+		return in
+	}
+	return nil
 }
+
+// frameCondemned reports whether frame f belongs to a condemned increment.
+func (h *Heap) frameCondemned(f heap.Frame) bool { return h.condemnedIn(f) != nil }
 
 // isCondemned reports whether address a lies in a condemned increment.
 func (h *Heap) isCondemned(a heap.Addr) bool { return h.frameCondemned(h.space.FrameOf(a)) }
@@ -366,6 +374,16 @@ func (h *Heap) isCondemned(a heap.Addr) bool { return h.frameCondemned(h.space.F
 // ctx is the increment holding the reference that led here (nil for
 // roots and the boot image); MOS belts evacuate by referrer.
 func (h *Heap) forward(a heap.Addr, st *gcState, ctx *Increment) (heap.Addr, error) {
+	src := h.condemnedIn(h.space.FrameOf(a))
+	if src == nil {
+		panic(fmt.Sprintf("core: forward of non-condemned object at %v", a))
+	}
+	return h.forwardFrom(a, src, st, ctx)
+}
+
+// forwardFrom is forward for a caller that has found src, the condemned
+// increment holding a, on its way to deciding that a is to be forwarded.
+func (h *Heap) forwardFrom(a heap.Addr, src *Increment, st *gcState, ctx *Increment) (heap.Addr, error) {
 	if k := h.refKernel; k != nil {
 		return k.forward(a, st, ctx)
 	}
@@ -374,10 +392,6 @@ func (h *Heap) forward(a heap.Addr, st *gcState, ctx *Increment) (heap.Addr, err
 	obj, fwd := h.space.ResolveFrom(a)
 	if fwd != heap.Nil {
 		return fwd, nil
-	}
-	src := h.incrOf[h.space.FrameOf(a)]
-	if src == nil || !src.condemned {
-		panic(fmt.Sprintf("core: forward of non-condemned object at %v", a))
 	}
 	// Mark-region frames keep their survivors in place (unless flagged
 	// for evacuation): mark, queue for scanning, return the same address.
@@ -388,9 +402,17 @@ func (h *Heap) forward(a heap.Addr, st *gcState, ctx *Increment) (heap.Addr, err
 	if h.cfg.MOS && src.belt == h.mosBelt() {
 		st.targets[src.belt] = h.mosDestination(src, ctx, st)
 	}
-	dst, err := h.gcBump(src.belt, size, st)
-	if err != nil {
-		return heap.Nil, err
+	// A copy that fits the target's open frame is gcBump's own first
+	// step, taken here without the call; a mark-region target accounts
+	// lines as it bumps, so it always goes through gcBump.
+	var dst heap.Addr
+	if in := st.targets[src.belt]; !h.mr.active && in != nil && in.cursor != heap.Nil && in.cursor+heap.Addr(size) <= in.limit {
+		dst = h.bumpTail(in, size)
+	} else {
+		var err error
+		if dst, err = h.gcBump(src.belt, size, st); err != nil {
+			return heap.Nil, err
+		}
 	}
 	h.space.CopyForward(obj, a, dst)
 	c := &h.clock.Counters
@@ -604,6 +626,11 @@ func (h *Heap) scanObject(obj heap.Addr, st *gcState) error {
 // The stale test is for slots of dead objects (resurrected through stale
 // remembered-set entries, or in dead-but-unswept large objects, see
 // mrStale); on the slots of live ones it is false.
+//
+// Each test a slot needs is made once and inline: the stale test only
+// where a belt is mark-region, the condemned test by finding the
+// referent's increment, which forwardFrom is then handed, and rescanSlot's
+// opening test before the call, which most slots fail.
 func (h *Heap) scanSlots(slotAddr heap.Addr, slots []uint32, ctx *Increment, fresh, charge bool, st *gcState) error {
 	c := &h.clock.Counters
 	for i, w := range slots {
@@ -613,19 +640,24 @@ func (h *Heap) scanSlots(slotAddr heap.Addr, slots []uint32, ctx *Increment, fre
 		}
 		switch val := heap.Addr(w); {
 		case val == heap.Nil:
-		case h.mrStale(val):
+		case h.mr.active && h.mrStale(val):
 			slots[i] = uint32(heap.Nil)
-		case h.isCondemned(val):
-			nv, err := h.forward(val, st, ctx)
-			if err != nil {
-				return err
-			}
-			slots[i] = uint32(nv)
-			h.rescanSlot(slotAddr, nv)
 		default:
-			h.markLOS(val)
-			if fresh {
-				h.rescanSlot(slotAddr, val)
+			src := h.condemnedIn(h.space.FrameOf(val))
+			if src != nil {
+				nv, err := h.forwardFrom(val, src, st, ctx)
+				if err != nil {
+					return err
+				}
+				slots[i] = uint32(nv)
+				val = nv
+			} else {
+				h.markLOS(val)
+			}
+			if src != nil || fresh {
+				if s, t := h.space.FrameOf(slotAddr), h.space.FrameOf(val); s != t && h.stamp[t] < h.stamp[s] {
+					h.rescanSlot(slotAddr, val)
+				}
 			}
 		}
 		slotAddr += heap.WordBytes

@@ -33,6 +33,11 @@ import (
 //  5. An open allocation window names the increment tryAlloc would bump
 //     into: the allocation belt's youngest, a copying increment with an
 //     open frame, the time-to-die trigger not due.
+//
+//  6. A spare increment (kept by retire for reuse) is unreachable: it owns
+//     no frames, is on no belt, owns no frame in incrOf, and is neither
+//     the window, the remset trigger's target, nor a promotion target or
+//     destination car left in gcState.
 func (h *Heap) CheckInvariants() error {
 	if h.inGC {
 		return fmt.Errorf("core: CheckInvariants during collection")
@@ -42,6 +47,9 @@ func (h *Heap) CheckInvariants() error {
 		if in != belt.Youngest() || in.cursor == heap.Nil || h.isMRBelt(in.belt) || h.ttdDue(belt) {
 			return fmt.Errorf("core: allocation window open on %v, where tryAlloc would not bump", in)
 		}
+	}
+	if err := h.checkSpares(); err != nil {
+		return err
 	}
 
 	// 1 & 2: frames and increments.
@@ -161,4 +169,41 @@ func (h *Heap) CheckInvariants() error {
 		return true
 	})
 	return err
+}
+
+// checkSpares is invariant 6: nothing the heap reads reaches an increment
+// on the spare list, so takeIncrement may hand it out as new.
+func (h *Heap) checkSpares() error {
+	spare := make(map[*Increment]bool, len(h.spare))
+	for _, in := range h.spare {
+		if spare[in] {
+			return fmt.Errorf("core: spare %v kept twice", in)
+		}
+		spare[in] = true
+		if len(in.frames) != 0 {
+			return fmt.Errorf("core: spare %v owns frames %v", in, in.frames)
+		}
+	}
+	for _, b := range h.belts {
+		for _, in := range b.incrs {
+			if spare[in] {
+				return fmt.Errorf("core: spare %v is on belt %d", in, b.index)
+			}
+		}
+	}
+	for f, in := range h.incrOf {
+		if spare[in] {
+			return fmt.Errorf("core: frame %d is owned by spare %v", f, in)
+		}
+	}
+	held := append([]*Increment{h.win, h.trigOld}, h.gcs.targets...)
+	for _, in := range h.gcs.mosDest {
+		held = append(held, in)
+	}
+	for _, in := range held {
+		if spare[in] {
+			return fmt.Errorf("core: spare %v is the allocation window, the remset trigger's target or a promotion target", in)
+		}
+	}
+	return nil
 }

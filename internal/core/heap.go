@@ -59,10 +59,12 @@ type Heap struct {
 	mr             mrState
 
 	// Reusable per-collection machinery, so steady-state collections and
-	// trigger polls allocate nothing: the gcState scratch (scan pointers,
-	// promotion targets), the remset-root buffer, and closures that would
-	// otherwise be rebuilt — and heap-allocated — on every use.
+	// trigger polls allocate nothing: the gcState scratch (the condemned
+	// set, scan pointers, promotion targets), the increments retire has
+	// kept for takeIncrement, the remset-root buffer, and closures that
+	// would otherwise be rebuilt — and heap-allocated — on every use.
 	gcs              gcState
+	spare            []*Increment
 	rootBuf          []heap.Addr
 	frameCondemnedFn func(heap.Frame) bool
 	trigOld          *Increment // target increment of the current trigger poll
@@ -446,7 +448,7 @@ func (h *Heap) allocNewIncrement(belt *Belt, size int, bypassMax bool) (heap.Add
 	if !h.addFrame(in) {
 		// Injected map failure: roll the frameless increment back so the
 		// belt never holds an empty increment (seq gaps are fine).
-		belt.remove(in)
+		h.retire(in)
 		return heap.Nil, false
 	}
 	return h.allocIn(in, size), true
@@ -507,7 +509,7 @@ func (h *Heap) newIncrement(belt *Belt) *Increment {
 		panic("core: newIncrement on the MOS belt (use newMOSCar)")
 	}
 	h.closeWindow()
-	in := &Increment{belt: belt.index, seq: belt.nextSeq, train: -1, capFrames: h.frameBudget(belt)}
+	in := h.takeIncrement(Increment{belt: belt.index, seq: belt.nextSeq, train: -1, capFrames: h.frameBudget(belt)})
 	belt.nextSeq++
 	belt.incrs = append(belt.incrs, in)
 	return in

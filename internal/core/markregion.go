@@ -321,7 +321,7 @@ func (h *Heap) mrRelease(in *Increment) {
 	in.mrFi, in.mrLine = 0, 0
 	in.condemned = false
 	if len(in.frames) == 0 {
-		h.belts[in.belt].remove(in)
+		h.retire(in)
 	}
 }
 

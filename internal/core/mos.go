@@ -65,7 +65,7 @@ func (h *Heap) renumberMOS() {
 func (h *Heap) newMOSCar(train int) *Increment {
 	bi := h.mosBelt()
 	b := h.belts[bi]
-	in := &Increment{belt: bi, train: train, capFrames: h.frameBudget(b)}
+	in := h.takeIncrement(Increment{belt: bi, train: train, capFrames: h.frameBudget(b)})
 	// Insertion point: after the last car of `train`.
 	pos := len(b.incrs)
 	for i, c := range b.incrs {
@@ -97,15 +97,21 @@ func (h *Heap) lastTrain() int {
 	return b.incrs[b.Len()-1].train
 }
 
-// trainCars returns the cars of one train, in collection order.
+// trainCars returns the cars of one train, in collection order: a view of
+// the MOS belt, whose cars newMOSCar keeps grouped by train. The view is
+// capped at its length, so an append copies rather than writes over the
+// belt, and it is read before the belt next changes.
 func (h *Heap) trainCars(train int) []*Increment {
-	var cars []*Increment
-	for _, in := range h.belts[h.mosBelt()].incrs {
-		if in.train == train {
-			cars = append(cars, in)
-		}
+	incrs := h.belts[h.mosBelt()].incrs
+	lo := 0
+	for lo < len(incrs) && incrs[lo].train != train {
+		lo++
 	}
-	return cars
+	hi := lo
+	for hi < len(incrs) && incrs[hi].train == train {
+		hi++
+	}
+	return incrs[lo:hi:hi]
 }
 
 // mosDestination resolves the evacuation car for a condemned MOS object,
@@ -189,16 +195,16 @@ func (h *Heap) trainIsDead(train int) bool {
 	return true
 }
 
-// chooseVictimsMOS picks the MOS belt's condemned set: the whole lowest
-// train when it is dead, otherwise its lowest car.
-func (h *Heap) chooseVictimsMOS() []*Increment {
+// chooseVictimsMOS appends the MOS belt's condemned set to victims: the
+// whole lowest train when it is dead, otherwise its lowest car.
+func (h *Heap) chooseVictimsMOS(victims []*Increment) []*Increment {
 	b := h.belts[h.mosBelt()]
 	if b.Len() == 0 {
-		return nil
+		return victims
 	}
 	lowest := b.incrs[0].train
 	if h.trainIsDead(lowest) {
-		return h.trainCars(lowest)
+		return append(victims, h.trainCars(lowest)...)
 	}
-	return []*Increment{b.Oldest()}
+	return append(victims, b.Oldest())
 }

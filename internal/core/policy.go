@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"beltway/internal/gc"
 )
 
@@ -47,8 +49,15 @@ func (h *Heap) collectSettled(victims []*Increment, trigger gc.TriggerKind) erro
 // first: what the stamp discipline condemns along with an increment of
 // belt k (see chooseVictims). beltsBelow(len(h.belts)) is every increment
 // there is.
+//
+// Every condemned set is built here, or by chooseVictimsOF, in the one
+// buffer gcState.victims, which collect keeps as the collection's victims:
+// a set grown past the buffer's capacity leaves it grown for the next, so
+// a steady state chooses its victims without allocating. A set is
+// therefore good until the next one is chosen, which is never before the
+// collection it was chosen for has released it.
 func (h *Heap) beltsBelow(k int) []*Increment {
-	var victims []*Increment
+	victims := h.gcs.victims[:0]
 	for _, b := range h.belts[:k] {
 		victims = append(victims, b.incrs...)
 	}
@@ -93,7 +102,7 @@ func (h *Heap) chooseVictims() []*Increment {
 			// car — or the whole lowest train when it is dead.
 			victims := h.beltsBelow(bi)
 			if h.cfg.MOS && bi == h.mosBelt() {
-				victims = append(victims, h.chooseVictimsMOS()...)
+				victims = h.chooseVictimsMOS(victims)
 			} else {
 				victims = append(victims, b.Oldest())
 			}
@@ -123,15 +132,15 @@ func (h *Heap) escalateForReservations(k int, victims []*Increment) []*Increment
 		if otherReserve == 0 {
 			return victims
 		}
-		condemnedSet := make(map[*Increment]bool, len(victims))
 		condemnedBytes := 0
 		for _, in := range victims {
-			condemnedSet[in] = true
 			condemnedBytes += in.bytes
 		}
+		// A belt holds a handful of increments and the set little more, so
+		// membership is a scan of the set.
 		held := 0
 		for _, in := range h.belts[t].incrs {
-			if !condemnedSet[in] {
+			if !slices.Contains(victims, in) {
 				held += len(in.frames) * h.cfg.FrameBytes
 			}
 		}
@@ -141,7 +150,7 @@ func (h *Heap) escalateForReservations(k int, victims []*Increment) []*Increment
 		}
 		// Escalate: condemn the target belt in full as well.
 		for _, in := range h.belts[t].incrs {
-			if !condemnedSet[in] {
+			if !slices.Contains(victims, in) {
 				victims = append(victims, in)
 			}
 		}
@@ -180,7 +189,7 @@ func (h *Heap) chooseVictimsOF() []*Increment {
 		// Collecting A's oldest alone is safe: pointers from C and from
 		// younger A increments into it carry higher stamps and are
 		// remembered.
-		return []*Increment{old}
+		return append(h.gcs.victims[:0], old)
 	}
 	return nil
 }
@@ -232,8 +241,12 @@ func (h *Heap) pollRemsetTrigger() (bool, error) {
 		}
 		// h.trigTargetFn is built once at construction and parameterized
 		// through trigOld, so the allocation-path poll builds no closure.
+		// It is cleared after the count, so it never names an increment
+		// that retire has since kept for reuse.
 		h.trigOld = old
-		if h.rems.EntriesTargeting(h.trigTargetFn) > th {
+		n := h.rems.EntriesTargeting(h.trigTargetFn)
+		h.trigOld = nil
+		if n > th {
 			return true, h.collectSettled(append(h.beltsBelow(bi), old), gc.TriggerRemset)
 		}
 	}

@@ -86,7 +86,7 @@ func (h *Heap) tryAllocPretenured(size int) (heap.Addr, bool) {
 		if !h.addFrame(car) {
 			// Roll the frameless car back; MOS seq numbers are dense, so
 			// removal renumbers the belt.
-			h.belts[car.belt].remove(car)
+			h.retire(car)
 			h.renumberMOS()
 			return heap.Nil, false
 		}
@@ -94,7 +94,7 @@ func (h *Heap) tryAllocPretenured(size int) (heap.Addr, bool) {
 	}
 	in = h.newIncrement(belt)
 	if !h.addFrame(in) {
-		belt.remove(in)
+		h.retire(in)
 		return heap.Nil, false
 	}
 	return h.bump(in, size), true

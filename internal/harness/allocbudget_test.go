@@ -10,7 +10,7 @@ import (
 
 // budgetJob is the run the allocation budget is stated on: jess on
 // 25.25.100 at six times its Appel minimum heap, scale 0.1 — allocation
-// and barriers dominate, collections are rare.
+// and barriers dominate, collections are rare. It returns that minimum.
 func budgetJob(t *testing.T) (ConfigFunc, *workload.Benchmark, Env, int) {
 	t.Helper()
 	env := EnvForScale(0.1)
@@ -19,33 +19,63 @@ func budgetJob(t *testing.T) (ConfigFunc, *workload.Benchmark, Env, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return xx100Func(25, env), bench, env, 6 * min
+	return xx100Func(25, env), bench, env, min
+}
+
+// mallocsOf runs cfg once and returns the run and the Go mallocs it took.
+func mallocsOf(t *testing.T, cfg ConfigFunc, heapBytes int, bench *workload.Benchmark, env Env) (*Result, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := RunOne(cfg(heapBytes), bench, env)
+	runtime.ReadMemStats(&after)
+	if err != nil || res.Incomplete() {
+		t.Fatalf("run failed: %v %+v", err, res)
+	}
+	return res, after.Mallocs - before.Mallocs
 }
 
 // TestRunOneAllocBudget holds a whole simulated run to O(frames) Go heap
-// allocations: per simulated object allocated, at most a tenth of a Go
-// object. (It read ~0.65 when every root scope grew its own slice and
-// every run built its heap from fresh slabs.)
+// allocations, and a collection to none:
+//
+//   - per simulated object allocated, a run costs at most a tenth of a Go
+//     object (it read ~0.65 when every root scope grew its own slice and
+//     every run built its heap from fresh slabs);
+//
+//   - the thrash at the minimum heap, where every figure's search probes,
+//     costs at most a tenth of a Go object per collection: jess on Appel
+//     at its minimum heap against the same run at six times it, the
+//     difference in mallocs over the difference in collections (it read
+//     ~9 when every collection built its victim list and a new increment).
 func TestRunOneAllocBudget(t *testing.T) {
-	mk, bench, env, heapBytes := budgetJob(t)
-	run := func() *Result {
-		res, err := RunOne(mk(heapBytes), bench, env)
-		if err != nil || res.Incomplete() {
-			t.Fatalf("run failed: %v %+v", err, res)
+	mk, bench, env, minHeap := budgetJob(t)
+	t.Run("per object", func(t *testing.T) {
+		mallocsOf(t, mk, 6*minHeap, bench, env) // the first run of a process pays for its slabs
+		res, mallocs := mallocsOf(t, mk, 6*minHeap, bench, env)
+		perObject := float64(mallocs) / float64(res.Counters.ObjectsAllocated)
+		t.Logf("%d Go mallocs for %d simulated objects: %.4f per object",
+			mallocs, res.Counters.ObjectsAllocated, perObject)
+		if perObject > 0.1 {
+			t.Errorf("RunOne costs %.3f Go mallocs per simulated object, budget 0.1", perObject)
 		}
-		return res
-	}
-	run() // the first run of a process pays for its slabs
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res := run()
-	runtime.ReadMemStats(&after)
-	perObject := float64(after.Mallocs-before.Mallocs) / float64(res.Counters.ObjectsAllocated)
-	t.Logf("%d Go mallocs for %d simulated objects: %.4f per object",
-		after.Mallocs-before.Mallocs, res.Counters.ObjectsAllocated, perObject)
-	if perObject > 0.1 {
-		t.Errorf("RunOne costs %.3f Go mallocs per simulated object, budget 0.1", perObject)
-	}
+	})
+	t.Run("per thrash collection", func(t *testing.T) {
+		appel := AppelConfig(env)
+		mallocsOf(t, appel, 6*minHeap, bench, env) // the larger heap pays for the slabs of both
+		tight, tightMallocs := mallocsOf(t, appel, minHeap, bench, env)
+		roomy, roomyMallocs := mallocsOf(t, appel, 6*minHeap, bench, env)
+		extra := tight.Counters.Collections - roomy.Counters.Collections
+		if extra < 100 {
+			t.Fatalf("%d collections at the minimum heap, %d at six times it: no thrash to measure",
+				tight.Counters.Collections, roomy.Counters.Collections)
+		}
+		perCollection := (float64(tightMallocs) - float64(roomyMallocs)) / float64(extra)
+		t.Logf("%d Go mallocs for %d collections at the minimum heap, %d for %d at six times it: %.3f per extra collection",
+			tightMallocs, tight.Counters.Collections, roomyMallocs, roomy.Counters.Collections, perCollection)
+		if perCollection > 0.1 {
+			t.Errorf("a collection at the minimum heap costs %.3f Go mallocs, budget 0.1", perCollection)
+		}
+	})
 }
 
 // TestRunOneSharedSlabPoolMatchesSerial runs pairs of RunOnes at once, as
@@ -54,8 +84,8 @@ func TestRunOneAllocBudget(t *testing.T) {
 // gives alone. Run under -race, this is also the check that a released
 // slab is never touched by the run that gave it up.
 func TestRunOneSharedSlabPoolMatchesSerial(t *testing.T) {
-	mk, bench, env, heapBytes := budgetJob(t)
-	heaps := []int{heapBytes, heapBytes / 2}
+	mk, bench, env, minHeap := budgetJob(t)
+	heaps := []int{6 * minHeap, 3 * minHeap}
 	digest := func(heapBytes int) string {
 		res, err := RunOne(mk(heapBytes), bench, env)
 		if err != nil {
