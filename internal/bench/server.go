@@ -94,7 +94,7 @@ func ServerReport(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-		h.Space().Release()
+		h.Release()
 		loops[lane] = loop
 	}
 	reports := make([]*server.Report, len(loops))

@@ -38,7 +38,7 @@ func MutatorOps(b *testing.B) {
 			if h.Collections() != 0 {
 				b.Fatal("the heap collected: not the path this benchmark is about")
 			}
-			h.Space().Release()
+			h.Release()
 		}
 		var err error
 		if h, err = core.New(cfg, types); err != nil {

@@ -177,18 +177,23 @@ func (h *Heap) condemn(victims []*Increment, trigger gc.TriggerKind, st *gcState
 
 // scanRoots forwards the referents of the mutator's roots. A root is not
 // a slot: it has no address to remember and holds no stale pointer, so it
-// keeps the condemned test and the forward to itself.
+// keeps the condemned test and the forward to itself. Like scanSlots, it
+// finds the referent's increment once and hands it to forwardFrom.
 func (h *Heap) scanRoots(st *gcState) error {
 	c := &h.clock.Counters
 	var gcErr error
 	h.roots.Walk(func(a heap.Addr) heap.Addr {
 		c.RootsScanned++
 		h.clock.Advance(h.cfg.Costs.RootSlot)
-		if gcErr != nil || !h.isCondemned(a) {
+		var src *Increment
+		if gcErr == nil {
+			src = h.condemnedIn(h.space.FrameOf(a))
+		}
+		if src == nil {
 			h.markLOS(a)
 			return a
 		}
-		na, err := h.forward(a, st, nil)
+		na, err := h.forwardFrom(a, src, st, nil)
 		if err != nil {
 			gcErr = err
 			return a
@@ -365,24 +370,12 @@ func (h *Heap) condemnedIn(f heap.Frame) *Increment {
 // frameCondemned reports whether frame f belongs to a condemned increment.
 func (h *Heap) frameCondemned(f heap.Frame) bool { return h.condemnedIn(f) != nil }
 
-// isCondemned reports whether address a lies in a condemned increment.
-func (h *Heap) isCondemned(a heap.Addr) bool { return h.frameCondemned(h.space.FrameOf(a)) }
-
-// forward copies the condemned object at a to its promotion target
-// (installing a forwarding pointer), or returns the existing forwarding
-// address if it was already copied.
+// forwardFrom copies the object at a, in src, a condemned increment, to
+// its promotion target (installing a forwarding pointer), or returns the
+// existing forwarding address if it was already copied. Its callers have
+// found src on their way to deciding that a is to be forwarded.
 // ctx is the increment holding the reference that led here (nil for
 // roots and the boot image); MOS belts evacuate by referrer.
-func (h *Heap) forward(a heap.Addr, st *gcState, ctx *Increment) (heap.Addr, error) {
-	src := h.condemnedIn(h.space.FrameOf(a))
-	if src == nil {
-		panic(fmt.Sprintf("core: forward of non-condemned object at %v", a))
-	}
-	return h.forwardFrom(a, src, st, ctx)
-}
-
-// forwardFrom is forward for a caller that has found src, the condemned
-// increment holding a, on its way to deciding that a is to be forwarded.
 func (h *Heap) forwardFrom(a heap.Addr, src *Increment, st *gcState, ctx *Increment) (heap.Addr, error) {
 	if k := h.refKernel; k != nil {
 		return k.forward(a, st, ctx)
@@ -633,6 +626,7 @@ func (h *Heap) scanObject(obj heap.Addr, st *gcState) error {
 // opening test before the call, which most slots fail.
 func (h *Heap) scanSlots(slotAddr heap.Addr, slots []uint32, ctx *Increment, fresh, charge bool, st *gcState) error {
 	c := &h.clock.Counters
+	s := h.space.FrameOf(slotAddr) // a run never leaves its frame
 	for i, w := range slots {
 		if charge {
 			c.SlotsScanned++
@@ -655,7 +649,7 @@ func (h *Heap) scanSlots(slotAddr heap.Addr, slots []uint32, ctx *Increment, fre
 				h.markLOS(val)
 			}
 			if src != nil || fresh {
-				if s, t := h.space.FrameOf(slotAddr), h.space.FrameOf(val); s != t && h.stamp[t] < h.stamp[s] {
+				if t := h.space.FrameOf(val); s != t && h.stamp[t] < h.stamp[s] {
 					h.rescanSlot(slotAddr, val)
 				}
 			}

@@ -85,11 +85,17 @@ type refKernel struct {
 }
 
 // New builds a collector from cfg. The type registry is shared with the
-// mutator that will drive the heap.
+// mutator that will drive the heap. Its tables grow into the storage a
+// released heap left behind, when there is one (Release).
 func New(cfg Config, types *heap.Registry) (*Heap, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newHeap(cfg, types, takeScaffold()), nil
+}
+
+// newHeap is New on a validated cfg, building on sc.
+func newHeap(cfg Config, types *heap.Registry, sc *scaffold) *Heap {
 	if isZeroCosts(cfg.Costs) {
 		cfg.Costs = stats.DefaultCosts()
 	}
@@ -98,12 +104,19 @@ func New(cfg Config, types *heap.Registry) (*Heap, error) {
 	// must not see those writes.
 	cfg.Belts = append([]BeltSpec(nil), cfg.Belts...)
 	h := &Heap{
-		cfg:   cfg,
-		space: heap.NewSpace(cfg.FrameBytes, types),
-		clock: stats.NewClock(cfg.Costs),
-		rems:  remset.NewTable(),
-		roots: gc.NewRootSet(),
+		cfg:      cfg,
+		space:    heap.NewSpaceFrom(cfg.FrameBytes, types, sc.space),
+		clock:    stats.NewClock(cfg.Costs),
+		rems:     remset.NewTableFrom(sc.rems),
+		roots:    gc.NewRootSetFrom(sc.roots),
+		stamp:    sc.stamp,
+		incrOf:   sc.incrOf,
+		immortal: sc.immortal,
+		fill:     sc.fill,
+		cards:    sc.cards,
+		spare:    sc.spare,
 	}
+	h.mr.frames, h.mr.evac, h.mr.pool = sc.mrFrames, sc.mrEvac, sc.mrPool
 	h.space.OnMap = func() { h.clock.Counters.FramesMapped++ }
 	h.space.OnUnmap = func() { h.clock.Counters.FramesUnmapped++ }
 	if fh := cfg.Faults; fh != nil && fh.MapFrame != nil {
@@ -121,7 +134,7 @@ func New(cfg Config, types *heap.Registry) (*Heap, error) {
 	}
 	h.mrInit()
 	h.recomputeReserve()
-	return h, nil
+	return h
 }
 
 // Name implements gc.Collector.

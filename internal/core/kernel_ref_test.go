@@ -106,9 +106,9 @@ func (h *Heap) wordScanObject(obj heap.Addr, st *gcState) (int, error) {
 				slotAddr += heap.WordBytes
 				continue
 			}
-			if h.isCondemned(val) {
+			if h.frameCondemned(h.space.FrameOf(val)) {
 				ctx := h.incrOf[h.space.FrameOf(obj)]
-				nv, err := h.forward(val, st, ctx)
+				nv, err := h.wordForward(val, st, ctx)
 				if err != nil {
 					return 0, err
 				}

@@ -33,7 +33,7 @@ type mrState struct {
 
 	frames []*markregion.Frame // by heap.Frame; nil for copying/boot/LOS frames
 	evac   []bool              // by heap.Frame: defrag candidate in the current GC
-	pool   []*markregion.Frame // detached frame metadata, reused on attach
+	pool   []*markregion.Frame // detached frame metadata of one geometry, reused on attach
 
 	queue []heap.Addr // gray stack: in-place marked and MR-copied objects to scan
 
@@ -43,7 +43,10 @@ type mrState struct {
 	sweepBase heap.Addr
 }
 
-// mrInit prepares the substrate state at construction time.
+// mrInit prepares the substrate state at construction time. Line
+// metadata a released heap left in the pool is kept only if it has this
+// heap's geometry; a heap with no mark-region belt keeps it untouched,
+// for Release to pass on.
 func (h *Heap) mrInit() {
 	for _, b := range h.cfg.Belts {
 		if b.Substrate == MarkRegion {
@@ -62,6 +65,9 @@ func (h *Heap) mrInit() {
 		panic(err) // unreachable: Validate checked the geometry
 	}
 	h.mr.geo = g
+	if len(h.mr.pool) > 0 && h.mr.pool[0].Geometry() != g {
+		h.mr.pool = emptied(h.mr.pool)
+	}
 	h.mr.sizeOfFn = func(off int) int {
 		return h.space.SizeOf(h.mr.sweepBase + heap.Addr(off))
 	}
@@ -89,7 +95,7 @@ func (h *Heap) mrEvacuatesAll(bi int) bool {
 // mrFrame returns frame f's mark-region metadata, nil for copying,
 // boot-image, large-object and unmapped frames. The len check keeps the
 // copying-substrate fast paths at a single compare when no belt is
-// mark-region (the slice stays nil).
+// mark-region (the slice stays empty).
 func (h *Heap) mrFrame(f heap.Frame) *markregion.Frame {
 	if int(f) >= len(h.mr.frames) {
 		return nil

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -45,7 +46,7 @@ type Key struct {
 // String renders the key in the stable "experiment/collector/benchmark/heap"
 // form used to index checkpoints.
 func (k Key) String() string {
-	return fmt.Sprintf("%s/%s/%s/%d", k.Experiment, k.Collector, k.Benchmark, k.HeapBytes)
+	return k.Experiment + "/" + k.Collector + "/" + k.Benchmark + "/" + strconv.Itoa(k.HeapBytes)
 }
 
 // Outcome classifies how a job ended.

@@ -304,3 +304,20 @@ func TestOutcomeCompleted(t *testing.T) {
 		}
 	}
 }
+
+// Key.String indexes checkpoints and sorts the benchmark's grid, so its
+// bytes are the format string it was first written with.
+func TestKeyStringMatchesSprintf(t *testing.T) {
+	for _, k := range []Key{
+		{},
+		{Experiment: "fig9", Collector: "Beltway 25.25.100", Benchmark: "jess", HeapBytes: 131072},
+		{Collector: "Appel", Benchmark: "javac"},
+		{Experiment: "minheap", Benchmark: "db", HeapBytes: -4096},
+		{Experiment: "a/b", Collector: "", Benchmark: "x y", HeapBytes: 1},
+	} {
+		want := fmt.Sprintf("%s/%s/%s/%d", k.Experiment, k.Collector, k.Benchmark, k.HeapBytes)
+		if got := k.String(); got != want {
+			t.Errorf("%#v.String() = %q, want %q", k, got, want)
+		}
+	}
+}

@@ -65,6 +65,30 @@ func NewRootSet() *RootSet {
 	return &RootSet{}
 }
 
+// RootStorage is what a released RootSet leaves behind: its arrays,
+// emptied with their capacity kept. A table built on them starts where a
+// new one does, at handle 1 and epoch 0.
+type RootStorage struct {
+	slots  []rootSlot
+	free   []int32
+	scoped []scopedRef
+	marks  []int32
+}
+
+// NewRootSetFrom returns an empty root set that grows into st's arrays.
+func NewRootSetFrom(st RootStorage) *RootSet {
+	return &RootSet{slots: st.slots, free: st.free, scoped: st.scoped, marks: st.marks}
+}
+
+// Release empties the root set and returns its arrays for the next one
+// (NewRootSetFrom). The set keeps none of them: every handle it minted is
+// invalid afterwards, and nothing done through it reaches the next set.
+func (r *RootSet) Release() RootStorage {
+	st := RootStorage{slots: r.slots[:0], free: r.free[:0], scoped: r.scoped[:0], marks: r.marks[:0]}
+	*r = RootSet{}
+	return st
+}
+
 // Add registers a new root holding a (possibly Nil) address and returns
 // its handle. Roots added inside a scope are released by the matching
 // PopScope; roots added outside any scope are global and live until
@@ -196,15 +220,12 @@ func (r *RootSet) Capacity() int { return len(r.slots) }
 
 // Walk calls fn for every live, non-nil root slot with its current
 // address; the slot is updated to fn's return value. Collectors use this
-// to trace and forward roots.
+// to trace and forward roots. Freeing a slot sets it to Nil, so the one
+// test skips free and nil slots alike.
 func (r *RootSet) Walk(fn func(a heap.Addr) heap.Addr) {
 	for i := range r.slots {
-		s := &r.slots[i]
-		if !s.inUse {
-			continue
-		}
-		if a := s.addr; a != heap.Nil {
-			s.addr = fn(a)
+		if s := &r.slots[i]; s.addr != heap.Nil {
+			s.addr = fn(s.addr)
 		}
 	}
 }

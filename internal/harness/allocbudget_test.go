@@ -25,6 +25,14 @@ func budgetJob(t *testing.T) (ConfigFunc, *workload.Benchmark, Env, int) {
 // mallocsOf runs cfg once and returns the run and the Go mallocs it took.
 func mallocsOf(t *testing.T, cfg ConfigFunc, heapBytes int, bench *workload.Benchmark, env Env) (*Result, uint64) {
 	t.Helper()
+	res, mallocs, _ := goHeapCostOf(t, cfg, heapBytes, bench, env)
+	return res, mallocs
+}
+
+// goHeapCostOf runs cfg once and returns the run, the Go mallocs it took
+// and the bytes they came to.
+func goHeapCostOf(t *testing.T, cfg ConfigFunc, heapBytes int, bench *workload.Benchmark, env Env) (*Result, uint64, uint64) {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err := RunOne(cfg(heapBytes), bench, env)
@@ -32,7 +40,7 @@ func mallocsOf(t *testing.T, cfg ConfigFunc, heapBytes int, bench *workload.Benc
 	if err != nil || res.Incomplete() {
 		t.Fatalf("run failed: %v %+v", err, res)
 	}
-	return res, after.Mallocs - before.Mallocs
+	return res, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestRunOneAllocBudget holds a whole simulated run to O(frames) Go heap
@@ -46,7 +54,12 @@ func mallocsOf(t *testing.T, cfg ConfigFunc, heapBytes int, bench *workload.Benc
 //     costs at most a tenth of a Go object per collection: jess on Appel
 //     at its minimum heap against the same run at six times it, the
 //     difference in mallocs over the difference in collections (it read
-//     ~9 when every collection built its victim list and a new increment).
+//     ~9 when every collection built its victim list and a new increment);
+//
+//   - a warm run, the second of two identical ones in a process, builds
+//     on what the first released: at most 300 Go mallocs and 96 KB (it
+//     read 878 and 187.1 KB when every run grew its root table, remembered
+//     sets, per-frame tables and recorder ring from nothing).
 func TestRunOneAllocBudget(t *testing.T) {
 	mk, bench, env, minHeap := budgetJob(t)
 	t.Run("per object", func(t *testing.T) {
@@ -74,6 +87,17 @@ func TestRunOneAllocBudget(t *testing.T) {
 			tightMallocs, tight.Counters.Collections, roomyMallocs, roomy.Counters.Collections, perCollection)
 		if perCollection > 0.1 {
 			t.Errorf("a collection at the minimum heap costs %.3f Go mallocs, budget 0.1", perCollection)
+		}
+	})
+	t.Run("warm", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("sync.Pool drops a quarter of its Puts under the race detector: what a warm run inherits is chance")
+		}
+		goHeapCostOf(t, mk, 6*minHeap, bench, env) // leaves its scaffolding to the next run
+		_, mallocs, bytes := goHeapCostOf(t, mk, 6*minHeap, bench, env)
+		t.Logf("a warm run: %d Go mallocs, %.1f KB", mallocs, float64(bytes)/1024)
+		if mallocs > 300 || bytes > 96<<10 {
+			t.Errorf("a warm run costs %d Go mallocs and %.1f KB, budget 300 and 96 KB", mallocs, float64(bytes)/1024)
 		}
 	})
 }

@@ -212,8 +212,9 @@ func Run(cfg core.Config, w Workload, env Env) (*Result, error) {
 	if err != nil {
 		return nil, wrap(err)
 	}
-	// The Result is read off the clocks, never the heaps: once it is
-	// taken the simulated heaps' slabs go to the next run.
+	// The Result is read off the clocks, never the heaps, and copies the
+	// events it keeps: once it is taken the heaps and the recorder rings
+	// go to the next run.
 	defer rt.Release()
 	lanes := rt.Shards()
 	for _, s := range lanes {

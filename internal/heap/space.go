@@ -22,7 +22,7 @@ import (
 // reference model the slab-resident kernel is checked against. Unmapped
 // slabs are pooled and re-zeroed on reuse, keeping frame turnover off the
 // Go allocator; Release hands a finished run's slabs to the next run's
-// Space.
+// Space, and its tables to whoever builds that Space (NewSpaceFrom).
 type Space struct {
 	Types *Registry
 
@@ -51,6 +51,22 @@ type Space struct {
 // be a power of two and at least 256 bytes. The registry may be shared
 // between spaces (e.g. a collected space and an immortal space).
 func NewSpace(frameBytes int, types *Registry) *Space {
+	return NewSpaceFrom(frameBytes, types, SpaceStorage{})
+}
+
+// SpaceStorage is what a released Space's tables leave behind: the frame
+// table, the recycle queue and the list of unmapped slabs, each emptied
+// with its array kept. Only their capacity carries over, so a Space built
+// from them is a fresh one.
+type SpaceStorage struct {
+	frames [][]uint32
+	free   []Frame
+	pool   [][]uint32
+}
+
+// NewSpaceFrom is NewSpace building its tables on st's arrays (the zero
+// SpaceStorage builds them from nothing).
+func NewSpaceFrom(frameBytes int, types *Registry, st SpaceStorage) *Space {
 	if frameBytes < 256 || frameBytes&(frameBytes-1) != 0 {
 		panic(fmt.Sprintf("heap: frame size %d is not a power of two >= 256", frameBytes))
 	}
@@ -63,7 +79,9 @@ func NewSpace(frameBytes int, types *Registry) *Space {
 		frameBytes: frameBytes,
 		frameShift: shift,
 		wordMask:   uint32(frameBytes>>WordShift) - 1,
-		frames:     make([][]uint32, 1), // frame 0 reserved, never mapped
+		frames:     append(st.frames[:0], nil), // frame 0 reserved, never mapped
+		free:       st.free[:0],
+		pool:       st.pool[:0],
 	}
 }
 
@@ -99,30 +117,40 @@ func (s *Space) Mapped(f Frame) bool {
 // of a min-heap search, an engine's jobs, a farm worker's specs — build
 // their heaps from one heap's worth of slabs. Being sync.Pools, they
 // give back to the Go collector what nobody has asked for in two of its
-// cycles.
+// cycles. The tables a Space indexes its slabs by are not pooled here:
+// Release returns them to its caller, which knows what it builds next.
 var slabPools [32]sync.Pool
 
 // Release ends the Space's life and hands every slab it holds, mapped or
-// pooled, to the process-wide pool for its frame size. Afterwards every
-// frame is unmapped — any access faults — and mapping panics: the slabs
-// may already belong to another run. Releasing twice is harmless.
-func (s *Space) Release() {
+// pooled, to the process-wide pool for its frame size, and returns its
+// emptied tables for the caller to build the next Space on. Afterwards
+// every frame is unmapped — any access faults — and mapping panics: the
+// slabs may already belong to another run. Releasing twice is harmless
+// (and returns nothing the second time).
+func (s *Space) Release() SpaceStorage {
 	if s.released {
-		return
+		return SpaceStorage{}
 	}
 	s.released = true
-	// The pool's items are pointers into the Space's own slab tables,
-	// which it lets go of below: handing a slab over allocates nothing.
-	shared := &slabPools[s.frameShift]
-	for i := range s.pool {
-		shared.Put(&s.pool[i])
-	}
-	for i := range s.frames {
-		if s.frames[i] != nil {
-			shared.Put(&s.frames[i])
+	// The pool's items are pointers into one array of the slabs, made for
+	// the handover, so that the tables themselves are free to go to the
+	// next Space: one allocation hands over every slab.
+	boxes := make([][]uint32, 0, len(s.pool)+s.mapped)
+	boxes = append(boxes, s.pool...)
+	for _, slab := range s.frames {
+		if slab != nil {
+			boxes = append(boxes, slab)
 		}
 	}
+	shared := &slabPools[s.frameShift]
+	for i := range boxes {
+		shared.Put(&boxes[i])
+	}
+	clear(s.frames)
+	clear(s.pool)
+	st := SpaceStorage{frames: s.frames[:0], free: s.free[:0], pool: s.pool[:0]}
 	s.frames, s.pool, s.free, s.freeHead, s.mapped = nil, nil, nil, 0, 0
+	return st
 }
 
 // newSlab returns a zeroed words-per-frame slab, reusing a pooled one

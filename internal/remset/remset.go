@@ -128,13 +128,49 @@ type Table struct {
 }
 
 // NewTable returns an empty remembered-set table.
-func NewTable() *Table {
+func NewTable() *Table { return NewTableFrom(Storage{}) }
+
+// Storage is what a released Table leaves behind: every set it held,
+// emptied, on the spare list, every index bucket's array, and the
+// CollectRoots scratch. The maps are not in it. Go ranges a map over
+// every bucket it ever grew, so a map that once held a large run's frame
+// pairs would slow every later run's AppendRoots and EntriesTargeting;
+// they are built fresh.
+type Storage struct {
+	sets    []*set
+	buckets [][]key
+	matched []key
+}
+
+// NewTableFrom is NewTable drawing its sets and buckets from st first.
+func NewTableFrom(st Storage) *Table {
 	return &Table{
-		sets:       make(map[key]*set),
-		bySrc:      make(map[heap.Frame][]key),
-		byTgt:      make(map[heap.Frame][]key),
-		tgtEntries: make(map[heap.Frame]int),
+		sets:         make(map[key]*set),
+		bySrc:        make(map[heap.Frame][]key),
+		byTgt:        make(map[heap.Frame][]key),
+		tgtEntries:   make(map[heap.Frame]int),
+		matched:      st.matched,
+		spareSets:    st.sets,
+		spareBuckets: st.buckets,
 	}
+}
+
+// Release empties the table into a Storage for the next one
+// (NewTableFrom). The table is left without maps: any use afterwards
+// panics rather than reach storage another run may own.
+func (t *Table) Release() Storage {
+	st := Storage{sets: t.spareSets, buckets: t.spareBuckets, matched: t.matched[:0]}
+	for _, s := range t.sets {
+		s.sorted, s.tail = s.sorted[:0], s.tail[:0]
+		st.sets = append(st.sets, s)
+	}
+	for _, idx := range []map[heap.Frame][]key{t.bySrc, t.byTgt} {
+		for _, bucket := range idx {
+			st.buckets = append(st.buckets, bucket[:0])
+		}
+	}
+	*t = Table{}
+	return st
 }
 
 // Insert records slot (the address of a pointer field in frame src whose

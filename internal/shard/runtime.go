@@ -258,13 +258,17 @@ func (rt *Runtime) collectAll(round int, sideBySide bool) {
 	rt.makespan += rt.slowest()
 }
 
-// Release hands every shard's simulated heap back to the process-wide
-// slab pool (heap.Space.Release). Call it once the clocks,
-// MergedTelemetry and any validator fingerprints have been read:
-// afterwards the shard heaps fault on every access.
+// Release hands every shard's heap (core.Heap.Release) and flight
+// recorder ring (telemetry.Run.Release) to the next run in the process.
+// Call it once the clocks, MergedTelemetry and any validator fingerprints
+// have been read: afterwards the shard heaps fault on every access and
+// the recorders hold no events.
 func (rt *Runtime) Release() {
 	for _, s := range rt.shards {
-		s.Heap.Space().Release()
+		if s.Tele != nil {
+			s.Tele.Release()
+		}
+		s.Heap.Release()
 	}
 }
 

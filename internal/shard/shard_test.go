@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"reflect"
 	"testing"
 
 	"beltway/internal/collectors"
@@ -222,5 +223,35 @@ func TestRuntimeSingleUse(t *testing.T) {
 	}
 	if err := rt.Run(p); err == nil {
 		t.Error("second Run on one runtime should fail")
+	}
+}
+
+// TestReleaseHandsEveryLaneOn: after Release no lane's heap or recorder
+// can be used, what was read before it is untouched by the runs that
+// build on it, and releasing twice is harmless.
+func TestReleaseHandsEveryLaneOn(t *testing.T) {
+	rt := newTestRuntime(t, 2, false)
+	if err := rt.Run(testPlan(4)); err != nil {
+		t.Fatal(err)
+	}
+	snap := rt.MergedTelemetry()
+	kept := append([]telemetry.Event(nil), snap.Events...)
+	rt.Release()
+	rt.Release()
+	for _, s := range rt.Shards() {
+		if s.Heap.Roots() != nil || s.Heap.Remsets() != nil {
+			t.Errorf("shard %d: the released heap still has its root table or remembered sets", s.ID)
+		}
+		if n := len(s.Tele.Recorder().Events()); n != 0 {
+			t.Errorf("shard %d: the released recorder still holds %d events", s.ID, n)
+		}
+	}
+	next := newTestRuntime(t, 2, false)
+	if err := next.Run(testPlan(4)); err != nil {
+		t.Fatal(err)
+	}
+	next.Release()
+	if !reflect.DeepEqual(snap.Events, kept) {
+		t.Error("a snapshot read before Release changed when the next runtime ran")
 	}
 }

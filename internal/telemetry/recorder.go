@@ -1,9 +1,19 @@
 package telemetry
 
+import "sync"
+
 // DefaultRecorderCap is the flight-recorder capacity used by Run: enough
 // to hold the full GC history of a short run and the recent history of a
 // long one (each collection emits 2 + condemned + belts events).
 const DefaultRecorderCap = 512
+
+// ring is the buffer of a DefaultRecorderCap recorder.
+type ring = [DefaultRecorderCap]Event
+
+// rings holds the buffers of released DefaultRecorderCap recorders, so
+// that the runs of one process — every run has a recorder — record into
+// one run's worth of rings instead of a fresh one each.
+var rings sync.Pool
 
 // FlightRecorder is a fixed-capacity ring buffer of Events. Emit never
 // allocates: the buffer is sized once at construction and old events are
@@ -15,12 +25,30 @@ type FlightRecorder struct {
 }
 
 // NewFlightRecorder returns a recorder holding the last capacity events
-// (DefaultRecorderCap when capacity <= 0).
+// (DefaultRecorderCap when capacity <= 0). A recorder of the default
+// capacity records into a released one's ring when there is one: a
+// recorder reads back only the events it emitted itself, so an earlier
+// run's events in the ring are never seen.
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultRecorderCap
 	}
+	if capacity == DefaultRecorderCap {
+		if r, _ := rings.Get().(*ring); r != nil {
+			return &FlightRecorder{buf: r[:]}
+		}
+	}
 	return &FlightRecorder{buf: make([]Event, capacity)}
+}
+
+// Release hands the recorder's ring to the next recorder built in the
+// process. Read its events first: afterwards it holds none, and Emit
+// panics.
+func (r *FlightRecorder) Release() {
+	if len(r.buf) == DefaultRecorderCap {
+		rings.Put((*ring)(r.buf))
+	}
+	r.buf, r.total = nil, 0
 }
 
 // Emit appends e, stamping its Seq (1-based). Zero allocations.

@@ -29,6 +29,10 @@ func NewRun(clock *stats.Clock) *Run {
 // Recorder returns the run's flight recorder.
 func (r *Run) Recorder() *FlightRecorder { return r.rec }
 
+// Release hands the run's recorder ring to the next run in the process
+// (FlightRecorder.Release). Snapshot first.
+func (r *Run) Release() { r.rec.Release() }
+
 // now reads the cost clock (0 when the run has no clock attached).
 func (r *Run) now() float64 {
 	if r.clock == nil {

@@ -257,3 +257,31 @@ func TestZeroAllocHotPaths(t *testing.T) {
 		t.Errorf("observer emission allocates %v/op", n)
 	}
 }
+
+// A recorder built after another's Release records from its first event,
+// whichever ring it is given; the released one holds nothing and takes no
+// more events.
+func TestFlightRecorderReleaseHandsRingOn(t *testing.T) {
+	old := NewFlightRecorder(0)
+	for i := 0; i < DefaultRecorderCap+100; i++ {
+		old.Emit(Event{Kind: EvFlip, A: uint64(i)})
+	}
+	old.Release()
+	if old.Total() != 0 || len(old.Events()) != 0 {
+		t.Errorf("released recorder still holds %d events", len(old.Events()))
+	}
+	r := NewFlightRecorder(0)
+	if r.Cap() != DefaultRecorderCap || r.Total() != 0 || len(r.Events()) != 0 {
+		t.Fatalf("recorder after a release: cap %d, %d events", r.Cap(), len(r.Events()))
+	}
+	r.Emit(Event{Kind: EvOOM, A: 7})
+	if ev := r.Events(); len(ev) != 1 || ev[0].Kind != EvOOM || ev[0].Seq != 1 {
+		t.Errorf("recorder after a release read back %+v", ev)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Emit on a released recorder did not panic")
+		}
+	}()
+	old.Emit(Event{Kind: EvFlip})
+}

@@ -1,6 +1,10 @@
 package workload
 
-import "beltway/internal/gc"
+import (
+	"slices"
+
+	"beltway/internal/gc"
+)
 
 // Javac models 213_javac compiling a program repeatedly: each
 // compilation unit builds an AST and a symbol table laced with CYCLIC
@@ -49,6 +53,7 @@ func javacBody(c *Ctx) {
 
 	units := c.N(220)
 	var emitted []gc.Handle // compiled output, live to the end
+	var nodes []gc.Handle   // the current unit's AST, one buffer for every unit
 
 	for u := 0; u < units; u++ {
 		// A compilation unit: all of its structure becomes garbage at
@@ -99,7 +104,7 @@ func javacBody(c *Ctx) {
 
 		// Parsing: an AST whose leaves reference symbols.
 		nNodes := 900 + c.Rng.Intn(600)
-		nodes := make([]gc.Handle, 0, nNodes)
+		nodes = slices.Grow(nodes[:0], nNodes)
 		for i := 0; i < nNodes; i++ {
 			nd := m.Alloc(astNode, 0)
 			if len(nodes) > 1 {
