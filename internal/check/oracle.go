@@ -353,8 +353,8 @@ func runConfigured(script Script, cfgs []core.Config) ScriptRun {
 }
 
 // RecordWorkload records one bundled benchmark's mutator event stream at
-// the given scale on a reference collector, exactly as cmd/tracebench
-// does: the trace is then collector-independent input for Differential.
+// the given scale on a reference collector: the trace is then
+// collector-independent input for Differential.
 func RecordWorkload(b *workload.Benchmark, scale float64, seed int64, cfg core.Config) (*trace.Trace, error) {
 	tr := trace.NewTrace()
 	out := run(cfg, recording(tr, func(m *vm.Mutator) error {

@@ -15,21 +15,6 @@ func ValidateEnv(env Env) error {
 	return err
 }
 
-// ValidateTraceEnv rejects what ValidateEnv allows but a run of Record or
-// Replay does not, for a front end to call beside it and for those
-// workloads to call themselves: they stay single-lane and static. A trace
-// is one mutator's stream, and replaying it compares collectors as
-// configured, not as a controller retunes them.
-func ValidateTraceEnv(env Env) error {
-	if env.Mutators > 1 {
-		return fmt.Errorf("harness: a trace is one mutator's event stream: incompatible with the sharded runtime (-mutators %d)", env.Mutators)
-	}
-	if env.Policy != "" {
-		return fmt.Errorf("harness: a trace replay compares static configurations: incompatible with the adaptive policy (-adapt %s)", env.Policy)
-	}
-	return nil
-}
-
 // envController validates env and builds the adaptive controller it
 // declares (nil when Env.Policy is empty). Controllers are stateful and
 // per-run: every Run gets a fresh one.

@@ -6,14 +6,12 @@ import (
 	"beltway/internal/policy"
 	"beltway/internal/server"
 	"beltway/internal/shard"
-	"beltway/internal/trace"
 	"beltway/internal/workload"
 )
 
-// Workload is what a run executes on its lanes. It has exactly four
-// implementations — Bench and Server, and Record and Replay for
-// trace-driven comparison — and says only what differs between them;
-// everything else about a run belongs to Run.
+// Workload is what a run executes on its lanes. It has exactly two
+// implementations, Bench and Server, and says only what differs between
+// them; everything else about a run belongs to Run.
 type Workload interface {
 	// Name is the run's Result.Benchmark.
 	Name() string
@@ -56,59 +54,6 @@ func (w benchWorkload) plan(lanes []*shard.Shard, env Env, _ *policy.Controller)
 		p.CollectEvery = 1
 	}
 	return p, nil, nil
-}
-
-// Record is Bench with tr attached as the lane's recorder: the run
-// measures exactly what Bench measures (recording reads the clock
-// without advancing it) and leaves the benchmark's mutator event stream
-// in tr. One stream, so one lane (ValidateTraceEnv).
-func Record(b *workload.Benchmark, tr *trace.Trace) Workload {
-	return recordWorkload{benchWorkload{b}, tr}
-}
-
-type recordWorkload struct {
-	benchWorkload
-	tr *trace.Trace
-}
-
-func (w recordWorkload) plan(lanes []*shard.Shard, env Env, ctrl *policy.Controller) (shard.Plan, func() *server.Report, error) {
-	if err := ValidateTraceEnv(env); err != nil {
-		return shard.Plan{}, nil, err
-	}
-	lanes[0].M.SetRecorder(w.tr)
-	return w.benchWorkload.plan(lanes, env, ctrl)
-}
-
-// Replay executes a recorded trace on the lane's mutator: the identical
-// event stream against whatever collector the run configures, so every
-// difference between two replays' Results is collector policy, and a
-// replay under the configuration and Env the trace was recorded in
-// reproduces that run's Result. name is the run's Result.Benchmark.
-// Env.Seed, Scale and Pretenure play no part: the trace fixed them when
-// it was recorded. The trace is only read, so replays may share it.
-func Replay(name string, tr *trace.Trace) Workload { return replayWorkload{name, tr} }
-
-type replayWorkload struct {
-	name string
-	tr   *trace.Trace
-}
-
-func (w replayWorkload) Name() string       { return w.name }
-func (w replayWorkload) seed(env Env) int64 { return env.Seed }
-
-func (w replayWorkload) plan(_ []*shard.Shard, env Env, _ *policy.Controller) (shard.Plan, func() *server.Report, error) {
-	if err := ValidateTraceEnv(env); err != nil {
-		return shard.Plan{}, nil, err
-	}
-	return shard.Plan{Rounds: 1, Body: func(_ int, s *shard.Shard) {
-		// Out of memory unwinds to the lane's own vm.Run (Result.OOM).
-		// Anything Play returns is a trace this heap could not follow —
-		// corrupt bytes, handle drift — and what it leaves behind is not
-		// a measurement: the lane fails the way any broken run does.
-		if err := trace.Play(w.tr, s.M); err != nil {
-			panic(err)
-		}
-	}}, nil, nil
 }
 
 // Server is the request/response workload (internal/server): every lane

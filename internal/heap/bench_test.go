@@ -3,12 +3,21 @@ package heap_test
 import (
 	"testing"
 
-	"beltway/internal/bench"
+	"beltway/internal/heap"
 )
 
-// Benchmark bodies live in beltway/internal/bench.
-
-func BenchmarkWordAccess(b *testing.B)    { bench.WordAccess(b) }
-func BenchmarkFrameMapUnmap(b *testing.B) { bench.FrameMapUnmap(b) }
-func BenchmarkCopyObject(b *testing.B)    { bench.CopyObject(b) }
-func BenchmarkWalkObjects(b *testing.B)   { bench.WalkObjects(b) }
+// BenchmarkWordAccess measures the simulated memory's word load/store
+// path (the floor under every collector operation).
+func BenchmarkWordAccess(b *testing.B) {
+	s := heap.NewSpace(1<<16, heap.NewRegistry())
+	a := s.FrameBase(s.MapFrame())
+	b.ReportAllocs()
+	b.SetBytes(2 * heap.WordBytes) // one store + one load per iteration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SetWord(a, uint32(i))
+		if s.Word(a) != uint32(i) {
+			b.Fatal("corrupt")
+		}
+	}
+}

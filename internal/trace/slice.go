@@ -49,10 +49,11 @@ func decodeOps(buf []byte) ([]rawOp, error) {
 			op.args = append(op.args, v)
 		}
 		if op.code == opDefineType {
-			nameLen := int(op.args[3])
-			if pos+nameLen > len(buf) {
+			// Compared unsigned: a length of 2^63 or more is negative as an int.
+			if op.args[3] > uint64(len(buf)-pos) {
 				return nil, fmt.Errorf("trace: bad type record at %d", pos)
 			}
+			nameLen := int(op.args[3])
 			op.name = string(buf[pos : pos+nameLen])
 			pos += nameLen
 		}

@@ -178,9 +178,14 @@ func ReadFrom(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: bad header: %w", err)
 	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(br, buf); err != nil {
+	// The header is untrusted: the buffer grows with the bytes that arrive,
+	// never to the size the header claims before they do.
+	buf, err := io.ReadAll(io.LimitReader(br, int64(size)))
+	if err != nil {
 		return nil, fmt.Errorf("trace: truncated: %w", err)
+	}
+	if uint64(len(buf)) != size {
+		return nil, fmt.Errorf("trace: truncated: %w", io.ErrUnexpectedEOF)
 	}
 	return &Trace{buf: buf}, nil
 }
@@ -192,16 +197,14 @@ func ReadFrom(r io.Reader) (*Trace, error) {
 // live workload run.
 func Replay(t *Trace, m *vm.Mutator) error {
 	var rerr error
-	if err := m.Run(func() { rerr = Play(t, m) }); err != nil {
+	if err := m.Run(func() { rerr = t.play(m) }); err != nil {
 		return err // OOM during replay
 	}
 	return rerr
 }
 
-// Play is Replay for a caller already inside m.Run (a harness lane runs
-// its whole body in one): out of memory unwinds to that Run instead of
-// being returned.
-func Play(t *Trace, m *vm.Mutator) error {
+// play repeats the trace's operations on m, inside Replay's m.Run.
+func (t *Trace) play(m *vm.Mutator) error {
 	types := m.C.Space().Types
 	var typeTab []*heap.TypeDesc // index 0 unused
 	typeTab = append(typeTab, nil)
@@ -225,7 +228,7 @@ func Play(t *Trace, m *vm.Mutator) error {
 			refs, _ := next()
 			words, _ := next()
 			nameLen, err := next()
-			if err != nil || pos+int(nameLen) > len(buf) {
+			if err != nil || nameLen > uint64(len(buf)-pos) {
 				return fmt.Errorf("trace: bad type record")
 			}
 			name := string(buf[pos : pos+int(nameLen)])
@@ -239,7 +242,7 @@ func Play(t *Trace, m *vm.Mutator) error {
 			ti, _ := next()
 			length, _ := next()
 			want, err := next()
-			if err != nil || ti == 0 || int(ti) >= len(typeTab) {
+			if err != nil || ti == 0 || ti >= uint64(len(typeTab)) {
 				return fmt.Errorf("trace: bad alloc record")
 			}
 			var h gc.Handle
@@ -336,7 +339,7 @@ func Play(t *Trace, m *vm.Mutator) error {
 			length, _ := next()
 			want, _ := next()
 			g, err := next()
-			if err != nil || ti == 0 || int(ti) >= len(typeTab) {
+			if err != nil || ti == 0 || ti >= uint64(len(typeTab)) {
 				return fmt.Errorf("trace: bad pretenured alloc record")
 			}
 			var h gc.Handle

@@ -2,13 +2,16 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"beltway/internal/collectors"
 	"beltway/internal/core"
+	"beltway/internal/gc"
 	"beltway/internal/heap"
 	"beltway/internal/vm"
+	"beltway/internal/workload"
 )
 
 func newMutator(t *testing.T, cfg core.Config) *vm.Mutator {
@@ -20,8 +23,9 @@ func newMutator(t *testing.T, cfg core.Config) *vm.Mutator {
 	return vm.New(h)
 }
 
-// record runs a scripted workload with recording attached.
-func record(t *testing.T, cfg core.Config) *Trace {
+// record runs a scripted workload with recording attached and returns the
+// trace and the mutator it ran on.
+func record(t *testing.T, cfg core.Config) (*Trace, *vm.Mutator) {
 	t.Helper()
 	m := newMutator(t, cfg)
 	tr := NewTrace()
@@ -62,23 +66,34 @@ func record(t *testing.T, cfg core.Config) *Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return tr, m
 }
 
 func smallCfg() core.Config {
 	return collectors.XX100(25, collectors.Options{HeapBytes: 256 << 10, FrameBytes: 4096})
 }
 
+// sameRun fails unless a replay's clock is the recorded run's bit for
+// bit: total time, GC time and every counter.
+func sameRun(t *testing.T, what string, recorded, replayed *vm.Mutator) {
+	t.Helper()
+	w, g := recorded.C.Clock(), replayed.C.Clock()
+	if g.TotalTime() != w.TotalTime() || g.GCTime() != w.GCTime() || g.Counters != w.Counters {
+		t.Errorf("%s: replay differs from the run it was recorded from:\nreplayed total %v gc %v %+v\nrecorded total %v gc %v %+v",
+			what, g.TotalTime(), g.GCTime(), g.Counters, w.TotalTime(), w.GCTime(), w.Counters)
+	}
+}
+
 // TestReplayMatchesLiveRun records on one collector and replays on a
 // fresh identical collector: every counter must match the recording run
 // exactly.
 func TestReplayMatchesLiveRun(t *testing.T) {
-	tr := record(t, smallCfg())
+	tr, live := record(t, smallCfg())
 	if tr.Len() == 0 {
 		t.Fatal("empty trace")
 	}
 	// The script reaches every op the format has but the pretenured
-	// allocation: a Mutator operation Play did not re-issue, or Slice did
+	// allocation: a Mutator operation Replay did not repeat, or Slice did
 	// not carry, would go unnoticed below if the script never made it.
 	ops, err := decodeOps(tr.buf)
 	if err != nil {
@@ -105,6 +120,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 	if err := Replay(tr, m2); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
+	sameRun(t, "scripted workload", live, m2)
 
 	m3 := newMutator(t, smallCfg())
 	tr3 := NewTrace()
@@ -122,7 +138,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 // configurations; mutator-side counters (allocation, stores) must agree
 // even though collector-side behaviour differs.
 func TestReplayOnDifferentCollectors(t *testing.T) {
-	tr := record(t, smallCfg())
+	tr, _ := record(t, smallCfg())
 	o := collectors.Options{HeapBytes: 256 << 10, FrameBytes: 4096}
 	var allocs []uint64
 	var collections []uint64
@@ -155,7 +171,7 @@ func TestReplayOnDifferentCollectors(t *testing.T) {
 
 // TestSerializeRoundTrip checks WriteTo/ReadFrom.
 func TestSerializeRoundTrip(t *testing.T) {
-	tr := record(t, smallCfg())
+	tr, _ := record(t, smallCfg())
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -192,6 +208,81 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 	m := newMutator(t, smallCfg())
 	if err := Replay(tr, m); err == nil {
 		t.Error("garbage trace replayed without error")
+	}
+}
+
+// TestRecordedRunsReplayExactly: replaying a benchmark's trace on a fresh
+// heap configured as the recording's reproduces the recorded run's clock
+// and counters bit for bit, for every benchmark of the suite on a
+// boot-scanning and a remembered-set collector. A Mutator operation that
+// charges the clock and is not recorded fails it on the benchmark that
+// calls it (RefIsNil was one, on raytrace). Each run is in the smallest of
+// three heaps it completes in, so it collects as often as it can.
+func TestRecordedRunsReplayExactly(t *testing.T) {
+	for _, b := range workload.All() {
+		for _, spec := range []string{"appel", "25.25.100"} {
+			name := b.Name + " on " + spec
+			for _, heapBytes := range []int{512 << 10, 1 << 20, 2 << 20} {
+				cfg, err := collectors.Parse(spec, collectors.Options{HeapBytes: heapBytes, FrameBytes: 2048})
+				if err != nil {
+					t.Fatal(err)
+				}
+				live := newMutator(t, cfg)
+				tr := NewTrace()
+				live.SetRecorder(tr)
+				ctx := &workload.Ctx{M: live, Types: live.C.Space().Types, Rng: rand.New(rand.NewSource(1)), Scale: 0.1}
+				err = live.Run(func() { b.Body(ctx) })
+				if errors.Is(err, gc.ErrOutOfMemory) && heapBytes < 2<<20 {
+					continue // try the next heap
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if live.C.Clock().Counters.Collections == 0 {
+					t.Fatalf("%s: the recorded run never collected", name)
+				}
+				replayed := newMutator(t, cfg)
+				if err := Replay(tr, replayed); err != nil {
+					t.Fatalf("%s: replay: %v", name, err)
+				}
+				sameRun(t, name, live, replayed)
+				break
+			}
+		}
+	}
+}
+
+// TestHugeTypeNameLengthIsABadRecord: a type record whose name length is
+// 2^63 or more is a bad record to every decoder, not a negative length
+// that slips past the bounds check; so is an allocation whose type index
+// is.
+func TestHugeTypeNameLengthIsABadRecord(t *testing.T) {
+	tr := &Trace{}
+	tr.emit(opDefineType, uint64(heap.Scalar), 1, 1, 1<<63)
+	tr.buf = append(tr.buf, 'n')
+	if _, err := tr.NumOps(); err == nil {
+		t.Error("NumOps accepted the record")
+	}
+	if _, err := tr.AllocBytes(); err == nil {
+		t.Error("AllocBytes accepted the record")
+	}
+	if _, err := tr.Slice(func(int) bool { return true }); err == nil {
+		t.Error("Slice accepted the record")
+	}
+	if err := Replay(tr, newMutator(t, smallCfg())); err == nil {
+		t.Error("Replay accepted the record")
+	}
+
+	// The same for an allocation's type index.
+	tr = &Trace{}
+	tr.emit(opDefineType, uint64(heap.Scalar), 1, 1, 1)
+	tr.buf = append(tr.buf, 'n')
+	tr.emit(opAlloc, 1<<63, 0, 1)
+	if _, err := tr.AllocBytes(); err == nil {
+		t.Error("AllocBytes accepted an allocation of type 2^63")
+	}
+	if err := Replay(tr, newMutator(t, smallCfg())); err == nil {
+		t.Error("Replay accepted an allocation of type 2^63")
 	}
 }
 
