@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"beltway/internal/gc"
 	"beltway/internal/heap"
 	"beltway/internal/markregion"
@@ -38,25 +36,27 @@ type scaffold struct {
 	mrPool []*markregion.Frame
 }
 
-// scaffolds holds the scaffolds of released heaps, for New. Being a
-// sync.Pool, like the slab pools, it gives back to the Go collector what
-// no run has asked for in two of its cycles.
-var scaffolds sync.Pool
+// scaffolds holds the scaffolds of released heaps, for New. Like the slab
+// lists it is a heap.FreeList: a scaffold outlives any number of Go
+// collections, and the list holds at most as many as there were heaps
+// live at once.
+var scaffolds heap.FreeList[*scaffold]
 
 // takeScaffold returns a released heap's scaffold, or an empty one.
 func takeScaffold() *scaffold {
-	if sc, _ := scaffolds.Get().(*scaffold); sc != nil {
+	if sc, ok := scaffolds.Take(); ok {
 		return sc
 	}
 	return &scaffold{}
 }
 
-// Release ends the heap's run. Its Space hands its slabs to the slab pool
-// (heap.Space.Release), and everything else the run grew goes to the next
-// Heap New builds in the process. Call it once the clock has been read.
-// Afterwards the heap keeps only its Config, Clock and collection count:
-// Roots and Remsets are nil, so a use after release panics instead of
-// reaching another run's tables, and the Space faults on every access.
+// Release ends the heap's run. Its Space hands its slabs to the slab list
+// for its frame size (heap.Space.Release), and everything else the run
+// grew goes to the next Heap New builds in the process. Call it once the
+// clock has been read. Afterwards the heap keeps only its Config, Clock
+// and collection count: Roots and Remsets are nil, so a use after release
+// panics instead of reaching another run's tables, and the Space faults
+// on every access.
 // Releasing twice is harmless.
 func (h *Heap) Release() {
 	if h.roots == nil {
@@ -65,7 +65,7 @@ func (h *Heap) Release() {
 	scaffolds.Put(h.dismantle())
 }
 
-// dismantle is Release up to the pool: the heap emptied into a scaffold.
+// dismantle is Release up to the list: the heap emptied into a scaffold.
 func (h *Heap) dismantle() *scaffold {
 	for _, b := range h.belts {
 		for _, in := range b.incrs {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"beltway/internal/collectors"
@@ -164,5 +165,30 @@ func TestReleasedHeapPanics(t *testing.T) {
 			}()
 			use()
 		}()
+	}
+}
+
+// TestReleasedScaffoldListHoldsPeakUse: New makes a scaffold only when
+// the list is empty, so the list holds as many as there were heaps live
+// at once, and no Go collection empties it.
+func TestReleasedScaffoldListHoldsPeakUse(t *testing.T) {
+	core.DropSpareScaffolds()
+	cfg := collectors.XX100(25, testOptions(256))
+	a, _ := benchHeap(t, cfg)
+	b, _ := benchHeap(t, cfg)
+	a.Release()
+	b.Release()
+	runtime.GC()
+	runtime.GC()
+	if n := core.SpareScaffolds(); n != 2 {
+		t.Fatalf("two heaps live at once left %d scaffolds, want 2", n)
+	}
+	c, _ := benchHeap(t, cfg)
+	if n := core.SpareScaffolds(); n != 1 {
+		t.Errorf("a third heap left %d of the two scaffolds, want 1", n)
+	}
+	c.Release()
+	if n := core.SpareScaffolds(); n != 2 {
+		t.Errorf("after the third heap's release the list holds %d scaffolds, want 2", n)
 	}
 }

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -125,8 +126,9 @@ func TestReleasedSpaceFaults(t *testing.T) {
 	s.Release() // idempotent
 }
 
-// Slabs handed over by Release arrive zeroed in the next Space, and a
-// Space of another frame size never sees them.
+// Slabs handed over by Release arrive zeroed in the next Space, all of
+// them, even across Go collections, and a Space of another frame size
+// never sees them.
 func TestReleaseHandsZeroedSlabsToNextSpace(t *testing.T) {
 	const frameBytes = 1 << 19 // a size no other test in this package uses
 	const n = 8
@@ -139,8 +141,10 @@ func TestReleaseHandsZeroedSlabsToNextSpace(t *testing.T) {
 			s.SetWord(a, 0xdeadbeef)
 		}
 	}
-	s.UnmapFrame(1) // handed over from the in-Space pool as well
+	s.UnmapFrame(1) // handed over from the Space's own list as well
 	s.Release()
+	runtime.GC()
+	runtime.GC()
 
 	other := NewSpace(frameBytes>>1, NewRegistry())
 	if f := other.MapFrame(); len(other.frames[f]) != frameBytes>>1>>WordShift {
@@ -160,10 +164,37 @@ func TestReleaseHandsZeroedSlabsToNextSpace(t *testing.T) {
 			}
 		}
 	}
-	// A sync.Pool may keep an item where only the processor that put it
-	// can find it, and drops a share of its Puts under the race detector:
-	// most of the slabs must come through, not each one.
-	if inherited < n/2 && !raceEnabled {
+	if inherited != n {
 		t.Errorf("next space inherited %d of %d released slabs", inherited, n)
+	}
+}
+
+// The slab lists need no cap: a slab is made only when its list is
+// empty, so a list holds what the process once had mapped at the same
+// time and never more.
+func TestReleasedSlabListHoldsPeakUse(t *testing.T) {
+	const frameBytes = 1 << 17 // a size no other test in this package uses
+	list := &slabLists[17]
+	list.items = nil
+	mapped := func(frames int) *Space {
+		s := NewSpace(frameBytes, NewRegistry())
+		for i := 0; i < frames; i++ {
+			s.MapFrame()
+		}
+		return s
+	}
+	a, b := mapped(8), mapped(8)
+	a.Release()
+	b.Release()
+	mapped(3).Release()
+	if got := list.Len(); got != 16 {
+		t.Errorf("two spaces of 8 frames live at once, then one of 3: the list holds %d slabs, want 16", got)
+	}
+	other := NewSpace(frameBytes>>1, NewRegistry())
+	if f := other.MapFrame(); len(other.frames[f]) != frameBytes>>1>>WordShift {
+		t.Fatalf("space of another frame size got a %d-word slab", len(other.frames[f]))
+	}
+	if got := list.Len(); got != 16 {
+		t.Errorf("a space of another frame size took %d of the list's slabs", 16-got)
 	}
 }

@@ -1,9 +1,6 @@
 package heap
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Space is the simulated virtual address space: a growable set of
 // power-of-two sized frames, each backed by its own zeroed word slab.
@@ -20,9 +17,10 @@ import (
 // an address once and then work inside the slab, through the views of
 // slab.go. Word/SetWord remain for tests, the validator and as the
 // reference model the slab-resident kernel is checked against. Unmapped
-// slabs are pooled and re-zeroed on reuse, keeping frame turnover off the
-// Go allocator; Release hands a finished run's slabs to the next run's
-// Space, and its tables to whoever builds that Space (NewSpaceFrom).
+// slabs are kept on a list and re-zeroed on reuse, keeping frame turnover
+// off the Go allocator; Release hands a finished run's slabs to the next
+// run's Space through a process-wide free list, and its tables to whoever
+// builds that Space (NewSpaceFrom).
 type Space struct {
 	Types *Registry
 
@@ -112,40 +110,35 @@ func (s *Space) Mapped(f Frame) bool {
 	return int(f) < len(s.frames) && s.frames[f] != nil
 }
 
-// slabPools holds the slabs of released Spaces, one pool per frame size
+// slabLists holds the slabs of released Spaces, one list per frame size
 // (indexed by frame shift), so that the runs of one process — the probes
 // of a min-heap search, an engine's jobs, a farm worker's specs — build
-// their heaps from one heap's worth of slabs. Being sync.Pools, they
-// give back to the Go collector what nobody has asked for in two of its
-// cycles. The tables a Space indexes its slabs by are not pooled here:
-// Release returns them to its caller, which knows what it builds next.
-var slabPools [32]sync.Pool
+// their heaps from one heap's worth of slabs, however many Go collections
+// ran in between. The tables a Space indexes its slabs by are not listed
+// here: Release returns them to its caller, which knows what it builds
+// next.
+var slabLists [32]FreeList[[]uint32]
 
-// Release ends the Space's life and hands every slab it holds, mapped or
-// pooled, to the process-wide pool for its frame size, and returns its
-// emptied tables for the caller to build the next Space on. Afterwards
-// every frame is unmapped — any access faults — and mapping panics: the
-// slabs may already belong to another run. Releasing twice is harmless
-// (and returns nothing the second time).
+// Release ends the Space's life and appends every slab it holds, mapped
+// or unmapped, to the process-wide list for its frame size, and returns
+// its emptied tables for the caller to build the next Space on.
+// Afterwards every frame is unmapped — any access faults — and mapping
+// panics: the slabs may already belong to another run. Releasing twice is
+// harmless (and returns nothing the second time).
 func (s *Space) Release() SpaceStorage {
 	if s.released {
 		return SpaceStorage{}
 	}
 	s.released = true
-	// The pool's items are pointers into one array of the slabs, made for
-	// the handover, so that the tables themselves are free to go to the
-	// next Space: one allocation hands over every slab.
-	boxes := make([][]uint32, 0, len(s.pool)+s.mapped)
-	boxes = append(boxes, s.pool...)
+	l := &slabLists[s.frameShift]
+	l.mu.Lock()
+	l.items = append(l.items, s.pool...)
 	for _, slab := range s.frames {
 		if slab != nil {
-			boxes = append(boxes, slab)
+			l.items = append(l.items, slab)
 		}
 	}
-	shared := &slabPools[s.frameShift]
-	for i := range boxes {
-		shared.Put(&boxes[i])
-	}
+	l.mu.Unlock()
 	clear(s.frames)
 	clear(s.pool)
 	st := SpaceStorage{frames: s.frames[:0], free: s.free[:0], pool: s.pool[:0]}
@@ -153,10 +146,11 @@ func (s *Space) Release() SpaceStorage {
 	return st
 }
 
-// newSlab returns a zeroed words-per-frame slab, reusing a pooled one
+// newSlab returns a zeroed words-per-frame slab, reusing an unmapped one
 // when available — the Space's own first, then one a released Space left
 // behind: clearing a recycled slab is a memclr, with none of the
-// allocator traffic a fresh make incurs on every collection.
+// allocator traffic a fresh make incurs on every collection. It makes a
+// slab only when both lists are empty.
 func (s *Space) newSlab() []uint32 {
 	if s.released {
 		panic("heap: map on a released space")
@@ -166,9 +160,7 @@ func (s *Space) newSlab() []uint32 {
 		slab = s.pool[n-1]
 		s.pool[n-1] = nil
 		s.pool = s.pool[:n-1]
-	} else if p, _ := slabPools[s.frameShift].Get().(*[]uint32); p != nil {
-		slab = *p
-	} else {
+	} else if slab, _ = slabLists[s.frameShift].Take(); slab == nil {
 		return make([]uint32, s.frameBytes>>WordShift)
 	}
 	clear(slab)

@@ -1,6 +1,6 @@
 package telemetry
 
-import "sync"
+import "beltway/internal/heap"
 
 // DefaultRecorderCap is the flight-recorder capacity used by Run: enough
 // to hold the full GC history of a short run and the recent history of a
@@ -12,8 +12,10 @@ type ring = [DefaultRecorderCap]Event
 
 // rings holds the buffers of released DefaultRecorderCap recorders, so
 // that the runs of one process — every run has a recorder — record into
-// one run's worth of rings instead of a fresh one each.
-var rings sync.Pool
+// one run's worth of rings instead of a fresh one each, however many Go
+// collections ran in between. A ring is made only when the list is empty,
+// so it holds no more rings than there were recorders live at once.
+var rings heap.FreeList[*ring]
 
 // FlightRecorder is a fixed-capacity ring buffer of Events. Emit never
 // allocates: the buffer is sized once at construction and old events are
@@ -34,7 +36,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 		capacity = DefaultRecorderCap
 	}
 	if capacity == DefaultRecorderCap {
-		if r, _ := rings.Get().(*ring); r != nil {
+		if r, ok := rings.Take(); ok {
 			return &FlightRecorder{buf: r[:]}
 		}
 	}

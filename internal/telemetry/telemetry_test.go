@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -258,21 +259,27 @@ func TestZeroAllocHotPaths(t *testing.T) {
 	}
 }
 
-// A recorder built after another's Release records from its first event,
-// whichever ring it is given; the released one holds nothing and takes no
-// more events.
+// A recorder built after another's Release records into its ring, even
+// across Go collections, from its first event; the released one holds
+// nothing and takes no more events.
 func TestFlightRecorderReleaseHandsRingOn(t *testing.T) {
 	old := NewFlightRecorder(0)
 	for i := 0; i < DefaultRecorderCap+100; i++ {
 		old.Emit(Event{Kind: EvFlip, A: uint64(i)})
 	}
+	ring := &old.buf[0]
 	old.Release()
 	if old.Total() != 0 || len(old.Events()) != 0 {
 		t.Errorf("released recorder still holds %d events", len(old.Events()))
 	}
+	runtime.GC()
+	runtime.GC()
 	r := NewFlightRecorder(0)
 	if r.Cap() != DefaultRecorderCap || r.Total() != 0 || len(r.Events()) != 0 {
 		t.Fatalf("recorder after a release: cap %d, %d events", r.Cap(), len(r.Events()))
+	}
+	if &r.buf[0] != ring {
+		t.Error("the recorder built after a release did not take the released ring")
 	}
 	r.Emit(Event{Kind: EvOOM, A: 7})
 	if ev := r.Events(); len(ev) != 1 || ev[0].Kind != EvOOM || ev[0].Seq != 1 {
