@@ -13,14 +13,6 @@
 //	fuzzcheck -rounds 200 -seed 1
 //	fuzzcheck -minimize testdata/fuzz/FuzzDifferential/<entry>
 //
-// With -chaos it instead runs the chaos battery: every seed script plus
-// -rounds random scripts, each executed fault-free and then under
-// -fault-schedules deterministic fault-injection schedules derived from
-// -fault-seed, asserting the resilience layer absorbs every fault
-// without changing mutator-observable semantics:
-//
-//	fuzzcheck -chaos -fault-seed 1 -fault-schedules 3
-//
 // Exit status is 1 when any divergence was found.
 package main
 
@@ -46,10 +38,6 @@ func main() {
 		minimize = flag.Bool("minimize", false, "shrink each divergence and write a reproducer fixture + regression test")
 		scale    = flag.Float64("scale", 0.02, "workload scale for the trace stage")
 		outDir   = flag.String("out", "internal/check", "check package directory for fixtures and generated tests")
-
-		chaos          = flag.Bool("chaos", false, "run the chaos battery (fault injection) instead of the plain stages")
-		faultSeed      = flag.Int64("fault-seed", 1, "chaos fault-schedule seed")
-		faultSchedules = flag.Int("fault-schedules", 3, "fault schedules per script in chaos mode")
 	)
 	flag.Parse()
 
@@ -64,10 +52,6 @@ func main() {
 	}
 	if flag.NArg() > 0 {
 		os.Exit(exitCode(failures))
-	}
-
-	if *chaos {
-		os.Exit(exitCode(chaosStage(presets, *faultSeed, *faultSchedules, *rounds, *seed)))
 	}
 
 	failures += workloadStage(presets, *scale, *seed, *minimize, *outDir)
@@ -152,42 +136,6 @@ func randomStage(presets []core.Config, rounds int, seed int64, nConfigs int, mi
 		if minimize {
 			minimizeScript(script, cfgs, outDir)
 		}
-	}
-	return failures
-}
-
-// chaosStage runs the chaos battery: each seed script and `rounds`
-// random scripts, executed under `schedules` deterministic fault
-// schedules per preset, with outcomes compared to a fault-free baseline.
-func chaosStage(presets []core.Config, faultSeed int64, schedules, rounds int, seed int64) int {
-	failures := 0
-	totalRounds, totalFired := 0, 0
-	report := func(name string, run check.ChaosRun) {
-		totalRounds += run.Rounds
-		totalFired += run.TotalFired
-		if run.Failed() {
-			failures++
-			fmt.Printf("chaos %-16s DIVERGES\n%s", name, run.String())
-			return
-		}
-		fmt.Printf("chaos %-16s %4d rounds, %3d faults fired: ok\n", name, run.Rounds, run.TotalFired)
-	}
-	for _, s := range check.SeedScripts() {
-		report("seed/"+s.Name, check.RunScriptChaos(s.Name, s.Script, presets, faultSeed, schedules))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for round := 0; round < rounds; round++ {
-		name := fmt.Sprintf("rand/%d", round)
-		report(name, check.RunScriptChaos(name, check.RandomScript(rng), presets, faultSeed, schedules))
-	}
-	if totalFired == 0 {
-		fmt.Fprintln(os.Stderr, "fuzzcheck: warning: no injected fault ever fired; battery tested nothing")
-	}
-	if failures == 0 {
-		fmt.Printf("fuzzcheck: chaos clean (%d rounds, %d faults fired, %d schedules, seed %d)\n",
-			totalRounds, totalFired, schedules, faultSeed)
-	} else {
-		fmt.Printf("fuzzcheck: chaos found %d divergent inputs\n", failures)
 	}
 	return failures
 }

@@ -80,26 +80,13 @@ func TestCompare(t *testing.T) {
 // report — to testdata/divergence_rendering.golden, which was generated
 // by the code before the batteries shared one run, one comparison and
 // one result type: the two mutant batteries of mutation_test.go as the
-// flat oracle reports them, and a chaos and a sharded run with
-// hand-broken outcomes.
+// flat oracle reports them, and a sharded run with hand-broken outcomes.
 func TestDivergenceRenderingGolden(t *testing.T) {
 	var b strings.Builder
 	flat := RunScript(barrierStressScript(), mutantBattery(t, "25.25", 2))
 	b.WriteString("== flat: DebugDropBarrierEvery 2 on 25.25\n" + flat.String())
 	flat = RunScript(invariantOnlyScript(), mutantBattery(t, "25.25.100", 1))
 	b.WriteString("== flat: DebugDropBarrierEvery 1 on 25.25.100\n" + flat.String())
-
-	base := Outcome{Name: "25.25", Serials: []uint32{1, 2, 3, 4}, Fingerprint: "a\nb\nc"}
-	var chaos ChaosRun
-	for si, broken := range []Outcome{
-		{Name: "25.25", OOM: true, Serials: []uint32{1, 2}},
-		{Name: "25.25", Serials: []uint32{1, 2, 9, 4}, Fingerprint: "a\nB\nc"},
-		{Name: "25.25", Serials: []uint32{1, 2, 3}, Fingerprint: "a\nb"},
-		{Name: "25.25", Err: "validator: boom"},
-	} {
-		chaos.Divergences = append(chaos.Divergences, chaosVerdict(base, broken, si)...)
-	}
-	b.WriteString("== chaos: hand-broken faulted outcomes\n" + chaos.String())
 
 	lane := func(mode string, i int, o Outcome) Outcome {
 		o.Name = "25.25/" + mode + "/shard" + string(rune('0'+i))

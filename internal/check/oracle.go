@@ -119,9 +119,9 @@ func watchInvariants(h *core.Heap) {
 // nil, out of memory, or a failure of the drive itself (handle drift).
 // The oracle keeps two on purpose. replay is record-once-replay-N, the
 // only place trace.Replay's handle-drift check meets random scripts.
-// execute runs the script itself, past the mid-script collections injected
-// faults trigger, so an OOM yields the serial stream actually produced,
-// not a truncated trace: what chaos and the degradation fixture need. A
+// execute runs the script itself, so an OOM yields the serial stream
+// actually produced, not a truncated trace: what the degradation fixture
+// needs. A
 // drive may first attach what it needs: recording swaps a trace recorder
 // in for the serial tap, a test merges its gc.Hooks into the heap's.
 type drive func(*vm.Mutator) error

@@ -27,8 +27,7 @@
 //
 // The batteries are what differs. Differential / RunScript record on the
 // first configuration, replay on all and compare each with a reference;
-// RunScriptChaos executes fault-free, then under fault schedules, and
-// compares each with its baseline; RunScriptSharded deals the script over
+// RunScriptSharded deals the script over
 // lanes and compares the concurrent schedule with the serial, lane by
 // lane. Minimize / MinimizeTrace shrink a failure deterministically (ddmin
 // over the subject's operations, then over config structure) to a small

@@ -31,13 +31,6 @@ func (h *Heap) RefAlloc(t *heap.TypeDesc, length int) (heap.Addr, error) {
 	// AllocByte covers zeroing and header init; BarrierFast models the
 	// TIB-initialization store every Jikes allocation performs (§3.3.2).
 	h.clock.Advance(h.cfg.Costs.AllocByte*float64(size) + h.cfg.Costs.BarrierFast)
-	if fh := h.cfg.Faults; fh != nil && fh.AllocCost != nil {
-		if x := fh.AllocCost(); x > 0 {
-			// Injected cost inflation (a slow-allocation fault). Cost
-			// only: the clock is outside the oracle's semantic state.
-			h.clock.Advance(h.cfg.Costs.AllocByte * float64(size) * x)
-		}
-	}
 	h.refChargePaging(size)
 
 	// The remset trigger preempts collections even before the heap
@@ -130,9 +123,7 @@ func (h *Heap) refTryAlloc(size int) (heap.Addr, bool) {
 		}
 		// Current frame exhausted (or no frame yet): extend the increment.
 		if !in.atCapacity() && h.freeBudgetFor(h.allocBelt) >= h.cfg.FrameBytes {
-			if !h.addFrame(in) {
-				return heap.Nil, false // injected map failure: treat as heap-full
-			}
+			h.addFrame(in)
 			return h.refBump(in, size), true
 		}
 		if in.atCapacity() {
@@ -159,12 +150,7 @@ func (h *Heap) refAllocNewIncrement(belt *Belt, size int, bypassMax bool) (heap.
 		return heap.Nil, false
 	}
 	in := h.newIncrement(belt)
-	if !h.addFrame(in) {
-		// Injected map failure: roll the frameless increment back so the
-		// belt never holds an empty increment (seq gaps are fine).
-		belt.remove(in)
-		return heap.Nil, false
-	}
+	h.addFrame(in)
 	return h.refBump(in, size), true
 }
 

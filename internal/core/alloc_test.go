@@ -25,15 +25,14 @@ func (r refCollector) Alloc(t *heap.TypeDesc, n int) (heap.Addr, error) {
 }
 
 // allocRow is one configuration of TestWindowAllocMatchesReference. mk
-// builds it afresh for each of the two heaps, because fault hooks and
-// tuners carry state.
+// builds it afresh for each of the two heaps, because tuners carry
+// state.
 type allocRow struct {
 	name      string
 	mk        func() core.Config
 	pretenure bool // the stream allocates pretenured objects too
 	knobs     bool // the stream retunes belt 0's sizing between allocations
 	noWindow  bool // the window must never open
-	fired     *int // injected faults that fired, on either heap, so far
 	used      func(allocStats) bool
 }
 
@@ -45,15 +44,7 @@ type allocStats struct {
 	remsetGCs     int
 	ttdIncrements int // allocations after which the allocation belt held two increments
 	knobFlips     int
-	faults        int // injected faults that fired, on either heap
 	counters      stats.Counters
-}
-
-// everyNth returns a counter-driven fault schedule: true on every nth
-// call.
-func everyNth(n int) func() bool {
-	calls := 0
-	return func() bool { calls++; return calls%n == 0 }
 }
 
 func allocRows(t *testing.T) []allocRow {
@@ -76,7 +67,6 @@ func allocRows(t *testing.T) []allocRow {
 		}
 	}
 	xx100 := parse("25.25.100")
-	fired := new(int)
 	return []allocRow{
 		{name: "ss", mk: parse("ss")},
 		{name: "appel", mk: parse("appel")},
@@ -104,27 +94,6 @@ func allocRows(t *testing.T) []allocRow {
 		{name: "remset-threshold",
 			mk:   with(xx100, "remset-threshold", func(c *core.Config) { c.RemsetThreshold = 8 }),
 			used: func(s allocStats) bool { return s.remsetGCs > 0 }},
-		{name: "faults", fired: fired,
-			mk: with(xx100, "faults", func(c *core.Config) {
-				slow, fail := everyNth(7), everyNth(23)
-				c.Faults = &gc.FaultHooks{
-					AllocCost: func() float64 {
-						if slow() {
-							*fired++
-							return 1.0 / 3
-						}
-						return 0
-					},
-					MapFrame: func() bool {
-						if fail() {
-							*fired++
-							return false
-						}
-						return true
-					},
-				}
-			}),
-			used: func(s allocStats) bool { return s.faults > 0 }},
 		{name: "paging",
 			mk:   with(xx100, "paging", func(c *core.Config) { c.PhysMemBytes = 4 * c.FrameBytes }),
 			used: func(s allocStats) bool { return s.counters.PageFaultBytes > 0 }},
@@ -406,9 +375,6 @@ func runAllocScript(t *testing.T, row allocRow, seed int64) allocStats {
 		t.Errorf("seed %d: %v", seed, err)
 	}
 	p.stats.counters = p.win.Clock().Counters
-	if row.fired != nil {
-		p.stats.faults = *row.fired
-	}
 	if ctrl, isCtrl := cfg.Policy.(*policy.Controller); isCtrl {
 		p.stats.knobFlips += len(ctrl.Decisions())
 	}

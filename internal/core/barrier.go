@@ -73,12 +73,7 @@ func (h *Heap) WriteRef(obj heap.Addr, slot int, val heap.Addr) {
 				h.dbgBarrierHits++
 				if n := h.cfg.DebugDropBarrierEvery; n > 0 && h.dbgBarrierHits%n == 0 {
 					// Mutation-test knob: forget this pointer. See
-					// Config.DebugDropBarrierEvery. Deliberately does NOT
-					// enter degraded mode — the oracle must still catch it.
-				} else if fh := h.cfg.Faults; fh != nil && fh.RemsetInsert != nil && !fh.RemsetInsert() {
-					// Injected capped-remset drop: soundness is repaired by
-					// the condemn-everything degradation mode.
-					h.remsetCapHit()
+					// Config.DebugDropBarrierEvery. The oracle must catch it.
 				} else if h.rems.Insert(s, t, slotAddr) {
 					c.RemsetInserts++
 				}

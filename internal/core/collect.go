@@ -29,8 +29,7 @@ type gcState struct {
 	trigger gc.TriggerKind
 	full    bool // the condemned bytes cover the occupied heap (GCBeginInfo.Full)
 	// all: every increment is condemned. Such a collection traces all live
-	// data, so it can mark-sweep the large object space, and it re-derives
-	// every interesting pointer, so it ends remset-overflow degradation.
+	// data, so it can mark-sweep the large object space.
 	all bool
 	t0  float64        // clock and counters before the collection's first
 	c0  stats.Counters // charge, for GCEnd's deltas
@@ -96,12 +95,10 @@ func (h *Heap) collect(victims []*Increment, trigger gc.TriggerKind) error {
 	slots := h.harvestRemsets(st)
 	// Boundary-barrier configurations pay the boot scan at every
 	// collection (their cheap barrier does not remember boot-image stores,
-	// as the paper notes of Appel's collector); a heap in remset-overflow
-	// degradation pays it too, because the dropped entries could have
-	// covered boot- or LOS-sourced pointers; and so does a collection that
-	// sweeps the large object space, because no barrier remembers a boot
-	// slot's pointer to a large object (both carry the maximal stamp).
-	if h.cfg.Barrier == BoundaryBarrier || h.deg.remsetOverflow || h.los.sweeping {
+	// as the paper notes of Appel's collector); and so does a collection
+	// that sweeps the large object space, because no barrier remembers a
+	// boot slot's pointer to a large object (both carry the maximal stamp).
+	if h.cfg.Barrier == BoundaryBarrier || h.los.sweeping {
 		if err := h.scanBootImage(st); err != nil {
 			return err
 		}
@@ -309,12 +306,6 @@ func (h *Heap) releaseFrame(f heap.Frame) {
 // recomputed, the GCEnd, Occupancy and PostGC hooks see this collection's
 // deltas, and the adaptive policy runs last, after every observer.
 func (h *Heap) finish(st *gcState) {
-	// An all-increments collection re-derived every interesting pointer
-	// (survivor slots via rescanSlot, boot/LOS slots via scanBootImage),
-	// so the remembered sets are whole again.
-	if st.all {
-		h.deg.remsetOverflow = false
-	}
 	h.recomputeReserve()
 	h.inGC = false // the heap is consistent again; hooks may inspect it
 	cn, c0 := &h.clock.Counters, &st.c0
@@ -677,10 +668,8 @@ func (h *Heap) scanFrame(f heap.Frame, fresh bool, st *gcState) error {
 // scanBootImage walks every boot-image object, forwarding condemned
 // referents in place and re-applying the barrier rule to the slots it
 // rewrote: a no-op for the boundary barrier (boot sources are never
-// remembered), but under remset-overflow degradation the frame barrier
-// must re-remember boot->heap pointers before the overflow flag can clear.
-// Boundary-barrier collectors pay this cost at every collection in
-// exchange for their cheaper barrier.
+// remembered). Boundary-barrier collectors pay this cost at every
+// collection in exchange for their cheaper barrier.
 func (h *Heap) scanBootImage(st *gcState) error {
 	c := &h.clock.Counters
 	c.BootBytesScanned += uint64(h.boot.bytes)
@@ -718,22 +707,6 @@ func (h *Heap) scanBootImage(st *gcState) error {
 //     fails — as the paper's do in Figure 6 — when survivors no longer
 //     fit beside the reserved nursery.
 func (h *Heap) gcAddFrame(in *Increment) error {
-	if fh := h.cfg.Faults; fh != nil && fh.ReserveGrant != nil && !fh.ReserveGrant() {
-		// Injected transient reservation failure. Without the ladder it
-		// is fatal — exactly the fragility this subsystem removes; with
-		// it, one retry absorbs the fault (schedules guarantee at least
-		// resilience.MinGap calls between faults, so the retry's own
-		// consultation cannot fire again).
-		if !h.cfg.Degrade {
-			return h.oomError(0,
-				fmt.Sprintf("%s: copy reserve grant failed during collection", h.cfg.Name))
-		}
-		h.noteDegrade(gc.DegradeReserveRetry, 0)
-		if !fh.ReserveGrant() {
-			return h.oomError(0,
-				fmt.Sprintf("%s: copy reserve grant failed during collection", h.cfg.Name))
-		}
-	}
 	limit := h.cfg.HeapBytes + (len(h.belts)+2)*h.cfg.FrameBytes
 	if (h.heapFrames+1)*h.cfg.FrameBytes > limit {
 		// A Cheney collection cannot abort mid-scan, so a reserve
@@ -764,9 +737,6 @@ func (h *Heap) gcAddFrame(in *Increment) error {
 				fmt.Sprintf("%s: survivors exceed the space left by reserved belts", h.cfg.Name))
 		}
 	}
-	if !h.addFrame(in) && !h.addFrame(in) { // one retry absorbs an injected map fault
-		return h.oomError(0,
-			fmt.Sprintf("%s: frame map failed during collection", h.cfg.Name))
-	}
+	h.addFrame(in)
 	return nil
 }

@@ -12,7 +12,6 @@ package core
 import (
 	"fmt"
 
-	"beltway/internal/gc"
 	"beltway/internal/markregion"
 	"beltway/internal/stats"
 )
@@ -224,18 +223,10 @@ type Config struct {
 	// policies are static for the life of a run; this is the "online
 	// adaptive policy controller" extension, and internal/policy provides
 	// the objective-driven implementation. Excluded from serialization
-	// like Faults: a controller is run-scoped state, not part of a
+	// like DebugDropBarrierEvery: a controller is run-scoped state, not part of a
 	// configuration's identity, and a nil Policy leaves behavior
 	// bit-identical to a build without the hook.
 	Policy Tuner `json:"-"`
-
-	// Faults, when non-nil, wires deterministic fault injection into the
-	// substrate and the collector hot paths (see gc.FaultHooks and
-	// internal/resilience). Nil — the default — costs one pointer test
-	// per injection point. Excluded from serialization like
-	// DebugDropBarrierEvery: fault schedules are run-scoped, not part of
-	// a configuration's identity.
-	Faults *gc.FaultHooks `json:"-"`
 
 	// DebugDropBarrierEvery, when positive, makes the write barrier
 	// silently drop every Nth interesting-pointer remember. It exists

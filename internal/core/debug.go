@@ -130,12 +130,6 @@ func (h *Heap) CheckInvariants() error {
 	}
 
 	// 3: the remembered-set invariant, over heap and boot objects.
-	// Exempt while the heap is in remset-overflow degradation: entries
-	// were deliberately dropped, and the condemn-everything mode covers
-	// them until a full collection clears the flag.
-	if h.deg.remsetOverflow {
-		return nil
-	}
 	var err error
 	h.ForEachObject(func(obj heap.Addr) bool {
 		n := h.space.NumRefs(obj)

@@ -24,9 +24,9 @@ import (
 // Mid-collection pressure cannot run the ladder directly — a Cheney
 // copy cannot abort halfway — so a reserve exhausted mid-collection is
 // absorbed by a bounded *overdraft* (map beyond the cap, settle with an
-// emergency collection at the next safe point), and a dropped
-// remembered-set insert flips the heap into a condemn-everything mode
-// until a full collection re-establishes the remset invariant.
+// emergency collection at the next safe point). On X.X.100 at its
+// minimum heap that is what happens: the copy reserve runs out in the
+// middle of a collection.
 type degradeState struct {
 	// history records the ladder steps taken since the last clean point
 	// (a successful rescue or a surfaced OOM), oldest first, with
@@ -38,11 +38,6 @@ type degradeState struct {
 	// overdraftFrames counts frames mapped beyond the whole-heap cap by
 	// the current collection.
 	overdraftFrames int
-	// remsetOverflow marks the remembered sets as incomplete (an insert
-	// was dropped): incremental collection is unsound until a collection
-	// that condemns every increment — and scans the boot image and LOS —
-	// re-derives every interesting pointer.
-	remsetOverflow bool
 }
 
 // noteDegrade records one ladder step and reports it to the Degraded
@@ -116,20 +111,3 @@ func (h *Heap) rescueAlloc(size int, retry func() (heap.Addr, bool)) (heap.Addr,
 	}
 	return heap.Nil, false, nil
 }
-
-// remsetCapHit records a dropped remembered-set insert. The first drop
-// flips the heap into degraded collection mode: chooseVictims condemns
-// every increment and collect scans the boot image and LOS, which
-// together discover every pointer the lost entries could have covered.
-// The flag clears once such a collection completes.
-func (h *Heap) remsetCapHit() {
-	if h.deg.remsetOverflow {
-		return
-	}
-	h.deg.remsetOverflow = true
-	h.noteDegrade(gc.DegradeRemsetOverflow, 0)
-}
-
-// RemsetOverflowed reports whether the heap is in the condemn-everything
-// degraded mode (tests and telemetry).
-func (h *Heap) RemsetOverflowed() bool { return h.deg.remsetOverflow }

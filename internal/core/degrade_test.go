@@ -120,191 +120,3 @@ func TestOOMErrorCarriesDegradationHistory(t *testing.T) {
 		t.Errorf("OOM hook fired %d times, want 1 (degradation precedes, not duplicates, the OOM)", oomCount)
 	}
 }
-
-// reserveGrantWorkload allocates rooted survivors until the first
-// promoting collection, which must draw on the copy reserve.
-func reserveGrantWorkload(cfg core.Config, hooks gc.Hooks) error {
-	types := heap.NewRegistry()
-	h, err := core.New(cfg, types)
-	if err != nil {
-		return err
-	}
-	h.SetHooks(hooks)
-	node := types.DefineScalar("n", 2, 2)
-	for i := 0; i < 2000; i++ {
-		a, err := h.Alloc(node, 0)
-		if err != nil {
-			return err
-		}
-		if i%4 == 0 {
-			h.Roots().AddGlobal(a)
-		}
-	}
-	return nil
-}
-
-func TestReserveGrantFaultFatalWithoutDegrade(t *testing.T) {
-	cfg := collectors.XX(25, testOptions(64))
-	calls := 0
-	cfg.Faults = &gc.FaultHooks{ReserveGrant: func() bool { calls++; return calls != 1 }}
-	err := reserveGrantWorkload(cfg, gc.Hooks{})
-	if !errors.Is(err, gc.ErrOutOfMemory) {
-		t.Fatalf("got %v, want hard OOM from the first vetoed reserve grant", err)
-	}
-	var oe *gc.OOMError
-	if !errors.As(err, &oe) || !strings.Contains(oe.Detail, "copy reserve grant failed") {
-		t.Fatalf("error %v, want copy-reserve-grant detail", err)
-	}
-}
-
-func TestReserveGrantFaultAbsorbedWithDegrade(t *testing.T) {
-	cfg := collectors.XX(25, testOptions(64))
-	cfg.Degrade = true
-	calls := 0
-	cfg.Faults = &gc.FaultHooks{ReserveGrant: func() bool { calls++; return calls != 1 }}
-	var steps []gc.DegradeStep
-	err := reserveGrantWorkload(cfg, gc.Hooks{
-		Degraded: func(info gc.DegradeInfo) { steps = append(steps, info.Step) },
-	})
-	if err != nil {
-		t.Fatalf("degradation did not absorb the vetoed reserve grant: %v", err)
-	}
-	found := false
-	for _, s := range steps {
-		if s == gc.DegradeReserveRetry {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Degraded steps = %v, want DegradeReserveRetry", steps)
-	}
-}
-
-func TestMapFrameFaultAbsorbedByCollection(t *testing.T) {
-	// A vetoed mutator-path frame map reads as heap-full, triggers a
-	// collection, and the retry succeeds — no degradation ladder needed.
-	cfg := collectors.XX(25, testOptions(64))
-	calls := 0
-	cfg.Faults = &gc.FaultHooks{MapFrame: func() bool { calls++; return calls != 2 }}
-	types := heap.NewRegistry()
-	h, err := core.New(cfg, types)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := types.DefineScalar("n", 2, 2)
-	for i := 0; i < 2000; i++ {
-		a, err := h.Alloc(node, 0)
-		if err != nil {
-			t.Fatalf("alloc %d: %v", i, err)
-		}
-		if i%8 == 0 {
-			h.Roots().AddGlobal(a)
-		}
-	}
-	if calls < 2 {
-		t.Fatalf("map gate consulted %d times; fault never armed", calls)
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllocCostFaultIsCostOnly(t *testing.T) {
-	base := collectors.XX(25, testOptions(64))
-	slow := base
-	fired := 0
-	slow.Faults = &gc.FaultHooks{AllocCost: func() float64 {
-		if fired == 0 {
-			fired++
-			return 4
-		}
-		return 0
-	}}
-	runOne := func(cfg core.Config) (*core.Heap, float64) {
-		types := heap.NewRegistry()
-		h, err := core.New(cfg, types)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node := types.DefineScalar("n", 2, 2)
-		for i := 0; i < 100; i++ {
-			if _, err := h.Alloc(node, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return h, h.Clock().Now()
-	}
-	hb, tb := runOne(base)
-	hs, ts := runOne(slow)
-	if ts <= tb {
-		t.Errorf("inflated run took %v, baseline %v; want slower", ts, tb)
-	}
-	if hb.Collections() != hs.Collections() ||
-		hb.Clock().Counters.ObjectsAllocated != hs.Clock().Counters.ObjectsAllocated {
-		t.Error("alloc-cost fault changed non-cost behavior")
-	}
-}
-
-func TestRemsetOverflowDegradation(t *testing.T) {
-	cfg := collectors.XX(25, testOptions(64))
-	drop := true
-	cfg.Faults = &gc.FaultHooks{RemsetInsert: func() bool {
-		if drop {
-			drop = false
-			return false // drop exactly the first interesting remember
-		}
-		return true
-	}}
-	types := heap.NewRegistry()
-	h, err := core.New(cfg, types)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var steps []gc.DegradeStep
-	h.SetHooks(gc.Hooks{Degraded: func(info gc.DegradeInfo) { steps = append(steps, info.Step) }})
-	node := types.DefineScalar("n", 2, 2)
-	roots := h.Roots()
-
-	old := roots.AddGlobal(mustAlloc(t, h, node))
-	// Promote it so a store from it into the nursery is interesting.
-	if err := h.Collect(false); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Collect(false); err != nil {
-		t.Fatal(err)
-	}
-	youngAddr := mustAlloc(t, h, node)
-	h.WriteRef(roots.Get(old), 0, youngAddr) // dropped by the fault
-
-	if !h.RemsetOverflowed() {
-		t.Fatal("dropped insert did not enter remset-overflow degradation")
-	}
-	if len(steps) != 1 || steps[0] != gc.DegradeRemsetOverflow {
-		t.Fatalf("Degraded steps = %v, want [DegradeRemsetOverflow]", steps)
-	}
-	// The invariant checker is exempt while degraded (the entry is
-	// legitimately missing).
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatalf("CheckInvariants while degraded: %v", err)
-	}
-
-	// The next collection condemns everything, so the young object —
-	// reachable only through the dropped pointer — survives via the slot
-	// scan, and the full collection restores the remset invariant.
-	if err := h.Collect(false); err != nil {
-		t.Fatal(err)
-	}
-	if h.RemsetOverflowed() {
-		t.Fatal("all-increments collection did not clear the overflow flag")
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Fatalf("CheckInvariants after recovery: %v", err)
-	}
-	got := h.ReadRef(roots.Get(old), 0)
-	if got == heap.Nil {
-		t.Fatal("object behind the dropped remember was lost")
-	}
-	if h.Space().SizeOf(got) != node.Size(0) {
-		t.Fatal("object behind the dropped remember is corrupt")
-	}
-}

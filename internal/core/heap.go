@@ -119,12 +119,6 @@ func newHeap(cfg Config, types *heap.Registry, sc *scaffold) *Heap {
 	h.mr.frames, h.mr.evac, h.mr.pool = sc.mrFrames, sc.mrEvac, sc.mrPool
 	h.space.OnMap = func() { h.clock.Counters.FramesMapped++ }
 	h.space.OnUnmap = func() { h.clock.Counters.FramesUnmapped++ }
-	if fh := cfg.Faults; fh != nil && fh.MapFrame != nil {
-		// Collectible-frame maps go through TryMapFrame/TryMapSpan, so
-		// this gates exactly the injectable sites; boot-image maps use
-		// MapFrame directly and stay must-succeed.
-		h.space.MapGate = fh.MapFrame
-	}
 	for i, spec := range cfg.Belts {
 		h.belts = append(h.belts, &Belt{index: i, spec: spec, priority: uint16(i), promoteTo: spec.PromoteTo})
 	}
@@ -266,11 +260,6 @@ func (h *Heap) Alloc(t *heap.TypeDesc, length int) (heap.Addr, error) {
 	c.ObjectsAllocated++
 	c.BytesAllocated += uint64(size)
 	h.clock.Advance(h.cfg.Costs.AllocByte*float64(size) + h.cfg.Costs.BarrierFast)
-	if fh := h.cfg.Faults; fh != nil && fh.AllocCost != nil {
-		if x := fh.AllocCost(); x > 0 {
-			h.clock.Advance(h.cfg.Costs.AllocByte * float64(size) * x)
-		}
-	}
 	if h.overcommitted() {
 		h.chargePaging(size)
 	}
@@ -352,13 +341,6 @@ func (h *Heap) chargeAlloc(size int) {
 	c.ObjectsAllocated++
 	c.BytesAllocated += uint64(size)
 	h.clock.Advance(h.cfg.Costs.AllocByte*float64(size) + h.cfg.Costs.BarrierFast)
-	if fh := h.cfg.Faults; fh != nil && fh.AllocCost != nil {
-		if x := fh.AllocCost(); x > 0 {
-			// Injected cost inflation (a slow-allocation fault). Cost
-			// only: the clock is outside the oracle's semantic state.
-			h.clock.Advance(h.cfg.Costs.AllocByte * float64(size) * x)
-		}
-	}
 	if h.overcommitted() {
 		h.chargePaging(size)
 	}
@@ -423,9 +405,7 @@ func (h *Heap) tryAlloc(size int) (heap.Addr, bool) {
 		}
 		// Current frame exhausted (or no frame yet): extend the increment.
 		if !in.atCapacity() && h.freeBudgetFor(h.allocBelt) >= h.cfg.FrameBytes {
-			if !h.addFrame(in) {
-				return heap.Nil, false // injected map failure: treat as heap-full
-			}
+			h.addFrame(in)
 			return h.allocIn(in, size), true
 		}
 		if in.atCapacity() {
@@ -458,12 +438,7 @@ func (h *Heap) allocNewIncrement(belt *Belt, size int, bypassMax bool) (heap.Add
 		return heap.Nil, false
 	}
 	in := h.newIncrement(belt)
-	if !h.addFrame(in) {
-		// Injected map failure: roll the frameless increment back so the
-		// belt never holds an empty increment (seq gaps are fine).
-		h.retire(in)
-		return heap.Nil, false
-	}
+	h.addFrame(in)
 	return h.allocIn(in, size), true
 }
 
@@ -541,14 +516,10 @@ func (h *Heap) frameBudget(belt *Belt) int {
 }
 
 // addFrame maps a fresh frame for increment in and makes it the bump
-// target, reporting false if the (fault-injectable) map failed. Tail
-// space in the previous frame is abandoned (and counted as occupancy at
-// frame granularity by the budget, as in a real VM).
-func (h *Heap) addFrame(in *Increment) bool {
-	f, ok := h.space.TryMapFrame()
-	if !ok {
-		return false
-	}
+// target. Tail space in the previous frame is abandoned (and counted as
+// occupancy at frame granularity by the budget, as in a real VM).
+func (h *Heap) addFrame(in *Increment) {
+	f := h.space.MapFrame()
 	h.closeWindow()
 	h.ensureFrameMeta(f)
 	belt := h.belts[in.belt]
@@ -570,7 +541,6 @@ func (h *Heap) addFrame(in *Increment) bool {
 		// the heap by a frame can grow the worst-case condemned set.
 		h.recomputeReserve()
 	}
-	return true
 }
 
 // bump performs the bump allocation inside the increment's open window

@@ -68,15 +68,12 @@ func (h *Heap) allocLOS(t *heap.TypeDesc, length, size int) (heap.Addr, error) {
 }
 
 // tryAllocLOS maps and formats a large-object span without collecting,
-// reporting false when the budget (or an injected map fault) refuses.
+// reporting false when the budget refuses.
 func (h *Heap) tryAllocLOS(t *heap.TypeDesc, length, size, nFrames int) (heap.Addr, bool) {
 	if h.freeBudgetBytes() < nFrames*h.cfg.FrameBytes {
 		return heap.Nil, false
 	}
-	f, ok := h.space.TryMapSpan(nFrames)
-	if !ok {
-		return heap.Nil, false // injected map failure: treat as heap-full
-	}
+	f := h.space.MapSpan(nFrames)
 	h.closeWindow()
 	last := f + heap.Frame(nFrames-1)
 	h.ensureFrameMeta(last)

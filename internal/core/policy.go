@@ -78,13 +78,6 @@ func (h *Heap) beltsBelow(k int) []*Increment {
 // non-empty increment); condemn everything below it plus its oldest
 // increment.
 func (h *Heap) chooseVictims() []*Increment {
-	if h.deg.remsetOverflow {
-		// Dropped remembers make any incremental condemned set unsound —
-		// a live object could be reclaimed because the pointer to it was
-		// lost. Condemn everything until a full collection (plus the boot
-		// and LOS scans in collect) re-establishes the invariant.
-		return h.beltsBelow(len(h.belts))
-	}
 	if h.cfg.OlderFirst {
 		return h.chooseVictimsOF()
 	}
@@ -226,11 +219,6 @@ func (h *Heap) flipBelts() {
 // though the heap is not full. Returns true if a collection ran.
 func (h *Heap) pollRemsetTrigger() (bool, error) {
 	th := h.cfg.RemsetThreshold
-	if h.deg.remsetOverflow {
-		// Entry counts are meaningless while inserts have been dropped,
-		// and every collection condemns everything anyway.
-		return false, nil
-	}
 	if th <= 0 || h.rems.TotalEntries() <= th {
 		return false, nil
 	}

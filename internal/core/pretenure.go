@@ -61,9 +61,7 @@ func (h *Heap) tryAllocPretenured(size int) (heap.Addr, bool) {
 			return h.bump(in, size), true
 		}
 		if !in.atCapacity() && h.freeBudgetFor(bi) >= h.cfg.FrameBytes {
-			if !h.addFrame(in) {
-				return heap.Nil, false // injected map failure: treat as heap-full
-			}
+			h.addFrame(in)
 			return h.bump(in, size), true
 		}
 	}
@@ -83,19 +81,10 @@ func (h *Heap) tryAllocPretenured(size int) (heap.Addr, bool) {
 		} else {
 			car = h.newTrain()
 		}
-		if !h.addFrame(car) {
-			// Roll the frameless car back; MOS seq numbers are dense, so
-			// removal renumbers the belt.
-			h.retire(car)
-			h.renumberMOS()
-			return heap.Nil, false
-		}
+		h.addFrame(car)
 		return h.bump(car, size), true
 	}
 	in = h.newIncrement(belt)
-	if !h.addFrame(in) {
-		h.retire(in)
-		return heap.Nil, false
-	}
+	h.addFrame(in)
 	return h.bump(in, size), true
 }

@@ -110,27 +110,22 @@ type BeltStat struct {
 }
 
 // DegradeStep identifies one rung of the graceful-degradation ladder.
+// The values are the EvDegrade wire format (internal/telemetry names them
+// by number), so a retired step's number is not reused.
 type DegradeStep uint8
 
 const (
 	// DegradeEmergencyGC: an emergency full-heap collection ran (every
 	// collectible increment condemned) before declaring OOM.
-	DegradeEmergencyGC DegradeStep = iota + 1
+	DegradeEmergencyGC DegradeStep = 1
 	// DegradeRetryAverted: the allocation that exhausted the heap
 	// succeeded on retry after the emergency collection — the OOM was
 	// averted.
-	DegradeRetryAverted
-	// DegradeReserveRetry: an injected copy-reserve failure was absorbed
-	// by retrying the grant.
-	DegradeReserveRetry
+	DegradeRetryAverted DegradeStep = 2
 	// DegradeOverdraft: the copy reserve was exhausted mid-collection and
 	// the collector mapped a frame beyond its cap (settled by an
 	// emergency collection at the next safe point).
-	DegradeOverdraft
-	// DegradeRemsetOverflow: a remembered-set insert was dropped (capped
-	// remset); every later collection condemns all increments and scans
-	// the boot image until the invariant is re-established.
-	DegradeRemsetOverflow
+	DegradeOverdraft DegradeStep = 4
 )
 
 func (s DegradeStep) String() string {
@@ -139,12 +134,8 @@ func (s DegradeStep) String() string {
 		return "emergency-collection"
 	case DegradeRetryAverted:
 		return "retry-averted"
-	case DegradeReserveRetry:
-		return "reserve-retry"
 	case DegradeOverdraft:
 		return "reserve-overdraft"
-	case DegradeRemsetOverflow:
-		return "remset-overflow"
 	default:
 		return "unknown"
 	}
@@ -194,8 +185,8 @@ type Hooks struct {
 	// the copy reserve mid-collection; requested is 0 in that case).
 	OOM func(requested, heapBytes int)
 	// Degraded runs for every graceful-degradation ladder step the
-	// collector takes (emergency collection, reserve retry, overdraft,
-	// remset overflow) before — and hopefully instead of — an OOM.
+	// collector takes (emergency collection, retry, overdraft) before —
+	// and hopefully instead of — an OOM.
 	Degraded func(DegradeInfo)
 }
 

@@ -24,8 +24,6 @@ func BindEnvFlags(fs *flag.FlagSet) func() (Env, error) {
 			"enable the graceful-degradation ladder: emergency full-heap collection and one retry before any run reports OOM")
 		mutators = fs.Int("mutators", 1,
 			"mutator lanes per run; >1 shards every run over N private heaps (times are the simulated N-core makespan)")
-		faultSeed = fs.Int64("fault-seed", 0,
-			"run under a deterministic fault-injection schedule derived from this seed (chaos testing; 0 = off)")
 		adapt = fs.String("adapt", "",
 			"adaptive policy objective: slo | throughput, with optional params (e.g. throughput:target=0.1); empty = static (paper behavior)")
 	)
@@ -44,7 +42,6 @@ func BindEnvFlags(fs *flag.FlagSet) func() (Env, error) {
 		}
 		env.Degrade = *degrade
 		env.Mutators = *mutators
-		env.FaultSeed = *faultSeed
 		env.Policy = *adapt
 		return env, ValidateEnv(env)
 	}

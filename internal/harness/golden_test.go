@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"beltway/internal/collectors"
+	"beltway/internal/gc"
 	"beltway/internal/server"
 	"beltway/internal/workload"
 )
@@ -68,10 +69,10 @@ var goldenCases = []goldenCase{
 		tweak: func(e *Env) { e.Telemetry = true },
 		holds: func(r *Result) bool { return r.Telemetry != nil && len(r.Telemetry.Events) > 0 },
 		want:  "95f3754e5e9ddddcbf04e01ac12b038a0278a1e3adc02f0e1ae2c00ca6c2be9b"},
-	{name: "bench faults degrade", heap: benchHeap,
-		tweak: func(e *Env) { e.FaultSeed = 7; e.Degrade = true },
-		holds: func(r *Result) bool { return !r.Incomplete() },
-		want:  "ba64b3591f1495937f2062c36af001458b5c2cae2c561954f72424c4390d7701"},
+	{name: "bench degrade", heap: oomHeap,
+		tweak: func(e *Env) { e.Degrade = true; e.Telemetry = true },
+		holds: func(r *Result) bool { return degradeSteps(r)[gc.DegradeEmergencyGC] > 0 },
+		want:  "cc020e00fa4fc12a539024679e118c99deea61ff00fe58e782305a440779cda9"},
 	{name: "bench policy slo", heap: benchHeap,
 		tweak: func(e *Env) { e.Policy = "slo" },
 		holds: func(r *Result) bool { return r.Policy != nil },

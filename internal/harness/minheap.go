@@ -12,11 +12,10 @@ import (
 // at which the benchmark completes under the given collector — Table 1's
 // "minimum heap size in which an Appel-style collector does not fail".
 // That is the collector as configured on an undisturbed machine: the
-// search runs without env's adaptive controller and fault schedule, so
-// the x-axis origin of a figure does not move with what the figure's
-// runs are subjected to.
+// search runs without env's adaptive controller, so the x-axis origin of
+// a figure does not move with what the figure's runs are subjected to.
 func FindMinHeap(mk ConfigFunc, bench *workload.Benchmark, env Env) (int, error) {
-	env.Policy, env.FaultSeed = "", 0
+	env.Policy = ""
 	completes := func(heapBytes int) (bool, error) {
 		res, err := RunOne(mk(heapBytes), bench, env)
 		if err != nil {

@@ -84,12 +84,11 @@ func TestFindMinHeapNeverCompletes(t *testing.T) {
 	}
 }
 
-// TestMinHeapIgnoresControllerAndFaults: the minimum heap is the x-axis
-// origin of every figure, so it is searched on the collector as
-// configured — an Env that puts the figure's runs under the adaptive
-// controller or a fault schedule sizes them from the same origin as the
-// static Env does.
-func TestMinHeapIgnoresControllerAndFaults(t *testing.T) {
+// TestMinHeapIgnoresController: the minimum heap is the x-axis origin of
+// every figure, so it is searched on the collector as configured — an Env
+// that puts the figure's runs under the adaptive controller sizes them
+// from the same origin as the static Env does.
+func TestMinHeapIgnoresController(t *testing.T) {
 	env := EnvForScale(0.1)
 	xx25 := func(h int) core.Config { return collectors.XX(25, env.Options(h)) }
 	for _, c := range []struct {
@@ -98,16 +97,15 @@ func TestMinHeapIgnoresControllerAndFaults(t *testing.T) {
 		bench string
 		under Env
 	}{
-		{"Appel under -fault-seed", AppelConfig(env), "jess", Env{FaultSeed: 7}},
+		{"Appel under -adapt", AppelConfig(env), "jess", Env{Policy: "slo"}},
 		{"25.25 under -adapt", xx25, "javac", Env{Policy: "throughput"}},
-		{"25.25 under -fault-seed", xx25, "javac", Env{FaultSeed: 7}},
 	} {
 		static, err := FindMinHeap(c.mk, workload.Get(c.bench), env)
 		if err != nil {
 			t.Fatal(err)
 		}
 		disturbed := env
-		disturbed.Policy, disturbed.FaultSeed = c.under.Policy, c.under.FaultSeed
+		disturbed.Policy = c.under.Policy
 		got, err := FindMinHeap(c.mk, workload.Get(c.bench), disturbed)
 		if err != nil {
 			t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"beltway/internal/core"
 	"beltway/internal/mmu"
 	"beltway/internal/policy"
-	"beltway/internal/resilience"
 	"beltway/internal/server"
 	"beltway/internal/shard"
 	"beltway/internal/stats"
@@ -41,11 +40,6 @@ type Env struct {
 	// on every configuration: emergency full-heap collection and one retry
 	// before any allocation surfaces OOM.
 	Degrade bool `json:",omitempty"`
-	// FaultSeed, when non-zero, runs every configuration under a
-	// deterministic fault-injection schedule derived from this seed
-	// (resilience.NewSchedule with the default horizon). Chaos testing
-	// only; leave zero for measurements.
-	FaultSeed int64 `json:",omitempty"`
 	// Mutators, when > 1, runs the workload on that many mutator lanes
 	// (internal/shard), one goroutine each: every lane drives a private
 	// heap with the same configuration and its own decorrelated seed
@@ -188,10 +182,6 @@ func Run(cfg core.Config, w Workload, env Env) (*Result, error) {
 	}
 	if env.Degrade {
 		cfg.Degrade = true
-	}
-	if env.FaultSeed != 0 && cfg.Faults == nil {
-		sched := resilience.NewSchedule(env.FaultSeed, resilience.DefaultHorizon)
-		cfg.Faults = resilience.NewInjector(sched).Hooks()
 	}
 	if ctrl != nil {
 		cfg.Policy = ctrl

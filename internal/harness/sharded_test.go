@@ -71,18 +71,6 @@ func TestRunOneDispatchesSharded(t *testing.T) {
 	}
 }
 
-// TestRunShardedRejectsFaults: the stateful fault injector cannot be
-// shared across concurrent shards.
-func TestRunShardedRejectsFaults(t *testing.T) {
-	env := EnvForScale(0.25)
-	env.Mutators = 2
-	env.FaultSeed = 7
-	cfg := shardedTestConfig(t, env)
-	if _, err := Run(cfg, Bench(workload.Jess()), env); err == nil {
-		t.Fatal("want an error for fault injection with multiple mutators")
-	}
-}
-
 // TestRunShardedWaitsOnlyToCollect holds the plans Run hands to two
 // lanes to what the shard schedule promises them, by count rather than
 // by stopwatch: a lane blocks for the other only at a rendezvoused

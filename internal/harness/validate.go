@@ -19,12 +19,9 @@ func ValidateEnv(env Env) error {
 // declares (nil when Env.Policy is empty). Controllers are stateful and
 // per-run: every Run gets a fresh one.
 //
-// Two features stay single-lane. An adaptive controller tunes one heap;
-// N lanes would tune N heaps independently, which is a different (and
-// unimplemented) design. The fault injector threads one stateful
-// schedule through the hooks of every heap that shares the config;
-// across concurrent lanes that is a data race, not a deterministic
-// chaos run.
+// An adaptive controller stays single-lane: it tunes one heap, and N
+// lanes would tune N heaps independently, which is a different (and
+// unimplemented) design.
 func envController(env Env) (*policy.Controller, error) {
 	if env.Mutators < 0 {
 		return nil, fmt.Errorf("harness: -mutators must be at least 1 (got %d)", env.Mutators)
@@ -39,9 +36,6 @@ func envController(env Env) (*policy.Controller, error) {
 	}
 	if env.Mutators > 1 && env.Policy != "" {
 		return nil, fmt.Errorf("harness: adaptive policy (-adapt) is single-mutator only: incompatible with the sharded runtime (-mutators %d)", env.Mutators)
-	}
-	if env.Mutators > 1 && env.FaultSeed != 0 {
-		return nil, fmt.Errorf("harness: fault injection (-fault-seed) is single-mutator only: incompatible with the sharded runtime (-mutators %d)", env.Mutators)
 	}
 	return ctrl, nil
 }

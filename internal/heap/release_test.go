@@ -121,7 +121,6 @@ func TestReleasedSpaceFaults(t *testing.T) {
 	mustPanic(t, "SetWord", func() { s.SetWord(a, 1) })
 	mustPanic(t, "ZeroRange", func() { s.ZeroRange(a, 8) })
 	mustPanic(t, "MapFrame", func() { s.MapFrame() })
-	mustPanic(t, "TryMapFrame", func() { s.TryMapFrame() })
 	mustPanic(t, "MapSpan", func() { s.MapSpan(2) })
 	s.Release() // idempotent
 }

@@ -37,12 +37,6 @@ type Space struct {
 	// Hooks for cost accounting; nil-safe.
 	OnMap   func()
 	OnUnmap func()
-
-	// MapGate, when non-nil, is consulted by TryMapFrame/TryMapSpan
-	// before mapping; returning false fails the map (fault injection).
-	// MapFrame/MapSpan ignore it — boot-image and other must-succeed
-	// maps stay ungated.
-	MapGate func() bool
 }
 
 // NewSpace creates an address space with the given frame size, which must
@@ -184,26 +178,6 @@ func (s *Space) MapFrame() Frame {
 		s.OnMap()
 	}
 	return f
-}
-
-// TryMapFrame is MapFrame behind the MapGate: with no gate (or a
-// passing one) it maps a fresh frame; a vetoing gate fails the map
-// without side effects. Collectible-frame maps go through here so fault
-// injection can fail the Nth one.
-func (s *Space) TryMapFrame() (Frame, bool) {
-	if s.MapGate != nil && !s.MapGate() {
-		return 0, false
-	}
-	return s.MapFrame(), true
-}
-
-// TryMapSpan is MapSpan behind the MapGate (one gate consultation per
-// span, not per frame).
-func (s *Space) TryMapSpan(n int) (Frame, bool) {
-	if s.MapGate != nil && !s.MapGate() {
-		return 0, false
-	}
-	return s.MapSpan(n), true
 }
 
 // UnmapFrame releases frame f. Touching its addresses afterwards panics,

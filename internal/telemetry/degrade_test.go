@@ -14,14 +14,14 @@ func TestDegradedHookCountersAndEvents(t *testing.T) {
 	hooks.Degraded(gc.DegradeInfo{Step: gc.DegradeEmergencyGC, HeapBytes: 1 << 16})
 	hooks.Degraded(gc.DegradeInfo{Step: gc.DegradeEmergencyGC, HeapBytes: 1 << 16})
 	hooks.Degraded(gc.DegradeInfo{Step: gc.DegradeRetryAverted, Requested: 28, HeapBytes: 1 << 16})
-	hooks.Degraded(gc.DegradeInfo{Step: gc.DegradeReserveRetry, HeapBytes: 1 << 16})
+	hooks.Degraded(gc.DegradeInfo{Step: gc.DegradeOverdraft, HeapBytes: 1 << 16})
 
 	ev := r.Recorder().Events()
 	if len(ev) != 4 {
 		t.Fatalf("recorded %d events, want 4 (one per ladder step)", len(ev))
 	}
 	for i, want := range []gc.DegradeStep{
-		gc.DegradeEmergencyGC, gc.DegradeEmergencyGC, gc.DegradeRetryAverted, gc.DegradeReserveRetry,
+		gc.DegradeEmergencyGC, gc.DegradeEmergencyGC, gc.DegradeRetryAverted, gc.DegradeOverdraft,
 	} {
 		e := ev[i]
 		if e.Kind != EvDegrade {

@@ -171,8 +171,9 @@ func TestEventString(t *testing.T) {
 			t.Errorf("trigger %d renders %q, want %q", k, got, want)
 		}
 	}
-	for k, name := range []string{"unknown", "emergency-collection", "retry-averted", "reserve-retry",
-		"reserve-overdraft", "remset-overflow", "unknown"} {
+	// Steps 3 and 5 are retired: their numbers name nothing.
+	for k, name := range []string{"unknown", "emergency-collection", "retry-averted", "unknown",
+		"reserve-overdraft", "unknown"} {
 		want := "#0 t=0 degrade step=" + name + " requested=0 heap=0"
 		if got := (Event{Kind: EvDegrade, A: uint64(k)}).String(); got != want {
 			t.Errorf("degrade step %d renders %q, want %q", k, got, want)
