@@ -43,7 +43,7 @@ func driveRoots(r *RootSet, seed int64) []Handle {
 	}
 	for h := Handle(1); int(h) <= r.Capacity(); h++ {
 		if s := r.live(h); s != nil {
-			out = append(out, h, Handle(s.addr))
+			out = append(out, h, Handle(*s))
 		} else {
 			out = append(out, 0)
 		}

@@ -29,8 +29,15 @@ const NilHandle Handle = 0
 // and reused (free list LIFO) is part of the simulator's observable
 // behaviour. Only the representation may change.
 type RootSet struct {
-	slots []rootSlot
-	free  []int32
+	// addrs is the table a collection scans and Get reads: slot i holds
+	// handle i+1's address, Nil included, or freeSlot when no root owns
+	// it. Liveness is folded into the address, so a lookup is one load and
+	// one compare and the scan reads one word per slot.
+	addrs []heap.Addr
+	// epochs[i] counts the times slot i has been freed. Only a scoped Add,
+	// PopScope and the free path touch it.
+	epochs []uint32
+	free   []int32
 	// Scopes are a LIFO discipline, so every open scope's entries live in
 	// one contiguous stack and marks holds the index at which each open
 	// scope starts: PushScope and PopScope move two lengths, and once the
@@ -39,22 +46,20 @@ type RootSet struct {
 	marks  []int32
 }
 
-// rootSlot is one root: the address, the slot's incarnation counter
-// (bumped on free-list reuse) and whether it is live. One record per
-// slot keeps Get, Set and Remove to a single bounds check and cache line.
-type rootSlot struct {
-	addr  heap.Addr
-	epoch uint32
-	inUse bool
-}
+// freeSlot is what a free slot holds. Objects are word aligned, so no
+// root's address, Nil or an object's, can equal it; every address a root
+// may hold is either Nil or greater than it.
+const freeSlot heap.Addr = 1
 
 // scopedRef pins a scope entry to one incarnation of its slot. A handle
 // value is an index, so after Remove frees the slot and the free list
-// hands the index out again, the same Handle names a different root;
-// the epoch lets PopScope release exactly the incarnation it registered
-// and skip stale entries. (Found by differential fuzzing: release inside
-// a scope, then a global allocation reusing the slot, then PopScope
-// silently killed the global root.)
+// hands the index out again, the same Handle names a different root.
+// The slot's epoch moves when the slot is freed, so an entry whose epoch
+// still matches names a root that is live and is the one the scope
+// registered: PopScope releases it, and skips every other entry.
+// (Found by differential fuzzing: release inside a scope, then a global
+// allocation reusing the slot, then PopScope silently killed the global
+// root.)
 type scopedRef struct {
 	h     Handle
 	epoch uint32
@@ -69,7 +74,8 @@ func NewRootSet() *RootSet {
 // emptied with their capacity kept. A table built on them starts where a
 // new one does, at handle 1 and epoch 0.
 type RootStorage struct {
-	slots  []rootSlot
+	addrs  []heap.Addr
+	epochs []uint32
 	free   []int32
 	scoped []scopedRef
 	marks  []int32
@@ -77,14 +83,14 @@ type RootStorage struct {
 
 // NewRootSetFrom returns an empty root set that grows into st's arrays.
 func NewRootSetFrom(st RootStorage) *RootSet {
-	return &RootSet{slots: st.slots, free: st.free, scoped: st.scoped, marks: st.marks}
+	return &RootSet{addrs: st.addrs, epochs: st.epochs, free: st.free, scoped: st.scoped, marks: st.marks}
 }
 
 // Release empties the root set and returns its arrays for the next one
 // (NewRootSetFrom). The set keeps none of them: every handle it minted is
 // invalid afterwards, and nothing done through it reaches the next set.
 func (r *RootSet) Release() RootStorage {
-	st := RootStorage{slots: r.slots[:0], free: r.free[:0], scoped: r.scoped[:0], marks: r.marks[:0]}
+	st := RootStorage{addrs: r.addrs[:0], epochs: r.epochs[:0], free: r.free[:0], scoped: r.scoped[:0], marks: r.marks[:0]}
 	*r = RootSet{}
 	return st
 }
@@ -97,7 +103,7 @@ func (r *RootSet) Add(a heap.Addr) Handle {
 	idx := r.addSlot(a)
 	h := Handle(idx + 1)
 	if len(r.marks) > 0 {
-		r.scoped = append(r.scoped, scopedRef{h, r.slots[idx].epoch})
+		r.scoped = append(r.scoped, scopedRef{h, r.epochs[idx]})
 	}
 	return h
 }
@@ -109,26 +115,26 @@ func (r *RootSet) AddGlobal(a heap.Addr) Handle {
 	return Handle(r.addSlot(a) + 1)
 }
 
+// addSlot stores a in the slot on top of the free list, or in a new one
+// at epoch 0.
 func (r *RootSet) addSlot(a heap.Addr) int32 {
 	if n := len(r.free); n > 0 {
 		idx := r.free[n-1]
 		r.free = r.free[:n-1]
-		s := &r.slots[idx]
-		s.addr = a
-		s.inUse = true
-		s.epoch++
+		r.addrs[idx] = a
 		return idx
 	}
-	r.slots = append(r.slots, rootSlot{addr: a, inUse: true})
-	return int32(len(r.slots) - 1)
+	r.addrs = append(r.addrs, a)
+	r.epochs = append(r.epochs, 0)
+	return int32(len(r.addrs) - 1)
 }
 
 // live returns h's slot, or nil when h does not name a live root. It
-// inlines into Get, Set, Remove and PopScope, which raise invalidHandle
-// out of line, so a handle lookup is one call and no more.
-func (r *RootSet) live(h Handle) *rootSlot {
-	if i := uint(h) - 1; i < uint(len(r.slots)) && r.slots[i].inUse {
-		return &r.slots[i]
+// inlines into Set and Remove, which raise invalidHandle out of line, so
+// a handle lookup is one call and no more.
+func (r *RootSet) live(h Handle) *heap.Addr {
+	if i := uint(h) - 1; i < uint(len(r.addrs)) && r.addrs[i] != freeSlot {
+		return &r.addrs[i]
 	}
 	return nil
 }
@@ -143,41 +149,45 @@ func invalidHandle(op string, h Handle) {
 
 // Remove releases a root handle.
 func (r *RootSet) Remove(h Handle) {
-	s := r.live(h)
-	if s == nil {
+	if r.live(h) == nil {
 		invalidHandle("Remove", h)
 	}
-	r.release(s, h)
+	r.release(int(h) - 1)
 }
 
-// release frees h's live slot s: the index goes on top of the free list.
-func (r *RootSet) release(s *rootSlot, h Handle) {
-	s.addr = heap.Nil
-	s.inUse = false
-	r.free = append(r.free, int32(h)-1)
+// release frees live slot i: its epoch moves on, so no scope entry names
+// it any more, and the index goes on top of the free list.
+func (r *RootSet) release(i int) {
+	r.addrs[i] = freeSlot
+	r.epochs[i]++
+	r.free = append(r.free, int32(i))
 }
 
 // Get returns the current address held by h. It must be reread after any
-// potential collection point.
+// potential collection point. A live handle costs one bounds check, one
+// load and one compare with freeSlot; NilHandle, index -1, fails the
+// bounds check and reads as Nil.
 func (r *RootSet) Get(h Handle) heap.Addr {
-	if h == NilHandle {
+	if i := uint(h) - 1; i < uint(len(r.addrs)) {
+		if a := r.addrs[i]; a != freeSlot {
+			return a
+		}
+	} else if h == NilHandle {
 		return heap.Nil
 	}
-	s := r.live(h)
-	if s == nil {
-		invalidHandle("Get", h)
-	}
-	return s.addr
+	invalidHandle("Get", h)
+	return heap.Nil
 }
 
-// Set stores an address into root h. Root stores need no write barrier:
-// roots are scanned in full at every collection, exactly as in the paper.
+// Set stores an address, Nil or an object's, into root h. Root stores
+// need no write barrier: roots are scanned in full at every collection,
+// exactly as in the paper.
 func (r *RootSet) Set(h Handle, a heap.Addr) {
 	s := r.live(h)
 	if s == nil {
 		invalidHandle("Set", h)
 	}
-	s.addr = a
+	*s = a
 }
 
 // PushScope opens a dynamic scope: every handle Added until the matching
@@ -188,7 +198,8 @@ func (r *RootSet) PushScope() {
 }
 
 // PopScope closes the innermost scope, releasing its handles in the
-// order they were added.
+// order they were added. An entry whose slot has been freed since its
+// Add, reused or not, carries an old epoch and is skipped.
 func (r *RootSet) PopScope() {
 	n := len(r.marks)
 	if n == 0 {
@@ -196,8 +207,8 @@ func (r *RootSet) PopScope() {
 	}
 	start := r.marks[n-1]
 	for _, sr := range r.scoped[start:] {
-		if s := r.live(sr.h); s != nil && s.epoch == sr.epoch {
-			r.release(s, sr.h)
+		if i := int(sr.h - 1); r.epochs[i] == sr.epoch {
+			r.release(i)
 		}
 	}
 	r.scoped = r.scoped[:start]
@@ -207,8 +218,8 @@ func (r *RootSet) PopScope() {
 // Len returns the number of live root slots.
 func (r *RootSet) Len() int {
 	n := 0
-	for i := range r.slots {
-		if r.slots[i].inUse {
+	for _, a := range r.addrs {
+		if a != freeSlot {
 			n++
 		}
 	}
@@ -216,16 +227,17 @@ func (r *RootSet) Len() int {
 }
 
 // Capacity returns the size of the underlying slot table (scanned slots).
-func (r *RootSet) Capacity() int { return len(r.slots) }
+func (r *RootSet) Capacity() int { return len(r.addrs) }
 
 // Walk calls fn for every live, non-nil root slot with its current
 // address; the slot is updated to fn's return value. Collectors use this
-// to trace and forward roots. Freeing a slot sets it to Nil, so the one
-// test skips free and nil slots alike.
+// to trace and forward roots. Nil and freeSlot are the two addresses
+// below every object's, so the one test skips nil and free slots alike
+// and fn never sees the sentinel.
 func (r *RootSet) Walk(fn func(a heap.Addr) heap.Addr) {
-	for i := range r.slots {
-		if s := &r.slots[i]; s.addr != heap.Nil {
-			s.addr = fn(s.addr)
+	for i, a := range r.addrs {
+		if a > freeSlot {
+			r.addrs[i] = fn(a)
 		}
 	}
 }

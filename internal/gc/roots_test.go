@@ -3,6 +3,7 @@ package gc
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -250,6 +251,40 @@ func TestWalkVisitsOnlyLiveNonNil(t *testing.T) {
 	}
 }
 
+// TestSetNilKeepsTheRootLive: a root holding Nil is a live root, not a
+// free slot. It keeps its handle, is not handed out again, is released by
+// its scope, and Walk skips it as it skips free slots: fn is called with
+// neither Nil nor the free-slot sentinel.
+func TestSetNilKeepsTheRootLive(t *testing.T) {
+	r := NewRootSet()
+	r.PushScope()
+	h := r.Add(0x100)
+	r.Set(h, heap.Nil)
+	if r.live(h) == nil || r.Get(h) != heap.Nil || r.Len() != 1 {
+		t.Fatalf("after Set(h, Nil): live %v, Get %v, Len %d", r.live(h) != nil, r.Get(h), r.Len())
+	}
+	if g := r.AddGlobal(0x200); g == h {
+		t.Fatalf("the slot of a root holding Nil was handed out again as %d", g)
+	}
+	dead := r.AddGlobal(0x300)
+	r.Remove(dead)
+	r.Walk(func(a heap.Addr) heap.Addr {
+		if a == heap.Nil || a == freeSlot {
+			t.Errorf("Walk handed fn %v", a)
+		}
+		return a
+	})
+	r.Set(h, 0x400)
+	if r.Get(h) != 0x400 {
+		t.Errorf("Get after Set = %v", r.Get(h))
+	}
+	r.Set(h, heap.Nil)
+	r.PopScope()
+	if r.live(h) != nil || r.Len() != 1 {
+		t.Errorf("PopScope did not release the root holding Nil: live %v, Len %d", r.live(h) != nil, r.Len())
+	}
+}
+
 func TestOOMErrorUnwraps(t *testing.T) {
 	err := error(&OOMError{Requested: 64, HeapBytes: 1024, Detail: "x"})
 	if !errors.Is(err, ErrOutOfMemory) {
@@ -327,11 +362,14 @@ func (r *nestedRootSet) live() map[Handle]heap.Addr {
 }
 
 // TestScopeDisciplineProperty drives random add / add-global /
-// push / pop / release / set sequences through the RootSet and through
-// the nested-slice model side by side, and requires the same Handle from
-// every Add and the same live roots (handles and addresses) after every
-// operation. Releases pick among handles ever returned, live or stale,
-// so release-inside-scope followed by slot reuse is exercised constantly.
+// push / pop / remove / set / walk / release sequences through the
+// RootSet and through the nested-slice model side by side, and requires
+// the same Handle from every Add, the same roots visited by every Walk
+// and the same live roots (handles and addresses) after every operation.
+// Removes pick among handles ever returned, live or stale, so
+// remove-inside-scope followed by slot reuse is exercised constantly. A
+// release swaps the set for one grown on its storage and the model for a
+// new one: the two must go on handing out the same handles.
 func TestScopeDisciplineProperty(t *testing.T) {
 	prop := func(ops []uint8) bool {
 		r := NewRootSet()
@@ -345,8 +383,9 @@ func TestScopeDisciplineProperty(t *testing.T) {
 					step, op, r.Len(), r.Capacity(), len(want), len(m.slots))
 				return false
 			}
-			for h, a := range want {
-				if r.live(h) == nil || r.Get(h) != a {
+			for h := Handle(1); int(h) <= len(m.slots); h++ {
+				a, ok := want[h]
+				if (r.live(h) != nil) != ok || ok && r.Get(h) != a {
 					t.Logf("step %d (op %d): handle %d diverged from model", step, op, h)
 					return false
 				}
@@ -390,13 +429,38 @@ func TestScopeDisciplineProperty(t *testing.T) {
 						return false
 					}
 				}
-			default:
+			case op < 245:
 				if len(issued) > 0 {
 					if h := issued[int(op)*5%len(issued)]; m.valid(h) {
+						if op%2 == 0 {
+							a = heap.Nil
+						}
 						r.Set(h, a)
 						m.slots[h-1] = a
 					}
 				}
+			case op < 252:
+				// A collection forwards every live, non-nil root, in slot
+				// order, and never sees a free slot.
+				var got, want []heap.Addr
+				r.Walk(func(a heap.Addr) heap.Addr {
+					got = append(got, a)
+					return a + 8
+				})
+				for i, u := range m.inUse {
+					if u && m.slots[i] != heap.Nil {
+						want = append(want, m.slots[i])
+						m.slots[i] += 8
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Logf("step %d: Walk visited %v, model %v", step, got, want)
+					return false
+				}
+			default:
+				r = NewRootSetFrom(r.Release())
+				m = &nestedRootSet{}
+				issued, depth = nil, 0
 			}
 			if !check(step, op) {
 				return false

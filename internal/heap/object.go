@@ -143,15 +143,7 @@ func (s *Space) dataWord(addr Addr, i int) *uint32 {
 	if t == nil {
 		s.badHeader(slab[off], addr)
 	}
-	var n, base int
-	switch t.Kind {
-	case Scalar:
-		base, n = headerWords+t.RefSlots, t.DataWords
-	case WordArray:
-		base, n = headerWords, length
-	default:
-		badDataKind(t)
-	}
+	base, n := t.dataLayout(length)
 	if i < 0 || i >= n {
 		badDataWord(i, n, addr, t)
 	}
@@ -161,17 +153,14 @@ func (s *Space) dataWord(addr Addr, i int) *uint32 {
 	return s.Slot(addr + Addr((base+i)*WordBytes)) // past the first frame of a span
 }
 
-// badDataKind panics for a data access on a type with no data words.
-//
-//go:noinline
-func badDataKind(t *TypeDesc) {
-	panic(fmt.Sprintf("heap: data access on %s (%s)", t.Name, t.Kind))
-}
-
-// badDataWord panics for a data word index out of range.
+// badDataWord panics for a data word index out of range, or for any
+// data access on a reference array, which has no data words.
 //
 //go:noinline
 func badDataWord(i, n int, addr Addr, t *TypeDesc) {
+	if t.Kind == RefArray {
+		panic(fmt.Sprintf("heap: data access on %s (%s)", t.Name, t.Kind))
+	}
 	panic(fmt.Sprintf("heap: data word %d out of range [0,%d) at %v (%s)", i, n, addr, t.Name))
 }
 
@@ -184,14 +173,8 @@ func (s *Space) SetData(addr Addr, i int, v uint32) { *s.dataWord(addr, i) = v }
 // DataWords returns the number of data words of the object at addr.
 func (s *Space) DataWords(addr Addr) int {
 	t, length := s.Header(addr)
-	switch t.Kind {
-	case Scalar:
-		return t.DataWords
-	case WordArray:
-		return length
-	default:
-		return 0
-	}
+	_, n := t.dataLayout(length)
+	return n
 }
 
 // Forwarded reports whether the object at addr has been forwarded.

@@ -35,41 +35,50 @@ type TypeID uint32
 // maxTypeID bounds TypeID so it fits in the header's 24-bit type field.
 const maxTypeID = 1<<24 - 1
 
+// maxObjectWords bounds a scalar's slots and data words together: no
+// object is larger than the 32-bit address space.
+const maxObjectWords = 1<<30 - headerWords
+
 // TypeDesc describes the layout of a class of objects, playing the role
 // of Jikes RVM's TIB: it is what the collector consults to find an
 // object's reference slots and size.
+//
+// Define reduces the layout to four integers, so that Size and NumRefs,
+// which every allocation, barriered store and traced object asks, are
+// one multiply-add each and no branch on Kind. An instance of length n
+// is baseWords + n*elemWords words, header included, and the
+// baseRefs + n*elemRefs words after the header are its reference slots;
+// the rest are data words. The four fill the padding after ID and Kind,
+// so they cost a TypeDesc no bytes (every run defines its types afresh).
 type TypeDesc struct {
-	ID        TypeID
-	Name      string
-	Kind      Kind
-	RefSlots  int // scalar only: number of reference slots
-	DataWords int // scalar only: number of data words after the refs
+	ID                  TypeID
+	baseWords           int32
+	Name                string
+	Kind                Kind
+	elemWords, elemRefs uint8
+	baseRefs            int32
+	RefSlots            int // scalar only: number of reference slots
+	DataWords           int // scalar only: number of data words after the refs
 }
 
 // Size returns the total object size in bytes for an instance of t with
 // the given array length (ignored for scalars).
 func (t *TypeDesc) Size(length int) int {
-	switch t.Kind {
-	case Scalar:
-		return (headerWords + t.RefSlots + t.DataWords) * WordBytes
-	case RefArray, WordArray:
-		return (headerWords + length) * WordBytes
-	default:
-		panic("heap: unknown kind")
-	}
+	return (int(t.baseWords) + length*int(t.elemWords)) * WordBytes
 }
 
 // NumRefs returns the number of reference slots in an instance of t with
 // the given array length.
 func (t *TypeDesc) NumRefs(length int) int {
-	switch t.Kind {
-	case Scalar:
-		return t.RefSlots
-	case RefArray:
-		return length
-	default:
-		return 0
-	}
+	return int(t.baseRefs) + length*int(t.elemRefs)
+}
+
+// dataLayout returns where the data words of an instance of t with the
+// given array length start, in words from its header, and how many there
+// are: every word after the header and the reference slots.
+func (t *TypeDesc) dataLayout(length int) (base, n int) {
+	refs := t.NumRefs(length)
+	return headerWords + refs, t.Size(length)>>WordShift - headerWords - refs
 }
 
 // Registry interns type descriptors. The zero TypeID is reserved so that
@@ -95,11 +104,17 @@ func (r *Registry) Define(name string, kind Kind, refSlots, dataWords int) *Type
 	if _, dup := r.byName[name]; dup {
 		panic(fmt.Sprintf("heap: duplicate type %q", name))
 	}
+	if kind > WordArray {
+		panic(fmt.Sprintf("heap: type %q: unknown kind %d", name, uint8(kind)))
+	}
 	if kind != Scalar && (refSlots != 0 || dataWords != 0) {
 		panic(fmt.Sprintf("heap: type %q: array kinds take no slot counts", name))
 	}
 	if refSlots < 0 || dataWords < 0 {
 		panic(fmt.Sprintf("heap: type %q: negative layout", name))
+	}
+	if refSlots > maxObjectWords || dataWords > maxObjectWords-refSlots {
+		panic(fmt.Sprintf("heap: type %q: larger than the address space", name))
 	}
 	if len(r.types) > maxTypeID {
 		panic("heap: too many types")
@@ -110,6 +125,13 @@ func (r *Registry) Define(name string, kind Kind, refSlots, dataWords int) *Type
 		Kind:      kind,
 		RefSlots:  refSlots,
 		DataWords: dataWords,
+	}
+	t.baseWords, t.baseRefs = int32(headerWords+refSlots+dataWords), int32(refSlots) // zero slot counts for arrays
+	switch kind {
+	case RefArray:
+		t.elemWords, t.elemRefs = 1, 1
+	case WordArray:
+		t.elemWords = 1
 	}
 	r.types = append(r.types, t)
 	r.byName[name] = t

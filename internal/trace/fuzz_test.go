@@ -79,6 +79,17 @@ func FuzzTraceBytes(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(serialize(f, jess))
+	// A type record of kind 3 (one past WordArray) followed by an
+	// allocation of it, and one of kind 255 alone: AllocBytes must refuse
+	// both as bad type records. The bytes are the size header, then
+	// define-type (op 1: kind, refs, words, name length, name) and alloc
+	// (op 2: type, length, handle).
+	for _, body := range [][]byte{
+		{1, 3, 0, 0, 1, 'n', 2, 1, 4, 1},
+		{1, 0xff, 0x01, 0, 0, 1, 'n'},
+	} {
+		f.Add(append(binary.AppendUvarint(nil, uint64(len(body))), body...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var errs []error
 		allocated := allocatedBy(func() {

@@ -77,6 +77,9 @@ func (t *Trace) AllocBytes() (int, error) {
 	for _, op := range ops {
 		switch op.code {
 		case opDefineType:
+			if op.args[0] > uint64(heap.WordArray) {
+				return 0, fmt.Errorf("trace: bad type record: kind %d", op.args[0])
+			}
 			typeTab = append(typeTab,
 				shape{int(op.args[0]), int(op.args[1]), int(op.args[2])})
 		case opAlloc, opAllocGlobal, opAllocImmortal, opAllocPretenured:

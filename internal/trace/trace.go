@@ -228,7 +228,7 @@ func (t *Trace) play(m *vm.Mutator) error {
 			refs, _ := next()
 			words, _ := next()
 			nameLen, err := next()
-			if err != nil || nameLen > uint64(len(buf)-pos) {
+			if err != nil || nameLen > uint64(len(buf)-pos) || kind > uint64(heap.WordArray) {
 				return fmt.Errorf("trace: bad type record")
 			}
 			name := string(buf[pos : pos+int(nameLen)])

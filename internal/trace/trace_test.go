@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"beltway/internal/collectors"
@@ -283,6 +284,29 @@ func TestHugeTypeNameLengthIsABadRecord(t *testing.T) {
 	}
 	if err := Replay(tr, newMutator(t, smallCfg())); err == nil {
 		t.Error("Replay accepted an allocation of type 2^63")
+	}
+}
+
+// TestUnknownKindIsABadRecord: a type record whose kind is past
+// WordArray names no layout. AllocBytes and Replay answer it as the bad
+// type record it is, before any allocation of the type is sized or any
+// type is defined.
+func TestUnknownKindIsABadRecord(t *testing.T) {
+	for _, kind := range []uint64{uint64(heap.WordArray) + 1, 255, 1 << 63} {
+		tr := &Trace{}
+		tr.emit(opDefineType, kind, 0, 0, 1)
+		tr.buf = append(tr.buf, 'n')
+		tr.emit(opAlloc, 1, 4, 1)
+		if _, err := tr.AllocBytes(); err == nil || !strings.HasPrefix(err.Error(), "trace: bad type record") {
+			t.Errorf("kind %d: AllocBytes = %v, want a bad type record", kind, err)
+		}
+		m := newMutator(t, smallCfg())
+		if err := Replay(tr, m); err == nil || err.Error() != "trace: bad type record" {
+			t.Errorf("kind %d: Replay = %v, want a bad type record", kind, err)
+		}
+		if n := m.C.Space().Types.Len(); n != 0 {
+			t.Errorf("kind %d: Replay defined %d types", kind, n)
+		}
 	}
 }
 

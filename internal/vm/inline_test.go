@@ -26,6 +26,7 @@ var mustInline = []struct{ pkg, fn string }{
 	{"internal/heap", "(*Space).SetData"},
 	{"internal/heap", "(*TypeDesc).Size"},
 	{"internal/heap", "(*TypeDesc).NumRefs"},
+	{"internal/heap", "(*TypeDesc).dataLayout"},
 	{"internal/gc", "(*RootSet).live"},
 	{"internal/gc", "(*RootSet).addSlot"},
 	{"internal/gc", "(*RootSet).release"},

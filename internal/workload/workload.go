@@ -169,15 +169,17 @@ func bootImage(c *Ctx, kb int) []gc.Handle {
 // original would use one large array, since simulated objects must fit
 // in a frame (GCTk similarly lacked a large object space; §4.1).
 type table struct {
-	buckets    []gc.Handle // global roots
-	bucketSize int
+	buckets []gc.Handle // global roots
 }
+
+// bucketSize is a table's slots per bucket. A constant, so that finding
+// a slot's bucket is a shift and a mask.
+const bucketSize = 256
 
 // newTable allocates a chunked reference table of n slots using the
 // given ref-array type.
 func newTable(c *Ctx, t *heap.TypeDesc, n int) *table {
-	const bucketSize = 256
-	tb := &table{bucketSize: bucketSize}
+	tb := &table{}
 	for got := 0; got < n; got += bucketSize {
 		sz := bucketSize
 		if n-got < sz {
@@ -190,22 +192,22 @@ func newTable(c *Ctx, t *heap.TypeDesc, n int) *table {
 
 // Get loads slot i into a handle in the current scope.
 func (tb *table) Get(m *vm.Mutator, i int) gc.Handle {
-	return m.GetRef(tb.buckets[i/tb.bucketSize], i%tb.bucketSize)
+	return m.GetRef(tb.buckets[i/bucketSize], i%bucketSize)
 }
 
 // Set stores the object referenced by h into slot i.
 func (tb *table) Set(m *vm.Mutator, i int, h gc.Handle) {
-	m.SetRef(tb.buckets[i/tb.bucketSize], i%tb.bucketSize, h)
+	m.SetRef(tb.buckets[i/bucketSize], i%bucketSize, h)
 }
 
 // SetNil clears slot i.
 func (tb *table) SetNil(m *vm.Mutator, i int) {
-	m.SetRefNil(tb.buckets[i/tb.bucketSize], i%tb.bucketSize)
+	m.SetRefNil(tb.buckets[i/bucketSize], i%bucketSize)
 }
 
 // IsNil reports whether slot i is nil.
 func (tb *table) IsNil(m *vm.Mutator, i int) bool {
-	return m.RefIsNil(tb.buckets[i/tb.bucketSize], i%tb.bucketSize)
+	return m.RefIsNil(tb.buckets[i/bucketSize], i%bucketSize)
 }
 
 // release drops the table's bucket roots.
