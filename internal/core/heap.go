@@ -115,6 +115,7 @@ func newHeap(cfg Config, types *heap.Registry, sc *scaffold) *Heap {
 		fill:     sc.fill,
 		cards:    sc.cards,
 		spare:    sc.spare,
+		rootBuf:  sc.rootBuf,
 	}
 	h.mr.frames, h.mr.evac, h.mr.pool = sc.mrFrames, sc.mrEvac, sc.mrPool
 	h.space.OnMap = func() { h.clock.Counters.FramesMapped++ }

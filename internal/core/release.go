@@ -10,7 +10,8 @@ import (
 // scaffold is what Release hands the next Heap built in the process (see
 // DESIGN.md §5, "Run lifecycle"): the arrays a run grows as it goes —
 // the root table, the remembered-set storage, the per-frame tables, the
-// Space's frame table and recycle queue, the mark-region line metadata —
+// Space's frame table and recycle queue, the mark-region line metadata,
+// the buffer a collection gathers remembered-set roots in —
 // each emptied with its capacity kept, and the run's increments. What a
 // Heap built on it can observe is what a new one would: every table
 // starts at length zero, every increment is a spare.
@@ -28,6 +29,7 @@ type scaffold struct {
 	fill     []heap.Addr
 	cards    []bool
 	spare    []*Increment
+	rootBuf  []heap.Addr
 
 	mrFrames []*markregion.Frame
 	mrEvac   []bool
@@ -88,6 +90,7 @@ func (h *Heap) dismantle() *scaffold {
 		fill:     emptied(h.fill),
 		cards:    emptied(h.cards),
 		spare:    h.spare,
+		rootBuf:  emptied(h.rootBuf),
 		mrFrames: emptied(h.mr.frames),
 		mrEvac:   emptied(h.mr.evac),
 		mrPool:   h.mr.pool,

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -25,9 +24,9 @@ func LoadCheckpoint(path string) (map[string]Record, error) {
 	}
 	defer f.Close()
 	out := map[string]Record{}
-	r := bufio.NewReaderSize(f, 1<<16)
+	lines := NewLineReader(f)
 	for {
-		line, rerr := r.ReadBytes('\n')
+		line, rerr := lines.Next()
 		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
 			var rec Record
 			if jerr := json.Unmarshal(trimmed, &rec); jerr == nil {

@@ -23,6 +23,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -152,13 +153,17 @@ type Engine struct {
 	inited      bool
 	prior       map[string]Record // completed records by Key.String()
 	file        *os.File
-	invalidated int // stale records dropped on resume (fingerprint mismatch)
+	line        bytes.Buffer  // the checkpoint line being written, reused
+	enc         *json.Encoder // encodes into line
+	invalidated int           // stale records dropped on resume (fingerprint mismatch)
 }
 
 // New creates an engine. The checkpoint file is not touched until the
 // first Run.
 func New(cfg Config) *Engine {
-	return &Engine{cfg: cfg, rep: newReporter(cfg.Progress), prior: map[string]Record{}}
+	e := &Engine{cfg: cfg, rep: newReporter(cfg.Progress), prior: map[string]Record{}}
+	e.enc = json.NewEncoder(&e.line)
+	return e
 }
 
 // Reporter returns the engine's progress reporter.
@@ -249,23 +254,24 @@ func (e *Engine) lookup(k Key) (Record, bool) {
 }
 
 // commit persists the record (when checkpointing) and remembers completed
-// outcomes so later batches sharing the key skip re-execution.
+// outcomes so later batches sharing the key skip re-execution. The line is
+// json.Marshal(rec) and a newline, encoded into one buffer the engine
+// reuses.
 func (e *Engine) commit(rec Record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if rec.Outcome.Completed() {
 		e.prior[rec.Key.String()] = rec
 	}
-	if e.file != nil {
-		if _, err := e.file.Write(append(line, '\n')); err != nil {
-			return err
-		}
+	if e.file == nil {
+		return nil
 	}
-	return nil
+	e.line.Reset()
+	if err := e.enc.Encode(rec); err != nil {
+		return err
+	}
+	_, err := e.file.Write(e.line.Bytes())
+	return err
 }
 
 // Run executes the jobs and returns one record per job, in submission
@@ -350,7 +356,7 @@ func (e *Engine) execute(j Job) Record {
 		if out == "" {
 			out = OK
 		}
-		raw, merr := json.Marshal(payload)
+		raw, merr := marshalPayload(payload)
 		if merr != nil {
 			done <- Record{Key: j.Key, Outcome: Errored, Error: "payload: " + merr.Error()}
 			return
@@ -375,4 +381,36 @@ func (e *Engine) execute(j Job) Record {
 	}
 	rec.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return rec
+}
+
+// marshalPayload returns json.Marshal(payload). A pre-marshaled payload
+// already in the form json.Marshal would give it is returned as is: the
+// job's bytes become the record's, and nothing copies them.
+func marshalPayload(payload any) ([]byte, error) {
+	if raw, ok := payload.(json.RawMessage); ok && isMarshaled(raw) {
+		return raw, nil
+	}
+	return json.Marshal(payload)
+}
+
+// isMarshaled reports whether json.Marshal(json.RawMessage(raw)) is raw
+// itself: raw is valid JSON with no whitespace outside its strings and
+// nothing json.Marshal escapes for HTML (<, >, &, U+2028, U+2029).
+func isMarshaled(raw []byte) bool {
+	inString := false
+	for i := 0; i < len(raw); i++ {
+		switch c := raw[i]; {
+		case c == '<' || c == '>' || c == '&':
+			return false
+		case c == 0xE2 && i+2 < len(raw) && raw[i+1] == 0x80 && raw[i+2]&^1 == 0xA8:
+			return false
+		case inString && c == '\\':
+			i++
+		case c == '"':
+			inString = !inString
+		case !inString && (c == ' ' || c == '\t' || c == '\n' || c == '\r'):
+			return false
+		}
+	}
+	return json.Valid(raw)
 }

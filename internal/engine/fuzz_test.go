@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
@@ -80,6 +81,81 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		// unmarshaled and its strings and payload copied once each.
 		if limit := 1<<20 + 64*uint64(len(data)); allocated > limit {
 			t.Errorf("%d bytes of checkpoint allocated %d bytes (limit %d)", len(data), allocated, limit)
+		}
+	})
+}
+
+// requestStream is what a pool writes to a worker's stdin for reqs, as
+// a file the test writes and reads back.
+func requestStream(f *testing.F, reqs ...string) []byte {
+	path := filepath.Join(f.TempDir(), "stdin")
+	file, err := os.Create(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	w := newWorkerProc(0, nil, file, nil)
+	for _, r := range reqs {
+		if _, err := w.request(json.RawMessage(r)); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := w.in.Write(w.frame.Bytes()); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := file.Close(); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return raw
+}
+
+// fuzzHandle answers a request with itself, a handler error, or a
+// response that does not marshal.
+func fuzzHandle(req json.RawMessage) (json.RawMessage, error) {
+	switch {
+	case bytes.HasPrefix(req, []byte(`"err`)):
+		return nil, errors.New("handler failure")
+	case bytes.HasPrefix(req, []byte(`"bad`)):
+		return json.RawMessage(`{"unterminated`), nil
+	}
+	return req, nil
+}
+
+// FuzzServeProc: whatever a worker reads on stdin, ServeProc returns nil
+// or an error, never panics, and writes nothing but well-formed response
+// lines — each a procResponse as json.Marshal renders it, one for at most
+// every request line.
+func FuzzServeProc(f *testing.F) {
+	stream := requestStream(f, `"a"`, `{"spec":[1,2,{"x":"<&>"}]}`, `"err"`, `null`, `"bad"`, `"b"`)
+	f.Add(stream)
+	f.Add(stream[:len(stream)-4])                           // the orchestrator died mid-write
+	f.Add(append([]byte("\n  \n"), stream...))              // blank lines
+	f.Add(append(append([]byte(nil), stream...), "{\n"...)) // garbage after
+	f.Add([]byte(`{"id":1e999,"req":[[[[]]]]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var out bytes.Buffer
+		ServeProc(bytes.NewReader(data), &out, fuzzHandle)
+		if out.Len() > 0 && out.Bytes()[out.Len()-1] != '\n' {
+			t.Fatalf("a response line without its newline: %q", out.Bytes())
+		}
+		responses := bytes.SplitAfter(out.Bytes(), []byte("\n"))
+		responses = responses[:len(responses)-1]
+		if requests := bytes.Count(data, []byte("\n")) + 1; len(responses) > requests {
+			t.Errorf("%d responses to %d lines", len(responses), requests)
+		}
+		for _, line := range responses {
+			dec := json.NewDecoder(bytes.NewReader(line))
+			dec.DisallowUnknownFields()
+			var resp procResponse
+			if err := dec.Decode(&resp); err != nil {
+				t.Fatalf("response line %q: %v", line, err)
+			}
+			if again, err := json.Marshal(resp); err != nil || string(again)+"\n" != string(line) {
+				t.Errorf("response line %q is not json.Marshal of what it decodes to (%q)", line, again)
+			}
 		}
 	})
 }

@@ -103,14 +103,24 @@ type ProcPool struct {
 
 // workerProc is one live worker process, held by at most one Do call.
 type workerProc struct {
-	id  int // spawn sequence number
-	cmd *exec.Cmd
-	in  io.WriteCloser
-	out *bufio.Reader
-	seq int // request ids issued to this worker
+	id    int // spawn sequence number
+	cmd   *exec.Cmd
+	in    io.WriteCloser
+	out   *LineReader
+	frame bytes.Buffer  // the request line being written, reused
+	enc   *json.Encoder // encodes into frame
+	seq   int           // request ids issued to this worker
 
 	waited  bool // reap completed; waitErr is meaningful
 	waitErr error
+}
+
+// newWorkerProc wires a started worker's pipes: requests are encoded into
+// a reused frame buffer, responses read in place.
+func newWorkerProc(id int, cmd *exec.Cmd, in io.WriteCloser, out io.Reader) *workerProc {
+	w := &workerProc{id: id, cmd: cmd, in: in, out: NewLineReader(out)}
+	w.enc = json.NewEncoder(&w.frame)
+	return w
 }
 
 // NewProcPool creates a pool of Workers lazily-spawned slots.
@@ -149,7 +159,7 @@ func (p *ProcPool) spawn() (*workerProc, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, &CrashError{Kind: CrashSpawn, Worker: id, Detail: err.Error()}
 	}
-	return &workerProc{id: id, cmd: cmd, in: in, out: bufio.NewReaderSize(out, 1<<16)}, nil
+	return newWorkerProc(id, cmd, in, out), nil
 }
 
 // Spawns returns how many worker processes the pool has started.
@@ -201,13 +211,11 @@ func (p *ProcPool) crashed(err error) {
 // enforcing the deadline. On any process-level failure the worker is
 // reaped (killed if necessary) and a *CrashError returned.
 func (p *ProcPool) roundTrip(w *workerProc, req json.RawMessage) (json.RawMessage, error) {
-	id := w.seq
-	w.seq++
-	frame, err := json.Marshal(procRequest{ID: id, Req: req})
+	id, err := w.request(req)
 	if err != nil {
 		return nil, fmt.Errorf("engine: marshal request: %w", err)
 	}
-	if _, err := w.in.Write(append(frame, '\n')); err != nil {
+	if _, err := w.in.Write(w.frame.Bytes()); err != nil {
 		kind := p.reap(w, CrashExit)
 		return nil, &CrashError{Kind: kind, Worker: w.id,
 			Detail: fmt.Sprintf("write: %v (%s)", err, p.exitDetail(w))}
@@ -218,8 +226,10 @@ func (p *ProcPool) roundTrip(w *workerProc, req json.RawMessage) (json.RawMessag
 		err  error
 	}
 	ch := make(chan read, 1)
+	// The line is a view of w.out's buffer: it is decoded below, before
+	// the worker's next round trip reads again.
 	go func() {
-		line, rerr := w.out.ReadBytes('\n')
+		line, rerr := w.out.Next()
 		ch <- read{line, rerr}
 	}()
 	var r read
@@ -257,6 +267,15 @@ func (p *ProcPool) roundTrip(w *workerProc, req json.RawMessage) (json.RawMessag
 		return nil, errors.New(resp.Err)
 	}
 	return resp.Resp, nil
+}
+
+// request encodes the worker's next request frame, a line, into w.frame
+// and returns its id.
+func (w *workerProc) request(req json.RawMessage) (int, error) {
+	id := w.seq
+	w.seq++
+	w.frame.Reset()
+	return id, w.enc.Encode(procRequest{ID: id, Req: req})
 }
 
 // reap shuts the worker down (TERM, then KILL after the grace) and waits
@@ -349,10 +368,11 @@ func (p *ProcPool) Close() error {
 // returns when the input stream ends (the orchestrator closed the pipe
 // or died). cmd/farm's worker mode and test helper processes run this.
 func ServeProc(r io.Reader, w io.Writer, handle func(json.RawMessage) (json.RawMessage, error)) error {
-	br := bufio.NewReaderSize(r, 1<<16)
+	lines := NewLineReader(r)
 	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
 	for {
-		line, rerr := br.ReadBytes('\n')
+		line, rerr := lines.Next()
 		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
 			var req procRequest
 			if err := json.Unmarshal(trimmed, &req); err != nil {
@@ -365,12 +385,8 @@ func ServeProc(r io.Reader, w io.Writer, handle func(json.RawMessage) (json.RawM
 			} else {
 				resp.Resp = out
 			}
-			frame, err := json.Marshal(resp)
-			if err != nil {
-				return fmt.Errorf("engine: worker: marshal response: %w", err)
-			}
-			if _, err := bw.Write(append(frame, '\n')); err != nil {
-				return err
+			if err := enc.Encode(resp); err != nil {
+				return fmt.Errorf("engine: worker: response: %w", err)
 			}
 			if err := bw.Flush(); err != nil {
 				return err

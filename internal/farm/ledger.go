@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -75,6 +74,9 @@ type Ledger struct {
 func OpenLedger(path string) (*Ledger, string, error) {
 	entries, tornAt, err := readEntries(path, true)
 	if err != nil {
+		return nil, "", err
+	}
+	if err := verifyChain(path, entries); err != nil {
 		return nil, "", err
 	}
 	note := ""
@@ -175,25 +177,35 @@ func ReadLedger(path string) ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := verifyChain(path, entries); err != nil {
+		return nil, err
+	}
+	return entries, nil
+}
+
+// verifyChain checks that the entries read from path form an intact hash
+// chain: indices run 0,1,2,…, each prev_hash is the previous entry's hash
+// (GenesisHash for the first), and each hash recomputes.
+func verifyChain(path string, entries []Entry) error {
 	prev := GenesisHash
 	for i := range entries {
 		e := &entries[i]
 		if e.Index != i {
-			return nil, fmt.Errorf("farm: %s entry %d: index %d out of sequence", path, i, e.Index)
+			return fmt.Errorf("farm: %s entry %d: index %d out of sequence", path, i, e.Index)
 		}
 		if e.PrevHash != prev {
-			return nil, fmt.Errorf("farm: %s entry %d: prev_hash does not chain to entry %d", path, i, i-1)
+			return fmt.Errorf("farm: %s entry %d: prev_hash does not chain to entry %d", path, i, i-1)
 		}
-		h, herr := EntryHash(*e)
-		if herr != nil {
-			return nil, herr
+		h, err := EntryHash(*e)
+		if err != nil {
+			return err
 		}
 		if h != e.Hash {
-			return nil, fmt.Errorf("farm: %s entry %d: hash mismatch (entry was modified after it was written)", path, i)
+			return fmt.Errorf("farm: %s entry %d: hash mismatch (entry was modified after it was written)", path, i)
 		}
 		prev = e.Hash
 	}
-	return entries, nil
+	return nil
 }
 
 // readEntries parses a ledger file. When allowTorn is set, a final line
@@ -209,21 +221,17 @@ func readEntries(path string, allowTorn bool) ([]Entry, int, error) {
 	}
 	defer f.Close()
 	var entries []Entry
-	r := bufio.NewReaderSize(f, 1<<16)
+	lines := engine.NewLineReader(f)
 	offset := 0
 	for lineNo := 1; ; lineNo++ {
-		line, rerr := r.ReadBytes('\n')
+		line, rerr := lines.Next()
 		trimmed := bytes.TrimSpace(line)
 		if len(trimmed) > 0 {
 			var e Entry
 			if jerr := json.Unmarshal(trimmed, &e); jerr != nil {
-				atEOF := rerr == io.EOF
-				if !atEOF {
-					// Peek: is anything non-blank left? If so the bad line is
-					// mid-file corruption even in torn-tolerant mode.
-					rest, _ := io.ReadAll(r)
-					atEOF = len(bytes.TrimSpace(rest)) == 0
-				}
+				// Is anything non-blank left? If so the bad line is
+				// mid-file corruption even in torn-tolerant mode.
+				atEOF := rerr == io.EOF || blankToEnd(lines)
 				if allowTorn && atEOF {
 					return entries, offset, nil
 				}
@@ -237,6 +245,19 @@ func readEntries(path string, allowTorn bool) ([]Entry, int, error) {
 		}
 		if rerr != nil {
 			return nil, -1, rerr
+		}
+	}
+}
+
+// blankToEnd reports whether every line left in lines is blank.
+func blankToEnd(lines *engine.LineReader) bool {
+	for {
+		line, err := lines.Next()
+		if len(bytes.TrimSpace(line)) > 0 {
+			return false
+		}
+		if err != nil {
+			return true
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package farm
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -25,9 +25,10 @@ func Report(outDir string) (string, error) {
 	}
 	byBench := map[string][]*harness.Result{}
 	var benches []string
+	var buf bytes.Buffer // every artifact is read into it in turn
 	for i := range entries {
 		e := &entries[i]
-		payload, rerr := os.ReadFile(filepath.Join(outDir, filepath.FromSlash(e.Artifact)))
+		payload, rerr := readArtifact(&buf, outDir, e)
 		if rerr != nil {
 			return "", fmt.Errorf("farm: entry %d (%s): artifact missing: %v", e.Index, e.Spec.Key(), rerr)
 		}

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,9 +40,10 @@ func Verify(outDir string, replay int, progress func(string)) (*VerifyResult, er
 	if err != nil {
 		return nil, fmt.Errorf("farm: %w", err)
 	}
+	var buf bytes.Buffer // every artifact is read into it in turn
 	for i := range entries {
 		e := &entries[i]
-		payload, rerr := os.ReadFile(filepath.Join(outDir, filepath.FromSlash(e.Artifact)))
+		payload, rerr := readArtifact(&buf, outDir, e)
 		if rerr != nil {
 			return nil, fmt.Errorf("farm: entry %d (%s): artifact missing: %v", e.Index, e.Spec.Key(), rerr)
 		}
@@ -97,4 +99,17 @@ func plural(n int, one, many string) string {
 		return one
 	}
 	return many
+}
+
+// readArtifact reads e's artifact into buf, reusing buf's storage: the
+// bytes it returns are valid until the next read into buf.
+func readArtifact(buf *bytes.Buffer, outDir string, e *Entry) ([]byte, error) {
+	f, err := os.Open(filepath.Join(outDir, filepath.FromSlash(e.Artifact)))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf.Reset()
+	_, err = buf.ReadFrom(f)
+	return buf.Bytes(), err
 }

@@ -58,9 +58,14 @@ func goHeapCostOf(t *testing.T, cfg ConfigFunc, heapBytes int, bench *workload.B
 //
 //   - a warm run, the second of two identical ones in a process, builds
 //     on what the first released, even with two Go collections between
-//     them: at most 300 Go mallocs and 96 KB (it read 878 and 187.1 KB
+//     them: at most 150 Go mallocs and 32 KB (it read 878 and 187.1 KB
 //     when every run grew its root table, remembered sets, per-frame
-//     tables and recorder ring from nothing).
+//     tables and recorder ring from nothing, and 128 and 33.6 KB when it
+//     still made a new RNG and remembered-set root buffer);
+//
+//   - so does a warm javac run, at most 150 Go mallocs and 40 KB (it read
+//     290 and 62.1 KB when every compilation unit made new scope and
+//     symbol slices).
 func TestRunOneAllocBudget(t *testing.T) {
 	mk, bench, env, minHeap := budgetJob(t)
 	t.Run("per object", func(t *testing.T) {
@@ -91,16 +96,33 @@ func TestRunOneAllocBudget(t *testing.T) {
 		}
 	})
 	t.Run("warm", func(t *testing.T) {
-		goHeapCostOf(t, mk, 6*minHeap, bench, env) // leaves its scaffolding to the next run
-		// What it left must survive Go collections.
-		runtime.GC()
-		runtime.GC()
-		_, mallocs, bytes := goHeapCostOf(t, mk, 6*minHeap, bench, env)
-		t.Logf("a warm run: %d Go mallocs, %.1f KB", mallocs, float64(bytes)/1024)
-		if mallocs > 300 || bytes > 96<<10 {
-			t.Errorf("a warm run costs %d Go mallocs and %.1f KB, budget 300 and 96 KB", mallocs, float64(bytes)/1024)
-		}
+		warmRunWithin(t, mk, 6*minHeap, bench, env, 150, 32<<10)
 	})
+	t.Run("warm javac", func(t *testing.T) {
+		javac := workload.Get("javac")
+		min, err := FindMinHeap(AppelConfig(env), javac, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmRunWithin(t, mk, 6*min, javac, env, 150, 40<<10)
+	})
+}
+
+// warmRunWithin runs cfg twice, with two Go collections between the
+// runs, and holds the second to at most maxMallocs Go mallocs and
+// maxBytes bytes.
+func warmRunWithin(t *testing.T, cfg ConfigFunc, heapBytes int, bench *workload.Benchmark, env Env, maxMallocs, maxBytes uint64) {
+	t.Helper()
+	goHeapCostOf(t, cfg, heapBytes, bench, env) // leaves its scaffolding to the next run
+	// What it left must survive Go collections.
+	runtime.GC()
+	runtime.GC()
+	_, mallocs, bytes := goHeapCostOf(t, cfg, heapBytes, bench, env)
+	t.Logf("a warm %s run: %d Go mallocs, %.1f KB", bench.Name, mallocs, float64(bytes)/1024)
+	if mallocs > maxMallocs || bytes > maxBytes {
+		t.Errorf("a warm %s run costs %d Go mallocs and %.1f KB, budget %d and %d KB",
+			bench.Name, mallocs, float64(bytes)/1024, maxMallocs, maxBytes>>10)
+	}
 }
 
 // TestRunOneSharedSlabPoolMatchesSerial runs pairs of RunOnes at once, as

@@ -80,7 +80,7 @@ func New(cfg core.Config, opts Options) (*Runtime, error) {
 			ID:   i,
 			Heap: h,
 			M:    vm.New(h),
-			Rng:  rand.New(rand.NewSource(StreamSeed(opts.Seed, i))),
+			Rng:  takeRng(StreamSeed(opts.Seed, i)),
 		}
 		if opts.Validate {
 			s.V = s.M.EnableValidation()
@@ -258,18 +258,36 @@ func (rt *Runtime) collectAll(round int, sideBySide bool) {
 	rt.makespan += rt.slowest()
 }
 
-// Release hands every shard's heap (core.Heap.Release) and flight
-// recorder ring (telemetry.Run.Release) to the next run in the process.
+// Release hands every shard's heap (core.Heap.Release), flight recorder
+// ring (telemetry.Run.Release) and RNG to the next run in the process.
 // Call it once the clocks, MergedTelemetry and any validator fingerprints
-// have been read: afterwards the shard heaps fault on every access and
-// the recorders hold no events.
+// have been read: afterwards the shard heaps fault on every access, the
+// recorders hold no events and Rng is nil.
 func (rt *Runtime) Release() {
 	for _, s := range rt.shards {
 		if s.Tele != nil {
 			s.Tele.Release()
 		}
 		s.Heap.Release()
+		if s.Rng != nil {
+			rngs.Put(s.Rng)
+			s.Rng = nil
+		}
 	}
+}
+
+// rngs holds the RNGs of released shards. A math/rand source is 4.9 KB
+// of state, and re-seeding one draws exactly what a new one seeded alike
+// would, so a run takes a released one when there is one.
+var rngs heap.FreeList[*rand.Rand]
+
+// takeRng returns an RNG seeded with seed, recycled when one is free.
+func takeRng(seed int64) *rand.Rand {
+	if r, ok := rngs.Take(); ok {
+		r.Seed(seed)
+		return r
+	}
+	return rand.New(rand.NewSource(seed))
 }
 
 // MergedTelemetry merges every shard's telemetry snapshot into one

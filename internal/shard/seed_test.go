@@ -76,3 +76,37 @@ func TestStreamIndependence(t *testing.T) {
 		t.Error("splitmix64 does not avalanche")
 	}
 }
+
+// TestReleasedRngDrawsAsNew: a lane RNG that a released runtime handed
+// on, half-way through a Read and re-seeded, draws what
+// rand.New(rand.NewSource(seed)) draws.
+func TestReleasedRngDrawsAsNew(t *testing.T) {
+	rt := newTestRuntime(t, 2, false)
+	used := rt.Shards()[1].Rng
+	var b [3]byte
+	used.Read(b[:]) // leaves a partly consumed Read value behind
+	used.Intn(100)
+	rt.Release()
+
+	next := newTestRuntime(t, 2, false)
+	defer next.Release()
+	recycled := false
+	for _, s := range next.Shards() {
+		recycled = recycled || s.Rng == used
+		fresh := rand.New(rand.NewSource(StreamSeed(20020617, s.ID)))
+		var got, want [7]byte
+		s.Rng.Read(got[:])
+		fresh.Read(want[:])
+		if got != want {
+			t.Fatalf("shard %d: Read %x, a new RNG reads %x", s.ID, got, want)
+		}
+		for i := 0; i < 1000; i++ {
+			if g, w := s.Rng.Int63(), fresh.Int63(); g != w {
+				t.Fatalf("shard %d draw %d: %d, a new RNG draws %d", s.ID, i, g, w)
+			}
+		}
+	}
+	if !recycled {
+		t.Error("no lane took the released RNG")
+	}
+}

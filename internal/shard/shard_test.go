@@ -245,6 +245,9 @@ func TestReleaseHandsEveryLaneOn(t *testing.T) {
 		if n := len(s.Tele.Recorder().Events()); n != 0 {
 			t.Errorf("shard %d: the released recorder still holds %d events", s.ID, n)
 		}
+		if s.Rng != nil {
+			t.Errorf("shard %d: the released lane still has its RNG", s.ID)
+		}
 	}
 	next := newTestRuntime(t, 2, false)
 	if err := next.Run(testPlan(4)); err != nil {

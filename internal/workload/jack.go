@@ -29,13 +29,15 @@ func jackBody(c *Ctx) {
 
 	bootImage(c, 24)
 
+	// Every run reads a grammar of nProd productions and builds nStates
+	// states; one buffer each holds them for all 16 runs.
+	nProd, nStates := c.N(700), c.N(2400)
+	prods, states := make([]gc.Handle, nProd), make([]gc.Handle, nStates)
 	runs := 16 // the paper: jack "generates a parser repeatedly" (16 runs)
 	for run := 0; run < runs; run++ {
 		m.Push() // run scope: everything below dies when the run ends
 
 		// Phase 1: read the grammar — productions with RHS chains.
-		nProd := c.N(700)
-		prods := make([]gc.Handle, nProd)
 		for p := 0; p < nProd; p++ {
 			pr := m.Alloc(production, 0)
 			var prev gc.Handle
@@ -56,8 +58,6 @@ func jackBody(c *Ctx) {
 
 		// Phase 2: state construction — states with edge chains, plus a
 		// flood of short-lived scanner tokens while checking examples.
-		nStates := c.N(2400)
-		states := make([]gc.Handle, nStates)
 		for s := 0; s < nStates; s++ {
 			st := m.Alloc(state, 0)
 			m.SetRef(st, 2, prods[c.Rng.Intn(nProd)])

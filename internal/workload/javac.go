@@ -53,7 +53,9 @@ func javacBody(c *Ctx) {
 
 	units := c.N(220)
 	var emitted []gc.Handle // compiled output, live to the end
-	var nodes []gc.Handle   // the current unit's AST, one buffer for every unit
+	// The current unit's scopes, symbols and AST: one buffer each for
+	// every unit.
+	var scopes, syms, nodes []gc.Handle
 
 	for u := 0; u < units; u++ {
 		// A compilation unit: all of its structure becomes garbage at
@@ -73,11 +75,10 @@ func javacBody(c *Ctx) {
 		// and at its symbol chain; each symbol points BACK at its scope
 		// (the cycle), at a peer symbol, and at its defining AST node.
 		nScopes := 12 + c.Rng.Intn(8)
-		scopes := make([]gc.Handle, nScopes)
-		var syms []gc.Handle
+		scopes, syms = scopes[:0], syms[:0]
 		for s := 0; s < nScopes; s++ {
 			sc := m.Alloc(scope, 0)
-			scopes[s] = sc
+			scopes = append(scopes, sc)
 			if s > 0 {
 				m.SetRef(sc, 0, scopes[c.Rng.Intn(s)]) // parent
 			}

@@ -139,10 +139,13 @@ func (b *Benchmark) Run(c gc.Collector, p Params) error {
 // and string constants that a real VM carries. Boundary-barrier
 // collectors rescan this at every collection, which is part of the
 // Appel-vs-Beltway cost difference the paper discusses in §4.2.1.
-func bootImage(c *Ctx, kb int) []gc.Handle {
+func bootImage(c *Ctx, kb int) {
 	tib := c.Types.DefineScalar("boot.tib", 2, 6)
 	str := c.Types.DefineWordArray("boot.str")
-	var tables []gc.Handle
+	// A TIB comes every 320 bytes of the image or so, so the largest
+	// image (64 KiB) has 205: the TIBs' handles fit in a buffer on the
+	// stack.
+	tables := make([]gc.Handle, 0, 256)
 	bytes := 0
 	i := 0
 	for bytes < kb*1024 {
@@ -162,7 +165,6 @@ func bootImage(c *Ctx, kb int) []gc.Handle {
 	for j := 1; j < len(tables); j++ {
 		c.M.SetRef(tables[j], 0, tables[j-1])
 	}
-	return tables
 }
 
 // table is a chunked reference array: workloads use it where the Java
