@@ -191,8 +191,8 @@ func (h *Heap) checkSpares() error {
 		}
 	}
 	held := append([]*Increment{h.win, h.trigOld}, h.gcs.targets...)
-	for _, in := range h.gcs.mosDest {
-		held = append(held, in)
+	for _, d := range h.gcs.mosDest {
+		held = append(held, d.car)
 	}
 	for _, in := range held {
 		if spare[in] {

@@ -117,6 +117,7 @@ func newHeap(cfg Config, types *heap.Registry, sc *scaffold) *Heap {
 		spare:    sc.spare,
 		rootBuf:  sc.rootBuf,
 	}
+	h.los.byFrame = sc.losOf
 	h.mr.frames, h.mr.evac, h.mr.pool = sc.mrFrames, sc.mrEvac, sc.mrPool
 	h.space.OnMap = func() { h.clock.Counters.FramesMapped++ }
 	h.space.OnUnmap = func() { h.clock.Counters.FramesUnmapped++ }

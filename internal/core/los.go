@@ -37,7 +37,7 @@ type losObject struct {
 
 type losState struct {
 	objects []*losObject
-	byFrame map[heap.Frame]*losObject
+	byFrame []*losObject // indexed by frame: the object spanning it; nil past its length
 	bytes   int
 	// mark queue for the current full collection
 	queue    []*losObject
@@ -78,8 +78,8 @@ func (h *Heap) tryAllocLOS(t *heap.TypeDesc, length, size, nFrames int) (heap.Ad
 	last := f + heap.Frame(nFrames-1)
 	h.ensureFrameMeta(last)
 	obj := &losObject{addr: h.space.FrameBase(f), frames: nFrames, size: size}
-	if h.los.byFrame == nil {
-		h.los.byFrame = make(map[heap.Frame]*losObject)
+	for int(last) >= len(h.los.byFrame) {
+		h.los.byFrame = append(h.los.byFrame, nil)
 	}
 	for i := 0; i < nFrames; i++ {
 		fr := f + heap.Frame(i)
@@ -110,7 +110,11 @@ func (h *Heap) markLOS(a heap.Addr) {
 	if !h.los.sweeping {
 		return
 	}
-	obj := h.los.byFrame[h.space.FrameOf(a)]
+	f := h.space.FrameOf(a)
+	if int(f) >= len(h.los.byFrame) {
+		return
+	}
+	obj := h.los.byFrame[f]
 	if obj == nil || obj.marked {
 		return
 	}
@@ -163,7 +167,7 @@ func (h *Heap) sweepLOS() {
 		}
 		f := h.space.FrameOf(obj.addr)
 		for fr := f; fr < f+heap.Frame(obj.frames); fr++ {
-			delete(h.los.byFrame, fr)
+			h.los.byFrame[fr] = nil
 			h.releaseFrame(fr)
 		}
 		h.los.bytes -= obj.size

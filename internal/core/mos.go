@@ -142,7 +142,7 @@ func (h *Heap) mosDestination(src *Increment, ctx *Increment, st *gcState) *Incr
 // the given train (-1 means a brand-new train), registered with the
 // collection's scan list.
 func (h *Heap) mosTargetCar(train int, st *gcState) *Increment {
-	in := st.mosDest[train] // never set for -1
+	in := st.mosCar(train) // never set for -1
 	if in != nil {
 		return in
 	}
@@ -154,7 +154,7 @@ func (h *Heap) mosTargetCar(train int, st *gcState) *Increment {
 	} else {
 		in = h.newMOSCar(train)
 	}
-	st.mosDest[in.train] = in
+	st.setMOSCar(in)
 	h.registerScan(in, st)
 	return in
 }

@@ -9,15 +9,15 @@ import (
 
 // scaffold is what Release hands the next Heap built in the process (see
 // DESIGN.md §5, "Run lifecycle"): the arrays a run grows as it goes —
-// the root table, the remembered-set storage, the per-frame tables, the
-// Space's frame table and recycle queue, the mark-region line metadata,
-// the buffer a collection gathers remembered-set roots in —
-// each emptied with its capacity kept, and the run's increments. What a
-// Heap built on it can observe is what a new one would: every table
-// starts at length zero, every increment is a spare.
+// the root table, the remembered-set storage, the per-frame tables (the
+// large object space's among them), the Space's frame table and recycle
+// queue, the mark-region line metadata, the buffer a collection gathers
+// remembered-set roots in — each emptied with its capacity kept, and the
+// run's increments. What a Heap built on it can observe is what a new one
+// would: every table starts at length zero, every increment is a spare.
 //
-// Maps are not in it (remset.Storage says why), and neither is anything a
-// Result can alias: the clock and its pause list stay with the run.
+// Nothing a Result can alias is in it: the clock and its pause list stay
+// with the run.
 type scaffold struct {
 	space heap.SpaceStorage
 	roots gc.RootStorage
@@ -28,6 +28,7 @@ type scaffold struct {
 	immortal []bool
 	fill     []heap.Addr
 	cards    []bool
+	losOf    []*losObject
 	spare    []*Increment
 	rootBuf  []heap.Addr
 
@@ -89,6 +90,7 @@ func (h *Heap) dismantle() *scaffold {
 		immortal: emptied(h.immortal),
 		fill:     emptied(h.fill),
 		cards:    emptied(h.cards),
+		losOf:    emptied(h.los.byFrame),
 		spare:    h.spare,
 		rootBuf:  emptied(h.rootBuf),
 		mrFrames: emptied(h.mr.frames),

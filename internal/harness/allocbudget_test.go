@@ -58,14 +58,11 @@ func goHeapCostOf(t *testing.T, cfg ConfigFunc, heapBytes int, bench *workload.B
 //
 //   - a warm run, the second of two identical ones in a process, builds
 //     on what the first released, even with two Go collections between
-//     them: at most 150 Go mallocs and 32 KB (it read 878 and 187.1 KB
-//     when every run grew its root table, remembered sets, per-frame
-//     tables and recorder ring from nothing, and 128 and 33.6 KB when it
-//     still made a new RNG and remembered-set root buffer);
+//     them: at most 110 Go mallocs and 16 KB (it reads about 80 and
+//     11 KB);
 //
-//   - so does a warm javac run, at most 150 Go mallocs and 40 KB (it read
-//     290 and 62.1 KB when every compilation unit made new scope and
-//     symbol slices).
+//   - so does a warm javac run, at most 120 Go mallocs and 36 KB (it
+//     reads about 90 and 23 KB, 28 KB under -race).
 func TestRunOneAllocBudget(t *testing.T) {
 	mk, bench, env, minHeap := budgetJob(t)
 	t.Run("per object", func(t *testing.T) {
@@ -96,7 +93,7 @@ func TestRunOneAllocBudget(t *testing.T) {
 		}
 	})
 	t.Run("warm", func(t *testing.T) {
-		warmRunWithin(t, mk, 6*minHeap, bench, env, 150, 32<<10)
+		warmRunWithin(t, mk, 6*minHeap, bench, env, 110, 16<<10)
 	})
 	t.Run("warm javac", func(t *testing.T) {
 		javac := workload.Get("javac")
@@ -104,7 +101,7 @@ func TestRunOneAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warmRunWithin(t, mk, 6*min, javac, env, 150, 40<<10)
+		warmRunWithin(t, mk, 6*min, javac, env, 120, 36<<10)
 	})
 }
 

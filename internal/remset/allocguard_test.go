@@ -40,9 +40,9 @@ func TestDuplicateInsertPairSwitchZeroAlloc(t *testing.T) {
 }
 
 // Frames are collected and refilled all run long: a pair that DeleteFrame
-// retired hands its set and index buckets to the next fresh pair, so the
-// barrier slow path's first insert for a new frame pair stays off the Go
-// allocator in steady state.
+// retired hands its set, slot array and all, to the next fresh pair, and
+// a frame's lists live in the sets, so the barrier slow path's first
+// insert for a new frame pair stays off the Go allocator in steady state.
 func TestFreshPairAfterDeleteFrameZeroAlloc(t *testing.T) {
 	tb := NewTable()
 	frame := heap.Frame(10)
@@ -90,6 +90,53 @@ func TestFreshPairAfterAppendRootsZeroAlloc(t *testing.T) {
 	}
 }
 
+// warmScript drives tb through a fixed script over 24 frames — inserts,
+// frame deletes, and harvests into *dst — the same on every call.
+func warmScript(tb *Table, dst *[]heap.Addr) {
+	x := uint32(1)
+	next := func(n uint32) uint32 {
+		x = x*1664525 + 1013904223
+		return (x >> 8) % n
+	}
+	frame := func() heap.Frame { return heap.Frame(1 + next(24)) }
+	for step := 0; step < 20000; step++ {
+		switch op := next(50); {
+		case op < 46:
+			tb.Insert(frame(), frame(), heap.Addr(next(1024))*4)
+		case op < 48:
+			tb.DeleteFrame(frame())
+		default:
+			c := frame()
+			*dst = tb.AppendRoots((*dst)[:0], func(f heap.Frame) bool { return f == c || f == c+1 })
+		}
+	}
+}
+
+// TestWarmTableZeroAlloc: a table built on a released table's Storage
+// has every array the same work grew, so replaying that work — its
+// inserts, harvests and frame deletes — allocates nothing. Each measured
+// replay gets a table of its own, built beforehand.
+func TestWarmTableZeroAlloc(t *testing.T) {
+	const runs = 5
+	var dst []heap.Addr
+	tables := make([]*Table, runs+1)
+	for i := range tables {
+		used := NewTable()
+		warmScript(used, &dst)
+		if used.NumSets() == 0 {
+			t.Fatal("the script left no sets: nothing for Release to hand on")
+		}
+		tables[i] = NewTableFrom(used.Release())
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		warmScript(tables[next], &dst)
+		next++
+	}); n != 0 {
+		t.Errorf("replaying a script on a warm table allocates %v times, want 0", n)
+	}
+}
+
 // TestAppendRootsMatchedZeroAlloc pins the harvest fast path: with a
 // reusable destination buffer of sufficient capacity, a matched
 // AppendRoots over compacted sets performs zero heap allocations — a
@@ -107,11 +154,11 @@ func TestAppendRootsMatchedZeroAlloc(t *testing.T) {
 		}
 		// Compact every set so the collection's lazy compact is a no-op,
 		// and pre-size the scratch the first collection would grow.
-		for _, s := range tb.sets {
-			s.compact()
+		for i := range tb.sets {
+			tb.compact(&tb.sets[i])
 		}
-		tb.matched = make([]key, 0, 8)
-		tb.spareSets = make([]*set, 0, 8)
+		tb.matched = make([]ref, 0, 8)
+		tb.free = make([]int32, 0, 8)
 		return tb
 	}
 	tables := make([]*Table, 0, runs+2)

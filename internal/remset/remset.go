@@ -9,17 +9,32 @@
 // collected, and sets between two frames that happen to be collected
 // together can be ignored wholesale.
 //
-// The table is keyed by a packed uint64 (src<<32 | tgt), the paper's
-// rsidx, and each set is a sorted slot slice with a small unsorted tail:
-// duplicate detection is a binary search over the sorted prefix plus a
-// bounded linear scan, and the tail is merged in when it fills. Two
-// per-frame indexes (by source and by target) let DeleteFrame,
-// CollectRoots and EntriesTargeting touch only the sets involving the
-// frames in question instead of scanning the whole table.
+// Frames are small dense integers, so the table is arrays indexed by
+// them, with no Go map and no object per set:
+//
+//   - the sets are values in one pooled array (Table.sets), addressed by
+//     index. Each holds its slot addresses in one array: a sorted,
+//     duplicate-free prefix and a short unsorted tail of recent inserts.
+//     Duplicate detection is a binary search over the prefix plus a
+//     bounded linear scan of the tail, and the tail is merged in when it
+//     fills;
+//   - a set is found from its packed (src, tgt) key, the paper's rsidx,
+//     through an open-addressed index of set numbers;
+//   - one record per frame (Table.frames) heads two lists threaded
+//     through the sets — those with that frame as source, and those with
+//     it as target — and counts the entries targeting it. The lists are
+//     doubly linked by set number, so dropping a set is O(1) and a frame
+//     owns no array;
+//   - the frames some set targets are listed densely (Table.tgtFrames).
+//
+// So DeleteFrame, AppendRoots and EntriesTargeting touch only the frames
+// and sets involved, never the table's whole extent. Release hands every
+// array on to the next table (NewTableFrom), so a table on released
+// storage allocates nothing until it outgrows the last one.
 package remset
 
 import (
-	"fmt"
+	"cmp"
 	"slices"
 
 	"beltway/internal/heap"
@@ -40,137 +55,128 @@ func (k key) tgt() heap.Frame { return heap.Frame(k) }
 // in the tens of nanoseconds.
 const tailMax = 48
 
-// set is one per-pair remembered set: a sorted, duplicate-free slice of
-// slot addresses plus a bounded unsorted tail of recent inserts. Entries
-// are deduplicated, as GCTk's hash-based remsets were; the insert attempt
+// The two lists of a frame, indexing set.link and frameIndex.head.
+const (
+	bySrc = iota
+	byTgt
+)
+
+// link is a set's place in a list: the numbers of its neighbours, 0 at
+// either end.
+type link struct{ prev, next int32 }
+
+// set is one per-pair remembered set. entries[:sorted] is ascending and
+// duplicate-free; entries[sorted:] is the tail of recent inserts, unique,
+// disjoint from the prefix and shorter than tailMax. A live set is never
+// empty; a retired one keeps its array at length zero. Entries are
+// deduplicated, as GCTk's hash-based remsets were; the insert attempt
 // count (for barrier cost accounting) is tracked by the caller.
 type set struct {
-	sorted []heap.Addr // ascending, unique
-	tail   []heap.Addr // recent inserts; unique, disjoint from sorted
+	key     key
+	entries []heap.Addr
+	sorted  int32
+	link    [2]link // neighbours in the source frame's and the target frame's lists
 }
-
-func (s *set) len() int { return len(s.sorted) + len(s.tail) }
 
 func (s *set) contains(a heap.Addr) bool {
-	if _, ok := slices.BinarySearch(s.sorted, a); ok {
-		return true
-	}
-	return slices.Contains(s.tail, a)
-}
-
-// insert adds a, reporting whether it was newly stored.
-func (s *set) insert(a heap.Addr) bool {
-	if s.contains(a) {
-		return false
-	}
-	s.tail = append(s.tail, a)
-	if len(s.tail) >= tailMax {
-		s.compact()
-	}
-	return true
-}
-
-// compact merges the tail into the sorted prefix: sort the tail, grow the
-// prefix, then merge the two runs back to front in place.
-func (s *set) compact() {
-	nt := len(s.tail)
-	if nt == 0 {
-		return
-	}
-	slices.Sort(s.tail)
-	ns := len(s.sorted)
-	s.sorted = append(s.sorted, s.tail...)
-	i, j := ns-1, nt-1
-	for k := ns + nt - 1; j >= 0; k-- {
-		if i >= 0 && s.sorted[i] > s.tail[j] {
-			s.sorted[k] = s.sorted[i]
-			i--
-		} else {
-			s.sorted[k] = s.tail[j]
-			j--
+	if s.sorted > 0 { // a set whose tail never filled has no prefix
+		if _, ok := slices.BinarySearch(s.entries[:s.sorted], a); ok {
+			return true
 		}
 	}
-	s.tail = s.tail[:0]
+	return slices.Contains(s.entries[s.sorted:], a)
 }
 
-// DebugSlot, when nonzero, logs every Insert/delete affecting that slot
-// address (test instrumentation; zero in production).
-var DebugSlot heap.Addr
+// ref names a set: its key and its number, the index in Table.sets plus
+// one, so the zero ref names none.
+type ref struct {
+	key key
+	set int32
+}
+
+// frameIndex is what the table records about one frame.
+type frameIndex struct {
+	head    [2]int32 // first live set with this frame as source, as target; 0 for none
+	entries int      // stored entries in the sets targeting this frame
+	at      int32    // position in Table.tgtFrames while it heads a byTgt list
+}
 
 // Table holds all remembered sets of a running collector.
 type Table struct {
-	sets  map[key]*set
+	sets  []set   // live and retired sets; a set's number is its index + 1
+	free  []int32 // numbers of the retired sets below len(sets)
 	total int
 
-	// Per-frame indexes: the keys of every live set with the given source
-	// (resp. target) frame, and the stored-entry count per target frame.
-	// They bound DeleteFrame and CollectRoots to the sets actually
-	// touching a frame, and make EntriesTargeting — polled from the
-	// allocation path by the remset trigger — O(distinct target frames).
-	bySrc      map[heap.Frame][]key
-	byTgt      map[heap.Frame][]key
-	tgtEntries map[heap.Frame]int
+	// index finds a live set by key: open addressing with linear probing
+	// over a power-of-two array kept at most half full, home slot the top
+	// bits of a multiplicative hash (shift = 64 - log2(len(index))).
+	index []ref
+	shift uint8
+
+	frames    []frameIndex // indexed by frame
+	tgtFrames []heap.Frame // frames some set targets, in no order
 
 	// single-entry insert cache: pointer stores cluster heavily by
-	// (source, target) frame pair, so this avoids most map lookups.
+	// (source, target) frame pair, so this avoids most index probes.
 	lastKey key
-	lastSet *set
+	last    int32 // set number, 0 for none
 
-	matched []key // CollectRoots scratch, reused across collections
-
-	// Retired sets and index buckets, handed back out by Insert with
-	// their arrays emptied but kept: frames are collected and refilled
-	// for a whole run, so in steady state the barrier slow path and a
-	// collection's harvest take their storage from here, not from the Go
-	// allocator.
-	spareSets    []*set
-	spareBuckets [][]key
+	matched []ref       // AppendRoots scratch, reused across collections
+	scratch []heap.Addr // compact's copy of a tail
 }
+
+// minIndexBits is log2 of the index length of a table started from
+// nothing.
+const minIndexBits = 4
 
 // NewTable returns an empty remembered-set table.
 func NewTable() *Table { return NewTableFrom(Storage{}) }
 
-// Storage is what a released Table leaves behind: every set it held,
-// emptied, on the spare list, every index bucket's array, and the
-// CollectRoots scratch. The maps are not in it. Go ranges a map over
-// every bucket it ever grew, so a map that once held a large run's frame
-// pairs would slow every later run's AppendRoots and EntriesTargeting;
-// they are built fresh.
-type Storage struct {
-	sets    []*set
-	buckets [][]key
-	matched []key
-}
+// Storage is what a released Table leaves behind: every array it grew,
+// emptied, with its capacity kept — the sets with theirs, the per-frame
+// records, the key index and the harvest scratch.
+type Storage struct{ t Table }
 
-// NewTableFrom is NewTable drawing its sets and buckets from st first.
+// NewTableFrom is NewTable building on st's arrays.
 func NewTableFrom(st Storage) *Table {
-	return &Table{
-		sets:         make(map[key]*set),
-		bySrc:        make(map[heap.Frame][]key),
-		byTgt:        make(map[heap.Frame][]key),
-		tgtEntries:   make(map[heap.Frame]int),
-		matched:      st.matched,
-		spareSets:    st.sets,
-		spareBuckets: st.buckets,
+	t := &st.t
+	if t.index == nil {
+		t.index, t.shift = make([]ref, 1<<minIndexBits), 64-minIndexBits
 	}
+	return t
 }
 
 // Release empties the table into a Storage for the next one
-// (NewTableFrom). The table is left without maps: any use afterwards
-// panics rather than reach storage another run may own.
+// (NewTableFrom). The table is left with no index, so any lookup or
+// insert afterwards panics rather than reach storage another run may
+// own.
 func (t *Table) Release() Storage {
-	st := Storage{sets: t.spareSets, buckets: t.spareBuckets, matched: t.matched[:0]}
-	for _, s := range t.sets {
-		s.sorted, s.tail = s.sorted[:0], s.tail[:0]
-		st.sets = append(st.sets, s)
+	for i := range t.sets {
+		t.sets[i].entries = t.sets[i].entries[:0]
 	}
-	for _, idx := range []map[heap.Frame][]key{t.bySrc, t.byTgt} {
-		for _, bucket := range idx {
-			st.buckets = append(st.buckets, bucket[:0])
-		}
-	}
+	clear(t.frames)
+	clear(t.index)
+	st := Storage{Table{
+		sets:      t.sets[:0],
+		free:      t.free[:0],
+		index:     t.index,
+		shift:     t.shift,
+		frames:    t.frames[:0],
+		tgtFrames: t.tgtFrames[:0],
+		matched:   t.matched[:0],
+		scratch:   t.scratch[:0],
+	}}
 	*t = Table{}
 	return st
+}
+
+// extend returns s at length n, taking the elements past its length
+// (emptied by Release) before growing it.
+func extend[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // Insert records slot (the address of a pointer field in frame src whose
@@ -178,99 +184,161 @@ func (t *Table) Release() Storage {
 // stored (false means it was a duplicate).
 func (t *Table) Insert(src, tgt heap.Frame, slot heap.Addr) bool {
 	k := makeKey(src, tgt)
-	s := t.lastSet
-	if s == nil || t.lastKey != k {
-		s = t.sets[k]
-		if s == nil {
-			s = t.newSet()
-			t.sets[k] = s
-			t.addKey(t.bySrc, src, k)
-			t.addKey(t.byTgt, tgt, k)
-		}
-		t.lastKey, t.lastSet = k, s
+	if t.last == 0 || t.lastKey != k {
+		t.last, t.lastKey = t.setFor(k), k
 	}
-	if !s.insert(slot) {
+	s := &t.sets[t.last-1]
+	if s.contains(slot) {
 		return false
 	}
-	t.total++
-	t.tgtEntries[tgt]++
-	if DebugSlot != 0 && slot == DebugSlot {
-		fmt.Printf("remset: insert (%d,%d) slot %v\n", src, tgt, slot)
+	s.entries = append(s.entries, slot)
+	if len(s.entries)-int(s.sorted) >= tailMax {
+		t.compact(s)
 	}
+	t.total++
+	t.frames[tgt].entries++
 	return true
 }
 
-// takeLast pops the last element off a spare list, if it has one.
-func takeLast[T any](spare *[]T) (v T, ok bool) {
-	n := len(*spare)
-	if n == 0 {
-		return v, false
+// compact merges s's tail into its sorted prefix: sort the tail in
+// place, then, unless it already follows the prefix, merge a copy of it
+// with the prefix back to front.
+func (t *Table) compact(s *set) {
+	ns := int(s.sorted)
+	tail := s.entries[ns:]
+	slices.Sort(tail)
+	s.sorted = int32(len(s.entries))
+	if len(tail) == 0 || ns == 0 || s.entries[ns-1] < tail[0] {
+		return
 	}
-	var zero T
-	v, (*spare)[n-1] = (*spare)[n-1], zero
-	*spare = (*spare)[:n-1]
-	return v, true
-}
-
-// newSet returns an empty set, a retired one when there is one.
-func (t *Table) newSet() *set {
-	if s, ok := takeLast(&t.spareSets); ok {
-		return s
-	}
-	return &set{}
-}
-
-// addKey appends k to the index bucket of frame f in idx, starting a
-// frame's bucket on a retired array when there is one.
-func (t *Table) addKey(idx map[heap.Frame][]key, f heap.Frame, k key) {
-	bucket, ok := idx[f]
-	if !ok {
-		bucket, _ = takeLast(&t.spareBuckets)
-	}
-	idx[f] = append(bucket, k)
-}
-
-// retireBucket removes frame f's bucket from idx and keeps its array.
-func (t *Table) retireBucket(idx map[heap.Frame][]key, f heap.Frame) {
-	if bucket, ok := idx[f]; ok {
-		delete(idx, f)
-		t.spareBuckets = append(t.spareBuckets, bucket[:0])
-	}
-}
-
-// dropKey removes k from the index bucket of frame f in idx.
-func dropKey(idx map[heap.Frame][]key, f heap.Frame, k key) {
-	bucket := idx[f]
-	for i, kk := range bucket {
-		if kk == k {
-			bucket[i] = bucket[len(bucket)-1]
-			idx[f] = bucket[:len(bucket)-1]
-			return
+	t.scratch = append(t.scratch[:0], tail...)
+	i, j := ns-1, len(t.scratch)-1
+	for k := len(s.entries) - 1; j >= 0; k-- {
+		if i >= 0 && s.entries[i] > t.scratch[j] {
+			s.entries[k] = s.entries[i]
+			i--
+		} else {
+			s.entries[k] = t.scratch[j]
+			j--
 		}
 	}
 }
 
-// dropSet removes the set under k from the table and all indexes,
-// adjusting the entry counts. keepSrc/keepTgt suppress index maintenance
-// for a frame whose whole bucket the caller is about to discard.
-func (t *Table) dropSet(k key, s *set, keepSrc, keepTgt bool) {
-	n := s.len()
-	t.total -= n
-	tgt := k.tgt()
-	if c := t.tgtEntries[tgt] - n; c > 0 {
-		t.tgtEntries[tgt] = c
+// home is k's first probe position in the index.
+func (t *Table) home(k key) int { return int(uint64(k) * 0x9e3779b97f4a7c15 >> t.shift) }
+
+// probe returns the index position holding k, or the empty one where k
+// would go.
+func (t *Table) probe(k key) int {
+	mask := len(t.index) - 1
+	i := t.home(k)
+	for t.index[i].set != 0 && t.index[i].key != k {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// lookup returns the number of k's set, 0 if it has none.
+func (t *Table) lookup(k key) int32 { return t.index[t.probe(k)].set }
+
+// setFor returns the number of k's set, making the set if it has none.
+func (t *Table) setFor(k key) int32 {
+	if n := t.lookup(k); n != 0 {
+		return n
+	}
+	if 2*(t.NumSets()+1) > len(t.index) {
+		t.growIndex()
+	}
+	var n int32
+	if last := len(t.free) - 1; last >= 0 {
+		n, t.free = t.free[last], t.free[:last]
 	} else {
-		delete(t.tgtEntries, tgt)
+		t.sets = extend(t.sets, len(t.sets)+1)
+		n = int32(len(t.sets))
 	}
-	delete(t.sets, k)
-	s.sorted, s.tail = s.sorted[:0], s.tail[:0]
-	t.spareSets = append(t.spareSets, s)
-	if !keepSrc {
-		dropKey(t.bySrc, k.src(), k)
+	t.index[t.probe(k)] = ref{k, n}
+	src, tgt := k.src(), k.tgt()
+	if top := int(max(src, tgt)) + 1; top > len(t.frames) {
+		t.frames = extend(t.frames, top)
 	}
-	if !keepTgt {
-		dropKey(t.byTgt, tgt, k)
+	t.sets[n-1].key, t.sets[n-1].sorted = k, 0
+	t.push(n, bySrc, src)
+	if ft := &t.frames[tgt]; ft.head[byTgt] == 0 {
+		ft.at, t.tgtFrames = int32(len(t.tgtFrames)), append(t.tgtFrames, tgt)
 	}
+	t.push(n, byTgt, tgt)
+	return n
+}
+
+// push puts set n at the head of frame f's list on side.
+func (t *Table) push(n int32, side int, f heap.Frame) {
+	head := &t.frames[f].head[side]
+	t.sets[n-1].link[side] = link{next: *head}
+	if *head != 0 {
+		t.sets[*head-1].link[side].prev = n
+	}
+	*head = n
+}
+
+// unlink takes set n out of frame f's list on side.
+func (t *Table) unlink(n int32, side int, f heap.Frame) {
+	l := t.sets[n-1].link[side]
+	if l.prev != 0 {
+		t.sets[l.prev-1].link[side].next = l.next
+	} else {
+		t.frames[f].head[side] = l.next
+	}
+	if l.next != 0 {
+		t.sets[l.next-1].link[side].prev = l.prev
+	}
+}
+
+// growIndex doubles the index and re-probes every key into it.
+func (t *Table) growIndex() {
+	old := t.index
+	t.index = make([]ref, 2*len(old))
+	t.shift--
+	for _, r := range old {
+		if r.set != 0 {
+			t.index[t.probe(r.key)] = r
+		}
+	}
+}
+
+// unindex removes k from the index, shifting back any later key of the
+// probe run that may no longer be reached past the hole.
+func (t *Table) unindex(k key) {
+	mask := len(t.index) - 1
+	hole := t.probe(k)
+	for j := (hole + 1) & mask; t.index[j].set != 0; j = (j + 1) & mask {
+		// The key at j may fill the hole if its home is not in (hole, j].
+		if (j-t.home(t.index[j].key))&mask >= (j-hole)&mask {
+			t.index[hole] = t.index[j]
+			hole = j
+		}
+	}
+	t.index[hole] = ref{}
+}
+
+// dropSet removes set n from the index, its frames' lists and the entry
+// counts, and retires it with its array emptied.
+func (t *Table) dropSet(n int32) {
+	s := &t.sets[n-1]
+	src, tgt := s.key.src(), s.key.tgt()
+	t.unindex(s.key)
+	t.unlink(n, bySrc, src)
+	t.unlink(n, byTgt, tgt)
+	t.total -= len(s.entries)
+	ft := &t.frames[tgt]
+	ft.entries -= len(s.entries)
+	if ft.head[byTgt] == 0 {
+		moved := t.tgtFrames[len(t.tgtFrames)-1]
+		t.tgtFrames[ft.at] = moved
+		t.frames[moved].at = ft.at
+		t.tgtFrames = t.tgtFrames[:len(t.tgtFrames)-1]
+	}
+	s.entries, s.sorted = s.entries[:0], 0
+	t.free = append(t.free, n)
 }
 
 // DeleteFrame removes every set in which f appears as source or target.
@@ -278,31 +346,17 @@ func (t *Table) dropSet(k key, s *set, keepSrc, keepTgt bool) {
 // it (survivors re-insert during scanning), and entries into a collected
 // frame have been consumed.
 func (t *Table) DeleteFrame(f heap.Frame) {
-	for _, k := range t.bySrc[f] {
-		s := t.sets[k]
-		if s == nil {
-			continue // already dropped: the (f, f) self pair
-		}
-		if DebugSlot != 0 && s.contains(DebugSlot) {
-			fmt.Printf("remset: DeleteFrame(%d) drops (%d,%d) holding slot %v\n",
-				f, k.src(), k.tgt(), DebugSlot)
-		}
-		t.dropSet(k, s, true, k.tgt() == f)
+	if int(f) >= len(t.frames) {
+		return
 	}
-	t.retireBucket(t.bySrc, f)
-	for _, k := range t.byTgt[f] {
-		s := t.sets[k]
-		if s == nil {
-			continue // dropped by the source pass above
-		}
-		if DebugSlot != 0 && s.contains(DebugSlot) {
-			fmt.Printf("remset: DeleteFrame(%d) drops (%d,%d) holding slot %v\n",
-				f, k.src(), k.tgt(), DebugSlot)
-		}
-		t.dropSet(k, s, false, true)
+	head := &t.frames[f].head
+	for head[bySrc] != 0 {
+		t.dropSet(head[bySrc])
 	}
-	t.retireBucket(t.byTgt, f)
-	t.lastSet = nil
+	for head[byTgt] != 0 {
+		t.dropSet(head[byTgt])
+	}
+	t.last = 0
 }
 
 // TotalEntries returns the number of stored entries across all sets.
@@ -314,9 +368,9 @@ func (t *Table) TotalEntries() int { return t.total }
 // per distinct target frame rather than one per set.
 func (t *Table) EntriesTargeting(inTarget func(heap.Frame) bool) int {
 	n := 0
-	for f, c := range t.tgtEntries {
+	for _, f := range t.tgtFrames {
 		if inTarget(f) {
-			n += c
+			n += t.frames[f].entries
 		}
 	}
 	return n
@@ -335,45 +389,42 @@ func (t *Table) CollectRoots(condemned func(heap.Frame) bool) []heap.Addr {
 // reusable buffer collects without allocating.
 func (t *Table) AppendRoots(dst []heap.Addr, condemned func(heap.Frame) bool) []heap.Addr {
 	matched := t.matched[:0]
-	for f, bucket := range t.byTgt {
+	for _, f := range t.tgtFrames {
 		if !condemned(f) {
 			continue
 		}
-		for _, k := range bucket {
-			if condemned(k.src()) {
-				continue
+		for n := t.frames[f].head[byTgt]; n != 0; n = t.sets[n-1].link[byTgt].next {
+			if k := t.sets[n-1].key; !condemned(k.src()) {
+				matched = append(matched, ref{k, n})
 			}
-			matched = append(matched, k)
 		}
 	}
 	// Deterministic order: packed keys sort by (src, tgt), then slot
 	// address ascending within each set.
-	slices.Sort(matched)
-	for _, k := range matched {
-		s := t.sets[k]
-		if DebugSlot != 0 && s.contains(DebugSlot) {
-			fmt.Printf("remset: CollectRoots consumes (%d,%d) holding slot %v\n",
-				k.src(), k.tgt(), DebugSlot)
-		}
-		s.compact()
-		dst = append(dst, s.sorted...)
-		t.dropSet(k, s, false, false)
+	slices.SortFunc(matched, func(a, b ref) int { return cmp.Compare(a.key, b.key) })
+	for _, r := range matched {
+		s := &t.sets[r.set-1]
+		t.compact(s)
+		dst = append(dst, s.entries...)
+		t.dropSet(r.set)
 	}
 	t.matched = matched[:0]
-	t.lastSet = nil
+	t.last = 0
 	return dst
 }
 
 // NumSets returns the number of live (source, target) sets.
-func (t *Table) NumSets() int { return len(t.sets) }
+func (t *Table) NumSets() int { return len(t.sets) - len(t.free) }
 
-// AnyEntry reports whether any non-empty set's (source, target) pair
-// satisfies match. The MOS train-death test uses it to ask "does any
-// remembered pointer enter this train from outside it?".
+// AnyEntry reports whether any set's (source, target) pair satisfies
+// match. The MOS train-death test uses it to ask "does any remembered
+// pointer enter this train from outside it?".
 func (t *Table) AnyEntry(match func(src, tgt heap.Frame) bool) bool {
-	for k, s := range t.sets {
-		if s.len() > 0 && match(k.src(), k.tgt()) {
-			return true
+	for _, f := range t.tgtFrames {
+		for n := t.frames[f].head[byTgt]; n != 0; n = t.sets[n-1].link[byTgt].next {
+			if match(t.sets[n-1].key.src(), f) {
+				return true
+			}
 		}
 	}
 	return false
@@ -383,6 +434,6 @@ func (t *Table) AnyEntry(match func(src, tgt heap.Frame) bool) bool {
 // the heap invariant checker; the collector itself never needs point
 // lookups.
 func (t *Table) Contains(src, tgt heap.Frame, slot heap.Addr) bool {
-	s := t.sets[makeKey(src, tgt)]
-	return s != nil && s.contains(slot)
+	n := t.lookup(makeKey(src, tgt))
+	return n != 0 && t.sets[n-1].contains(slot)
 }

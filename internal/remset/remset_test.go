@@ -1,6 +1,7 @@
 package remset
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -120,20 +121,18 @@ func TestTotalEntriesInvariant(t *testing.T) {
 	}
 	prop := func(ops []op, del uint8) bool {
 		tb := NewTable()
-		ref := make(map[[3]uint32]bool)
+		var ref [][3]uint32
 		for _, o := range ops {
 			src, tgt := heap.Frame(o.Src%8+1), heap.Frame(o.Tgt%8+1)
 			slot := heap.Addr(o.Slot) * 4
 			tb.Insert(src, tgt, slot)
-			ref[[3]uint32{uint32(src), uint32(tgt), uint32(slot)}] = true
-		}
-		f := heap.Frame(del%8 + 1)
-		tb.DeleteFrame(f)
-		for k := range ref {
-			if k[0] == uint32(f) || k[1] == uint32(f) {
-				delete(ref, k)
+			if k := [3]uint32{uint32(src), uint32(tgt), uint32(slot)}; !slices.Contains(ref, k) {
+				ref = append(ref, k)
 			}
 		}
+		f := uint32(del%8 + 1)
+		tb.DeleteFrame(heap.Frame(f))
+		ref = slices.DeleteFunc(ref, func(k [3]uint32) bool { return k[0] == f || k[1] == f })
 		return tb.TotalEntries() == len(ref)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {

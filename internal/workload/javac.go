@@ -52,7 +52,9 @@ func javacBody(c *Ctx) {
 	}
 
 	units := c.N(220)
-	var emitted []gc.Handle // compiled output, live to the end
+	// Compiled output: like javac's per-run reset, only a window of
+	// recent units' code stays live.
+	emitted := newWindow(c.N(40))
 	// The current unit's scopes, symbols and AST: one buffer each for
 	// every unit.
 	var scopes, syms, nodes []gc.Handle
@@ -125,13 +127,6 @@ func javacBody(c *Ctx) {
 		m.Pop()
 		out := m.AllocGlobal(code, 64+c.Rng.Intn(192))
 		m.SetData(out, 0, uint32(u))
-		emitted = append(emitted, out)
-
-		// Bound the retained output like javac's per-run reset: keep a
-		// window of recent units' code.
-		if len(emitted) > c.N(40) {
-			m.Release(emitted[0])
-			emitted = emitted[1:]
-		}
+		emitted.push(m, out)
 	}
 }

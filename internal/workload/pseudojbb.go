@@ -42,10 +42,11 @@ func pseudojbbBody(c *Ctx) {
 	nWh := 4
 	nDist := 10
 	nStockPerDist := c.N(1200)
+	retireAfter := 60 // a district keeps its last 60 orders open
 	type distT struct {
 		h          gc.Handle
 		stockTab   *table
-		openOrders []gc.Handle // FIFO ring of retirable orders
+		openOrders window // retirable orders, oldest first
 	}
 	var dists []*distT
 	var prevWh gc.Handle
@@ -71,13 +72,12 @@ func pseudojbbBody(c *Ctx) {
 				st.Set(m, s, sk)
 				m.Pop()
 			}
-			dists = append(dists, &distT{h: dh, stockTab: st})
+			dists = append(dists, &distT{h: dh, stockTab: st, openOrders: newWindow(retireAfter)})
 		}
 	}
 
 	// Fixed transaction count (the "pseudo" in pseudojbb).
 	transactions := c.N(45000)
-	retireAfter := 60 // orders retire ~60 transactions later
 	for t := 0; t < transactions; t++ {
 		d := dists[c.Rng.Intn(len(dists))]
 		m.Push()
@@ -110,13 +110,9 @@ func pseudojbbBody(c *Ctx) {
 			m.Work(3)
 		}
 		m.SetRef(o, 0, prevLine)
-		d.openOrders = append(d.openOrders, o)
-
-		// Retire old orders (delivery transaction).
-		for len(d.openOrders) > retireAfter {
-			m.Release(d.openOrders[0])
-			d.openOrders = d.openOrders[1:]
-		}
+		// Open the order; once the district has retireAfter open, its
+		// oldest retires (delivery transaction).
+		d.openOrders.push(m, o)
 		m.Pop()
 		m.Work(8)
 	}

@@ -212,6 +212,29 @@ func (tb *table) IsNil(m *vm.Mutator, i int) bool {
 	return m.RefIsNil(tb.buckets[i/bucketSize], i%bucketSize)
 }
 
+// window holds the handles most recently pushed to it, up to a fixed
+// count, releasing the oldest as each new one arrives: a FIFO on one
+// array, where sliding a slice (s = s[1:]) would reallocate it whenever
+// its capacity ran out.
+type window struct {
+	ring   []gc.Handle
+	oldest int // position of the oldest handle once the ring is full
+}
+
+// newWindow returns an empty window of n handles (n >= 1).
+func newWindow(n int) window { return window{ring: make([]gc.Handle, 0, n)} }
+
+// push adds h, releasing the oldest handle first if the window is full.
+func (w *window) push(m *vm.Mutator, h gc.Handle) {
+	if len(w.ring) < cap(w.ring) {
+		w.ring = append(w.ring, h)
+		return
+	}
+	m.Release(w.ring[w.oldest])
+	w.ring[w.oldest] = h
+	w.oldest = (w.oldest + 1) % len(w.ring)
+}
+
 // release drops the table's bucket roots.
 func (tb *table) release(m *vm.Mutator) {
 	for _, b := range tb.buckets {
