@@ -133,14 +133,6 @@ func XXMOS(x int, o Options) Config { return collectors.XXMOS(x, o) }
 // remembered sets (the alternative §5 discusses).
 func WithCardBarrier(cfg Config) Config { return collectors.WithCardBarrier(cfg) }
 
-// WithLOS enables a large object space: objects larger than threshold
-// bytes are allocated in non-moving frame spans and mark-swept at full
-// collections. (The paper's GCTk had no LOS; this is an extension.)
-func WithLOS(cfg Config, threshold int) Config {
-	cfg.LOSThresholdBytes = threshold
-	return cfg
-}
-
 // OlderFirst returns the BOF (windowed older-first) configuration.
 func OlderFirst(window int, o Options) Config { return collectors.BOF(window, o) }
 

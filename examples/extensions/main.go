@@ -1,9 +1,13 @@
-// Extensions: the three beyond-the-paper features working together on
-// one collector — a Mature Object Space top belt (completeness without
-// full-heap collections), a large object space (objects bigger than a
-// frame), and allocation-site pretenuring (long-lived data skips the
-// nursery). The program is a small document store: a pretenured index,
-// large document buffers in the LOS, and short-lived query temporaries.
+// Extensions: the two beyond-the-paper features working together on one
+// collector — a Mature Object Space top belt (completeness without
+// full-heap collections) and allocation-site pretenuring (long-lived data
+// skips the nursery). The program is a small document store: a
+// pretenured index, document bodies that survive into the mature space,
+// and short-lived query temporaries.
+//
+// No object spans frames, as in the paper's GCTk, so a document is a
+// table of chunks, each small enough to fit a frame — the way the bundled
+// workloads chunk their big arrays.
 //
 // Run with: go run ./examples/extensions
 package main
@@ -15,13 +19,18 @@ import (
 	"beltway"
 )
 
+const (
+	docs       = 120
+	chunkWords = 250 // 1 KB of payload a chunk: eight fit an 8 KB frame
+)
+
 func main() {
 	types := beltway.NewTypes()
-	cfg := beltway.XXMOS(20, beltway.Options{
-		HeapBytes:  4 << 20,
+	// Cars of a tenth of the heap: the surviving documents fill several.
+	cfg := beltway.XXMOS(10, beltway.Options{
+		HeapBytes:  2 << 20,
 		FrameBytes: 8 << 10,
 	})
-	cfg = beltway.WithLOS(cfg, 4<<10) // objects > 4KB go to the LOS
 	col, err := beltway.New(cfg, types)
 	if err != nil {
 		log.Fatal(err)
@@ -29,10 +38,10 @@ func main() {
 	m := beltway.NewMutator(col)
 
 	indexNode := types.DefineScalar("index", 2, 2) // doc ref, next, key words
-	document := types.DefineWordArray("document")  // large payloads
+	document := types.DefineRefArray("document")   // the document's chunks
+	chunk := types.DefineWordArray("chunk")        // 1 KB of payload
 	query := types.DefineScalar("query", 1, 3)     // short-lived
 
-	const docs = 120
 	err = m.Run(func() {
 		// The index is long-lived by construction: pretenure it.
 		var head beltway.Handle
@@ -45,9 +54,15 @@ func main() {
 			}
 			head = n
 
-			// Document payload: 6-14KB, straight to the LOS.
-			doc := m.Alloc(document, 1500+(d%9)*500)
-			m.SetData(doc, 0, uint32(d)*7)
+			// Document body: 6-14 KB in 1 KB chunks. It is born in the
+			// nursery and promoted, car by car, into the mature space.
+			doc := m.Alloc(document, 6+d%9)
+			for c := 0; c < m.Length(doc); c++ {
+				ch := m.Alloc(chunk, chunkWords)
+				m.SetData(ch, 0, uint32(d)*7+uint32(c))
+				m.SetRef(doc, c, ch)
+				m.Release(ch)
+			}
 			m.SetRef(n, 0, doc)
 			m.Release(doc)
 
@@ -61,8 +76,8 @@ func main() {
 			m.Pop()
 		}
 
-		// Drop half the index (and so half the documents), then force a
-		// full cycle so the LOS sweep runs.
+		// Drop the older half of the index (and so half the documents),
+		// then force a full cycle to reclaim them.
 		cur := m.Keep(head)
 		for d := 0; d < docs/2; d++ {
 			next := m.GetRef(cur, 1)
@@ -74,14 +89,18 @@ func main() {
 		m.Release(cur)
 		m.Collect(true)
 
-		// Verify the surviving half.
+		// Verify the surviving half, chunk by chunk.
 		count := 0
 		cur = m.Keep(head)
 		for {
 			doc := m.GetRef(cur, 0)
-			want := m.GetData(cur, 0) * 7
-			if got := m.GetData(doc, 0); got != want {
-				log.Fatalf("document %d corrupted: %d != %d", count, got, want)
+			key := m.GetData(cur, 0)
+			for c := 0; c < m.Length(doc); c++ {
+				ch := m.GetRef(doc, c)
+				if got, want := m.GetData(ch, 0), key*7+uint32(c); got != want {
+					log.Fatalf("document %d chunk %d corrupted: %d != %d", key, c, got, want)
+				}
+				m.Release(ch)
 			}
 			m.Release(doc)
 			count++
@@ -102,8 +121,6 @@ func main() {
 	c := col.Clock().Counters
 	fmt.Printf("collections:       %d (%d full)\n", col.Collections(), c.FullCollections)
 	fmt.Printf("pretenured:        %.1f KB (skipped the nursery)\n", float64(c.PretenuredBytes)/1024)
-	fmt.Printf("large objects:     %.1f KB allocated, %.1f KB swept, %d live\n",
-		float64(c.LOSBytesAllocated)/1024, float64(c.LOSBytesSwept)/1024, col.LOSObjects())
 	fmt.Printf("copied:            %.1f KB (the index never moved through the nursery)\n",
 		float64(c.BytesCopied)/1024)
 	mos := col.Belts()[len(col.Belts())-1]
@@ -111,5 +128,6 @@ func main() {
 	for _, in := range mos.Increments() {
 		trains[in.Train()] = true
 	}
-	fmt.Printf("mature space:      %d cars across %d trains\n", mos.Len(), len(trains))
+	fmt.Printf("mature space:      %d cars across %d trains, %.1f KB\n",
+		mos.Len(), len(trains), float64(mos.Bytes())/1024)
 }

@@ -55,22 +55,18 @@ func RandomConfig(rng *rand.Rand, heapBytes, frameBytes int) core.Config {
 	if cfg.Barrier == core.FrameBarrier && rng.Intn(2) == 0 {
 		cfg.NurseryFilter = true
 	}
-	// The two triggers and the large object space are rolled at values
-	// the oracle's scripts reach in the heap HeapBytesFor gives them
-	// (DESIGN.md §6; TestRandomConfigRollsFire): a time-to-die window of
-	// the 64 frames of slack — every seed script enters that and none
-	// enters 16 — a remembered-set threshold the throttled poll can find
-	// (over six seeds 1 fired in 13 of 100 random configurations, 2 in 5
-	// of 135, 3 and 4 in none of 212), and a large object space that takes
-	// what OpAllocLarge allocates.
+	// The two triggers are rolled at values the oracle's scripts reach in
+	// the heap HeapBytesFor gives them (DESIGN.md §6;
+	// TestRandomConfigRollsFire): a time-to-die window of the 64 frames of
+	// slack — every seed script enters that and none enters 16 — and a
+	// remembered-set threshold the throttled poll can find (over six seeds
+	// 1 fired in 13 of 100 random configurations, 2 in 5 of 135, 3 and 4
+	// in none of 212).
 	if rng.Intn(3) == 0 {
 		cfg.TTDBytes = 64 * frameBytes
 	}
 	if rng.Intn(4) == 0 {
 		cfg.RemsetThreshold = 1 + rng.Intn(2)
-	}
-	if rng.Intn(3) == 0 {
-		cfg.LOSThresholdBytes = frameBytes / 2
 	}
 	// MOS when the top belt qualifies.
 	last := nBelts - 1

@@ -54,7 +54,7 @@ const (
 	OpAllocBig                     // larger scalar (4 refs, 8 data)
 	OpAllocArr                     // ref array, length 1 + A%24
 	OpAllocWords                   // word array, length 1 + A%24
-	OpAllocLarge                   // ref array sized to exercise the LOS
+	OpAllocLarge                   // ref array filling most of a frame
 	OpAllocGlobal                  // scalar node, scope-independent root
 	OpAllocPretenure               // scalar node on an older belt
 	OpAllocImmortal                // scalar node in the boot image
@@ -105,9 +105,9 @@ type Script []Op
 // unbounded amount of simulation.
 const maxScriptOps = 2048
 
-// largeArrayLen is the element count used by OpAllocLarge: big enough to
-// cross any LOS threshold the oracle configures, small enough to fit a
-// 4 KiB frame when the config has no LOS.
+// largeArrayLen is the element count used by OpAllocLarge: an array
+// filling most of the oracle's 4 KiB frame, the largest object a script
+// allocates. No object spans frames.
 const largeArrayLen = 600
 
 // DecodeScript turns arbitrary bytes into a script: 4 bytes per op,

@@ -6,7 +6,7 @@ package check
 // rather than converted traces: fuzz inputs are byte strings in the
 // script encoding, and these give the fuzzer structurally interesting
 // starting points — deep scope nesting, resident structures threaded
-// with young pointers, LOS-sized arrays, pretenured and immortal data —
+// with young pointers, frame-sized arrays, pretenured and immortal data —
 // in the dialect it can actually mutate.
 
 // NamedScript pairs a seed script with its workload name.
@@ -75,7 +75,7 @@ func seedRaytrace() Script {
 	return s
 }
 
-// seedDB: a resident record store (LOS-sized index plus record arrays)
+// seedDB: a resident record store (frame-sized index plus record arrays)
 // with in-place field updates and occasional record replacement.
 func seedDB() Script {
 	var s Script
@@ -239,7 +239,7 @@ func seedServerGrowth() Script {
 }
 
 // seedPseudoJBB: steady-state transaction mix over resident warehouses —
-// pretenured longterm data, immortal catalog, LOS orders, young churn.
+// pretenured longterm data, immortal catalog, frame-sized orders, young churn.
 func seedPseudoJBB() Script {
 	var s Script
 	s = append(s, Op{Kind: OpAllocImmortal})
@@ -253,7 +253,7 @@ func seedPseudoJBB() Script {
 		s = append(s, Op{Kind: OpAlloc})
 		s = append(s, Op{Kind: OpSetRef, A: 254, B: 0, C: 255})
 		if txn%6 == 5 {
-			s = append(s, Op{Kind: OpAllocLarge}) // an oversized order
+			s = append(s, Op{Kind: OpAllocLarge}) // a frame-sized order
 		}
 		s = append(s, Op{Kind: OpSetRef, A: byte(txn % 5), B: 0, C: 254})
 		s = append(s, Op{Kind: OpWork, A: 12})

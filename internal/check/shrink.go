@@ -162,7 +162,6 @@ func (m *minimizer[S]) simplifyConfigs(s S, cfgs []core.Config) []core.Config {
 	transforms := []func(*core.Config){
 		func(c *core.Config) { c.TTDBytes = 0 },
 		func(c *core.Config) { c.RemsetThreshold = 0 },
-		func(c *core.Config) { c.LOSThresholdBytes = 0 },
 		func(c *core.Config) { c.NurseryFilter = false },
 		func(c *core.Config) { c.PhysMemBytes = 0 },
 		func(c *core.Config) { c.MOS = false },

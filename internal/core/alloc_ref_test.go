@@ -19,11 +19,8 @@ import (
 // RefAlloc is Alloc as it was before the allocation window.
 func (h *Heap) RefAlloc(t *heap.TypeDesc, length int) (heap.Addr, error) {
 	size := t.Size(length)
-	if th := h.losThreshold(); th > 0 && size > th {
-		return h.allocLOS(t, length, size)
-	}
 	if size > h.cfg.FrameBytes {
-		return heap.Nil, fmt.Errorf("core: object of %d bytes exceeds frame size %d (enable the LOS via LOSThresholdBytes)", size, h.cfg.FrameBytes)
+		return heap.Nil, fmt.Errorf("core: object of %d bytes exceeds frame size %d", size, h.cfg.FrameBytes)
 	}
 	c := &h.clock.Counters
 	c.ObjectsAllocated++
@@ -178,7 +175,7 @@ func (h *Heap) WindowOpen() bool { return h.win != nil }
 // AllocTrail is what an allocation leaves behind in the collector's own
 // books: the serial it took, the fill mark of the frame it landed in and
 // the cursor and occupancy of the increment that owns the frame (zero for
-// a large object, which no increment owns).
+// a frame no increment owns).
 type AllocTrail struct {
 	Serial uint32
 	Fill   heap.Addr

@@ -78,16 +78,10 @@ func allocRows(t *testing.T) []allocRow {
 		{name: "immix", mk: parse("immix"), noWindow: true,
 			used: func(s allocStats) bool { return s.counters.MRObjectsMarked > 0 }},
 		{name: "ttd", knobs: true, pretenure: true,
-			mk: with(xx100, "ttd", func(c *core.Config) {
-				c.TTDBytes = 16 * c.FrameBytes
-				c.LOSThresholdBytes = c.FrameBytes / 2
-			}),
+			mk: with(xx100, "ttd", func(c *core.Config) { c.TTDBytes = 16 * c.FrameBytes }),
 			used: func(s allocStats) bool {
-				return s.ttdIncrements > 0 && s.knobFlips > 0 && s.counters.LOSBytesAllocated > 0 &&
-					s.counters.PretenuredBytes > 0
+				return s.ttdIncrements > 0 && s.knobFlips > 0 && s.counters.PretenuredBytes > 0
 			}},
-		{name: "los", mk: func() core.Config { return withLOS(xx100()) },
-			used: func(s allocStats) bool { return s.counters.LOSBytesAllocated > 0 && s.counters.LOSBytesSwept > 0 }},
 		{name: "pretenure-shares-increment", pretenure: true,
 			mk:   parse("ss"), // one belt: the pretenure belt is the allocation belt
 			used: func(s allocStats) bool { return s.counters.PretenuredBytes > 0 }},
@@ -236,10 +230,7 @@ func runAllocScript(t *testing.T, row allocRow, seed int64) allocStats {
 	frameWords := cfg.FrameBytes / heap.WordBytes
 	rng := rand.New(rand.NewSource(seed))
 
-	// Large objects are kept apart from live: nothing but their own root
-	// and, now and then, a boot slot refers to them, so that releasing the
-	// root is what a sweep is for — or is not, while the boot slot stands.
-	var live, boots, larges []gc.Handle
+	var live, boots []gc.Handle
 	alloc := func(what string, op func(m *vm.Mutator) gc.Handle) bool {
 		hd, ok := p.do(what, op)
 		if ok {
@@ -285,21 +276,6 @@ func runAllocScript(t *testing.T, row allocRow, seed int64) allocStats {
 				m.SetData(hd, 0, uint32(op))
 				return hd
 			})
-		case r < 56 && cfg.LOSThresholdBytes > 0:
-			n := frameWords/2 + rng.Intn(2*frameWords)
-			val := pick()
-			var hd gc.Handle
-			hd, ok = p.do(what+" alloc large", func(m *vm.Mutator) gc.Handle {
-				hd := m.Alloc(refs, n)
-				m.SetRef(hd, n-1, val)
-				return hd
-			})
-			larges = append(larges, hd)
-			if ok && len(larges) > 3 {
-				old := larges[0]
-				larges = larges[1:]
-				ok = store(what+" release large", func(m *vm.Mutator) { m.Release(old) })
-			}
 		case r < 60 && row.pretenure:
 			// A third of a frame at a time, so that the pretenure belt
 			// maps frames — and moves the budget the time-to-die trigger
@@ -335,9 +311,6 @@ func runAllocScript(t *testing.T, row allocRow, seed int64) allocStats {
 			}
 		case r < 92:
 			src, slot, val := boots[rng.Intn(len(boots))], rng.Intn(3), pick()
-			if len(larges) > 0 && rng.Intn(3) == 0 {
-				val = larges[rng.Intn(len(larges))]
-			}
 			ok = store(what+" boot setref", func(m *vm.Mutator) { m.SetRef(src, slot, val) })
 		case r < 93:
 			full := rng.Intn(4) == 0
@@ -506,6 +479,31 @@ func TestMutatorPathFaultsThroughCore(t *testing.T) {
 		}
 		if tree, refTree := run(false, false), run(true, false); tree != refTree {
 			t.Errorf("%s through the tree left\n %+v, the reference model\n %+v", tc.name, tree, refTree)
+		}
+	}
+}
+
+// TestLOSDisabledRejectsHugeObjects: there is no large object space, as
+// in the paper's GCTk, so every object must fit a frame. Each allocator
+// refuses a bigger one, and accepts one that fills a frame exactly.
+func TestLOSDisabledRejectsHugeObjects(t *testing.T) {
+	types := heap.NewRegistry()
+	h, err := core.New(collectors.XX100(25, testOptions(256)), types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := types.DefineWordArray("big")
+	fits := h.Config().FrameBytes/heap.WordBytes - heap.HeaderBytes/heap.WordBytes
+	for name, alloc := range map[string]func(int) (heap.Addr, error){
+		"Alloc":           func(n int) (heap.Addr, error) { return h.Alloc(big, n) },
+		"AllocPretenured": func(n int) (heap.Addr, error) { return h.AllocPretenured(big, n) },
+		"AllocImmortal":   func(n int) (heap.Addr, error) { return h.AllocImmortal(big, n) },
+	} {
+		if _, err := alloc(fits + 1); err == nil {
+			t.Errorf("%s accepted an object one word bigger than a frame", name)
+		}
+		if _, err := alloc(fits); err != nil {
+			t.Errorf("%s refused an object that fills a frame: %v", name, err)
 		}
 	}
 }

@@ -41,9 +41,7 @@ func (h *Heap) WriteRef(obj heap.Addr, slot int, val heap.Addr) {
 	}
 
 	if val != heap.Nil {
-		// Key by the SLOT's frame, not the object header's: they differ
-		// only for frame-spanning large objects, where the slot's frame
-		// is the one whose remembered sets are consulted at collection.
+		// The slot's frame is its object's: no object spans frames.
 		s := h.space.FrameOf(slotAddr)
 		t := h.space.FrameOf(val)
 		filtered := false

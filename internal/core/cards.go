@@ -44,12 +44,11 @@ func (h *Heap) markCard(slot heap.Addr) {
 }
 
 // scanDirtyCards is the collection-time half of card marking: every
-// uncollected frame, every boot frame and every large object with a dirty
-// card is walked whole and its cards cleaned; the slot rule, to which
-// every slot on a cleaned card is fresh, re-dirties the card of a slot
-// that still holds an interesting pointer (one whose target frame is
-// collected before the slot's frame — under the maximal stamp of a large
-// object, every pointer into the heap).
+// uncollected frame and every boot frame with a dirty card is walked
+// whole and its cards cleaned; the slot rule, to which every slot on a
+// cleaned card is fresh, re-dirties the card of a slot that still holds
+// an interesting pointer (one whose target frame is collected before the
+// slot's frame).
 func (h *Heap) scanDirtyCards(st *gcState) error {
 	for _, b := range h.belts {
 		for _, in := range b.incrs {
@@ -57,7 +56,7 @@ func (h *Heap) scanDirtyCards(st *gcState) error {
 				continue
 			}
 			for _, f := range in.frames {
-				if h.cleanCards(f, 1) {
+				if h.cleanCards(f) {
 					if err := h.scanFrame(f, true, st); err != nil {
 						return err
 					}
@@ -66,15 +65,8 @@ func (h *Heap) scanDirtyCards(st *gcState) error {
 		}
 	}
 	for _, f := range h.boot.frames {
-		if h.cleanCards(f, 1) {
+		if h.cleanCards(f) {
 			if err := h.scanFrame(f, true, st); err != nil {
-				return err
-			}
-		}
-	}
-	for _, lo := range h.los.objects {
-		if h.cleanCards(h.space.FrameOf(lo.addr), lo.frames) {
-			if err := h.scanLarge(lo, true, false, st); err != nil {
 				return err
 			}
 		}
@@ -82,12 +74,12 @@ func (h *Heap) scanDirtyCards(st *gcState) error {
 	return nil
 }
 
-// cleanCards cleans the cards of the n frames from f on, charging the
-// scan of each dirty one, and reports whether any was dirty.
-func (h *Heap) cleanCards(f heap.Frame, n int) bool {
+// cleanCards cleans the cards of frame f, charging the scan of each dirty
+// one, and reports whether any was dirty.
+func (h *Heap) cleanCards(f heap.Frame) bool {
 	base := int(uint32(h.space.FrameBase(f)) >> cardShift)
 	dirty := false
-	for i, card := range h.cards[base : base+n*h.cardsPerFrame()] {
+	for i, card := range h.cards[base : base+h.cardsPerFrame()] {
 		if card {
 			dirty = true
 			h.clock.Counters.CardsScanned++

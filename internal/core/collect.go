@@ -27,12 +27,9 @@ type gcState struct {
 	scans   []scanState
 
 	trigger gc.TriggerKind
-	full    bool // the condemned bytes cover the occupied heap (GCBeginInfo.Full)
-	// all: every increment is condemned. Such a collection traces all live
-	// data, so it can mark-sweep the large object space.
-	all bool
-	t0  float64        // clock and counters before the collection's first
-	c0  stats.Counters // charge, for GCEnd's deltas
+	full    bool           // the condemned bytes cover the occupied heap (GCBeginInfo.Full)
+	t0      float64        // clock and counters before the collection's first
+	c0      stats.Counters // charge, for GCEnd's deltas
 }
 
 // scanState is a Cheney scan pointer over one target increment. Newly
@@ -97,9 +94,7 @@ func (st *gcState) setMOSCar(in *Increment) {
 // the remembered-set entries targeting the condemned frames (from
 // non-condemned frames) or, for card-marking configurations, the dirty
 // cards of every uncollected frame; and — for boundary-barrier
-// configurations — the entire boot image and large object space. When
-// every increment is condemned, the large object space is mark-swept
-// alongside the trace.
+// configurations — the entire boot image.
 //
 // The body is the list of phases (DESIGN.md §5, "Anatomy of a
 // collection"); gcState carries what one establishes for the next.
@@ -123,11 +118,9 @@ func (h *Heap) collect(victims []*Increment, trigger gc.TriggerKind) error {
 	}
 	slots := h.harvestRemsets(st)
 	// Boundary-barrier configurations pay the boot scan at every
-	// collection (their cheap barrier does not remember boot-image stores,
-	// as the paper notes of Appel's collector); and so does a collection
-	// that sweeps the large object space, because no barrier remembers a
-	// boot slot's pointer to a large object (both carry the maximal stamp).
-	if h.cfg.Barrier == BoundaryBarrier || h.los.sweeping {
+	// collection: their cheap barrier does not remember boot-image stores,
+	// as the paper notes of Appel's collector.
+	if h.cfg.Barrier == BoundaryBarrier {
 		if err := h.scanBootImage(st); err != nil {
 			return err
 		}
@@ -147,15 +140,13 @@ func (h *Heap) collect(victims []*Increment, trigger gc.TriggerKind) error {
 		return err
 	}
 	h.release(st)
-	h.sweepLOS()
 	h.finish(st)
 	return nil
 }
 
 // condemn opens the collection: it charges the set-up, marks the victims,
-// tells the GCBegin and Condemned hooks, decides whether the large object
-// space is swept, renews the condemned mark-region increments and resets
-// the scan machinery.
+// tells the GCBegin and Condemned hooks, renews the condemned mark-region
+// increments and resets the scan machinery.
 func (h *Heap) condemn(victims []*Increment, trigger gc.TriggerKind, st *gcState) {
 	st.trigger = trigger
 	st.t0, st.c0 = h.clock.Now(), h.clock.Counters
@@ -191,8 +182,6 @@ func (h *Heap) condemn(victims []*Increment, trigger gc.TriggerKind, st *gcState
 			})
 		}
 	}
-	st.all = len(victims) == h.numIncrements()
-	h.los.sweeping = st.all && len(h.los.objects) > 0
 
 	// Renew condemned mark-region increments (fresh seq at the back of
 	// their belts, frames restamped) and pick the frames to evacuate,
@@ -216,7 +205,6 @@ func (h *Heap) scanRoots(st *gcState) error {
 			src = h.condemnedIn(h.space.FrameOf(a))
 		}
 		if src == nil {
-			h.markLOS(a)
 			return a
 		}
 		na, err := h.forwardFrom(a, src, st, nil)
@@ -276,23 +264,15 @@ func (h *Heap) scanRemsetSlots(slots []heap.Addr, st *gcState) error {
 
 // drain is the transitive closure: Cheney scans over the copying targets,
 // interleaved with the mark-region gray stack (in-place survivors and
-// arrivals in holey frames) and, when the large object space is swept,
-// large-object marking.
+// arrivals in holey frames).
 func (h *Heap) drain(st *gcState) error {
 	for {
 		if err := h.drainScans(st); err != nil {
 			return err
 		}
 		advMR, err := h.drainMRQueue(st)
-		if err != nil {
+		if err != nil || !advMR {
 			return err
-		}
-		advLOS, err := h.drainLOSQueue(st)
-		if err != nil {
-			return err
-		}
-		if !advMR && !advLOS {
-			return nil
 		}
 	}
 }
@@ -316,7 +296,7 @@ func (h *Heap) release(st *gcState) {
 // releaseFrame unmaps collectible frame f and forgets everything recorded
 // about it: its remembered sets, owner, stamp, fill mark and line
 // metadata. The one place a frame leaves the heap, whether its increment
-// was evacuated, its lines all died or the large object in it was swept.
+// was evacuated or its lines all died.
 func (h *Heap) releaseFrame(f heap.Frame) {
 	if h.mrFrame(f) != nil {
 		h.mrDetach(f)
@@ -612,16 +592,14 @@ func (h *Heap) scanObject(obj heap.Addr, st *gcState) error {
 // scanSlots is the collector's one rule for reference slots, applied to a
 // run of them through a view — slots[i] is the word at
 // slotAddr+i*WordBytes, read and rewritten in place: a stale pointer is
-// cleared, a condemned referent is forwarded and the slot rewritten, any
-// other referent that is a large object is marked (markLOS is a no-op
-// unless this collection sweeps them), and the barrier's remembering rule
-// is re-applied to the slot. Every walker of slots — remembered-set
-// entries, the Cheney and gray-stack scans, the boot image, dirty cards,
-// large objects — hands its slots to this loop; they differ in three
-// things only:
+// cleared, a condemned referent is forwarded and the slot rewritten, and
+// the barrier's remembering rule is re-applied to the slot. Every walker
+// of slots — remembered-set entries, the Cheney and gray-stack scans, the
+// boot image, dirty cards — hands its slots to this loop; they differ in
+// three things only:
 //
-//   - ctx, the increment holding the slots (nil for the boot image and
-//     large objects): MOS belts evacuate by referrer;
+//   - ctx, the increment holding the slots (nil for the boot image): MOS
+//     belts evacuate by referrer;
 //
 //   - fresh, whether what remembered the slots is gone — they lie in an
 //     object just copied or marked, whose frame or stamp is new, or on a
@@ -630,15 +608,15 @@ func (h *Heap) scanObject(obj heap.Addr, st *gcState) error {
 //     needed one, still stands;
 //
 //   - charge, whether the walker pays ScanSlot for each slot (the scans of
-//     copied, marked and large objects) or has paid some other way: by the
+//     copied and marked objects) or has paid some other way: by the
 //     entry, by the boot byte, by the card. The charge is made here, slot
 //     by slot and before the slot's own forward charges its copy, because
 //     the clock is a float sum: a walker's multiply for a run of slots, or
 //     its charges made after the run, would change the simulated axis.
 //
 // The stale test is for slots of dead objects (resurrected through stale
-// remembered-set entries, or in dead-but-unswept large objects, see
-// mrStale); on the slots of live ones it is false.
+// remembered-set entries, see mrStale); on the slots of live ones it is
+// false.
 //
 // Each test a slot needs is made once and inline: the stale test only
 // where a belt is mark-region, the condemned test by finding the
@@ -665,8 +643,6 @@ func (h *Heap) scanSlots(slotAddr heap.Addr, slots []uint32, ctx *Increment, fre
 				}
 				slots[i] = uint32(nv)
 				val = nv
-			} else {
-				h.markLOS(val)
 			}
 			if src != nil || fresh {
 				if t := h.space.FrameOf(val); s != t && h.stamp[t] < h.stamp[s] {
@@ -705,20 +681,6 @@ func (h *Heap) scanBootImage(st *gcState) error {
 	h.clock.Advance(h.cfg.Costs.BootScanByte * float64(h.boot.bytes))
 	for _, f := range h.boot.frames {
 		if err := h.scanFrame(f, false, st); err != nil {
-			return err
-		}
-	}
-	// What is not remembered out of the boot image is not remembered out
-	// of a large object either, so every large object is a root like the
-	// boot image, dead-but-unswept ones included — except when this
-	// collection sweeps them: then the trace marks the live ones and
-	// drainLOSQueue scans exactly those. (Scanned here as well, a dead one
-	// would mark what it points to, and a dead cycle would never go.)
-	if h.los.sweeping {
-		return nil
-	}
-	for _, lo := range h.los.objects {
-		if err := h.scanLarge(lo, false, true, st); err != nil {
 			return err
 		}
 	}

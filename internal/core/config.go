@@ -180,12 +180,6 @@ type Config struct {
 	// self-promoting top belt. See internal/core/mos.go.
 	MOS bool
 
-	// LOSThresholdBytes routes objects larger than this to the large
-	// object space (non-moving frame spans, swept at full collections).
-	// Zero disables the LOS, as in the paper's GCTk, and objects must
-	// then fit in one frame.
-	LOSThresholdBytes int
-
 	// MRLineBytes is the line size of mark-region belts; zero means
 	// markregion.DefaultLineBytes (128). Must be a power of two, at
 	// least two words, with at least two lines per frame.
@@ -273,9 +267,6 @@ func (c *Config) Validate() error {
 	}
 	if c.TTDBytes < 0 || c.RemsetThreshold < 0 {
 		return fmt.Errorf("core: negative trigger parameter")
-	}
-	if c.LOSThresholdBytes < 0 {
-		return fmt.Errorf("core: negative LOS threshold")
 	}
 	if c.MOS {
 		last := len(c.Belts) - 1

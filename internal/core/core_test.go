@@ -33,18 +33,10 @@ func allConfigs(heapKB int) []core.Config {
 		collectors.XXMOS(25, o),
 		collectors.WithMarkRegion(collectors.XX100(25, o)),
 		collectors.Immix(o),
-		withLOS(collectors.XX100(25, o)),
 		collectors.Appel(o),
 		collectors.Fixed(25, o),
 		collectors.Appel3(o),
 	}
-}
-
-// withLOS enables the large object space on a configuration (tests).
-func withLOS(cfg core.Config) core.Config {
-	cfg.Name += "+los"
-	cfg.LOSThresholdBytes = cfg.FrameBytes / 2
-	return cfg
 }
 
 func newMutator(t *testing.T, cfg core.Config) (*vm.Mutator, *heap.Registry, *core.Heap) {

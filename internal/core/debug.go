@@ -138,7 +138,8 @@ func (h *Heap) CheckInvariants() error {
 			if val == heap.Nil {
 				continue
 			}
-			s := h.space.FrameOf(h.space.RefSlotAddr(obj, i)) // slot's frame (spans differ)
+			slot := h.space.RefSlotAddr(obj, i)
+			s := h.space.FrameOf(slot) // obj's frame: no object spans frames
 			t := h.space.FrameOf(val)
 			if s == t || h.stamp[t] >= h.stamp[s] {
 				continue // not interesting
@@ -146,7 +147,6 @@ func (h *Heap) CheckInvariants() error {
 			if h.cfg.Barrier == BoundaryBarrier && h.immortal[s] {
 				continue // covered by the boot scan
 			}
-			slot := h.space.RefSlotAddr(obj, i)
 			if h.cfg.Barrier == CardBarrier {
 				if !h.cards[uint32(slot)>>cardShift] {
 					err = fmt.Errorf("core: interesting pointer at %v slot %d not on a dirty card", obj, i)

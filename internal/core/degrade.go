@@ -79,14 +79,13 @@ func (h *Heap) overdraftLimit() int {
 	return limit
 }
 
-// emergencyCollect condemns every increment on every belt (sweeping the
-// LOS alongside, as any all-increments collection does). It clears the
+// emergencyCollect condemns every increment on every belt. It clears the
 // overdraft debt both before and after running so a collection triggered
 // to settle an overdraft cannot re-request itself.
 func (h *Heap) emergencyCollect() error {
 	h.deg.pendingEmergency = false
 	h.deg.overdraftFrames = 0
-	if h.numIncrements() == 0 && len(h.los.objects) == 0 {
+	if h.numIncrements() == 0 {
 		return nil
 	}
 	h.noteDegrade(gc.DegradeEmergencyGC, 0)

@@ -60,11 +60,7 @@ func TestRandomConfigurations(t *testing.T) {
 					case r < 6:
 						live = append(live, m.Alloc(node, 0))
 					case r == 6:
-						n := 1 + rng.Intn(20)
-						if cfg.LOSThresholdBytes > 0 && rng.Intn(8) == 0 {
-							n = 600 + rng.Intn(900) // large object
-						}
-						live = append(live, m.Alloc(arr, n))
+						live = append(live, m.Alloc(arr, 1+rng.Intn(20)))
 					case r == 7 && len(live) > 2:
 						src, dst := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
 						slots := 2

@@ -54,7 +54,6 @@ type Heap struct {
 	slowAtLastGC   uint64 // Counters.BarrierSlowPaths at the previous GCEnd
 	remsetPoll     int    // allocation counter throttling the remset trigger poll
 	mos            mosState
-	los            losState
 	deg            degradeState
 	mr             mrState
 
@@ -117,7 +116,6 @@ func newHeap(cfg Config, types *heap.Registry, sc *scaffold) *Heap {
 		spare:    sc.spare,
 		rootBuf:  sc.rootBuf,
 	}
-	h.los.byFrame = sc.losOf
 	h.mr.frames, h.mr.evac, h.mr.pool = sc.mrFrames, sc.mrEvac, sc.mrPool
 	h.space.OnMap = func() { h.clock.Counters.FramesMapped++ }
 	h.space.OnUnmap = func() { h.clock.Counters.FramesUnmapped++ }
@@ -250,11 +248,8 @@ func (h *Heap) ensureFrameMeta(f heap.Frame) {
 // (see openWindow). Only a miss runs the tree.
 func (h *Heap) Alloc(t *heap.TypeDesc, length int) (heap.Addr, error) {
 	size := t.Size(length)
-	if th := h.losThreshold(); th > 0 && size > th {
-		return h.allocLOS(t, length, size)
-	}
 	if size > h.cfg.FrameBytes {
-		return heap.Nil, fmt.Errorf("core: object of %d bytes exceeds frame size %d (enable the LOS via LOSThresholdBytes)", size, h.cfg.FrameBytes)
+		return heap.Nil, fmt.Errorf("core: object of %d bytes exceeds frame size %d", size, h.cfg.FrameBytes)
 	}
 	// chargeAlloc, written out: a call here would be core's second on the
 	// path of every allocation (DESIGN.md §5, "Mutator fast path").
@@ -304,7 +299,7 @@ func (h *Heap) allocSlow(t *heap.TypeDesc, length, size int) (heap.Addr, error) 
 	return a, nil
 }
 
-// allocCollecting is the retry loop the three allocators share: try, an
+// allocCollecting is the retry loop the two allocators share: try, an
 // allocator's attempt to find size bytes without collecting, then for as
 // long as it fails a collection and another try — and, past the bound,
 // the degradation ladder's emergency collection and last try. It reports
@@ -333,11 +328,10 @@ func (h *Heap) allocCollecting(size int, try func() (heap.Addr, bool)) (heap.Add
 	return heap.Nil, false, nil
 }
 
-// chargeAlloc is what an allocation of size bytes on the belts or in the
-// large object space pays before it looks for room. AllocByte covers
-// zeroing and header init; BarrierFast models the TIB-initialization store
-// every Jikes allocation performs (§3.3.2). The pretenured and large
-// allocators call it; Alloc carries the same lines inline.
+// chargeAlloc is what an allocation of size bytes pays before it looks
+// for room. AllocByte covers zeroing and header init; BarrierFast models
+// the TIB-initialization store every Jikes allocation performs (§3.3.2).
+// The pretenured allocator calls it; Alloc carries the same lines inline.
 func (h *Heap) chargeAlloc(size int) {
 	c := &h.clock.Counters
 	c.ObjectsAllocated++
@@ -478,10 +472,9 @@ func (h *Heap) openWindow(in *Increment) {
 //   - collect: increments are condemned, emptied and dropped, survivors
 //     may be copied into the window's increment, and the budget the
 //     time-to-die trigger reads is recomputed;
-//   - addFrame, for any increment, and a large-object span: mapped frames
-//     and the copy reserve move, so the time-to-die trigger may now fire
-//     (a pretenured or collector-side frame moves them as an allocation's
-//     own does);
+//   - addFrame, for any increment: mapped frames and the copy reserve
+//     move, so the time-to-die trigger may now fire (a pretenured or
+//     collector-side frame moves them as an allocation's own does);
 //   - newIncrement and flipBelts: the allocation belt's youngest increment
 //     may be another one;
 //   - applyKnobUpdates: TTDBytes, ReserveFrac and the reserve are retuned.

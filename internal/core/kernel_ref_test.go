@@ -114,8 +114,6 @@ func (h *Heap) wordScanObject(obj heap.Addr, st *gcState) (int, error) {
 				}
 				h.space.SetWord(slotAddr, uint32(nv))
 				val = nv
-			} else {
-				h.markLOS(val)
 			}
 			h.rescanSlot(slotAddr, val)
 		}

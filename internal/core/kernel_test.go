@@ -23,11 +23,9 @@ import (
 type kernelTrace struct {
 	collections []kernelPoint
 	moves       uint64 // FNV of every Moved(from, to), in order
-	spanning    int    // frame-spanning large objects allocated
 	bootScans   uint64
 	cardsSeen   uint64
 	mrMarked    uint64
-	losSwept    uint64
 	err         error
 }
 
@@ -57,12 +55,10 @@ func heapImage(sp *heap.Space) uint64 {
 }
 
 // runKernelScript drives cfg with a seeded random object graph — scalars
-// of several shapes, reference and word arrays, a boot image that points
-// into the heap and, where the configuration has a large object space,
-// reference arrays spanning several frames — under enough pressure to
-// collect often. prep, when not nil, sees the heap before the first
-// operation: it installs the word kernel, or adds hooks of its own to the
-// ones set here.
+// of several shapes, reference and word arrays and a boot image that
+// points into the heap — under enough pressure to collect often. prep,
+// when not nil, sees the heap before the first operation: it installs the
+// word kernel, or adds hooks of its own to the ones set here.
 func runKernelScript(cfg core.Config, seed int64, prep func(*core.Heap)) kernelTrace {
 	var tr kernelTrace
 	// The default cost model is almost all dyadic, and sums of dyadic
@@ -102,7 +98,6 @@ func runKernelScript(cfg core.Config, seed int64, prep func(*core.Heap)) kernelT
 	refs := types.DefineRefArray("refs")
 	words := types.DefineWordArray("words")
 	boot := types.DefineScalar("boot", 3, 0)
-	frameWords := cfg.FrameBytes / heap.WordBytes
 
 	var live []gc.Handle
 	drop := func() {
@@ -127,19 +122,6 @@ func runKernelScript(cfg core.Config, seed int64, prep func(*core.Heap)) kernelT
 			case r < 50:
 				hd := m.Alloc(words, 1+rng.Intn(30))
 				m.SetData(hd, 0, uint32(op))
-				live = append(live, hd)
-			case r < 51 && cfg.LOSThresholdBytes > 0:
-				// A large object; most span frames, so that their slots
-				// leave the slab their header resolves to.
-				n := frameWords/2 + rng.Intn(2*frameWords)
-				hd := m.Alloc(refs, n)
-				if (n+3)*heap.WordBytes > cfg.FrameBytes {
-					tr.spanning++
-				}
-				for k := 0; k < 12; k++ {
-					m.SetRef(hd, rng.Intn(n), live[rng.Intn(len(live))])
-				}
-				m.SetRef(hd, n-1, live[rng.Intn(len(live))])
 				live = append(live, hd)
 			case r < 85:
 				src := live[rng.Intn(len(live))]
@@ -169,7 +151,7 @@ func runKernelScript(cfg core.Config, seed int64, prep func(*core.Heap)) kernelT
 	c := h.Clock().Counters
 	tr.moves = moves.Sum64()
 	tr.bootScans, tr.cardsSeen = c.BootBytesScanned, c.CardsScanned
-	tr.mrMarked, tr.losSwept = c.MRObjectsMarked, c.LOSBytesSwept
+	tr.mrMarked = c.MRObjectsMarked
 	h.Space().Release()
 	return tr
 }
@@ -196,12 +178,9 @@ func kernelCases(t *testing.T) []kernelCase {
 		{parse("25.25-mr"), func(tr kernelTrace) bool { return tr.mrMarked > 0 }},
 		{collectors.Immix(o), func(tr kernelTrace) bool { return tr.mrMarked > 0 }},
 		{collectors.XXMOS(25, o), nil},
-		{withLOS(collectors.WithCardBarrier(collectors.XX100(25, o))),
-			func(tr kernelTrace) bool { return tr.cardsSeen > 0 && tr.spanning > 0 }},
-		{withLOS(collectors.Appel(o)),
-			func(tr kernelTrace) bool { return tr.bootScans > 0 && tr.spanning > 0 }},
-		{withLOS(collectors.XX100(25, o)),
-			func(tr kernelTrace) bool { return tr.spanning > 0 && tr.losSwept > 0 }},
+		{collectors.WithCardBarrier(collectors.XX100(25, o)),
+			func(tr kernelTrace) bool { return tr.cardsSeen > 0 }},
+		{collectors.Appel(o), func(tr kernelTrace) bool { return tr.bootScans > 0 }},
 	}
 }
 

@@ -31,7 +31,7 @@ type mrState struct {
 	active bool
 	geo    markregion.Geometry
 
-	frames []*markregion.Frame // by heap.Frame; nil for copying/boot/LOS frames
+	frames []*markregion.Frame // by heap.Frame; nil for copying/boot frames
 	evac   []bool              // by heap.Frame: defrag candidate in the current GC
 	pool   []*markregion.Frame // detached frame metadata of one geometry, reused on attach
 
@@ -93,7 +93,7 @@ func (h *Heap) mrEvacuatesAll(bi int) bool {
 }
 
 // mrFrame returns frame f's mark-region metadata, nil for copying,
-// boot-image, large-object and unmapped frames. The len check keeps the
+// boot-image and unmapped frames. The len check keeps the
 // copying-substrate fast paths at a single compare when no belt is
 // mark-region (the slice stays empty).
 func (h *Heap) mrFrame(f heap.Frame) *markregion.Frame {
@@ -240,10 +240,10 @@ func (h *Heap) mrPrepareCollection(victims []*Increment) {
 // reclaimed by a line sweep. Live objects can never hold such a value
 // (a reachable referent is marked, so it survives every sweep); they
 // appear only in slots of dead objects conservatively resurrected
-// through stale remembered-set entries, and in dead-but-unswept large
-// objects. Copying substrates tolerate those stale pointers because a
-// condemned copying frame holds valid headers end to end; a swept line
-// does not, so callers must clear the slot instead of forwarding.
+// through stale remembered-set entries. Copying substrates tolerate
+// those stale pointers because a condemned copying frame holds valid
+// headers end to end; a swept line does not, so callers must clear the
+// slot instead of forwarding.
 func (h *Heap) mrStale(val heap.Addr) bool {
 	if !h.mr.active {
 		return false
@@ -276,7 +276,7 @@ func (h *Heap) mrMark(a heap.Addr, size int) bool {
 // drainMRQueue scans objects marked in place (and objects copied into
 // mark-region frames, which cannot be Cheney-scanned because their
 // frames have holes). Returns whether it advanced; the collect fixpoint
-// loops it against the Cheney scans and the LOS queue.
+// loops it against the Cheney scans.
 func (h *Heap) drainMRQueue(st *gcState) (bool, error) {
 	advanced := false
 	for len(h.mr.queue) > 0 {

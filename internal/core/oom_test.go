@@ -87,45 +87,22 @@ func TestOOMAllocNoProgress(t *testing.T) {
 }
 
 func TestOOMNothingCollectible(t *testing.T) {
-	cfg := withLOS(collectors.XX100(25, testOptions(64)))
+	// The top belt's permanent reservation leaves the allocation belt
+	// less than a frame of the usable heap. The first allocation finds no
+	// frame to map while every belt is still empty, so there is nothing
+	// to condemn.
+	cfg := collectors.XX100(25, testOptions(64))
+	cfg.Belts[len(cfg.Belts)-1].ReserveFrac = 0.99
 	h, types, oomCount := oomHeap(t, cfg)
 	node := types.DefineScalar("n", 2, 2)
-	big := types.DefineRefArray("big")
 
-	// Exhaust the budget with rooted large objects: the belts stay empty,
-	// so a failing small allocation finds nothing to condemn.
-	bigLen := cfg.FrameBytes / heap.WordBytes // ~1 frame per object
-	for i := 0; i < 1000; i++ {
-		a, err := h.Alloc(big, bigLen)
-		if err != nil {
-			break
-		}
-		h.Roots().AddGlobal(a)
-	}
 	_, err := h.Alloc(node, 0)
 	assertOOM(t, err, 0, cfg.HeapBytes, "heap full with nothing collectible")
-	// The LOS fill ended with its own single OOM event; the small
-	// allocation added exactly one more.
-	if *oomCount != 2 {
-		t.Errorf("OOM hook fired %d times, want 2 (one per failing allocation)", *oomCount)
+	if *oomCount != 1 {
+		t.Errorf("OOM hook fired %d times, want 1", *oomCount)
 	}
-}
-
-func TestOOMLargeObjectNoSpace(t *testing.T) {
-	cfg := withLOS(collectors.XX100(25, testOptions(64)))
-	h, types, oomCount := oomHeap(t, cfg)
-	node := types.DefineScalar("n", 2, 2)
-	big := types.DefineRefArray("big")
-
-	if err := fillRooted(t, h, node); err == nil {
-		t.Fatal("expected fill to end in OOM")
-	}
-	before := *oomCount
-	bigLen := 2 * cfg.FrameBytes / heap.WordBytes
-	_, err := h.Alloc(big, bigLen)
-	assertOOM(t, err, big.Size(bigLen), cfg.HeapBytes, "found no space")
-	if got := *oomCount - before; got != 1 {
-		t.Errorf("OOM hook fired %d times for the LOS allocation, want 1", got)
+	if h.Clock().Counters.Collections != 0 {
+		t.Errorf("%d collections ran on empty belts, want 0", h.Clock().Counters.Collections)
 	}
 }
 

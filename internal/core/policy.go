@@ -23,12 +23,6 @@ func (h *Heap) nurseryMinBytes() int {
 func (h *Heap) collectForAlloc() error {
 	victims := h.chooseVictims()
 	if len(victims) == 0 {
-		// Nothing on the belts. Under the ladder an unswept LOS may
-		// still hold reclaimable bytes — an emergency (all-increments)
-		// collection is the only trigger that sweeps it on demand.
-		if h.cfg.Degrade && len(h.los.objects) > 0 {
-			return h.emergencyCollect()
-		}
 		return h.oomError(0, h.cfg.Name+": heap full with nothing collectible")
 	}
 	return h.collectSettled(victims, gc.TriggerHeapFull)
@@ -247,10 +241,8 @@ func (h *Heap) pollRemsetTrigger() (bool, error) {
 // policy picks as it would on heap-full.
 func (h *Heap) Collect(full bool) error {
 	if full {
-		// An empty condemned set is still a valid full collection when
-		// large objects exist: the trace marks and the sweep reclaims.
-		if h.numIncrements() == 0 && len(h.los.objects) == 0 {
-			return nil
+		if h.numIncrements() == 0 {
+			return nil // nothing to collect
 		}
 		return h.collectSettled(h.beltsBelow(len(h.belts)), gc.TriggerForcedFull)
 	}

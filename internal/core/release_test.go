@@ -16,9 +16,8 @@ import (
 )
 
 // driveWarmScript runs a seeded random object graph on h — scalars,
-// reference arrays, a boot image pointing into the heap, large objects
-// where the configuration has a large object space — and records the heap
-// image, counters and clock after every collection.
+// reference arrays, a boot image pointing into the heap — and records the
+// heap image, counters and clock after every collection.
 func driveWarmScript(h *core.Heap, types *heap.Registry, seed int64) ([]kernelPoint, error) {
 	var points []kernelPoint
 	h.SetHooks(gc.Hooks{PostGC: func() {
@@ -33,7 +32,6 @@ func driveWarmScript(h *core.Heap, types *heap.Registry, seed int64) ([]kernelPo
 	pair := types.DefineScalar("pair", 2, 2)
 	refs := types.DefineRefArray("refs")
 	boot := types.DefineScalar("boot", 3, 0)
-	frameWords := h.Config().FrameBytes / heap.WordBytes
 	var live []gc.Handle
 	drop := func() {
 		i := rng.Intn(len(live))
@@ -50,8 +48,6 @@ func driveWarmScript(h *core.Heap, types *heap.Registry, seed int64) ([]kernelPo
 				live = append(live, m.Alloc(pair, 0))
 			case r < 52:
 				live = append(live, m.Alloc(refs, 1+rng.Intn(40)))
-			case r < 53 && h.Config().LOSThresholdBytes > 0:
-				live = append(live, m.Alloc(refs, frameWords/2+rng.Intn(2*frameWords)))
 			case r < 88:
 				src := live[rng.Intn(len(live))]
 				if n := m.TypeOf(src).NumRefs(m.Length(src)); n > 0 {
@@ -84,8 +80,7 @@ func driveWarmScript(h *core.Heap, types *heap.Registry, seed int64) ([]kernelPo
 // configuration with four times the heap (longer tables, line metadata of
 // the same geometry), on one whose lines are twice as long (line metadata
 // the heap must not take), and on a donor of the previous configuration
-// in the list (a large object space, cards or lines it does not have
-// itself).
+// in the list (cards or lines it does not have itself).
 func TestWarmHeapMatchesCold(t *testing.T) {
 	cases := kernelCases(t)
 	for i, tc := range cases {

@@ -44,12 +44,4 @@ func (h *Heap) ForEachObject(fn func(heap.Addr) bool) {
 	for _, f := range h.boot.frames {
 		visitFrame(f)
 	}
-	for _, lo := range h.los.objects {
-		if stop {
-			return
-		}
-		if !fn(lo.addr) {
-			stop = true
-		}
-	}
 }

@@ -65,7 +65,7 @@ func TestSlabPrimitivesZeroAlloc(t *testing.T) {
 		slots, _ = s.RefSlots(base)
 		sum += uint32(len(slots)) + uint32(len(s.SlotRun(base+HeaderBytes, 4)))
 		_, w := s.RefSlot(base, 2)
-		*w = *s.Slot(base + HeaderBytes)
+		*w = s.SlotRun(base+HeaderBytes, 1)[0]
 		s.SetData(base, 3, s.GetData(base, 2)+1)
 		obj, fwd := s.ResolveFrom(base)
 		if fwd != Nil {

@@ -363,80 +363,27 @@ func TestObjectPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpanMapping exercises MapSpan and its release interleaved with single
-// frames: span addresses must be contiguous and spans must never overlap
-// live single frames.
-func TestSpanMapping(t *testing.T) {
-	s := testSpace(t)
-	f1 := s.MapFrame()
-	span := s.MapSpan(3)
-	f2 := s.MapFrame()
-	for i := 0; i < 3; i++ {
-		if !s.Mapped(span + Frame(i)) {
-			t.Fatalf("span frame %d unmapped", i)
-		}
-	}
-	// Contiguity: last word of frame i and first of i+1 are adjacent.
-	a := s.FrameBase(span)
-	s.SetWord(a+Addr(s.FrameBytes())-4, 7)
-	s.SetWord(a+Addr(s.FrameBytes()), 8)
-	if s.Word(a+Addr(s.FrameBytes())-4) != 7 || s.Word(a+Addr(s.FrameBytes())) != 8 {
-		t.Error("span not contiguous across frame boundary")
-	}
-	if s.FrameOf(a) == s.FrameOf(a+Addr(3*s.FrameBytes())-4) {
-		t.Error("span frames share a frame number")
-	}
-	for i := 0; i < 3; i++ { // frame by frame, as core's LOS sweep frees a span
-		s.UnmapFrame(span + Frame(i))
-	}
-	s.UnmapFrame(f1)
-	s.UnmapFrame(f2)
-	if s.MappedFrames() != 0 {
-		t.Errorf("MappedFrames = %d", s.MappedFrames())
-	}
-	// Recycled span frames come back as singles.
-	got := s.MapFrame()
-	if got != f1 && got != span {
-		t.Logf("recycle order: first recycled frame %d", got)
-	}
-}
-
-// TestAddressReuseChurn is a property test over random map/unmap/span
+// TestAddressReuseChurn is a property test over random map/unmap
 // sequences: mapped count stays consistent, reads of any mapped frame
 // work, and unmapped access always faults.
 func TestAddressReuseChurn(t *testing.T) {
 	prop := func(ops []uint8) bool {
 		s := NewSpace(1024, NewRegistry())
-		type span struct {
-			f Frame
-			n int
-		}
-		var live []span
+		var live []Frame
 		for _, op := range ops {
-			switch {
-			case op < 110:
-				live = append(live, span{s.MapFrame(), 1})
-			case op < 140:
-				n := int(op%3) + 2
-				live = append(live, span{s.MapSpan(n), n})
-			default:
-				if len(live) > 0 {
-					i := int(op) % len(live)
-					sp := live[i]
-					for k := 0; k < sp.n; k++ {
-						s.UnmapFrame(sp.f + Frame(k))
-					}
-					live[i] = live[len(live)-1]
-					live = live[:len(live)-1]
-				}
+			if op < 140 {
+				live = append(live, s.MapFrame())
+			} else if len(live) > 0 {
+				i := int(op) % len(live)
+				s.UnmapFrame(live[i])
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
 			}
 		}
-		want := 0
-		for _, sp := range live {
-			want += sp.n
-			s.SetWord(s.FrameBase(sp.f), 1) // must not fault
+		for _, f := range live {
+			s.SetWord(s.FrameBase(f), 1) // must not fault
 		}
-		return s.MappedFrames() == want
+		return s.MappedFrames() == len(live)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

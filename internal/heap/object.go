@@ -132,7 +132,8 @@ func (s *Space) SetRef(addr Addr, i int, v Addr) {
 }
 
 // dataWord validates data word i of the object at addr and returns it,
-// from one resolve of the object.
+// from one resolve of the object. A word past the end of the object's
+// frame is corruption: no object spans frames.
 func (s *Space) dataWord(addr Addr, i int) *uint32 {
 	slab := s.lookup(addr)
 	if slab == nil {
@@ -147,10 +148,11 @@ func (s *Space) dataWord(addr Addr, i int) *uint32 {
 	if i < 0 || i >= n {
 		badDataWord(i, n, addr, t)
 	}
-	if w := off + uint32(base+i); w < uint32(len(slab)) {
-		return &slab[w]
+	w := off + uint32(base+i)
+	if w >= uint32(len(slab)) {
+		s.overrun(addr)
 	}
-	return s.Slot(addr + Addr((base+i)*WordBytes)) // past the first frame of a span
+	return &slab[w]
 }
 
 // badDataWord panics for a data word index out of range, or for any
@@ -207,21 +209,20 @@ func (s *Space) CopyObject(src, dst Addr) int {
 	return size
 }
 
-// CopyBytes copies size bytes (a word multiple) from src to dst. When
-// both ranges lie within one frame — always true for ordinary objects,
-// which never span frames — it is a single copy() over the word slabs.
+// CopyBytes copies size bytes (a word multiple) from src to dst, a single
+// copy() over the word slabs. Neither range may leave its frame: no
+// object spans frames.
 func (s *Space) CopyBytes(src, dst Addr, size int) {
 	nw := uint32(size) >> WordShift
 	ss, so := s.slabAt(src, false)
 	ds, do := s.slabAt(dst, true)
-	if so+nw <= uint32(len(ss)) && do+nw <= uint32(len(ds)) {
-		copy(ds[do:do+nw], ss[so:so+nw])
-		return
+	if so+nw > uint32(len(ss)) {
+		s.overrun(src)
 	}
-	// Frame-spanning range (large objects): fall back to word stores.
-	for off := Addr(0); off < Addr(size); off += WordBytes {
-		s.SetWord(dst+off, s.Word(src+off))
+	if do+nw > uint32(len(ds)) {
+		s.overrun(dst)
 	}
+	copy(ds[do:do+nw], ss[so:so+nw])
 }
 
 // WalkObjects calls fn for each object formatted consecutively in

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestRecycleQueueOrderMatchesSliceQueue scripts a long map/unmap/span
+// TestRecycleQueueOrderMatchesSliceQueue scripts a long map/unmap
 // sequence with bursts in both directions (a collection unmaps many
 // frames, the mutator maps them back one by one) and requires every
 // MapFrame to return the frame number a plain `q = q[1:]` queue would:
@@ -49,18 +49,9 @@ func TestRecycleQueueOrderMatchesSliceQueue(t *testing.T) {
 			for n := rng.Intn(40); n > 0 && len(mapped) > 0; n-- {
 				unmapOne()
 			}
-		case r < 96: // the mutator filling a fresh increment
+		default: // the mutator filling a fresh increment
 			for n := rng.Intn(40); n > 0; n-- {
 				mapOne(step)
-			}
-		default: // spans mint fresh numbers and leave the queue alone
-			n := 1 + rng.Intn(3)
-			if got := s.MapSpan(n); got != next {
-				t.Fatalf("step %d: MapSpan = %d, want fresh frame %d", step, got, next)
-			}
-			for i := 0; i < n; i++ {
-				mapped = append(mapped, next)
-				next++
 			}
 		}
 		if s.MappedFrames() != len(mapped) {
@@ -121,7 +112,6 @@ func TestReleasedSpaceFaults(t *testing.T) {
 	mustPanic(t, "SetWord", func() { s.SetWord(a, 1) })
 	mustPanic(t, "ZeroRange", func() { s.ZeroRange(a, 8) })
 	mustPanic(t, "MapFrame", func() { s.MapFrame() })
-	mustPanic(t, "MapSpan", func() { s.MapSpan(2) })
 	s.Release() // idempotent
 }
 

@@ -11,7 +11,7 @@ import "fmt"
 // the same bad access.
 //
 // Lifetime of a view. A frame's slab never moves while the frame stays
-// mapped: MapFrame and MapSpan only append to the frame table, so a view
+// mapped: MapFrame only appends to the frame table, so a view
 // may be held across allocation, and across a collection's forwarding
 // (which maps copy-target frames). UnmapFrame hands the slab to the pool,
 // from where it is cleared and given to the next frame mapped, and
@@ -29,18 +29,8 @@ func (s *Space) FrameSlab(f Frame) []uint32 {
 	return s.frames[f]
 }
 
-// Slot resolves a once and returns the word there, for a read followed
-// by a rewrite of the same slot (a remembered-set entry). It faults as
-// Word does.
-func (s *Space) Slot(a Addr) *uint32 {
-	slab, off := s.slabAt(a, false)
-	return &slab[off]
-}
-
 // SlotRun returns a view of the n words starting at a, cut short at the
-// end of a's frame. The reference slots of a frame-spanning large object
-// are walked as one run per frame; for every other object the first run
-// is all of them.
+// end of a's frame.
 func (s *Space) SlotRun(a Addr, n int) []uint32 {
 	slab, off := s.slabAt(a, false)
 	end := uint32(len(slab))
@@ -71,6 +61,8 @@ func (s *Space) SlotsAt(slab []uint32, obj Addr) (slots []uint32, size int) {
 
 // overrun panics for an object whose words, by its header, run past the
 // end of its frame.
+//
+//go:noinline
 func (s *Space) overrun(obj Addr) {
 	panic(fmt.Sprintf("heap: object at %v overruns its frame", obj))
 }
@@ -88,9 +80,8 @@ func (s *Space) RefSlots(obj Addr) (slots []uint32, size int) {
 //
 // Like dataWord and Format it is one call from the collector's or the
 // mutator's method down: the translation, the header decode and the word
-// offset inline, every fault is raised out of line, and only a
-// frame-spanning large object — the one shape with words past the end of
-// the slab its header resolves to — translates a second address.
+// offset inline, and every fault is raised out of line — a slot past the
+// end of the object's frame among them, since no object spans frames.
 func (s *Space) RefSlot(obj Addr, i int) (Addr, *uint32) {
 	slab := s.lookup(obj)
 	if slab == nil {
@@ -104,11 +95,11 @@ func (s *Space) RefSlot(obj Addr, i int) (Addr, *uint32) {
 	if n := t.NumRefs(length); i < 0 || i >= n {
 		badRefSlot(i, n, obj, t)
 	}
-	slotAddr := s.RefSlotAddr(obj, i)
-	if w := off + headerWords + uint32(i); w < uint32(len(slab)) {
-		return slotAddr, &slab[w]
+	w := off + headerWords + uint32(i)
+	if w >= uint32(len(slab)) {
+		s.overrun(obj)
 	}
-	return slotAddr, s.Slot(slotAddr)
+	return s.RefSlotAddr(obj, i), &slab[w]
 }
 
 // badRefSlot panics for a reference slot index out of range.

@@ -64,9 +64,6 @@ func TestSlabPrimitivesFaultLikeWordPath(t *testing.T) {
 		name     string
 		old, new access
 	}{
-		{"unmapped/Slot",
-			func(x slabFixture) { x.s.Word(x.unmapped) },
-			func(x slabFixture) { x.s.Slot(x.unmapped) }},
 		{"unmapped/SlotRun",
 			func(x slabFixture) { x.s.Word(x.unmapped) },
 			func(x slabFixture) { x.s.SlotRun(x.unmapped, 2) }},
@@ -90,9 +87,6 @@ func TestSlabPrimitivesFaultLikeWordPath(t *testing.T) {
 				obj, _ := x.s.ResolveFrom(x.obj)
 				x.s.CopyForward(obj, x.obj, x.unmapped)
 			}},
-		{"misaligned/Slot",
-			func(x slabFixture) { x.s.Word(x.obj + 2) },
-			func(x slabFixture) { x.s.Slot(x.obj + 2) }},
 		{"misaligned/SlotRun",
 			func(x slabFixture) { x.s.Word(x.obj + 1) },
 			func(x slabFixture) { x.s.SlotRun(x.obj+1, 1) }},
@@ -144,9 +138,6 @@ func TestSlabPrimitivesFaultLikeWordPath(t *testing.T) {
 		{"bad-type/ResolveFrom",
 			func(x slabFixture) { x.s.SetWord(x.obj, 0); x.s.SizeOf(x.obj) },
 			func(x slabFixture) { x.s.SetWord(x.obj, 0); x.s.ResolveFrom(x.obj) }},
-		{"released/Slot",
-			func(x slabFixture) { x.s.Release(); x.s.Word(x.obj) },
-			func(x slabFixture) { x.s.Release(); x.s.Slot(x.obj) }},
 		{"released/FrameSlab",
 			func(x slabFixture) { x.s.Release(); x.s.Word(x.s.FrameBase(x.f)) },
 			func(x slabFixture) { x.s.Release(); x.s.FrameSlab(x.f) }},
@@ -295,9 +286,9 @@ func TestSlabViewsAliasTheHeap(t *testing.T) {
 	if slotAddr != s.RefSlotAddr(a, 1) || Addr(*w) != b {
 		t.Errorf("RefSlot = %v, %v", slotAddr, *w)
 	}
-	*s.Slot(slotAddr) = uint32(a)
+	s.SlotRun(slotAddr, 1)[0] = uint32(a)
 	if s.GetRef(a, 1) != a || *w != uint32(a) {
-		t.Error("Slot and RefSlot do not alias the same slot")
+		t.Error("SlotRun and RefSlot do not alias the same slot")
 	}
 
 	obj, fwd := s.ResolveFrom(a)
@@ -318,47 +309,53 @@ func TestSlabViewsAliasTheHeap(t *testing.T) {
 	}
 }
 
-// A frame-spanning large object is the one shape whose slots leave the
-// slab its header resolved to: SlotRun yields one run per frame, and the
-// single-slot accessors reach the later frames' words.
+// No object spans frames. A header whose length runs past the end of its
+// frame is corruption, and each accessor that would reach a word beyond
+// the frame faults with the overrun panic, even when the next frame is
+// mapped and the word is there to be read.
 func TestSlabPrimitivesOnFrameSpanningObject(t *testing.T) {
 	r := NewRegistry()
 	arr := r.DefineRefArray("arr")
 	words := r.DefineWordArray("words")
 	s := NewSpace(256, r) // 64 words a frame
-	const n = 150         // three frames
-	obj := s.FrameBase(s.MapSpan(3))
-	s.Format(obj, arr, n, 1)
-	for i := 0; i < n; i++ {
-		_, w := s.RefSlot(obj, i)
-		*w = uint32(1000 + i)
-	}
-	var runs []int
-	i := 0
-	for a, left := obj+HeaderBytes, n; left > 0; {
-		run := s.SlotRun(a, left)
-		runs = append(runs, len(run))
-		for _, w := range run {
-			if w != uint32(1000+i) || Addr(w) != s.GetRef(obj, i) || s.Word(a) != w {
-				t.Fatalf("slot %d: run holds %d", i, w)
-			}
-			a += WordBytes
-			i++
+	f := s.MapFrame()
+	for i := Frame(1); i < 4; i++ {
+		if g := s.MapFrame(); g != f+i {
+			t.Fatalf("frame %d mapped as %d, want %d", i, g, f+i)
 		}
-		left -= len(run)
 	}
-	if fmt.Sprint(runs) != "[61 64 25]" {
-		t.Errorf("runs of %v slots, want [61 64 25]", runs)
-	}
-	if want := "overruns its frame"; !strings.Contains(panicOf(func() { s.RefSlots(obj) }), want) {
-		t.Errorf("RefSlots on a frame-spanning object should panic with %q", want)
+	obj, dst := s.FrameBase(f), s.FrameBase(f+2)
+	const n = 100                     // runs into frame f+1
+	const last = 64 - headerWords - 1 // the last slot inside the frame
+	const want = "overruns its frame"
+	faults := func(what string, fn func()) {
+		t.Helper()
+		if msg := panicOf(fn); !strings.Contains(msg, want) {
+			t.Errorf("%s: panic %q, want %q", what, msg, want)
+		}
 	}
 
-	data := s.FrameBase(s.MapSpan(2))
-	s.Format(data, words, 100, 2)
-	s.SetData(data, 99, 7)
-	if s.GetData(data, 99) != 7 || s.Word(data+HeaderBytes+99*WordBytes) != 7 {
-		t.Error("data word in the second frame of a span not reached")
+	s.Format(obj, arr, n, 1)
+	if msg := panicOf(func() { s.RefSlot(obj, last) }); msg != "" {
+		t.Errorf("RefSlot of the frame's last word: %s", msg)
+	}
+	faults("RefSlot", func() { s.RefSlot(obj, last+1) })
+	faults("GetRef", func() { s.GetRef(obj, n-1) })
+	faults("SetRef", func() { s.SetRef(obj, last+1, obj) })
+	faults("CopyObject", func() { s.CopyObject(obj, dst) })
+
+	s.Format(obj, words, n, 2)
+	if msg := panicOf(func() { s.SetData(obj, last, 7) }); msg != "" {
+		t.Errorf("SetData of the frame's last word: %s", msg)
+	}
+	faults("GetData", func() { s.GetData(obj, last+1) })
+	faults("SetData", func() { s.SetData(obj, n-1, 7) })
+
+	// A source that fits, copied to a destination it would overrun.
+	s.Format(obj, words, 4, 3)
+	faults("CopyObject to the end of a frame", func() { s.CopyObject(obj, s.FrameLimit(f+2)-2*WordBytes) })
+	if s.Word(s.FrameBase(f+3)) != 0 {
+		t.Error("a faulting copy wrote into the next frame")
 	}
 }
 
@@ -382,7 +379,6 @@ func TestSlabViewSurvivesMapping(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		mapped = append(mapped, s.MapFrame())
 	}
-	s.MapSpan(64)
 	for _, g := range mapped[:2500] { // unmapping OTHER frames is harmless too
 		s.UnmapFrame(g)
 	}

@@ -203,26 +203,6 @@ func (s *Space) UnmapFrame(f Frame) {
 	}
 }
 
-// MapSpan maps n consecutive fresh frames (for a large object spanning
-// frames) and returns the first. Span frame numbers are always newly
-// minted — the single-frame recycle queue is not consulted — so the
-// addresses are guaranteed contiguous. A span is released frame by frame
-// with UnmapFrame, and its frame numbers are recycled individually.
-func (s *Space) MapSpan(n int) Frame {
-	if n < 1 {
-		panic("heap: MapSpan of non-positive length")
-	}
-	f := Frame(len(s.frames))
-	for i := 0; i < n; i++ {
-		s.frames = append(s.frames, s.newSlab())
-		s.mapped++
-		if s.OnMap != nil {
-			s.OnMap()
-		}
-	}
-	return f
-}
-
 // fault reconstructs the precise panic for a bad access. It is kept out
 // of line so that lookup, which every access goes through, inlines.
 func (s *Space) fault(a Addr, write bool) {

@@ -59,26 +59,24 @@ func (p Pause) Duration() float64 { return p.End - p.Start }
 // Counters aggregates raw event counts for a run. They are exact work
 // counts, independent of the cost model, and are what the tests assert on.
 type Counters struct {
-	BytesAllocated    uint64
-	ObjectsAllocated  uint64
-	PointerStores     uint64
-	BarrierSlowPaths  uint64
-	RemsetInserts     uint64
-	RemsetEntriesGC   uint64 // remset entries examined during collections
-	BytesCopied       uint64
-	ObjectsCopied     uint64
-	SlotsScanned      uint64
-	RootsScanned      uint64
-	Collections       uint64
-	FullCollections   uint64 // collections whose condemned set spanned >= the whole usable heap
-	FramesMapped      uint64
-	FramesUnmapped    uint64
-	BootBytesScanned  uint64
-	PageFaultBytes    uint64
-	CardsScanned      uint64 // dirty cards processed at collections (card barrier)
-	PretenuredBytes   uint64 // bytes allocated directly on older belts
-	LOSBytesAllocated uint64 // bytes allocated in the large object space
-	LOSBytesSwept     uint64 // large-object bytes reclaimed by sweeps
+	BytesAllocated   uint64
+	ObjectsAllocated uint64
+	PointerStores    uint64
+	BarrierSlowPaths uint64
+	RemsetInserts    uint64
+	RemsetEntriesGC  uint64 // remset entries examined during collections
+	BytesCopied      uint64
+	ObjectsCopied    uint64
+	SlotsScanned     uint64
+	RootsScanned     uint64
+	Collections      uint64
+	FullCollections  uint64 // collections whose condemned set spanned >= the whole usable heap
+	FramesMapped     uint64
+	FramesUnmapped   uint64
+	BootBytesScanned uint64
+	PageFaultBytes   uint64
+	CardsScanned     uint64 // dirty cards processed at collections (card barrier)
+	PretenuredBytes  uint64 // bytes allocated directly on older belts
 
 	// Mark-region substrate counters.
 	MRObjectsMarked   uint64 // objects marked in place (not copied)

@@ -36,7 +36,6 @@ var mustInline = []struct{ pkg, fn string }{
 	{"internal/vm", "(*Mutator).addrOf"},
 	{"internal/core", "(*Heap).bumpTail"},
 	{"internal/core", "(*Heap).overcommitted"},
-	{"internal/core", "(*Heap).losThreshold"},
 }
 
 func TestFastPathInlines(t *testing.T) {
