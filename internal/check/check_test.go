@@ -246,10 +246,10 @@ func TestReproFixtures(t *testing.T) {
 	for _, fx := range fixtures {
 		fx := fx
 		t.Run(fx.Name, func(t *testing.T) {
-			// The committed fixtures carry a "PretenureBelt" key from when
-			// core.Config had that field; encoding/json drops a key it does
-			// not know, and everything else must still decode to
-			// configurations the collector accepts.
+			// The committed fixtures carry "PretenureBelt" and "Degrade"
+			// keys from when core.Config had those fields; encoding/json
+			// drops a key it does not know, and everything else must still
+			// decode to configurations the collector accepts.
 			if len(fx.Configs) == 0 {
 				t.Fatal("fixture decoded to no configurations")
 			}

@@ -1,7 +1,7 @@
 package check
 
-// DegradeCyclicScript builds the demonstration workload behind the
-// committed degrade-cyclic fixture: the cyclic-garbage pattern the
+// CyclicGarbageScript builds the demonstration workload behind the
+// committed cyclic-xx25 fixture: the cyclic-garbage pattern the
 // paper's completeness discussion warns about, expressed in the script
 // dialect.
 //
@@ -16,11 +16,11 @@ package check
 // that fits comfortably once the ring is reclaimed.
 //
 // On an incomplete configuration (X.X) the ring is never reclaimed and
-// phase 4 dies with OOM; with Config.Degrade the emergency full-heap
-// collection condemns all increments at once, reclaims the ring, and the
-// run completes. The committed fixture pins both outcomes at an explicit
-// heap size.
-func DegradeCyclicScript() Script {
+// phase 4 dies with OOM; on the complete X.X.100 the third belt's
+// collection condemns all the ring's increments at once, reclaims it,
+// and the run completes. The committed fixture pins both outcomes at an
+// explicit heap size.
+func CyclicGarbageScript() Script {
 	const (
 		ringNodes    = 200 // chk.arr, 24 refs each
 		collectEvery = 25

@@ -120,10 +120,10 @@ func watchInvariants(h *core.Heap) {
 // The oracle keeps two on purpose. replay is record-once-replay-N, the
 // only place trace.Replay's handle-drift check meets random scripts.
 // execute runs the script itself, so an OOM yields the serial stream
-// actually produced, not a truncated trace: what the degradation fixture
-// needs. A
-// drive may first attach what it needs: recording swaps a trace recorder
-// in for the serial tap, a test merges its gc.Hooks into the heap's.
+// actually produced, not a truncated trace: what the cyclic fixture
+// needs. A drive may first attach what it needs: recording swaps a trace
+// recorder in for the serial tap, a test merges its gc.Hooks into the
+// heap's.
 type drive func(*vm.Mutator) error
 
 func replay(tr *trace.Trace) drive {

@@ -64,17 +64,6 @@ func (h *Heap) RefAlloc(t *heap.TypeDesc, length int) (heap.Addr, error) {
 			return heap.Nil, err
 		}
 	}
-	if h.cfg.Degrade {
-		a, ok, err := h.rescueAlloc(size, func() (heap.Addr, bool) { return h.refTryAlloc(size) })
-		if err != nil {
-			return heap.Nil, err
-		}
-		if ok {
-			h.serial++
-			h.space.Format(a, t, length, h.serial)
-			return a, nil
-		}
-	}
 	return heap.Nil, h.oomError(size,
 		fmt.Sprintf("%s: no progress after repeated collections", h.cfg.Name))
 }

@@ -690,8 +690,11 @@ func (h *Heap) scanBootImage(st *gcState) error {
 // gcAddFrame maps a frame for a copy target. Copy frames draw on the
 // reserve, so the mutator budget does not apply, but two hard caps do:
 //
-//   - the whole-heap cap catches reserve-accounting bugs (the total may
-//     exceed the heap budget only by the per-belt packing slack);
+//   - the whole-heap cap: the total may exceed the heap budget only by
+//     the per-belt packing slack. Real runs reach it — survivors outgrow
+//     the dynamic reserve mid-collection (50.50.100 on pseudojbb at
+//     Appel's minimum heap does, ROADMAP item 3) — and a Cheney copy
+//     cannot abort halfway, so the run reports OOM;
 //
 //   - a per-belt cap enforces other belts' permanent reservations
 //     (BeltSpec.ReserveFrac): a classic fixed-size-nursery collector
@@ -700,17 +703,8 @@ func (h *Heap) scanBootImage(st *gcState) error {
 func (h *Heap) gcAddFrame(in *Increment) error {
 	limit := h.cfg.HeapBytes + (len(h.belts)+2)*h.cfg.FrameBytes
 	if (h.heapFrames+1)*h.cfg.FrameBytes > limit {
-		// A Cheney collection cannot abort mid-scan, so a reserve
-		// exhausted mid-collection is absorbed — under the ladder — by a
-		// bounded overdraft: map beyond the cap now, settle with an
-		// emergency collection at the next safe point.
-		if !h.cfg.Degrade || h.deg.overdraftFrames >= h.overdraftLimit() {
-			return h.oomError(0,
-				fmt.Sprintf("%s: copy reserve exhausted during collection", h.cfg.Name))
-		}
-		h.deg.overdraftFrames++
-		h.deg.pendingEmergency = true
-		h.noteDegrade(gc.DegradeOverdraft, 0)
+		return h.oomError(0,
+			fmt.Sprintf("%s: copy reserve exhausted during collection", h.cfg.Name))
 	}
 	if otherReserve := h.reservedElsewhere(in.belt); otherReserve > 0 {
 		usable := h.cfg.HeapBytes - h.reserveBytes
@@ -722,8 +716,6 @@ func (h *Heap) gcAddFrame(in *Increment) error {
 			}
 		}
 		if held+1 > beltCap {
-			// Permanent reservations stay hard even under the ladder:
-			// they model a policy choice, not a transient failure.
 			return h.oomError(0,
 				fmt.Sprintf("%s: survivors exceed the space left by reserved belts", h.cfg.Name))
 		}

@@ -200,16 +200,6 @@ type Config struct {
 	// Zero disables paging charges.
 	PhysMemBytes int
 
-	// Degrade enables the graceful-degradation ladder (see degrade.go):
-	// before surfacing an OOM the collector runs an emergency full-heap
-	// collection — condemning every collectible increment, the
-	// X.X -> X.X.100 completeness fallback — and retries the failed
-	// allocation once; mid-collection reserve exhaustion is absorbed by
-	// a bounded overdraft settled the same way. Off (the default) the
-	// collector fails exactly as the paper's incomplete configurations
-	// do, and behavior is bit-identical to a build without the ladder.
-	Degrade bool
-
 	// Policy, when non-nil, is the adaptive-policy hook point (see
 	// tuning.go): it is consulted at the end of every collection and may
 	// retune the scheduling knobs — belt/increment sizing, promotion

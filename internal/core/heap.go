@@ -54,7 +54,6 @@ type Heap struct {
 	slowAtLastGC   uint64 // Counters.BarrierSlowPaths at the previous GCEnd
 	remsetPoll     int    // allocation counter throttling the remset trigger poll
 	mos            mosState
-	deg            degradeState
 	mr             mrState
 
 	// Reusable per-collection machinery, so steady-state collections and
@@ -179,13 +178,15 @@ func (h *Heap) SetHooks(hooks gc.Hooks) { h.hooks = hooks }
 // (SetHooks(h.Hooks().Merge(more))) to whatever is attached already.
 func (h *Heap) Hooks() gc.Hooks { return h.hooks }
 
-// noteOOM reports an out-of-memory condition to the OOM hook (requested
-// is 0 when the copy reserve ran out mid-collection rather than a
-// mutator allocation failing).
-func (h *Heap) noteOOM(requested int) {
+// oomError is the single exit point for out-of-memory conditions: it
+// fires the OOM hook exactly once and builds the structured error
+// (requested is 0 when the copy reserve ran out mid-collection rather
+// than a mutator allocation failing).
+func (h *Heap) oomError(requested int, detail string) error {
 	if h.hooks.OOM != nil {
 		h.hooks.OOM(requested, h.cfg.HeapBytes)
 	}
+	return &gc.OOMError{Requested: requested, HeapBytes: h.cfg.HeapBytes, Detail: detail}
 }
 
 // FootprintBytes returns the mapped memory footprint (heap + boot image),
@@ -286,7 +287,7 @@ func (h *Heap) Alloc(t *heap.TypeDesc, length int) (heap.Addr, error) {
 // allocSlow is Alloc for an allocation that missed the window: the
 // decision tree, and collections until it finds room.
 func (h *Heap) allocSlow(t *heap.TypeDesc, length, size int) (heap.Addr, error) {
-	a, ok, err := h.allocCollecting(size, func() (heap.Addr, bool) { return h.tryAlloc(size) })
+	a, ok, err := h.allocCollecting(func() (heap.Addr, bool) { return h.tryAlloc(size) })
 	if err != nil {
 		return heap.Nil, err
 	}
@@ -300,17 +301,16 @@ func (h *Heap) allocSlow(t *heap.TypeDesc, length, size int) (heap.Addr, error) 
 }
 
 // allocCollecting is the retry loop the two allocators share: try, an
-// allocator's attempt to find size bytes without collecting, then for as
-// long as it fails a collection and another try — and, past the bound,
-// the degradation ladder's emergency collection and last try. It reports
-// false when all of that found no room; the caller raises its own OOM.
+// allocator's attempt to find room without collecting, then for as
+// long as it fails a collection and another try. It reports false when
+// all of that found no room; the caller raises its own OOM.
 //
 // A tight heap may need several incremental collections (nursery, then
 // belt-1 increments in FIFO order, then the top belt) before a frame
 // frees, so the bound scales with the number of live increments. It is
 // summed after the first failed try, which changes no belt: an allocation
 // that finds room at once never pays for it.
-func (h *Heap) allocCollecting(size int, try func() (heap.Addr, bool)) (heap.Addr, bool, error) {
+func (h *Heap) allocCollecting(try func() (heap.Addr, bool)) (heap.Addr, bool, error) {
 	if a, ok := try(); ok {
 		return a, true, nil
 	}
@@ -321,9 +321,6 @@ func (h *Heap) allocCollecting(size int, try func() (heap.Addr, bool)) (heap.Add
 		if a, ok := try(); ok {
 			return a, true, nil
 		}
-	}
-	if h.cfg.Degrade {
-		return h.rescueAlloc(size, try)
 	}
 	return heap.Nil, false, nil
 }

@@ -68,9 +68,6 @@ func assertOOM(t *testing.T, err error, wantRequested, wantHeapBytes int, wantDe
 	if !strings.Contains(oe.Detail, wantDetail) {
 		t.Errorf("Detail = %q, want substring %q", oe.Detail, wantDetail)
 	}
-	if len(oe.Degradation) != 0 {
-		t.Errorf("Degradation = %v, want empty without Config.Degrade", oe.Degradation)
-	}
 	return oe
 }
 

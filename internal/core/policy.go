@@ -25,18 +25,7 @@ func (h *Heap) collectForAlloc() error {
 	if len(victims) == 0 {
 		return h.oomError(0, h.cfg.Name+": heap full with nothing collectible")
 	}
-	return h.collectSettled(victims, gc.TriggerHeapFull)
-}
-
-// collectSettled is collect for every caller but the emergency collection
-// itself: once the collection is over — a safe point — it runs the
-// emergency collection a mid-collection overdraft asked for.
-func (h *Heap) collectSettled(victims []*Increment, trigger gc.TriggerKind) error {
-	err := h.collect(victims, trigger)
-	if err == nil && h.deg.pendingEmergency {
-		err = h.emergencyCollect()
-	}
-	return err
+	return h.collect(victims, gc.TriggerHeapFull)
 }
 
 // beltsBelow returns every increment of the belts below k, lowest belt
@@ -229,7 +218,7 @@ func (h *Heap) pollRemsetTrigger() (bool, error) {
 		n := h.rems.EntriesTargeting(h.trigTargetFn)
 		h.trigOld = nil
 		if n > th {
-			return true, h.collectSettled(append(h.beltsBelow(bi), old), gc.TriggerRemset)
+			return true, h.collect(append(h.beltsBelow(bi), old), gc.TriggerRemset)
 		}
 	}
 	return false, nil
@@ -244,11 +233,11 @@ func (h *Heap) Collect(full bool) error {
 		if h.numIncrements() == 0 {
 			return nil // nothing to collect
 		}
-		return h.collectSettled(h.beltsBelow(len(h.belts)), gc.TriggerForcedFull)
+		return h.collect(h.beltsBelow(len(h.belts)), gc.TriggerForcedFull)
 	}
 	victims := h.chooseVictims()
 	if len(victims) == 0 {
 		return nil // nothing collectible: a forced collection is a no-op
 	}
-	return h.collectSettled(victims, gc.TriggerForced)
+	return h.collect(victims, gc.TriggerForced)
 }

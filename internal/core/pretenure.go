@@ -30,7 +30,7 @@ func (h *Heap) AllocPretenured(t *heap.TypeDesc, length int) (heap.Addr, error) 
 	h.chargeAlloc(size)
 	h.clock.Counters.PretenuredBytes += uint64(size)
 
-	a, ok, err := h.allocCollecting(size, func() (heap.Addr, bool) { return h.tryAllocPretenured(size) })
+	a, ok, err := h.allocCollecting(func() (heap.Addr, bool) { return h.tryAllocPretenured(size) })
 	if err != nil {
 		return heap.Nil, err
 	}

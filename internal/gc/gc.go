@@ -10,7 +10,6 @@ package gc
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"beltway/internal/heap"
 	"beltway/internal/stats"
@@ -26,19 +25,9 @@ type OOMError struct {
 	Requested int
 	HeapBytes int
 	Detail    string
-	// Degradation lists the graceful-degradation ladder steps the
-	// collector took before giving up (emergency collections, reserve
-	// retries, overdrafts), oldest first. Empty when degradation is
-	// disabled or nothing was attempted; Error() output is unchanged in
-	// that case.
-	Degradation []string `json:",omitempty"`
 }
 
 func (e *OOMError) Error() string {
-	if len(e.Degradation) > 0 {
-		return fmt.Sprintf("gc: out of memory: need %d bytes in %d-byte heap (%s; after %s)",
-			e.Requested, e.HeapBytes, e.Detail, strings.Join(e.Degradation, ", "))
-	}
 	return fmt.Sprintf("gc: out of memory: need %d bytes in %d-byte heap (%s)",
 		e.Requested, e.HeapBytes, e.Detail)
 }

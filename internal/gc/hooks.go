@@ -21,10 +21,9 @@ const (
 	// TriggerForcedFull: an explicit Collect(true) call condemning the
 	// whole heap.
 	TriggerForcedFull
-	// TriggerEmergency: the graceful-degradation ladder condemned every
-	// collectible increment as a last resort before surfacing an OOM —
-	// the X.X -> X.X.100 completeness fallback.
-	TriggerEmergency
+	// 5 is retired (the deleted degradation ladder's emergency
+	// collection): traces carry these numbers, so it is not reused.
+	_
 )
 
 func (t TriggerKind) String() string {
@@ -37,8 +36,6 @@ func (t TriggerKind) String() string {
 		return "forced"
 	case TriggerForcedFull:
 		return "forced-full"
-	case TriggerEmergency:
-		return "emergency"
 	default:
 		return "unknown"
 	}
@@ -109,48 +106,6 @@ type BeltStat struct {
 	Frames     int
 }
 
-// DegradeStep identifies one rung of the graceful-degradation ladder.
-// The values are the EvDegrade wire format (internal/telemetry names them
-// by number), so a retired step's number is not reused.
-type DegradeStep uint8
-
-const (
-	// DegradeEmergencyGC: an emergency full-heap collection ran (every
-	// collectible increment condemned) before declaring OOM.
-	DegradeEmergencyGC DegradeStep = 1
-	// DegradeRetryAverted: the allocation that exhausted the heap
-	// succeeded on retry after the emergency collection — the OOM was
-	// averted.
-	DegradeRetryAverted DegradeStep = 2
-	// DegradeOverdraft: the copy reserve was exhausted mid-collection and
-	// the collector mapped a frame beyond its cap (settled by an
-	// emergency collection at the next safe point).
-	DegradeOverdraft DegradeStep = 4
-)
-
-func (s DegradeStep) String() string {
-	switch s {
-	case DegradeEmergencyGC:
-		return "emergency-collection"
-	case DegradeRetryAverted:
-		return "retry-averted"
-	case DegradeOverdraft:
-		return "reserve-overdraft"
-	default:
-		return "unknown"
-	}
-}
-
-// DegradeInfo describes one degradation-ladder step as it happens.
-type DegradeInfo struct {
-	Step DegradeStep
-	// Requested is the allocation size that triggered the ladder (0 for
-	// mid-collection steps).
-	Requested int
-	// HeapBytes is the configured heap budget.
-	HeapBytes int
-}
-
 // Hooks are optional collector callbacks, used by the validator and by
 // the telemetry subsystem. All fields may be nil; the zero value is a
 // valid no-op set. Hook implementations must not mutate the heap and
@@ -184,10 +139,6 @@ type Hooks struct {
 	// OOM runs when the collector gives up on an allocation (or exhausts
 	// the copy reserve mid-collection; requested is 0 in that case).
 	OOM func(requested, heapBytes int)
-	// Degraded runs for every graceful-degradation ladder step the
-	// collector takes (emergency collection, retry, overdraft) before —
-	// and hopefully instead of — an OOM.
-	Degraded func(DegradeInfo)
 }
 
 // Merge composes two hook sets: each callback invokes h's hook, then
@@ -204,7 +155,6 @@ func (h Hooks) Merge(o Hooks) Hooks {
 		Occupancy: merge1(h.Occupancy, o.Occupancy),
 		Flip:      mergeII(h.Flip, o.Flip),
 		OOM:       mergeII(h.OOM, o.OOM),
-		Degraded:  merge1(h.Degraded, o.Degraded),
 	}
 }
 

@@ -25,7 +25,7 @@ type HeapCorruptionError struct {
 	// Panic is the recovered panic value.
 	Panic any
 	// Events is the tail of that lane's flight recorder at the moment of
-	// the panic — the collections and degradation steps leading up to it.
+	// the panic — the collections leading up to it.
 	Events []telemetry.Event
 }
 

@@ -20,8 +20,6 @@ func BindEnvFlags(fs *flag.FlagSet) func() (Env, error) {
 		pretenure = fs.Bool("pretenure", false, "route known-long-lived allocation sites to older belts")
 		budget    = fs.Float64("budget", 0,
 			"per-run cost budget in nominal seconds of simulated time (0 = none); exceeded runs abort deterministically")
-		degrade = fs.Bool("degrade", false,
-			"enable the graceful-degradation ladder: emergency full-heap collection and one retry before any run reports OOM")
 		mutators = fs.Int("mutators", 1,
 			"mutator lanes per run; >1 shards every run over N private heaps (times are the simulated N-core makespan)")
 		adapt = fs.String("adapt", "",
@@ -40,7 +38,6 @@ func BindEnvFlags(fs *flag.FlagSet) func() (Env, error) {
 		if *budget > 0 {
 			env.CostBudget = *budget * stats.CyclesPerSecond
 		}
-		env.Degrade = *degrade
 		env.Mutators = *mutators
 		env.Policy = *adapt
 		return env, ValidateEnv(env)

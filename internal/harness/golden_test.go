@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"beltway/internal/collectors"
-	"beltway/internal/gc"
 	"beltway/internal/server"
 	"beltway/internal/workload"
 )
@@ -72,10 +71,6 @@ var goldenCases = []goldenCase{
 		tweak: func(e *Env) { e.Telemetry = true },
 		holds: func(r *Result) bool { return r.Telemetry != nil && len(r.Telemetry.Events) > 0 },
 		want:  "c34821b615071dc96fc670673a4f3bb2e243f1c13b358897ecb5e200415d3af6"},
-	{name: "bench degrade", heap: oomHeap,
-		tweak: func(e *Env) { e.Degrade = true; e.Telemetry = true },
-		holds: func(r *Result) bool { return degradeSteps(r)[gc.DegradeEmergencyGC] > 0 },
-		want:  "ec39a855554df79f11548fbd1fb78b8fa50f3265ec14647552bc090f31217ce3"},
 	{name: "bench policy slo", heap: benchHeap,
 		tweak: func(e *Env) { e.Policy = "slo" },
 		holds: func(r *Result) bool { return r.Policy != nil },

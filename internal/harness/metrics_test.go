@@ -30,16 +30,11 @@ func TestEventsRestateTheResult(t *testing.T) {
 	rows := []struct {
 		name   string
 		bench  string // "" is the server workload at 4x estimated live
-		spec   string // "" is 25.25.100 for a benchmark
 		heap   int
 		tweak  func(*Env)
 		totals bool // the ring must not have wrapped: check sums too
 	}{
 		{name: "bench flat", bench: "jess", heap: 128 << 10},
-		// pseudojbb's Appel minimum at scale 0.1, where 50.50.100 overdraws
-		// its copy reserve (TestDegradeOverdraftCompletesXX100).
-		{name: "bench degrade", bench: "pseudojbb", spec: "50.50.100", heap: 1650688, totals: true,
-			tweak: func(e *Env) { e.Degrade = true }},
 		{name: "bench policy throughput", bench: "jess", heap: 128 << 10,
 			tweak: func(e *Env) { e.Policy = "throughput" }},
 		{name: "server"},
@@ -56,9 +51,6 @@ func TestEventsRestateTheResult(t *testing.T) {
 				row.tweak(&env)
 			}
 			spec, heap := "25.25.100", row.heap
-			if row.spec != "" {
-				spec = row.spec
-			}
 			if row.bench == "" {
 				spec = "25.25"
 				heap = (4*sc.EstLiveBytes()/env.FrameBytes + 1) * env.FrameBytes

@@ -36,10 +36,6 @@ type Env struct {
 	// recorder's snapshot) in Result.Telemetry. Telemetry observes the
 	// clock without advancing it, so enabling it changes no measurement.
 	Telemetry bool `json:",omitempty"`
-	// Degrade enables the graceful-degradation ladder (core.Config.Degrade)
-	// on every configuration: emergency full-heap collection and one retry
-	// before any allocation surfaces OOM.
-	Degrade bool `json:",omitempty"`
 	// Mutators, when > 1, runs the workload on that many mutator lanes
 	// (internal/shard), one goroutine each: every lane drives a private
 	// heap with the same configuration and its own decorrelated seed
@@ -179,9 +175,6 @@ func Run(cfg core.Config, w Workload, env Env) (*Result, error) {
 	ctrl, err := envController(env)
 	if err != nil {
 		return nil, err
-	}
-	if env.Degrade {
-		cfg.Degrade = true
 	}
 	if ctrl != nil {
 		cfg.Policy = ctrl

@@ -1,7 +1,7 @@
 // Package telemetry is a run's event stream: a fixed-capacity
 // allocation-free flight recorder of typed events (collections, belt
-// occupancy, flips, OOMs, degradation steps, server requests, policy
-// decisions), the hooks and observers that feed it, the merge of
+// occupancy, flips, OOMs, server requests, policy decisions), the
+// hooks and observers that feed it, the merge of
 // per-lane streams, and its renderers (Chrome trace_event JSON, ASCII
 // heap timeline). It keeps no counts: a run's numbers are the clock's
 // (stats.Counters, the pause list) and reach -metrics-out through
@@ -70,12 +70,10 @@ const (
 	//   B = configured heap bytes
 	EvOOM
 
-	// EvDegrade: the collector took one step down the graceful-degradation
-	// ladder (Config.Degrade) instead of reporting OOM outright.
-	//   A = degradation step (gc.DegradeStep)
-	//   B = requested bytes (0 for steps not tied to an allocation)
-	//   C = configured heap bytes
-	EvDegrade
+	// 7 is retired (it was a step of the deleted degradation ladder):
+	// snapshots, Chrome traces and golden digests carry these numbers,
+	// so it is not reused.
+	_
 
 	// EvRequest: one served server request (internal/server). Time is
 	// the request's end, Dur its latency, both in cost units.
@@ -109,8 +107,6 @@ func (k EventKind) String() string {
 		return "flip"
 	case EvOOM:
 		return "oom"
-	case EvDegrade:
-		return "degrade"
 	case EvRequest:
 		return "request"
 	case EvPolicy:
@@ -168,9 +164,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("#%d t=%.0f flip alloc-belt=%d remset=%d", e.Seq, e.Time, e.A, e.B)
 	case EvOOM:
 		return fmt.Sprintf("#%d t=%.0f OOM requested=%d heap=%d", e.Seq, e.Time, e.A, e.B)
-	case EvDegrade:
-		return fmt.Sprintf("#%d t=%.0f degrade step=%s requested=%d heap=%d",
-			e.Seq, e.Time, gc.DegradeStep(e.A), e.B, e.C)
 	case EvRequest:
 		kind := "read"
 		if uint8(e.A) == 1 {

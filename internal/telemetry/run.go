@@ -98,12 +98,6 @@ func (r *Run) Hooks() gc.Hooks {
 				A: uint64(requested), B: uint64(heapBytes),
 			})
 		},
-		Degraded: func(info gc.DegradeInfo) {
-			r.rec.Emit(Event{
-				Kind: EvDegrade, Time: r.now(), GC: r.gcOrdinal,
-				A: uint64(info.Step), B: uint64(info.Requested), C: uint64(info.HeapBytes),
-			})
-		},
 	}
 }
 

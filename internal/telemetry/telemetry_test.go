@@ -163,20 +163,20 @@ func TestEventString(t *testing.T) {
 	if s := (Event{Kind: EvGCBegin, A: 4 | 1<<8}).String(); !strings.Contains(s, "full") {
 		t.Errorf("full gc-begin lost its flag: %q", s)
 	}
-	// The trigger and degradation-step names are gc's own, and the wire
-	// numbers they stand for do not move.
-	for k, name := range []string{"unknown", "heap-full", "remset", "forced", "forced-full", "emergency", "unknown"} {
+	// The trigger names are gc's own, and the wire numbers they stand for
+	// do not move.
+	for k, name := range []string{"unknown", "heap-full", "remset", "forced", "forced-full", "unknown"} {
 		want := "#0 t=0 gc0 begin trigger=" + name + " condemned=0 incrs/0B occupied=0B"
 		if got := (Event{Kind: EvGCBegin, A: uint64(k)}).String(); got != want {
 			t.Errorf("trigger %d renders %q, want %q", k, got, want)
 		}
 	}
-	// Steps 3 and 5 are retired: their numbers name nothing.
-	for k, name := range []string{"unknown", "emergency-collection", "retry-averted", "unknown",
-		"reserve-overdraft", "unknown"} {
-		want := "#0 t=0 degrade step=" + name + " requested=0 heap=0"
-		if got := (Event{Kind: EvDegrade, A: uint64(k)}).String(); got != want {
-			t.Errorf("degrade step %d renders %q, want %q", k, got, want)
+	// Event kind 7 is retired: its number names nothing, and the kinds
+	// after it keep theirs.
+	for k, name := range []string{"none", "gc-begin", "gc-end", "condemned", "belt", "flip", "oom",
+		"none", "request", "policy", "none"} {
+		if got := EventKind(k).String(); got != name {
+			t.Errorf("event kind %d is %q, want %q", k, got, name)
 		}
 	}
 }
