@@ -18,10 +18,6 @@
 //	experiments -exp all -jobs 8 -checkpoint run.jsonl
 //	experiments -exp all -jobs 8 -checkpoint run.jsonl -resume
 //
-// A diverging configuration can be bounded with -timeout (wall clock) or
-// -budget (simulated seconds, deterministic); either records a failure
-// for that run and the sweep continues.
-//
 // Output is a set of text tables, one data series per collector — the
 // same rows/series the paper plots. Absolute "seconds" are nominal cost
 // units; compare shapes, not magnitudes (see EXPERIMENTS.md).
@@ -61,8 +57,6 @@ func main() {
 			"JSONL file streaming one record per completed run")
 		resume = flag.Bool("resume", false,
 			"load -checkpoint and skip runs it already holds (appends new records)")
-		timeout = flag.Duration("timeout", 0,
-			"per-run wall-clock budget (e.g. 30s; 0 = none); exceeded runs are recorded as failures")
 		slo = flag.String("slo", "",
 			"request-latency SLO for -exp server, e.g. p99=10e3,p99.9=1e6,max=20e6 (cost units; default: the built-in bar)")
 	)
@@ -103,7 +97,6 @@ func main() {
 		Jobs:       *jobs,
 		Checkpoint: *checkpoint,
 		Resume:     *resume,
-		Timeout:    *timeout,
 		ServerSLO:  *slo,
 	}
 	if *checkpoint != "" {

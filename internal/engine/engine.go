@@ -8,11 +8,9 @@
 //
 //   - jobs run on a pool of Workers goroutines (default GOMAXPROCS);
 //   - a panicking job is recorded with Outcome "panic" and the recovered
-//     message instead of killing the sweep;
-//   - an optional per-job wall-clock Timeout records Outcome "timeout"
-//     for runs that diverge (the abandoned goroutine is leaked, which is
-//     the best Go can do for uncooperative work — use the cost-unit
-//     budget in harness.Env to actually stop a simulated run);
+//     message instead of killing the sweep; there is no timeout, because
+//     every simulated run ends on its own (it finishes, runs out of
+//     memory or panics);
 //   - completed jobs stream Records to a JSONL checkpoint file, and a
 //     resumed engine skips jobs whose key already has a completed record;
 //   - Run returns records in submission order regardless of completion
@@ -59,21 +57,17 @@ const (
 	// OOM: the run completed by exhausting the configured heap — a valid,
 	// reproducible measurement (figures render it as a missing point).
 	OOM Outcome = "oom"
-	// Budget: the run exceeded its cost-unit budget and was aborted
-	// deterministically.
-	Budget Outcome = "budget"
 	// Panic: the job panicked; Error holds the recovered value.
 	Panic Outcome = "panic"
-	// Timeout: the job exceeded the engine's wall-clock Timeout.
-	Timeout Outcome = "timeout"
 	// Errored: the job returned a non-nil error.
 	Errored Outcome = "error"
 )
 
 // Completed reports whether the outcome is a finished, reproducible
-// measurement that a resumed run may reuse. Failures (panic, timeout,
-// error) are re-executed on resume.
-func (o Outcome) Completed() bool { return o == OK || o == OOM || o == Budget }
+// measurement that a resumed run may reuse. Failures (panic, error) are
+// re-executed on resume, and so is any other outcome an older binary
+// wrote (its "budget" and "timeout").
+func (o Outcome) Completed() bool { return o == OK || o == OOM }
 
 // Job is one unit of work. Run returns a JSON-marshalable payload and may
 // refine the outcome (returning "" means OK); errors and panics are
@@ -126,11 +120,9 @@ type Config struct {
 	// configuration — are invalidated (re-executed) with a loud warning
 	// instead of being silently reused. Empty disables the check.
 	Fingerprint string
-	// Timeout is the per-job wall-clock budget; 0 means none.
-	Timeout time.Duration
 	// Retries bounds additional executions of a job whose error is marked
-	// transient (MarkTransient); 0 disables retrying. Panics and timeouts
-	// are never retried — they are not transient by definition.
+	// transient (MarkTransient); 0 disables retrying. Panics are never
+	// retried — they are not transient by definition.
 	Retries int
 	// Progress, if non-nil, receives one line per job completion.
 	Progress func(string)
@@ -275,7 +267,7 @@ func (e *Engine) commit(rec Record) error {
 }
 
 // Run executes the jobs and returns one record per job, in submission
-// order. Job failures (panic, timeout, error) are reported in the records,
+// order. Job failures (panic, error) are reported in the records,
 // not as an error; the returned error is reserved for engine
 // infrastructure failures (unreadable or unwritable checkpoint).
 func (e *Engine) Run(jobs []Job) ([]Record, error) {
@@ -338,49 +330,28 @@ func (e *Engine) Run(jobs []Job) ([]Record, error) {
 	return records, runErr
 }
 
-// execute runs one job with panic recovery and the optional timeout.
-func (e *Engine) execute(j Job) Record {
+// execute runs one job on the calling worker goroutine, recovering a
+// panic into the job's record.
+func (e *Engine) execute(j Job) (rec Record) {
 	start := time.Now()
-	done := make(chan Record, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				done <- Record{Key: j.Key, Outcome: Panic, Error: fmt.Sprint(r)}
-			}
-		}()
-		payload, out, err := j.Run()
-		if err != nil {
-			done <- Record{Key: j.Key, Outcome: Errored, Error: err.Error(), Err: err}
-			return
+	defer func() {
+		if r := recover(); r != nil {
+			rec = Record{Key: j.Key, Outcome: Panic, Error: fmt.Sprint(r)}
 		}
-		if out == "" {
-			out = OK
-		}
-		raw, merr := marshalPayload(payload)
-		if merr != nil {
-			done <- Record{Key: j.Key, Outcome: Errored, Error: "payload: " + merr.Error()}
-			return
-		}
-		done <- Record{Key: j.Key, Outcome: out, Payload: raw}
+		rec.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
 	}()
-
-	var rec Record
-	if e.cfg.Timeout > 0 {
-		timer := time.NewTimer(e.cfg.Timeout)
-		select {
-		case rec = <-done:
-			timer.Stop()
-		case <-timer.C:
-			// The job goroutine is abandoned; simulated runs should use a
-			// cost budget so the goroutine also terminates.
-			rec = Record{Key: j.Key, Outcome: Timeout,
-				Error: fmt.Sprintf("exceeded wall-clock budget %v", e.cfg.Timeout)}
-		}
-	} else {
-		rec = <-done
+	payload, out, err := j.Run()
+	if err != nil {
+		return Record{Key: j.Key, Outcome: Errored, Error: err.Error(), Err: err}
 	}
-	rec.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return rec
+	if out == "" {
+		out = OK
+	}
+	raw, err := marshalPayload(payload)
+	if err != nil {
+		return Record{Key: j.Key, Outcome: Errored, Error: "payload: " + err.Error()}
+	}
+	return Record{Key: j.Key, Outcome: out, Payload: raw}
 }
 
 // marshalPayload returns json.Marshal(payload). A pre-marshaled payload

@@ -25,8 +25,8 @@ func MarkTransient(err error) error {
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
 // executeWithRetry runs the job, re-executing it up to Config.Retries
-// times while it fails with a transient error. Panics and timeouts are
-// never retried.
+// times while it fails with a transient error. Panics are never
+// retried.
 func (e *Engine) executeWithRetry(j Job) Record {
 	rec := e.execute(j)
 	for attempt := 1; attempt <= e.cfg.Retries; attempt++ {

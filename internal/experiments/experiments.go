@@ -17,7 +17,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"beltway/internal/collectors"
 	"beltway/internal/core"
@@ -45,8 +44,6 @@ type Opts struct {
 	// this config/binary hash and invalidates prior records whose hash
 	// differs on resume (see engine.Config.Fingerprint).
 	Fingerprint string
-	// Timeout is a per-measurement wall-clock budget; 0 means none.
-	Timeout time.Duration
 	// OnRecord, if non-nil, receives every engine record (fresh and
 	// resumed) as it settles; called concurrently from workers. Used by
 	// cmd/experiments to aggregate telemetry live.
@@ -85,7 +82,6 @@ func New(opts Opts) *Suite {
 			Checkpoint:  opts.Checkpoint,
 			Resume:      opts.Resume,
 			Fingerprint: opts.Fingerprint,
-			Timeout:     opts.Timeout,
 			Progress:    opts.Progress,
 			OnRecord:    opts.OnRecord,
 		}),

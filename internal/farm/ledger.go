@@ -10,6 +10,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"slices"
 	"sync"
 
 	"beltway/internal/engine"
@@ -39,6 +40,10 @@ type Entry struct {
 	ResultDigest string `json:"result_digest"`
 	// Hash covers this entry serialized with Hash itself empty.
 	Hash string `json:"hash"`
+
+	// intact records, for an entry read from a ledger, whether its line
+	// hashes to Hash (hashMatches); process-local, never serialized.
+	intact bool
 }
 
 // EntryHash computes the hash field of an entry: sha256 over the entry's
@@ -51,6 +56,21 @@ func EntryHash(e Entry) (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// hashMatches reports whether line, the ledger line an entry was read
+// from, hashes to the entry's hash once that hash is blanked: the bytes
+// EntryHash hashed when the line was written. It reads the line, not this
+// binary's Entry re-marshaled, so a ledger an older binary wrote still
+// verifies after a harness.Env field its specs carry is deleted.
+func hashMatches(line []byte, hash string) bool {
+	field := []byte(`"hash":"` + hash + `"`)
+	at := bytes.LastIndex(line, field)
+	if at < 0 {
+		return false
+	}
+	sum := sha256.Sum256(slices.Concat(line[:at], []byte(`"hash":""`), line[at+len(field):]))
+	return hex.EncodeToString(sum[:]) == hash
 }
 
 // Ledger is an open, append-only hash-chained record file. Appends are
@@ -185,7 +205,7 @@ func ReadLedger(path string) ([]Entry, error) {
 
 // verifyChain checks that the entries read from path form an intact hash
 // chain: indices run 0,1,2,…, each prev_hash is the previous entry's hash
-// (GenesisHash for the first), and each hash recomputes.
+// (GenesisHash for the first), and each hash recomputes from its line.
 func verifyChain(path string, entries []Entry) error {
 	prev := GenesisHash
 	for i := range entries {
@@ -196,11 +216,7 @@ func verifyChain(path string, entries []Entry) error {
 		if e.PrevHash != prev {
 			return fmt.Errorf("farm: %s entry %d: prev_hash does not chain to entry %d", path, i, i-1)
 		}
-		h, err := EntryHash(*e)
-		if err != nil {
-			return err
-		}
-		if h != e.Hash {
+		if !e.intact {
 			return fmt.Errorf("farm: %s entry %d: hash mismatch (entry was modified after it was written)", path, i)
 		}
 		prev = e.Hash
@@ -237,6 +253,7 @@ func readEntries(path string, allowTorn bool) ([]Entry, int, error) {
 				}
 				return nil, -1, fmt.Errorf("farm: %s line %d: unparsable ledger entry: %v", path, lineNo, jerr)
 			}
+			e.intact = hashMatches(trimmed, e.Hash)
 			entries = append(entries, e)
 		}
 		offset += len(line)

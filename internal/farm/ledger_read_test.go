@@ -112,6 +112,7 @@ func readEntriesReadBytes(path string, allowTorn bool) ([]Entry, int, error) {
 				}
 				return nil, -1, fmt.Errorf("farm: %s line %d: unparsable ledger entry: %v", path, lineNo, jerr)
 			}
+			e.intact = hashMatches(trimmed, e.Hash)
 			entries = append(entries, e)
 		}
 		offset += len(line)

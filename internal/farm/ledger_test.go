@@ -1,6 +1,9 @@
 package farm
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -174,5 +177,44 @@ func TestLedgerTamperDetected(t *testing.T) {
 	os.WriteFile(path, []byte(lines[0]+lines[2]), 0o644)
 	if _, err := ReadLedger(path); err == nil || !strings.Contains(err.Error(), "out of sequence") {
 		t.Fatalf("dropped entry not detected: %v", err)
+	}
+}
+
+// TestLedgerFromAnOlderEnvVerifies: an entry's hash is checked against
+// the bytes of its line, so a ledger whose specs carry an Env field this
+// binary no longer has (the deleted cost budget, which older binaries
+// wrote as "CostBudget":0) still reads, reopens and chains on.
+func TestLedgerFromAnOlderEnvVerifies(t *testing.T) {
+	e := testEntry(0)
+	e.PrevHash = GenesisHash
+	line, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(line), `"env":{`, `"env":{"CostBudget":0,`, 1)
+	if old == string(line) {
+		t.Fatal("the entry serializes no env")
+	}
+	sum := sha256.Sum256([]byte(old)) // the line with "hash":"", as EntryHash hashes it
+	old = strings.Replace(old, `"hash":""`, `"hash":"`+hex.EncodeToString(sum[:])+`"`, 1)
+	path := filepath.Join(t.TempDir(), LedgerFile)
+	if err := os.WriteFile(path, []byte(old+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadLedger(path); err != nil {
+		t.Fatalf("ReadLedger: %v", err)
+	}
+	l, _, err := OpenLedger(path)
+	if err != nil {
+		t.Fatalf("OpenLedger: %v", err)
+	}
+	if ok, err := l.Append(testEntry(1)); !ok || err != nil {
+		t.Fatalf("Append: %v, %v", ok, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := ReadLedger(path); err != nil || len(entries) != 2 {
+		t.Fatalf("ReadLedger after an append: %d entries, %v", len(entries), err)
 	}
 }

@@ -13,10 +13,10 @@ import (
 const corruptionEventTail = 16
 
 // HeapCorruptionError reports a run one of whose lanes panicked inside
-// the heap or vm layers (an unmapped-frame fault, a broken invariant — anything that is
-// not the cost-budget abort). The run's state is untrustworthy, so the
-// harness surfaces this instead of a Result; the engine records it as a
-// failure without taking the worker down.
+// the heap or vm layers (an unmapped-frame fault, a broken invariant).
+// The run's state is untrustworthy, so the harness surfaces this instead
+// of a Result; the engine records it as a failure without taking the
+// worker down.
 type HeapCorruptionError struct {
 	Collector string
 	Benchmark string

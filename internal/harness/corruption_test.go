@@ -66,25 +66,9 @@ func TestRunOneRecoversPanicAsHeapCorruption(t *testing.T) {
 	}
 }
 
-// TestRunOneBudgetAbortStillWorks guards the recovery split: the
-// cost-budget panic must keep producing an Aborted result, not a
-// corruption error.
-func TestRunOneBudgetAbortStillWorks(t *testing.T) {
-	env := testEnv()
-	env.CostBudget = 50_000
-	res, err := RunOne(AppelConfig(env)(1<<20), workload.Get("db"), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Aborted {
-		t.Fatalf("budget %v did not abort the run (total %v)", env.CostBudget, res.TotalTime)
-	}
-}
-
 // TestFinalCollectionFollowsTheRoundRule: the global collection that
-// ends a multi-mutator run stops a lane the way a round does — the cost
-// budget running out in it is Result.Aborted, any other panic in it the
-// typed corruption error naming the lane.
+// ends a multi-mutator run stops a lane the way a round does — a panic
+// in it is the typed corruption error naming the lane.
 func TestFinalCollectionFollowsTheRoundRule(t *testing.T) {
 	env := testEnv()
 	env.Mutators = 2
@@ -112,17 +96,8 @@ func TestFinalCollectionFollowsTheRoundRule(t *testing.T) {
 	if whole.Collections != 2 || len(whole.Pauses) != 2 {
 		t.Fatalf("%d collections, %d pauses; want the final collection alone, once a lane", whole.Collections, len(whole.Pauses))
 	}
-	env.CostBudget = whole.Pauses[0].Start + 1
-	res, err := RunOne(cfg, bench(false), env)
-	if err != nil {
-		t.Fatalf("budget expiring in the final collection: %v", err)
-	}
-	if !res.Aborted || res.Failure != "" {
-		t.Errorf("budget expiring in the final collection: Aborted=%v Failure=%q, want aborted with no failure", res.Aborted, res.Failure)
-	}
 
-	env.CostBudget = 0
-	res, err = RunOne(cfg, bench(true), env)
+	res, err := RunOne(cfg, bench(true), env)
 	var hc *HeapCorruptionError
 	if res != nil || !errors.As(err, &hc) {
 		t.Fatalf("panic in lane 1's final collection: result %+v, error %T (%v); want *HeapCorruptionError", res, err, err)

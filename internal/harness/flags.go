@@ -3,7 +3,6 @@ package harness
 import (
 	"flag"
 
-	"beltway/internal/stats"
 	"beltway/internal/workload"
 )
 
@@ -18,9 +17,7 @@ func BindEnvFlags(fs *flag.FlagSet) func() (Env, error) {
 		frameKB   = fs.Int("frame", 0, "frame size in KB (power of two; 0 = auto from scale)")
 		physMB    = fs.Int("physmem", -1, "modelled physical memory in MB (0 = no paging, -1 = auto from scale)")
 		pretenure = fs.Bool("pretenure", false, "route known-long-lived allocation sites to older belts")
-		budget    = fs.Float64("budget", 0,
-			"per-run cost budget in nominal seconds of simulated time (0 = none); exceeded runs abort deterministically")
-		mutators = fs.Int("mutators", 1,
+		mutators  = fs.Int("mutators", 1,
 			"mutator lanes per run; >1 shards every run over N private heaps (times are the simulated N-core makespan)")
 		adapt = fs.String("adapt", "",
 			"adaptive policy objective: slo | throughput, with optional params (e.g. throughput:target=0.1); empty = static (paper behavior)")
@@ -35,9 +32,6 @@ func BindEnvFlags(fs *flag.FlagSet) func() (Env, error) {
 			env.PhysMemBytes = *physMB << 20
 		}
 		env.Pretenure = *pretenure
-		if *budget > 0 {
-			env.CostBudget = *budget * stats.CyclesPerSecond
-		}
 		env.Mutators = *mutators
 		env.Policy = *adapt
 		return env, ValidateEnv(env)

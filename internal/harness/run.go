@@ -27,11 +27,6 @@ type Env struct {
 	Scale        float64 // workload scale
 	Seed         int64
 	Pretenure    bool // route known-long-lived allocation sites to older belts
-	// CostBudget, when positive, aborts a run once its clock passes this
-	// many cost units; the partial measurement is returned with
-	// Result.Aborted set. This is the deterministic counterpart of a
-	// wall-clock timeout: it actually stops the simulated run.
-	CostBudget float64
 	// Telemetry returns every run's retained event stream (the flight
 	// recorder's snapshot) in Result.Telemetry. Telemetry observes the
 	// clock without advancing it, so enabling it changes no measurement.
@@ -114,11 +109,14 @@ type Result struct {
 
 	Collections uint64
 	OOM         bool // run did not complete at this heap size
-	// Aborted marks a run stopped by Env.CostBudget; the metrics are the
-	// partial timeline up to the abort.
+	// Aborted marks a run a cost budget cut short, which older binaries
+	// recorded. Nothing sets it now: a run ends by finishing, by running
+	// out of memory or by panicking. It stays because checkpoints and farm
+	// ledgers those binaries wrote can carry it and the benchmark reads
+	// it; readers treat a true value as incomplete.
 	Aborted bool `json:",omitempty"`
-	// Failure records an execution failure (panic, timeout, job error)
-	// observed by the engine instead of a measurement. All metric fields
+	// Failure records an execution failure (panic, job error) observed
+	// by the engine instead of a measurement. All metric fields
 	// are zero; aggregation treats the point like an OOM.
 	Failure string `json:",omitempty"`
 	// Telemetry is the run's retained flight-recorder events, present
@@ -133,8 +131,8 @@ type Result struct {
 }
 
 // Incomplete reports whether the run produced no valid end-to-end
-// measurement: out of memory, budget-aborted, or failed. Aggregation
-// renders such points as missing data.
+// measurement: out of memory, failed, or aborted (an older record).
+// Aggregation renders such points as missing data.
 func (r *Result) Incomplete() bool { return r.OOM || r.Aborted || r.Failure != "" }
 
 // GCFraction returns the share of total time spent collecting.
@@ -165,9 +163,9 @@ func (r *Result) MMU(points int) mmu.Curve {
 //     stay meaningful, MMU windows are conservative since concurrent
 //     pauses overlap); Mutators records N.
 //
-// An out-of-memory completion is reported via Result.OOM, not an error,
-// and a cost-budget abort via Result.Aborted, both with the partial
-// measurement. A lane that panics any other way leaves the run's state
+// A run ends in one of three ways. Its workload finishes; or it runs
+// out of memory, reported via Result.OOM with the partial measurement,
+// not as an error; or a lane panics, which leaves the run's state
 // untrustworthy: no Result, a *HeapCorruptionError carrying the panic
 // and the lane's flight-recorder tail. Other errors are
 // misconfiguration.
@@ -200,9 +198,6 @@ func Run(cfg core.Config, w Workload, env Env) (*Result, error) {
 	// go to the next run.
 	defer rt.Release()
 	lanes := rt.Shards()
-	for _, s := range lanes {
-		s.Heap.Clock().Budget = env.CostBudget
-	}
 	if ctrl != nil {
 		ctrl.SetEmitter(lanes[0].Tele.PolicyObserver())
 	}
@@ -249,10 +244,6 @@ func Run(cfg core.Config, w Workload, env Env) (*Result, error) {
 		res.MaxPause = max(res.MaxPause, c.MaxPause())
 		res.Pauses = append(res.Pauses, c.Pauses()...)
 		res.OOM = res.OOM || s.OOM()
-		res.Aborted = res.Aborted || s.Aborted()
-		if f := s.Failure(); f != "" && res.Failure == "" {
-			res.Failure = fmt.Sprintf("shard %d: %s", s.ID, f)
-		}
 	}
 	if report != nil {
 		res.Server = report()

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"beltway/internal/engine"
 	"beltway/internal/stats"
@@ -20,19 +19,16 @@ type RunSpec struct {
 // Execute runs the spec and returns what an engine job returns: the
 // canonical payload bytes (MarshalRunPayload — the bytes a checkpoint
 // holds, the farm ledger digests and a replay must reproduce) and the
-// outcome. OOM and budget aborts are outcomes; the error is reserved for
-// misconfiguration and corruption.
+// outcome. OOM is an outcome; the error is reserved for misconfiguration
+// and corruption.
 func (sp RunSpec) Execute() ([]byte, engine.Outcome, error) {
 	res, err := Run(sp.Make(sp.Key.HeapBytes), sp.Workload, sp.Env)
 	if err != nil {
 		return nil, "", err
 	}
 	out := engine.OK
-	switch {
-	case res.OOM:
+	if res.OOM {
 		out = engine.OOM
-	case res.Aborted:
-		out = engine.Budget
 	}
 	payload, err := MarshalRunPayload(res)
 	return payload, out, err
@@ -71,7 +67,7 @@ func (x *Executor) Engine() *engine.Engine { return x.eng }
 func (x *Executor) Close() error { return x.eng.Close() }
 
 // RunAll executes the specs in parallel and returns one Result per spec,
-// in spec order. Results are always non-nil: a failed job (panic, timeout,
+// in spec order. Results are always non-nil: a failed job (panic or
 // error) yields a placeholder with Result.Failure set, so sweeps degrade
 // to a missing point instead of dying. Every result — fresh, resumed from
 // the checkpoint, or remembered from an earlier batch that ran its key —
@@ -98,18 +94,21 @@ func (x *Executor) RunAll(specs []RunSpec) ([]*Result, error) {
 	}
 	results := make([]*Result, len(specs))
 	for i, rec := range recs {
-		if rec.Outcome.Completed() && len(rec.Payload) > 0 {
-			var p RunPayload
-			if uerr := json.Unmarshal(rec.Payload, &p); uerr == nil && p.Result != nil {
-				results[i] = p.Result
-			} else {
-				results[i] = failedResult(specs[i], fmt.Sprintf("checkpoint decode: %v", uerr))
-			}
-			continue
-		}
 		msg := string(rec.Outcome)
 		if rec.Error != "" {
 			msg += ": " + rec.Error
+		}
+		if rec.Outcome.Completed() && len(rec.Payload) > 0 {
+			var p RunPayload
+			switch err := json.Unmarshal(rec.Payload, &p); {
+			case err != nil:
+				msg = "checkpoint decode: " + err.Error()
+			case p.Result == nil:
+				msg = "checkpoint decode: payload holds no result"
+			default:
+				results[i] = p.Result
+				continue
+			}
 		}
 		results[i] = failedResult(specs[i], msg)
 	}

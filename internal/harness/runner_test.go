@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -9,7 +11,6 @@ import (
 
 	"beltway/internal/core"
 	"beltway/internal/engine"
-	"beltway/internal/stats"
 	"beltway/internal/workload"
 )
 
@@ -136,64 +137,27 @@ func TestSweepCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestRunOneCostBudget: a run that exceeds its cost budget aborts
-// deterministically with a partial timeline instead of running forever.
-func TestRunOneCostBudget(t *testing.T) {
-	env, bench, min := smallEnv(t)
-	full, err := RunOne(AppelConfig(env)(3*min), bench, env)
+// TestRunAllNamesAMissingResult: a completed checkpoint record whose
+// payload decodes but carries no result is a failed point that says so,
+// not a decode error of <nil>.
+func TestRunAllNamesAMissingResult(t *testing.T) {
+	env := EnvForScale(0.1)
+	sp := Collector{Name: "Appel", Make: AppelConfig(env)}.Spec("", Bench(workload.Get("jess")), 1<<20, env)
+	line, err := json.Marshal(engine.Record{Key: sp.Key, Outcome: engine.OK, Payload: json.RawMessage(`{"result":null}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Aborted || full.TotalTime <= 0 {
-		t.Fatalf("baseline run invalid: %+v", full)
+	path := filepath.Join(t.TempDir(), "null.jsonl")
+	if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
-
-	budget := full.TotalTime / 2
-	env.CostBudget = budget
-	cut, err := RunOne(AppelConfig(env)(3*min), bench, env)
+	x := NewExecutor(engine.Config{Workers: 1, Checkpoint: path, Resume: true})
+	defer x.Close()
+	results, err := x.RunAll([]RunSpec{sp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cut.Aborted {
-		t.Fatal("run under half budget not aborted")
+	if want := "checkpoint decode: payload holds no result"; results[0].Failure != want {
+		t.Errorf("Failure = %q, want %q", results[0].Failure, want)
 	}
-	if !cut.Incomplete() {
-		t.Error("aborted run should be incomplete")
-	}
-	if cut.TotalTime < budget || cut.TotalTime > full.TotalTime {
-		t.Errorf("aborted timeline %v outside (budget %v, full %v)", cut.TotalTime, budget, full.TotalTime)
-	}
-	// The budget abort surfaces as outcome "budget" through the executor.
-	var outcome engine.Outcome
-	x := NewExecutor(engine.Config{Workers: 1, OnRecord: func(rec engine.Record) { outcome = rec.Outcome }})
-	col := Collector{Name: "Appel", Make: AppelConfig(env)}
-	if _, err := x.RunAll([]RunSpec{col.Spec("", Bench(bench), 3*min, env)}); err != nil {
-		t.Fatal(err)
-	}
-	if outcome != engine.Budget {
-		t.Errorf("outcome %s, want budget", outcome)
-	}
-}
-
-// TestBudgetExceededError pins the stats-level sentinel.
-func TestBudgetExceededError(t *testing.T) {
-	c := stats.NewClock(stats.DefaultCosts())
-	c.Budget = 10
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no panic past budget")
-		}
-		be, ok := r.(stats.BudgetExceeded)
-		if !ok {
-			t.Fatalf("panic value %T", r)
-		}
-		if be.Budget != 10 || be.Now <= 10 {
-			t.Errorf("got %+v", be)
-		}
-		if !strings.Contains(be.Error(), "budget") {
-			t.Errorf("error %q", be.Error())
-		}
-	}()
-	c.Advance(11)
 }

@@ -6,10 +6,11 @@ import (
 	"beltway/internal/policy"
 )
 
-// ValidateEnv checks an Env for feature combinations a run rejects, so
-// front ends can fail at flag-parse time instead of rendering every
-// sweep point as a failed measurement. Run makes the same check, here
-// and nowhere else.
+// ValidateEnv checks an Env for values and feature combinations a run
+// rejects (a scale or frame size no heap can have, -adapt with more than
+// one lane), so front ends can fail at flag-parse time instead of
+// rendering every sweep point as a failed measurement. Run makes the
+// same check, here and nowhere else.
 func ValidateEnv(env Env) error {
 	_, err := envController(env)
 	return err
@@ -23,6 +24,15 @@ func ValidateEnv(env Env) error {
 // lanes would tune N heaps independently, which is a different (and
 // unimplemented) design.
 func envController(env Env) (*policy.Controller, error) {
+	if !(env.Scale > 0) {
+		return nil, fmt.Errorf("harness: -scale must be positive (got %v)", env.Scale)
+	}
+	// The frame rule is core's: the smallest heap core accepts is four
+	// frames, so a configuration at that size fails on the frame alone.
+	cfg := AppelConfig(env)(4 * env.FrameBytes)
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("harness: -frame: %w", err)
+	}
 	if env.Mutators < 0 {
 		return nil, fmt.Errorf("harness: -mutators must be at least 1 (got %d)", env.Mutators)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
@@ -9,45 +10,93 @@ import (
 )
 
 // TestValidateEnv covers every rejected flag combination and its valid
-// neighbors.
+// neighbors, each a tweak of a valid Env.
 func TestValidateEnv(t *testing.T) {
 	cases := []struct {
 		name        string
-		env         Env
+		tweak       func(*Env)
 		wantErr     bool
 		wantMessage string
 	}{
-		{name: "zero env", env: Env{}},
-		{name: "classic single mutator", env: Env{Mutators: 1}},
-		{name: "sharded plain", env: Env{Mutators: 8}},
-		{name: "adaptive flat", env: Env{Mutators: 1, Policy: "slo"}},
-		{name: "adaptive with params", env: Env{Policy: "throughput:target=0.1"}},
+		{name: "scale env", tweak: func(*Env) {}},
+		{name: "classic single mutator", tweak: func(e *Env) { e.Mutators = 1 }},
+		{name: "sharded plain", tweak: func(e *Env) { e.Mutators = 8 }},
+		{name: "adaptive flat", tweak: func(e *Env) { e.Mutators, e.Policy = 1, "slo" }},
+		{name: "adaptive with params", tweak: func(e *Env) { e.Policy = "throughput:target=0.1" }},
+		{name: "smallest frame", tweak: func(e *Env) { e.FrameBytes = 256 }},
 
-		{name: "negative mutators", env: Env{Mutators: -2},
+		{name: "zero env", tweak: func(e *Env) { *e = Env{} },
+			wantErr: true, wantMessage: "-scale must be positive"},
+		{name: "negative scale", tweak: func(e *Env) { e.Scale = -1 },
+			wantErr: true, wantMessage: "-scale must be positive"},
+		{name: "frame not a power of two", tweak: func(e *Env) { e.FrameBytes = 3072 },
+			wantErr: true, wantMessage: "-frame: core: frame size 3072 not a power of two"},
+		{name: "frame too small", tweak: func(e *Env) { e.FrameBytes = 128 },
+			wantErr: true, wantMessage: "-frame: core: frame size 128"},
+		{name: "negative mutators", tweak: func(e *Env) { e.Mutators = -2 },
 			wantErr: true, wantMessage: "-mutators must be at least 1"},
-		{name: "bogus policy", env: Env{Policy: "bogus"},
+		{name: "bogus policy", tweak: func(e *Env) { e.Policy = "bogus" },
 			wantErr: true, wantMessage: "-adapt"},
-		{name: "adapt sharded", env: Env{Mutators: 2, Policy: "slo"},
+		{name: "adapt sharded", tweak: func(e *Env) { e.Mutators, e.Policy = 2, "slo" },
 			wantErr: true, wantMessage: "single-mutator only"},
-		{name: "adapt sharded wide", env: Env{Mutators: 8, Policy: "throughput"},
+		{name: "adapt sharded wide", tweak: func(e *Env) { e.Mutators, e.Policy = 8, "throughput" },
 			wantErr: true, wantMessage: "single-mutator only"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateEnv(tc.env)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("ValidateEnv(%+v) = nil, want error", tc.env)
-				}
-				if !strings.Contains(err.Error(), tc.wantMessage) {
-					t.Fatalf("error %q does not contain %q", err, tc.wantMessage)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("ValidateEnv(%+v) = %v, want nil", tc.env, err)
-			}
+			env := EnvForScale(0.1)
+			tc.tweak(&env)
+			checkValid(t, env, ValidateEnv(env), tc.wantErr, tc.wantMessage)
 		})
+	}
+}
+
+// TestBindEnvFlagsValidates: every front end's flags reach ValidateEnv,
+// so a frame size or scale no run accepts fails at flag-parse time, not
+// inside the first minimum-heap search.
+func TestBindEnvFlagsValidates(t *testing.T) {
+	cases := []struct {
+		args        []string
+		wantErr     bool
+		wantMessage string
+	}{
+		{args: nil},
+		{args: []string{"-scale", "0.25", "-frame", "4"}},
+		{args: []string{"-frame", "3"},
+			wantErr: true, wantMessage: "-frame: core: frame size 3072 not a power of two"},
+		{args: []string{"-scale", "0"},
+			wantErr: true, wantMessage: "-scale must be positive (got 0)"},
+		{args: []string{"-scale", "-0.5"},
+			wantErr: true, wantMessage: "-scale must be positive"},
+		{args: []string{"-mutators", "2", "-adapt", "slo"},
+			wantErr: true, wantMessage: "single-mutator only"},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			fs := flag.NewFlagSet("env", flag.ContinueOnError)
+			build := BindEnvFlags(fs)
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			env, err := build()
+			checkValid(t, env, err, tc.wantErr, tc.wantMessage)
+		})
+	}
+}
+
+func checkValid(t *testing.T, env Env, err error, wantErr bool, wantMessage string) {
+	t.Helper()
+	if !wantErr {
+		if err != nil {
+			t.Fatalf("%+v: %v, want nil", env, err)
+		}
+		return
+	}
+	if err == nil {
+		t.Fatalf("%+v: nil, want error", env)
+	}
+	if !strings.Contains(err.Error(), wantMessage) {
+		t.Fatalf("error %q does not contain %q", err, wantMessage)
 	}
 }
 

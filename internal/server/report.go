@@ -64,8 +64,8 @@ func (r *Report) Violations() int {
 }
 
 // Report closes the loop's measurement against an SLO. Call after the
-// loop is done (a partial loop — OOM, budget abort — reports the
-// requests it served).
+// loop is done (a partial loop — one that ran out of memory — reports
+// the requests it served).
 //
 // The raw streams alias the loop's latency buffer; each phase is sorted
 // once, in its place in one copy of that buffer, and the overall

@@ -243,7 +243,7 @@ func (rt *Runtime) collectAll(round int, sideBySide bool) {
 	var wg sync.WaitGroup
 	for _, s := range rt.shards {
 		switch {
-		case s.dead:
+		case s.Dead():
 		case sideBySide:
 			wg.Add(1)
 			go func(s *Shard) {

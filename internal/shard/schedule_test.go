@@ -57,9 +57,8 @@ func TestRunBlocksOnlyOnDependencies(t *testing.T) {
 
 // TestCollectionPanicIsTheLanesVerdict holds a global collection to
 // the rule a round has, at the options every run uses and under both
-// schedules: the cost budget running out in it aborts the lane, any
-// other panic is the lane's recorded failure, and neither leaves
-// Run/RunSerial any way but by returning.
+// schedules: a panic in it is the lane's recorded failure, the lane runs
+// no later round body, and Run/RunSerial still leave only by returning.
 func TestCollectionPanicIsTheLanesVerdict(t *testing.T) {
 	const lanes = 3
 	schedules := []struct {
@@ -67,56 +66,34 @@ func TestCollectionPanicIsTheLanesVerdict(t *testing.T) {
 		run  func(*Runtime, Plan) error
 	}{{"Run", (*Runtime).Run}, {"RunSerial", (*Runtime).RunSerial}}
 	for _, sched := range schedules {
-		run := func(prepare func(*Shard)) (*Runtime, []int) {
-			t.Helper()
-			rt, err := New(testConfig(), Options{Shards: lanes, Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range rt.Shards() {
-				prepare(s)
-			}
-			bodies := make([]int, lanes) // round bodies run, per lane
-			if err := sched.run(rt, Plan{Rounds: 4, CollectEvery: 1, Body: func(r int, s *Shard) {
-				bodies[s.ID]++
-				types := s.Heap.Space().Types
-				leaf := types.Lookup("t.leaf")
-				if leaf == nil {
-					leaf = types.DefineScalar("t.leaf", 0, 1)
-				}
-				s.M.AllocGlobal(leaf, 0)
-				s.M.Work(10)
-			}}); err != nil {
-				t.Fatalf("%s: %v", sched.name, err)
-			}
-			return rt, bodies
+		rt, err := New(testConfig(), Options{Shards: lanes, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		// A round costs ~250, a collection's set-up 5000: the budget
-		// runs out in the first global collection, on every lane.
-		rt, bodies := run(func(s *Shard) { s.Heap.Clock().Budget = 1000 })
-		for i, s := range rt.Shards() {
-			if !s.Aborted() || s.Failure() != "" || s.Panic() != nil || s.OOM() {
-				t.Errorf("%s: lane %d after a budget expiry in a collection: aborted=%v failure=%q panic=%v oom=%v; want aborted only",
-					sched.name, i, s.Aborted(), s.Failure(), s.Panic(), s.OOM())
+		// Lane 1's first global collection panics; the others run the
+		// plan out.
+		rt.Shards()[1].Heap.SetHooks(gc.Hooks{PreGC: func() { panic("heap broken") }})
+		bodies := make([]int, lanes) // round bodies run, per lane
+		if err := sched.run(rt, Plan{Rounds: 4, CollectEvery: 1, Body: func(r int, s *Shard) {
+			bodies[s.ID]++
+			types := s.Heap.Space().Types
+			leaf := types.Lookup("t.leaf")
+			if leaf == nil {
+				leaf = types.DefineScalar("t.leaf", 0, 1)
 			}
-			if bodies[i] != 1 {
-				t.Errorf("%s: lane %d ran %d round bodies; an aborted lane runs no later round", sched.name, i, bodies[i])
-			}
+			s.M.AllocGlobal(leaf, 0)
+			s.M.Work(10)
+		}}); err != nil {
+			t.Fatalf("%s: %v", sched.name, err)
 		}
-
-		// A panic that is not the budget, on lane 1 alone: that lane
-		// keeps the value, the others run the plan out.
-		rt, bodies = run(func(s *Shard) {
-			if s.ID == 1 {
-				s.Heap.SetHooks(gc.Hooks{PreGC: func() { panic("heap broken") }})
-			}
-		})
 		for i, s := range rt.Shards() {
 			if i == 1 {
-				if s.Panic() != "heap broken" || !strings.HasPrefix(s.Failure(), "panic in collection after round 0: ") || s.Aborted() {
-					t.Errorf("%s: lane 1 after a panic in its collection: panic=%v failure=%q aborted=%v",
-						sched.name, s.Panic(), s.Failure(), s.Aborted())
+				if s.Panic() != "heap broken" || !strings.HasPrefix(s.Failure(), "panic in collection after round 0: ") || s.OOM() {
+					t.Errorf("%s: lane 1 after a panic in its collection: panic=%v failure=%q oom=%v",
+						sched.name, s.Panic(), s.Failure(), s.OOM())
+				}
+				if bodies[i] != 1 {
+					t.Errorf("%s: lane 1 ran %d round bodies; a stopped lane runs no later round", sched.name, bodies[i])
 				}
 				continue
 			}

@@ -19,7 +19,6 @@ import (
 	"math/rand"
 
 	"beltway/internal/core"
-	"beltway/internal/stats"
 	"beltway/internal/telemetry"
 	"beltway/internal/vm"
 )
@@ -47,24 +46,19 @@ type Shard struct {
 	// aggregation (telemetry.MergeRunSnapshots).
 	Tele *telemetry.Run
 
-	dead    bool  // shard hit OOM (or failed); skips remaining rounds
 	oomErr  error // the OOM that killed it
-	aborted bool  // shard hit its cost budget (stats.BudgetExceeded)
 	failure string
 	// panicked is the recovered value behind a "panic in ..." failure.
 	panicked any
 }
 
-// Dead reports whether the shard stopped early (OOM or failure).
-func (s *Shard) Dead() bool { return s.dead }
+// Dead reports whether the shard stopped early (OOM or failure); a dead
+// shard skips its remaining rounds.
+func (s *Shard) Dead() bool { return s.oomErr != nil || s.failure != "" }
 
 // OOM reports whether the shard ended in out-of-memory (as opposed to
 // running to completion or failing some other way).
 func (s *Shard) OOM() bool { return s.oomErr != nil }
-
-// Aborted reports whether the shard was stopped by its clock's cost
-// budget (the deterministic analog of a timeout).
-func (s *Shard) Aborted() bool { return s.aborted }
 
 // Failure returns the non-OOM failure that stopped the shard ("" when
 // none).
@@ -101,28 +95,23 @@ func (s *Shard) collect(round int) {
 }
 
 // step runs one piece of the plan on the shard — a round body or a
-// global collection — and is the one rule for how either stops it: an
-// error is out of memory, the shard's terminal verdict; a panic is
-// recovered into the cost budget's abort or a recorded failure (a
-// deterministic panic reproduces identically in the serial replay, so
-// the verdict stays comparable). A dead shard runs nothing.
+// global collection — and is the one rule for how either ends: it
+// finishes; it returns an error, which is out of memory, the shard's
+// terminal verdict; or it panics, which is recovered into a recorded
+// failure (a deterministic panic reproduces identically in the serial
+// replay, so the verdict stays comparable). A shard stopped either way
+// is dead and runs nothing more.
 func (s *Shard) step(what string, round int, f func() error) {
-	if s.dead {
+	if s.Dead() {
 		return
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			s.dead = true
-			if _, ok := r.(stats.BudgetExceeded); ok {
-				s.aborted = true
-				return
-			}
 			s.panicked = r
 			s.failure = fmt.Sprintf("panic in %s %d: %v", what, round, r)
 		}
 	}()
 	if err := f(); err != nil {
-		s.dead = true
 		s.oomErr = err
 	}
 }

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"reflect"
-)
+import "reflect"
 
 // Clock is the deterministic timeline of a single run. All mutator and
 // collector work is charged to the clock in cost units; pauses (intervals
@@ -14,12 +11,6 @@ import (
 // threaded, as were the paper's benchmarks.
 type Clock struct {
 	Costs CostModel
-
-	// Budget, when positive, is the maximum total cost the timeline may
-	// accumulate. Advance panics with BudgetExceeded once the clock
-	// passes it, giving runaway configurations a deterministic stopping
-	// point; harness.Run reports it as an aborted Result.
-	Budget float64
 
 	now       float64
 	inPause   bool
@@ -36,16 +27,6 @@ type Clock struct {
 	maxPause float64
 
 	Counters Counters
-}
-
-// BudgetExceeded is the panic value raised by Advance when the clock
-// passes its cost budget.
-type BudgetExceeded struct {
-	Budget, Now float64
-}
-
-func (e BudgetExceeded) Error() string {
-	return fmt.Sprintf("stats: cost budget exceeded (%.0f > %.0f cost units)", e.Now, e.Budget)
 }
 
 // Pause is one stop-the-world collection interval on the cost timeline.
@@ -105,14 +86,8 @@ func NewClock(c CostModel) *Clock {
 // Now returns the current time in cost units.
 func (c *Clock) Now() float64 { return c.now }
 
-// Advance charges n cost units to the timeline. If a Budget is set and
-// the timeline passes it, Advance panics with BudgetExceeded.
-func (c *Clock) Advance(n float64) {
-	c.now += n
-	if c.Budget > 0 && c.now > c.Budget {
-		panic(BudgetExceeded{Budget: c.Budget, Now: c.now})
-	}
-}
+// Advance charges n cost units to the timeline.
+func (c *Clock) Advance(n float64) { c.now += n }
 
 // BeginPause marks the start of a stop-the-world collection.
 // Nested pauses are not allowed.
