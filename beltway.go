@@ -193,7 +193,11 @@ type Trace = trace.Trace
 // NewTrace returns an empty trace; attach it with Mutator.SetRecorder.
 func NewTrace() *Trace { return trace.NewTrace() }
 
-// ReplayTrace executes a recorded trace against a fresh mutator.
+// ReplayTrace executes a recorded trace against a fresh mutator. A
+// corrupt trace is an error starting "trace: ", never a panic: a record
+// malformed in itself, a handle that drifts from the recording, or a slot
+// or data index past the object it names. An allocation the collector
+// refuses is the collector's error, out of memory included.
 func ReplayTrace(t *Trace, m *Mutator) error { return trace.Replay(t, m) }
 
 // ReadTrace deserializes a trace written with Trace.WriteTo.

@@ -74,7 +74,8 @@ type ProcConfig struct {
 	Workers int
 	// Command builds the command for the spawn-th worker process (0-based
 	// over the pool's lifetime, respawns included). The pool wires stdin,
-	// stdout and Stderr itself; the command must run a ServeProc loop.
+	// stdout and stderr itself (a worker's stderr is os.Stderr); the
+	// command must run a ServeProc loop.
 	Command func(spawn int) *exec.Cmd
 	// Deadline bounds one job round trip; 0 means none. A worker that
 	// misses it is escalated SIGTERM -> KillGrace -> SIGKILL and its job
@@ -83,8 +84,6 @@ type ProcConfig struct {
 	// KillGrace is the pause between SIGTERM and SIGKILL when escalating
 	// (default 2s).
 	KillGrace time.Duration
-	// Stderr receives every worker's stderr (default os.Stderr).
-	Stderr io.Writer
 	// OnCrash, if non-nil, is told of every worker lost mid-job, from the
 	// goroutine driving that job (Spawns counts the launches).
 	OnCrash func(spawn int, kind CrashKind)
@@ -131,9 +130,6 @@ func NewProcPool(cfg ProcConfig) *ProcPool {
 	if cfg.KillGrace <= 0 {
 		cfg.KillGrace = 2 * time.Second
 	}
-	if cfg.Stderr == nil {
-		cfg.Stderr = os.Stderr
-	}
 	p := &ProcPool{cfg: cfg, free: make(chan *workerProc, cfg.Workers)}
 	for i := 0; i < cfg.Workers; i++ {
 		p.free <- nil
@@ -155,7 +151,7 @@ func (p *ProcPool) spawn() (*workerProc, error) {
 	if err != nil {
 		return nil, &CrashError{Kind: CrashSpawn, Worker: id, Detail: err.Error()}
 	}
-	cmd.Stderr = p.cfg.Stderr
+	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		return nil, &CrashError{Kind: CrashSpawn, Worker: id, Detail: err.Error()}
 	}

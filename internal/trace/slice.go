@@ -1,119 +1,10 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"beltway/internal/gc"
-	"beltway/internal/heap"
 )
-
-// rawOp is one decoded trace operation: its op byte, varint arguments,
-// and (for type definitions) the inline name payload.
-type rawOp struct {
-	code byte
-	args []uint64
-	name string
-}
-
-// decodeOps parses the trace into its operation list.
-func decodeOps(buf []byte) ([]rawOp, error) {
-	var ops []rawOp
-	pos := 0
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("trace: bad varint at %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
-	argc := map[byte]int{
-		opDefineType: 4, opAlloc: 3, opAllocGlobal: 3, opAllocImmortal: 3,
-		opSetRef: 3, opGetRef: 3, opRelease: 1, opPush: 0, opPop: 0,
-		opSetData: 3, opGetData: 2, opWork: 1, opCollect: 1, opKeep: 2,
-		opAllocPretenured: 4, opRefIsNil: 2,
-	}
-	for pos < len(buf) {
-		op := rawOp{code: buf[pos]}
-		pos++
-		n, ok := argc[op.code]
-		if !ok {
-			return nil, fmt.Errorf("trace: unknown op %d at %d", op.code, pos-1)
-		}
-		for i := 0; i < n; i++ {
-			v, err := next()
-			if err != nil {
-				return nil, err
-			}
-			op.args = append(op.args, v)
-		}
-		if op.code == opDefineType {
-			// Compared unsigned: a length of 2^63 or more is negative as an int.
-			if op.args[3] > uint64(len(buf)-pos) {
-				return nil, fmt.Errorf("trace: bad type record at %d", pos)
-			}
-			nameLen := int(op.args[3])
-			op.name = string(buf[pos : pos+nameLen])
-			pos += nameLen
-		}
-		ops = append(ops, op)
-	}
-	return ops, nil
-}
-
-// AllocBytes sums the heap bytes the trace's allocations request
-// (object headers included, immortal boot-image allocations too). A
-// differential driver sizes replay heaps from it so that completion is
-// configuration-independent and OOM verdicts stay comparable.
-func (t *Trace) AllocBytes() (int, error) {
-	ops, err := decodeOps(t.buf)
-	if err != nil {
-		return 0, err
-	}
-	type shape struct{ kind, refs, words int }
-	typeTab := []shape{{}} // index 0 unused
-	total := 0
-	for _, op := range ops {
-		switch op.code {
-		case opDefineType:
-			if op.args[0] > uint64(heap.WordArray) {
-				return 0, fmt.Errorf("trace: bad type record: kind %d", op.args[0])
-			}
-			typeTab = append(typeTab,
-				shape{int(op.args[0]), int(op.args[1]), int(op.args[2])})
-		case opAlloc, opAllocGlobal, opAllocImmortal, opAllocPretenured:
-			ti := int(op.args[0])
-			if ti <= 0 || ti >= len(typeTab) {
-				return 0, fmt.Errorf("trace: alloc references undefined type %d", ti)
-			}
-			sh := typeTab[ti]
-			payload := sh.refs + sh.words
-			if heap.Kind(sh.kind) != heap.Scalar {
-				payload = int(op.args[1])
-			}
-			total += heap.HeaderBytes + payload*heap.WordBytes
-		}
-	}
-	return total, nil
-}
-
-// NumOps returns the number of mutator operations in the trace. Type
-// definitions are structural records, not mutator operations, and are
-// not counted (nor selectable by Slice).
-func (t *Trace) NumOps() (int, error) {
-	ops, err := decodeOps(t.buf)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, op := range ops {
-		if op.code != opDefineType {
-			n++
-		}
-	}
-	return n, nil
-}
 
 // Slice builds a new trace containing only the mutator operations whose
 // index (in NumOps numbering) satisfies keep, with every handle value
@@ -139,105 +30,76 @@ func (t *Trace) Slice(keep func(i int) bool) (out *Trace, err error) {
 			out, err = nil, fmt.Errorf("trace: slice invalid: %v", r)
 		}
 	}()
-	ops, err := decodeOps(t.buf)
-	if err != nil {
-		return nil, err
-	}
 	nt := &Trace{}
 	rs := gc.NewRootSet()
-	// dummy is the address stored in simulated root slots; any non-nil
-	// value works since the simulation never dereferences it.
-	const dummy = heap.Addr(4)
-	remap := map[uint64]uint64{0: 0} // old handle -> renumbered handle
+	// remap[old] is the handle a kept op rooted in place of old, 0 while
+	// none has; old handles are live in the trace, so they index it.
+	remap := []gc.Handle{0}
 	mapped := func(old uint64) (uint64, error) {
-		nh, ok := remap[old]
-		if !ok {
+		if old != 0 && (old >= uint64(len(remap)) || remap[old] == 0) {
 			return 0, fmt.Errorf("trace: slice drops handle %d still in use", old)
 		}
-		return nh, nil
+		return uint64(remap[old]), nil
+	}
+	rooted := func(old uint64, nh gc.Handle) uint64 {
+		for uint64(len(remap)) <= old {
+			remap = append(remap, 0)
+		}
+		remap[old] = nh
+		return uint64(nh)
 	}
 	idx := -1
-	for _, op := range ops {
-		if op.code == opDefineType {
-			nt.emit(opDefineType, op.args...)
-			nt.buf = append(nt.buf, op.name...)
-			continue
+	err = decode(t.buf, func(r *event) (err error) {
+		a := &r.arg
+		if r.code == opDefineType {
+			nt.emit(opDefineType, a[:]...)
+			nt.buf = append(nt.buf, r.typ.name...)
+			return nil
 		}
-		idx++
-		if !keep(idx) {
-			continue
+		if idx++; !keep(idx) {
+			return nil
 		}
-		switch op.code {
-		case opAlloc, opAllocImmortal:
-			nh := uint64(rs.Add(dummy))
-			remap[op.args[2]] = nh
-			nt.emit(op.code, op.args[0], op.args[1], nh)
-		case opAllocGlobal:
-			nh := uint64(rs.AddGlobal(dummy))
-			remap[op.args[2]] = nh
-			nt.emit(op.code, op.args[0], op.args[1], nh)
-		case opAllocPretenured:
-			var nh uint64
-			if op.args[3] == 1 {
-				nh = uint64(rs.AddGlobal(dummy))
-			} else {
-				nh = uint64(rs.Add(dummy))
-			}
-			remap[op.args[2]] = nh
-			nt.emit(op.code, op.args[0], op.args[1], nh, op.args[3])
+		// Renumber the handles the op reads, then the one it roots.
+		switch r.code {
 		case opSetRef:
-			obj, err := mapped(op.args[0])
-			if err != nil {
-				return nil, err
+			if a[2], err = mapped(a[2]); err != nil {
+				return err
 			}
-			val, err := mapped(op.args[2])
-			if err != nil {
-				return nil, err
+			fallthrough
+		case opGetRef, opRefIsNil, opSetData, opGetData, opRelease, opKeep:
+			if a[0], err = mapped(a[0]); err != nil {
+				return err
 			}
-			nt.emit(opSetRef, obj, op.args[1], val)
+		}
+		switch r.code {
+		case opAlloc, opAllocImmortal:
+			a[2] = rooted(a[2], rs.Add(live))
+		case opAllocGlobal:
+			a[2] = rooted(a[2], rs.AddGlobal(live))
+		case opAllocPretenured:
+			if a[3] == 1 {
+				a[2] = rooted(a[2], rs.AddGlobal(live))
+			} else {
+				a[2] = rooted(a[2], rs.Add(live))
+			}
 		case opGetRef:
-			obj, err := mapped(op.args[0])
-			if err != nil {
-				return nil, err
+			if a[2] != 0 {
+				a[2] = rooted(a[2], rs.Add(live))
 			}
-			nh := uint64(0)
-			if op.args[2] != 0 {
-				nh = uint64(rs.Add(dummy))
-				remap[op.args[2]] = nh
-			}
-			nt.emit(opGetRef, obj, op.args[1], nh)
+		case opKeep:
+			a[1] = rooted(a[1], rs.AddGlobal(live))
 		case opRelease:
-			h, err := mapped(op.args[0])
-			if err != nil {
-				return nil, err
-			}
-			rs.Remove(gc.Handle(h))
-			nt.emit(opRelease, h)
+			rs.Remove(gc.Handle(a[0]))
 		case opPush:
 			rs.PushScope()
-			nt.emit(opPush)
 		case opPop:
 			rs.PopScope()
-			nt.emit(opPop)
-		case opSetData, opGetData, opRefIsNil:
-			obj, err := mapped(op.args[0])
-			if err != nil {
-				return nil, err
-			}
-			nt.emit(op.code, append([]uint64{obj}, op.args[1:]...)...)
-		case opKeep:
-			h, err := mapped(op.args[0])
-			if err != nil {
-				return nil, err
-			}
-			nh := uint64(rs.AddGlobal(dummy))
-			remap[op.args[1]] = nh
-			nt.emit(opKeep, h, nh)
-		case opWork, opCollect:
-			nt.emit(op.code, op.args...)
-		default:
-			return nil, fmt.Errorf("trace: slice: unhandled op %d", op.code)
 		}
+		nt.emit(r.code, a[:arity[r.code]]...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return nt, nil
 }

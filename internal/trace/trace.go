@@ -190,10 +190,16 @@ func ReadFrom(r io.Reader) (*Trace, error) {
 	return &Trace{buf: buf}, nil
 }
 
-// Replay executes the trace against a fresh mutator. Handle values are
-// asserted against the recording as replay proceeds; a mismatch means
-// the trace is corrupt or the root-set discipline changed. An
-// out-of-memory condition is returned as the gc error, exactly as for a
+// Replay executes the trace against a fresh mutator. It returns nil when
+// every operation ran. A corrupt trace is an error starting "trace: ",
+// never a panic, raised at the first record at fault: one malformed in
+// itself (an unknown op, a bad type record, an allocation of an undefined
+// type, a handle that is not live or not the one the root table mints,
+// an unbalanced scope), or a slot or data index past the object it names.
+// Handle values are asserted against the recording as replay proceeds; a
+// mismatch means the trace is corrupt or the root-set discipline changed.
+// An allocation the collector refuses (out of memory, or an object larger
+// than a frame) is returned as the collector's error, exactly as for a
 // live workload run.
 func Replay(t *Trace, m *vm.Mutator) error {
 	var rerr error
@@ -203,157 +209,81 @@ func Replay(t *Trace, m *vm.Mutator) error {
 	return rerr
 }
 
-// play repeats the trace's operations on m, inside Replay's m.Run.
+// play repeats the trace's operations on m, inside Replay's m.Run. The
+// decoder has checked each record; what is left is what depends on the
+// heap: the handles m's root table mints, and the slots of each object.
 func (t *Trace) play(m *vm.Mutator) error {
 	types := m.C.Space().Types
-	var typeTab []*heap.TypeDesc // index 0 unused
-	typeTab = append(typeTab, nil)
-
-	buf := t.buf
-	pos := 0
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("trace: bad varint at %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
-	for pos < len(buf) {
-		op := buf[pos]
-		pos++
-		switch op {
+	var typeTab []*heap.TypeDesc // by type index, less one
+	return decode(t.buf, func(r *event) error {
+		a := &r.arg
+		obj := gc.Handle(a[0])
+		var h gc.Handle // the handle the operation rooted
+		var want uint64 // and the one the trace recorded
+		switch r.code {
 		case opDefineType:
-			kind, _ := next()
-			refs, _ := next()
-			words, _ := next()
-			nameLen, err := next()
-			if err != nil || nameLen > uint64(len(buf)-pos) || kind > uint64(heap.WordArray) {
-				return fmt.Errorf("trace: bad type record")
-			}
-			name := string(buf[pos : pos+int(nameLen)])
-			pos += int(nameLen)
-			td := types.Lookup(name)
+			td := types.Lookup(string(r.typ.name))
 			if td == nil {
-				td = types.Define(name, heap.Kind(kind), int(refs), int(words))
+				td = types.Define(string(r.typ.name), r.typ.kind, r.typ.refs, r.typ.words)
+			} else if td.Kind != r.typ.kind || td.RefSlots != r.typ.refs || td.DataWords != r.typ.words {
+				return fmt.Errorf("trace: type %q has another shape on this heap", td.Name)
 			}
 			typeTab = append(typeTab, td)
-		case opAlloc, opAllocGlobal, opAllocImmortal:
-			ti, _ := next()
-			length, _ := next()
-			want, err := next()
-			if err != nil || ti == 0 || ti >= uint64(len(typeTab)) {
-				return fmt.Errorf("trace: bad alloc record")
-			}
-			var h gc.Handle
-			switch op {
-			case opAlloc:
-				h = m.Alloc(typeTab[ti], int(length))
-			case opAllocGlobal:
-				h = m.AllocGlobal(typeTab[ti], int(length))
-			default:
-				h = m.AllocImmortal(typeTab[ti], int(length))
-			}
-			if uint64(h) != want {
-				return fmt.Errorf("trace: alloc handle drift: got %d want %d", h, want)
-			}
-		case opSetRef:
-			obj, _ := next()
-			slot, _ := next()
-			val, err := next()
-			if err != nil {
-				return fmt.Errorf("trace: bad setref")
-			}
-			if gc.Handle(val) == gc.NilHandle {
-				m.SetRefNil(gc.Handle(obj), int(slot))
+		case opAlloc:
+			h, want = m.Alloc(typeTab[a[0]-1], int(a[1])), a[2]
+		case opAllocGlobal:
+			h, want = m.AllocGlobal(typeTab[a[0]-1], int(a[1])), a[2]
+		case opAllocImmortal:
+			h, want = m.AllocImmortal(typeTab[a[0]-1], int(a[1])), a[2]
+		case opAllocPretenured:
+			if a[3] == 1 {
+				h, want = m.AllocPretenuredGlobal(typeTab[a[0]-1], int(a[1])), a[2]
 			} else {
-				m.SetRef(gc.Handle(obj), int(slot), gc.Handle(val))
+				h, want = m.AllocPretenured(typeTab[a[0]-1], int(a[1])), a[2]
 			}
-		case opGetRef:
-			obj, _ := next()
-			slot, _ := next()
-			want, err := next()
-			if err != nil {
-				return fmt.Errorf("trace: bad getref")
+		case opSetRef, opGetRef, opRefIsNil, opSetData, opGetData:
+			// An object reached through GetRef has a type no static pass
+			// knows, so every slot and index is bounded here.
+			td, n := m.TypeOf(obj), m.Length(obj)
+			limit := td.NumRefs(n)
+			if r.code == opSetData || r.code == opGetData {
+				limit = td.Size(n)/heap.WordBytes - heap.HeaderBytes/heap.WordBytes - limit
 			}
-			h := m.GetRef(gc.Handle(obj), int(slot))
-			if uint64(h) != want {
-				return fmt.Errorf("trace: getref handle drift: got %d want %d", h, want)
+			if a[1] >= uint64(limit) {
+				return fmt.Errorf("trace: op %d: index %d past the %d of a %s", r.code, a[1], limit, td.Name)
 			}
-		case opRefIsNil:
-			obj, _ := next()
-			slot, err := next()
-			if err != nil {
-				return fmt.Errorf("trace: bad refisnil")
+			switch i := int(a[1]); r.code {
+			case opSetRef:
+				if val := gc.Handle(a[2]); val == gc.NilHandle {
+					m.SetRefNil(obj, i)
+				} else {
+					m.SetRef(obj, i, val)
+				}
+			case opGetRef:
+				h, want = m.GetRef(obj, i), a[2]
+			case opRefIsNil:
+				m.RefIsNil(obj, i)
+			case opSetData:
+				m.SetData(obj, i, uint32(a[2]))
+			case opGetData:
+				m.GetData(obj, i)
 			}
-			m.RefIsNil(gc.Handle(obj), int(slot))
 		case opRelease:
-			h, err := next()
-			if err != nil {
-				return err
-			}
-			m.Release(gc.Handle(h))
+			m.Release(obj)
 		case opPush:
 			m.Push()
 		case opPop:
 			m.Pop()
-		case opSetData:
-			obj, _ := next()
-			i, _ := next()
-			v, err := next()
-			if err != nil {
-				return err
-			}
-			m.SetData(gc.Handle(obj), int(i), uint32(v))
-		case opGetData:
-			obj, _ := next()
-			i, err := next()
-			if err != nil {
-				return err
-			}
-			m.GetData(gc.Handle(obj), int(i))
 		case opWork:
-			n, err := next()
-			if err != nil {
-				return err
-			}
-			m.Work(int(n))
+			m.Work(int(a[0]))
 		case opCollect:
-			f, err := next()
-			if err != nil {
-				return err
-			}
-			m.Collect(f == 1)
+			m.Collect(a[0] == 1)
 		case opKeep:
-			h, _ := next()
-			want, err := next()
-			if err != nil {
-				return err
-			}
-			out := m.Keep(gc.Handle(h))
-			if uint64(out) != want {
-				return fmt.Errorf("trace: keep handle drift: got %d want %d", out, want)
-			}
-		case opAllocPretenured:
-			ti, _ := next()
-			length, _ := next()
-			want, _ := next()
-			g, err := next()
-			if err != nil || ti == 0 || ti >= uint64(len(typeTab)) {
-				return fmt.Errorf("trace: bad pretenured alloc record")
-			}
-			var h gc.Handle
-			if g == 1 {
-				h = m.AllocPretenuredGlobal(typeTab[ti], int(length))
-			} else {
-				h = m.AllocPretenured(typeTab[ti], int(length))
-			}
-			if uint64(h) != want {
-				return fmt.Errorf("trace: pretenured handle drift: got %d want %d", h, want)
-			}
-		default:
-			return fmt.Errorf("trace: unknown op %d at %d", op, pos-1)
+			h, want = m.Keep(obj), a[1]
 		}
-	}
-	return nil
+		if uint64(h) != want {
+			return fmt.Errorf("trace: op %d handle drift: got %d want %d", r.code, h, want)
+		}
+		return nil
+	})
 }

@@ -96,13 +96,9 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 	// The script reaches every op the format has but the pretenured
 	// allocation: a Mutator operation Replay did not repeat, or Slice did
 	// not carry, would go unnoticed below if the script never made it.
-	ops, err := decodeOps(tr.buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seen := map[byte]bool{}
-	for _, op := range ops {
-		seen[op.code] = true
+	if err := decode(tr.buf, func(r *event) error { seen[r.code] = true; return nil }); err != nil {
+		t.Fatal(err)
 	}
 	for code := opDefineType; code <= opRefIsNil; code++ {
 		if !seen[code] && code != opAllocPretenured {
@@ -301,7 +297,7 @@ func TestUnknownKindIsABadRecord(t *testing.T) {
 			t.Errorf("kind %d: AllocBytes = %v, want a bad type record", kind, err)
 		}
 		m := newMutator(t, smallCfg())
-		if err := Replay(tr, m); err == nil || err.Error() != "trace: bad type record" {
+		if err := Replay(tr, m); err == nil || !strings.HasPrefix(err.Error(), "trace: bad type record") {
 			t.Errorf("kind %d: Replay = %v, want a bad type record", kind, err)
 		}
 		if n := m.C.Space().Types.Len(); n != 0 {
