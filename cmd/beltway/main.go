@@ -61,16 +61,12 @@ func main() {
 	}
 
 	// Server mode: no min-heap search; -heap multiplies the store's
-	// estimated live size, and the request stream rides -seed when set.
+	// estimated live size, and -seed seeds the request stream.
 	var work harness.Workload
 	var heapBytes int
 	if *serverMode {
 		sc := server.Scaled(env.Scale)
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				sc.Seed = env.Seed
-			}
-		})
+		sc.Seed = env.Seed
 		slo, perr := server.ParseSLO(*sloSpec)
 		if perr != nil {
 			fatalf("-slo: %v", perr)

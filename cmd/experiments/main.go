@@ -48,7 +48,6 @@ func main() {
 		points   = flag.Int("points", 17, "heap sizes per sweep (paper used 33)")
 		verbose  = flag.Bool("v", false, "print per-run progress")
 		list     = flag.Bool("list", false, "list experiments and exit")
-		csvOut   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		benchSel = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all six)")
 
 		jobs = flag.Int("jobs", runtime.GOMAXPROCS(0),
@@ -57,8 +56,6 @@ func main() {
 			"JSONL file streaming one record per completed run")
 		resume = flag.Bool("resume", false,
 			"load -checkpoint and skip runs it already holds (appends new records)")
-		slo = flag.String("slo", "",
-			"request-latency SLO for -exp server, e.g. p99=10e3,p99.9=1e6,max=20e6 (cost units; default: the built-in bar)")
 	)
 	envFlags := harness.BindEnvFlags(flag.CommandLine)
 	files := telemetry.BindFileFlags(flag.CommandLine)
@@ -97,7 +94,6 @@ func main() {
 		Jobs:       *jobs,
 		Checkpoint: *checkpoint,
 		Resume:     *resume,
-		ServerSLO:  *slo,
 	}
 	if *checkpoint != "" {
 		// Bind checkpoint records to this build and configuration, so a
@@ -112,7 +108,7 @@ func main() {
 			fatalf("fingerprinting env: %v", err)
 		}
 		opts.Fingerprint = engine.Fingerprint("experiments", binHash, string(envJSON),
-			fmt.Sprint(*points), *benchSel, *slo)
+			fmt.Sprint(*points), *benchSel)
 	}
 	if obs != nil {
 		opts.OnRecord = obs.onRecord
@@ -157,11 +153,7 @@ func main() {
 			fatalf("%s: %v", e.ID, err)
 		}
 		for _, t := range tables {
-			if *csvOut {
-				fmt.Printf("# %s\n%s\n", t.Title, t.CSV())
-			} else {
-				fmt.Println(t.String())
-			}
+			fmt.Println(t.String())
 		}
 	}
 

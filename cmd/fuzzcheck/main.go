@@ -4,7 +4,7 @@
 // script rounds with randomized configurations mixed into the battery,
 // and reports any divergence. With -minimize, each divergence is shrunk
 // by delta debugging and written to the check package's testdata as a
-// reproducer fixture plus a generated regression test.
+// reproducer fixture, which the package's TestReproFixtures replays.
 //
 // It also reproduces Go fuzz corpus entries: pass corpus file paths (the
 // files `go test -fuzz=FuzzDifferential` leaves under testdata/fuzz or
@@ -34,10 +34,8 @@ func main() {
 	var (
 		rounds   = flag.Int("rounds", 50, "randomized script rounds after the workload stage")
 		seed     = flag.Int64("seed", 1, "PRNG seed for scripts and random configurations")
-		nConfigs = flag.Int("configs", 3, "random configurations added to the preset battery per round")
-		minimize = flag.Bool("minimize", false, "shrink each divergence and write a reproducer fixture + regression test")
-		scale    = flag.Float64("scale", 0.02, "workload scale for the trace stage")
-		outDir   = flag.String("out", "internal/check", "check package directory for fixtures and generated tests")
+		minimize = flag.Bool("minimize", false, "shrink each divergence and write a reproducer fixture")
+		outDir   = flag.String("out", "internal/check", "check package directory; fixtures go to its testdata")
 	)
 	flag.Parse()
 
@@ -54,8 +52,8 @@ func main() {
 		os.Exit(exitCode(failures))
 	}
 
-	failures += workloadStage(presets, *scale, *seed, *minimize, *outDir)
-	failures += randomStage(presets, *rounds, *seed, *nConfigs, *minimize, *outDir)
+	failures += workloadStage(presets, *seed, *minimize, *outDir)
+	failures += randomStage(presets, *rounds, *seed, *minimize, *outDir)
 
 	if failures == 0 {
 		fmt.Printf("fuzzcheck: no divergences (%d presets, %d workloads, %d random rounds)\n",
@@ -78,14 +76,22 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
+// The battery's sizes: the trace stage records every benchmark at
+// traceScale, and each random round adds randomConfigs rolled
+// configurations to the presets.
+const (
+	traceScale    = 0.02
+	randomConfigs = 3
+)
+
 // workloadStage records each bundled benchmark at small scale and replays
 // the trace through every preset, sized so completion is
 // configuration-independent.
-func workloadStage(presets []core.Config, scale float64, seed int64, minimize bool, outDir string) int {
+func workloadStage(presets []core.Config, seed int64, minimize bool, outDir string) int {
 	failures := 0
 	recCfg := check.Sized(presets[:1], 64<<20)[0] // semi-space, roomy: the recording must complete
 	for _, b := range workload.All() {
-		tr, err := check.RecordWorkload(b, scale, seed, recCfg)
+		tr, err := check.RecordWorkload(b, traceScale, seed, recCfg)
 		if err != nil {
 			fatal(fmt.Errorf("recording %s: %w", b.Name, err))
 		}
@@ -103,7 +109,7 @@ func workloadStage(presets []core.Config, scale float64, seed int64, minimize bo
 		failures++
 		fmt.Printf("workload %-10s %6d ops: DIVERGES\n%s", b.Name, n, rep.String())
 		if minimize {
-			res := check.MinimizeTrace(tr, cfgs, check.DifferentialFails, 0)
+			res := check.MinimizeTrace(tr, cfgs, check.DifferentialFails)
 			fmt.Printf("  minimized to %d ops, %d configs (%d evals)\n", res.Ops, len(res.Configs), res.Evals)
 			fx, err := check.TraceFixture("workload-"+b.Name, "workload "+b.Name+" divergence", res.Trace, res.Configs)
 			if err != nil {
@@ -117,14 +123,14 @@ func workloadStage(presets []core.Config, scale float64, seed int64, minimize bo
 
 // randomStage fuzzes at the driver level: random scripts against the
 // preset battery plus freshly randomized configurations.
-func randomStage(presets []core.Config, rounds int, seed int64, nConfigs int, minimize bool, outDir string) int {
+func randomStage(presets []core.Config, rounds int, seed int64, minimize bool, outDir string) int {
 	failures := 0
 	rng := rand.New(rand.NewSource(seed))
 	for round := 0; round < rounds; round++ {
 		script := check.RandomScript(rng)
 		cfgs := append([]core.Config(nil), presets...)
 		heapBytes := check.HeapBytesFor(script.AllocBytes())
-		for i := 0; i < nConfigs; i++ {
+		for i := 0; i < randomConfigs; i++ {
 			cfgs = append(cfgs, check.RandomConfig(rng, heapBytes, check.OracleFrameBytes))
 		}
 		run := check.RunScript(script, cfgs)
@@ -185,7 +191,7 @@ func reproduceCorpusFile(path string, presets []core.Config, minimize bool, outD
 }
 
 func minimizeScript(script check.Script, cfgs []core.Config, outDir string) {
-	res := check.Minimize(script, cfgs, check.OracleFails, 0)
+	res := check.Minimize(script, cfgs, check.OracleFails)
 	fmt.Printf("  minimized to %d ops, %d configs (%d evals):\n%s",
 		len(res.Script), len(res.Configs), res.Evals, res.Script)
 	name := fmt.Sprintf("fuzzcheck-%x", sha256.Sum256(res.Script.Encode()))[:17]
@@ -198,11 +204,7 @@ func writeFixture(fx *check.Fixture, outDir string) {
 	if err != nil {
 		fatal(err)
 	}
-	testPath, err := check.WriteRegressionTest(fx.Name, outDir)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  wrote %s and %s\n", path, testPath)
+	fmt.Printf("  wrote %s\n", path)
 }
 
 // parseCorpusEntry decodes the two-argument "go test fuzz v1" corpus

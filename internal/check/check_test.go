@@ -216,7 +216,7 @@ func TestMinimizeShrinksSyntheticFailure(t *testing.T) {
 		}
 		return false
 	}
-	res := Minimize(script, cfgs, fail, 0)
+	res := Minimize(script, cfgs, fail)
 	if !fail(res.Script, res.Configs) {
 		t.Fatal("minimized result no longer fails the predicate")
 	}

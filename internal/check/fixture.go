@@ -109,47 +109,3 @@ func LoadFixtures(dir string) ([]*Fixture, error) {
 	}
 	return out, nil
 }
-
-// RegressionTestSource renders a standalone Go regression test that
-// loads the fixture from testdata and asserts the oracle verdict. The
-// generated test asserts the fixture now PASSES — a committed fixture
-// documents a bug that has been fixed in the same change, so the
-// reproducer replaying clean is the regression guarantee.
-func RegressionTestSource(fixtureName string) string {
-	ident := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			return r
-		default:
-			return '_'
-		}
-	}, fixtureName)
-	return fmt.Sprintf(`package check
-
-import (
-	"path/filepath"
-	"testing"
-)
-
-// TestRepro_%s replays the minimized reproducer committed as
-// testdata/%s.json and asserts the divergence it once
-// demonstrated no longer occurs.
-func TestRepro_%s(t *testing.T) {
-	fx, err := LoadFixture(filepath.Join("testdata", "%s.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := fx.Run()
-	if rep.Failed() {
-		t.Fatalf("fixture %%s diverges again:\n%%s", fx.Name, rep.String())
-	}
-}
-`, ident, fixtureName, ident, fixtureName)
-}
-
-// WriteRegressionTest emits the generated regression test next to the
-// check package sources as repro_<name>_test.go.
-func WriteRegressionTest(fixtureName, pkgDir string) (string, error) {
-	path := filepath.Join(pkgDir, "repro_"+fixtureName+"_test.go")
-	return path, os.WriteFile(path, []byte(RegressionTestSource(fixtureName)), 0o644)
-}

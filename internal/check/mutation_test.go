@@ -81,7 +81,7 @@ func TestOracleCatchesBarrierMutation(t *testing.T) {
 	}
 	t.Logf("caught:\n%s", run.String())
 
-	res := Minimize(script, cfgs, OracleFails, 0)
+	res := Minimize(script, cfgs, OracleFails)
 	if !OracleFails(res.Script, res.Configs) {
 		t.Fatal("minimized reproducer no longer fails")
 	}

@@ -49,10 +49,6 @@ func validatedRuntime(cfg core.Config, lanes int) (*shard.Runtime, error) {
 // globally — under Run no lane ever waits.
 func serverScenario(lanes int) (*shard.Runtime, shard.Plan, error) {
 	sc := server.Scaled(0.02)
-	sc.Batch = 8
-	if err := sc.Validate(); err != nil {
-		return nil, shard.Plan{}, err
-	}
 	rt, err := validatedRuntime(scenarioConfig(3*sc.EstLiveBytes()), lanes)
 	if err != nil {
 		return nil, shard.Plan{}, err

@@ -30,11 +30,11 @@ type MinimizeResult struct {
 // simplification of the configurations (fewer configs, fewer belts,
 // zeroed triggers and extensions), then a final op pass, since simpler
 // configurations often unlock further op removal. The inputs must
-// satisfy fail; the result still does. maxEvals bounds the total number
-// of predicate evaluations (each one replays the trace through every
-// remaining configuration); <= 0 means a default budget.
-func Minimize(script Script, cfgs []core.Config, fail Failing, maxEvals int) MinimizeResult {
-	m := newMinimizer(fail, maxEvals)
+// satisfy fail; the result still does. At most 600 predicate
+// evaluations (minimizeEvals) are spent, each of which replays the trace
+// through every remaining configuration.
+func Minimize(script Script, cfgs []core.Config, fail Failing) MinimizeResult {
+	m := &minimizer[Script]{fail: fail}
 	// Every subsequence of a script is itself runnable (operands are
 	// modular), so removal needs no fix-ups.
 	script, cfgs = m.reduce(script, cfgs,
@@ -55,20 +55,15 @@ func Minimize(script Script, cfgs []core.Config, fail Failing, maxEvals int) Min
 // Script or a recorded trace, and only how a kept index set becomes a
 // candidate subject differs between the two.
 type minimizer[S any] struct {
-	fail   func(S, []core.Config) bool
-	budget int
-	evals  int
+	fail  func(S, []core.Config) bool
+	evals int
 }
 
-func newMinimizer[S any](fail func(S, []core.Config) bool, maxEvals int) *minimizer[S] {
-	if maxEvals <= 0 {
-		maxEvals = 600
-	}
-	return &minimizer[S]{fail: fail, budget: maxEvals}
-}
+// minimizeEvals bounds a minimizer's predicate evaluations.
+const minimizeEvals = 600
 
 func (m *minimizer[S]) check(s S, cfgs []core.Config) bool {
-	if m.evals >= m.budget {
+	if m.evals >= minimizeEvals {
 		return false
 	}
 	m.evals++
@@ -236,12 +231,12 @@ type TraceMinimizeResult struct {
 // trace.Slice, which renumbers handles exactly as replay will assign
 // them; subsets that are not self-contained (or whose reduction changes
 // semantics enough to drift) simply fail the predicate and are skipped.
-func MinimizeTrace(tr *trace.Trace, cfgs []core.Config, fail TraceFailing, maxEvals int) TraceMinimizeResult {
+func MinimizeTrace(tr *trace.Trace, cfgs []core.Config, fail TraceFailing) TraceMinimizeResult {
 	numOps := func(tr *trace.Trace) int {
 		n, _ := tr.NumOps() // a trace that does not parse has nothing to remove
 		return n
 	}
-	m := newMinimizer(fail, maxEvals)
+	m := &minimizer[*trace.Trace]{fail: fail}
 	tr, cfgs = m.reduce(tr, cfgs, numOps,
 		func(tr *trace.Trace, keep func(int) bool) (*trace.Trace, bool) {
 			candidate, err := tr.Slice(keep)

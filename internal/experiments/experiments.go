@@ -48,9 +48,6 @@ type Opts struct {
 	// resumed) as it settles; called concurrently from workers. Used by
 	// cmd/experiments to aggregate telemetry live.
 	OnRecord func(engine.Record)
-	// ServerSLO is the pass/fail bar of the server experiment ("-exp
-	// server"), in ParseSLO syntax; "" means DefaultServerSLO.
-	ServerSLO string
 }
 
 // Suite runs experiments on one Executor, whose engine remembers every

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"beltway/internal/harness"
+	"beltway/internal/server"
 	"beltway/internal/workload"
 )
 
@@ -67,8 +68,7 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 						break
 					}
 				}
-				// Render both formats.
-				if tb.String() == "" || tb.CSV() == "" {
+				if tb.String() == "" {
 					t.Errorf("%s: empty rendering", e.ID)
 				}
 			}
@@ -127,5 +127,19 @@ func TestTable1ReportsAllBenchmarks(t *testing.T) {
 		if strings.TrimSpace(row[1]) == "" {
 			t.Error("empty min heap cell")
 		}
+	}
+}
+
+// TestServerWorkloadFollowsSeed: -exp server and -exp adapt draw their
+// request stream from Env.Seed, as the benchmarks draw theirs, and the
+// default seed is the server's own, so the default tables stay put.
+func TestServerWorkloadFollowsSeed(t *testing.T) {
+	s := tinySuite()
+	if _, sc, _, err := s.serverWorkload(); err != nil || sc.Seed != server.Default().Seed {
+		t.Fatalf("default env: request seed %d (err %v), want %d", sc.Seed, err, server.Default().Seed)
+	}
+	s.opts.Env.Seed = 7
+	if _, sc, _, err := s.serverWorkload(); err != nil || sc.Seed != 7 {
+		t.Fatalf("Env.Seed 7: request seed %d (err %v), want 7", sc.Seed, err)
 	}
 }

@@ -7,16 +7,6 @@ import (
 	"beltway/internal/server"
 )
 
-// DefaultServerSLO is the pass/fail bar for the server experiment when
-// the caller sets none: the p99 request must stay under 10k cost units
-// (~13.6us nominal — a pause-free request), the p99.9 under 1M (~1.4ms:
-// a request may absorb a nursery pause but not a mature collection), and
-// no request may exceed 5M (~6.8ms). Calibrated at scale 1 so the bar
-// discriminates: incremental collectors (Beltway) pass, collectors that
-// park a long mature/full collection under a request (Fixed nursery at
-// tight heaps, Immix at 2x live) fail on max or p99.9.
-const DefaultServerSLO = "p99=10e3,p99.9=1e6,max=5e6"
-
 // serverHeapFactors are the heap sizes of the server sweep, as multiples
 // of the store's estimated live size. The floor is 2x: copying
 // collectors reserve to-space on top of the live set, so below ~2x even
@@ -37,15 +27,12 @@ func (s *Suite) serverCollectors() []harness.Collector {
 }
 
 // serverWorkload builds the suite's server workload: the request script
-// scaled like the benchmarks, judged against Opts.ServerSLO (or the
-// default bar).
+// scaled and seeded like the benchmarks, judged against
+// server.DefaultSLO.
 func (s *Suite) serverWorkload() (harness.Workload, server.Config, server.SLO, error) {
 	sc := server.Scaled(s.opts.Env.Scale)
-	sloStr := s.opts.ServerSLO
-	if sloStr == "" {
-		sloStr = DefaultServerSLO
-	}
-	slo, err := server.ParseSLO(sloStr)
+	sc.Seed = s.opts.Env.Seed
+	slo, err := server.ParseSLO(server.DefaultSLO)
 	if err != nil {
 		return nil, sc, slo, fmt.Errorf("experiments: server SLO: %w", err)
 	}

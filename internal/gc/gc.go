@@ -91,7 +91,8 @@ type Collector interface {
 }
 
 // MovedFunc is invoked by collectors for every object they move:
-// (from, to). The vm validator uses it to keep its mirror map current.
+// (from, to). The vm validator does not need it: it keys its mirrors by
+// allocation serial, which survives a move.
 type MovedFunc func(from, to heap.Addr)
 
 // Hookable is implemented by collectors that support Hooks.

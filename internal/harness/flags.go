@@ -9,13 +9,12 @@ import (
 // BindEnvFlags declares on fs the flags that make up an Env — the one
 // declaration every front end that runs workloads shares — and returns
 // the function that, once fs is parsed, builds the Env (EnvForScale of
-// -scale, then each explicit override) and validates it.
+// -scale, which also fixes the frame size and physical memory, then the
+// other flags) and validates it.
 func BindEnvFlags(fs *flag.FlagSet) func() (Env, error) {
 	var (
 		scale     = fs.Float64("scale", 1.0, "workload scale")
 		seed      = fs.Int64("seed", workload.DefaultParams().Seed, "workload PRNG seed")
-		frameKB   = fs.Int("frame", 0, "frame size in KB (power of two; 0 = auto from scale)")
-		physMB    = fs.Int("physmem", -1, "modelled physical memory in MB (0 = no paging, -1 = auto from scale)")
 		pretenure = fs.Bool("pretenure", false, "route known-long-lived allocation sites to older belts")
 		mutators  = fs.Int("mutators", 1,
 			"mutator lanes per run; >1 shards every run over N private heaps (times are the simulated N-core makespan)")
@@ -25,12 +24,6 @@ func BindEnvFlags(fs *flag.FlagSet) func() (Env, error) {
 	return func() (Env, error) {
 		env := EnvForScale(*scale)
 		env.Seed = *seed
-		if *frameKB > 0 {
-			env.FrameBytes = *frameKB * 1024
-		}
-		if *physMB >= 0 {
-			env.PhysMemBytes = *physMB << 20
-		}
 		env.Pretenure = *pretenure
 		env.Mutators = *mutators
 		env.Policy = *adapt

@@ -71,18 +71,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CSV renders the table as comma-separated values.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Headers, ","))
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // FmtRel formats a relative-to-best value; NaN (OOM) renders as "-".
 func FmtRel(v float64) string {
 	if math.IsNaN(v) {

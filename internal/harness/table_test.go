@@ -37,10 +37,6 @@ func TestTableRendering(t *testing.T) {
 	if i1, i2 := strings.Index(rows[0], "1.00")+4, strings.Index(rows[1], "10.00")+5; i1 != i2 {
 		t.Errorf("numeric columns not aligned:\n%s", s)
 	}
-	csv := tb.CSV()
-	if !strings.HasPrefix(csv, "name,v1,v2\n") || !strings.Contains(csv, "alpha,1.00,2.5") {
-		t.Errorf("bad CSV:\n%s", csv)
-	}
 }
 
 func TestFormatters(t *testing.T) {

@@ -9,8 +9,10 @@ import (
 // ValidateEnv checks an Env for values and feature combinations a run
 // rejects (a scale or frame size no heap can have, -adapt with more than
 // one lane), so front ends can fail at flag-parse time instead of
-// rendering every sweep point as a failed measurement. Run makes the
-// same check, here and nowhere else.
+// rendering every sweep point as a failed measurement. The frame size
+// follows -scale on every front end, but an Env read back from a farm
+// spec or ledger may carry any. Run makes the same check, here and
+// nowhere else.
 func ValidateEnv(env Env) error {
 	_, err := envController(env)
 	return err
@@ -31,7 +33,7 @@ func envController(env Env) (*policy.Controller, error) {
 	// frames, so a configuration at that size fails on the frame alone.
 	cfg := AppelConfig(env)(4 * env.FrameBytes)
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("harness: -frame: %w", err)
+		return nil, fmt.Errorf("harness: Env.FrameBytes: %w", err)
 	}
 	if env.Mutators < 0 {
 		return nil, fmt.Errorf("harness: -mutators must be at least 1 (got %d)", env.Mutators)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"flag"
+	"io"
 	"strings"
 	"testing"
 
@@ -30,9 +31,9 @@ func TestValidateEnv(t *testing.T) {
 		{name: "negative scale", tweak: func(e *Env) { e.Scale = -1 },
 			wantErr: true, wantMessage: "-scale must be positive"},
 		{name: "frame not a power of two", tweak: func(e *Env) { e.FrameBytes = 3072 },
-			wantErr: true, wantMessage: "-frame: core: frame size 3072 not a power of two"},
+			wantErr: true, wantMessage: "Env.FrameBytes: core: frame size 3072 not a power of two"},
 		{name: "frame too small", tweak: func(e *Env) { e.FrameBytes = 128 },
-			wantErr: true, wantMessage: "-frame: core: frame size 128"},
+			wantErr: true, wantMessage: "Env.FrameBytes: core: frame size 128"},
 		{name: "negative mutators", tweak: func(e *Env) { e.Mutators = -2 },
 			wantErr: true, wantMessage: "-mutators must be at least 1"},
 		{name: "bogus policy", tweak: func(e *Env) { e.Policy = "bogus" },
@@ -52,8 +53,9 @@ func TestValidateEnv(t *testing.T) {
 }
 
 // TestBindEnvFlagsValidates: every front end's flags reach ValidateEnv,
-// so a frame size or scale no run accepts fails at flag-parse time, not
-// inside the first minimum-heap search.
+// so a scale no run accepts fails at flag-parse time, not inside the
+// first minimum-heap search. The frame size follows -scale: -frame and
+// -physmem are not flags.
 func TestBindEnvFlagsValidates(t *testing.T) {
 	cases := []struct {
 		args        []string
@@ -61,9 +63,12 @@ func TestBindEnvFlagsValidates(t *testing.T) {
 		wantMessage string
 	}{
 		{args: nil},
-		{args: []string{"-scale", "0.25", "-frame", "4"}},
+		{args: []string{"-scale", "0.25", "-frame", "4"},
+			wantErr: true, wantMessage: "flag provided but not defined: -frame"},
 		{args: []string{"-frame", "3"},
-			wantErr: true, wantMessage: "-frame: core: frame size 3072 not a power of two"},
+			wantErr: true, wantMessage: "flag provided but not defined: -frame"},
+		{args: []string{"-physmem", "0"},
+			wantErr: true, wantMessage: "flag provided but not defined: -physmem"},
 		{args: []string{"-scale", "0"},
 			wantErr: true, wantMessage: "-scale must be positive (got 0)"},
 		{args: []string{"-scale", "-0.5"},
@@ -74,11 +79,13 @@ func TestBindEnvFlagsValidates(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			fs := flag.NewFlagSet("env", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
 			build := BindEnvFlags(fs)
-			if err := fs.Parse(tc.args); err != nil {
-				t.Fatal(err)
+			var env Env
+			err := fs.Parse(tc.args)
+			if err == nil {
+				env, err = build()
 			}
-			env, err := build()
 			checkValid(t, env, err, tc.wantErr, tc.wantMessage)
 		})
 	}

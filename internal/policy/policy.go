@@ -54,11 +54,6 @@ func (o Objective) String() string {
 	return "none"
 }
 
-// DefaultSLO is the SLO assumed by "slo" with no explicit spec — the
-// server experiment family's default (cost units; see
-// internal/experiments).
-const DefaultSLO = "p99=10000,p999=1000000,max=5000000"
-
 // Config declares the controller's objective and its parameters.
 type Config struct {
 	Objective Objective
@@ -84,7 +79,7 @@ func Parse(spec string) (Config, error) {
 	case "slo":
 		c.Objective = ObjSLO
 		if params == "" {
-			params = DefaultSLO
+			params = server.DefaultSLO
 		}
 		slo, err := server.ParseSLO(params)
 		if err != nil {

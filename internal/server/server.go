@@ -42,40 +42,43 @@ type Phase struct {
 	GrowKeys int `json:"grow_keys,omitempty"`
 }
 
-// Config parameterizes a server workload. The zero value is not
-// runnable; start from Default() or fill every field and call Validate.
-type Config struct {
-	// Keys is the initial working-set size.
-	Keys int `json:"keys"`
-	// HotKeys bounds the contended hot set (0 = Keys/64, min 1).
-	HotKeys int `json:"hot_keys,omitempty"`
-	// Theta is the Zipf skew in (0, 1); 0.99 is the classic YCSB
+// The request stream's shape: one value each, the same in every run.
+const (
+	// theta is the Zipf skew in (0, 1); 0.99 is the classic YCSB
 	// "zipfian" setting, lower is flatter.
-	Theta float64 `json:"theta"`
-	// ValueWordsMin/Max bound the uniform value-size distribution, in
+	theta = 0.8
+	// valueWordsMin/Max bound the uniform value-size distribution, in
 	// heap words per value object.
-	ValueWordsMin int `json:"value_words_min"`
-	ValueWordsMax int `json:"value_words_max"`
-	// Batch is the arrival batch size: requests are served in batches of
-	// this many, with BatchGapWork units of non-request work between
+	valueWordsMin = 16
+	valueWordsMax = 64
+	// batch is the arrival batch size: requests are served in batches of
+	// this many, with batchGapWork units of non-request work between
 	// batches (queue drain / idle).
-	Batch        int `json:"batch"`
-	BatchGapWork int `json:"batch_gap_work,omitempty"`
-	// RequestWork is the application work charged per request on top of
+	batch        = 64
+	batchGapWork = 32
+	// requestWork is the application work charged per request on top of
 	// store traffic.
-	RequestWork int `json:"request_work"`
-	// ScratchWords is the per-request transient allocation (response
+	requestWork = 20
+	// scratchWords is the per-request transient allocation (response
 	// assembly buffer), in heap words. It dies with the request's scope,
-	// so it is pure nursery churn: the knob that decides how often
-	// collections interleave with the request stream. 0 disables it.
-	ScratchWords int `json:"scratch_words,omitempty"`
+	// so it is pure nursery churn: what decides how often collections
+	// interleave with the request stream.
+	scratchWords = 128
+)
+
+// Config parameterizes a server workload. The zero value is not
+// runnable; start from Default() or Scaled().
+type Config struct {
+	// Keys is the initial working-set size. The contended hot set is
+	// Keys/64 of them (at least one).
+	Keys int
 	// Seed derives the request stream. Sharded serving decorrelates
 	// per-shard streams with shard.StreamSeed, whose shard 0 is the
 	// identity — a 1-shard run replays the flat stream exactly.
-	Seed int64 `json:"seed"`
+	Seed int64
 	// Phases is the request script; total requests is the sum of phase
 	// lengths.
-	Phases []Phase `json:"phases"`
+	Phases []Phase
 }
 
 // Default returns the canonical three-phase workload: a read-heavy
@@ -84,15 +87,8 @@ type Config struct {
 // working set. It exercises every scripted shift.
 func Default() Config {
 	return Config{
-		Keys:          16384,
-		Theta:         0.8,
-		ValueWordsMin: 16,
-		ValueWordsMax: 64,
-		Batch:         64,
-		BatchGapWork:  32,
-		RequestWork:   20,
-		ScratchWords:  128,
-		Seed:          20020617,
+		Keys: 16384,
+		Seed: 20020617,
 		Phases: []Phase{
 			{Name: "steady", Requests: 12000, ReadFrac: 0.9, HotFrac: 0.1},
 			{Name: "flip", Requests: 12000, ReadFrac: 0.1, HotFrac: 0.1, Reshuffle: true},
@@ -123,22 +119,10 @@ func Scaled(scale float64) Config {
 	return c
 }
 
-// Validate checks the configuration and fills defaulted fields.
+// Validate checks the configuration.
 func (c *Config) Validate() error {
 	if c.Keys < 1 {
 		return fmt.Errorf("server: need at least 1 key, have %d", c.Keys)
-	}
-	if c.Theta <= 0 || c.Theta >= 1 {
-		return fmt.Errorf("server: theta must be in (0,1), have %v", c.Theta)
-	}
-	if c.ValueWordsMin < 1 || c.ValueWordsMax < c.ValueWordsMin {
-		return fmt.Errorf("server: bad value size range [%d,%d]", c.ValueWordsMin, c.ValueWordsMax)
-	}
-	if c.Batch < 1 {
-		return fmt.Errorf("server: batch must be positive, have %d", c.Batch)
-	}
-	if c.ScratchWords < 0 {
-		return fmt.Errorf("server: scratch words must be non-negative, have %d", c.ScratchWords)
 	}
 	if len(c.Phases) == 0 {
 		return fmt.Errorf("server: need at least one phase")
@@ -149,12 +133,6 @@ func (c *Config) Validate() error {
 		}
 		if p.ReadFrac < 0 || p.ReadFrac > 1 || p.HotFrac < 0 || p.HotFrac > 1 {
 			return fmt.Errorf("server: phase %d (%s) fractions out of [0,1]", i, p.Name)
-		}
-	}
-	if c.HotKeys <= 0 {
-		c.HotKeys = c.Keys / 64
-		if c.HotKeys < 1 {
-			c.HotKeys = 1
 		}
 	}
 	return nil
@@ -181,13 +159,13 @@ func (c *Config) MaxKeys() int {
 // Batches is the number of arrival batches the script spans — the round
 // count of a sharded serving plan.
 func (c *Config) Batches() int {
-	return (c.TotalRequests() + c.Batch - 1) / c.Batch
+	return (c.TotalRequests() + batch - 1) / batch
 }
 
 // EstLiveBytes estimates the store's resident size at full growth:
 // the heap-sizing baseline for server sweeps (heap = factor × live set).
 func (c *Config) EstLiveBytes() int {
-	avg := (c.ValueWordsMin + c.ValueWordsMax) / 2
+	avg := (valueWordsMin + valueWordsMax) / 2
 	maxKeys := c.MaxKeys()
 	values := maxKeys * (3 + avg) * heap.WordBytes // headerWords = 3
 	buckets := ((maxKeys+bucketSize-1)/bucketSize + 1) * (3 + bucketSize) * heap.WordBytes
@@ -266,7 +244,7 @@ func NewLoop(cfg Config, opts LoopOpts) (*Loop, error) {
 		cfg:       cfg,
 		obs:       opts.Observer,
 		rng:       newRNG(cfg.Seed),
-		zipf:      newZipf(cfg.Keys, cfg.Theta),
+		zipf:      newZipf(cfg.Keys, theta),
 		total:     total,
 		lats:      make([]float64, 0, total),
 		starts:    make([]int, 0, len(cfg.Phases)),
@@ -334,7 +312,7 @@ func (l *Loop) RunBatch() {
 	if !l.started || l.Done() {
 		return
 	}
-	n := l.cfg.Batch
+	n := batch
 	if rem := l.total - l.done; rem < n {
 		n = rem
 	}
@@ -343,8 +321,8 @@ func (l *Loop) RunBatch() {
 	}
 	if l.Done() {
 		l.finish()
-	} else if l.cfg.BatchGapWork > 0 {
-		l.m.Work(l.cfg.BatchGapWork)
+	} else {
+		l.m.Work(batchGapWork)
 	}
 }
 
@@ -355,11 +333,8 @@ func (l *Loop) request() {
 	isRead := l.rng.Float64() < ph.ReadFrac
 	var rank int
 	if ph.HotFrac > 0 && l.rng.Float64() < ph.HotFrac {
-		hot := l.cfg.HotKeys
-		if hot > l.nKeys {
-			hot = l.nKeys
-		}
-		rank = l.rng.Intn(hot)
+		// The hot set: the most popular 1/64 of the initial keys.
+		rank = l.rng.Intn(max(l.cfg.Keys/64, 1))
 	} else {
 		rank = l.zipf.Sample(l.rng)
 	}
@@ -373,15 +348,11 @@ func (l *Loop) request() {
 	} else {
 		l.doWrite(key)
 	}
-	if n := l.cfg.ScratchWords; n > 0 {
-		// Response assembly: a transient buffer that dies with the scope.
-		sh := l.m.Alloc(l.scratchType, n)
-		l.m.SetData(sh, 0, uint32(key))
-		l.m.SetData(sh, n-1, l.writeSeq)
-	}
-	if l.cfg.RequestWork > 0 {
-		l.m.Work(l.cfg.RequestWork)
-	}
+	// Response assembly: a transient buffer that dies with the scope.
+	sh := l.m.Alloc(l.scratchType, scratchWords)
+	l.m.SetData(sh, 0, uint32(key))
+	l.m.SetData(sh, scratchWords-1, l.writeSeq)
+	l.m.Work(requestWork)
 	l.m.Pop()
 	lat := l.clock.Now() - start
 	pauseCost := l.clock.GCTime() - gcBefore
@@ -482,8 +453,7 @@ func (l *Loop) doWrite(key int) {
 // writeValue allocates a new value for key and installs it. Caller must
 // hold an open scope.
 func (l *Loop) writeValue(key int) {
-	span := l.cfg.ValueWordsMax - l.cfg.ValueWordsMin + 1
-	length := l.cfg.ValueWordsMin + l.rng.Intn(span)
+	length := valueWordsMin + l.rng.Intn(valueWordsMax-valueWordsMin+1)
 	vh := l.m.Alloc(l.valType, length)
 	l.writeSeq++
 	fill := length

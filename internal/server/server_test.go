@@ -286,7 +286,7 @@ func TestEstLiveBytes(t *testing.T) {
 	// The estimate must be in the right ballpark: a run at 4x estimate
 	// completes (checked by the tests above), and the store's value
 	// payload alone is within the estimate.
-	minPayload := sc.MaxKeys() * (3 + sc.ValueWordsMin) * 4
+	minPayload := sc.MaxKeys() * (3 + valueWordsMin) * 4
 	if est < minPayload {
 		t.Fatalf("estimate %d below minimum payload %d", est, minPayload)
 	}

@@ -17,6 +17,17 @@ type SLO struct {
 	Targets []Target `json:"targets,omitempty"`
 }
 
+// DefaultSLO is the one pass/fail bar of the server experiment and of
+// the "slo" policy objective: the p99 request must stay under 10k cost
+// units (~13.6us nominal — a pause-free request), the p99.9 under 1M
+// (~1.4ms: a request may absorb a nursery pause but not a mature
+// collection), and no request may exceed 5M (~6.8ms). Calibrated at
+// scale 1 so the bar discriminates: incremental collectors (Beltway)
+// pass, collectors that park a long mature/full collection under a
+// request (Fixed nursery at tight heaps, Immix at 2x live) fail on max
+// or p99.9.
+const DefaultSLO = "p99=10e3,p99.9=1e6,max=5e6"
+
 // Target is one objective: the named quantile must not exceed Cost.
 type Target struct {
 	Quantile string  `json:"quantile"` // p50 | p95 | p99 | p999 | max

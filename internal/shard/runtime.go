@@ -86,8 +86,9 @@ func New(cfg core.Config, opts Options) (*Runtime, error) {
 			s.V = s.M.EnableValidation()
 		}
 		if opts.Telemetry {
+			// Merged, not set: the validator's check is a PostGC hook.
 			s.Tele = telemetry.NewRun(h.Clock())
-			h.SetHooks(s.Tele.Hooks())
+			h.SetHooks(h.Hooks().Merge(s.Tele.Hooks()))
 		}
 		rt.shards = append(rt.shards, s)
 	}

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"beltway/internal/collectors"
@@ -257,4 +259,29 @@ func TestReleaseHandsEveryLaneOn(t *testing.T) {
 	if !reflect.DeepEqual(snap.Events, kept) {
 		t.Error("a snapshot read before Release changed when the next runtime ran")
 	}
+}
+
+// TestValidationSurvivesTelemetry: a lane with both Validate and
+// Telemetry still checks its heap after every collection. A data word
+// changed behind the mutator's back must fail the first collection.
+func TestValidationSurvivesTelemetry(t *testing.T) {
+	rt := newTestRuntime(t, 1, true)
+	s := rt.Shards()[0]
+	node := s.Heap.Space().Types.DefineScalar("t.node", 2, 4)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("a collection over a corrupted object passed: the lane did not validate")
+		}
+		if !strings.Contains(fmt.Sprint(r), "data word 0") {
+			t.Fatalf("validator panicked with %v, want the corrupted data word", r)
+		}
+	}()
+	s.M.Run(func() {
+		s.M.Push()
+		h := s.M.Alloc(node, 0)
+		s.M.SetData(h, 0, 7)
+		s.Heap.Space().SetData(s.Heap.Roots().Get(h), 0, 8)
+		s.M.Collect(true)
+	})
 }
