@@ -3,6 +3,7 @@ package check
 import (
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"beltway/internal/core"
@@ -245,24 +246,45 @@ func TestReproFixtures(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		fx := fx
-		t.Run(fx.Name, func(t *testing.T) {
-			// The committed fixtures carry "PretenureBelt" and "Degrade"
-			// keys from when core.Config had those fields; encoding/json
-			// drops a key it does not know, and everything else must still
-			// decode to configurations the collector accepts.
-			if len(fx.Configs) == 0 {
-				t.Fatal("fixture decoded to no configurations")
-			}
-			for _, cfg := range fx.Configs {
-				if err := cfg.Validate(); err != nil {
-					t.Fatalf("fixture configuration %q no longer decodes to a valid one: %v", cfg.Name, err)
-				}
-			}
-			rep := fx.Run()
-			if rep.Failed() {
-				t.Fatalf("fixture %s diverges again:\n%s", fx.Name, rep.String())
-			}
-		})
+		t.Run(fx.Name, func(t *testing.T) { replayFixture(t, fx) })
+	}
+}
+
+// TestRepro_fuzzcheck_880c6bc and TestRepro_fuzzcheck_dcbb971 keep each
+// committed reproducer runnable by its own name, as `go test -run` selects
+// it; TestReproFixtures covers any fixture added later.
+func TestRepro_fuzzcheck_880c6bc(t *testing.T) { replayFixtureFile(t, "fuzzcheck-880c6bc.json") }
+
+func TestRepro_fuzzcheck_dcbb971(t *testing.T) { replayFixtureFile(t, "fuzzcheck-dcbb971.json") }
+
+func replayFixtureFile(t *testing.T, name string) {
+	t.Helper()
+	fx, err := LoadFixture(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayFixture(t, fx)
+}
+
+// replayFixture checks that fx still decodes to configurations the
+// collector accepts and that its script no longer diverges.
+func replayFixture(t *testing.T, fx *Fixture) {
+	t.Helper()
+	// The committed fixtures carry "PretenureBelt" and "Degrade" keys from
+	// when core.Config had those fields; encoding/json drops a key it does
+	// not know, and everything else must still decode to configurations
+	// the collector accepts.
+	if len(fx.Configs) == 0 {
+		t.Fatal("fixture decoded to no configurations")
+	}
+	for _, cfg := range fx.Configs {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("fixture configuration %q no longer decodes to a valid one: %v", cfg.Name, err)
+		}
+	}
+	rep := fx.Run()
+	if rep.Failed() {
+		t.Fatalf("fixture %s diverges again:\n%s", fx.Name, rep.String())
 	}
 }
 
