@@ -135,11 +135,11 @@ func TestTable1ReportsAllBenchmarks(t *testing.T) {
 // default seed is the server's own, so the default tables stay put.
 func TestServerWorkloadFollowsSeed(t *testing.T) {
 	s := tinySuite()
-	if _, sc, _, err := s.serverWorkload(); err != nil || sc.Seed != server.Default().Seed {
-		t.Fatalf("default env: request seed %d (err %v), want %d", sc.Seed, err, server.Default().Seed)
+	if _, sc := s.serverWorkload(); sc.Seed != server.Default().Seed {
+		t.Fatalf("default env: request seed %d, want %d", sc.Seed, server.Default().Seed)
 	}
 	s.opts.Env.Seed = 7
-	if _, sc, _, err := s.serverWorkload(); err != nil || sc.Seed != 7 {
-		t.Fatalf("Env.Seed 7: request seed %d (err %v), want 7", sc.Seed, err)
+	if _, sc := s.serverWorkload(); sc.Seed != 7 {
+		t.Fatalf("Env.Seed 7: request seed %d, want 7", sc.Seed)
 	}
 }

@@ -29,14 +29,10 @@ func (s *Suite) serverCollectors() []harness.Collector {
 // serverWorkload builds the suite's server workload: the request script
 // scaled and seeded like the benchmarks, judged against
 // server.DefaultSLO.
-func (s *Suite) serverWorkload() (harness.Workload, server.Config, server.SLO, error) {
+func (s *Suite) serverWorkload() (harness.Workload, server.Config) {
 	sc := server.Scaled(s.opts.Env.Scale)
 	sc.Seed = s.opts.Env.Seed
-	slo, err := server.ParseSLO(server.DefaultSLO)
-	if err != nil {
-		return nil, sc, slo, fmt.Errorf("experiments: server SLO: %w", err)
-	}
-	return harness.Server(sc, slo), sc, slo, nil
+	return harness.Server(sc, server.DefaultSLO), sc
 }
 
 // FigureServer sweeps the request/response server workload
@@ -51,10 +47,7 @@ func (s *Suite) serverWorkload() (harness.Workload, server.Config, server.SLO, e
 // and MMU, not request SLOs); it is reachable by id ("-exp server") but
 // stays out of "-exp all".
 func (s *Suite) FigureServer() ([]harness.Table, error) {
-	work, sc, slo, err := s.serverWorkload()
-	if err != nil {
-		return nil, err
-	}
+	work, sc := s.serverWorkload()
 	cols := s.serverCollectors()
 	est := sc.EstLiveBytes()
 	frame := s.opts.Env.FrameBytes
@@ -78,7 +71,7 @@ func (s *Suite) FigureServer() ([]harness.Table, error) {
 	}
 
 	sweep := harness.Table{
-		Title: fmt.Sprintf("Server: request latency vs heap size (SLO %s)", slo),
+		Title: fmt.Sprintf("Server: request latency vs heap size (SLO %s)", server.DefaultSLO),
 		Headers: []string{"Collector", "Heap (x live)", "Heap (MB)", "GC%",
 			"p50(us)", "p99(us)", "p99.9(us)", "max(us)", "paused%", "worst-infl", "SLO"},
 	}
@@ -103,7 +96,7 @@ func (s *Suite) FigureServer() ([]harness.Table, error) {
 
 	card := harness.Table{
 		Title: fmt.Sprintf("Server: SLO scorecard at %.1fx live heap (SLO %s)",
-			serverScorecardFactor, slo),
+			serverScorecardFactor, server.DefaultSLO),
 		Headers: []string{"Collector", "p99(us)", "p99.9(us)", "max(us)",
 			"paused%", "GCs", "SLO"},
 	}

@@ -19,7 +19,7 @@ func BindEnvFlags(fs *flag.FlagSet) func() (Env, error) {
 		mutators  = fs.Int("mutators", 1,
 			"mutator lanes per run; >1 shards every run over N private heaps (times are the simulated N-core makespan)")
 		adapt = fs.String("adapt", "",
-			"adaptive policy objective: slo | throughput, with optional params (e.g. throughput:target=0.1); empty = static (paper behavior)")
+			"adaptive policy objective: slo, with an optional SLO (e.g. slo:max=4e6); empty = static (paper behavior)")
 	)
 	return func() (Env, error) {
 		env := EnvForScale(*scale)

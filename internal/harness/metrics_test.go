@@ -35,11 +35,11 @@ func TestEventsRestateTheResult(t *testing.T) {
 		totals bool // the ring must not have wrapped: check sums too
 	}{
 		{name: "bench flat", bench: "jess", heap: 128 << 10},
-		{name: "bench policy throughput", bench: "jess", heap: 128 << 10,
-			tweak: func(e *Env) { e.Policy = "throughput" }},
+		{name: "bench policy tight slo", bench: "jess", heap: 128 << 10,
+			tweak: func(e *Env) { e.Policy = "slo:max=4000" }},
 		{name: "server"},
 		{name: "bench roomy policy", bench: "javac", heap: 1 << 20, totals: true,
-			tweak: func(e *Env) { e.Policy = "throughput:target=0.05" }},
+			tweak: func(e *Env) { e.Policy = "slo:max=4000" }},
 		{name: "bench mutators 2", bench: "javac", heap: 1 << 20, totals: true,
 			tweak: func(e *Env) { e.Mutators = 2 }},
 	}
@@ -118,6 +118,9 @@ func TestEventsRestateTheResult(t *testing.T) {
 			c := res.Counters
 			if ends != res.Collections || ends != c.Collections {
 				t.Errorf("%d gc-end events, Result.Collections %d, Counters.Collections %d", ends, res.Collections, c.Collections)
+			}
+			if c.FullCollections == 0 {
+				t.Error("no full collection: the full-bit sum checks nothing")
 			}
 			if fulls != c.FullCollections {
 				t.Errorf("%d gc-begin events with the full bit, Counters.FullCollections %d", fulls, c.FullCollections)

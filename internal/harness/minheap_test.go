@@ -98,7 +98,7 @@ func TestMinHeapIgnoresController(t *testing.T) {
 		under Env
 	}{
 		{"Appel under -adapt", AppelConfig(env), "jess", Env{Policy: "slo"}},
-		{"25.25 under -adapt", xx25, "javac", Env{Policy: "throughput"}},
+		{"25.25 under -adapt", xx25, "javac", Env{Policy: "slo:max=4000"}},
 	} {
 		static, err := FindMinHeap(c.mk, workload.Get(c.bench), env)
 		if err != nil {

@@ -39,8 +39,8 @@ type Env struct {
 	// calling goroutine.
 	Mutators int `json:",omitempty"`
 	// Policy, when non-empty, attaches the adaptive policy controller
-	// (internal/policy) with this objective spec — policy.Parse syntax,
-	// e.g. "slo", "slo:max=4e6", "throughput:target=0.1". Adaptive runs are
+	// (internal/policy) with this SLO spec — policy.Parse syntax, "slo"
+	// for server.DefaultSLO or e.g. "slo:max=4e6". Adaptive runs are
 	// single-mutator only. Empty (the default) leaves every run exactly
 	// as static as the paper's.
 	Policy string `json:",omitempty"`

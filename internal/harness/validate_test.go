@@ -23,7 +23,7 @@ func TestValidateEnv(t *testing.T) {
 		{name: "classic single mutator", tweak: func(e *Env) { e.Mutators = 1 }},
 		{name: "sharded plain", tweak: func(e *Env) { e.Mutators = 8 }},
 		{name: "adaptive flat", tweak: func(e *Env) { e.Mutators, e.Policy = 1, "slo" }},
-		{name: "adaptive with params", tweak: func(e *Env) { e.Policy = "throughput:target=0.1" }},
+		{name: "adaptive with params", tweak: func(e *Env) { e.Policy = "slo:max=4000" }},
 		{name: "smallest frame", tweak: func(e *Env) { e.FrameBytes = 256 }},
 
 		{name: "zero env", tweak: func(e *Env) { *e = Env{} },
@@ -40,7 +40,7 @@ func TestValidateEnv(t *testing.T) {
 			wantErr: true, wantMessage: "-adapt"},
 		{name: "adapt sharded", tweak: func(e *Env) { e.Mutators, e.Policy = 2, "slo" },
 			wantErr: true, wantMessage: "single-mutator only"},
-		{name: "adapt sharded wide", tweak: func(e *Env) { e.Mutators, e.Policy = 8, "throughput" },
+		{name: "adapt sharded wide", tweak: func(e *Env) { e.Mutators, e.Policy = 8, "slo:max=4000" },
 			wantErr: true, wantMessage: "single-mutator only"},
 	}
 	for _, tc := range cases {

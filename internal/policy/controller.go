@@ -32,7 +32,6 @@ type Emitter interface {
 // server.Observer). One Controller drives one run: it is stateful and
 // must not be shared or reused across heaps.
 type Controller struct {
-	cfg  Config
 	emit Emitter
 
 	// pauseBudget is the SLO-implied bound on a single pause: half the
@@ -44,22 +43,18 @@ type Controller struct {
 	initial []core.BeltSpec // knob values at the first collection
 	cur     []core.BeltSpec // knob values after the latest decisions
 
-	grown         bool   // a grow-type decision is in effect
-	burned        bool   // growth was reverted; never grow again this run
-	cooldownUntil uint64 // no repeated tuning before this collection ordinal
+	grown  bool // a grow-type decision is in effect
+	burned bool // growth was reverted; never grow again this run
 
 	phase      int  // last observed server phase (-1 before any request)
 	phaseShift bool // a phase boundary occurred since the last Tune
-	requests   uint64
-
-	gcTime float64 // cumulative pause time
 
 	decisions []Decision
 }
 
 // New builds a controller for one run.
 func New(cfg Config) *Controller {
-	c := &Controller{cfg: cfg, pauseBudget: math.Inf(1), phase: -1}
+	c := &Controller{pauseBudget: math.Inf(1), phase: -1}
 	for _, t := range cfg.SLO.Targets {
 		if t.Quantile == "max" || t.Quantile == "p999" {
 			if b := 0.5 * t.Cost; b < c.pauseBudget {
@@ -70,18 +65,13 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// Objective returns the controller's declared objective.
-func (c *Controller) Objective() Objective { return c.cfg.Objective }
-
 // SetEmitter wires decision telemetry; nil disables it.
 func (c *Controller) SetEmitter(e Emitter) { c.emit = e }
 
 // Request implements server.Observer: the controller watches the request
-// stream only for phase boundaries (a phase change lifts the tuning
-// cooldown, since the workload it tuned against is gone). It never
-// advances the clock.
+// stream only for phase boundaries, which the next Tune records as
+// ReasonPhaseShift markers. It never advances the clock.
 func (c *Controller) Request(kind, phase, key int, start, latency, pauseCost float64) {
-	c.requests++
 	if phase != c.phase {
 		if c.phase >= 0 {
 			c.phaseShift = true
@@ -96,21 +86,13 @@ func (c *Controller) Tune(in core.TuneInput) []core.KnobUpdate {
 		c.initial = append([]core.BeltSpec(nil), in.Belts...)
 	}
 	c.cur = in.Belts
-	c.gcTime += in.End.Duration
 
 	if c.phaseShift {
 		c.phaseShift = false
 		c.note(in, ReasonPhaseShift, core.KnobNone, -1, float64(c.phase))
-		c.cooldownUntil = 0
 	}
 
-	var ups []core.KnobUpdate
-	switch c.cfg.Objective {
-	case ObjSLO:
-		ups = c.tuneSLO(in)
-	case ObjThroughput:
-		ups = c.tuneThroughput(in)
-	}
+	ups := c.tuneSLO(in)
 	// Mirror the updates into the tracked knob state so Drift reflects
 	// decisions made this very collection.
 	for _, u := range ups {
@@ -214,49 +196,6 @@ func (c *Controller) revert(in core.TuneInput) []core.KnobUpdate {
 	return ups
 }
 
-// tuneThroughput grows the narrowest bounded copying belt when the GC
-// share of total time exceeds the target: fewer, larger collections
-// amortize per-collection setup and re-tracing. Same occupancy guard and
-// one-shot revert as the SLO objective.
-func (c *Controller) tuneThroughput(in core.TuneInput) []core.KnobUpdate {
-	if c.grown && !c.burned {
-		if occupancySqueezed(in) {
-			return c.revert(in)
-		}
-	}
-	if c.burned || in.GC < c.cooldownUntil || in.Now <= 0 {
-		return nil
-	}
-	if c.gcTime/in.Now <= c.cfg.GCTarget {
-		return nil
-	}
-	if in.OlderFirst || in.MOS {
-		return nil
-	}
-	if float64(in.LiveBytes) > 0.5*float64(in.HeapBytes/2) {
-		return nil
-	}
-	best, bf := -1, math.MaxFloat64
-	for i, s := range in.Belts {
-		if s.Substrate != core.Copying || s.IncrementFrac >= 1.0 {
-			continue
-		}
-		if s.IncrementFrac < bf {
-			best, bf = i, s.IncrementFrac
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	nf := bf * 1.5
-	if nf > 1.0 {
-		nf = 1.0
-	}
-	c.cooldownUntil = in.GC + 4
-	c.grown = true
-	return []core.KnobUpdate{c.decide(in, ReasonGCOverheadHigh, core.KnobIncrementFrac, best, nf)}
-}
-
 // decide records a decision and returns its knob update.
 func (c *Controller) decide(in core.TuneInput, why Reason, k core.Knob, belt int, v float64) core.KnobUpdate {
 	c.note(in, why, k, belt, v)
@@ -312,6 +251,8 @@ func (c *Controller) Drift() string {
 
 // Summary is the JSON-able digest attached to harness results.
 type Summary struct {
+	// Objective is always "slo", the one objective; run payloads and
+	// their digests carry it.
 	Objective string `json:"objective"`
 	Decisions int    `json:"decisions"`
 	Drift     string `json:"drift,omitempty"`
@@ -320,7 +261,7 @@ type Summary struct {
 // Summary digests the controller's run for results tables and JSON.
 func (c *Controller) Summary() *Summary {
 	return &Summary{
-		Objective: c.cfg.Objective.String(),
+		Objective: "slo",
 		Decisions: len(c.decisions),
 		Drift:     c.Drift(),
 	}

@@ -25,8 +25,17 @@ type SLO struct {
 // scale 1 so the bar discriminates: incremental collectors (Beltway)
 // pass, collectors that park a long mature/full collection under a
 // request (Fixed nursery at tight heaps, Immix at 2x live) fail on max
-// or p99.9.
-const DefaultSLO = "p99=10e3,p99.9=1e6,max=5e6"
+// or p99.9. It is parsed once, here; readers must not modify it.
+var DefaultSLO = mustParseSLO("p99=10e3,p99.9=1e6,max=5e6")
+
+// mustParseSLO parses a declaration the program itself spells.
+func mustParseSLO(s string) SLO {
+	slo, err := ParseSLO(s)
+	if err != nil {
+		panic(err)
+	}
+	return slo
+}
 
 // Target is one objective: the named quantile must not exceed Cost.
 type Target struct {

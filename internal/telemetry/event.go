@@ -211,8 +211,6 @@ func policyReasonName(r uint8) string {
 		return "occupancy-revert"
 	case 3:
 		return "phase-shift"
-	case 7:
-		return "gc-overhead-high"
 	default:
 		return "none"
 	}
