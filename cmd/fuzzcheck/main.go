@@ -2,7 +2,9 @@
 // line: it replays the six bundled workloads (recorded as traces at
 // small scale) through every named collector preset, then runs randomized
 // script rounds with randomized configurations mixed into the battery,
-// and reports any divergence. With -minimize, each divergence is shrunk
+// and reports any divergence. A workload divergence prints its recipe
+// (benchmark, -seed, trace scale): `fuzzcheck -seed N -rounds 0` records
+// the same trace again. With -minimize, each script divergence is shrunk
 // by delta debugging and written to the check package's testdata as a
 // reproducer fixture, which the package's TestReproFixtures replays.
 //
@@ -34,7 +36,7 @@ func main() {
 	var (
 		rounds   = flag.Int("rounds", 50, "randomized script rounds after the workload stage")
 		seed     = flag.Int64("seed", 1, "PRNG seed for scripts and random configurations")
-		minimize = flag.Bool("minimize", false, "shrink each divergence and write a reproducer fixture")
+		minimize = flag.Bool("minimize", false, "shrink each script divergence and write a reproducer fixture")
 		outDir   = flag.String("out", "internal/check", "check package directory; fixtures go to its testdata")
 	)
 	flag.Parse()
@@ -52,7 +54,7 @@ func main() {
 		os.Exit(exitCode(failures))
 	}
 
-	failures += workloadStage(presets, *seed, *minimize, *outDir)
+	failures += workloadStage(presets, *seed)
 	failures += randomStage(presets, *rounds, *seed, *minimize, *outDir)
 
 	if failures == 0 {
@@ -86,8 +88,9 @@ const (
 
 // workloadStage records each bundled benchmark at small scale and replays
 // the trace through every preset, sized so completion is
-// configuration-independent.
-func workloadStage(presets []core.Config, seed int64, minimize bool, outDir string) int {
+// configuration-independent. A divergence prints how to record the same
+// trace again; there is no trace-level shrinking.
+func workloadStage(presets []core.Config, seed int64) int {
 	failures := 0
 	recCfg := check.Sized(presets[:1], 64<<20)[0] // semi-space, roomy: the recording must complete
 	for _, b := range workload.All() {
@@ -108,15 +111,8 @@ func workloadStage(presets []core.Config, seed int64, minimize bool, outDir stri
 		}
 		failures++
 		fmt.Printf("workload %-10s %6d ops: DIVERGES\n%s", b.Name, n, rep.String())
-		if minimize {
-			res := check.MinimizeTrace(tr, cfgs, check.DifferentialFails)
-			fmt.Printf("  minimized to %d ops, %d configs (%d evals)\n", res.Ops, len(res.Configs), res.Evals)
-			fx, err := check.TraceFixture("workload-"+b.Name, "workload "+b.Name+" divergence", res.Trace, res.Configs)
-			if err != nil {
-				fatal(err)
-			}
-			writeFixture(fx, outDir)
-		}
+		fmt.Printf("  recorded with -seed %d at trace scale %g: fuzzcheck -seed %d -rounds 0 records it again\n",
+			seed, traceScale, seed)
 	}
 	return failures
 }
@@ -172,12 +168,7 @@ func reproduceCorpusFile(path string, presets []core.Config, minimize bool, outD
 		raw, cfgSeed = data, 1
 	}
 	script := check.DecodeScript(raw)
-	cfgs := []core.Config{presets[0], presets[1]}
-	rng := rand.New(rand.NewSource(cfgSeed))
-	heapBytes := check.HeapBytesFor(script.AllocBytes())
-	for i := 0; i < 2; i++ {
-		cfgs = append(cfgs, check.RandomConfig(rng, heapBytes, check.OracleFrameBytes))
-	}
+	cfgs := check.FuzzBattery(presets, script, cfgSeed)
 	run := check.RunScript(script, cfgs)
 	if !run.Failed() {
 		fmt.Printf("%s: ok (%d ops)\n", path, len(script))

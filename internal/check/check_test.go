@@ -1,14 +1,14 @@
 package check
 
 import (
-	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"beltway/internal/core"
 	"beltway/internal/gc"
-	"beltway/internal/trace"
 	"beltway/internal/vm"
 )
 
@@ -136,66 +136,6 @@ func TestSeedOracleAcrossRandomConfigs(t *testing.T) {
 	}
 }
 
-// TestTraceSliceIdentity records a seed trace and checks that a Slice
-// keeping every op replays cleanly (the handle renumbering reproduces
-// replay's own assignment exactly), and that prefix slices replay too.
-func TestTraceSliceIdentity(t *testing.T) {
-	cfgs, err := PresetConfigs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	script := SeedScripts()[3].Script // javac: scopes, keeps, immortal
-	sr := RunScript(script, cfgs[:1])
-	if sr.Failed() {
-		t.Fatalf("recording failed: %s", sr.String())
-	}
-	tr := sr.Trace
-	n, err := tr.NumOps()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("empty trace")
-	}
-	replayable := func(tt *trace.Trace) error {
-		if out := run(sr.Configs[0], replay(tt)); out.Err != "" {
-			return errors.New(out.Err)
-		}
-		return nil
-	}
-	full, err := tr.Slice(func(int) bool { return true })
-	if err != nil {
-		t.Fatalf("identity slice: %v", err)
-	}
-	if err := replayable(full); err != nil {
-		t.Fatalf("identity slice does not replay: %v", err)
-	}
-	half, err := tr.Slice(func(i int) bool { return i < n/2 })
-	if err != nil {
-		t.Fatalf("prefix slice: %v", err)
-	}
-	if err := replayable(half); err != nil {
-		t.Fatalf("prefix slice does not replay: %v", err)
-	}
-	// Dropping an allocation invalidates later uses of its handle; the
-	// slice must either renumber into a clean replay or refuse. Count
-	// that at least some single-op drops are accepted (ddmin viability).
-	accepted := 0
-	for i := 0; i < n && accepted < 3; i++ {
-		i := i
-		cand, err := tr.Slice(func(j int) bool { return j != i })
-		if err != nil {
-			continue
-		}
-		if err := replayable(cand); err == nil {
-			accepted++
-		}
-	}
-	if accepted == 0 {
-		t.Fatal("no single-op drop produced a replayable trace; ddmin would stall")
-	}
-}
-
 func TestMinimizeShrinksSyntheticFailure(t *testing.T) {
 	// A synthetic predicate: "fails" iff the script still contains an
 	// OpCollectFull and at least 2 configs remain. Minimize must reduce
@@ -285,6 +225,29 @@ func replayFixture(t *testing.T, fx *Fixture) {
 	rep := fx.Run()
 	if rep.Failed() {
 		t.Fatalf("fixture %s diverges again:\n%s", fx.Name, rep.String())
+	}
+}
+
+// TestLoadFixtureRefusesNoScript: a fixture with no script would replay
+// nothing and pass, so loading one is an error that names its file. That
+// covers a fixture in the retired raw-trace form, whose "trace_b64" key
+// encoding/json drops without a word.
+func TestLoadFixtureRefusesNoScript(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"trace-only.json": `{"name": "trace-only", "trace_b64": "AgEAAQ==", "configs": [{"Name": "ss"}]}`,
+		"no-script.json":  `{"name": "no-script", "configs": [{"Name": "ss"}]}`,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFixture(path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("LoadFixture(%s) = %v; want an error naming the file", name, err)
+		}
+	}
+	if _, err := LoadFixtures(dir); err == nil {
+		t.Error("LoadFixtures loaded a directory of fixtures with no script")
 	}
 }
 

@@ -1,8 +1,6 @@
 package check
 
 import (
-	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,48 +8,22 @@ import (
 	"strings"
 
 	"beltway/internal/core"
-	"beltway/internal/trace"
 )
 
-// Fixture is a committed reproducer: a minimized script (or, for
-// failures found on recorded workload traces, the raw minimized trace)
-// plus the exact configurations that exhibit the divergence. Fixtures
-// replay through runConfigured / Differential with the stored
-// configurations untouched, so they rerun bit-identically.
+// Fixture is a committed reproducer: a minimized script plus the exact
+// configurations that exhibit the divergence. Fixtures replay through
+// runConfigured with the stored configurations untouched, so they rerun
+// bit-identically.
 type Fixture struct {
-	Name     string        `json:"name"`
-	Note     string        `json:"note,omitempty"`
-	Script   Script        `json:"script,omitempty"`
-	TraceB64 string        `json:"trace_b64,omitempty"`
-	Configs  []core.Config `json:"configs"`
+	Name    string        `json:"name"`
+	Note    string        `json:"note,omitempty"`
+	Script  Script        `json:"script,omitempty"`
+	Configs []core.Config `json:"configs"`
 }
 
 // Run replays the fixture and returns the oracle report.
 func (fx *Fixture) Run() Report {
-	if fx.TraceB64 != "" {
-		raw, err := base64.StdEncoding.DecodeString(fx.TraceB64)
-		if err != nil {
-			return Report{Divergences: []Divergence{{A: fx.Name, Field: "replay",
-				Detail: "fixture: bad trace_b64: " + err.Error()}}}
-		}
-		tr, err := trace.ReadFrom(bytes.NewReader(raw))
-		if err != nil {
-			return Report{Divergences: []Divergence{{A: fx.Name, Field: "replay",
-				Detail: "fixture: bad trace: " + err.Error()}}}
-		}
-		return Differential(tr, fx.Configs)
-	}
 	return runConfigured(fx.Script, fx.Configs).Report
-}
-
-// TraceFixture builds a raw-trace fixture from a minimized trace.
-func TraceFixture(name, note string, tr *trace.Trace, cfgs []core.Config) (*Fixture, error) {
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return &Fixture{Name: name, Note: note,
-		TraceB64: base64.StdEncoding.EncodeToString(buf.Bytes()), Configs: cfgs}, nil
 }
 
 // ScriptFixture builds a script fixture with the configurations frozen
@@ -76,7 +48,9 @@ func WriteFixture(fx *Fixture, dir string) (string, error) {
 	return path, os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadFixture reads one fixture file.
+// LoadFixture reads one fixture file. A fixture with no script is an
+// error: it would replay nothing and pass. Configurations decode
+// leniently, so a field a later core.Config no longer has is skipped.
 func LoadFixture(path string) (*Fixture, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -85,6 +59,9 @@ func LoadFixture(path string) (*Fixture, error) {
 	var fx Fixture
 	if err := json.Unmarshal(data, &fx); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(fx.Script) == 0 {
+		return nil, fmt.Errorf("%s: fixture has no script", path)
 	}
 	if fx.Name == "" {
 		fx.Name = strings.TrimSuffix(filepath.Base(path), ".json")

@@ -1,17 +1,12 @@
 package check
 
-import (
-	"math/rand"
-	"testing"
-
-	"beltway/internal/core"
-)
+import "testing"
 
 // FuzzDifferential is the oracle under fuzz: arbitrary bytes decode to a
 // script (the decoder is total), the script records one trace, and the
-// trace replays through a battery of structurally different collectors —
-// two fixed anchors plus configurations drawn from the fuzz input's
-// config seed — with full shadow-graph validation. Any divergence fails.
+// trace replays through FuzzBattery — two fixed anchors plus
+// configurations drawn from the fuzz input's config seed — with full
+// shadow-graph validation. Any divergence fails.
 // To reproduce and shrink a finding outside the fuzz driver:
 //
 //	go run ./cmd/fuzzcheck -minimize <corpus-file>
@@ -29,16 +24,7 @@ func FuzzDifferential(f *testing.F) {
 		if len(script) == 0 {
 			return
 		}
-		// Anchors: the simplest collector (semi-space) and the classic
-		// generational baseline with the boundary barrier; then two
-		// random walks through the configuration space. Keeping the
-		// battery at four configs trades breadth per exec for execs.
-		cfgs := []core.Config{presets[0], presets[1]}
-		rng := rand.New(rand.NewSource(cfgSeed))
-		heapBytes := HeapBytesFor(script.AllocBytes())
-		for i := 0; i < 2; i++ {
-			cfgs = append(cfgs, RandomConfig(rng, heapBytes, OracleFrameBytes))
-		}
+		cfgs := FuzzBattery(presets, script, cfgSeed)
 		run := RunScript(script, cfgs)
 		if run.Failed() {
 			t.Fatalf("divergence on %d-op script (config seed %d):\n%s\nscript:\n%s",

@@ -99,3 +99,19 @@ func RandomConfig(rng *rand.Rand, heapBytes, frameBytes int) core.Config {
 	cfg.Name = fmt.Sprintf("rand-%d-belts-%s%s", nBelts, cfg.Barrier, mrTag)
 	return cfg
 }
+
+// FuzzBattery is the battery FuzzDifferential runs a script against, and
+// the one fuzzcheck replays a corpus entry on: two anchors, presets[0]
+// (semi-space) and presets[1] (Appel, the generational baseline with the
+// boundary barrier), then two RandomConfig draws from cfgSeed at the
+// script's oracle heap size. Four configurations trade breadth per exec
+// for execs.
+func FuzzBattery(presets []core.Config, script Script, cfgSeed int64) []core.Config {
+	cfgs := []core.Config{presets[0], presets[1]}
+	rng := rand.New(rand.NewSource(cfgSeed))
+	heapBytes := HeapBytesFor(script.AllocBytes())
+	for i := 0; i < 2; i++ {
+		cfgs = append(cfgs, RandomConfig(rng, heapBytes, OracleFrameBytes))
+	}
+	return cfgs
+}

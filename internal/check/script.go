@@ -29,9 +29,10 @@
 // first configuration, replay on all and compare each with a reference;
 // RunScriptSharded deals the script over
 // lanes and compares the concurrent schedule with the serial, lane by
-// lane. Minimize / MinimizeTrace shrink a failure deterministically (ddmin
-// over the subject's operations, then over config structure) to a small
-// reproducer, written to testdata/ as a regression Fixture.
+// lane. Minimize shrinks a script's failure deterministically (ddmin over
+// the script's operations, then over config structure) to a small
+// reproducer, written to testdata/ as a regression Fixture. A divergence
+// on a recorded workload trace is reproduced by recording it again.
 package check
 
 import (

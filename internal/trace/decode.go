@@ -190,7 +190,7 @@ func (t *Trace) AllocBytes() (int, error) {
 
 // NumOps returns the number of mutator operations in the trace. Type
 // definitions are structural records, not mutator operations, and are
-// not counted (nor selectable by Slice).
+// not counted.
 func (t *Trace) NumOps() (int, error) {
 	n := 0
 	err := decode(t.buf, func(r *event) error {

@@ -2,7 +2,6 @@ package trace_test
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"runtime"
@@ -29,8 +28,8 @@ func allocatedBy(f func()) uint64 {
 }
 
 // fixtureTraces are the serialized traces of the committed oracle
-// fixtures: a fixture's trace_b64 where it has one, else the trace its
-// script records on the fixture's first configuration.
+// fixtures: the trace each fixture's script records on its first
+// configuration.
 func fixtureTraces(f *testing.F) [][]byte {
 	fixtures, err := check.LoadFixtures("../check/testdata")
 	if err != nil {
@@ -38,14 +37,6 @@ func fixtureTraces(f *testing.F) [][]byte {
 	}
 	var out [][]byte
 	for _, fx := range fixtures {
-		if fx.TraceB64 != "" {
-			raw, err := base64.StdEncoding.DecodeString(fx.TraceB64)
-			if err != nil {
-				f.Fatalf("%s: %v", fx.Name, err)
-			}
-			out = append(out, raw)
-			continue
-		}
 		h, err := core.New(fx.Configs[0], heap.NewRegistry())
 		if err != nil {
 			f.Fatalf("%s: %v", fx.Name, err)
@@ -71,8 +62,8 @@ func serialize(tb testing.TB, tr *trace.Trace) []byte {
 // wrong in one way. Ops: 1 define-type (kind, refs, words, name length,
 // name), 2 alloc (type, length, handle), 5 set-ref (object, slot,
 // value), 9 pop, 10 set-data (object, word, value), 12 work (units).
-// static marks the traces the decoder itself refuses, so NumOps,
-// AllocBytes and Slice refuse them too; the rest are refused by replay,
+// static marks the traces the decoder itself refuses, so NumOps and
+// AllocBytes refuse them too; the rest are refused by replay,
 // which reads the object's header.
 var corruptTraces = []struct {
 	name   string
@@ -128,8 +119,7 @@ func TestReplayRejectsCorruptTraces(t *testing.T) {
 			}
 			_, numErr := tr.NumOps()
 			_, bytesErr := tr.AllocBytes()
-			_, sliceErr := tr.Slice(func(int) bool { return true })
-			for call, err := range map[string]error{"NumOps": numErr, "AllocBytes": bytesErr, "Slice": sliceErr} {
+			for call, err := range map[string]error{"NumOps": numErr, "AllocBytes": bytesErr} {
 				if (err != nil) != tc.static {
 					t.Errorf("%s = %v; the trace is malformed in itself: %v", call, err, tc.static)
 				}
@@ -139,7 +129,7 @@ func TestReplayRejectsCorruptTraces(t *testing.T) {
 }
 
 // FuzzTraceBytes: whatever bytes arrive, ReadFrom and the decoders behind
-// NumOps, AllocBytes and Slice answer with a trace or a trace error, never
+// NumOps and AllocBytes answer with a trace or a trace error, never
 // a panic, and allocate in proportion to the bytes that arrived, not to
 // what a header or a record claims. Replay on a fresh heap answers every
 // trace ReadFrom accepts with nil, a trace error or the collector's, and
@@ -179,8 +169,6 @@ func FuzzTraceBytes(f *testing.F) {
 			errs = append(errs, err)
 			_, err = tr.AllocBytes()
 			errs = append(errs, err)
-			_, err = tr.Slice(func(int) bool { return true })
-			errs = append(errs, err)
 		})
 		for _, err := range errs {
 			if err != nil && !strings.HasPrefix(err.Error(), "trace: ") {
@@ -188,7 +176,7 @@ func FuzzTraceBytes(f *testing.F) {
 			}
 		}
 		// Linear in the input: a decode grows its root table by at most a
-		// slot per op, and Slice writes a trace no longer than its input.
+		// slot per op.
 		if limit := 1<<20 + 4<<10*uint64(len(data)); allocated > limit {
 			t.Errorf("%d bytes of input allocated %d bytes (limit %d)", len(data), allocated, limit)
 		}

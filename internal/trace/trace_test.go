@@ -94,8 +94,8 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 		t.Fatal("empty trace")
 	}
 	// The script reaches every op the format has but the pretenured
-	// allocation: a Mutator operation Replay did not repeat, or Slice did
-	// not carry, would go unnoticed below if the script never made it.
+	// allocation: a Mutator operation Replay did not repeat would go
+	// unnoticed below if the script never made it.
 	seen := map[byte]bool{}
 	if err := decode(tr.buf, func(r *event) error { seen[r.code] = true; return nil }); err != nil {
 		t.Fatal(err)
@@ -105,14 +105,6 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 			t.Errorf("the scripted workload never emits op %d", code)
 		}
 	}
-	whole, err := tr.Slice(func(int) bool { return true })
-	if err != nil {
-		t.Fatalf("slice keeping every op: %v", err)
-	}
-	if !bytes.Equal(encoded(tr), encoded(whole)) {
-		t.Error("a slice keeping every op differs from the trace")
-	}
-
 	m2 := newMutator(t, smallCfg())
 	if err := Replay(tr, m2); err != nil {
 		t.Fatalf("replay: %v", err)
@@ -262,9 +254,6 @@ func TestHugeTypeNameLengthIsABadRecord(t *testing.T) {
 	}
 	if _, err := tr.AllocBytes(); err == nil {
 		t.Error("AllocBytes accepted the record")
-	}
-	if _, err := tr.Slice(func(int) bool { return true }); err == nil {
-		t.Error("Slice accepted the record")
 	}
 	if err := Replay(tr, newMutator(t, smallCfg())); err == nil {
 		t.Error("Replay accepted the record")
