@@ -114,8 +114,8 @@ func main() {
 		if drift == "" {
 			drift = "(none)"
 		}
-		fmt.Printf("  adaptive policy     %10d decisions (objective %s); knob drift: %s\n",
-			res.Policy.Decisions, res.Policy.Objective, drift)
+		fmt.Printf("  adaptive policy     %10d decisions; knob drift: %s\n",
+			res.Policy.Decisions, drift)
 	}
 	if res.Server != nil {
 		printServerReport(res.Server)

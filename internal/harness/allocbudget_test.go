@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"beltway/internal/server"
 	"beltway/internal/workload"
 )
 
@@ -163,6 +164,46 @@ func TestRunOneSharedSlabPoolMatchesSerial(t *testing.T) {
 		for r, d := range got[i] {
 			if d != want[i] {
 				t.Errorf("heap %d, concurrent round %d: digest %s, serial %s", heaps[i], r, d, want[i])
+			}
+		}
+	}
+}
+
+// TestRunServerAllocBudget holds a warm server run — the second of two
+// identical ones, with two Go collections between them — to one fixed
+// allowance of Go heap bytes, flat and on two lanes, at scale 0.25 and at
+// four times its requests and keys (scale 1). The lanes' latency buffers
+// and key permutations come back from the run before, and the report
+// copies neither, so nothing in the run grows with the request count. At
+// the commit before, the scale 1 run allocated about 0.58 MB more than
+// the scale 0.25 one: 16 bytes a request and 8 a key.
+func TestRunServerAllocBudget(t *testing.T) {
+	const allowance = 64 << 10
+	for _, scale := range []float64{0.25, 1} {
+		for _, mutators := range []int{1, 2} {
+			sc := server.Scaled(scale)
+			env := EnvForScale(scale)
+			env.Mutators = mutators
+			cfg := serverCollector(t, "25.25", sc, env, 3)
+			run := func() (*Result, uint64, uint64) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				res, err := RunServer(cfg, sc, server.DefaultSLO, env)
+				runtime.ReadMemStats(&after)
+				if err != nil || res.Incomplete() {
+					t.Fatalf("run failed: %v %+v", err, res)
+				}
+				return res, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+			}
+			run() // leaves its storage to the next run
+			runtime.GC()
+			runtime.GC()
+			res, mallocs, bytes := run()
+			t.Logf("a warm server run at scale %v on %d lane(s), %d requests: %d Go mallocs, %.1f KB",
+				scale, mutators, res.Server.Overall.Requests, mallocs, float64(bytes)/1024)
+			if bytes > allowance {
+				t.Errorf("a warm server run at scale %v on %d lane(s) allocates %.1f KB, budget %d KB",
+					scale, mutators, float64(bytes)/1024, allowance>>10)
 			}
 		}
 	}

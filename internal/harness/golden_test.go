@@ -29,7 +29,9 @@ var goldenSLO = server.SLO{Targets: []server.Target{
 // `"LOSBytesAllocated":0,"LOSBytesSwept":0,` cut out. The "bench policy
 // tight slo" row came with the deletion of the throughput objective; its
 // literal was taken at the commit before, so it holds the slo path
-// across that deletion.)
+// across that deletion. The three policy rows were re-taken once more
+// when policy.Summary lost its constant Objective field: each is the
+// digest of the earlier payload with `"objective":"slo",` cut out.)
 func TestRunGoldenDigests(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,11 +79,11 @@ var goldenCases = []goldenCase{
 	{name: "bench policy slo", heap: benchHeap,
 		tweak: func(e *Env) { e.Policy = "slo" },
 		holds: func(r *Result) bool { return r.Policy != nil },
-		want:  "f649d8fcaaa30b8443310d85b8f38a906dd3ed317ed73b742af3db4422743572"},
+		want:  "727461da6ab6589172df891ac28fe2389fd74e9481372a5d70eafe26736d9760"},
 	{name: "bench policy tight slo", heap: benchHeap,
 		tweak: func(e *Env) { e.Policy = "slo:max=4000" },
 		holds: func(r *Result) bool { return r.Policy != nil && r.Policy.Decisions > 0 },
-		want:  "fc99c8d6cabea1beb3106fa6b731b354c051f9e2db74346c79de3531d9e191ff"},
+		want:  "fd7783c6db73aac9bb9fee272eaaa6aa149c496326a4e02e773761b07248f767"},
 	{name: "bench oom", heap: oomHeap,
 		holds: func(r *Result) bool { return r.OOM },
 		want:  "32b58a2dad83e36228204b0f1125a2fb2a2e3196d5321a729f8b29caa9d06b85"},
@@ -109,7 +111,7 @@ var goldenCases = []goldenCase{
 	{name: "server policy slo", server: true,
 		tweak: func(e *Env) { e.Policy = "slo" },
 		holds: func(r *Result) bool { return r.Policy != nil && r.Policy.Decisions > 0 },
-		want:  "4261cd4c3bd639f73866d10d131ef61bac2e93f49c6c2a1eb732ce38701711bd"},
+		want:  "03af1a63f4a4fa1c800879020ceb9352564caed646b3a9ca1b85dafedb345cb5"},
 	{name: "server mutators 2", server: true,
 		tweak: func(e *Env) { e.Mutators = 2 },
 		holds: func(r *Result) bool { return r.Mutators == 2 && r.Server.Shards == 2 },

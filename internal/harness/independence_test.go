@@ -7,6 +7,7 @@ import (
 	"beltway/internal/collectors"
 	"beltway/internal/core"
 	"beltway/internal/engine"
+	"beltway/internal/server"
 	"beltway/internal/workload"
 )
 
@@ -17,8 +18,10 @@ import (
 // Every TestRunGoldenDigests row must reproduce its literal run in order,
 // each right after an Appel run of pseudojbb at its minimum heap (the
 // largest tables a search leaves), each right after an immix run of
-// pseudojbb at that heap (line metadata, marked and swept), in reverse
-// order, and two at a time through an engine with two workers, where each
+// pseudojbb at that heap (line metadata, marked and swept), each right
+// after a two-lane server run of a longer, differently seeded script
+// (latency buffers and key permutations larger than the rows need, full
+// of another run's values), in reverse order, and two at a time through an engine with two workers, where each
 // run's heap is built from what the other side released.
 func TestRunsAreIndependentOfWhatRanBefore(t *testing.T) {
 	env := EnvForScale(0.1)
@@ -37,6 +40,16 @@ func TestRunsAreIndependentOfWhatRanBefore(t *testing.T) {
 	}
 	appelAtMin := runBefore(collectors.Appel, jbbMin)
 	immix := runBefore(collectors.Immix, jbbMin)
+	longServer := func(t *testing.T) {
+		sc := server.Scaled(0.25)
+		sc.Seed++
+		env := EnvForScale(0.25)
+		env.Mutators = 2
+		res, err := RunServer(serverCollector(t, "25.25", sc, env, 3), sc, server.DefaultSLO, env)
+		if err != nil || res.Incomplete() {
+			t.Fatalf("the run before: %v %+v", err, res)
+		}
+	}
 	runAndCheck := func(t *testing.T, tc goldenCase) {
 		res, err := tc.run()
 		if err != nil {
@@ -58,6 +71,12 @@ func TestRunsAreIndependentOfWhatRanBefore(t *testing.T) {
 	t.Run("after immix", func(t *testing.T) {
 		for _, tc := range goldenCases {
 			immix(t)
+			runAndCheck(t, tc)
+		}
+	})
+	t.Run("after a longer two-lane server run", func(t *testing.T) {
+		for _, tc := range goldenCases {
+			longServer(t)
 			runAndCheck(t, tc)
 		}
 	})

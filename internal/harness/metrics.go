@@ -26,10 +26,10 @@ import (
 //     definition behind ResultsTable's pause columns), their sum and count;
 //   - server_request_latency_cost_units, a summary off server.Report's
 //     overall distribution, and server_slo_violations_total — present when
-//     a result carries a report. Raw latencies do not survive a checkpoint,
-//     so quantiles are written for a collector with one report (exact) and
-//     left out where several would have to be pooled; count and sum
-//     (mean × count) add either way;
+//     a result carries a report. A report carries distributions, not the
+//     per-request latencies, so quantiles are written for a collector with
+//     one report (exact) and left out where several would have to be
+//     pooled; count and sum (mean × count) add either way;
 //   - policy_decisions_total off policy.Summary, when a result carries one.
 //
 // Integer sums and quantiles of a pooled sample do not depend on the

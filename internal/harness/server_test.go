@@ -116,10 +116,15 @@ func TestRunServerDeterministic(t *testing.T) {
 	if a.TotalTime != b.TotalTime || a.GCTime != b.GCTime {
 		t.Fatalf("timelines differ: (%v,%v) vs (%v,%v)", a.TotalTime, a.GCTime, b.TotalTime, b.GCTime)
 	}
-	for i := range a.Server.Latencies {
-		if a.Server.Latencies[i] != b.Server.Latencies[i] {
-			t.Fatalf("latency %d differs", i)
-		}
+	// The whole Result: every distribution, pause and retained request
+	// event. (The per-request streams themselves are held run to run by
+	// internal/server's TestLoopDeterministic.)
+	da, err := ResultDigest(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db, err := ResultDigest(b); err != nil || da != db {
+		t.Fatalf("result digests differ: %s vs %s (%v)", da, db, err)
 	}
 }
 

@@ -60,9 +60,9 @@ func (w benchWorkload) plan(lanes []*shard.Shard, env Env, _ *policy.Controller)
 // serves the full request script against a private store, its stream
 // seeded from the config's own seed (Env.Seed plays no part). Rounds are
 // arrival batches, collections stay lane-local, so a request's latency is a pure function of its own
-// lane's stream; the lanes' reports merge in lane order
-// (server.MergeReports, the identity on one report) and the SLO verdict
-// is evaluated on the merge.
+// lane's stream; one report covers the lanes in lane order
+// (server.ReportLoops) and the SLO verdict is evaluated on it. Once it is
+// built the loops release their per-request storage to the next run.
 func Server(sc server.Config, slo server.SLO) Workload { return serverWorkload{sc, slo} }
 
 type serverWorkload struct {
@@ -98,11 +98,11 @@ func (w serverWorkload) plan(lanes []*shard.Shard, _ Env, ctrl *policy.Controlle
 		loop.RunBatch()
 	}}
 	report := func() *server.Report {
-		reports := make([]*server.Report, len(loops))
-		for i, loop := range loops {
-			reports[i] = loop.Report(w.slo)
+		rep := server.ReportLoops(loops, w.slo)
+		for _, loop := range loops {
+			loop.Release()
 		}
-		return server.MergeReports(reports, w.slo)
+		return rep
 	}
 	return p, report, nil
 }

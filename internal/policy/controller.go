@@ -251,9 +251,6 @@ func (c *Controller) Drift() string {
 
 // Summary is the JSON-able digest attached to harness results.
 type Summary struct {
-	// Objective is always "slo", the one objective; run payloads and
-	// their digests carry it.
-	Objective string `json:"objective"`
 	Decisions int    `json:"decisions"`
 	Drift     string `json:"drift,omitempty"`
 }
@@ -261,7 +258,6 @@ type Summary struct {
 // Summary digests the controller's run for results tables and JSON.
 func (c *Controller) Summary() *Summary {
 	return &Summary{
-		Objective: "slo",
 		Decisions: len(c.decisions),
 		Drift:     c.Drift(),
 	}

@@ -24,30 +24,44 @@ func allocatedBy(f func()) uint64 {
 }
 
 // A report is built while every lane's simulated heap is still live, so
-// what it allocates comes on top of the run's peak: a second sorted copy
-// or a materialised overall merge is a tenth more bytes per request and
-// a growth step of the Go heap (EXPERIMENTS.md "The server's measuring
-// path"). Loop.Report may allocate one float per request — the buffer its
-// phases are sorted in; the raw one is the loop's — and MergeReports two
-// per request, one raw and one sorted, each plus a constant (the Report,
-// its slice headers, size-class rounding) that does not grow with the run.
+// what it allocates comes on top of the run's peak (EXPERIMENTS.md "The
+// server's measuring path"). A loop on released storage, its report and
+// its release — and two such lanes and their one report — allocate a
+// fixed allowance (the Loop, the Report, their per-phase slices) that
+// does not grow with the run: no latency buffer, no sorted copy of it and
+// no merged one. At the commit before, a report took one float a request
+// and a merge two.
 func TestReportAllocBudget(t *testing.T) {
-	const fixed = 32 << 10
+	const fixed = 4 << 10 // it reads about 1.3 KB for one lane, 1.7 KB for two
 	for _, perPhase := range []int{2000, 20000} {
 		n := 3 * perPhase
-		a := loopOf(synthLane(11, []int{perPhase, perPhase, perPhase}))
-		b := loopOf(synthLane(13, []int{perPhase, perPhase, perPhase}))
-		var reports [2]*Report
-		if got, limit := allocatedBy(func() { reports[0] = a.Report(refSLO) }), uint64(8*n+fixed); got > limit {
-			t.Errorf("Loop.Report of %d requests allocates %d bytes, want at most %d (one float a request)", n, got, limit)
+		a := synthLane(11, []int{perPhase, perPhase, perPhase})
+		b := synthLane(13, []int{perPhase, perPhase, perPhase})
+		for _, l := range []lane{a, b} { // the first loops of a size make the buffers
+			loopOf(l).Release()
 		}
-		reports[1] = b.Report(refSLO)
-		var merged *Report
-		if got, limit := allocatedBy(func() { merged = MergeReports(reports[:], refSLO) }), uint64(2*8*2*n+fixed); got > limit {
-			t.Errorf("MergeReports of %d requests allocates %d bytes, want at most %d (two floats a request)", 2*n, got, limit)
+		var rep *Report
+		if got := allocatedBy(func() {
+			loop := loopOf(a)
+			rep = loop.Report(refSLO)
+			loop.Release()
+		}); got > fixed {
+			t.Errorf("a warm loop of %d requests and its report allocate %d bytes, want at most %d", n, got, fixed)
 		}
-		if merged.Overall.Requests != 2*n {
-			t.Fatalf("merged %d requests, want %d", merged.Overall.Requests, 2*n)
+		if rep.Overall.Requests != n {
+			t.Fatalf("reported %d requests, want %d", rep.Overall.Requests, n)
+		}
+		if got := allocatedBy(func() {
+			loops := []*Loop{loopOf(a), loopOf(b)}
+			rep = ReportLoops(loops, refSLO)
+			for _, l := range loops {
+				l.Release()
+			}
+		}); got > fixed {
+			t.Errorf("two warm lanes of %d requests and their report allocate %d bytes, want at most %d", 2*n, got, fixed)
+		}
+		if rep.Overall.Requests != 2*n {
+			t.Fatalf("reported %d requests, want %d", rep.Overall.Requests, 2*n)
 		}
 	}
 }

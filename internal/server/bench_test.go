@@ -66,14 +66,15 @@ func BenchmarkServerImmix(b *testing.B)    { runServer(b, "immix", 1) }
 func BenchmarkServerSharded4(b *testing.B) { runServer(b, "25.25", 4) }
 
 // BenchmarkReport measures what closing a two-lane server run's
-// measurement costs once the lanes are done: Loop.Report on each lane's
-// 72,000 latencies (server_mix's script, at its heap) and MergeReports of
-// the two. Serving the requests is set-up; one b.N iteration is the two
-// reports and their merge.
+// measurement costs once the lanes are done: ReportLoops over two lanes
+// of 72,000 latencies each (server_mix's script, at its heap). Serving
+// the requests is set-up; one b.N iteration is the report, on phases in
+// arrival order (restored, untimed, after each report sorts them).
 func BenchmarkReport(b *testing.B) {
 	sc := server.Scaled(2)
 	cfg := serverConfig(b, "25.25", sc, harness.EnvForScale(2))
 	loops := make([]*server.Loop, 2)
+	arrival := make([][]float64, len(loops))
 	for lane := range loops {
 		lc := sc
 		lc.Seed = shard.StreamSeed(sc.Seed, lane)
@@ -96,16 +97,18 @@ func BenchmarkReport(b *testing.B) {
 		}
 		h.Release()
 		loops[lane] = loop
+		arrival[lane] = append([]float64(nil), server.LatencyBuffer(loop)...)
 	}
-	reports := make([]*server.Report, len(loops))
 	var p999 float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		for lane, loop := range loops {
-			reports[lane] = loop.Report(server.SLO{})
+			copy(server.LatencyBuffer(loop), arrival[lane])
 		}
-		p999 = server.MergeReports(reports, server.SLO{}).Overall.Latency.P999
+		b.StartTimer()
+		p999 = server.ReportLoops(loops, server.SLO{}).Overall.Latency.P999
 	}
 	b.ReportMetric(p999, "p999-cost/op")
 }

@@ -1,6 +1,6 @@
 package server
 
-import "sort"
+import "slices"
 
 // PhaseReport is one phase's (or the whole run's) latency measurement.
 type PhaseReport struct {
@@ -22,9 +22,10 @@ type PhaseReport struct {
 
 // Report is a server run's measurement: per-phase and overall latency
 // distributions, the SLO verdicts, and the live-store fingerprint that
-// flat vs sharded replays must agree on. It round-trips through JSON
-// (engine checkpoints) minus the raw latency streams, which exist only
-// in-process for exact merging and replay-identity checks.
+// flat vs sharded replays must agree on. It carries distributions only
+// and round-trips through JSON (engine checkpoints); the per-request
+// streams stay in the loops that measured them, and a caller that wants
+// them records them through an Observer.
 type Report struct {
 	Phases  []PhaseReport `json:"phases"`
 	Overall PhaseReport   `json:"overall"`
@@ -39,17 +40,6 @@ type Report struct {
 	StoreChecksum uint64 `json:"store_checksum"`
 	// Shards is the serving-lane count (1 for a flat run).
 	Shards int `json:"shards"`
-
-	// PhaseLatencies and Latencies are the raw per-request streams
-	// (cost units), per phase and overall. In-process only. They are one
-	// buffer: the phases are sub-slices of Latencies, in phase order.
-	PhaseLatencies [][]float64 `json:"-"`
-	Latencies      []float64   `json:"-"`
-
-	// sorted is each phase's stream in ascending order (sub-slices of a
-	// second buffer): what the distributions were read from, kept so that
-	// MergeReports merges sorted runs and sorts nothing.
-	sorted [][]float64
 }
 
 // Violations counts failed SLO targets.
@@ -63,124 +53,77 @@ func (r *Report) Violations() int {
 	return n
 }
 
-// Report closes the loop's measurement against an SLO. Call after the
-// loop is done (a partial loop — one that ran out of memory — reports
-// the requests it served).
-//
-// The raw streams alias the loop's latency buffer; each phase is sorted
-// once, in its place in one copy of that buffer, and the overall
-// distribution is read off the merge of the sorted phases without being
-// written anywhere — two floats a request in all.
+// Report closes the loop's measurement against an SLO: ReportLoops of
+// this one loop.
 func (l *Loop) Report(slo SLO) *Report {
-	n, nPhases := len(l.lats), len(l.cfg.Phases)
-	rep := &Report{
-		Shards:         1,
-		StoreChecksum:  l.checksum,
-		SLO:            slo,
-		PhaseLatencies: make([][]float64, nPhases),
-		Latencies:      l.lats[:n:n],
-		sorted:         make([][]float64, nPhases),
-	}
-	sorted := append(make([]float64, 0, n), l.lats...)
-	for i, p := range l.cfg.Phases {
-		from, to := n, n // a phase the loop never entered
-		if i < len(l.starts) {
-			from = l.starts[i]
-			if i+1 < len(l.starts) {
-				to = l.starts[i+1]
-			}
-			rep.PhaseLatencies[i] = l.lats[from:to:to]
-		}
-		rep.sorted[i] = sorted[from:to]
-		sort.Float64s(rep.sorted[i])
-		rep.Phases = append(rep.Phases, phaseReport(p.Name, mergeDist(nil, rep.sorted[i]),
-			l.reads[i], l.writes[i], l.paused[i], l.worstInfl[i]))
-	}
-	rep.close()
-	return rep
+	return ReportLoops([]*Loop{l}, slo)
 }
 
-// MergeReports folds per-shard reports (in shard order) into the
-// aggregate serving measurement: latency streams concatenate per phase,
-// counts sum, distributions are recomputed exactly, and the fingerprint
-// folds shard checksums in order. Merging a single report reproduces it.
+// ReportLoops closes a run's measurement against an SLO: the loops are
+// its lanes, in lane order (one for a flat run), and each must be done
+// or cut short (a loop that ran out of memory reports the requests it
+// served), and not yet released. Counts sum, the fingerprint folds the
+// lanes' checksums in order, and every distribution is exact.
 //
-// The lanes' phases arrive sorted (Loop.Report sorted them), so a merged
-// phase's distribution is read off their merge as it is written into the
-// merged report's own sorted buffer, and the overall one off the merge
-// of those: nothing is sorted again, and the merge allocates two floats
-// a request, one raw and one sorted.
-func MergeReports(reports []*Report, slo SLO) *Report {
-	if len(reports) == 0 {
-		return &Report{SLO: slo, Passed: true}
+// Each phase is sorted once, in place in its loop's latency buffer (so
+// reporting again gives the same report), and every distribution is read
+// off the merge of sorted phases without being written anywhere: a
+// phase's off its lanes' phases, the overall one off all of them. The
+// report allocates nothing that grows with the request count.
+func ReportLoops(loops []*Loop, slo SLO) *Report {
+	nPhases := len(loops[0].cfg.Phases)
+	rep := &Report{SLO: slo, Shards: len(loops), StoreChecksum: loops[0].checksum}
+	for _, l := range loops[1:] {
+		rep.StoreChecksum = rep.StoreChecksum*1099511628211 ^ l.checksum
 	}
-	if len(reports) == 1 {
-		r := *reports[0]
-		r.SLO = slo
-		r.Verdicts = slo.Evaluate(&r.Overall.Latency)
-		r.Passed = r.Violations() == 0
-		return &r
-	}
-	nPhases := len(reports[0].Phases)
-	total := 0
-	for _, r := range reports {
-		total += len(r.Latencies)
-	}
-	out := &Report{
-		SLO:            slo,
-		StoreChecksum:  reports[0].StoreChecksum,
-		PhaseLatencies: make([][]float64, nPhases),
-		Latencies:      make([]float64, 0, total),
-		sorted:         make([][]float64, nPhases),
-	}
-	for i, r := range reports {
-		out.Shards += r.Shards
-		if i > 0 {
-			out.StoreChecksum = out.StoreChecksum*1099511628211 ^ r.StoreChecksum
-		}
-	}
-	sorted := make([]float64, total)
-	runs := make([][]float64, len(reports))
-	for p := 0; p < nPhases; p++ {
-		from := len(out.Latencies)
+	// runs is mergeDist's input, which it consumes: one lane's phase at a
+	// time for the phase rows, then every phase of every lane.
+	runs := make([][]float64, len(loops)*nPhases)
+	rep.Phases = make([]PhaseReport, nPhases)
+	for p := range rep.Phases {
 		var reads, writes, paused int
 		var worst float64
-		for i, r := range reports {
-			out.Latencies = append(out.Latencies, r.PhaseLatencies[p]...)
-			runs[i] = r.sorted[p]
-			reads += r.Phases[p].Reads
-			writes += r.Phases[p].Writes
-			paused += r.Phases[p].PausedRequests
-			if w := r.Phases[p].WorstInflation; w > worst {
-				worst = w
-			}
+		for i, l := range loops {
+			runs[i] = l.phaseLats(p)
+			slices.Sort(runs[i])
+			reads += l.reads[p]
+			writes += l.writes[p]
+			paused += l.paused[p]
+			worst = max(worst, l.worstInfl[p])
 		}
-		to := len(out.Latencies)
-		out.PhaseLatencies[p] = out.Latencies[from:to:to]
-		out.sorted[p] = sorted[from:to]
-		out.Phases = append(out.Phases, phaseReport(reports[0].Phases[p].Name,
-			mergeDist(out.sorted[p], runs...), reads, writes, paused, worst))
+		rep.Phases[p] = phaseReport(loops[0].cfg.Phases[p].Name, mergeDist(runs[:len(loops)]...),
+			reads, writes, paused, worst)
 	}
-	out.close()
-	return out
-}
-
-// close fills the overall row from the phase rows and the sorted phases,
-// and judges it against the SLO.
-func (r *Report) close() {
-	o := &r.Overall
-	*o = PhaseReport{Name: "overall", Latency: mergeDist(nil, r.sorted...)}
-	for _, p := range r.Phases {
+	for i, l := range loops {
+		for p := 0; p < nPhases; p++ {
+			runs[i*nPhases+p] = l.phaseLats(p)
+		}
+	}
+	o := &rep.Overall
+	*o = PhaseReport{Name: "overall", Latency: mergeDist(runs...)}
+	for _, p := range rep.Phases {
 		o.Reads += p.Reads
 		o.Writes += p.Writes
 		o.PausedRequests += p.PausedRequests
-		if p.WorstInflation > o.WorstInflation {
-			o.WorstInflation = p.WorstInflation
-		}
+		o.WorstInflation = max(o.WorstInflation, p.WorstInflation)
 	}
 	finishPhase(o)
-	r.Verdicts = r.SLO.Evaluate(&o.Latency)
-	r.Passed = r.Violations() == 0
+	rep.Verdicts = slo.Evaluate(&o.Latency)
+	rep.Passed = rep.Violations() == 0
+	return rep
+}
+
+// phaseLats is phase i's stream in the loop's latency buffer: empty for
+// a phase the loop never entered.
+func (l *Loop) phaseLats(i int) []float64 {
+	if i >= len(l.starts) {
+		return nil
+	}
+	to := len(l.lats)
+	if i+1 < len(l.starts) {
+		to = l.starts[i+1]
+	}
+	return l.lats[l.starts[i]:to]
 }
 
 func phaseReport(name string, lat Dist, reads, writes, paused int, worst float64) PhaseReport {

@@ -18,7 +18,8 @@ import (
 // every stream copied and fully sorted, per phase and again overall, in
 // the loop and again in the merge. Kept verbatim (over a loop's per-phase
 // streams, which is how the loop then held them) as what the code in
-// report.go is held to, bit for bit.
+// report.go is held to, bit for bit — except that the raw streams, which
+// a Report then carried, ride beside it in a refRun.
 
 func refSummarize(latencies []float64) *Dist {
 	d := &Dist{Count: len(latencies)}
@@ -52,26 +53,33 @@ type lane struct {
 	checksum  uint64
 }
 
-func refReport(l lane, slo SLO) *Report {
+// refRun is a reference Report with the raw streams it was built from:
+// per phase, and all of them in phase order.
+type refRun struct {
+	rep            *Report
+	phaseLatencies [][]float64
+	latencies      []float64
+}
+
+func refReport(l lane, slo SLO) refRun {
 	done := 0
 	for _, s := range l.lats {
 		done += len(s)
 	}
 	rep := &Report{
-		Shards:         1,
-		StoreChecksum:  l.checksum,
-		SLO:            slo,
-		PhaseLatencies: make([][]float64, len(l.phases)),
-		Latencies:      make([]float64, 0, done),
+		Shards:        1,
+		StoreChecksum: l.checksum,
+		SLO:           slo,
 	}
+	run := refRun{rep: rep, phaseLatencies: make([][]float64, len(l.phases)), latencies: make([]float64, 0, done)}
 	for i, p := range l.phases {
-		rep.PhaseLatencies[i] = l.lats[i]
-		rep.Latencies = append(rep.Latencies, l.lats[i]...)
+		run.phaseLatencies[i] = l.lats[i]
+		run.latencies = append(run.latencies, l.lats[i]...)
 		rep.Phases = append(rep.Phases, refPhaseReport(p.Name, l.lats[i],
 			l.reads[i], l.writes[i], l.paused[i], l.worstInfl[i]))
 	}
 	o := &rep.Overall
-	*o = refPhaseReport("overall", rep.Latencies, 0, 0, 0, 0)
+	*o = refPhaseReport("overall", run.latencies, 0, 0, 0, 0)
 	for _, p := range rep.Phases {
 		o.Reads += p.Reads
 		o.Writes += p.Writes
@@ -83,26 +91,27 @@ func refReport(l lane, slo SLO) *Report {
 	refFinishPhase(o)
 	rep.Verdicts = slo.Evaluate(&o.Latency)
 	rep.Passed = rep.Violations() == 0
-	return rep
+	return run
 }
 
-func refMergeReports(reports []*Report, slo SLO) *Report {
-	if len(reports) == 0 {
-		return &Report{SLO: slo, Passed: true}
+func refMergeReports(runs []refRun, slo SLO) refRun {
+	reports := make([]*Report, len(runs))
+	for i, r := range runs {
+		reports[i] = r.rep
 	}
 	if len(reports) == 1 {
 		r := *reports[0]
 		r.SLO = slo
 		r.Verdicts = slo.Evaluate(&r.Overall.Latency)
 		r.Passed = r.Violations() == 0
-		return &r
+		return refRun{&r, runs[0].phaseLatencies, runs[0].latencies}
 	}
 	nPhases := len(reports[0].Phases)
 	out := &Report{
-		Shards:         0,
-		SLO:            slo,
-		PhaseLatencies: make([][]float64, nPhases),
+		Shards: 0,
+		SLO:    slo,
 	}
+	merged := refRun{rep: out, phaseLatencies: make([][]float64, nPhases)}
 	out.StoreChecksum = reports[0].StoreChecksum
 	for i, r := range reports {
 		out.Shards += r.Shards
@@ -111,31 +120,31 @@ func refMergeReports(reports []*Report, slo SLO) *Report {
 		}
 	}
 	total := 0
-	for _, r := range reports {
-		total += len(r.Latencies)
+	for _, r := range runs {
+		total += len(r.latencies)
 	}
-	out.Latencies = make([]float64, 0, total)
+	merged.latencies = make([]float64, 0, total)
 	for p := 0; p < nPhases; p++ {
-		merged := PhaseReport{Name: reports[0].Phases[p].Name}
+		mp := PhaseReport{Name: reports[0].Phases[p].Name}
 		n := 0
-		for _, r := range reports {
-			n += len(r.PhaseLatencies[p])
+		for _, r := range runs {
+			n += len(r.phaseLatencies[p])
 		}
-		out.PhaseLatencies[p] = make([]float64, 0, n)
-		for _, r := range reports {
-			out.PhaseLatencies[p] = append(out.PhaseLatencies[p], r.PhaseLatencies[p]...)
-			merged.Reads += r.Phases[p].Reads
-			merged.Writes += r.Phases[p].Writes
-			merged.PausedRequests += r.Phases[p].PausedRequests
-			if r.Phases[p].WorstInflation > merged.WorstInflation {
-				merged.WorstInflation = r.Phases[p].WorstInflation
+		merged.phaseLatencies[p] = make([]float64, 0, n)
+		for i, r := range reports {
+			merged.phaseLatencies[p] = append(merged.phaseLatencies[p], runs[i].phaseLatencies[p]...)
+			mp.Reads += r.Phases[p].Reads
+			mp.Writes += r.Phases[p].Writes
+			mp.PausedRequests += r.Phases[p].PausedRequests
+			if r.Phases[p].WorstInflation > mp.WorstInflation {
+				mp.WorstInflation = r.Phases[p].WorstInflation
 			}
 		}
-		merged.Latency = *refSummarize(out.PhaseLatencies[p])
-		merged.Requests = merged.Latency.Count
-		merged.PausedFrac = frac(merged.PausedRequests, merged.Requests)
-		out.Phases = append(out.Phases, merged)
-		out.Latencies = append(out.Latencies, out.PhaseLatencies[p]...)
+		mp.Latency = *refSummarize(merged.phaseLatencies[p])
+		mp.Requests = mp.Latency.Count
+		mp.PausedFrac = frac(mp.PausedRequests, mp.Requests)
+		out.Phases = append(out.Phases, mp)
+		merged.latencies = append(merged.latencies, merged.phaseLatencies[p]...)
 	}
 	o := &out.Overall
 	o.Name = "overall"
@@ -147,12 +156,12 @@ func refMergeReports(reports []*Report, slo SLO) *Report {
 			o.WorstInflation = p.WorstInflation
 		}
 	}
-	o.Latency = *refSummarize(out.Latencies)
+	o.Latency = *refSummarize(merged.latencies)
 	o.Requests = o.Latency.Count
 	o.PausedFrac = frac(o.PausedRequests, o.Requests)
 	out.Verdicts = slo.Evaluate(&o.Latency)
 	out.Passed = out.Violations() == 0
-	return out
+	return merged
 }
 
 func refPhaseReport(name string, lats []float64, reads, writes, paused int, worst float64) PhaseReport {
@@ -179,47 +188,40 @@ func refFinishPhase(p *PhaseReport) {
 	p.PausedFrac = frac(p.PausedRequests, p.Requests)
 }
 
-// sameReport holds got to want over every exported field, raw streams
-// included (reflect.DeepEqual: a nil stream is not an empty one), and got's
-// sorted phases — which the reference never had — to a sort of the raw
-// ones.
-func sameReport(t *testing.T, what string, got, want *Report) {
+// sameReport holds got to want's report over every field
+// (reflect.DeepEqual), and each of the loops got was read from to have
+// its phases, in place in its buffer, as the sort of what it served.
+func sameReport(t *testing.T, what string, got *Report, want refRun, loops []*Loop, served []lane) {
 	t.Helper()
-	if len(got.sorted) != len(want.PhaseLatencies) {
-		t.Fatalf("%s: %d sorted phases for %d phases", what, len(got.sorted), len(want.PhaseLatencies))
-	}
-	for i, raw := range want.PhaseLatencies {
-		s := append([]float64{}, raw...)
-		sort.Float64s(s)
-		if !reflect.DeepEqual(append([]float64{}, got.sorted[i]...), s) {
-			t.Errorf("%s: phase %d is not kept as the sort of its stream", what, i)
+	for i, l := range loops {
+		for p, raw := range served[i].lats {
+			s := append([]float64{}, raw...)
+			sort.Float64s(s)
+			if !reflect.DeepEqual(append([]float64{}, l.phaseLats(p)...), s) {
+				t.Errorf("%s: lane %d phase %d is not left as the sort of its stream", what, i, p)
+			}
 		}
 	}
-	g := *got
-	g.sorted = nil
-	if !reflect.DeepEqual(&g, want) {
-		t.Errorf("%s: report differs from the copy-and-sort reference:\n got %+v\nwant %+v", what, summary(&g), summary(want))
+	if !reflect.DeepEqual(got, want.rep) {
+		t.Errorf("%s: report differs from the copy-and-sort reference:\n got %+v\nwant %+v", what, summary(got), summary(want.rep))
 	}
 }
 
-// summary is a Report without its raw streams, for a readable failure.
+// summary is a Report for a readable failure.
 func summary(r *Report) string {
-	nils := ""
-	for _, s := range r.PhaseLatencies {
-		nils += fmt.Sprintf(" %d/nil=%v", len(s), s == nil)
-	}
-	return fmt.Sprintf("phases %+v overall %+v verdicts %+v passed %v checksum %x shards %d streams%s all %d/nil=%v",
-		r.Phases, r.Overall, r.Verdicts, r.Passed, r.StoreChecksum, r.Shards, nils, len(r.Latencies), r.Latencies == nil)
+	return fmt.Sprintf("phases %+v overall %+v verdicts %+v passed %v checksum %x shards %d",
+		r.Phases, r.Overall, r.Verdicts, r.Passed, r.StoreChecksum, r.Shards)
 }
 
 // loopOf builds the Loop that has measured what l says, the way request
-// and enterPhase would have left it.
+// and enterPhase would have left it, on a released latency buffer when
+// there is one.
 func loopOf(l lane) *Loop {
 	cfg := Config{Phases: l.phases}
 	loop := &Loop{
 		cfg:       cfg,
 		total:     cfg.TotalRequests(),
-		lats:      make([]float64, 0, cfg.TotalRequests()),
+		lats:      takeBuf(&latBufs, cfg.TotalRequests()),
 		starts:    make([]int, 0, len(l.phases)),
 		reads:     l.reads,
 		writes:    l.writes,
@@ -277,9 +279,9 @@ func synthLane(seed int64, served []int) lane {
 
 var refSLO = SLO{Targets: []Target{{"p50", 100}, {"p99", 250}, {"p999", 5000}, {"max", 50000}}}
 
-// TestReportsMatchCopyAndSortReference: Loop.Report, and MergeReports over
-// one, two and four lanes, produce the Report the reference produces —
-// every field, raw streams included — on complete lanes, a lane cut short
+// TestReportsMatchCopyAndSortReference: Loop.Report, and ReportLoops
+// over one, two and four lanes, produce the Report the reference
+// produces — every field — on complete lanes, a lane cut short
 // mid-phase, a lane cut short on entering a phase (an empty stream) and
 // one that never served a request.
 func TestReportsMatchCopyAndSortReference(t *testing.T) {
@@ -294,7 +296,9 @@ func TestReportsMatchCopyAndSortReference(t *testing.T) {
 		{"never started", []int{-1, -1, -1}},
 	}
 	distinct := map[float64]bool{}
-	var got, want []*Report
+	var lanes []lane
+	var loops []*Loop
+	var want []refRun
 	var names []string
 	for i, shape := range shapes {
 		name := shape.name
@@ -305,26 +309,28 @@ func TestReportsMatchCopyAndSortReference(t *testing.T) {
 					distinct[v] = true
 				}
 			}
-			g, w := loopOf(l).Report(refSLO), refReport(l, refSLO)
-			sameReport(t, "Report, "+name, g, w)
-			got, want, names = append(got, g), append(want, w), append(names, name)
+			loop := loopOf(l)
+			g, w := loop.Report(refSLO), refReport(l, refSLO)
+			sameReport(t, "Report, "+name, g, w, []*Loop{loop}, []lane{l})
+			lanes, loops, want, names = append(lanes, l), append(loops, loop), append(want, w), append(names, name)
 		}
 	}
 	if len(distinct) < 50 || len(distinct) > 1000 {
 		t.Errorf("%d distinct latencies: not the heavy duplication a real run has (96-181 in 72,000)", len(distinct))
 	}
-	for _, lanes := range []int{1, 2, 4} {
-		for from := 0; from+lanes <= len(got); from++ {
-			what := fmt.Sprintf("MergeReports %v", names[from:from+lanes])
-			sameReport(t, what, MergeReports(got[from:from+lanes], refSLO), refMergeReports(want[from:from+lanes], refSLO))
+	for _, n := range []int{1, 2, 4} {
+		for from := 0; from+n <= len(loops); from++ {
+			what := fmt.Sprintf("ReportLoops %v", names[from:from+n])
+			sameReport(t, what, ReportLoops(loops[from:from+n], refSLO), refMergeReports(want[from:from+n], refSLO),
+				loops[from:from+n], lanes[from:from+n])
 		}
 	}
 	// Summarize is still the exported copy, sort and summarise.
-	raw := append([]float64(nil), want[0].Latencies...)
+	raw := append([]float64(nil), want[0].latencies...)
 	if g, w := Summarize(raw), refSummarize(raw); *g != *w {
 		t.Errorf("Summarize = %+v, reference %+v", *g, *w)
 	}
-	if !reflect.DeepEqual(raw, want[0].Latencies) {
+	if !reflect.DeepEqual(raw, want[0].latencies) {
 		t.Error("Summarize modified its input")
 	}
 	if g, w := Summarize(nil), refSummarize(nil); *g != *w {
@@ -333,17 +339,21 @@ func TestReportsMatchCopyAndSortReference(t *testing.T) {
 }
 
 // TestRealLoopReportsMatchReference is the same comparison on loops that
-// really served: one to completion, one out of memory part-way (a heap
-// that holds the initial keys and not the grown set, so the growth phase
-// is entered and serves nothing).
+// really served, the reference fed the streams their Observer recorded:
+// one to completion, one out of memory part-way (a heap that holds the
+// initial keys and not the grown set, so the growth phase is entered and
+// serves nothing).
 func TestRealLoopReportsMatchReference(t *testing.T) {
 	sc := testConfig()
-	var reports, refs []*Report
+	var loops []*Loop
+	var lanes []lane
+	var refs []refRun
 	for _, tc := range []struct {
 		factor float64
 		oom    bool
 	}{{4, false}, {1.2, true}} {
-		loop, err := serve(t, sc, tc.factor)
+		var raw streams
+		loop, err := serve(t, sc, tc.factor, &raw)
 		if tc.oom != errors.Is(err, gc.ErrOutOfMemory) || (err != nil && !tc.oom) {
 			t.Fatalf("heap factor %v: run ended %v, want out of memory = %v", tc.factor, err, tc.oom)
 		}
@@ -352,18 +362,12 @@ func TestRealLoopReportsMatchReference(t *testing.T) {
 		}
 		l := lane{phases: sc.Phases, lats: make([][]float64, len(sc.Phases)), reads: loop.reads, writes: loop.writes,
 			paused: loop.paused, worstInfl: loop.worstInfl, checksum: loop.checksum}
-		for i := range loop.starts {
-			to := len(loop.lats)
-			if i+1 < len(loop.starts) {
-				to = loop.starts[i+1]
-			}
-			l.lats[i] = append(make([]float64, 0, sc.Phases[i].Requests), loop.lats[loop.starts[i]:to]...)
-		}
+		copy(l.lats, raw)
 		g, w := loop.Report(refSLO), refReport(l, refSLO)
-		sameReport(t, fmt.Sprintf("Report at %vx", tc.factor), g, w)
-		reports, refs = append(reports, g), append(refs, w)
+		sameReport(t, fmt.Sprintf("Report at %vx", tc.factor), g, w, []*Loop{loop}, []lane{l})
+		loops, lanes, refs = append(loops, loop), append(lanes, l), append(refs, w)
 	}
-	sameReport(t, "MergeReports of a complete and a cut-short lane", MergeReports(reports, refSLO), refMergeReports(refs, refSLO))
+	sameReport(t, "ReportLoops of a complete and a cut-short lane", ReportLoops(loops, refSLO), refMergeReports(refs, refSLO), loops, lanes)
 }
 
 // refZetaRange is the sum zetaRange computes on a miss, with no memory.

@@ -185,7 +185,8 @@ type Observer interface {
 // RunBatch serves the next arrival batch, so a plan's round is a batch.
 // NewLoop allocates nothing on the simulated heap;
 // Start and every RunBatch must happen inside vm.Mutator.Run (allocation
-// failures surface as OOM panics).
+// failures surface as OOM panics). Release hands its per-request storage
+// to the next Loop once the run is reported.
 type Loop struct {
 	cfg     Config
 	m       *vm.Mutator
@@ -211,10 +212,11 @@ type Loop struct {
 	total    int
 	finished bool
 
-	// lats is every request's latency in arrival order, one buffer sized
-	// once to the whole script; starts[i] is where phase i's requests
-	// begin in it, recorded as the phase is entered, so a phase's stream
-	// is a sub-slice and a phase never entered has no entry.
+	// lats is every request's latency in arrival order, one buffer of at
+	// least the whole script, taken from latBufs; starts[i] is where phase
+	// i's requests begin in it, recorded as the phase is entered, so a
+	// phase's stream is a sub-slice and a phase never entered has no
+	// entry. ReportLoops sorts each phase in its place.
 	lats   []float64
 	starts []int
 	// Per-phase counts.
@@ -246,7 +248,7 @@ func NewLoop(cfg Config, opts LoopOpts) (*Loop, error) {
 		rng:       newRNG(cfg.Seed),
 		zipf:      newZipf(cfg.Keys, theta),
 		total:     total,
-		lats:      make([]float64, 0, total),
+		lats:      takeBuf(&latBufs, total),
 		starts:    make([]int, 0, len(cfg.Phases)),
 		reads:     make([]int, len(cfg.Phases)),
 		writes:    make([]int, len(cfg.Phases)),
@@ -278,11 +280,44 @@ func (l *Loop) Start(m *vm.Mutator, types *heap.Registry) {
 	l.started = true
 	l.populate(0, cfg.Keys)
 	l.nKeys = cfg.Keys
-	l.perm = make([]int, cfg.Keys, maxKeys)
+	l.perm = takeBuf(&permBufs, maxKeys)[:cfg.Keys]
 	for i := range l.perm {
 		l.perm[i] = i
 	}
 	l.enterPhase(0)
+}
+
+// latBufs and permBufs hold the latency buffers and key permutations of
+// released loops, for the loops built next in the process: like the heap
+// slabs they outlive any number of Go collections. A buffer is made only
+// when the list's last one is too small (that one is dropped), so a list
+// holds no more than there were loops live at once.
+var (
+	latBufs  heap.FreeList[[]float64]
+	permBufs heap.FreeList[[]int]
+)
+
+// takeBuf returns an empty buffer from l with room for n, or a new one.
+// What a released buffer held is never read: a loop only reads what it
+// appended or wrote.
+func takeBuf[T any](l *heap.FreeList[[]T], n int) []T {
+	if b, ok := l.Take(); ok && cap(b) >= n {
+		return b[:0]
+	}
+	return make([]T, 0, n)
+}
+
+// Release hands the loop's latency buffer and key permutation to the
+// loops built next in the process. Report first: afterwards the loop
+// holds no latency and must not serve again. Releasing twice is harmless.
+func (l *Loop) Release() {
+	if l.lats != nil {
+		latBufs.Put(l.lats)
+	}
+	if l.perm != nil {
+		permBufs.Put(l.perm)
+	}
+	l.lats, l.perm, l.starts = nil, nil, nil
 }
 
 func lookupOrDefineWordArray(r *heap.Registry, name string) *heap.TypeDesc {

@@ -150,12 +150,12 @@ func testConfig() Config {
 }
 
 // serve runs sc's whole script on a heap of factor times its live
-// estimate and returns the loop with what ended it (nil, or out of
-// memory part-way).
-func serve(t *testing.T, sc Config, factor float64) (*Loop, error) {
+// estimate, every request passing through obs (if non-nil), and returns
+// the loop with what ended it (nil, or out of memory part-way).
+func serve(t *testing.T, sc Config, factor float64, obs Observer) (*Loop, error) {
 	t.Helper()
 	_, m, types := newTestHeap(t, sc, factor)
-	loop, err := NewLoop(sc, LoopOpts{})
+	loop, err := NewLoop(sc, LoopOpts{Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,28 +167,48 @@ func serve(t *testing.T, sc Config, factor float64) (*Loop, error) {
 	})
 }
 
-func runLoop(t *testing.T, sc Config, factor float64) *Report {
+// runLoop serves sc's whole script and reports it, recording each
+// phase's raw stream in arrival order through the loop's Observer (nil
+// for a phase never entered).
+func runLoop(t *testing.T, sc Config, factor float64) (*Report, streams) {
 	t.Helper()
-	loop, err := serve(t, sc, factor)
+	var raw streams
+	loop, err := serve(t, sc, factor, &raw)
 	if err != nil {
 		t.Fatalf("server loop: %v", err)
 	}
-	return loop.Report(SLO{})
+	return loop.Report(SLO{}), raw
+}
+
+// streams is an Observer that records every request's latency, per
+// phase: the raw streams a Report does not carry.
+type streams [][]float64
+
+func (s *streams) Request(_, phase, _ int, _, latency, _ float64) {
+	for len(*s) <= phase {
+		*s = append(*s, nil)
+	}
+	(*s)[phase] = append((*s)[phase], latency)
 }
 
 func TestLoopDeterministic(t *testing.T) {
 	sc := testConfig()
-	a := runLoop(t, sc, 4)
-	b := runLoop(t, sc, 4)
+	a, aLats := runLoop(t, sc, 4)
+	b, bLats := runLoop(t, sc, 4)
 	if a.StoreChecksum != b.StoreChecksum {
 		t.Fatalf("checksums differ: %x vs %x", a.StoreChecksum, b.StoreChecksum)
 	}
-	if len(a.Latencies) != len(b.Latencies) {
-		t.Fatalf("request counts differ: %d vs %d", len(a.Latencies), len(b.Latencies))
+	if len(aLats) != len(bLats) {
+		t.Fatalf("phases entered differ: %d vs %d", len(aLats), len(bLats))
 	}
-	for i := range a.Latencies {
-		if a.Latencies[i] != b.Latencies[i] {
-			t.Fatalf("latency %d differs: %v vs %v", i, a.Latencies[i], b.Latencies[i])
+	for p := range aLats {
+		if len(aLats[p]) != len(bLats[p]) {
+			t.Fatalf("phase %d request counts differ: %d vs %d", p, len(aLats[p]), len(bLats[p]))
+		}
+		for i := range aLats[p] {
+			if aLats[p][i] != bLats[p][i] {
+				t.Fatalf("phase %d latency %d differs: %v vs %v", p, i, aLats[p][i], bLats[p][i])
+			}
 		}
 	}
 	if a.Overall.Requests != sc.TotalRequests() {
@@ -200,8 +220,8 @@ func TestLoopHeapSizeChangesTail(t *testing.T) {
 	// Different heap sizes must change GC scheduling, and with it the
 	// stream's pause-overlap profile — but never the request mix.
 	sc := testConfig()
-	tight := runLoop(t, sc, 2.5)
-	roomy := runLoop(t, sc, 6)
+	tight, _ := runLoop(t, sc, 2.5)
+	roomy, _ := runLoop(t, sc, 6)
 	if tight.Overall.Requests != roomy.Overall.Requests {
 		t.Fatalf("request counts differ: %d vs %d", tight.Overall.Requests, roomy.Overall.Requests)
 	}
@@ -215,7 +235,7 @@ func TestLoopHeapSizeChangesTail(t *testing.T) {
 
 func TestLoopPhases(t *testing.T) {
 	sc := testConfig()
-	rep := runLoop(t, sc, 4)
+	rep, _ := runLoop(t, sc, 4)
 	if len(rep.Phases) != 3 {
 		t.Fatalf("have %d phases, want 3", len(rep.Phases))
 	}
@@ -239,30 +259,44 @@ func TestLoopPhases(t *testing.T) {
 	}
 }
 
-func TestMergeReportsSingleIdentity(t *testing.T) {
+// TestReportLoopsOneLane: the report of a run's one lane is the loop's
+// own report, however often it is taken and whatever the SLO.
+func TestReportLoopsOneLane(t *testing.T) {
 	sc := testConfig()
-	rep := runLoop(t, sc, 4)
+	loop, err := serve(t, sc, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := loop.Report(SLO{})
 	slo := SLO{Targets: []Target{{Quantile: "p99", Cost: rep.Overall.Latency.P99}}}
-	merged := MergeReports([]*Report{rep}, slo)
-	if merged.StoreChecksum != rep.StoreChecksum {
-		t.Fatalf("merge of one changed the checksum")
+	again := ReportLoops([]*Loop{loop}, slo)
+	if again.StoreChecksum != rep.StoreChecksum || again.Shards != 1 {
+		t.Fatalf("a second report changed the checksum or the lane count: %+v", again)
 	}
-	if merged.Overall.Latency != rep.Overall.Latency {
-		t.Fatalf("merge of one changed the distribution:\n%+v\n%+v",
-			merged.Overall.Latency, rep.Overall.Latency)
+	if again.Overall.Latency != rep.Overall.Latency {
+		t.Fatalf("a second report changed the distribution:\n%+v\n%+v",
+			again.Overall.Latency, rep.Overall.Latency)
 	}
-	if !merged.Passed || len(merged.Verdicts) != 1 || !merged.Verdicts[0].Pass {
-		t.Fatalf("verdicts: %+v", merged.Verdicts)
+	if !again.Passed || len(again.Verdicts) != 1 || !again.Verdicts[0].Pass {
+		t.Fatalf("verdicts: %+v", again.Verdicts)
 	}
 }
 
-func TestMergeReportsAggregates(t *testing.T) {
+func TestReportLoopsAggregates(t *testing.T) {
 	sc := testConfig()
-	a := runLoop(t, sc, 4)
 	sc2 := sc
 	sc2.Seed = sc.Seed + 1
-	b := runLoop(t, sc2, 4)
-	merged := MergeReports([]*Report{a, b}, SLO{})
+	var loops []*Loop
+	var reports []*Report
+	for _, c := range []Config{sc, sc2} {
+		loop, err := serve(t, c, 4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loops, reports = append(loops, loop), append(reports, loop.Report(SLO{}))
+	}
+	a, b := reports[0], reports[1]
+	merged := ReportLoops(loops, SLO{})
 	if merged.Shards != 2 {
 		t.Fatalf("shards=%d", merged.Shards)
 	}

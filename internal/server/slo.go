@@ -3,7 +3,7 @@ package server
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -148,19 +148,20 @@ type Dist struct {
 // Summarize computes the exact distribution of a latency sample set.
 // The input is not modified.
 func Summarize(latencies []float64) *Dist {
-	sorted := append([]float64(nil), latencies...)
-	sort.Float64s(sorted)
-	d := mergeDist(nil, sorted)
+	sorted := slices.Clone(latencies)
+	slices.Sort(sorted)
+	d := mergeDist(sorted)
 	return &d
 }
 
-// mergeDist summarises the ascending merge of runs, each ascending, and
-// writes the merge into dst (which must hold it exactly) unless dst is
-// nil. The ascending order of a multiset of latencies is one sequence of
-// values whichever way it was reached — they are differences of clock
-// readings: no NaN, no negative zero — so the quantiles, and the mean
-// summed along it, have the bits a sort of the concatenation would give.
-func mergeDist(dst []float64, runs ...[]float64) Dist {
+// mergeDist summarises the ascending merge of runs, each ascending,
+// without writing the merge anywhere. It consumes runs: each element is
+// left empty. The ascending order of a multiset of latencies is one
+// sequence of values whichever way it was reached — they are differences
+// of clock readings: no NaN, no negative zero — so the quantiles, and the
+// mean summed along it, have the bits a sort of the concatenation would
+// give.
+func mergeDist(runs ...[]float64) Dist {
 	n := 0
 	for _, r := range runs {
 		n += len(r)
@@ -180,7 +181,6 @@ func mergeDist(dst []float64, runs ...[]float64) Dist {
 		{stats.Rank(n, 0.99), &d.P99}, {stats.Rank(n, 0.999), &d.P999},
 		{n - 1, &d.Max},
 	}
-	heads := append([][]float64(nil), runs...)
 	var sum float64
 	for i := 0; i < n; {
 		// The run with the least head gives the merge all it has up to
@@ -188,32 +188,29 @@ func mergeDist(dst []float64, runs ...[]float64) Dist {
 		// latencies in a run of thousands, and with one run, that is a
 		// long stretch per look at the heads.
 		least, bound := -1, math.Inf(1)
-		for j, h := range heads {
+		for j, h := range runs {
 			switch {
 			case len(h) == 0:
-			case least < 0 || h[0] < heads[least][0]:
+			case least < 0 || h[0] < runs[least][0]:
 				if least >= 0 {
-					bound = heads[least][0]
+					bound = runs[least][0]
 				}
 				least = j
 			case h[0] < bound:
 				bound = h[0]
 			}
 		}
-		h, k := heads[least], 0
+		h, k := runs[least], 0
 		for k < len(h) && h[k] <= bound {
 			sum += h[k]
 			k++
-		}
-		if dst != nil {
-			copy(dst[i:], h[:k])
 		}
 		for _, q := range quantiles {
 			if i <= q.rank && q.rank < i+k {
 				*q.v = h[q.rank-i]
 			}
 		}
-		heads[least] = h[k:]
+		runs[least] = h[k:]
 		i += k
 	}
 	d.Mean = sum / float64(n)
