@@ -9,10 +9,11 @@
 //	farm report -out DIR
 //	farm worker               (internal: spawned by `farm run`)
 //
-// A worker crash — panic, OOM kill, hang — fails only its own job, which
-// is requeued onto a respawned worker; a killed orchestrator rerun with
-// -resume picks up from the checkpoint and ledger with no duplicated or
-// lost records:
+// A worker crash — a panic, a fatal runtime error, an OOM kill — fails
+// only its own job, which is requeued onto a respawned worker; a killed
+// orchestrator rerun with -resume picks up from the checkpoint and ledger
+// with no duplicated or lost records. A job ends on its own, as a run
+// does: there is no per-job deadline.
 //
 //	farm run -out results -collectors appel,25.25.100 -benchmarks jess,db \
 //	         -factors 1.5,2,3 -scale 0.25 -workers 4
@@ -70,8 +71,6 @@ func runMain(args []string) {
 		factors    = fs.String("factors", "2,3", "comma-separated heap factors (multiples of each benchmark's Appel min heap)")
 		workers    = fs.Int("workers", 2, "worker processes")
 		resume     = fs.Bool("resume", false, "resume from -out's checkpoint and ledger")
-		retries    = fs.Int("retries", 2, "requeues per crashed job (0 or -1 = none)")
-		deadline   = fs.Duration("deadline", 0, "per-job wall clock before a worker is presumed hung and killed (0 = none)")
 		crashFirst = fs.Int("crash-worker", 0, "make the first worker SIGKILL itself on its Nth job (fault-injection demo; 0 = off)")
 		metricsOut = fs.String("metrics-out", "", "write farm counters in Prometheus text exposition format")
 		verbose    = fs.Bool("v", false, "print per-event progress")
@@ -116,12 +115,7 @@ func runMain(args []string) {
 		OutDir:        *out,
 		Workers:       *workers,
 		Resume:        *resume,
-		Retries:       *retries,
-		Deadline:      *deadline,
 		WorkerCommand: workerCmd,
-	}
-	if *retries <= 0 {
-		cfg.Retries = -1 // farm.Config: negative disables, 0 means default
 	}
 	if *verbose {
 		cfg.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
@@ -143,9 +137,9 @@ func runMain(args []string) {
 			fatalf("run: -metrics-out: %v", err)
 		}
 	}
-	fmt.Printf("farm: %d job(s): %d completed, %d failed, %d resumed; %d worker spawn(s), %d crash(es), %d hang kill(s), %d job(s) requeued; ledger holds %d entr%s\n",
+	fmt.Printf("farm: %d job(s): %d completed, %d failed, %d resumed; %d worker spawn(s), %d crash(es), %d job(s) requeued; ledger holds %d entr%s\n",
 		sum.Jobs, sum.Completed, sum.Failed, sum.Resumed,
-		sum.WorkerSpawns, sum.WorkerCrashes, sum.WorkerKills, sum.JobsRetried,
+		sum.WorkerSpawns, sum.WorkerCrashes, sum.JobsRetried,
 		sum.LedgerEntries, pluralIES(sum.LedgerEntries))
 	if sum.Invalidated > 0 {
 		fmt.Printf("farm: %d stale checkpoint record(s) were invalidated and re-executed\n", sum.Invalidated)

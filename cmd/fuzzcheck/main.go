@@ -2,11 +2,19 @@
 // line: it replays the six bundled workloads (recorded as traces at
 // small scale) through every named collector preset, then runs randomized
 // script rounds with randomized configurations mixed into the battery,
-// and reports any divergence. A workload divergence prints its recipe
-// (benchmark, -seed, trace scale): `fuzzcheck -seed N -rounds 0` records
-// the same trace again. With -minimize, each script divergence is shrunk
-// by delta debugging and written to the check package's testdata as a
-// reproducer fixture, which the package's TestReproFixtures replays.
+// and reports any divergence.
+//
+// The workload stage checks that the presets agree on a replay in roomy
+// heaps, not write barriers: it sizes every preset at check.HeapBytesFor,
+// where a preset collects once at most, and each workload line prints the
+// fewest and the most collections any preset ran. The script batteries
+// are what catch a barrier bug (TestOracleCatchesBarrierMutation); a
+// tight-heap workload stage is ROADMAP item 4(b). A workload divergence
+// prints its recipe (benchmark, -seed, trace scale): `fuzzcheck -seed N
+// -rounds 0` records the same trace again. With -minimize, each script
+// divergence is shrunk by delta debugging and written to the check
+// package's testdata as a reproducer fixture, which the package's
+// TestReproFixtures replays.
 //
 // It also reproduces Go fuzz corpus entries: pass corpus file paths (the
 // files `go test -fuzz=FuzzDifferential` leaves under testdata/fuzz or
@@ -105,16 +113,31 @@ func workloadStage(presets []core.Config, seed int64) int {
 		cfgs := check.Sized(presets, check.HeapBytesFor(alloc))
 		rep := check.Differential(tr, cfgs)
 		n, _ := tr.NumOps()
+		fewest, most := collectionRange(rep)
 		if !rep.Failed() {
-			fmt.Printf("workload %-10s %6d ops, %2d presets: ok\n", b.Name, n, len(cfgs))
+			fmt.Printf("workload %-10s %6d ops, %2d presets, %d-%d collections: ok\n",
+				b.Name, n, len(cfgs), fewest, most)
 			continue
 		}
 		failures++
-		fmt.Printf("workload %-10s %6d ops: DIVERGES\n%s", b.Name, n, rep.String())
+		fmt.Printf("workload %-10s %6d ops, %d-%d collections: DIVERGES\n%s",
+			b.Name, n, fewest, most, rep.String())
 		fmt.Printf("  recorded with -seed %d at trace scale %g: fuzzcheck -seed %d -rounds 0 records it again\n",
 			seed, traceScale, seed)
 	}
 	return failures
+}
+
+// collectionRange returns the fewest and the most collections any
+// participant of rep ran.
+func collectionRange(rep check.Report) (fewest, most uint64) {
+	for i, o := range rep.Outcomes {
+		if i == 0 || o.Collections < fewest {
+			fewest = o.Collections
+		}
+		most = max(most, o.Collections)
+	}
+	return fewest, most
 }
 
 // randomStage fuzzes at the driver level: random scripts against the

@@ -120,10 +120,6 @@ type Config struct {
 	// configuration — are invalidated (re-executed) with a loud warning
 	// instead of being silently reused. Empty disables the check.
 	Fingerprint string
-	// Retries bounds additional executions of a job whose error is marked
-	// transient (MarkTransient); 0 disables retrying. Panics are never
-	// retried — they are not transient by definition.
-	Retries int
 	// Progress, if non-nil, receives one line per job completion.
 	Progress func(string)
 	// OnRecord, if non-nil, receives every record as it settles — freshly

@@ -1,10 +1,11 @@
 // Process-level job transport: a pool of worker OS processes driven over
 // line-delimited JSON on stdin/stdout, with per-process fault isolation.
-// Unlike the in-process worker pool, a crashing, OOM-killed, or hanging
-// job takes down only its worker process; the orchestrator classifies the
-// loss, respawns a replacement lazily, and surfaces the failure as a
-// *CrashError that callers typically mark transient so the engine's
-// retry path requeues the job.
+// Unlike the in-process worker pool, a job that dies with a fatal Go
+// runtime error or is OOM-killed takes down only its worker process; the
+// orchestrator classifies the loss, respawns a replacement lazily, and
+// surfaces the failure as a *CrashError that callers mark transient so
+// the engine's retry path requeues the job. A job ends on its own, as a
+// run does: the pool sets no deadline and keeps no timer.
 package engine
 
 import (
@@ -18,7 +19,6 @@ import (
 	"os/exec"
 	"sync"
 	"syscall"
-	"time"
 )
 
 // CrashKind classifies how a worker process was lost.
@@ -33,9 +33,6 @@ const (
 	// CrashSignal: the worker was killed by a signal. SIGKILL may be the
 	// kernel OOM killer.
 	CrashSignal CrashKind = "signal"
-	// CrashHang: the worker missed the per-job deadline and was escalated
-	// SIGTERM -> (grace) -> SIGKILL.
-	CrashHang CrashKind = "hang"
 	// CrashProto: the worker answered with an undecodable or out-of-order
 	// frame; its stream can no longer be trusted.
 	CrashProto CrashKind = "protocol"
@@ -77,13 +74,6 @@ type ProcConfig struct {
 	// stdout and stderr itself (a worker's stderr is os.Stderr); the
 	// command must run a ServeProc loop.
 	Command func(spawn int) *exec.Cmd
-	// Deadline bounds one job round trip; 0 means none. A worker that
-	// misses it is escalated SIGTERM -> KillGrace -> SIGKILL and its job
-	// fails with CrashHang.
-	Deadline time.Duration
-	// KillGrace is the pause between SIGTERM and SIGKILL when escalating
-	// (default 2s).
-	KillGrace time.Duration
 	// OnCrash, if non-nil, is told of every worker lost mid-job, from the
 	// goroutine driving that job (Spawns counts the launches).
 	OnCrash func(spawn int, kind CrashKind)
@@ -127,9 +117,6 @@ func NewProcPool(cfg ProcConfig) *ProcPool {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.KillGrace <= 0 {
-		cfg.KillGrace = 2 * time.Second
-	}
 	p := &ProcPool{cfg: cfg, free: make(chan *workerProc, cfg.Workers)}
 	for i := 0; i < cfg.Workers; i++ {
 		p.free <- nil
@@ -166,8 +153,8 @@ func (p *ProcPool) Spawns() int {
 }
 
 // Do sends one request to a worker process and returns its response.
-// A non-nil *CrashError means the worker process was lost (crash, kill,
-// hang, protocol corruption) — the job may be retried on another worker.
+// A non-nil *CrashError means the worker process was lost (exit, kill,
+// protocol corruption) — the job may be retried on another worker.
 // A plain error is the worker's own handler error: deterministic, not a
 // process failure.
 func (p *ProcPool) Do(req json.RawMessage) (json.RawMessage, error) {
@@ -203,61 +190,33 @@ func (p *ProcPool) crashed(err error) {
 	}
 }
 
-// roundTrip writes one request frame and reads the matching response,
-// enforcing the deadline. On any process-level failure the worker is
-// reaped (killed if necessary) and a *CrashError returned.
+// roundTrip writes one request frame and reads the matching response on
+// the calling goroutine. On any process-level failure the worker is
+// reaped and a *CrashError returned.
 func (p *ProcPool) roundTrip(w *workerProc, req json.RawMessage) (json.RawMessage, error) {
 	id, err := w.request(req)
 	if err != nil {
 		return nil, fmt.Errorf("engine: marshal request: %w", err)
 	}
 	if _, err := w.in.Write(w.frame.Bytes()); err != nil {
-		kind := p.reap(w, CrashExit)
+		kind := p.reap(w)
 		return nil, &CrashError{Kind: kind, Worker: w.id,
 			Detail: fmt.Sprintf("write: %v (%s)", err, p.exitDetail(w))}
 	}
-
-	type read struct {
-		line []byte
-		err  error
-	}
-	ch := make(chan read, 1)
 	// The line is a view of w.out's buffer: it is decoded below, before
 	// the worker's next round trip reads again.
-	go func() {
-		line, rerr := w.out.Next()
-		ch <- read{line, rerr}
-	}()
-	var r read
-	if p.cfg.Deadline > 0 {
-		timer := time.NewTimer(p.cfg.Deadline)
-		select {
-		case r = <-ch:
-			timer.Stop()
-		case <-timer.C:
-			kind := p.reap(w, CrashHang)
-			<-ch // the killed process EOFs the abandoned reader
-			return nil, &CrashError{Kind: kind, Worker: w.id,
-				Detail: fmt.Sprintf("no response within %v (%s)", p.cfg.Deadline, p.exitDetail(w))}
-		}
-	} else {
-		r = <-ch
-	}
-	if r.err != nil {
-		kind := p.reap(w, CrashExit)
+	line, err := w.out.Next()
+	if err != nil {
+		kind := p.reap(w)
 		return nil, &CrashError{Kind: kind, Worker: w.id,
-			Detail: fmt.Sprintf("read: %v (%s)", r.err, p.exitDetail(w))}
+			Detail: fmt.Sprintf("read: %v (%s)", err, p.exitDetail(w))}
 	}
 	var resp procResponse
-	if err := json.Unmarshal(bytes.TrimSpace(r.line), &resp); err != nil {
-		p.reap(w, CrashProto)
-		return nil, &CrashError{Kind: CrashProto, Worker: w.id,
-			Detail: fmt.Sprintf("undecodable response: %v", err)}
+	if err := json.Unmarshal(bytes.TrimSpace(line), &resp); err != nil {
+		return nil, p.broke(w, fmt.Sprintf("undecodable response: %v", err))
 	}
 	if resp.ID != id {
-		p.reap(w, CrashProto)
-		return nil, &CrashError{Kind: CrashProto, Worker: w.id,
-			Detail: fmt.Sprintf("response id %d for request %d", resp.ID, id)}
+		return nil, p.broke(w, fmt.Sprintf("response id %d for request %d", resp.ID, id))
 	}
 	if resp.Err != "" {
 		return nil, errors.New(resp.Err)
@@ -274,33 +233,30 @@ func (w *workerProc) request(req json.RawMessage) (int, error) {
 	return id, w.enc.Encode(procRequest{ID: id, Req: req})
 }
 
-// reap shuts the worker down (TERM, then KILL after the grace) and waits
-// for it, refining the crash kind from the exit status: a worker that
-// died by signal reports CrashSignal even when first noticed as an EOF.
-func (p *ProcPool) reap(w *workerProc, kind CrashKind) CrashKind {
+// reap closes the worker's stdin and waits for it. A worker reaped for a
+// failed write or read has already exited, so its exit status is the
+// crash kind: a worker that died by signal reports CrashSignal even when
+// first noticed as an EOF.
+func (p *ProcPool) reap(w *workerProc) CrashKind {
 	w.in.Close()
-	done := make(chan error, 1)
-	go func() { done <- w.cmd.Wait() }()
-	var werr error
-	w.cmd.Process.Signal(syscall.SIGTERM)
-	select {
-	case werr = <-done:
-	case <-time.After(p.cfg.KillGrace):
-		w.cmd.Process.Kill()
-		werr = <-done
-	}
-	w.waitErr = werr
+	w.waitErr = w.cmd.Wait()
 	w.waited = true
-	if kind == CrashHang || kind == CrashProto {
-		return kind
-	}
 	var ee *exec.ExitError
-	if errors.As(werr, &ee) {
+	if errors.As(w.waitErr, &ee) {
 		if ws, ok := ee.Sys().(syscall.WaitStatus); ok && ws.Signaled() {
 			return CrashSignal
 		}
 	}
 	return CrashExit
+}
+
+// broke SIGKILLs and reaps a worker that answered with a frame the pool
+// cannot match to its request: it is still running, and its stream can
+// no longer be trusted.
+func (p *ProcPool) broke(w *workerProc, detail string) error {
+	w.cmd.Process.Kill()
+	p.reap(w)
+	return &CrashError{Kind: CrashProto, Worker: w.id, Detail: detail}
 }
 
 // exitDetail renders the reaped worker's exit status for error messages.
@@ -326,9 +282,9 @@ func (p *ProcPool) exitDetail(w *workerProc) string {
 	return werr.Error()
 }
 
-// Close shuts down every idle worker (closing stdin lets the ServeProc
-// loop exit cleanly) and marks the pool closed. Concurrent Do calls must
-// have completed.
+// Close shuts down every idle worker: closing stdin ends its ServeProc
+// loop, and Close waits for it to exit. It marks the pool closed.
+// Concurrent Do calls must have completed.
 func (p *ProcPool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -344,16 +300,8 @@ func (p *ProcPool) Close() error {
 			continue
 		}
 		w.in.Close()
-		done := make(chan error, 1)
-		go func() { done <- w.cmd.Wait() }()
-		select {
-		case err := <-done:
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		case <-time.After(p.cfg.KillGrace):
-			w.cmd.Process.Kill()
-			<-done
+		if err := w.cmd.Wait(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr

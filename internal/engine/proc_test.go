@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -16,7 +19,7 @@ import (
 // TestMain doubles as the worker-process entry point for the ProcPool
 // tests: when BELTWAY_ENGINE_HELPER is set, the test binary runs a
 // ServeProc loop whose handler obeys scripted requests (echo, exit,
-// self-SIGKILL, hang, handler error, garbage frame) and exits.
+// self-SIGKILL, handler error, garbage frame) and exits.
 func TestMain(m *testing.M) {
 	if os.Getenv("BELTWAY_ENGINE_HELPER") != "" {
 		if err := ServeProc(os.Stdin, os.Stdout, helperHandle); err != nil {
@@ -39,10 +42,6 @@ func helperHandle(req json.RawMessage) (json.RawMessage, error) {
 	case cmd == "killself":
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
 		time.Sleep(time.Hour) // unreachable; SIGKILL is not deliverable to a handler
-	case cmd == "hang":
-		// A bare select{} would trip the runtime deadlock detector; a
-		// long sleep hangs the way a stuck job does.
-		time.Sleep(time.Hour)
 	case cmd == "herr":
 		return nil, errors.New("scripted handler failure")
 	case cmd == "garbage":
@@ -180,28 +179,6 @@ func TestProcPoolWorkerSIGKILL(t *testing.T) {
 	}
 }
 
-// TestProcPoolHangEscalation: a worker that stops answering is SIGKILLed
-// after the deadline (TERM first, KILL after the grace) and the job
-// reports CrashHang.
-func TestProcPoolHangEscalation(t *testing.T) {
-	p := helperPool(t, ProcConfig{Workers: 1, Deadline: 200 * time.Millisecond, KillGrace: 200 * time.Millisecond})
-	start := time.Now()
-	_, err := do(t, p, "hang")
-	var ce *CrashError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want CrashError, got %v", err)
-	}
-	if ce.Kind != CrashHang {
-		t.Fatalf("want CrashHang, got %q (%s)", ce.Kind, ce.Detail)
-	}
-	if e := time.Since(start); e > 5*time.Second {
-		t.Fatalf("escalation took %v", e)
-	}
-	if got, err := do(t, p, "recover"); err != nil || got != "echo:recover" {
-		t.Fatalf("post-hang job: %q, %v", got, err)
-	}
-}
-
 // TestProcPoolHandlerError: an error returned by the worker's handler is
 // a plain job error, not a crash — the worker stays up and reusable.
 func TestProcPoolHandlerError(t *testing.T) {
@@ -244,7 +221,7 @@ func TestProcPoolProtocolError(t *testing.T) {
 // transient, the engine requeues it, and the respawned worker answers.
 func TestProcPoolTransientIntegration(t *testing.T) {
 	p := helperPool(t, ProcConfig{Workers: 1})
-	eng := New(Config{Workers: 1, Retries: 2})
+	eng := New(Config{Workers: 1})
 	calls := 0
 	jobs := []Job{{
 		Key: Key{Experiment: "proc", Benchmark: "b"},
@@ -275,5 +252,73 @@ func TestProcPoolTransientIntegration(t *testing.T) {
 	}
 	if recs[0].Attempts != 2 {
 		t.Fatalf("want Attempts=2 (requeued exactly once), got %d", recs[0].Attempts)
+	}
+}
+
+// TestProcPoolSpawnFailure: a worker command that cannot start fails the
+// job with CrashSpawn, tells OnCrash, and returns the slot, so the next
+// Do tries again instead of blocking; Close has nothing to wait for.
+func TestProcPoolSpawnFailure(t *testing.T) {
+	var crashes []CrashKind
+	var mu sync.Mutex
+	missing := filepath.Join(t.TempDir(), "no-such-worker")
+	p := helperPool(t, ProcConfig{Workers: 1,
+		Command: func(int) *exec.Cmd { return exec.Command(missing) },
+		OnCrash: func(_ int, k CrashKind) {
+			mu.Lock()
+			crashes = append(crashes, k)
+			mu.Unlock()
+		}})
+	for i := 0; i < 2; i++ {
+		_, err := do(t, p, "never")
+		var ce *CrashError
+		if !errors.As(err, &ce) || ce.Kind != CrashSpawn {
+			t.Fatalf("attempt %d: want a CrashSpawn CrashError, got %v", i, err)
+		}
+	}
+	mu.Lock()
+	if len(crashes) != 2 || crashes[0] != CrashSpawn || crashes[1] != CrashSpawn {
+		t.Errorf("OnCrash observed %v, want two spawn failures", crashes)
+	}
+	mu.Unlock()
+	done := make(chan error, 1)
+	go func() { done <- p.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked on a pool whose workers never started")
+	}
+}
+
+// TestProcPoolRoundTripAllocBudget holds a warm echo round trip to the Go
+// mallocs it takes, plus one: the request frame and the response line are
+// the worker's reused buffers, and the answer is read on the calling
+// goroutine. A reader goroutine and a channel per job read 10.
+func TestProcPoolRoundTripAllocBudget(t *testing.T) {
+	const budget = 8 // it reads 7
+	p := helperPool(t, ProcConfig{Workers: 1})
+	req, _ := json.Marshal("warm")
+	if _, err := p.Do(req); err != nil { // spawns the worker and sizes its buffers
+		t.Fatal(err)
+	}
+	// The least over several round trips: json's encoder scratch comes
+	// from a sync.Pool, which the race detector empties at random.
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 16; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := p.Do(req)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("a warm echo round trip: %d Go mallocs", least)
+	if least > budget {
+		t.Errorf("a warm echo round trip costs %d Go mallocs, budget %d", least, budget)
 	}
 }

@@ -12,12 +12,12 @@ import (
 )
 
 func TestRetryTransientError(t *testing.T) {
-	e := New(Config{Workers: 1, Retries: 3})
+	e := New(Config{Workers: 1})
 	var calls atomic.Int32
 	job := Job{
 		Key: Key{Experiment: "retry", Benchmark: "flaky"},
 		Run: func() (any, Outcome, error) {
-			if calls.Add(1) < 3 {
+			if calls.Add(1) <= retries { // succeeds on the last attempt allowed
 				return nil, "", MarkTransient(errors.New("scratch file busy"))
 			}
 			return 42, OK, nil
@@ -31,16 +31,16 @@ func TestRetryTransientError(t *testing.T) {
 	if rec.Outcome != OK {
 		t.Fatalf("outcome %s (%s), want OK after transient retries", rec.Outcome, rec.Error)
 	}
-	if calls.Load() != 3 {
-		t.Errorf("job executed %d times, want 3", calls.Load())
+	if calls.Load() != 1+retries {
+		t.Errorf("job executed %d times, want %d", calls.Load(), 1+retries)
 	}
-	if rec.Attempts != 3 {
-		t.Errorf("Attempts = %d, want 3", rec.Attempts)
+	if rec.Attempts != 1+retries {
+		t.Errorf("Attempts = %d, want %d", rec.Attempts, 1+retries)
 	}
 }
 
 func TestNoRetryForPermanentErrorOrPanic(t *testing.T) {
-	e := New(Config{Workers: 1, Retries: 5})
+	e := New(Config{Workers: 1})
 	var permCalls, panicCalls atomic.Int32
 	jobs := []Job{
 		{
@@ -73,7 +73,7 @@ func TestNoRetryForPermanentErrorOrPanic(t *testing.T) {
 }
 
 func TestRetriesExhaustedKeepsTransientError(t *testing.T) {
-	e := New(Config{Workers: 1, Retries: 2})
+	e := New(Config{Workers: 1})
 	var calls atomic.Int32
 	job := Job{
 		Key: Key{Experiment: "retry", Benchmark: "hopeless"},
@@ -86,9 +86,9 @@ func TestRetriesExhaustedKeepsTransientError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs[0].Outcome != Errored || calls.Load() != 3 {
-		t.Errorf("outcome %s after %d calls, want error after 3 (1 + 2 retries)",
-			recs[0].Outcome, calls.Load())
+	if recs[0].Outcome != Errored || calls.Load() != 1+retries {
+		t.Errorf("outcome %s after %d calls, want error after %d (1 + retries)",
+			recs[0].Outcome, calls.Load(), 1+retries)
 	}
 	if !IsTransient(recs[0].Err) {
 		t.Error("final record lost the transient marker")

@@ -24,12 +24,17 @@ func MarkTransient(err error) error {
 // IsTransient reports whether err is marked transient.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
-// executeWithRetry runs the job, re-executing it up to Config.Retries
-// times while it fails with a transient error. Panics are never
-// retried.
+// retries bounds the re-executions of a job whose error is marked
+// transient: a farm job whose worker crashed is requeued onto a respawned
+// worker at most this many times.
+const retries = 2
+
+// executeWithRetry runs the job, re-executing it up to retries times
+// while it fails with a transient error. Panics are never retried — they
+// are not transient by definition.
 func (e *Engine) executeWithRetry(j Job) Record {
 	rec := e.execute(j)
-	for attempt := 1; attempt <= e.cfg.Retries; attempt++ {
+	for attempt := 1; attempt <= retries; attempt++ {
 		if rec.Outcome != Errored || !IsTransient(rec.Err) {
 			break
 		}

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 
 	"beltway/internal/engine"
 	"beltway/internal/harness"
@@ -37,15 +36,8 @@ type Config struct {
 	// OutDir must not already hold a ledger (the ledger is append-only:
 	// starting over means a fresh directory, not a rewrite).
 	Resume bool
-	// Retries bounds requeues of a job whose worker crashed; < 0 disables,
-	// 0 means the default (2).
-	Retries int
-	// Deadline is the per-job wall-clock bound; a worker that misses it is
-	// escalated SIGTERM → SIGKILL and the job retried. 0 means none.
-	Deadline time.Duration
 	// WorkerCommand builds the spawn-th worker process command; it must
-	// run ServeWorker on stdin/stdout. Nil re-execs this binary with the
-	// single argument "worker".
+	// run ServeWorker on stdin/stdout. Required.
 	WorkerCommand func(spawn int) *exec.Cmd
 	// Progress, if non-nil, receives one line per notable event.
 	Progress func(string)
@@ -61,21 +53,19 @@ type Summary struct {
 	Invalidated  int `json:"invalidated"`
 	WorkerSpawns int `json:"worker_spawns"`
 	// WorkerCrashes counts worker processes lost mid-job (exit, signal,
-	// hang escalation, protocol breakdown); WorkerKills the hang
-	// escalations among them, which ended in a SIGKILL; JobsRetried the
-	// jobs requeued because their worker crashed.
+	// protocol breakdown); JobsRetried the jobs requeued because their
+	// worker crashed.
 	WorkerCrashes int `json:"worker_crashes"`
-	WorkerKills   int `json:"worker_kills"`
 	JobsRetried   int `json:"jobs_retried"`
 	LedgerEntries int `json:"ledger_entries"`
 }
 
 // Run executes the grid over worker processes, appending every completed
-// run to the out dir's hash-chained ledger. A worker crash (including
-// OOM kill and hang escalation) fails only its job, which is requeued
-// through the engine's transient-retry path on a respawned worker; a
-// killed orchestrator resumes from the checkpoint and ledger with no
-// duplicated or lost entries.
+// run to the out dir's hash-chained ledger. A worker crash (a fatal Go
+// runtime error or an OOM kill included) fails only its job, which is
+// requeued through the engine's transient-retry path on a respawned
+// worker; a killed orchestrator resumes from the checkpoint and ledger
+// with no duplicated or lost entries.
 func Run(cfg Config) (*Summary, error) {
 	if err := cfg.Grid.Validate(); err != nil {
 		return nil, err
@@ -86,18 +76,8 @@ func Run(cfg Config) (*Summary, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
-	switch {
-	case cfg.Retries == 0:
-		cfg.Retries = 2
-	case cfg.Retries < 0:
-		cfg.Retries = 0
-	}
 	if cfg.WorkerCommand == nil {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("farm: cannot locate own binary for worker re-exec: %w", err)
-		}
-		cfg.WorkerCommand = func(int) *exec.Cmd { return exec.Command(exe, "worker") }
+		return nil, fmt.Errorf("farm: no worker command")
 	}
 	progress := cfg.Progress
 	if progress == nil {
@@ -144,7 +124,6 @@ func Run(cfg Config) (*Summary, error) {
 		Checkpoint:  filepath.Join(cfg.OutDir, CheckpointFile),
 		Resume:      cfg.Resume,
 		Fingerprint: fingerprint,
-		Retries:     cfg.Retries,
 		Progress:    cfg.Progress,
 		OnRecord: func(rec engine.Record) {
 			if rec.Key.Experiment != Experiment || !rec.Outcome.Completed() {
@@ -164,15 +143,11 @@ func Run(cfg Config) (*Summary, error) {
 	defer stopFlush()
 
 	pool := engine.NewProcPool(engine.ProcConfig{
-		Workers:  cfg.Workers,
-		Command:  cfg.WorkerCommand,
-		Deadline: cfg.Deadline,
+		Workers: cfg.Workers,
+		Command: cfg.WorkerCommand,
 		OnCrash: func(spawn int, kind engine.CrashKind) {
 			mu.Lock()
 			sum.WorkerCrashes++
-			if kind == engine.CrashHang {
-				sum.WorkerKills++
-			}
 			mu.Unlock()
 			progress(fmt.Sprintf("farm: worker %d lost (%s); its job will be requeued", spawn, kind))
 		},

@@ -119,8 +119,8 @@ func TestFarmWorkerKilledMidJob(t *testing.T) {
 	if sum.WorkerCrashes != 1 {
 		t.Fatalf("want exactly 1 worker crash, got %d", sum.WorkerCrashes)
 	}
-	if sum.JobsRetried != 1 || sum.WorkerKills != 0 {
-		t.Fatalf("want exactly 1 requeued job and no hang kill, got %d and %d", sum.JobsRetried, sum.WorkerKills)
+	if sum.JobsRetried != 1 {
+		t.Fatalf("want exactly 1 requeued job, got %d", sum.JobsRetried)
 	}
 	if sum.WorkerSpawns < 3 {
 		t.Fatalf("want a respawn after the kill (>=3 spawns for 2 slots), got %d", sum.WorkerSpawns)
@@ -252,6 +252,19 @@ func TestFarmFreshDirRefusesExistingLedger(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "append-only") {
 		t.Fatalf("fresh run over an existing ledger: %v", err)
+	}
+}
+
+// TestFarmRequiresWorkerCommand: every caller names its worker command,
+// so Run refuses a config without one before it touches the out dir.
+func TestFarmRequiresWorkerCommand(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	_, err := Run(Config{Grid: testGrid(), OutDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "no worker command") {
+		t.Fatalf("run without a worker command: %v", err)
+	}
+	if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
+		t.Fatalf("refused run created %s: %v", dir, serr)
 	}
 }
 

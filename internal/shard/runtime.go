@@ -54,9 +54,10 @@ type Runtime struct {
 	shards []*Shard
 	sp     *safepoint
 
-	roundStart []float64 // per-shard clock reading at round open
-	makespan   float64   // Σ rounds of max-over-shards round cost
-	ran        bool      // a plan has been run (a runtime runs one)
+	roundStart []float64   // per-shard clock reading at round open
+	costs      [][]float64 // costs[i][r]: lane i's clock advance over round r, under Run
+	makespan   float64     // Σ rounds of max-over-shards round cost
+	ran        bool        // a plan has been run (a runtime runs one)
 }
 
 // New builds a sharded runtime over the template configuration: every
@@ -132,12 +133,12 @@ func (rt *Runtime) Run(p Plan) error {
 		return err
 	}
 	rt.openRoundClocks()
-	costs := make([][]float64, len(rt.shards)) // costs[i][r]: lane i's clock advance over round r
-	folded := 0                                // rounds already in the makespan
+	rt.costs = make([][]float64, len(rt.shards))
+	folded := 0 // rounds already in the makespan
 	fold := func(rounds int) {
 		for ; folded < rounds; folded++ {
 			var maxCost float64
-			for _, c := range costs {
+			for _, c := range rt.costs {
 				if d := c[folded]; d > maxCost {
 					maxCost = d
 				}
@@ -147,8 +148,8 @@ func (rt *Runtime) Run(p Plan) error {
 	}
 	var wg sync.WaitGroup
 	for i, s := range rt.shards {
-		cost := make([]float64, p.Rounds)
-		costs[i] = cost
+		cost := takeCosts(p.Rounds)
+		rt.costs[i] = cost
 		wg.Add(1)
 		go func(s *Shard) {
 			defer wg.Done()
@@ -260,7 +261,8 @@ func (rt *Runtime) collectAll(round int, sideBySide bool) {
 }
 
 // Release hands every shard's heap (core.Heap.Release), flight recorder
-// ring (telemetry.Run.Release) and RNG to the next run in the process.
+// ring (telemetry.Run.Release), RNG and round costs to the next run in
+// the process.
 // Call it once the clocks, MergedTelemetry and any validator fingerprints
 // have been read: afterwards the shard heaps fault on every access, the
 // recorders hold no events and Rng is nil.
@@ -275,6 +277,10 @@ func (rt *Runtime) Release() {
 			s.Rng = nil
 		}
 	}
+	for _, c := range rt.costs {
+		costBufs.Put(c)
+	}
+	rt.costs = nil
 }
 
 // rngs holds the RNGs of released shards. A math/rand source is 4.9 KB
@@ -289,6 +295,19 @@ func takeRng(seed int64) *rand.Rand {
 		return r
 	}
 	return rand.New(rand.NewSource(seed))
+}
+
+// costBufs holds the round-cost slices of released runtimes, one a lane.
+var costBufs heap.FreeList[[]float64]
+
+// takeCosts returns a slice of n round costs, recycled when a free one is
+// long enough. Its entries are stale: a lane writes each before fold
+// reads it.
+func takeCosts(n int) []float64 {
+	if c, ok := costBufs.Take(); ok && cap(c) >= n {
+		return c[:n]
+	}
+	return make([]float64, n)
 }
 
 // MergedTelemetry merges every shard's telemetry snapshot into one
