@@ -96,11 +96,13 @@ func Parse(spec string, o Options) (core.Config, error) {
 		return core.Config{}, fmt.Errorf("collectors: %q: MOS form is X.X.mos", spec)
 	}
 
-	parts := strings.Split(s, ".")
-	nums := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := pct(p)
-		if err != nil {
+	var buf [3]int
+	nums := buf[:0]
+	for rest, more := s, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ".")
+		n, err := pct(part)
+		if err != nil || len(nums) == len(buf) {
 			return core.Config{}, fmt.Errorf("collectors: unrecognized configuration %q", spec)
 		}
 		nums = append(nums, n)
@@ -119,7 +121,7 @@ func Parse(spec string, o Options) (core.Config, error) {
 			return XX100(nums[0], o), nil
 		}
 		c := XX100(nums[0], o)
-		c.Name = fmt.Sprintf("Beltway %d.%d.100", nums[0], nums[1])
+		c.Name = name("Beltway ", ".100", nums[0], nums[1])
 		c.Belts[1].IncrementFrac = frac(nums[1])
 		return c, nil
 	}

@@ -11,6 +11,7 @@ package collectors
 
 import (
 	"fmt"
+	"strconv"
 
 	"beltway/internal/core"
 )
@@ -47,7 +48,7 @@ func BA2(o Options) core.Config {
 // increment, mixing copies with new objects.
 func BOFM(incrPercent int, o Options) core.Config {
 	c := core.Config{
-		Name: fmt.Sprintf("BOFM %d", incrPercent),
+		Name: name("BOFM ", "", incrPercent),
 		Belts: []core.BeltSpec{
 			{IncrementFrac: frac(incrPercent), PromoteTo: 0},
 		},
@@ -61,7 +62,7 @@ func BOFM(incrPercent int, o Options) core.Config {
 // flip.
 func BOF(windowPercent int, o Options) core.Config {
 	c := core.Config{
-		Name: fmt.Sprintf("BOF %d", windowPercent),
+		Name: name("BOF ", "", windowPercent),
 		Belts: []core.BeltSpec{
 			{IncrementFrac: frac(windowPercent), PromoteTo: 1},
 			{IncrementFrac: frac(windowPercent), PromoteTo: 0},
@@ -78,7 +79,7 @@ func BOF(windowPercent int, o Options) core.Config {
 // FIFO. Incremental but not complete for X < 100.
 func XX(x int, o Options) core.Config {
 	c := core.Config{
-		Name: fmt.Sprintf("Beltway %d.%d", x, x),
+		Name: name("Beltway ", "", x, x),
 		Belts: []core.BeltSpec{
 			{IncrementFrac: frac(x), MaxIncrements: 1, PromoteTo: 1},
 			{IncrementFrac: frac(x), PromoteTo: 1},
@@ -95,7 +96,7 @@ func XX(x int, o Options) core.Config {
 // collections.
 func XX100(x int, o Options) core.Config {
 	c := core.Config{
-		Name: fmt.Sprintf("Beltway %d.%d.100", x, x),
+		Name: name("Beltway ", ".100", x, x),
 		Belts: []core.BeltSpec{
 			{IncrementFrac: frac(x), MaxIncrements: 1, PromoteTo: 1},
 			{IncrementFrac: frac(x), PromoteTo: 2},
@@ -114,7 +115,7 @@ func XX100(x int, o Options) core.Config {
 // Cars on the MOS belt are X% of usable memory.
 func XXMOS(x int, o Options) core.Config {
 	c := core.Config{
-		Name: fmt.Sprintf("Beltway %d.%d.MOS", x, x),
+		Name: name("Beltway ", ".MOS", x, x),
 		Belts: []core.BeltSpec{
 			{IncrementFrac: frac(x), MaxIncrements: 1, PromoteTo: 1},
 			{IncrementFrac: frac(x), PromoteTo: 2},
@@ -131,7 +132,7 @@ func XXMOS(x int, o Options) core.Config {
 // increment sizes X and Y (percent of usable memory).
 func XY(x, y int, o Options) core.Config {
 	c := core.Config{
-		Name: fmt.Sprintf("Beltway %d.%d", x, y),
+		Name: name("Beltway ", "", x, y),
 		Belts: []core.BeltSpec{
 			{IncrementFrac: frac(x), MaxIncrements: 1, PromoteTo: 1},
 			{IncrementFrac: frac(y), PromoteTo: 1},
@@ -233,7 +234,7 @@ func Fixed(nurseryPercent int, o Options) core.Config {
 		panic(fmt.Sprintf("collectors: bad nursery percentage %d", nurseryPercent))
 	}
 	c := core.Config{
-		Name: fmt.Sprintf("Fixed %d", nurseryPercent),
+		Name: name("Fixed ", "", nurseryPercent),
 		Belts: []core.BeltSpec{
 			{IncrementFrac: float64(nurseryPercent) / 100, MaxIncrements: 1, PromoteTo: 1,
 				ReserveFrac: float64(nurseryPercent) / 100},
@@ -262,4 +263,20 @@ func Appel3(o Options) core.Config {
 	}
 	o.Apply(&c)
 	return c
+}
+
+// name is a preset's Name: label, the percentages joined by dots, then
+// suffix ("Beltway ", ".100", 25, 25 is "Beltway 25.25.100"). It makes
+// the string and nothing else — no fmt, whose buffer pool every Go
+// collection empties — since Parse runs before every job.
+func name(label, suffix string, pcts ...int) string {
+	var buf [48]byte
+	b := append(buf[:0], label...)
+	for i, p := range pcts {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendInt(b, int64(p), 10)
+	}
+	return string(append(b, suffix...))
 }

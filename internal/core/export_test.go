@@ -15,7 +15,7 @@ func NewOn(cfg Config, types *heap.Registry, donor *Heap) (*Heap, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sc := &scaffold{}
+	sc := newScaffold()
 	if donor != nil {
 		sc = donor.dismantle()
 	}

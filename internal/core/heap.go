@@ -14,6 +14,7 @@ import (
 // order stamps), the remembered-set table, and the cost-model clock.
 // It implements gc.Collector.
 type Heap struct {
+	sc    *scaffold // what the heap is built in, and Release hands on
 	cfg   Config
 	space *heap.Space
 	clock *stats.Clock
@@ -92,7 +93,8 @@ func New(cfg Config, types *heap.Registry) (*Heap, error) {
 	return newHeap(cfg, types, takeScaffold()), nil
 }
 
-// newHeap is New on a validated cfg, building on sc.
+// newHeap is New on a validated cfg, building on sc: the heap is
+// sc.shell, its tables grow into what sc holds.
 func newHeap(cfg Config, types *heap.Registry, sc *scaffold) *Heap {
 	if isZeroCosts(cfg.Costs) {
 		cfg.Costs = stats.DefaultCosts()
@@ -100,30 +102,38 @@ func newHeap(cfg Config, types *heap.Registry, sc *scaffold) *Heap {
 	// The heap owns its belt specs: an adaptive Policy retunes them in
 	// place, and the caller's Config (often a preset reused across runs)
 	// must not see those writes.
-	cfg.Belts = append([]BeltSpec(nil), cfg.Belts...)
-	h := &Heap{
-		cfg:      cfg,
-		space:    heap.NewSpaceFrom(cfg.FrameBytes, types, sc.space),
-		clock:    stats.NewClock(cfg.Costs),
-		rems:     remset.NewTableFrom(sc.rems),
-		roots:    gc.NewRootSetFrom(sc.roots),
-		stamp:    sc.stamp,
-		incrOf:   sc.incrOf,
-		immortal: sc.immortal,
-		fill:     sc.fill,
-		cards:    sc.cards,
-		spare:    sc.spare,
-		rootBuf:  sc.rootBuf,
+	sc.beltSpecs = append(sc.beltSpecs[:0], cfg.Belts...)
+	cfg.Belts = sc.beltSpecs
+	sc.clock.Reset(cfg.Costs)
+	for len(sc.belts) < len(cfg.Belts) {
+		sc.belts = append(sc.belts, new(Belt))
 	}
-	h.mr.frames, h.mr.evac, h.mr.pool = sc.mrFrames, sc.mrEvac, sc.mrPool
-	h.space.OnMap = func() { h.clock.Counters.FramesMapped++ }
-	h.space.OnUnmap = func() { h.clock.Counters.FramesUnmapped++ }
-	for i, spec := range cfg.Belts {
-		h.belts = append(h.belts, &Belt{index: i, spec: spec, priority: uint16(i), promoteTo: spec.PromoteTo})
+	h := &sc.shell
+	*h = Heap{
+		sc:               sc,
+		cfg:              cfg,
+		space:            heap.NewSpaceFrom(cfg.FrameBytes, types, &sc.space),
+		clock:            &sc.clock,
+		rems:             remset.NewTableFrom(&sc.rems),
+		roots:            gc.NewRootSetFrom(&sc.roots),
+		belts:            sc.belts[:len(cfg.Belts)],
+		stamp:            sc.stamp,
+		incrOf:           sc.incrOf,
+		immortal:         sc.immortal,
+		fill:             sc.fill,
+		cards:            sc.cards,
+		gcs:              sc.gcs,
+		spare:            sc.spare,
+		rootBuf:          sc.rootBuf,
+		frameCondemnedFn: sc.frameCondemnedFn,
+		trigTargetFn:     sc.trigTargetFn,
 	}
-	h.frameCondemnedFn = h.frameCondemned
-	h.trigTargetFn = func(f heap.Frame) bool {
-		return int(f) < len(h.incrOf) && h.incrOf[f] == h.trigOld
+	h.boot.frames = sc.bootFrames
+	h.mr.frames, h.mr.evac, h.mr.pool, h.mr.queue = sc.mrFrames, sc.mrEvac, sc.mrPool, sc.mrQueue
+	h.space.OnMap, h.space.OnUnmap = sc.onMap, sc.onUnmap
+	for i, b := range h.belts {
+		spec := cfg.Belts[i]
+		*b = Belt{index: i, spec: spec, priority: uint16(i), promoteTo: spec.PromoteTo, incrs: b.incrs}
 	}
 	h.mrInit()
 	h.recomputeReserve()

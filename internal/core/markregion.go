@@ -68,9 +68,7 @@ func (h *Heap) mrInit() {
 	if len(h.mr.pool) > 0 && h.mr.pool[0].Geometry() != g {
 		h.mr.pool = emptied(h.mr.pool)
 	}
-	h.mr.sizeOfFn = func(off int) int {
-		return h.space.SizeOf(h.mr.sweepBase + heap.Addr(off))
-	}
+	h.mr.sizeOfFn = h.sc.mrSizeOfFn
 }
 
 // isMRBelt reports whether belt bi uses the mark-region substrate.

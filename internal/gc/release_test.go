@@ -59,7 +59,8 @@ func TestRootSetFromReleasedStorageMatchesFresh(t *testing.T) {
 	used := NewRootSet()
 	driveRoots(used, 1)
 	old := used.Add(0x40)
-	warm := NewRootSetFrom(used.Release())
+	st := used.Release()
+	warm := NewRootSetFrom(&st)
 	if got, want := driveRoots(warm, 2), driveRoots(NewRootSet(), 2); !reflect.DeepEqual(got, want) {
 		t.Errorf("a root set on released storage diverged from a new one (%d and %d handles and slots)", len(got), len(want))
 	}

@@ -71,26 +71,21 @@ func NewRootSet() *RootSet {
 }
 
 // RootStorage is what a released RootSet leaves behind: its arrays,
-// emptied with their capacity kept. A table built on them starts where a
-// new one does, at handle 1 and epoch 0.
-type RootStorage struct {
-	addrs  []heap.Addr
-	epochs []uint32
-	free   []int32
-	scoped []scopedRef
-	marks  []int32
-}
+// emptied with their capacity kept, in the RootSet value the next one is
+// built in. A table built on them starts where a new one does, at handle
+// 1 and epoch 0.
+type RootStorage struct{ r RootSet }
 
 // NewRootSetFrom returns an empty root set that grows into st's arrays.
-func NewRootSetFrom(st RootStorage) *RootSet {
-	return &RootSet{addrs: st.addrs, epochs: st.epochs, free: st.free, scoped: st.scoped, marks: st.marks}
-}
+// The set is st's own: whoever holds st keeps the set in it, and the
+// set's next Release refills st.
+func NewRootSetFrom(st *RootStorage) *RootSet { return &st.r }
 
 // Release empties the root set and returns its arrays for the next one
 // (NewRootSetFrom). The set keeps none of them: every handle it minted is
 // invalid afterwards, and nothing done through it reaches the next set.
 func (r *RootSet) Release() RootStorage {
-	st := RootStorage{addrs: r.addrs[:0], epochs: r.epochs[:0], free: r.free[:0], scoped: r.scoped[:0], marks: r.marks[:0]}
+	st := RootStorage{RootSet{addrs: r.addrs[:0], epochs: r.epochs[:0], free: r.free[:0], scoped: r.scoped[:0], marks: r.marks[:0]}}
 	*r = RootSet{}
 	return st
 }

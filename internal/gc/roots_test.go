@@ -458,7 +458,8 @@ func TestScopeDisciplineProperty(t *testing.T) {
 					return false
 				}
 			default:
-				r = NewRootSetFrom(r.Release())
+				st := r.Release()
+				r = NewRootSetFrom(&st)
 				m = &nestedRootSet{}
 				issued, depth = nil, 0
 			}

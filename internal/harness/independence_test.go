@@ -11,9 +11,10 @@ import (
 	"beltway/internal/workload"
 )
 
-// TestRunsAreIndependentOfWhatRanBefore: a run builds its heap on what
-// the runs before it in the process released — root table, remembered
-// sets, per-frame tables, line metadata, recorder rings, slabs (DESIGN.md
+// TestRunsAreIndependentOfWhatRanBefore: a run builds on what the runs
+// before it in the process released — the heap and its tables, root
+// table, remembered sets, line metadata, clock, the lane's type registry,
+// mutator and recorder, the workload's arena and loops, slabs (DESIGN.md
 // §5, "Run lifecycle") — so no Result may depend on what those runs were.
 // Every TestRunGoldenDigests row must reproduce its literal run in order,
 // each right after an Appel run of pseudojbb at its minimum heap (the
@@ -21,8 +22,12 @@ import (
 // pseudojbb at that heap (line metadata, marked and swept), each right
 // after a two-lane server run of a longer, differently seeded script
 // (latency buffers and key permutations larger than the rows need, full
-// of another run's values), in reverse order, and two at a time through an engine with two workers, where each
-// run's heap is built from what the other side released.
+// of another run's values), each right after javac and then pseudojbb
+// (whose digest must be the one pseudojbb has run first: a registry and
+// an arena handed from one benchmark to another), each both before and
+// after such a server run, in reverse order, and two at a time through
+// an engine with two workers, where each run's heap is built from what
+// the other side released.
 func TestRunsAreIndependentOfWhatRanBefore(t *testing.T) {
 	env := EnvForScale(0.1)
 	jbb := workload.Get("pseudojbb")
@@ -40,6 +45,25 @@ func TestRunsAreIndependentOfWhatRanBefore(t *testing.T) {
 	}
 	appelAtMin := runBefore(collectors.Appel, jbbMin)
 	immix := runBefore(collectors.Immix, jbbMin)
+	// pseudojbb after javac: the lane's type registry and workload arena
+	// pass from one benchmark's program to another's.
+	javac := workload.Get("javac")
+	javacMin, err := FindMinHeap(AppelConfig(env), javac, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jbbDigest := func(t *testing.T) string {
+		res, err := RunOne(collectors.XX100(25, env.Options(2*jbbMin)), jbb, env)
+		if err != nil || res.Incomplete() {
+			t.Fatalf("pseudojbb: %v %+v", err, res)
+		}
+		d, err := ResultDigest(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	jbbAlone := jbbDigest(t)
 	longServer := func(t *testing.T) {
 		sc := server.Scaled(0.25)
 		sc.Seed++
@@ -76,6 +100,24 @@ func TestRunsAreIndependentOfWhatRanBefore(t *testing.T) {
 	})
 	t.Run("after a longer two-lane server run", func(t *testing.T) {
 		for _, tc := range goldenCases {
+			longServer(t)
+			runAndCheck(t, tc)
+		}
+	})
+	t.Run("after pseudojbb after javac", func(t *testing.T) {
+		for _, tc := range goldenCases {
+			if res, err := RunOne(collectors.XX100(25, env.Options(2*javacMin)), javac, env); err != nil || res.Incomplete() {
+				t.Fatalf("javac: %v %+v", err, res)
+			}
+			if got := jbbDigest(t); got != jbbAlone {
+				t.Errorf("pseudojbb after javac: digest %s, after nothing %s", got, jbbAlone)
+			}
+			runAndCheck(t, tc)
+		}
+	})
+	t.Run("on both sides of a two-lane server run", func(t *testing.T) {
+		for _, tc := range goldenCases {
+			runAndCheck(t, tc)
 			longServer(t)
 			runAndCheck(t, tc)
 		}

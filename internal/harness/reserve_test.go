@@ -33,11 +33,12 @@ func TestXX100CopyReserveRunsOutAtAppelMinimum(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Release()
-	plan, _, err := Bench(bench).plan(rt.Shards(), env, nil)
+	bw, err := Bench(bench).bind(rt.Shards(), env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.RunSerial(plan); err != nil {
+	defer bw.release()
+	if err := rt.RunSerial(bw.plan()); err != nil {
 		t.Fatal(err)
 	}
 	var oe *gc.OOMError

@@ -201,14 +201,15 @@ func Run(cfg core.Config, w Workload, env Env) (*Result, error) {
 	if ctrl != nil {
 		ctrl.SetEmitter(lanes[0].Tele.PolicyObserver())
 	}
-	plan, report, err := w.plan(lanes, env, ctrl)
+	bw, err := w.bind(lanes, env, ctrl)
 	if err != nil {
 		return nil, wrap(err)
 	}
+	defer bw.release()
 	if n == 1 {
-		err = rt.RunSerial(plan)
+		err = rt.RunSerial(bw.plan())
 	} else {
-		err = rt.Run(plan)
+		err = rt.Run(bw.plan())
 	}
 	if err != nil {
 		return nil, wrap(err)
@@ -236,6 +237,13 @@ func Run(cfg core.Config, w Workload, env Env) (*Result, error) {
 		res.Mutators = n
 		res.TotalTime = rt.Makespan()
 	}
+	pauses := 0
+	for _, s := range lanes {
+		pauses += len(s.Heap.Clock().Pauses())
+	}
+	if pauses > 0 {
+		res.Pauses = make([]stats.Pause, 0, pauses)
+	}
 	for _, s := range lanes {
 		c := s.Heap.Clock()
 		res.Counters.Add(c.Counters)
@@ -245,9 +253,7 @@ func Run(cfg core.Config, w Workload, env Env) (*Result, error) {
 		res.Pauses = append(res.Pauses, c.Pauses()...)
 		res.OOM = res.OOM || s.OOM()
 	}
-	if report != nil {
-		res.Server = report()
-	}
+	res.Server = bw.report()
 	if env.Telemetry {
 		if n == 1 {
 			res.Telemetry = lanes[0].Tele.Snapshot()

@@ -93,10 +93,11 @@ func TestRunShardedWaitsOnlyToCollect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, _, err := c.w.plan(rt.Shards(), env, nil)
+		bw, err := c.w.bind(rt.Shards(), env, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan := bw.plan()
 		if err := rt.Run(plan); err != nil {
 			t.Fatal(err)
 		}
@@ -113,6 +114,7 @@ func TestRunShardedWaitsOnlyToCollect(t *testing.T) {
 			t.Errorf("%s: %d rounds, %d blocking waits, want one per global collection: %d",
 				c.w.Name(), plan.Rounds, got, boundaries)
 		}
+		bw.release()
 		rt.Release()
 	}
 }

@@ -2,7 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
+	"beltway/internal/heap"
 	"beltway/internal/policy"
 	"beltway/internal/server"
 	"beltway/internal/shard"
@@ -18,11 +20,20 @@ type Workload interface {
 	// seed is the base seed of the lanes' streams: lane i draws from
 	// shard.StreamSeed(seed, i), whose lane 0 is the identity.
 	seed(env Env) int64
-	// plan binds the workload to the run's lanes: the rounds they
-	// execute and, for a workload that measures more than the clocks do,
+	// bind binds the workload to the run's lanes. ctrl is the run's
+	// adaptive controller, nil when it has none.
+	bind(lanes []*shard.Shard, env Env, ctrl *policy.Controller) (bound, error)
+}
+
+// bound is a workload bound to one run's lanes.
+type bound interface {
+	// plan is the rounds the lanes execute.
+	plan() shard.Plan
+	// report is, for a workload that measures more than the clocks do,
 	// the fold of the lanes' reports into Result.Server (nil otherwise).
-	// ctrl is the run's adaptive controller, nil when it has none.
-	plan(lanes []*shard.Shard, env Env, ctrl *policy.Controller) (shard.Plan, func() *server.Report, error)
+	report() *server.Report
+	// release hands the binding's storage to the next run; report first.
+	release()
 }
 
 // Bench is the workload of the paper's evaluation: every lane runs the
@@ -37,23 +48,59 @@ type benchWorkload struct{ b *workload.Benchmark }
 func (w benchWorkload) Name() string       { return w.b.Name }
 func (w benchWorkload) seed(env Env) int64 { return env.Seed }
 
-func (w benchWorkload) plan(lanes []*shard.Shard, env Env, _ *policy.Controller) (shard.Plan, func() *server.Report, error) {
+func (w benchWorkload) bind(lanes []*shard.Shard, env Env, _ *policy.Controller) (bound, error) {
 	if env.Scale <= 0 {
-		return shard.Plan{}, nil, fmt.Errorf("workload: non-positive scale %v", env.Scale)
+		return nil, fmt.Errorf("workload: non-positive scale %v", env.Scale)
 	}
-	p := shard.Plan{Rounds: 1, Body: func(_ int, s *shard.Shard) {
-		w.b.Body(&workload.Ctx{
-			M:         s.M,
-			Types:     s.Heap.Space().Types,
-			Rng:       s.Rng,
-			Scale:     env.Scale,
-			Pretenure: env.Pretenure,
-		})
-	}}
-	if len(lanes) > 1 {
+	br, ok := benchRuns.Take()
+	if !ok {
+		br = &benchRun{}
+		br.body = br.run
+	}
+	br.b, br.env = w.b, env
+	br.ctxs = slices.Grow(br.ctxs[:0], len(lanes))[:len(lanes)]
+	return br, nil
+}
+
+// benchRun is a Bench workload bound to a run: each lane's program
+// context, whose arena the lane's tables are carved from, and the round
+// body, made once. Released ones wait on benchRuns for the next run.
+type benchRun struct {
+	b    *workload.Benchmark
+	env  Env
+	ctxs []workload.Ctx
+	body func(round int, s *shard.Shard) // br.run
+}
+
+var benchRuns heap.FreeList[*benchRun]
+
+func (br *benchRun) plan() shard.Plan {
+	p := shard.Plan{Rounds: 1, Body: br.body}
+	if len(br.ctxs) > 1 {
 		p.CollectEvery = 1
 	}
-	return p, nil, nil
+	return p
+}
+
+func (br *benchRun) run(_ int, s *shard.Shard) {
+	c := &br.ctxs[s.ID]
+	*c = workload.Ctx{
+		M:         s.M,
+		Types:     s.Heap.Space().Types,
+		Rng:       s.Rng,
+		Scale:     br.env.Scale,
+		Pretenure: br.env.Pretenure,
+	}
+	br.b.Body(c)
+}
+
+func (br *benchRun) report() *server.Report { return nil }
+
+func (br *benchRun) release() {
+	for i := range br.ctxs {
+		br.ctxs[i].Release()
+	}
+	benchRuns.Put(br)
 }
 
 // Server is the request/response workload (internal/server): every lane
@@ -73,8 +120,17 @@ type serverWorkload struct {
 func (w serverWorkload) Name() string   { return "server" }
 func (w serverWorkload) seed(Env) int64 { return w.cfg.Seed }
 
-func (w serverWorkload) plan(lanes []*shard.Shard, _ Env, ctrl *policy.Controller) (shard.Plan, func() *server.Report, error) {
-	loops := make([]*server.Loop, len(lanes))
+func (w serverWorkload) bind(lanes []*shard.Shard, _ Env, ctrl *policy.Controller) (bound, error) {
+	sr, ok := serverRuns.Take()
+	if !ok {
+		sr = &serverRun{}
+		sr.body = sr.run
+	}
+	sr.slo, sr.rounds = w.slo, w.cfg.Batches()
+	for len(sr.loops) < len(lanes) {
+		sr.loops = append(sr.loops, new(server.Loop))
+	}
+	sr.lanes = len(lanes)
 	for i, s := range lanes {
 		lc := w.cfg
 		lc.Seed = shard.StreamSeed(w.cfg.Seed, s.ID)
@@ -84,27 +140,47 @@ func (w serverWorkload) plan(lanes []*shard.Shard, _ Env, ctrl *policy.Controlle
 			// detection).
 			obs = multiObserver{obs, ctrl}
 		}
-		loop, err := server.NewLoop(lc, server.LoopOpts{Observer: obs})
-		if err != nil {
-			return shard.Plan{}, nil, err
+		if err := sr.loops[i].Reset(lc, server.LoopOpts{Observer: obs}); err != nil {
+			sr.lanes = i
+			sr.release()
+			return nil, err
 		}
-		loops[i] = loop
 	}
-	p := shard.Plan{Rounds: w.cfg.Batches(), Body: func(round int, s *shard.Shard) {
-		loop := loops[s.ID]
-		if round == 0 {
-			loop.Start(s.M, s.Heap.Space().Types)
-		}
-		loop.RunBatch()
-	}}
-	report := func() *server.Report {
-		rep := server.ReportLoops(loops, w.slo)
-		for _, loop := range loops {
-			loop.Release()
-		}
-		return rep
+	return sr, nil
+}
+
+// serverRun is a Server workload bound to a run: a request loop a lane,
+// kept with the serverRun and reset for every run, and the round body,
+// made once. Released ones wait on serverRuns.
+type serverRun struct {
+	slo    server.SLO
+	rounds int
+	lanes  int
+	loops  []*server.Loop                  // the first lanes are the run's
+	body   func(round int, s *shard.Shard) // sr.run
+}
+
+var serverRuns heap.FreeList[*serverRun]
+
+func (sr *serverRun) plan() shard.Plan { return shard.Plan{Rounds: sr.rounds, Body: sr.body} }
+
+func (sr *serverRun) run(round int, s *shard.Shard) {
+	loop := sr.loops[s.ID]
+	if round == 0 {
+		loop.Start(s.M, s.Heap.Space().Types)
 	}
-	return p, report, nil
+	loop.RunBatch()
+}
+
+func (sr *serverRun) report() *server.Report {
+	return server.ReportLoops(sr.loops[:sr.lanes], sr.slo)
+}
+
+func (sr *serverRun) release() {
+	for _, loop := range sr.loops[:sr.lanes] {
+		loop.Release()
+	}
+	serverRuns.Put(sr)
 }
 
 // multiObserver fans one request stream out to several observers

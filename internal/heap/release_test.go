@@ -187,3 +187,38 @@ func TestReleasedSlabListHoldsPeakUse(t *testing.T) {
 		t.Errorf("a space of another frame size took %d of the list's slabs", 16-got)
 	}
 }
+
+// TestResetRegistryRedefinesInPlace: a registry that is Reset and defined
+// into again hands out the IDs a new one would, in its old descriptors,
+// allocating nothing, and knows none of the names it had: a registry
+// handed from one benchmark to another must not keep the first one's.
+func TestResetRegistryRedefinesInPlace(t *testing.T) {
+	r := NewRegistry()
+	old := []*TypeDesc{r.DefineScalar("a.node", 2, 3), r.DefineRefArray("a.refs"), r.DefineWordArray("a.words")}
+	r.Reset()
+	if r.Len() != 0 || r.Lookup("a.node") != nil {
+		t.Fatalf("a reset registry still has %d types, a.node %v", r.Len(), r.Lookup("a.node"))
+	}
+	define := func(r *Registry, into []*TypeDesc) {
+		into[0], into[1] = r.DefineWordArray("b.words"), r.DefineScalar("b.node", 1, 4)
+	}
+	fresh, got := make([]*TypeDesc, 2), make([]*TypeDesc, 2)
+	define(NewRegistry(), fresh)
+	if n := testing.AllocsPerRun(1, func() { r.Reset(); define(r, got) }); n != 0 {
+		t.Errorf("resetting a registry and defining into it made %v Go objects, want 0", n)
+	}
+	for i, td := range got {
+		if *td != *fresh[i] {
+			t.Errorf("type %d on a reset registry: %+v, on a new one %+v", i, *td, *fresh[i])
+		}
+		if td != old[i] {
+			t.Errorf("type %d was not defined into the reset registry's descriptor", i)
+		}
+	}
+	if r.Lookup("b.words") != got[0] || r.Get(2) != got[1] {
+		t.Error("a reset registry does not find the types defined into it")
+	}
+	if r.Lookup("a.refs") != nil {
+		t.Error("a reset registry finds a name defined before the reset")
+	}
+}

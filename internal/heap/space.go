@@ -43,22 +43,21 @@ type Space struct {
 // be a power of two and at least 256 bytes. The registry may be shared
 // between spaces (e.g. a collected space and an immortal space).
 func NewSpace(frameBytes int, types *Registry) *Space {
-	return NewSpaceFrom(frameBytes, types, SpaceStorage{})
+	return NewSpaceFrom(frameBytes, types, new(SpaceStorage))
 }
 
 // SpaceStorage is what a released Space's tables leave behind: the frame
 // table, the recycle queue and the list of unmapped slabs, each emptied
-// with its array kept. Only their capacity carries over, so a Space built
-// from them is a fresh one.
-type SpaceStorage struct {
-	frames [][]uint32
-	free   []Frame
-	pool   [][]uint32
-}
+// with its array kept, held in the Space value the next one is built in.
+// Only their capacity carries over, so a Space built from them is a fresh
+// one.
+type SpaceStorage struct{ s Space }
 
-// NewSpaceFrom is NewSpace building its tables on st's arrays (the zero
-// SpaceStorage builds them from nothing).
-func NewSpaceFrom(frameBytes int, types *Registry, st SpaceStorage) *Space {
+// NewSpaceFrom is NewSpace building its tables on st's arrays (a zero
+// SpaceStorage builds them from nothing). The Space is st's own: whoever
+// holds st keeps the Space in it, and the next Release of that Space
+// refills st (a heap hands its Space on this way, allocating none).
+func NewSpaceFrom(frameBytes int, types *Registry, st *SpaceStorage) *Space {
 	if frameBytes < 256 || frameBytes&(frameBytes-1) != 0 {
 		panic(fmt.Sprintf("heap: frame size %d is not a power of two >= 256", frameBytes))
 	}
@@ -66,15 +65,17 @@ func NewSpaceFrom(frameBytes int, types *Registry, st SpaceStorage) *Space {
 	for 1<<shift != frameBytes {
 		shift++
 	}
-	return &Space{
+	s := &st.s
+	*s = Space{
 		Types:      types,
 		frameBytes: frameBytes,
 		frameShift: shift,
 		wordMask:   uint32(frameBytes>>WordShift) - 1,
-		frames:     append(st.frames[:0], nil), // frame 0 reserved, never mapped
-		free:       st.free[:0],
-		pool:       st.pool[:0],
+		frames:     append(s.frames[:0], nil), // frame 0 reserved, never mapped
+		free:       s.free[:0],
+		pool:       s.pool[:0],
 	}
+	return s
 }
 
 // FrameBytes returns the frame size in bytes.
@@ -121,7 +122,7 @@ var slabLists [32]FreeList[[]uint32]
 // harmless (and returns nothing the second time).
 func (s *Space) Release() SpaceStorage {
 	if s.released {
-		return SpaceStorage{}
+		return SpaceStorage{Space{released: true}}
 	}
 	s.released = true
 	l := &slabLists[s.frameShift]
@@ -135,7 +136,8 @@ func (s *Space) Release() SpaceStorage {
 	l.mu.Unlock()
 	clear(s.frames)
 	clear(s.pool)
-	st := SpaceStorage{frames: s.frames[:0], free: s.free[:0], pool: s.pool[:0]}
+	// The storage's Space is released too, until NewSpaceFrom builds on it.
+	st := SpaceStorage{Space{released: true, frames: s.frames[:0], free: s.free[:0], pool: s.pool[:0]}}
 	s.frames, s.pool, s.free, s.freeHead, s.mapped = nil, nil, nil, 0, 0
 	return st
 }

@@ -49,7 +49,7 @@ const maxObjectWords = 1<<30 - headerWords
 // is baseWords + n*elemWords words, header included, and the
 // baseRefs + n*elemRefs words after the header are its reference slots;
 // the rest are data words. The four fill the padding after ID and Kind,
-// so they cost a TypeDesc no bytes (every run defines its types afresh).
+// so they cost a TypeDesc no bytes.
 type TypeDesc struct {
 	ID                  TypeID
 	baseWords           int32
@@ -84,6 +84,11 @@ func (t *TypeDesc) dataLayout(length int) (base, n int) {
 // Registry interns type descriptors. The zero TypeID is reserved so that
 // a zero header word is always invalid — it catches reads of unformatted
 // memory in tests.
+//
+// A registry may be Reset and defined into again: it keeps the
+// descriptors it made, and Define fills them in place, in definition
+// order, so a reset registry hands out the IDs a new one would and makes
+// no Go object for a type it has defined before.
 type Registry struct {
 	types  []*TypeDesc
 	byName map[string]*TypeDesc
@@ -91,10 +96,21 @@ type Registry struct {
 
 // NewRegistry returns an empty registry with TypeID 0 reserved.
 func NewRegistry() *Registry {
-	return &Registry{
-		types:  []*TypeDesc{nil}, // ID 0 reserved
-		byName: make(map[string]*TypeDesc),
+	r := new(Registry)
+	r.Reset()
+	return r
+}
+
+// Reset empties the registry, as NewRegistry builds it: every name and ID
+// it knew is forgotten, and the next Define is TypeID 1 again. The
+// descriptors it handed out before are refilled by later Defines, so none
+// may be in use: reset a registry only once its heap's run is over.
+func (r *Registry) Reset() {
+	if r.byName == nil {
+		r.byName = make(map[string]*TypeDesc)
 	}
+	clear(r.byName)
+	r.types = append(r.types[:0], nil) // ID 0 reserved
 }
 
 // Define registers a new type and assigns its ID. It panics on duplicate
@@ -119,7 +135,15 @@ func (r *Registry) Define(name string, kind Kind, refSlots, dataWords int) *Type
 	if len(r.types) > maxTypeID {
 		panic("heap: too many types")
 	}
-	t := &TypeDesc{
+	// The descriptor past the end, left by a Reset, is refilled.
+	var t *TypeDesc
+	if n := len(r.types); n < cap(r.types) {
+		t = r.types[:n+1][n]
+	}
+	if t == nil {
+		t = new(TypeDesc)
+	}
+	*t = TypeDesc{
 		ID:        TypeID(len(r.types)),
 		Name:      name,
 		Kind:      kind,

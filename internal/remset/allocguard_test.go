@@ -126,7 +126,8 @@ func TestWarmTableZeroAlloc(t *testing.T) {
 		if used.NumSets() == 0 {
 			t.Fatal("the script left no sets: nothing for Release to hand on")
 		}
-		tables[i] = NewTableFrom(used.Release())
+		st := used.Release()
+		tables[i] = NewTableFrom(&st)
 	}
 	next := 0
 	if n := testing.AllocsPerRun(runs, func() {

@@ -149,7 +149,8 @@ func FuzzRemsetTable(f *testing.F) {
 				}
 			case 12:
 				// A run ends; the next run's table starts on its storage.
-				tbl = remset.NewTableFrom(tbl.Release())
+				st := tbl.Release()
+				tbl = remset.NewTableFrom(&st)
 				model = nil
 			case 13:
 				match := func(src, tgt heap.Frame) bool {

@@ -44,7 +44,8 @@ func TestTableFromSparesMatchesFresh(t *testing.T) {
 	if used.NumSets() == 0 {
 		t.Fatal("the released table held no sets: nothing to recycle")
 	}
-	warm := NewTableFrom(used.Release())
+	st := used.Release()
+	warm := NewTableFrom(&st)
 	if got, want := driveTable(warm, 2), driveTable(NewTable(), 2); !reflect.DeepEqual(got, want) {
 		t.Errorf("a table on recycled spares diverged from a new one (%d and %d answers)", len(got), len(want))
 	}

@@ -130,15 +130,18 @@ type Table struct {
 const minIndexBits = 4
 
 // NewTable returns an empty remembered-set table.
-func NewTable() *Table { return NewTableFrom(Storage{}) }
+func NewTable() *Table { return NewTableFrom(new(Storage)) }
 
 // Storage is what a released Table leaves behind: every array it grew,
 // emptied, with its capacity kept — the sets with theirs, the per-frame
-// records, the key index and the harvest scratch.
+// records, the key index and the harvest scratch — in the Table value the
+// next one is built in.
 type Storage struct{ t Table }
 
-// NewTableFrom is NewTable building on st's arrays.
-func NewTableFrom(st Storage) *Table {
+// NewTableFrom is NewTable building on st's arrays. The table is st's
+// own: whoever holds st keeps the table in it, and the table's next
+// Release refills st.
+func NewTableFrom(st *Storage) *Table {
 	t := &st.t
 	if t.index == nil {
 		t.index, t.shift = make([]ref, 1<<minIndexBits), 64-minIndexBits

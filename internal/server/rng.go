@@ -20,8 +20,14 @@ import (
 type rng struct{ state uint64 }
 
 func newRNG(seed int64) *rng {
+	r := seededRNG(seed)
+	return &r
+}
+
+// seededRNG is the rng newRNG returns, as a value.
+func seededRNG(seed int64) rng {
 	// Avoid the all-zero state and decorrelate small seeds.
-	return &rng{state: uint64(seed)*0x9E3779B97F4A7C15 + 0x1F123BB5159A55E5}
+	return rng{state: uint64(seed)*0x9E3779B97F4A7C15 + 0x1F123BB5159A55E5}
 }
 
 func (r *rng) Uint64() uint64 {
@@ -59,7 +65,13 @@ type zipf struct {
 }
 
 func newZipf(n int, theta float64) *zipf {
-	z := &zipf{theta: theta, half: math.Pow(0.5, theta)}
+	z := makeZipf(n, theta)
+	return &z
+}
+
+// makeZipf is the sampler newZipf returns, as a value.
+func makeZipf(n int, theta float64) zipf {
+	z := zipf{theta: theta, half: math.Pow(0.5, theta)}
 	z.zeta2 = zetaRange(0, 2, theta)
 	z.Grow(n)
 	return z

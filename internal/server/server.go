@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
 	"beltway/internal/gc"
 	"beltway/internal/heap"
@@ -194,8 +195,8 @@ type Loop struct {
 	obs     Observer
 	started bool
 
-	rng  *rng
-	zipf *zipf
+	rng  rng
+	zipf zipf
 	perm []int // rank -> key
 
 	dir         gc.Handle
@@ -219,7 +220,9 @@ type Loop struct {
 	// entry. ReportLoops sorts each phase in its place.
 	lats   []float64
 	starts []int
-	// Per-phase counts.
+	// Per-phase counts. counts is the array starts, reads, writes and
+	// paused are carved from.
+	counts    []int
 	reads     []int
 	writes    []int
 	paused    []int
@@ -238,23 +241,42 @@ type LoopOpts struct {
 // touching the heap, so a sharded plan can hold a Loop per shard before
 // any round runs.
 func NewLoop(cfg Config, opts LoopOpts) (*Loop, error) {
-	if err := cfg.Validate(); err != nil {
+	l := new(Loop)
+	if err := l.Reset(cfg, opts); err != nil {
 		return nil, err
 	}
+	return l, nil
+}
+
+// Reset makes l the Loop NewLoop(cfg, opts) returns, its per-phase counts
+// in the arrays l had: a loop kept from one run to the next (a harness
+// lane's) serves the next script allocating none. Release it first.
+func (l *Loop) Reset(cfg Config, opts LoopOpts) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	total := cfg.TotalRequests()
-	return &Loop{
+	// The per-phase counts share one array.
+	n := len(cfg.Phases)
+	counts := slices.Grow(l.counts[:0], 4*n)[:4*n]
+	worstInfl := slices.Grow(l.worstInfl[:0], n)[:n]
+	clear(counts)
+	clear(worstInfl)
+	*l = Loop{
 		cfg:       cfg,
 		obs:       opts.Observer,
-		rng:       newRNG(cfg.Seed),
-		zipf:      newZipf(cfg.Keys, theta),
+		rng:       seededRNG(cfg.Seed),
+		zipf:      makeZipf(cfg.Keys, theta),
 		total:     total,
 		lats:      takeBuf(&latBufs, total),
-		starts:    make([]int, 0, len(cfg.Phases)),
-		reads:     make([]int, len(cfg.Phases)),
-		writes:    make([]int, len(cfg.Phases)),
-		paused:    make([]int, len(cfg.Phases)),
-		worstInfl: make([]float64, len(cfg.Phases)),
-	}, nil
+		counts:    counts,
+		starts:    counts[0:0:n],
+		reads:     counts[n : 2*n : 2*n],
+		writes:    counts[2*n : 3*n : 3*n],
+		paused:    counts[3*n : 4*n : 4*n],
+		worstInfl: worstInfl,
+	}
+	return nil
 }
 
 // Start builds the store and populates the initial working set on the
@@ -371,7 +393,7 @@ func (l *Loop) request() {
 		// The hot set: the most popular 1/64 of the initial keys.
 		rank = l.rng.Intn(max(l.cfg.Keys/64, 1))
 	} else {
-		rank = l.zipf.Sample(l.rng)
+		rank = l.zipf.Sample(&l.rng)
 	}
 	key := l.perm[rank]
 

@@ -4,12 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
+	"slices"
 
 	"beltway/internal/core"
 	"beltway/internal/heap"
 	"beltway/internal/telemetry"
-	"beltway/internal/vm"
 )
 
 // Options parameterizes a sharded runtime.
@@ -57,41 +56,71 @@ type Runtime struct {
 	roundStart []float64   // per-shard clock reading at round open
 	costs      [][]float64 // costs[i][r]: lane i's clock advance over round r, under Run
 	makespan   float64     // Σ rounds of max-over-shards round cost
+	folded     int         // rounds of Run's plan already in the makespan
+	plan       Plan        // the plan Run runs
 	ran        bool        // a plan has been run (a runtime runs one)
+	released   bool
+
+	lanes     []*Shard        // every shard the runtime has had; shards are the first opts.Shards
+	collectFn func(round int) // rt.collectAfter, made once
 }
+
+// runtimes holds released runtimes — the lane shells: Runtime, safepoint,
+// Shards with their type registries, mutator facades and telemetry runs,
+// round clocks and costs — for New, like core's scaffolds: it holds at
+// most as many as there were runtimes live at once.
+var runtimes heap.FreeList[*Runtime]
 
 // New builds a sharded runtime over the template configuration: every
 // shard gets a private heap of cfg's full HeapBytes (scale-out — N
-// mutators on N times the single-mutator run's machine).
+// mutators on N times the single-mutator run's machine). It builds on a
+// released runtime when there is one (Release), in the same values.
 func New(cfg core.Config, opts Options) (*Runtime, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, have %d", opts.Shards)
 	}
-	rt := &Runtime{
-		opts:       opts,
-		sp:         newSafepoint(opts.Shards),
-		roundStart: make([]float64, opts.Shards),
+	rt, ok := runtimes.Take()
+	if !ok {
+		rt = &Runtime{sp: new(safepoint)}
+		rt.collectFn = rt.collectAfter
 	}
-	for i := 0; i < opts.Shards; i++ {
-		h, err := core.New(cfg, heap.NewRegistry())
+	lanes := rt.lanes
+	for len(lanes) < opts.Shards {
+		lanes = append(lanes, new(Shard))
+	}
+	rt.sp.reset(opts.Shards)
+	*rt = Runtime{
+		opts:       opts,
+		shards:     lanes[:opts.Shards],
+		sp:         rt.sp,
+		roundStart: slices.Grow(rt.roundStart[:0], opts.Shards)[:opts.Shards],
+		costs:      slices.Grow(rt.costs[:0], opts.Shards)[:opts.Shards],
+		lanes:      lanes,
+		collectFn:  rt.collectFn,
+	}
+	for i, s := range rt.shards {
+		s.shell.types.Reset()
+		h, err := core.New(cfg, &s.shell.types)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		s := &Shard{
-			ID:   i,
-			Heap: h,
-			M:    vm.New(h),
-			Rng:  takeRng(StreamSeed(opts.Seed, i)),
+		*s = Shard{
+			ID:    i,
+			Heap:  h,
+			M:     &s.shell.mut,
+			Rng:   takeRng(StreamSeed(opts.Seed, i)),
+			shell: s.shell,
 		}
+		s.M.Reset(h)
 		if opts.Validate {
 			s.V = s.M.EnableValidation()
 		}
 		if opts.Telemetry {
 			// Merged, not set: the validator's check is a PostGC hook.
-			s.Tele = telemetry.NewRun(h.Clock())
+			s.Tele = &s.shell.tele
+			s.Tele.Reset(h.Clock())
 			h.SetHooks(h.Hooks().Merge(s.Tele.Hooks()))
 		}
-		rt.shards = append(rt.shards, s)
 	}
 	return rt, nil
 }
@@ -133,45 +162,57 @@ func (rt *Runtime) Run(p Plan) error {
 		return err
 	}
 	rt.openRoundClocks()
-	rt.costs = make([][]float64, len(rt.shards))
-	folded := 0 // rounds already in the makespan
-	fold := func(rounds int) {
-		for ; folded < rounds; folded++ {
-			var maxCost float64
-			for _, c := range rt.costs {
-				if d := c[folded]; d > maxCost {
-					maxCost = d
-				}
-			}
-			rt.makespan += maxCost
+	rt.plan, rt.folded = p, 0
+	for i, c := range rt.costs {
+		// Stale entries: a lane writes each before fold reads it.
+		rt.costs[i] = slices.Grow(c[:0], p.Rounds)[:p.Rounds]
+	}
+	rt.sp.lanes.Add(len(rt.shards))
+	for _, s := range rt.shards {
+		go rt.lane(s)
+	}
+	rt.sp.lanes.Wait()
+	rt.fold(p.Rounds)
+	rt.plan = Plan{}
+	return nil
+}
+
+// lane runs shard s's rounds of the plan under Run, on a goroutine of its
+// own, noting its clock's advance over every round.
+func (rt *Runtime) lane(s *Shard) {
+	defer rt.sp.lanes.Done()
+	p, cost, clock := rt.plan, rt.costs[s.ID], s.Heap.Clock()
+	for r := 0; r < p.Rounds; r++ {
+		s.runRound(r, p.Body)
+		now := clock.Now()
+		cost[r] = now - rt.roundStart[s.ID]
+		rt.roundStart[s.ID] = now
+		if p.collectsAfter(r) {
+			rt.sp.rendezvous(rt.collectFn, r)
 		}
 	}
-	var wg sync.WaitGroup
-	for i, s := range rt.shards {
-		cost := takeCosts(p.Rounds)
-		rt.costs[i] = cost
-		wg.Add(1)
-		go func(s *Shard) {
-			defer wg.Done()
-			clock := s.Heap.Clock()
-			for r := 0; r < p.Rounds; r++ {
-				s.runRound(r, p.Body)
-				now := clock.Now()
-				cost[r] = now - rt.roundStart[s.ID]
-				rt.roundStart[s.ID] = now
-				if p.collectsAfter(r) {
-					rt.sp.rendezvous(func() {
-						fold(r + 1)
-						rt.collectAll(r, true)
-						rt.openRoundClocks()
-					})
-				}
+}
+
+// collectAfter is the work of a rendezvous after round under Run: the
+// rounds so far folded into the makespan, then the global collection.
+func (rt *Runtime) collectAfter(round int) {
+	rt.fold(round + 1)
+	rt.collectAll(round, true)
+	rt.openRoundClocks()
+}
+
+// fold adds the rounds before rounds that are not in the makespan yet,
+// each the slowest lane's cost of it.
+func (rt *Runtime) fold(rounds int) {
+	for ; rt.folded < rounds; rt.folded++ {
+		var maxCost float64
+		for _, c := range rt.costs {
+			if d := c[rt.folded]; d > maxCost {
+				maxCost = d
 			}
-		}(s)
+		}
+		rt.makespan += maxCost
 	}
-	wg.Wait()
-	fold(p.Rounds)
-	return nil
 }
 
 // RunSerial executes the same plan on the calling goroutine, and starts
@@ -242,32 +283,42 @@ func (rt *Runtime) barrier(p Plan, round int) {
 // makespan what it costs the slowest shard.
 func (rt *Runtime) collectAll(round int, sideBySide bool) {
 	rt.openRoundClocks()
-	var wg sync.WaitGroup
 	for _, s := range rt.shards {
 		switch {
 		case s.Dead():
 		case sideBySide:
-			wg.Add(1)
-			go func(s *Shard) {
-				defer wg.Done()
-				s.collect(round)
-			}(s)
+			rt.sp.collecting.Add(1)
+			go rt.collectLane(s, round)
 		default:
 			s.collect(round)
 		}
 	}
-	wg.Wait()
+	rt.sp.collecting.Wait()
 	rt.makespan += rt.slowest()
 }
 
-// Release hands every shard's heap (core.Heap.Release), flight recorder
-// ring (telemetry.Run.Release), RNG and round costs to the next run in
-// the process.
-// Call it once the clocks, MergedTelemetry and any validator fingerprints
-// have been read: afterwards the shard heaps fault on every access, the
-// recorders hold no events and Rng is nil.
+// collectLane is shard s's part of a side-by-side global collection.
+func (rt *Runtime) collectLane(s *Shard, round int) {
+	defer rt.sp.collecting.Done()
+	s.collect(round)
+}
+
+// Release hands the runtime to the next New in the process, and every
+// shard's heap (core.Heap.Release), flight recorder ring
+// (telemetry.Run.Release) and RNG to the next run's. Call it once the
+// clocks, MergedTelemetry and any validator fingerprints have been read:
+// afterwards the shard heaps fault on every access, the recorders hold
+// no events and Rng is nil, until New builds on the runtime again.
+// Releasing twice is harmless.
 func (rt *Runtime) Release() {
-	for _, s := range rt.shards {
+	if rt.released {
+		return
+	}
+	rt.released = true
+	// Last lane first: the lists are LIFO, so the next runtime's lane i
+	// takes back lane i's heap and RNG, already grown to what lane i needs.
+	for i := len(rt.shards) - 1; i >= 0; i-- {
+		s := rt.shards[i]
 		if s.Tele != nil {
 			s.Tele.Release()
 		}
@@ -277,10 +328,7 @@ func (rt *Runtime) Release() {
 			s.Rng = nil
 		}
 	}
-	for _, c := range rt.costs {
-		costBufs.Put(c)
-	}
-	rt.costs = nil
+	runtimes.Put(rt)
 }
 
 // rngs holds the RNGs of released shards. A math/rand source is 4.9 KB
@@ -295,19 +343,6 @@ func takeRng(seed int64) *rand.Rand {
 		return r
 	}
 	return rand.New(rand.NewSource(seed))
-}
-
-// costBufs holds the round-cost slices of released runtimes, one a lane.
-var costBufs heap.FreeList[[]float64]
-
-// takeCosts returns a slice of n round costs, recycled when a free one is
-// long enough. Its entries are stale: a lane writes each before fold
-// reads it.
-func takeCosts(n int) []float64 {
-	if c, ok := costBufs.Take(); ok && cap(c) >= n {
-		return c[:n]
-	}
-	return make([]float64, n)
 }
 
 // MergedTelemetry merges every shard's telemetry snapshot into one

@@ -10,35 +10,39 @@ import "sync"
 // rounds, so it still arrives at every rendezvous.
 type safepoint struct {
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond sync.Cond
 
-	lanes   int
+	parties int
 	arrived int    // lanes parked at the collection rendezvous in progress
 	gen     uint64 // bumped when a rendezvous opens
 	waits   int    // rendezvous calls that had to block
+
+	lanes      sync.WaitGroup // the lane goroutines of Run
+	collecting sync.WaitGroup // the heaps of a side-by-side global collection
 }
 
-func newSafepoint(lanes int) *safepoint {
-	sp := &safepoint{lanes: lanes}
-	sp.cond = sync.NewCond(&sp.mu)
-	return sp
+// reset readies the safepoint for a plan on lanes lanes; nothing may be
+// waiting in it.
+func (sp *safepoint) reset(lanes int) {
+	sp.cond.L = &sp.mu
+	sp.parties, sp.arrived, sp.gen, sp.waits = lanes, 0, 0, 0
 }
 
-// rendezvous blocks until every lane has called it. The last to arrive
-// runs work — all the others are parked, so work owns every lane's
-// state, ordered after their writes and before their next reads by mu
-// — and then releases them.
-func (sp *safepoint) rendezvous(work func()) {
+// rendezvous blocks until every lane has called it after round. The last
+// to arrive runs work(round) — all the others are parked, so work owns
+// every lane's state, ordered after their writes and before their next
+// reads by mu — and then releases them.
+func (sp *safepoint) rendezvous(work func(round int), round int) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if sp.arrived++; sp.arrived < sp.lanes {
+	if sp.arrived++; sp.arrived < sp.parties {
 		sp.waits++
 		for gen := sp.gen; sp.gen == gen; {
 			sp.cond.Wait()
 		}
 		return
 	}
-	work()
+	work(round)
 	sp.arrived = 0
 	sp.gen++
 	sp.cond.Broadcast()

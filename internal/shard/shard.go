@@ -19,6 +19,7 @@ import (
 	"math/rand"
 
 	"beltway/internal/core"
+	"beltway/internal/heap"
 	"beltway/internal/telemetry"
 	"beltway/internal/vm"
 )
@@ -50,6 +51,18 @@ type Shard struct {
 	failure string
 	// panicked is the recovered value behind a "panic in ..." failure.
 	panicked any
+
+	shell laneShell
+}
+
+// laneShell is what a lane's heap, M and Tele are built in, handed from
+// run to run with the Runtime: the type registry (reset, so no name or ID
+// of the run before is seen), the mutator facade and the telemetry run
+// with its hook closures.
+type laneShell struct {
+	types heap.Registry
+	mut   vm.Mutator
+	tele  telemetry.Run
 }
 
 // Dead reports whether the shard stopped early (OOM or failure); a dead

@@ -285,3 +285,33 @@ func TestValidationSurvivesTelemetry(t *testing.T) {
 		s.M.Collect(true)
 	})
 }
+
+// TestReleasedRuntimeBuildsNothing: a runtime built after another's
+// Release is that runtime, lane for lane — Shards, heaps, type
+// registries, mutators and telemetry runs — so building it and handing it
+// on again makes no Go object.
+func TestReleasedRuntimeBuildsNothing(t *testing.T) {
+	rt := newTestRuntime(t, 2, false)
+	if err := rt.Run(testPlan(4)); err != nil {
+		t.Fatal(err)
+	}
+	lanes := append([]*Shard(nil), rt.Shards()...)
+	heaps := []any{lanes[0].Heap, lanes[1].Heap}
+	rt.Release()
+	cfg := testConfig()
+	n := testing.AllocsPerRun(5, func() {
+		next, err := New(cfg, Options{Shards: 2, Seed: 20020617, Telemetry: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range next.Shards() {
+			if s != lanes[i] || s.Heap != heaps[i] || s.M != &s.shell.mut || s.Tele != &s.shell.tele {
+				t.Fatalf("lane %d was not built in the released runtime's lane", i)
+			}
+		}
+		next.Release()
+	})
+	if n != 0 {
+		t.Errorf("building a runtime on a released one and releasing it made %v Go objects, want 0", n)
+	}
+}

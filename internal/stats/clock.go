@@ -80,7 +80,17 @@ func (c *Counters) Add(o Counters) {
 
 // NewClock returns a clock using the given cost model.
 func NewClock(c CostModel) *Clock {
-	return &Clock{Costs: c}
+	clk := new(Clock)
+	clk.Reset(c)
+	return clk
+}
+
+// Reset starts the clock over on cost model c, as NewClock builds it: no
+// time, no pauses, no counts. The pause log keeps its array, so a run on
+// a reset clock records its pauses into the last run's storage: read or
+// copy Pauses before the reset.
+func (c *Clock) Reset(costs CostModel) {
+	*c = Clock{Costs: costs, pauses: c.pauses[:0]}
 }
 
 // Now returns the current time in cost units.

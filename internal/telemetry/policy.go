@@ -10,7 +10,10 @@ import "math"
 type PolicyObserver struct{ run *Run }
 
 // PolicyObserver returns the run's decision observer.
-func (r *Run) PolicyObserver() *PolicyObserver { return &PolicyObserver{run: r} }
+func (r *Run) PolicyObserver() *PolicyObserver {
+	r.policy.run = r
+	return &r.policy
+}
 
 // Decision records one controller decision (policy.Emitter). Knob and
 // reason arrive as their numeric ids; belt is -1 for a marker.

@@ -32,15 +32,24 @@ type FlightRecorder struct {
 // recorder reads back only the events it emitted itself, so an earlier
 // run's events in the ring are never seen.
 func NewFlightRecorder(capacity int) *FlightRecorder {
+	r := new(FlightRecorder)
+	r.reset(capacity)
+	return r
+}
+
+// reset makes r the empty recorder NewFlightRecorder(capacity) returns.
+func (r *FlightRecorder) reset(capacity int) {
 	if capacity <= 0 {
 		capacity = DefaultRecorderCap
 	}
+	r.total = 0
 	if capacity == DefaultRecorderCap {
-		if r, ok := rings.Take(); ok {
-			return &FlightRecorder{buf: r[:]}
+		if ring, ok := rings.Take(); ok {
+			r.buf = ring[:]
+			return
 		}
 	}
-	return &FlightRecorder{buf: make([]Event, capacity)}
+	r.buf = make([]Event, capacity)
 }
 
 // Release hands the recorder's ring to the next recorder built in the

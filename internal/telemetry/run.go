@@ -15,19 +15,35 @@ import (
 // event restates its collection's share of them.
 type Run struct {
 	clock *stats.Clock
-	rec   *FlightRecorder
+	rec   FlightRecorder
 
 	gcOrdinal uint64 // collections seen by these hooks (1-based)
+
+	// The hook closures and the observers, made once for the Run.
+	hooks  gc.Hooks
+	server ServerObserver
+	policy PolicyObserver
 }
 
 // NewRun builds a Run observing the given clock, with a
 // DefaultRecorderCap flight recorder.
 func NewRun(clock *stats.Clock) *Run {
-	return &Run{clock: clock, rec: NewFlightRecorder(0)}
+	r := new(Run)
+	r.Reset(clock)
+	return r
+}
+
+// Reset makes r the Run NewRun(clock) builds, on a released recorder's
+// ring when there is one. A Run kept from one run to the next (shard's
+// lanes) is reset onto the next run's clock after its Release; its hook
+// closures, made once, stay valid.
+func (r *Run) Reset(clock *stats.Clock) {
+	r.clock, r.gcOrdinal = clock, 0
+	r.rec.reset(DefaultRecorderCap)
 }
 
 // Recorder returns the run's flight recorder.
-func (r *Run) Recorder() *FlightRecorder { return r.rec }
+func (r *Run) Recorder() *FlightRecorder { return &r.rec }
 
 // Release hands the run's recorder ring to the next run in the process
 // (FlightRecorder.Release). Snapshot first.
@@ -41,9 +57,18 @@ func (r *Run) now() float64 {
 	return r.clock.Now()
 }
 
-// Hooks returns the gc.Hooks that feed this run. The returned closures
-// are built once here; invoking them performs no allocation.
+// Hooks returns the gc.Hooks that feed this run. The closures are built
+// on the first call and kept with the Run; invoking them performs no
+// allocation.
 func (r *Run) Hooks() gc.Hooks {
+	if r.hooks.GCBegin == nil {
+		r.hooks = r.newHooks()
+	}
+	return r.hooks
+}
+
+// newHooks builds the closures Hooks returns.
+func (r *Run) newHooks() gc.Hooks {
 	return gc.Hooks{
 		GCBegin: func(info gc.GCBeginInfo) {
 			r.gcOrdinal++

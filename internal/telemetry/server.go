@@ -7,7 +7,10 @@ package telemetry
 type ServerObserver struct{ run *Run }
 
 // ServerObserver returns the run's request observer.
-func (r *Run) ServerObserver() *ServerObserver { return &ServerObserver{run: r} }
+func (r *Run) ServerObserver() *ServerObserver {
+	r.server.run = r
+	return &r.server
+}
 
 // Request records one served request (server.Observer).
 func (o *ServerObserver) Request(kind, phase, key int, start, latency, pauseCost float64) {

@@ -67,7 +67,16 @@ func (m *Mutator) SetRecorder(r Recorder) { m.R = r }
 
 // New wraps a collector in a mutator facade.
 func New(c gc.Collector) *Mutator {
-	return &Mutator{C: c, roots: c.Roots(), space: c.Space(), clock: c.Clock()}
+	m := new(Mutator)
+	m.Reset(c)
+	return m
+}
+
+// Reset makes m the facade New(c) returns: no validator, no recorder. A
+// mutator kept from one run to the next (shard's lanes) is reset onto
+// the next run's collector.
+func (m *Mutator) Reset(c gc.Collector) {
+	*m = Mutator{C: c, roots: c.Roots(), space: c.Space(), clock: c.Clock()}
 }
 
 // EnableValidation attaches the shadow-graph oracle. It makes runs much

@@ -32,7 +32,7 @@ func jackBody(c *Ctx) {
 	// Every run reads a grammar of nProd productions and builds nStates
 	// states; one buffer each holds them for all 16 runs.
 	nProd, nStates := c.N(700), c.N(2400)
-	prods, states := make([]gc.Handle, nProd), make([]gc.Handle, nStates)
+	prods, states := c.handles(nProd), c.handles(nStates)
 	runs := 16 // the paper: jack "generates a parser repeatedly" (16 runs)
 	for run := 0; run < runs; run++ {
 		m.Push() // run scope: everything below dies when the run ends

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"slices"
-
-	"beltway/internal/gc"
-)
+import "beltway/internal/gc"
 
 // Javac models 213_javac compiling a program repeatedly: each
 // compilation unit builds an AST and a symbol table laced with CYCLIC
@@ -41,7 +37,7 @@ func javacBody(c *Ctx) {
 	// loaded once (javac's live set is the largest of the JVM98 suite:
 	// 32MB min heap in Table 1).
 	nGlobal := c.N(9000)
-	globals := make([]gc.Handle, nGlobal)
+	globals := c.handles(nGlobal)
 	for i := range globals {
 		sym := c.AllocLongLived(symbol, 0)
 		m.SetData(sym, 0, uint32(i))
@@ -54,10 +50,20 @@ func javacBody(c *Ctx) {
 	units := c.N(220)
 	// Compiled output: like javac's per-run reset, only a window of
 	// recent units' code stays live.
-	emitted := newWindow(c.N(40))
-	// The current unit's scopes, symbols and AST: one buffer each for
-	// every unit.
-	var scopes, syms, nodes []gc.Handle
+	emitted := newWindow(c, c.N(40))
+	// A unit has scopesMin + Intn(scopesSpan) scopes, each with
+	// symsMin + Intn(symsSpan) symbols, and nodesMin + Intn(nodesSpan) AST
+	// nodes. Its scopes, symbols and AST: one buffer each for every unit,
+	// as large as a unit's can be.
+	const (
+		scopesMin, scopesSpan = 12, 8
+		symsMin, symsSpan     = 4, 10
+		nodesMin, nodesSpan   = 900, 600
+		maxScopes             = scopesMin + scopesSpan - 1
+	)
+	scopes := c.handles(maxScopes)[:0]
+	syms := c.handles(maxScopes * (symsMin + symsSpan - 1))[:0]
+	nodes := c.handles(nodesMin + nodesSpan - 1)[:0]
 
 	for u := 0; u < units; u++ {
 		// A compilation unit: all of its structure becomes garbage at
@@ -76,7 +82,7 @@ func javacBody(c *Ctx) {
 		// Scopes and symbols: cyclic. Each scope points at its parent
 		// and at its symbol chain; each symbol points BACK at its scope
 		// (the cycle), at a peer symbol, and at its defining AST node.
-		nScopes := 12 + c.Rng.Intn(8)
+		nScopes := scopesMin + c.Rng.Intn(scopesSpan)
 		scopes, syms = scopes[:0], syms[:0]
 		for s := 0; s < nScopes; s++ {
 			sc := m.Alloc(scope, 0)
@@ -84,7 +90,7 @@ func javacBody(c *Ctx) {
 			if s > 0 {
 				m.SetRef(sc, 0, scopes[c.Rng.Intn(s)]) // parent
 			}
-			nSyms := 4 + c.Rng.Intn(10)
+			nSyms := symsMin + c.Rng.Intn(symsSpan)
 			var prev gc.Handle
 			for k := 0; k < nSyms; k++ {
 				sym := m.Alloc(symbol, 0)
@@ -106,8 +112,8 @@ func javacBody(c *Ctx) {
 		}
 
 		// Parsing: an AST whose leaves reference symbols.
-		nNodes := 900 + c.Rng.Intn(600)
-		nodes = slices.Grow(nodes[:0], nNodes)
+		nNodes := nodesMin + c.Rng.Intn(nodesSpan)
+		nodes = nodes[:0]
 		for i := 0; i < nNodes; i++ {
 			nd := m.Alloc(astNode, 0)
 			if len(nodes) > 1 {

@@ -28,7 +28,7 @@ func jessBody(c *Ctx) {
 
 	// Rule network: long-lived, built once (like jess's Rete network).
 	nRules := c.N(160)
-	rules := make([]gc.Handle, nRules)
+	rules := c.handles(nRules)
 	for i := range rules {
 		rules[i] = m.Alloc(rule, 0)
 		m.SetData(rules[i], 0, uint32(i))
@@ -42,7 +42,7 @@ func jessBody(c *Ctx) {
 
 	// Working memory: a bounded FIFO of facts with medium lifetimes.
 	wmSize := c.N(7000)
-	wm := make([]gc.Handle, wmSize)
+	wm := c.handles(wmSize)
 	next := 0
 
 	activations := c.N(55000)

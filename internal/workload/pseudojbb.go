@@ -39,16 +39,16 @@ func pseudojbbBody(c *Ctx) {
 
 	// Tier setup: warehouses, districts, stock. All long-lived; this is
 	// most of pseudojbb's 70MB live set (scaled).
-	nWh := 4
-	nDist := 10
+	const nWh, nDist = 4, 10
 	nStockPerDist := c.N(1200)
 	retireAfter := 60 // a district keeps its last 60 orders open
 	type distT struct {
 		h          gc.Handle
-		stockTab   *table
+		stockTab   table
 		openOrders window // retirable orders, oldest first
 	}
-	var dists []*distT
+	var distArr [nWh * nDist]distT
+	dists := distArr[:0]
 	var prevWh gc.Handle
 	for w := 0; w < nWh; w++ {
 		wh := c.AllocLongLived(warehouse, 0)
@@ -72,14 +72,14 @@ func pseudojbbBody(c *Ctx) {
 				st.Set(m, s, sk)
 				m.Pop()
 			}
-			dists = append(dists, &distT{h: dh, stockTab: st, openOrders: newWindow(retireAfter)})
+			dists = append(dists, distT{h: dh, stockTab: st, openOrders: newWindow(c, retireAfter)})
 		}
 	}
 
 	// Fixed transaction count (the "pseudo" in pseudojbb).
 	transactions := c.N(45000)
 	for t := 0; t < transactions; t++ {
-		d := dists[c.Rng.Intn(len(dists))]
+		d := &dists[c.Rng.Intn(len(dists))]
 		m.Push()
 
 		// Transaction record and temporaries: die with the scope.

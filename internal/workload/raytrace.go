@@ -1,6 +1,10 @@
 package workload
 
-import "beltway/internal/gc"
+import (
+	"beltway/internal/gc"
+	"beltway/internal/heap"
+	"beltway/internal/vm"
+)
 
 // Raytrace models 205_raytrace: a scene graph (spheres, lights, a BVH
 // over them) is built once and lives for the whole run; rendering then
@@ -32,13 +36,13 @@ func raytraceBody(c *Ctx) {
 
 	// Scene: materials, spheres, and a BVH tree over them. Long-lived.
 	nMat := c.N(24)
-	mats := make([]gc.Handle, nMat)
+	mats := c.handles(nMat)
 	for i := range mats {
 		mats[i] = c.AllocLongLived(material, 0)
 		m.SetData(mats[i], 0, uint32(i))
 	}
 	nSph := c.N(900)
-	sphs := make([]gc.Handle, nSph)
+	sphs := c.handles(nSph)
 	for i := range sphs {
 		sphs[i] = c.AllocLongLived(sphere, 0)
 		m.SetRef(sphs[i], 0, mats[c.Rng.Intn(nMat)])
@@ -46,28 +50,11 @@ func raytraceBody(c *Ctx) {
 			m.SetData(sphs[i], w, c.Rng.Uint32())
 		}
 	}
-	// BVH: a balanced binary tree with spheres at the leaves.
-	var buildBVH func(lo, hi int) gc.Handle
-	buildBVH = func(lo, hi int) gc.Handle {
-		n := m.AllocGlobal(bvh, 0)
-		if hi-lo <= 1 {
-			m.SetRef(n, 2, sphs[lo])
-			return n
-		}
-		mid := (lo + hi) / 2
-		l := buildBVH(lo, mid)
-		r := buildBVH(mid, hi)
-		m.SetRef(n, 0, l)
-		m.SetRef(n, 1, r)
-		m.Release(l)
-		m.Release(r)
-		return n
-	}
-	root := buildBVH(0, nSph)
+	root := buildBVH(m, bvh, sphs)
 
 	// Render: width x height pixels, a handful of bounces per ray.
 	width, height := 200, c.N(150)
-	var lines []gc.Handle
+	lines := c.handles(height)[:0]
 	for y := 0; y < height; y++ {
 		line := m.AllocGlobal(scanline, width)
 		lines = append(lines, line)
@@ -113,4 +100,22 @@ func raytraceBody(c *Ctx) {
 	}
 	// The image (scanlines) stays live to the end, as rendered output.
 	_ = lines
+}
+
+// buildBVH builds a balanced binary tree of bvh nodes over sphs, the
+// spheres at its leaves, and returns its root.
+func buildBVH(m *vm.Mutator, bvh *heap.TypeDesc, sphs []gc.Handle) gc.Handle {
+	n := m.AllocGlobal(bvh, 0)
+	if len(sphs) <= 1 {
+		m.SetRef(n, 2, sphs[0])
+		return n
+	}
+	mid := len(sphs) / 2
+	l := buildBVH(m, bvh, sphs[:mid])
+	r := buildBVH(m, bvh, sphs[mid:])
+	m.SetRef(n, 0, l)
+	m.SetRef(n, 1, r)
+	m.Release(l)
+	m.Release(r)
+	return n
 }

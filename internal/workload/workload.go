@@ -59,6 +59,60 @@ type Ctx struct {
 	// default so baseline results match the paper's (which did not
 	// explore segregation).
 	Pretenure bool
+
+	// arena is the run's Go-side program state: the handle slices of its
+	// tables, windows and buffers are carved from it (handles). The first
+	// carve takes it from arenas; Release hands it back.
+	arena *arena
+}
+
+// arena is an array of handles carved up by one run at a time.
+type arena struct {
+	handles []gc.Handle
+	off     int // handles[:off] are carved
+	carved  int // handles carved by this run, in this array and earlier ones
+}
+
+// arenas holds the arenas of finished runs. An arena grows to what the
+// largest run it served carved, so a run on a released one makes no Go
+// object for its program state; the list holds at most as many as there
+// were runs at once.
+var arenas heap.FreeList[*arena]
+
+// handles returns n nil handles carved from the run's arena. Their
+// capacity is n, so an append past it copies instead of running into the
+// next carve: a buffer that grows is carved at its largest.
+func (c *Ctx) handles(n int) []gc.Handle {
+	a := c.arena
+	if a == nil {
+		if a, _ = arenas.Take(); a == nil {
+			a = new(arena)
+		}
+		c.arena = a
+	}
+	if a.off+n > len(a.handles) {
+		// Too small for this run: carve the rest of it from an array that
+		// holds everything the run carved so far and this, which the next
+		// run starts on. What was carved before stays where it is.
+		a.handles = make([]gc.Handle, max(2*len(a.handles), a.carved+n))
+		a.off = 0
+	}
+	s := a.handles[a.off : a.off+n : a.off+n]
+	clear(s)
+	a.off += n
+	a.carved += n
+	return s
+}
+
+// Release hands the context's arena to the next run in the process.
+// Call it once the benchmark body has returned: every table, window and
+// buffer the body carved is invalid afterwards.
+func (c *Ctx) Release() {
+	if a := c.arena; a != nil {
+		a.off, a.carved = 0, 0
+		arenas.Put(a)
+		c.arena = nil
+	}
 }
 
 // AllocLongLived allocates at a site the benchmark knows produces
@@ -132,6 +186,7 @@ func (b *Benchmark) Run(c gc.Collector, p Params) error {
 	m := vm.New(c)
 	ctx := &Ctx{M: m, Types: c.Space().Types, Rng: rand.New(rand.NewSource(p.Seed)),
 		Scale: p.Scale, Pretenure: p.Pretenure}
+	defer ctx.Release()
 	return m.Run(func() { b.Body(ctx) })
 }
 
@@ -180,14 +235,10 @@ const bucketSize = 256
 
 // newTable allocates a chunked reference table of n slots using the
 // given ref-array type.
-func newTable(c *Ctx, t *heap.TypeDesc, n int) *table {
-	tb := &table{}
-	for got := 0; got < n; got += bucketSize {
-		sz := bucketSize
-		if n-got < sz {
-			sz = n - got
-		}
-		tb.buckets = append(tb.buckets, c.M.AllocGlobal(t, sz))
+func newTable(c *Ctx, t *heap.TypeDesc, n int) table {
+	tb := table{buckets: c.handles((n + bucketSize - 1) / bucketSize)}
+	for i := range tb.buckets {
+		tb.buckets[i] = c.M.AllocGlobal(t, min(bucketSize, n-i*bucketSize))
 	}
 	return tb
 }
@@ -222,7 +273,7 @@ type window struct {
 }
 
 // newWindow returns an empty window of n handles (n >= 1).
-func newWindow(n int) window { return window{ring: make([]gc.Handle, 0, n)} }
+func newWindow(c *Ctx, n int) window { return window{ring: c.handles(n)[:0]} }
 
 // push adds h, releasing the oldest handle first if the window is full.
 func (w *window) push(m *vm.Mutator, h gc.Handle) {

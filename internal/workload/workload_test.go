@@ -2,10 +2,12 @@ package workload
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"beltway/internal/collectors"
 	"beltway/internal/core"
+	"beltway/internal/gc"
 	"beltway/internal/heap"
 	"beltway/internal/vm"
 )
@@ -176,5 +178,40 @@ func TestChunkedTable(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReleasedArenaCarvesNothing: a run's tables, windows and buffers are
+// carved from an arena a finished run released. The first run grows it
+// to what the run carved; a run of the same sizes after it carves every
+// handle slice from it, zeroed, making no Go object, however many Go
+// collections ran in between.
+func TestReleasedArenaCarvesNothing(t *testing.T) {
+	sizes := []int{700, 16, 4096, 60, 1}
+	carve := func(c *Ctx) {
+		for _, n := range sizes {
+			s := c.handles(n)
+			if len(s) != n || cap(s) != n {
+				t.Fatalf("carved %d handles with capacity %d, want %d", len(s), cap(s), n)
+			}
+			for i, h := range s {
+				if h != gc.NilHandle {
+					t.Fatalf("handle %d of a carved slice is %d, want nil", i, h)
+				}
+				s[i] = gc.Handle(i + 1) // left behind for the next run to clear
+			}
+		}
+	}
+	first := &Ctx{}
+	carve(first)
+	first.Release()
+	runtime.GC()
+	runtime.GC()
+	c := &Ctx{}
+	if n := testing.AllocsPerRun(5, func() {
+		carve(c)
+		c.Release()
+	}); n != 0 {
+		t.Errorf("a run on a released arena made %v Go objects, want 0", n)
 	}
 }
