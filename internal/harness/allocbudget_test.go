@@ -39,9 +39,20 @@ func mallocsOf(t *testing.T, cfg ConfigFunc, heapBytes int, bench *workload.Benc
 // and the bytes they came to.
 func goHeapCostOf(t *testing.T, cfg ConfigFunc, heapBytes int, bench *workload.Benchmark, env Env) (*Result, uint64, uint64) {
 	t.Helper()
+	return runCost(t, func() (*Result, error) { return RunOne(cfg(heapBytes), bench, env) })
+}
+
+// runCost runs once and returns the run, the Go mallocs it took and the
+// bytes they came to. The counters are the process's, so the window is
+// measured as testing.AllocsPerRun measures: at GOMAXPROCS 1, where no
+// other goroutine runs beside the run and allocates into its count (at
+// the host's GOMAXPROCS a warm row now and then read 5 mallocs too many).
+func runCost(t *testing.T, run func() (*Result, error)) (*Result, uint64, uint64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := RunOne(cfg(heapBytes), bench, env)
+	res, err := run()
 	runtime.ReadMemStats(&after)
 	if err != nil || res.Incomplete() {
 		t.Fatalf("run failed: %v %+v", err, res)
@@ -130,14 +141,7 @@ func TestRunOneAllocBudget(t *testing.T) {
 func warmRunWithin(t *testing.T, cfg core.Config, bench *workload.Benchmark, env Env, maxMallocs, maxBytes uint64) {
 	t.Helper()
 	run := func() (*Result, uint64, uint64) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := RunOne(cfg, bench, env)
-		runtime.ReadMemStats(&after)
-		if err != nil || res.Incomplete() {
-			t.Fatalf("run failed: %v %+v", err, res)
-		}
-		return res, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+		return runCost(t, func() (*Result, error) { return RunOne(cfg, bench, env) })
 	}
 	run() // leaves its scaffolding to the next run
 	// What it left must survive Go collections.
@@ -225,14 +229,7 @@ func TestRunServerAllocBudget(t *testing.T) {
 			env.Mutators = mutators
 			cfg := serverCollector(t, "25.25", sc, env, 3)
 			run := func() (*Result, uint64, uint64) {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				res, err := RunServer(cfg, sc, server.DefaultSLO, env)
-				runtime.ReadMemStats(&after)
-				if err != nil || res.Incomplete() {
-					t.Fatalf("run failed: %v %+v", err, res)
-				}
-				return res, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+				return runCost(t, func() (*Result, error) { return RunServer(cfg, sc, server.DefaultSLO, env) })
 			}
 			run() // leaves its storage to the next run
 			runtime.GC()
