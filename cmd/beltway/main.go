@@ -168,7 +168,7 @@ func printResult(r *harness.Result) {
 		float64(c.BytesAllocated)/(1<<20), c.ObjectsAllocated)
 	fmt.Printf("  copied              %10.2f MB in %d objects (mark/cons %.3f)\n",
 		float64(c.BytesCopied)/(1<<20), c.ObjectsCopied,
-		float64(c.BytesCopied)/float64(max64(c.BytesAllocated, 1)))
+		float64(c.BytesCopied)/float64(max(c.BytesAllocated, 1)))
 	fmt.Printf("  pointer stores      %10d (%d slow path, %d remset inserts)\n",
 		c.PointerStores, c.BarrierSlowPaths, c.RemsetInserts)
 	fmt.Printf("  remset entries @GC  %10d\n", c.RemsetEntriesGC)
@@ -220,13 +220,6 @@ func printServerReport(rep *server.Report) {
 			fmt.Println("  SLO: FAIL")
 		}
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatalf(format string, args ...any) {

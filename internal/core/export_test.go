@@ -6,34 +6,6 @@ import (
 	"beltway/internal/heap"
 )
 
-// NewOn builds a heap of cfg on what donor leaves behind: donor is
-// released, and its scaffold goes straight to the new heap rather than
-// through the process-wide list, where it need not be the one on top. A
-// nil donor builds the heap from nothing, whatever the list holds. Tests
-// use it to hold a warm heap to a cold one.
-func NewOn(cfg Config, types *heap.Registry, donor *Heap) (*Heap, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	sc := newScaffold()
-	if donor != nil {
-		sc = donor.dismantle()
-	}
-	return newHeap(cfg, types, sc), nil
-}
-
-// SpareScaffolds returns how many released heaps' scaffolds wait for New.
-func SpareScaffolds() int { return scaffolds.Len() }
-
-// DropSpareScaffolds empties the list New takes scaffolds from.
-func DropSpareScaffolds() {
-	for {
-		if _, ok := scaffolds.Take(); !ok {
-			return
-		}
-	}
-}
-
 // FrameTables is a heap's per-frame bookkeeping as plain data, for
 // comparing two heaps: Owner names each frame's increment by belt and
 // seq ("" for none), MRFrames the frames with line metadata attached.

@@ -14,7 +14,7 @@ import (
 // order stamps), the remembered-set table, and the cost-model clock.
 // It implements gc.Collector.
 type Heap struct {
-	sc    *scaffold // what the heap is built in, and Release hands on
+	sc    *scaffold // what the heap is built in, and Release empties it into
 	cfg   Config
 	space *heap.Space
 	clock *stats.Clock
@@ -84,18 +84,25 @@ type refKernel struct {
 }
 
 // New builds a collector from cfg. The type registry is shared with the
-// mutator that will drive the heap. Its tables grow into the storage a
-// released heap left behind, when there is one (Release).
+// mutator that will drive the heap.
 func New(cfg Config, types *heap.Registry) (*Heap, error) {
-	if err := cfg.Validate(); err != nil {
+	h := &newScaffold().shell
+	if err := h.Reset(cfg, types); err != nil {
 		return nil, err
 	}
-	return newHeap(cfg, types, takeScaffold()), nil
+	return h, nil
 }
 
-// newHeap is New on a validated cfg, building on sc: the heap is
-// sc.shell, its tables grow into what sc holds.
-func newHeap(cfg Config, types *heap.Registry, sc *scaffold) *Heap {
+// Reset makes h, a heap New built, the heap New(cfg, types) builds, in
+// the same value, its tables growing into the storage h's earlier runs
+// grew (its scaffold). A live h is released first, so read what its run
+// measured before.
+func (h *Heap) Reset(cfg Config, types *heap.Registry) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	h.Release()
+	sc := h.sc
 	if isZeroCosts(cfg.Costs) {
 		cfg.Costs = stats.DefaultCosts()
 	}
@@ -108,7 +115,6 @@ func newHeap(cfg Config, types *heap.Registry, sc *scaffold) *Heap {
 	for len(sc.belts) < len(cfg.Belts) {
 		sc.belts = append(sc.belts, new(Belt))
 	}
-	h := &sc.shell
 	*h = Heap{
 		sc:               sc,
 		cfg:              cfg,
@@ -137,7 +143,7 @@ func newHeap(cfg Config, types *heap.Registry, sc *scaffold) *Heap {
 	}
 	h.mrInit()
 	h.recomputeReserve()
-	return h
+	return nil
 }
 
 // Name implements gc.Collector.

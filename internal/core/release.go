@@ -14,17 +14,17 @@ import (
 // per-frame tables, the belts, the boot frame list, the collection
 // scratch, the mark-region line metadata and gray stack, the buffer a
 // collection gathers remembered-set roots in — and the run's increments.
-// Release empties each, capacity kept, and hands the scaffold to the next
-// Heap New builds in the process, in the same Heap value. What a Heap
-// built on it can observe is what a new one would: every table starts at
-// length zero, every increment is a spare, the clock reads zero.
+// Release empties each, capacity kept, and the heap's next Reset builds on
+// it, in the same Heap value. What a Heap built on it can observe is what
+// a new one would: every table starts at length zero, every increment is
+// a spare, the clock reads zero.
 //
-// Nothing a Result can alias is pooled: a Result copies the pause log
-// and reads the clock's numbers before the heap is released. The clock
-// is reset only when the next heap is built on the scaffold, so until
-// then a released heap still reads its clock and collection count.
+// Nothing a Result can alias is kept: a Result copies the pause log and
+// reads the clock's numbers before the heap is released. The clock is
+// reset only when the heap is built again, so until then a released heap
+// still reads its clock and collection count.
 type scaffold struct {
-	shell Heap // the heap New builds, so the closures below stay valid
+	shell Heap // the heap itself, so the closures below stay valid
 	clock stats.Clock
 	space heap.SpaceStorage
 	roots gc.RootStorage
@@ -57,24 +57,11 @@ type scaffold struct {
 	mrSizeOfFn       func(off int) int
 }
 
-// scaffolds holds the scaffolds of released heaps, for New. Like the slab
-// lists it is a heap.FreeList: a scaffold outlives any number of Go
-// collections, and the list holds at most as many as there were heaps
-// live at once.
-var scaffolds heap.FreeList[*scaffold]
-
-// takeScaffold returns a released heap's scaffold, or a new one.
-func takeScaffold() *scaffold {
-	if sc, ok := scaffolds.Take(); ok {
-		return sc
-	}
-	return newScaffold()
-}
-
 // newScaffold returns an empty scaffold with the heap's callbacks made.
 func newScaffold() *scaffold {
 	sc := &scaffold{}
 	h := &sc.shell
+	h.sc = sc
 	sc.onMap = func() { h.clock.Counters.FramesMapped++ }
 	sc.onUnmap = func() { h.clock.Counters.FramesUnmapped++ }
 	sc.frameCondemnedFn = h.frameCondemned
@@ -89,22 +76,15 @@ func newScaffold() *scaffold {
 
 // Release ends the heap's run. Its Space hands its slabs to the slab list
 // for its frame size (heap.Space.Release), and everything else the run
-// grew goes to the next Heap New builds in the process — in this Heap
-// value, so read what the run measured first. Until then the heap keeps
-// only its Config, Clock and collection count: Roots and Remsets are nil,
-// so a use after release panics instead of reaching another run's
-// tables, and the Space faults on every access.
+// grew waits in the heap's scaffold for the next Reset. Until then the
+// heap keeps only its Config, Clock and collection count: Roots and
+// Remsets are nil, so a use after release panics instead of reaching
+// another run's tables, and the Space faults on every access.
 // Releasing twice is harmless.
 func (h *Heap) Release() {
 	if h.roots == nil {
 		return
 	}
-	scaffolds.Put(h.dismantle())
-}
-
-// dismantle is Release up to the list: the heap emptied into its
-// scaffold.
-func (h *Heap) dismantle() *scaffold {
 	sc := h.sc
 	for _, b := range h.belts {
 		for _, in := range b.incrs {
@@ -140,7 +120,6 @@ func (h *Heap) dismantle() *scaffold {
 	sc.mrPool = h.mr.pool
 	sc.mrQueue = emptied(h.mr.queue)
 	*h = Heap{cfg: h.cfg, space: h.space, clock: h.clock, gcCount: h.gcCount, sc: sc}
-	return sc
 }
 
 // emptied clears s and returns it at length zero: the array is kept, and

@@ -71,16 +71,16 @@ func driveWarmScript(h *core.Heap, types *heap.Registry, seed int64) ([]kernelPo
 	return points, err
 }
 
-// TestWarmHeapMatchesCold holds a heap built on a released heap's
-// scaffold to one built from nothing, on every substrate and barrier the
-// kernel tests cover: the same script must collect at the same points to
-// the same heap images, counters and clock, and leave the same per-frame
-// tables; the warm heap's invariants hold, its spares included. Each
-// configuration is built warm three times: on a donor of the same
-// configuration with four times the heap (longer tables, line metadata of
-// the same geometry), on one whose lines are twice as long (line metadata
-// the heap must not take), and on a donor of the previous configuration
-// in the list (cards or lines it does not have itself).
+// TestWarmHeapMatchesCold holds a heap Reset after a run to one built
+// from nothing, on every substrate and barrier the kernel tests cover:
+// the same script must collect at the same points to the same heap
+// images, counters and clock, and leave the same per-frame tables; the
+// warm heap's invariants hold, its spares included. Each configuration
+// is built warm three times, each by a Reset of a donor heap: one of the
+// same configuration with four times the heap (longer tables, line
+// metadata of the same geometry), one whose lines are twice as long
+// (line metadata the heap must not take), and one of the previous
+// configuration in the list (cards or lines it does not have itself).
 func TestWarmHeapMatchesCold(t *testing.T) {
 	cases := kernelCases(t)
 	for i, tc := range cases {
@@ -95,7 +95,7 @@ func TestWarmHeapMatchesCold(t *testing.T) {
 		}
 		t.Run(cfg.Name, func(t *testing.T) {
 			types := heap.NewRegistry()
-			cold, err := core.NewOn(cfg, types, nil)
+			cold, err := core.New(cfg, types)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,14 +105,13 @@ func TestWarmHeapMatchesCold(t *testing.T) {
 			}
 			for name, dcfg := range donors {
 				dtypes := heap.NewRegistry()
-				donor, err := core.NewOn(dcfg, dtypes, nil)
+				warm, err := core.New(dcfg, dtypes)
 				if err != nil {
 					t.Fatal(err)
 				}
-				driveWarmScript(donor, dtypes, 2)
+				driveWarmScript(warm, dtypes, 2)
 				types := heap.NewRegistry()
-				warm, err := core.NewOn(cfg, types, donor)
-				if err != nil {
+				if err := warm.Reset(cfg, types); err != nil {
 					t.Fatal(err)
 				}
 				got, gotErr := driveWarmScript(warm, types, 1)
@@ -163,27 +162,64 @@ func TestReleasedHeapPanics(t *testing.T) {
 	}
 }
 
-// TestReleasedScaffoldListHoldsPeakUse: New makes a scaffold only when
-// the list is empty, so the list holds as many as there were heaps live
-// at once, and no Go collection empties it.
-func TestReleasedScaffoldListHoldsPeakUse(t *testing.T) {
-	core.DropSpareScaffolds()
+// TestResetHeapBuildsNothing: a heap Reset after its run is built in the
+// storage that run grew, not in another heap's: building it makes no Go
+// object, nor does a run on it once the heap has served that run,
+// however many Go collections ran in between; and a heap live beside it
+// is untouched. (The first warm runs may still grow the frame lists of
+// spare increments, which are handed out by recency, not by role; they
+// settle within a few runs.)
+func TestResetHeapBuildsNothing(t *testing.T) {
 	cfg := collectors.XX100(25, testOptions(256))
-	a, _ := benchHeap(t, cfg)
-	b, _ := benchHeap(t, cfg)
-	a.Release()
-	b.Release()
+	types := heap.NewRegistry()
+	node := types.DefineScalar("n", 2, 2)
+	h, err := core.New(cfg, types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, otherNode := benchHeap(t, cfg)
+	other.Roots().Add(mustAlloc(t, other, otherNode))
+	reset := func() {
+		if err := h.Reset(cfg, types); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func() {
+		reset()
+		for i := 0; i < 2000; i++ {
+			a := mustAlloc(t, h, node)
+			if i%8 == 0 {
+				h.Roots().Add(a)
+			}
+		}
+		if err := h.Collect(true); err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}
+	run()
 	runtime.GC()
 	runtime.GC()
-	if n := core.SpareScaffolds(); n != 2 {
-		t.Fatalf("two heaps live at once left %d scaffolds, want 2", n)
+	if n := testing.AllocsPerRun(5, func() { reset(); h.Release() }); n != 0 {
+		t.Errorf("building a heap on its released run made %v Go objects, want 0", n)
 	}
-	c, _ := benchHeap(t, cfg)
-	if n := core.SpareScaffolds(); n != 1 {
-		t.Errorf("a third heap left %d of the two scaffolds, want 1", n)
+	settled := false
+	for i := 0; i < 8 && !settled; i++ {
+		settled = testing.AllocsPerRun(1, run) == 0
 	}
-	c.Release()
-	if n := core.SpareScaffolds(); n != 2 {
-		t.Errorf("after the third heap's release the list holds %d scaffolds, want 2", n)
+	if !settled {
+		t.Fatal("eight warm runs each made a Go object")
+	}
+	if n := testing.AllocsPerRun(5, run); n != 0 {
+		t.Errorf("a run on a reset heap made %v Go objects, want 0", n)
+	}
+	if err := other.Collect(true); err != nil {
+		t.Fatal(err)
+	}
+	if got := other.Clock().Counters.ObjectsAllocated; got != 1 || other.Collections() != 1 {
+		t.Errorf("the heap beside it allocated %d objects and ran %d collections, want 1 and 1", got, other.Collections())
+	}
+	if err := other.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }

@@ -12,10 +12,11 @@ import (
 )
 
 // TestRunsAreIndependentOfWhatRanBefore: a run builds on what the runs
-// before it in the process released — the heap and its tables, root
-// table, remembered sets, line metadata, clock, the lane's type registry,
-// mutator and recorder, the workload's arena and loops, slabs (DESIGN.md
-// §5, "Run lifecycle") — so no Result may depend on what those runs were.
+// before it in the process released — the lane and its heap with its
+// tables, root table, remembered sets, line metadata and clock, the
+// lane's type registry, mutator, recorder and RNG, the workload's
+// contexts with their arenas and loops, slabs (DESIGN.md §5, "Run
+// lifecycle") — so no Result may depend on what those runs were.
 // Every TestRunGoldenDigests row must reproduce its literal run in order,
 // each right after an Appel run of pseudojbb at its minimum heap (the
 // largest tables a search leaves), each right after an immix run of
@@ -25,11 +26,30 @@ import (
 // of another run's values), each right after javac and then pseudojbb
 // (whose digest must be the one pseudojbb has run first: a registry and
 // an arena handed from one benchmark to another), each both before and
-// after such a server run, in reverse order, and two at a time through
+// after such a server run, each right after a four-lane run (whose
+// runtime keeps three lanes idle through the narrower row), each right
+// before one (whose digest must be the one it has run first: lanes kept
+// idle, then built again), in reverse order, and two at a time through
 // an engine with two workers, where each run's heap is built from what
 // the other side released.
 func TestRunsAreIndependentOfWhatRanBefore(t *testing.T) {
 	env := EnvForScale(0.1)
+	// A four-lane run: a pooled runtime keeps the lanes a narrower run
+	// leaves idle, heaps and all, for the next run as wide.
+	fourLanes := func(t *testing.T) string {
+		env := env
+		env.Mutators = 4
+		res, err := RunOne(collectors.XX100(25, env.Options(benchHeap)), workload.Jess(), env)
+		if err != nil || res.Incomplete() || res.Mutators != 4 {
+			t.Fatalf("four lanes: %v %+v", err, res)
+		}
+		d, err := ResultDigest(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	fourAlone := fourLanes(t)
 	jbb := workload.Get("pseudojbb")
 	jbbMin, err := FindMinHeap(AppelConfig(env), jbb, env)
 	if err != nil {
@@ -120,6 +140,20 @@ func TestRunsAreIndependentOfWhatRanBefore(t *testing.T) {
 			runAndCheck(t, tc)
 			longServer(t)
 			runAndCheck(t, tc)
+		}
+	})
+	t.Run("after a four-lane run", func(t *testing.T) {
+		for _, tc := range goldenCases {
+			fourLanes(t)
+			runAndCheck(t, tc)
+		}
+	})
+	t.Run("four lanes after each row", func(t *testing.T) {
+		for _, tc := range goldenCases {
+			runAndCheck(t, tc)
+			if got := fourLanes(t); got != fourAlone {
+				t.Errorf("four lanes after %s: digest %s, first %s", tc.name, got, fourAlone)
+			}
 		}
 	})
 	t.Run("in reverse order", func(t *testing.T) {

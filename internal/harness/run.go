@@ -194,8 +194,8 @@ func Run(cfg core.Config, w Workload, env Env) (*Result, error) {
 		return nil, wrap(err)
 	}
 	// The Result is read off the clocks, never the heaps, and copies the
-	// events it keeps: once it is taken the heaps and the recorder rings
-	// go to the next run.
+	// events it keeps: once it is taken the runtime goes to the next run,
+	// and each lane's heap and recorder ring with it.
 	defer rt.Release()
 	lanes := rt.Shards()
 	if ctrl != nil {

@@ -160,17 +160,33 @@ func RelativeToBest(points [][]SweepPoint, m Metric) [][]float64 {
 			}
 		}
 	}
+	return geoMeanRel(points, m, best)
+}
+
+// AbsoluteGeoMean returns the geometric mean of the raw metric across
+// benchmarks per point (the right-hand "time in seconds" axis of the
+// paper's figures).
+func AbsoluteGeoMean(points [][]SweepPoint, m Metric) [][]float64 {
+	return geoMeanRel(points, m, nil)
+}
+
+// geoMeanRel returns, per point, the geometric mean across benchmarks of
+// the metric over its benchmark's best, or over 1 when best is nil. A
+// point is NaN when it has no results, or one that is incomplete, not
+// positive or without a best.
+func geoMeanRel(points [][]SweepPoint, m Metric, best map[string]float64) [][]float64 {
 	out := make([][]float64, len(points))
 	for ci, row := range points {
 		out[ci] = make([]float64, len(row))
 		for pi, p := range row {
-			out[ci][pi] = geoMeanRel(p.Results, m, best)
+			out[ci][pi] = geoMeanOf(p.Results, m, best)
 		}
 	}
 	return out
 }
 
-func geoMeanRel(results []*Result, m Metric, best map[string]float64) float64 {
+// geoMeanOf is one point of geoMeanRel.
+func geoMeanOf(results []*Result, m Metric, best map[string]float64) float64 {
 	if len(results) == 0 {
 		return math.NaN()
 	}
@@ -179,7 +195,10 @@ func geoMeanRel(results []*Result, m Metric, best map[string]float64) float64 {
 		if r.Incomplete() {
 			return math.NaN()
 		}
-		b := best[r.Benchmark]
+		b := 1.0
+		if best != nil {
+			b = best[r.Benchmark]
+		}
 		v := m(r)
 		if b <= 0 || v <= 0 {
 			return math.NaN()
@@ -187,43 +206,6 @@ func geoMeanRel(results []*Result, m Metric, best map[string]float64) float64 {
 		sum += math.Log(v / b)
 	}
 	return math.Exp(sum / float64(len(results)))
-}
-
-// AbsoluteGeoMean returns the geometric mean of the raw metric across
-// benchmarks per point (the right-hand "time in seconds" axis of the
-// paper's figures).
-func AbsoluteGeoMean(points [][]SweepPoint, m Metric) [][]float64 {
-	out := make([][]float64, len(points))
-	for ci, row := range points {
-		out[ci] = make([]float64, len(row))
-		for pi, p := range row {
-			if len(p.Results) == 0 {
-				out[ci][pi] = math.NaN()
-				continue
-			}
-			sum, n := 0.0, 0
-			bad := false
-			for _, r := range p.Results {
-				if r.Incomplete() {
-					bad = true
-					break
-				}
-				v := m(r)
-				if v <= 0 {
-					bad = true
-					break
-				}
-				sum += math.Log(v)
-				n++
-			}
-			if bad || n == 0 {
-				out[ci][pi] = math.NaN()
-			} else {
-				out[ci][pi] = math.Exp(sum / float64(n))
-			}
-		}
-	}
-	return out
 }
 
 // BenchmarkSeries extracts, for one benchmark, the metric per point

@@ -32,7 +32,8 @@ type bound interface {
 	// report is, for a workload that measures more than the clocks do,
 	// the fold of the lanes' reports into Result.Server (nil otherwise).
 	report() *server.Report
-	// release hands the binding's storage to the next run; report first.
+	// release hands the binding, with its storage, to the next run;
+	// report first.
 	release()
 }
 
@@ -63,8 +64,9 @@ func (w benchWorkload) bind(lanes []*shard.Shard, env Env, _ *policy.Controller)
 }
 
 // benchRun is a Bench workload bound to a run: each lane's program
-// context, whose arena the lane's tables are carved from, and the round
-// body, made once. Released ones wait on benchRuns for the next run.
+// context, which keeps the arena the lane's tables are carved from, and
+// the round body, made once. Released ones wait on benchRuns for the next
+// run.
 type benchRun struct {
 	b    *workload.Benchmark
 	env  Env
@@ -83,14 +85,9 @@ func (br *benchRun) plan() shard.Plan {
 }
 
 func (br *benchRun) run(_ int, s *shard.Shard) {
-	c := &br.ctxs[s.ID]
-	*c = workload.Ctx{
-		M:         s.M,
-		Types:     s.Heap.Space().Types,
-		Rng:       s.Rng,
-		Scale:     br.env.Scale,
-		Pretenure: br.env.Pretenure,
-	}
+	c := &br.ctxs[s.ID] // set field by field: the context keeps its arena
+	c.M, c.Types, c.Rng = s.M, s.Heap.Space().Types, s.Rng
+	c.Scale, c.Pretenure = br.env.Scale, br.env.Pretenure
 	br.b.Body(c)
 }
 
@@ -108,8 +105,7 @@ func (br *benchRun) release() {
 // seeded from the config's own seed (Env.Seed plays no part). Rounds are
 // arrival batches, collections stay lane-local, so a request's latency is a pure function of its own
 // lane's stream; one report covers the lanes in lane order
-// (server.ReportLoops) and the SLO verdict is evaluated on it. Once it is
-// built the loops release their per-request storage to the next run.
+// (server.ReportLoops) and the SLO verdict is evaluated on it.
 func Server(sc server.Config, slo server.SLO) Workload { return serverWorkload{sc, slo} }
 
 type serverWorkload struct {
@@ -150,8 +146,9 @@ func (w serverWorkload) bind(lanes []*shard.Shard, _ Env, ctrl *policy.Controlle
 }
 
 // serverRun is a Server workload bound to a run: a request loop a lane,
-// kept with the serverRun and reset for every run, and the round body,
-// made once. Released ones wait on serverRuns.
+// kept with the serverRun and reset for every run with its latency buffer
+// and key permutation, and the round body, made once. Released ones wait
+// on serverRuns.
 type serverRun struct {
 	slo    server.SLO
 	rounds int
@@ -176,12 +173,7 @@ func (sr *serverRun) report() *server.Report {
 	return server.ReportLoops(sr.loops[:sr.lanes], sr.slo)
 }
 
-func (sr *serverRun) release() {
-	for _, loop := range sr.loops[:sr.lanes] {
-		loop.Release()
-	}
-	serverRuns.Put(sr)
-}
+func (sr *serverRun) release() { serverRuns.Put(sr) }
 
 // multiObserver fans one request stream out to several observers
 // (telemetry plus the adaptive controller).

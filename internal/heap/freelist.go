@@ -2,12 +2,15 @@ package heap
 
 import "sync"
 
-// FreeList is a process-wide LIFO list of released items — slabs, heap
-// scaffolds, recorder rings — that the next run takes instead of
-// allocating. Unlike a sync.Pool, the Go collector never empties it: an
-// item stays until a run takes it. It needs no cap, because its users
-// create an item only when Take finds the list empty: the list never
-// holds more than the process once had in use at the same time.
+// FreeList is a process-wide LIFO list of released items that the next
+// run takes instead of allocating. Its users are the slab lists, one per
+// frame size (slabLists), and the three values a run is handed between,
+// each of which keeps its own parts: shard's runtimes and the harness's
+// bench and server bindings. Unlike a sync.Pool, the Go collector never
+// empties it: an item stays until a run takes it. It needs no cap,
+// because its users create an item only when Take finds the list empty:
+// the list never holds more than the process once had in use at the same
+// time.
 type FreeList[T any] struct {
 	mu    sync.Mutex
 	items []T

@@ -116,6 +116,14 @@ var deletions = []deletion{
 			undefined("farm run", "-retries", "0", "-out", "$TMP"),
 		},
 	},
+	{
+		why: "One owner per released run: a lane keeps its heap, recorder ring and RNG, a benchmark binding " +
+			"its contexts' arenas, a server loop its latency buffer and key permutation; no process-wide list " +
+			"holds a part its owner keeps. The heap.FreeLists are the slab lists and the three owners " +
+			"(shard.runtimes, harness.benchRuns, harness.serverRuns).",
+		names: `takeScaffold|takeRng|takeBuf|latBufs|permBufs|SpareScaffolds|` +
+			`heap\.FreeList\[(\*(scaffold|ring|rand\.Rand|arena)|\[\](float64|int))\]`,
+	},
 }
 
 // deletedNames is the compiled names of every deletion, in order.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -213,15 +214,14 @@ func summary(r *Report) string {
 		r.Phases, r.Overall, r.Verdicts, r.Passed, r.StoreChecksum, r.Shards)
 }
 
-// loopOf builds the Loop that has measured what l says, the way request
-// and enterPhase would have left it, on a released latency buffer when
-// there is one.
-func loopOf(l lane) *Loop {
+// loopOf builds in loop the Loop that has measured what l says, the way
+// request and enterPhase would have left it, in loop's latency buffer.
+func loopOf(l lane, loop *Loop) *Loop {
 	cfg := Config{Phases: l.phases}
-	loop := &Loop{
+	*loop = Loop{
 		cfg:       cfg,
 		total:     cfg.TotalRequests(),
-		lats:      takeBuf(&latBufs, cfg.TotalRequests()),
+		lats:      slices.Grow(loop.lats[:0], cfg.TotalRequests()),
 		starts:    make([]int, 0, len(l.phases)),
 		reads:     l.reads,
 		writes:    l.writes,
@@ -309,7 +309,7 @@ func TestReportsMatchCopyAndSortReference(t *testing.T) {
 					distinct[v] = true
 				}
 			}
-			loop := loopOf(l)
+			loop := loopOf(l, new(Loop))
 			g, w := loop.Report(refSLO), refReport(l, refSLO)
 			sameReport(t, "Report, "+name, g, w, []*Loop{loop}, []lane{l})
 			lanes, loops, want, names = append(lanes, l), append(loops, loop), append(want, w), append(names, name)

@@ -186,8 +186,8 @@ type Observer interface {
 // RunBatch serves the next arrival batch, so a plan's round is a batch.
 // NewLoop allocates nothing on the simulated heap;
 // Start and every RunBatch must happen inside vm.Mutator.Run (allocation
-// failures surface as OOM panics). Release hands its per-request storage
-// to the next Loop once the run is reported.
+// failures surface as OOM panics). A Loop kept from run to run (Reset)
+// serves each script in the storage the scripts before it grew.
 type Loop struct {
 	cfg     Config
 	m       *vm.Mutator
@@ -197,7 +197,7 @@ type Loop struct {
 
 	rng  rng
 	zipf zipf
-	perm []int // rank -> key
+	perm []int // rank -> key, with room for every growth phase
 
 	dir         gc.Handle
 	valType     *heap.TypeDesc
@@ -214,7 +214,7 @@ type Loop struct {
 	finished bool
 
 	// lats is every request's latency in arrival order, one buffer of at
-	// least the whole script, taken from latBufs; starts[i] is where phase
+	// least the whole script, grown by Reset; starts[i] is where phase
 	// i's requests begin in it, recorded as the phase is entered, so a
 	// phase's stream is a sub-slice and a phase never entered has no
 	// entry. ReportLoops sorts each phase in its place.
@@ -248,9 +248,10 @@ func NewLoop(cfg Config, opts LoopOpts) (*Loop, error) {
 	return l, nil
 }
 
-// Reset makes l the Loop NewLoop(cfg, opts) returns, its per-phase counts
-// in the arrays l had: a loop kept from one run to the next (a harness
-// lane's) serves the next script allocating none. Release it first.
+// Reset makes l the Loop NewLoop(cfg, opts) returns, its latency buffer,
+// key permutation and per-phase counts in the arrays l had: a loop kept
+// from one run to the next (a harness lane's) serves the next script
+// allocating none. Report the run before first.
 func (l *Loop) Reset(cfg Config, opts LoopOpts) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -262,13 +263,16 @@ func (l *Loop) Reset(cfg Config, opts LoopOpts) error {
 	worstInfl := slices.Grow(l.worstInfl[:0], n)[:n]
 	clear(counts)
 	clear(worstInfl)
+	lats := slices.Grow(l.lats[:0], total)
+	perm := slices.Grow(l.perm[:0], cfg.MaxKeys())
 	*l = Loop{
 		cfg:       cfg,
 		obs:       opts.Observer,
 		rng:       seededRNG(cfg.Seed),
 		zipf:      makeZipf(cfg.Keys, theta),
 		total:     total,
-		lats:      takeBuf(&latBufs, total),
+		perm:      perm,
+		lats:      lats,
 		counts:    counts,
 		starts:    counts[0:0:n],
 		reads:     counts[n : 2*n : 2*n],
@@ -294,52 +298,18 @@ func (l *Loop) Start(m *vm.Mutator, types *heap.Registry) {
 	l.scratchType = lookupOrDefineWordArray(types, "srv.scratch")
 
 	cfg := l.cfg
-	maxKeys := cfg.MaxKeys()
-	dirLen := (maxKeys + bucketSize - 1) / bucketSize
+	dirLen := (cfg.MaxKeys() + bucketSize - 1) / bucketSize
 	l.dir = m.AllocGlobal(l.dirType, dirLen)
 	// started flips before population: a mid-populate OOM leaves a
 	// partial store, and retrying would double-draw the RNG stream.
 	l.started = true
 	l.populate(0, cfg.Keys)
 	l.nKeys = cfg.Keys
-	l.perm = takeBuf(&permBufs, maxKeys)[:cfg.Keys]
+	l.perm = l.perm[:cfg.Keys]
 	for i := range l.perm {
 		l.perm[i] = i
 	}
 	l.enterPhase(0)
-}
-
-// latBufs and permBufs hold the latency buffers and key permutations of
-// released loops, for the loops built next in the process: like the heap
-// slabs they outlive any number of Go collections. A buffer is made only
-// when the list's last one is too small (that one is dropped), so a list
-// holds no more than there were loops live at once.
-var (
-	latBufs  heap.FreeList[[]float64]
-	permBufs heap.FreeList[[]int]
-)
-
-// takeBuf returns an empty buffer from l with room for n, or a new one.
-// What a released buffer held is never read: a loop only reads what it
-// appended or wrote.
-func takeBuf[T any](l *heap.FreeList[[]T], n int) []T {
-	if b, ok := l.Take(); ok && cap(b) >= n {
-		return b[:0]
-	}
-	return make([]T, 0, n)
-}
-
-// Release hands the loop's latency buffer and key permutation to the
-// loops built next in the process. Report first: afterwards the loop
-// holds no latency and must not serve again. Releasing twice is harmless.
-func (l *Loop) Release() {
-	if l.lats != nil {
-		latBufs.Put(l.lats)
-	}
-	if l.perm != nil {
-		permBufs.Put(l.perm)
-	}
-	l.lats, l.perm, l.starts = nil, nil, nil
 }
 
 func lookupOrDefineWordArray(r *heap.Registry, name string) *heap.TypeDesc {

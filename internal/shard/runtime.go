@@ -65,16 +65,17 @@ type Runtime struct {
 	collectFn func(round int) // rt.collectAfter, made once
 }
 
-// runtimes holds released runtimes — the lane shells: Runtime, safepoint,
-// Shards with their type registries, mutator facades and telemetry runs,
-// round clocks and costs — for New, like core's scaffolds: it holds at
-// most as many as there were runtimes live at once.
+// runtimes holds released runtimes for New: the Runtime, its safepoint,
+// round clocks and costs, and every lane it has had, each with its lane
+// shell, its heap and its RNG. It holds at most as many as there were
+// runtimes live at once.
 var runtimes heap.FreeList[*Runtime]
 
 // New builds a sharded runtime over the template configuration: every
 // shard gets a private heap of cfg's full HeapBytes (scale-out — N
 // mutators on N times the single-mutator run's machine). It builds on a
-// released runtime when there is one (Release), in the same values.
+// released runtime when there is one (Release), in the same values: lane
+// i resets the heap and re-seeds the RNG lane i had.
 func New(cfg core.Config, opts Options) (*Runtime, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, have %d", opts.Shards)
@@ -100,7 +101,15 @@ func New(cfg core.Config, opts Options) (*Runtime, error) {
 	}
 	for i, s := range rt.shards {
 		s.shell.types.Reset()
-		h, err := core.New(cfg, &s.shell.types)
+		h, rng, seed := s.Heap, s.Rng, StreamSeed(opts.Seed, i)
+		var err error
+		if h == nil {
+			h, err = core.New(cfg, &s.shell.types)
+			rng = rand.New(rand.NewSource(seed))
+		} else {
+			err = h.Reset(cfg, &s.shell.types)
+			rng.Seed(seed)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -108,7 +117,7 @@ func New(cfg core.Config, opts Options) (*Runtime, error) {
 			ID:    i,
 			Heap:  h,
 			M:     &s.shell.mut,
-			Rng:   takeRng(StreamSeed(opts.Seed, i)),
+			Rng:   rng,
 			shell: s.shell,
 		}
 		s.M.Reset(h)
@@ -303,46 +312,22 @@ func (rt *Runtime) collectLane(s *Shard, round int) {
 	s.collect(round)
 }
 
-// Release hands the runtime to the next New in the process, and every
-// shard's heap (core.Heap.Release), flight recorder ring
-// (telemetry.Run.Release) and RNG to the next run's. Call it once the
-// clocks, MergedTelemetry and any validator fingerprints have been read:
-// afterwards the shard heaps fault on every access, the recorders hold
-// no events and Rng is nil, until New builds on the runtime again.
-// Releasing twice is harmless.
+// Release hands the runtime, with every lane it has had, to the next New
+// in the process. A lane keeps what it built: its heap, released here
+// (core.Heap.Release), its recorder ring and its RNG, which the next run
+// on the lane resets. Call it once the clocks, MergedTelemetry and any
+// validator fingerprints have been read: afterwards the shard heaps fault
+// on every access, until New builds on the runtime again. Releasing twice
+// is harmless.
 func (rt *Runtime) Release() {
 	if rt.released {
 		return
 	}
 	rt.released = true
-	// Last lane first: the lists are LIFO, so the next runtime's lane i
-	// takes back lane i's heap and RNG, already grown to what lane i needs.
-	for i := len(rt.shards) - 1; i >= 0; i-- {
-		s := rt.shards[i]
-		if s.Tele != nil {
-			s.Tele.Release()
-		}
+	for _, s := range rt.shards {
 		s.Heap.Release()
-		if s.Rng != nil {
-			rngs.Put(s.Rng)
-			s.Rng = nil
-		}
 	}
 	runtimes.Put(rt)
-}
-
-// rngs holds the RNGs of released shards. A math/rand source is 4.9 KB
-// of state, and re-seeding one draws exactly what a new one seeded alike
-// would, so a run takes a released one when there is one.
-var rngs heap.FreeList[*rand.Rand]
-
-// takeRng returns an RNG seeded with seed, recycled when one is free.
-func takeRng(seed int64) *rand.Rand {
-	if r, ok := rngs.Take(); ok {
-		r.Seed(seed)
-		return r
-	}
-	return rand.New(rand.NewSource(seed))
 }
 
 // MergedTelemetry merges every shard's telemetry snapshot into one

@@ -55,10 +55,10 @@ type Shard struct {
 	shell laneShell
 }
 
-// laneShell is what a lane's heap, M and Tele are built in, handed from
-// run to run with the Runtime: the type registry (reset, so no name or ID
-// of the run before is seen), the mutator facade and the telemetry run
-// with its hook closures.
+// laneShell is what a lane's M and Tele are built in, kept from run to
+// run with the lane as its Heap and Rng are: the type registry (reset, so
+// no name or ID of the run before is seen), the mutator facade and the
+// telemetry run with its ring and hook closures.
 type laneShell struct {
 	types heap.Registry
 	mut   vm.Mutator

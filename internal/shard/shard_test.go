@@ -228,9 +228,10 @@ func TestRuntimeSingleUse(t *testing.T) {
 	}
 }
 
-// TestReleaseHandsEveryLaneOn: after Release no lane's heap or recorder
-// can be used, what was read before it is untouched by the runs that
-// build on it, and releasing twice is harmless.
+// TestReleaseHandsEveryLaneOn: after Release no lane's heap can be used,
+// each lane keeps its heap and RNG for the runtime built on it next, what
+// was read before it is untouched by the runs that build on it, and
+// releasing twice is harmless.
 func TestReleaseHandsEveryLaneOn(t *testing.T) {
 	rt := newTestRuntime(t, 2, false)
 	if err := rt.Run(testPlan(4)); err != nil {
@@ -238,20 +239,22 @@ func TestReleaseHandsEveryLaneOn(t *testing.T) {
 	}
 	snap := rt.MergedTelemetry()
 	kept := append([]telemetry.Event(nil), snap.Events...)
+	lanes := append([]*Shard(nil), rt.Shards()...)
+	rngs := []any{lanes[0].Rng, lanes[1].Rng}
+	heaps := []any{lanes[0].Heap, lanes[1].Heap}
 	rt.Release()
 	rt.Release()
 	for _, s := range rt.Shards() {
 		if s.Heap.Roots() != nil || s.Heap.Remsets() != nil {
 			t.Errorf("shard %d: the released heap still has its root table or remembered sets", s.ID)
 		}
-		if n := len(s.Tele.Recorder().Events()); n != 0 {
-			t.Errorf("shard %d: the released recorder still holds %d events", s.ID, n)
-		}
-		if s.Rng != nil {
-			t.Errorf("shard %d: the released lane still has its RNG", s.ID)
-		}
 	}
 	next := newTestRuntime(t, 2, false)
+	for i, s := range next.Shards() {
+		if s != lanes[i] || s.Heap != heaps[i] || s.Rng != rngs[i] {
+			t.Errorf("lane %d did not keep its heap and RNG", i)
+		}
+	}
 	if err := next.Run(testPlan(4)); err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,9 @@
 package telemetry
 
-import "beltway/internal/heap"
-
 // DefaultRecorderCap is the flight-recorder capacity used by Run: enough
 // to hold the full GC history of a short run and the recent history of a
 // long one (each collection emits 2 + condemned + belts events).
 const DefaultRecorderCap = 512
-
-// ring is the buffer of a DefaultRecorderCap recorder.
-type ring = [DefaultRecorderCap]Event
-
-// rings holds the buffers of released DefaultRecorderCap recorders, so
-// that the runs of one process — every run has a recorder — record into
-// one run's worth of rings instead of a fresh one each, however many Go
-// collections ran in between. A ring is made only when the list is empty,
-// so it holds no more rings than there were recorders live at once.
-var rings heap.FreeList[*ring]
 
 // FlightRecorder is a fixed-capacity ring buffer of Events. Emit never
 // allocates: the buffer is sized once at construction and old events are
@@ -27,39 +15,25 @@ type FlightRecorder struct {
 }
 
 // NewFlightRecorder returns a recorder holding the last capacity events
-// (DefaultRecorderCap when capacity <= 0). A recorder of the default
-// capacity records into a released one's ring when there is one: a
-// recorder reads back only the events it emitted itself, so an earlier
-// run's events in the ring are never seen.
+// (DefaultRecorderCap when capacity <= 0).
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	r := new(FlightRecorder)
 	r.reset(capacity)
 	return r
 }
 
-// reset makes r the empty recorder NewFlightRecorder(capacity) returns.
+// reset makes r the empty recorder NewFlightRecorder(capacity) returns,
+// in r's own ring when it has that capacity: a recorder reads back only
+// the events it emitted itself, so an earlier run's events in the ring
+// are never seen.
 func (r *FlightRecorder) reset(capacity int) {
 	if capacity <= 0 {
 		capacity = DefaultRecorderCap
 	}
+	if len(r.buf) != capacity {
+		r.buf = make([]Event, capacity)
+	}
 	r.total = 0
-	if capacity == DefaultRecorderCap {
-		if ring, ok := rings.Take(); ok {
-			r.buf = ring[:]
-			return
-		}
-	}
-	r.buf = make([]Event, capacity)
-}
-
-// Release hands the recorder's ring to the next recorder built in the
-// process. Read its events first: afterwards it holds none, and Emit
-// panics.
-func (r *FlightRecorder) Release() {
-	if len(r.buf) == DefaultRecorderCap {
-		rings.Put((*ring)(r.buf))
-	}
-	r.buf, r.total = nil, 0
 }
 
 // Emit appends e, stamping its Seq (1-based). Zero allocations.

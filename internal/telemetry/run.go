@@ -33,10 +33,9 @@ func NewRun(clock *stats.Clock) *Run {
 	return r
 }
 
-// Reset makes r the Run NewRun(clock) builds, on a released recorder's
-// ring when there is one. A Run kept from one run to the next (shard's
-// lanes) is reset onto the next run's clock after its Release; its hook
-// closures, made once, stay valid.
+// Reset makes r the Run NewRun(clock) builds, recording into r's own
+// ring. A Run kept from one run to the next (a shard lane's) is reset
+// onto the next run's clock; its hook closures, made once, stay valid.
 func (r *Run) Reset(clock *stats.Clock) {
 	r.clock, r.gcOrdinal = clock, 0
 	r.rec.reset(DefaultRecorderCap)
@@ -44,10 +43,6 @@ func (r *Run) Reset(clock *stats.Clock) {
 
 // Recorder returns the run's flight recorder.
 func (r *Run) Recorder() *FlightRecorder { return &r.rec }
-
-// Release hands the run's recorder ring to the next run in the process
-// (FlightRecorder.Release). Snapshot first.
-func (r *Run) Release() { r.rec.Release() }
 
 // now reads the cost clock (0 when the run has no clock attached).
 func (r *Run) now() float64 {

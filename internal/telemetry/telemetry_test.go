@@ -260,36 +260,30 @@ func TestZeroAllocHotPaths(t *testing.T) {
 	}
 }
 
-// A recorder built after another's Release records into its ring, even
-// across Go collections, from its first event; the released one holds
-// nothing and takes no more events.
-func TestFlightRecorderReleaseHandsRingOn(t *testing.T) {
-	old := NewFlightRecorder(0)
+// TestRunResetKeepsRing: a Run reset for the next run records into the
+// ring it had, from its first event, however many Go collections ran in
+// between, and reads back none of the events of the run before; the
+// reset makes no Go object.
+func TestRunResetKeepsRing(t *testing.T) {
+	run := NewRun(nil)
 	for i := 0; i < DefaultRecorderCap+100; i++ {
-		old.Emit(Event{Kind: EvFlip, A: uint64(i)})
+		run.Recorder().Emit(Event{Kind: EvFlip, A: uint64(i)})
 	}
-	ring := &old.buf[0]
-	old.Release()
-	if old.Total() != 0 || len(old.Events()) != 0 {
-		t.Errorf("released recorder still holds %d events", len(old.Events()))
-	}
+	ring := &run.Recorder().buf[0]
 	runtime.GC()
 	runtime.GC()
-	r := NewFlightRecorder(0)
+	if n := testing.AllocsPerRun(5, func() { run.Reset(nil) }); n != 0 {
+		t.Errorf("resetting a Run made %v Go objects, want 0", n)
+	}
+	r := run.Recorder()
 	if r.Cap() != DefaultRecorderCap || r.Total() != 0 || len(r.Events()) != 0 {
-		t.Fatalf("recorder after a release: cap %d, %d events", r.Cap(), len(r.Events()))
+		t.Fatalf("recorder after a reset: cap %d, %d events", r.Cap(), len(r.Events()))
 	}
 	if &r.buf[0] != ring {
-		t.Error("the recorder built after a release did not take the released ring")
+		t.Error("the reset Run does not record into its own ring")
 	}
 	r.Emit(Event{Kind: EvOOM, A: 7})
 	if ev := r.Events(); len(ev) != 1 || ev[0].Kind != EvOOM || ev[0].Seq != 1 {
-		t.Errorf("recorder after a release read back %+v", ev)
+		t.Errorf("recorder after a reset read back %+v", ev)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Emit on a released recorder did not panic")
-		}
-	}()
-	old.Emit(Event{Kind: EvFlip})
 }

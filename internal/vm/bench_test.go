@@ -34,14 +34,15 @@ func BenchmarkMutatorOps(b *testing.B) {
 		keep gc.Handle
 	)
 	fresh := func() {
-		if h != nil {
-			if h.Collections() != 0 {
-				b.Fatal("the heap collected: not the path this benchmark is about")
-			}
-			h.Release()
-		}
 		var err error
-		if h, err = core.New(cfg, types); err != nil {
+		if h == nil {
+			h, err = core.New(cfg, types)
+		} else if h.Collections() != 0 {
+			b.Fatal("the heap collected: not the path this benchmark is about")
+		} else {
+			err = h.Reset(cfg, types)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 		m = vm.New(h)

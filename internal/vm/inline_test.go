@@ -39,8 +39,9 @@ var mustInline = []struct{ pkg, fn string }{
 }
 
 func TestFastPathInlines(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("no go command on PATH")
+	goCmd, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatalf("the inlining guard needs the go command: %v", err)
 	}
 	args := []string{"build", "-gcflags=-m"}
 	seen := map[string]bool{}
@@ -52,7 +53,7 @@ func TestFastPathInlines(t *testing.T) {
 	}
 	// The compiler's report comes on standard error, and is replayed from
 	// the build cache when the packages are already built.
-	out, err := exec.Command("go", args...).CombinedOutput()
+	out, err := exec.Command(goCmd, args...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
 	}

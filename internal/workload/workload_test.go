@@ -182,10 +182,10 @@ func TestChunkedTable(t *testing.T) {
 }
 
 // TestReleasedArenaCarvesNothing: a run's tables, windows and buffers are
-// carved from an arena a finished run released. The first run grows it
-// to what the run carved; a run of the same sizes after it carves every
-// handle slice from it, zeroed, making no Go object, however many Go
-// collections ran in between.
+// carved from its context's arena, which Release rewinds. The first run
+// grows it to what the run carved; a run of the same sizes on the context
+// after it carves every handle slice from it, zeroed, making no Go
+// object, however many Go collections ran in between.
 func TestReleasedArenaCarvesNothing(t *testing.T) {
 	sizes := []int{700, 16, 4096, 60, 1}
 	carve := func(c *Ctx) {
@@ -202,12 +202,11 @@ func TestReleasedArenaCarvesNothing(t *testing.T) {
 			}
 		}
 	}
-	first := &Ctx{}
-	carve(first)
-	first.Release()
-	runtime.GC()
-	runtime.GC()
 	c := &Ctx{}
+	carve(c)
+	c.Release()
+	runtime.GC()
+	runtime.GC()
 	if n := testing.AllocsPerRun(5, func() {
 		carve(c)
 		c.Release()
